@@ -12,13 +12,6 @@
 // for CI to archive the scheduler's perf trajectory:
 //
 //	experiments -run dpbench -bench-time 1s -out BENCH_dp.json
-//
-// The fleetbench artifact (also excluded from "all") measures the
-// distributed compile fleet on a two-node in-process cluster — cold compile
-// latency vs. peer-warm latency and the peer hit rate — and writes
-// BENCH_fleet.json:
-//
-//	experiments -run fleetbench -out BENCH_fleet.json
 package main
 
 import (
@@ -31,10 +24,10 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "artifact to regenerate (table1|fig2|fig3b|fig10|fig11|fig12|fig13|fig15|table2|all|dpbench|fleetbench)")
+	run := flag.String("run", "all", "artifact to regenerate (table1|fig2|fig3b|fig10|fig11|fig12|fig13|fig15|table2|all|dpbench)")
 	stepTimeout := flag.Duration("timeout", time.Second, "adaptive soft budgeting step timeout T")
 	samples := flag.Int("samples", 20000, "schedule samples for fig3b")
-	out := flag.String("out", "", "output path for the dpbench/fleetbench JSON artifact (default BENCH_dp.json / BENCH_fleet.json)")
+	out := flag.String("out", "", "output path for the dpbench JSON artifact (default BENCH_dp.json)")
 	benchTime := flag.Duration("bench-time", time.Second, "minimum measurement time per model for dpbench")
 	flag.Parse()
 
@@ -46,12 +39,6 @@ func main() {
 			path = "BENCH_dp.json"
 		}
 		err = dpBench(os.Stdout, path, *benchTime)
-	case "fleetbench":
-		path := *out
-		if path == "" {
-			path = "BENCH_fleet.json"
-		}
-		err = fleetBench(os.Stdout, path)
 	default:
 		err = execute(*run, *stepTimeout, *samples)
 	}

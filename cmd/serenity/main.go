@@ -24,11 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/bytesize"
 )
 
 func main() {
@@ -72,7 +71,7 @@ func run(in, builtin, budget, dotOut string, noRewrite, noPartition bool, stepTi
 		return err
 	}
 	if budget != "" {
-		b, err := parseBytes(budget)
+		b, err := bytesize.Parse(budget)
 		if err != nil {
 			return err
 		}
@@ -158,22 +157,4 @@ func loadGraph(in, builtin string) (*serenity.Graph, error) {
 		defer f.Close()
 	}
 	return serenity.ReadGraphJSON(f)
-}
-
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	u := strings.ToLower(s)
-	switch {
-	case strings.HasSuffix(u, "kib"), strings.HasSuffix(u, "kb"):
-		mult = 1024
-		u = strings.TrimSuffix(strings.TrimSuffix(u, "kib"), "kb")
-	case strings.HasSuffix(u, "mib"), strings.HasSuffix(u, "mb"):
-		mult = 1 << 20
-		u = strings.TrimSuffix(strings.TrimSuffix(u, "mib"), "mb")
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad byte size %q", s)
-	}
-	return v * mult, nil
 }

@@ -10,31 +10,6 @@ import (
 	serenity "github.com/serenity-ml/serenity"
 )
 
-func TestParseBytes(t *testing.T) {
-	cases := map[string]int64{
-		"256":    256,
-		"250KiB": 250 * 1024,
-		"250kb":  250 * 1024,
-		"2MiB":   2 << 20,
-		"1mb":    1 << 20,
-	}
-	for in, want := range cases {
-		got, err := parseBytes(in)
-		if err != nil {
-			t.Errorf("parseBytes(%q): %v", in, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("parseBytes(%q) = %d, want %d", in, got, want)
-		}
-	}
-	for _, bad := range []string{"", "abc", "12XB"} {
-		if _, err := parseBytes(bad); err == nil {
-			t.Errorf("parseBytes(%q) accepted", bad)
-		}
-	}
-}
-
 func TestLoadGraphBuiltins(t *testing.T) {
 	for _, name := range []string{"darts", "swiftnet", "swiftnet-a", "swiftnet-b", "swiftnet-c", "randwire"} {
 		g, err := loadGraph("", name)

@@ -437,8 +437,9 @@ func TestFleetJoinHandoff(t *testing.T) {
 	}
 }
 
-// TestFleetDrillSmoke runs the -loadgen-fleet drill end to end; it is the
-// same machinery CI's multi-process smoke exercises, kept green from go test.
+// TestFleetDrillSmoke runs the 3-node in-process fleet drill end to end; it
+// is the same machinery CI's multi-process smoke exercises, kept green from
+// go test.
 func TestFleetDrillSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-node drill compiles the full model zoo")

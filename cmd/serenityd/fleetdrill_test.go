@@ -142,7 +142,7 @@ func drillPost(ts *httptest.Server, body []byte) (*scheduleResponse, error) {
 	return &sr, nil
 }
 
-// runFleetDrill (-loadgen-fleet) proves the fleet's contract end to end on a
+// runFleetDrill (driven by TestFleetDrillSmoke) proves the fleet's contract end to end on a
 // 3-node in-process cluster:
 //
 //  1. Global pay-once — node A compiles the bundled model zoo and its

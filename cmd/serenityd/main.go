@@ -139,12 +139,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/bytesize"
 	"github.com/serenity-ml/serenity/internal/fleet"
 	"github.com/serenity-ml/serenity/internal/govern"
 	"github.com/serenity-ml/serenity/internal/trace"
@@ -193,7 +193,6 @@ func main() {
 	loadgen := flag.Bool("loadgen", false, "run the load generator against an in-process server instead of serving")
 	loadN := flag.Int("loadgen-n", 200, "loadgen: total requests")
 	loadC := flag.Int("loadgen-c", 16, "loadgen: concurrent clients")
-	loadgenFleet := flag.Bool("loadgen-fleet", false, "drill a 3-node in-process fleet (pay-once, anti-entropy, dead-owner degradation) instead of serving")
 	loadgenMem := flag.Bool("loadgen-mem", false, "run the self-asserting memory-pressure drill (walks the governor's shed ladder, then proves recovery) instead of serving; needs -mem-limit or GOMEMLIMIT")
 	flag.Parse()
 
@@ -267,7 +266,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *storeDir != "" {
-		maxBytes, err := parseBytes(*storeMax)
+		maxBytes, err := bytesize.Parse(*storeMax)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serenityd: -store-max-bytes:", err)
 			os.Exit(2)
@@ -346,7 +345,7 @@ func main() {
 	// before the refinement pool so the pool's pressure signal can hook it.
 	govOpts := govern.Options{}
 	if *memLimit != "" {
-		v, err := parseBytes(*memLimit)
+		v, err := bytesize.Parse(*memLimit)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serenityd: -mem-limit:", err)
 			os.Exit(2)
@@ -357,7 +356,7 @@ func main() {
 		govOpts.Limit = v
 	}
 	if *memHeadroom != "" {
-		v, err := parseBytes(*memHeadroom)
+		v, err := bytesize.Parse(*memHeadroom)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serenityd: -mem-headroom:", err)
 			os.Exit(2)
@@ -397,23 +396,10 @@ func main() {
 
 	// The serve path flips readiness only after the join pre-stream (below);
 	// the loadgen modes have no probers pointed at them and go ready here.
-	if *loadgen || *loadgenFleet || *loadgenMem {
+	if *loadgen || *loadgenMem {
 		s.ready.Store(true)
 	}
 
-	if *loadgenFleet {
-		// The drill builds its own 3-node fleet; the server assembled above
-		// only contributed flag validation, so release its resources first.
-		closeFleet(s)
-		closeRefine(s)
-		closeGovern(s)
-		closeStore(s)
-		if err := runFleetDrill(opts, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "serenityd:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *loadgenMem {
 		err := runMemDrill(s, os.Stdout)
 		closeFleet(s)
@@ -612,23 +598,4 @@ func closeStore(s *server) {
 	st := s.store.Stats()
 	s.logger.Info("schedule store flushed",
 		"artifacts", st.Entries, "live_bytes", st.LiveBytes, "writes", st.Writes)
-}
-
-// parseBytes accepts "262144", "250KiB"/"250KB", or "4MiB"/"4MB".
-func parseBytes(s string) (int64, error) {
-	mult := int64(1)
-	u := strings.ToLower(s)
-	switch {
-	case strings.HasSuffix(u, "kib"), strings.HasSuffix(u, "kb"):
-		mult = 1024
-		u = strings.TrimSuffix(strings.TrimSuffix(u, "kib"), "kb")
-	case strings.HasSuffix(u, "mib"), strings.HasSuffix(u, "mb"):
-		mult = 1 << 20
-		u = strings.TrimSuffix(strings.TrimSuffix(u, "mib"), "mb")
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad byte size %q", s)
-	}
-	return v * mult, nil
 }

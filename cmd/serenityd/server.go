@@ -15,6 +15,7 @@ import (
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/bytesize"
 	"github.com/serenity-ml/serenity/internal/cache"
 	"github.com/serenity-ml/serenity/internal/fleet"
 	"github.com/serenity-ml/serenity/internal/govern"
@@ -904,7 +905,7 @@ func (s *server) requestOptions(r *http.Request) (reqParams, error) {
 		opts.Parallelism = p
 	}
 	if v := q.Get("budget"); v != "" {
-		b, err := parseBytes(v)
+		b, err := bytesize.Parse(v)
 		if err != nil {
 			return reqParams{}, err
 		}

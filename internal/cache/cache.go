@@ -66,12 +66,32 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // Put inserts or refreshes key, evicting the least recently used entry when
 // over capacity.
 func (c *Cache[V]) Put(key string, val V) {
+	c.PutIf(key, val, nil)
+}
+
+// PutIf is the atomic conditional Put: allow sees the value currently stored
+// for key (exists=false when there is none) and decides, under the cache's
+// own lock, whether val may take its place — so no other writer can land
+// between the check and the write. It reports whether val was stored. A nil
+// allow always stores. allow must not call back into the cache; the entry it
+// inspects is not marked used and counts as neither hit nor miss.
+func (c *Cache[V]) PutIf(key string, val V, allow func(cur V, exists bool) bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	el, exists := c.items[key]
+	if allow != nil {
+		var cur V
+		if exists {
+			cur = el.Value.(*entry[V]).val
+		}
+		if !allow(cur, exists) {
+			return false
+		}
+	}
+	if exists {
 		el.Value.(*entry[V]).val = val
 		c.ll.MoveToFront(el)
-		return
+		return true
 	}
 	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
@@ -80,6 +100,7 @@ func (c *Cache[V]) Put(key string, val V) {
 		delete(c.items, last.Value.(*entry[V]).key)
 		c.stats.Evictions++
 	}
+	return true
 }
 
 // Len returns the current number of entries.

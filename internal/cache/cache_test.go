@@ -80,3 +80,44 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("hits+misses = %d, want %d", s.Hits+s.Misses, 8*500)
 	}
 }
+
+// TestPutIfDecidesUnderTheLock pins the conditional put: allow sees the
+// current value (or exists=false), a refusal stores nothing and counts as
+// neither hit nor miss, and racing first-writer-wins puts on one key admit
+// exactly one.
+func TestPutIfDecidesUnderTheLock(t *testing.T) {
+	c := New[int](4)
+	absent := func(_ int, exists bool) bool { return !exists }
+	if !c.PutIf("k", 1, absent) {
+		t.Fatal("PutIf on an absent key refused")
+	}
+	seen := 0
+	if c.PutIf("k", 2, func(cur int, exists bool) bool { seen = cur; return !exists }) || seen != 1 {
+		t.Fatalf("PutIf over an existing key stored, or allow saw %d, want 1", seen)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 {
+		t.Errorf("PutIf moved the hit/miss counters: %+v", s)
+	}
+	if v, _ := c.Get("k"); v != 1 {
+		t.Errorf("refused PutIf changed the value to %d", v)
+	}
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	won := 0
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if c.PutIf("contended", i, absent) {
+				mu.Lock()
+				won++
+				mu.Unlock()
+			}
+		}(i)
+	}
+	wg.Wait()
+	if won != 1 {
+		t.Errorf("%d racing first-writer-wins puts were admitted, want exactly 1", won)
+	}
+}

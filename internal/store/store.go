@@ -443,24 +443,29 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.misses++
 		return nil, false
 	}
-	r := el.Value.(*rec)
-	buf := make([]byte, r.size)
-	if _, err := s.f.ReadAt(buf, r.off); err != nil {
-		s.dropLocked(el, r)
-		s.corrupt++
-		s.misses++
-		return nil, false
-	}
-	body := buf[recHeaderSize : recHeaderSize+len(r.key)+r.payloadLen]
-	want := binary.LittleEndian.Uint32(buf[len(buf)-recTrailerLen:])
-	if crc32.ChecksumIEEE(body) != want {
-		s.dropLocked(el, r)
-		s.corrupt++
+	payload, ok := s.readLocked(el)
+	if !ok {
 		s.misses++
 		return nil, false
 	}
 	s.ll.MoveToFront(el)
 	s.hits++
+	return payload, true
+}
+
+// readLocked reads and CRC-verifies one indexed record, returning a copy of
+// its payload. A record that fails either step is dropped from the index and
+// counted corrupt. Recency and the hit/miss counters are the caller's call.
+func (s *Store) readLocked(el *list.Element) ([]byte, bool) {
+	r := el.Value.(*rec)
+	buf := make([]byte, r.size)
+	_, err := s.f.ReadAt(buf, r.off)
+	body := buf[recHeaderSize : recHeaderSize+len(r.key)+r.payloadLen]
+	if err != nil || crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(buf)-recTrailerLen:]) {
+		s.dropLocked(el, r)
+		s.corrupt++
+		return nil, false
+	}
 	payload := make([]byte, r.payloadLen)
 	copy(payload, body[len(r.key):])
 	return payload, true
@@ -469,44 +474,62 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // Put appends a record for key, superseding any previous one, and evicts
 // least-recently-used entries if the live set now exceeds the byte bound.
 func (s *Store) Put(key string, payload []byte) error {
+	_, err := s.PutIf(key, payload, nil)
+	return err
+}
+
+// PutIf is the atomic conditional Put: allow sees the payload currently
+// stored for key (exists=false when there is none, or when the record no
+// longer passes its CRC) and decides, under the store's own lock, whether
+// payload may supersede it — so no other writer can land between the check
+// and the append. It reports whether the record was written. A nil allow
+// always writes. Like Has, the check leaves recency and the hit/miss counters
+// alone; allow must not call back into the store.
+func (s *Store) PutIf(key string, payload []byte, allow func(cur []byte, exists bool) bool) (bool, error) {
 	if key == "" || len(key) > MaxKeyLen {
-		return fmt.Errorf("store: key length %d out of range (1..%d)", len(key), MaxKeyLen)
+		return false, fmt.Errorf("store: key length %d out of range (1..%d)", len(key), MaxKeyLen)
 	}
 	if len(payload) > MaxPayloadLen {
-		return fmt.Errorf("store: payload length %d exceeds %d", len(payload), MaxPayloadLen)
+		return false, fmt.Errorf("store: payload length %d exceeds %d", len(payload), MaxPayloadLen)
 	}
 	buf := encodeRecord(key, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return false, ErrClosed
 	}
 	if s.readOnly {
-		return ErrReadOnly
+		return false, ErrReadOnly
 	}
 	if s.maxBytes > 0 && int64(len(buf)) > s.maxBytes {
-		return ErrTooLarge
+		return false, ErrTooLarge
+	}
+	if allow != nil {
+		var cur []byte
+		el, exists := s.items[key]
+		if exists {
+			cur, exists = s.readLocked(el)
+		}
+		if !allow(cur, exists) {
+			return false, nil
+		}
 	}
 	if _, err := s.f.WriteAt(buf, s.size); err != nil {
 		// A torn append leaves unframeable bytes at the tail; cut them off so
 		// the in-memory offset and the file agree again.
 		_ = s.f.Truncate(s.size)
-		return err
+		return false, err
 	}
 	r := &rec{key: key, off: s.size, size: int64(len(buf)), payloadLen: len(payload)}
 	s.size += r.size
 	if el, exists := s.items[key]; exists {
-		old := el.Value.(*rec)
-		s.deadBytes += old.size
-		s.liveBytes -= old.size
-		s.ll.Remove(el)
-		delete(s.items, key)
+		s.dropLocked(el, el.Value.(*rec))
 	}
 	s.items[key] = s.ll.PushFront(r)
 	s.liveBytes += r.size
 	s.writes++
 	s.evictLocked()
-	return nil
+	return true, nil
 }
 
 // Has reports whether key is currently retrievable, without touching recency

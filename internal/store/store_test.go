@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -491,5 +493,51 @@ func TestRejectedVersionMismatch(t *testing.T) {
 	s2 := openT(t, dir, 0)
 	if st := s2.Stats(); st.Entries != 0 || st.CorruptRecords != 1 {
 		t.Errorf("future-version file: stats %+v, want set-aside", st)
+	}
+}
+
+// TestPutIfDecidesUnderTheLock pins the conditional put: allow sees the
+// stored payload (or exists=false), a refusal writes nothing, the check
+// perturbs neither recency nor the hit/miss counters, and — the point of the
+// primitive — racing first-writer-wins puts on one key admit exactly one.
+func TestPutIfDecidesUnderTheLock(t *testing.T) {
+	s := openT(t, t.TempDir(), 0)
+	absent := func(_ []byte, exists bool) bool { return !exists }
+
+	if wrote, err := s.PutIf("k", []byte("first"), absent); err != nil || !wrote {
+		t.Fatalf("PutIf on an absent key: wrote=%t err=%v", wrote, err)
+	}
+	var seen []byte
+	wrote, err := s.PutIf("k", []byte("second"), func(cur []byte, exists bool) bool {
+		seen = cur
+		return !exists
+	})
+	if err != nil || wrote || string(seen) != "first" {
+		t.Fatalf("PutIf over an existing key: wrote=%t err=%v, allow saw %q", wrote, err, seen)
+	}
+	if st := s.Stats(); st.Writes != 1 || st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("stats after a refused PutIf: %+v, want 1 write and untouched hit/miss counters", st)
+	}
+	if got, _ := s.Get("k"); string(got) != "first" {
+		t.Errorf("refused PutIf changed the record to %q", got)
+	}
+
+	const writers = 16
+	var wg sync.WaitGroup
+	var won atomic.Int64
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if wrote, err := s.PutIf("contended", []byte{byte(i)}, absent); err != nil {
+				t.Error(err)
+			} else if wrote {
+				won.Add(1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if won.Load() != 1 {
+		t.Errorf("%d of %d racing first-writer-wins puts were admitted, want exactly 1", won.Load(), writers)
 	}
 }

@@ -1,0 +1,326 @@
+package serenity
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"github.com/serenity-ml/serenity/internal/store"
+)
+
+// recordingPeers is a single-goroutine PeerTier fake: it owns the keys in
+// owned, serves corpus, and records every call with the exact payload slice
+// it was handed.
+type recordingPeers struct {
+	owned      map[string]bool
+	corpus     map[string][]byte
+	fetched    []string
+	replicated map[string][][]byte
+}
+
+func (p *recordingPeers) Owns(key string) bool { return p.owned[key] }
+
+func (p *recordingPeers) Fetch(_ context.Context, key string) ([]byte, bool) {
+	p.fetched = append(p.fetched, key)
+	payload, ok := p.corpus[key]
+	return payload, ok
+}
+
+func (p *recordingPeers) Replicate(_ context.Context, key string, payload []byte) {
+	p.replicated[key] = append(p.replicated[key], payload)
+}
+
+// writerlessStore opens a ScheduleStore whose write-behind goroutine never
+// starts, so the test reads the queue itself: exactly which writes the walk
+// enqueued, and the very slices it enqueued them with.
+func writerlessStore(t *testing.T) *ScheduleStore {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &ScheduleStore{st: st, writeCh: make(chan storeWrite, storeWriteQueue)}
+	t.Cleanup(func() { ss.Close() })
+	return ss
+}
+
+func drainWrites(ss *ScheduleStore) []storeWrite {
+	var out []storeWrite
+	for {
+		select {
+		case w := <-ss.writeCh:
+			out = append(out, w)
+		default:
+			return out
+		}
+	}
+}
+
+func sameSlice(a, b []byte) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
+
+// oneIf is the expected count of an event that must happen exactly once when
+// cond holds and not at all otherwise.
+func oneIf(cond bool) int {
+	if cond {
+		return 1
+	}
+	return 0
+}
+
+// TestWalkMemoTierMatrix drives the one walk over every {memo, store, peers}
+// combination and, per combination, through every tier that can answer. For
+// each answer it pins which tiers were filled (every local tier above the
+// answering one, nothing else), that only fresh non-owned results replicate
+// (exactly once, with the same encoded payload the disk write carries — one
+// marshal per fresh result), that a peer's payload is written through
+// as-is, that degraded results and errors reach no tier, and that the memo's
+// counters reconcile: Hits+Misses+Errors == lookups.
+func TestWalkMemoTierMatrix(t *testing.T) {
+	want := SearchResult{Order: Order{2, 0, 1}, StatesExplored: 11, MaxFrontier: 3, Quality: QualityOptimal}
+	const nodes = 3
+	type outcome int
+	const (
+		storable outcome = iota
+		fellBack
+		failed
+	)
+	scenarios := []struct {
+		name  string
+		held  memoTier // the tier holding the artifact beforehand; memoTierMiss = none
+		owned bool     // this node owns the key
+		out   outcome  // what compute returns when it runs
+	}{
+		{name: "memory", held: memoTierMemory},
+		{name: "disk", held: memoTierDisk},
+		{name: "peer", held: memoTierPeer},
+		{name: "fresh", held: memoTierMiss},
+		{name: "fresh-owned", held: memoTierMiss, owned: true},
+		{name: "fresh-degraded", held: memoTierMiss, out: fellBack},
+		{name: "fresh-error", held: memoTierMiss, out: failed},
+	}
+	for mask := 0; mask < 8; mask++ {
+		hasMemo, hasStore, hasPeers := mask&1 != 0, mask&2 != 0, mask&4 != 0
+		t.Run(fmt.Sprintf("memo=%t,store=%t,peers=%t", hasMemo, hasStore, hasPeers), func(t *testing.T) {
+			var memo *SegmentMemo
+			var disk *ScheduleStore
+			var fake *recordingPeers
+			var peers PeerTier
+			installed := [numMemoTiers]bool{memoTierMiss: true}
+			if hasMemo {
+				memo, installed[memoTierMemory] = NewSegmentMemo(64), true
+			}
+			if hasStore {
+				disk, installed[memoTierDisk] = writerlessStore(t), true
+			}
+			if hasPeers {
+				fake = &recordingPeers{owned: map[string]bool{}, corpus: map[string][]byte{}, replicated: map[string][][]byte{}}
+				peers, installed[memoTierPeer] = fake, true
+			}
+			var lookups, hits, misses, errs int64
+			var byTier [numMemoTiers]int64
+			for _, sc := range scenarios {
+				if !installed[sc.held] {
+					continue
+				}
+				key := sc.name + "|matrix"
+				seeded := mustMarshalArtifact(t, want)
+				switch sc.held {
+				case memoTierMemory:
+					memo.store.Put(key, want)
+				case memoTierDisk:
+					if err := disk.st.Put(key, seeded); err != nil {
+						t.Fatal(err)
+					}
+				case memoTierPeer:
+					fake.corpus[key] = seeded
+				}
+				if hasPeers {
+					fake.owned[key] = sc.owned
+					fake.fetched = nil
+				}
+				computed := 0
+				got, tier, err := walkMemo(context.Background(), memo, disk, peers, key, nodes, func() (SearchResult, error) {
+					computed++
+					switch sc.out {
+					case fellBack:
+						return SearchResult{Order: want.Order, Quality: QualityHeuristic, FellBack: true}, nil
+					case failed:
+						return SearchResult{}, errors.New("search exploded")
+					}
+					return want, nil
+				})
+				lookups++
+
+				// The answer: right tier, right result, a search only on a miss.
+				if sc.out == failed {
+					if err == nil {
+						t.Errorf("%s: failing compute reported no error", sc.name)
+					}
+					errs++
+				} else {
+					if err != nil || tier != sc.held {
+						t.Fatalf("%s: answered by %s (err %v), want %s", sc.name, tier.name(), err, sc.held.name())
+					}
+					if !reflect.DeepEqual(got.Order, want.Order) || got.FellBack != (sc.out == fellBack) {
+						t.Errorf("%s: got %+v", sc.name, got)
+					}
+					byTier[tier]++
+					if tier == memoTierMiss {
+						misses++
+					} else {
+						hits++
+					}
+				}
+				if computed != oneIf(sc.held == memoTierMiss) {
+					t.Errorf("%s: compute ran %d times with the artifact held by %q", sc.name, computed, sc.held.name())
+				}
+
+				// The fills: every local tier above the one that answered.
+				fills := sc.out == storable
+				if hasMemo {
+					cur, ok := memo.store.Get(key)
+					if ok != fills {
+						t.Errorf("%s: memory tier holds the key = %t, want %t", sc.name, ok, fills)
+					} else if ok && !reflect.DeepEqual(cur.Order, want.Order) {
+						t.Errorf("%s: memory tier holds %v", sc.name, cur.Order)
+					}
+				}
+				var diskWrites []storeWrite
+				if hasStore {
+					diskWrites = drainWrites(disk)
+					if n := oneIf(fills && sc.held > memoTierDisk); len(diskWrites) != n {
+						t.Errorf("%s: %d disk writes queued, want %d", sc.name, len(diskWrites), n)
+					}
+					for _, w := range diskWrites {
+						if sr, ok := decodeArtifact(w.payload, nodes); w.key != key || !ok || !reflect.DeepEqual(sr.Order, want.Order) {
+							t.Errorf("%s: queued disk write %q is not the result", sc.name, w.key)
+						}
+					}
+				}
+				if hasPeers {
+					// Only a walk that got past the disk asks a peer, and only
+					// about keys somebody else owns.
+					if n := oneIf(sc.held >= memoTierPeer && !sc.owned); len(fake.fetched) != n {
+						t.Errorf("%s: fetched %v, want %d fetches", sc.name, fake.fetched, n)
+					}
+					// Only fresh, storable, non-owned results replicate; hits
+					// from any tier never do.
+					reps := fake.replicated[key]
+					if n := oneIf(fills && sc.held == memoTierMiss && !sc.owned); len(reps) != n {
+						t.Errorf("%s: replicated %d times, want %d", sc.name, len(reps), n)
+					}
+					if len(reps) == 1 && len(diskWrites) == 1 && !sameSlice(reps[0], diskWrites[0].payload) {
+						t.Errorf("%s: disk and owner got different payload slices; the fresh result was marshaled more than once", sc.name)
+					}
+					if sc.held == memoTierPeer && len(diskWrites) == 1 && !sameSlice(diskWrites[0].payload, seeded) {
+						t.Errorf("%s: the peer's payload was re-encoded instead of written through as fetched", sc.name)
+					}
+				}
+			}
+			if hasMemo {
+				st := memo.Stats()
+				if st.Hits+st.Misses+st.Errors != lookups {
+					t.Errorf("hits %d + misses %d + errors %d != %d lookups", st.Hits, st.Misses, st.Errors, lookups)
+				}
+				if st.Hits != hits || st.Misses != misses || st.Errors != errs ||
+					st.DiskHits != byTier[memoTierDisk] || st.PeerHits != byTier[memoTierPeer] {
+					t.Errorf("stats %+v, want hits=%d misses=%d errors=%d disk=%d peer=%d",
+						st, hits, misses, errs, byTier[memoTierDisk], byTier[memoTierPeer])
+				}
+			}
+		})
+	}
+}
+
+// TestWalkVsUpgradeFirstWriterStands is the guarded-upgrade race (run under
+// -race in CI): a fresh walk and a background refinement land two distinct
+// optimal orders on one key at the same moment. Whichever entry is observed
+// first — by a concurrent reader, as a walk's return value, or on disk
+// afterwards — must be the only one ever observed: the conditional puts
+// decide under each tier's own lock, so neither writer can slip between the
+// other's check and its write.
+func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
+	ss := openStoreT(t, t.TempDir())
+	memo := NewSegmentMemo(1024)
+	fresh := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 5, Quality: QualityOptimal}
+	refined := SearchResult{Order: Order{2, 1, 0}, StatesExplored: 9, Quality: QualityOptimal}
+	rounds := 300
+	if testing.Short() {
+		rounds = 50
+	}
+	for round := 0; round < rounds; round++ {
+		key := fmt.Sprintf("race-%d|k", round)
+		var mu sync.Mutex
+		var first Order
+		observe := func(o Order) {
+			mu.Lock()
+			defer mu.Unlock()
+			if first == nil {
+				first = o
+			} else if !reflect.DeepEqual(first, o) {
+				t.Errorf("round %d: observed %v after %v", round, o, first)
+			}
+		}
+		start := make(chan struct{})
+		stop := make(chan struct{})
+		var writers, readers sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			writers.Add(2)
+			go func() {
+				defer writers.Done()
+				<-start
+				sr, _, err := walkMemo(context.Background(), memo, ss, nil, key, 3, func() (SearchResult, error) {
+					runtime.Gosched() // widen the window between the memory miss and the fill
+					return fresh, nil
+				})
+				if err != nil {
+					t.Errorf("round %d: walk: %v", round, err)
+					return
+				}
+				observe(sr.Order)
+			}()
+			go func() {
+				defer writers.Done()
+				<-start
+				if err := upgradeMemo(memo, ss, key, 3, refined); err != nil {
+					t.Errorf("round %d: upgrade: %v", round, err)
+				}
+			}()
+		}
+		for i := 0; i < 2; i++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				<-start
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if sr, ok := memo.store.Get(key); ok {
+						observe(sr.Order)
+					}
+					runtime.Gosched()
+				}
+			}()
+		}
+		close(start)
+		writers.Wait()
+		close(stop)
+		readers.Wait()
+		ss.Flush()
+		onDisk, ok := ss.get(key, 3)
+		if !ok {
+			t.Fatalf("round %d: nothing reached the disk", round)
+		}
+		observe(onDisk.Order)
+		if t.Failed() {
+			return
+		}
+	}
+}

@@ -24,37 +24,21 @@ import (
 //     only trace context (captured before the call returns) — the push
 //     itself must not be canceled when the originating request ends.
 //
-// Payloads cross the wire in the MarshalSegmentArtifact encoding and are
-// re-validated on arrival — decode, poison rule, permutation check — so a
-// confused peer degrades the fleet to local compute, never to a wrong
-// schedule.
+// Payloads cross the wire in the MarshalSegmentArtifact encoding and pass
+// the same checkpoint on arrival that disk artifacts pass on load
+// (decodeArtifact), so a confused peer degrades the fleet to local compute,
+// never to a wrong schedule.
 type PeerTier interface {
 	Owns(key string) bool
 	Fetch(ctx context.Context, key string) ([]byte, bool)
 	Replicate(ctx context.Context, key string, payload []byte)
 }
 
-// decodePeerArtifact validates a payload that arrived from a peer exactly as
-// hard as a disk artifact is validated on load: decode (which enforces the
-// version and the never-persist-degraded rule) plus the full permutation
-// check against the segment's node count.
-func decodePeerArtifact(payload []byte, nodes int) (SearchResult, bool) {
-	sr, err := UnmarshalSegmentArtifact(payload)
-	if err != nil || sr.FellBack || !validPermutation(sr.Order, nodes) {
-		return SearchResult{}, false
-	}
-	return sr, true
-}
-
-// artifactSelfConsistent reports whether a payload decodes to a structurally
-// valid artifact on its own terms — a permutation of exactly its own length.
-// The replication and sync receivers run this gate: they do not know the
-// segment's node count (only a later lookup does), but an artifact whose
-// order is not a permutation of anything can be rejected before it ever
-// occupies store space.
+// artifactSelfConsistent is the gate the replication and sync receivers run:
+// decodeArtifact without a known node count.
 func artifactSelfConsistent(payload []byte) bool {
-	sr, err := UnmarshalSegmentArtifact(payload)
-	return err == nil && !sr.FellBack && validPermutation(sr.Order, len(sr.Order))
+	_, ok := decodeArtifact(payload, -1)
+	return ok
 }
 
 // The methods below adapt a ScheduleStore to the fleet's Store interface
@@ -83,15 +67,8 @@ func (ss *ScheduleStore) PutArtifact(key string, payload []byte) bool {
 	if !artifactSelfConsistent(payload) {
 		return false
 	}
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return false
-	}
-	if ss.st.Has(key) {
-		return false
-	}
-	return ss.st.Put(key, payload) == nil
+	wrote, err := ss.putIf(key, payload, func(_ []byte, exists bool) bool { return !exists })
+	return wrote && err == nil
 }
 
 // KeyHashes returns the anti-entropy digest of the stored artifacts.

@@ -162,7 +162,7 @@ func TestPeerTierRejectsInvalidArtifacts(t *testing.T) {
 	assertSameResult(t, "poisoned fleet degrades to local compute", want, got)
 }
 
-// TestPeerTierStoreOnlyPath covers the memo-less lookupOrCompute route: a
+// TestPeerTierStoreOnlyPath covers the memo-less route through walkMemo: a
 // Pipeline with only a ScheduleStore still fetches from and replicates to
 // the fleet.
 func TestPeerTierStoreOnlyPath(t *testing.T) {

@@ -53,9 +53,9 @@ type Pipeline struct {
 	// Store, when non-nil, is the persistent tier under the SegmentMemo: a
 	// lookup falls through memory → disk → fresh search, disk hits are
 	// promoted into the memo, and fresh results are written through
-	// asynchronously. With no SegmentMemo installed the store is consulted
-	// directly (without singleflight coalescing). Keys, eligibility, and the
-	// never-store-degraded rule are exactly the SegmentMemo's; see
+	// asynchronously. With no SegmentMemo installed the same walk starts at
+	// the store (with no singleflight to coalesce on). Keys, eligibility, and
+	// the never-store-degraded rule are exactly the SegmentMemo's; see
 	// ScheduleStore.
 	Store *ScheduleStore
 	// Peers, when non-nil, is the fleet tier beneath memory and disk: on a
@@ -265,7 +265,8 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// not expose a MemoKey). Keys are computed up front so the per-segment
 	// workers do no fingerprinting of their own.
 	var memoKeys []string
-	var memHits, diskHits, peerHits, freshStates, refined atomic.Int64
+	var tierHits [numMemoTiers]atomic.Int64 // memoized lookups by answering tier
+	var freshStates, refined atomic.Int64
 	var refiner Refiner
 	if p.RefinePool != nil {
 		if rf, ok := p.Searcher.(Refiner); ok {
@@ -355,19 +356,8 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		var err error
 		tier := memoTierMiss
 		if memoKeys != nil {
-			if p.SegmentMemo != nil {
-				sr, tier, err = p.SegmentMemo.do(ctx, memoKeys[idx], p.Store, p.Peers, nodes, compute)
-			} else {
-				sr, tier, err = p.Store.lookupOrCompute(ctx, memoKeys[idx], p.Peers, nodes, compute)
-			}
-			switch tier {
-			case memoTierMemory:
-				memHits.Add(1)
-			case memoTierDisk:
-				diskHits.Add(1)
-			case memoTierPeer:
-				peerHits.Add(1)
-			}
+			sr, tier, err = walkMemo(ctx, p.SegmentMemo, p.Store, p.Peers, memoKeys[idx], nodes, compute)
+			tierHits[tier].Add(1)
 		} else {
 			sr, err = compute()
 		}
@@ -451,9 +441,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			res.Fallbacks++
 		}
 	}
-	res.SegmentMemoHits = int(memHits.Load() + diskHits.Load() + peerHits.Load())
-	res.SegmentMemoDiskHits = int(diskHits.Load())
-	res.SegmentMemoPeerHits = int(peerHits.Load())
+	res.SegmentMemoDiskHits = int(tierHits[memoTierDisk].Load())
+	res.SegmentMemoPeerHits = int(tierHits[memoTierPeer].Load())
+	res.SegmentMemoHits = int(tierHits[memoTierMemory].Load()) + res.SegmentMemoDiskHits + res.SegmentMemoPeerHits
 	res.RefinementsQueued = int(refined.Load())
 	res.FreshStatesExplored = freshStates.Load()
 	res.Stages.Search = time.Since(searchStart)

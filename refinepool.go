@@ -115,14 +115,15 @@ type refineJob struct {
 // everyone until some quiet request happens to recompute it. A RefinePool
 // closes that gap: when a compilation falls back, the Pipeline enqueues the
 // segment's exact search here; workers run it with no deadline, and the
-// optimal result is written through the guarded replace path into the
-// SegmentMemo and ScheduleStore. The next identical request is then a warm
-// hit on the exact answer, bit-identical to an unpressured run.
+// optimal result is written through the hierarchy's one guarded upgrade
+// (upgradeMemo) into the SegmentMemo and ScheduleStore. The next identical
+// request is then a warm hit on the exact answer, bit-identical to an
+// unpressured run.
 //
 // Un-poisoning is safe by construction: every refined result passes the
 // same quality and permutation validation disk artifacts pass on load
 // before it may replace anything, and an entry that is already optimal is
-// never clobbered (see SegmentMemo.replace). A buggy or degraded refinement
+// never clobbered (see upgradeMemo). A buggy or degraded refinement
 // therefore repairs nothing rather than poisoning something.
 //
 // Enqueue order is FIFO and keys are deduplicated while pending, so a hot
@@ -223,12 +224,7 @@ func (p *RefinePool) EnqueueSegment(ctx context.Context, key string, g *Graph, r
 			err = fmt.Errorf("serenity: refining searcher %s returned %d of %d nodes", searcher.Name(), len(sr.Order), nodes)
 		}
 		if err == nil {
-			if p.memo != nil {
-				err = p.memo.replace(key, nodes, sr)
-			}
-			if err == nil && p.store != nil {
-				err = p.store.replace(key, nodes, sr)
-			}
+			err = upgradeMemo(p.memo, p.store, key, nodes, sr)
 		}
 		if p.opts.Tracer != nil {
 			p.opts.Tracer.RecordLinked(link, "refine.run", start, time.Since(start), err,

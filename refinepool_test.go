@@ -60,13 +60,27 @@ func TestRefinePoolRepairsDegradedRun(t *testing.T) {
 
 	memo := NewSegmentMemo(256)
 	ss := openStoreT(t, t.TempDir())
-	pool := NewRefinePool(memo, ss, RefinePoolOptions{Workers: 1, QueueDepth: 64})
+	// Refinement waits at the gate until the rushed run has returned: a
+	// 12-node repair is fast enough to land in the memo while that run is
+	// still walking its later, identical segments, turning their fallbacks
+	// into hits and the counts below into a coin toss.
+	rushedDone := make(chan struct{})
+	pool := NewRefinePool(memo, ss, RefinePoolOptions{Workers: 1, QueueDepth: 64,
+		Gate: func(ctx context.Context) (func(), error) {
+			select {
+			case <-rushedDone:
+				return func() {}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}})
 	defer pool.Close()
 
 	rushedP := skipExactPipeline(t, opts, memo)
 	rushedP.Store = ss
 	rushedP.RefinePool = pool
 	rushed, err := rushedP.Run(context.Background(), g)
+	close(rushedDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,25 +145,25 @@ func TestSegmentMemoReplaceUpgradesOnly(t *testing.T) {
 	other := SearchResult{Order: Order{1, 0}, StatesExplored: 2, Quality: QualityOptimal}
 
 	memo.store.Put("k", heuristic)
-	if err := memo.replace("k", 2, optimal); err != nil {
+	if err := upgradeMemo(memo, nil, "k", 2, optimal); err != nil {
 		t.Fatalf("upgrade heuristic→optimal: %v", err)
 	}
 	if got, _ := memo.store.Get("k"); !reflect.DeepEqual(got, optimal) {
 		t.Fatalf("after upgrade: %+v", got)
 	}
-	if err := memo.replace("k", 2, other); err != nil {
+	if err := upgradeMemo(memo, nil, "k", 2, other); err != nil {
 		t.Fatalf("replace over optimal: %v", err)
 	}
 	if got, _ := memo.store.Get("k"); !reflect.DeepEqual(got, optimal) {
 		t.Error("replace clobbered an established optimal entry")
 	}
-	if err := memo.replace("k2", 2, SearchResult{Order: Order{0, 1}, Quality: QualityOptimal, FellBack: true}); err == nil {
+	if err := upgradeMemo(memo, nil, "k2", 2, SearchResult{Order: Order{0, 1}, Quality: QualityOptimal, FellBack: true}); err == nil {
 		t.Error("replace accepted a degraded result")
 	}
-	if err := memo.replace("k2", 2, heuristic); err == nil {
+	if err := upgradeMemo(memo, nil, "k2", 2, heuristic); err == nil {
 		t.Error("replace accepted a heuristic result")
 	}
-	if err := memo.replace("k2", 2, SearchResult{Order: Order{0, 0}, Quality: QualityOptimal}); err == nil {
+	if err := upgradeMemo(memo, nil, "k2", 2, SearchResult{Order: Order{0, 0}, Quality: QualityOptimal}); err == nil {
 		t.Error("replace accepted a non-permutation")
 	}
 	if _, ok := memo.store.Get("k2"); ok {

@@ -47,40 +47,41 @@ type MemoKeyer interface {
 //     (StatesExplored included, so a warm Result reconciles bit for bit with
 //     the cold run that populated the memo); callers must not mutate Order.
 //
-// A SegmentMemo is the memory tier of a two-level hierarchy: give the
-// Pipeline a ScheduleStore as well (Pipeline.Store) and a lookup falls
-// through memory → disk → fresh search, with disk hits promoted into memory
-// and fresh results written through to disk asynchronously. The disk tier
-// shares the memo's keys and its poison rule, so everything documented here
-// holds across process restarts too.
+// A SegmentMemo is the memory tier of the memo hierarchy: give the Pipeline a
+// ScheduleStore (Pipeline.Store) and a PeerTier (Pipeline.Peers) as well and
+// one walk (walkMemo) consults memory → disk → peer → fresh search, filling
+// every tier above the one that answered. All tiers share the memo's keys and
+// its poison rule, so everything documented here holds across process
+// restarts and across the fleet too.
 //
 // A SegmentMemo is safe for concurrent use by any number of Pipelines.
 type SegmentMemo struct {
 	store *cache.Cache[SearchResult]
 	group cache.Group[memoLoad]
 
-	hits     atomic.Int64
-	diskHits atomic.Int64
-	peerHits atomic.Int64
-	misses   atomic.Int64
+	// lookups counts resolved lookups by the tier that answered them
+	// (memoTierMiss: this caller ran the search); errors counts the rest.
+	lookups  [numMemoTiers]atomic.Int64
 	errors   atomic.Int64
 	replaced atomic.Int64
 }
 
-// memoTier reports where a memoized segment lookup was answered.
+// memoTier names one level of the memo hierarchy, in walk order; a lookup
+// reports the tier that answered it.
 type memoTier int
 
 const (
-	// memoTierMiss: no tier had it; this caller ran the search.
-	memoTierMiss memoTier = iota
 	// memoTierMemory: served from the in-memory store, or shared from a
 	// concurrent in-flight lookup (whatever tier the flight's leader used).
-	memoTierMemory
+	memoTierMemory memoTier = iota
 	// memoTierDisk: loaded and validated from the persistent ScheduleStore.
 	memoTierDisk
 	// memoTierPeer: fetched from the key's fleet owner and validated; the
 	// segment's DP ran once somewhere in the fleet, just not here.
 	memoTierPeer
+	// memoTierMiss: no tier had it; this caller ran the search.
+	memoTierMiss
+	numMemoTiers
 )
 
 // name renders the tier for Observer events and trace spans. The miss tier
@@ -97,12 +98,27 @@ func (t memoTier) name() string {
 	return "fresh"
 }
 
+// memoSpanNames are the trace spans the walk opens around each tier's lookup.
+var memoSpanNames = [numMemoTiers]string{
+	memoTierMemory: "memo.memory",
+	memoTierDisk:   "memo.disk",
+	memoTierPeer:   "memo.peer",
+}
+
+// endTierSpan closes one tier's lookup span. Nil-guarded so an untraced
+// lookup constructs no attribute — the warm path stays allocation-free.
+func endTierSpan(sp *trace.SpanHandle, hit bool) {
+	if sp != nil {
+		sp.Annotate(trace.Bool("hit", hit))
+		sp.End()
+	}
+}
+
 // memoLoad is a flight's outcome: the result plus which tier the leader got
 // it from, so followers and the leader account hits truthfully.
 type memoLoad struct {
-	sr       SearchResult
-	fromDisk bool
-	fromPeer bool
+	sr   SearchResult
+	tier memoTier
 }
 
 // NewSegmentMemo returns a memo holding at most capacity segment results;
@@ -132,8 +148,8 @@ type SegmentMemoStats struct {
 	// failed searches, and followers of a failed flight. An errored lookup is
 	// neither a Hit nor a Miss: nothing was served and no result was stored.
 	Errors int64
-	// Replaced counts background refinements written through the guarded
-	// replace path (see RefinePool): previously un-cacheable (degraded) keys
+	// Replaced counts background refinements the guarded upgrade landed in
+	// this memo (see RefinePool): previously un-cacheable (degraded) keys
 	// upgraded to their exact result.
 	Replaced int64
 	Entries  int
@@ -141,172 +157,200 @@ type SegmentMemoStats struct {
 
 // Stats returns a snapshot of the memo's counters.
 func (m *SegmentMemo) Stats() SegmentMemoStats {
+	disk, peer := m.lookups[memoTierDisk].Load(), m.lookups[memoTierPeer].Load()
 	return SegmentMemoStats{
-		Hits:     m.hits.Load(),
-		Misses:   m.misses.Load(),
-		DiskHits: m.diskHits.Load(),
-		PeerHits: m.peerHits.Load(),
+		Hits:     m.lookups[memoTierMemory].Load() + disk + peer,
+		Misses:   m.lookups[memoTierMiss].Load(),
+		DiskHits: disk,
+		PeerHits: peer,
 		Errors:   m.errors.Load(),
 		Replaced: m.replaced.Load(),
 		Entries:  m.store.Len(),
 	}
 }
 
-// do returns the result for key, consulting the in-memory store, then the
-// persistent tier (disk, when non-nil), then the fleet tier (peers, when
-// non-nil), then any in-flight computation, then running compute. The
-// returned tier reports how the result arrived: anything but memoTierMiss
-// means this caller ran no search. nodes is the segment's node count, used to
-// validate disk and peer artifacts before trusting them.
+// settle stores sr under key unless an optimal entry is already established,
+// and returns the entry that stands. It is the memory tier's one write rule:
+// two optimal runs may have converged through different adaptive budgets, and
+// hits must stay bit-identical to whichever run populated the entry first —
+// so a fresh search and a background refinement racing on one key both defer
+// to the first to land, atomically (the check runs under the cache's lock).
+func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, wrote bool) {
+	wrote = m.store.PutIf(key, sr, func(cur SearchResult, exists bool) bool {
+		if exists && cur.Quality == QualityOptimal {
+			sr = cur
+			return false
+		}
+		return true
+	})
+	return sr, wrote
+}
+
+// keepOptimalArtifact is settle's rule for the disk tier: a payload may
+// supersede the stored one unless that one already decodes as optimal.
+func keepOptimalArtifact(cur []byte, exists bool) bool {
+	if !exists {
+		return true
+	}
+	sr, err := UnmarshalSegmentArtifact(cur)
+	return err != nil || sr.Quality != QualityOptimal
+}
+
+// walkMemo is the memo hierarchy's one lookup: it returns the result for key,
+// consulting the memory tier (memo), then the persistent tier (disk), then
+// the fleet tier (peers) — each optional — then running compute. It alone
+// owns the tier order and everything that hangs off it. The returned tier
+// reports how the result arrived: anything but memoTierMiss means this caller
+// ran no search. nodes is the segment's node count, used to validate disk and
+// peer artifacts before trusting them.
 //
+// Below the memory tier the walk runs inside the memo's singleflight:
+// concurrent lookups of one cold key cost one disk read, at most one peer
+// round trip, and one search, not N. (Without a memo there is nothing to
+// coalesce on; concurrent identical segments each walk on their own.)
 // Errors are never stored; context errors follow cache.Group's retry
-// contract. Storable results enter the memory store (and the write-behind
-// disk queue) inside the flight — before followers are released and before
-// the flight is torn down — so a caller arriving as the leader finishes can
-// never slip between the closed flight and the not-yet-written store and
-// redo the search. The disk lookup and the peer fetch also run inside the
-// flight: concurrent lookups of one cold key cost one disk read and at most
-// one peer round trip, not N.
+// contract. Results reach the tiers inside the flight — before followers are
+// released and before the flight is torn down — so a caller arriving as the
+// leader finishes can never slip between the closed flight and the
+// not-yet-written store and redo the search.
 //
-// Peer artifacts pass the same validation disk artifacts pass on load; a
-// validated fetch is promoted to memory AND written through to disk, so the
-// fleet corpus a node pulls from survives its own restarts. A fresh compute
-// of a key some other member owns replicates the artifact toward the owner,
-// write-behind — the compile path never waits on the fleet.
-func (m *SegmentMemo) do(ctx context.Context, key string, disk *ScheduleStore, peers PeerTier, nodes int, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
+// Whichever tier answers, every local tier above it is filled: a disk hit is
+// promoted to memory; a peer artifact — validated exactly as a disk artifact
+// is on load — goes to memory and is written through to disk (so the fleet
+// corpus a node pulls survives its own restarts); a fresh result goes to
+// both, and, when another member owns the key, is replicated toward the
+// owner. Disk and fleet writes are write-behind — the compile path never
+// waits on either — and both carry the one payload the result was marshaled
+// to. Degraded (FellBack) results reach no tier.
+func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key string, nodes int, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
 	// The warm path stays allocation-free when the request is untraced:
-	// FromContext on a bare context costs one nil check, and no span or
-	// attribute is constructed unless a live span is present.
+	// FromContext on a bare context costs one nil check, Child of a nil span
+	// is nil, and no attribute is constructed unless a live span is present.
 	span := trace.FromContext(ctx)
-	var memSp *trace.SpanHandle
-	if span != nil {
-		memSp = span.Child("memo.memory")
+	if memo != nil {
+		sp := span.Child(memoSpanNames[memoTierMemory])
+		sr, ok := memo.store.Get(key)
+		endTierSpan(sp, ok)
+		if ok {
+			memo.lookups[memoTierMemory].Add(1)
+			return sr, memoTierMemory, nil
+		}
 	}
-	sr, ok := m.store.Get(key)
-	if memSp != nil {
-		memSp.Annotate(trace.Bool("hit", ok))
-		memSp.End()
+	// fill lands a result that arrived from tier `from` in every local tier
+	// above it and returns the entry that stands (see settle). payload is
+	// sr's encoding when the caller already holds it (a peer fetch).
+	fill := func(from memoTier, sr SearchResult, payload []byte) SearchResult {
+		if memo != nil {
+			var wrote bool
+			if sr, wrote = memo.settle(key, sr); !wrote {
+				payload = nil // an established entry stands; it is what flows down
+			}
+		}
+		toDisk := disk != nil && from > memoTierDisk
+		toOwner := from == memoTierMiss && peers != nil && !peers.Owns(key)
+		if !toDisk && !toOwner {
+			return sr
+		}
+		if payload == nil {
+			var err error
+			if payload, err = MarshalSegmentArtifact(sr); err != nil {
+				return sr
+			}
+		}
+		if toDisk {
+			disk.putAsync(key, payload)
+		}
+		if toOwner {
+			peers.Replicate(ctx, key, payload)
+		}
+		return sr
 	}
-	if ok {
-		m.hits.Add(1)
-		return sr, memoTierMemory, nil
-	}
-	v, shared, err := m.group.Do(ctx, key, func() (memoLoad, error) {
+	load := func() (memoLoad, error) {
 		if disk != nil {
-			var diskSp *trace.SpanHandle
-			if span != nil {
-				diskSp = span.Child("memo.disk")
-			}
+			sp := span.Child(memoSpanNames[memoTierDisk])
 			sr, ok := disk.get(key, nodes)
-			if diskSp != nil {
-				diskSp.Annotate(trace.Bool("hit", ok))
-				diskSp.End()
-			}
+			endTierSpan(sp, ok)
 			if ok {
-				// Promote: the next lookup anywhere in the process is a
-				// memory hit.
-				m.store.Put(key, sr)
-				return memoLoad{sr: sr, fromDisk: true}, nil
+				return memoLoad{fill(memoTierDisk, sr, nil), memoTierDisk}, nil
 			}
 		}
 		if peers != nil && !peers.Owns(key) {
-			fctx := ctx
-			var peerSp *trace.SpanHandle
-			if span != nil {
-				peerSp = span.Child("memo.peer")
-				// The owner sees this span as its parent: Fetch propagates the
-				// traceparent, and the owner's serve span stitches under it.
-				fctx = trace.ContextWith(ctx, peerSp)
+			// The owner sees this span as its parent: Fetch propagates the
+			// traceparent, and the owner's serve span stitches under it.
+			sp, fctx := span.Child(memoSpanNames[memoTierPeer]), ctx
+			if sp != nil {
+				fctx = trace.ContextWith(ctx, sp)
 			}
-			if payload, ok := peers.Fetch(fctx, key); ok {
-				if sr, ok := decodePeerArtifact(payload, nodes); ok {
-					m.store.Put(key, sr)
-					if disk != nil {
-						disk.putAsync(key, sr)
-					}
-					if peerSp != nil {
-						peerSp.Annotate(trace.Bool("hit", true))
-						peerSp.End()
-					}
-					return memoLoad{sr: sr, fromPeer: true}, nil
-				}
+			payload, ok := peers.Fetch(fctx, key)
+			var sr SearchResult
+			if ok {
+				sr, ok = decodeArtifact(payload, nodes)
 			}
-			if peerSp != nil {
-				peerSp.Annotate(trace.Bool("hit", false))
-				peerSp.End()
+			endTierSpan(sp, ok)
+			if ok {
+				return memoLoad{fill(memoTierPeer, sr, payload), memoTierPeer}, nil
 			}
 		}
 		sr, err := compute()
 		if err == nil && !sr.FellBack {
-			m.store.Put(key, sr)
-			if disk != nil {
-				disk.putAsync(key, sr)
-			}
-			if peers != nil && !peers.Owns(key) {
-				if payload, perr := MarshalSegmentArtifact(sr); perr == nil {
-					peers.Replicate(ctx, key, payload)
-				}
-			}
+			sr = fill(memoTierMiss, sr, nil)
 		}
-		return memoLoad{sr: sr}, err
-	})
+		return memoLoad{sr, memoTierMiss}, err
+	}
+	if memo == nil {
+		v, err := load()
+		return v.sr, v.tier, err
+	}
+	v, shared, err := memo.group.Do(ctx, key, load)
 	if err != nil {
 		// Neither a hit nor a miss: nothing was served and nothing ran to
 		// completion for this caller. Counting it as either would break the
 		// Hits+Misses+Errors == total-searches reconciliation under
 		// cancellation storms.
-		m.errors.Add(1)
+		memo.errors.Add(1)
 		return SearchResult{}, memoTierMiss, err
 	}
+	if shared {
+		v.tier = memoTierMemory
+	}
+	memo.lookups[v.tier].Add(1)
+	return v.sr, v.tier, nil
+}
+
+// upgradeMemo is the memo hierarchy's one guarded write, the RefinePool's
+// write-through: it lands the refined result sr under key in the memory tier
+// and then the persistent tier (either may be nil), but only upward — an
+// established optimal entry is never clobbered (see settle), and whatever
+// stands in memory is what reaches the disk, so the tiers agree. sr itself
+// must be worth storing: a degraded, non-optimal, or structurally invalid
+// result is rejected here, once, before any tier sees it, so no refinement
+// outcome — however buggy the searcher — can poison the hierarchy this path
+// exists to un-poison. nodes is the segment's node count for the permutation
+// check, the same validation artifacts pass on load. The disk write is
+// synchronous: refinement runs in the background, so it may wait on disk
+// where the compile hot path may not.
+func upgradeMemo(memo *SegmentMemo, disk *ScheduleStore, key string, nodes int, sr SearchResult) error {
 	switch {
-	case shared:
-		m.hits.Add(1)
-		return v.sr, memoTierMemory, nil
-	case v.fromDisk:
-		m.hits.Add(1)
-		m.diskHits.Add(1)
-		return v.sr, memoTierDisk, nil
-	case v.fromPeer:
-		m.hits.Add(1)
-		m.peerHits.Add(1)
-		return v.sr, memoTierPeer, nil
-	}
-	m.misses.Add(1)
-	return v.sr, memoTierMiss, nil
-}
-
-// replace is the RefinePool's guarded write-through: it upgrades key to the
-// exact result sr, but only upward — an existing optimal entry is never
-// clobbered (two optimal runs may have converged through different adaptive
-// budgets, and hits must stay bit-identical to whichever run populated the
-// entry first). sr itself must be worth storing: a degraded, non-optimal, or
-// structurally invalid result is rejected, so no refinement outcome —
-// however buggy the searcher — can poison the memo this path exists to
-// un-poison. nodes is the segment's node count for the permutation check,
-// the same validation disk artifacts pass on load.
-func (m *SegmentMemo) replace(key string, nodes int, sr SearchResult) error {
-	if err := validateRefined(sr, nodes); err != nil {
-		return err
-	}
-	if cur, ok := m.store.Get(key); ok && cur.Quality == QualityOptimal {
-		return nil // already exact; keep the established entry
-	}
-	m.store.Put(key, sr)
-	m.replaced.Add(1)
-	return nil
-}
-
-// validateRefined is the quality/permutation gate every refined result passes
-// before it may replace anything in the memo hierarchy.
-func validateRefined(sr SearchResult, nodes int) error {
-	if sr.FellBack {
+	case sr.FellBack:
 		return errors.New("serenity: refined result fell back; degraded results are never stored")
-	}
-	if sr.Quality != QualityOptimal {
+	case sr.Quality != QualityOptimal:
 		return fmt.Errorf("serenity: refined result has quality %q, want %q", sr.Quality, QualityOptimal)
-	}
-	if !validPermutation(sr.Order, nodes) {
+	case !validPermutation(sr.Order, nodes):
 		return fmt.Errorf("serenity: refined order is not a permutation of %d nodes", nodes)
 	}
-	return nil
+	if memo != nil {
+		var wrote bool
+		if sr, wrote = memo.settle(key, sr); wrote {
+			memo.replaced.Add(1)
+		}
+	}
+	if disk == nil {
+		return nil
+	}
+	payload, err := MarshalSegmentArtifact(sr)
+	if err != nil {
+		return err
+	}
+	_, err = disk.putIf(key, payload, keepOptimalArtifact)
+	return err
 }

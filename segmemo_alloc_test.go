@@ -7,7 +7,7 @@ import (
 
 // TestMemoWarmPathZeroAlloc pins the tracing-off overhead contract: an
 // untraced lookup that hits the in-memory tier performs zero heap
-// allocations. The trace hooks in do() are nil-guarded for exactly this —
+// allocations. The trace hooks in walkMemo are nil-guarded for exactly this —
 // span and attribute construction must only happen when a live span rides
 // the context.
 func TestMemoWarmPathZeroAlloc(t *testing.T) {
@@ -16,11 +16,11 @@ func TestMemoWarmPathZeroAlloc(t *testing.T) {
 	compute := func() (SearchResult, error) {
 		return SearchResult{Order: []int{0, 1, 2}, Quality: QualityOptimal}, nil
 	}
-	if _, tier, err := m.do(ctx, "k", nil, nil, 3, compute); err != nil || tier != memoTierMiss {
+	if _, tier, err := walkMemo(ctx, m, nil, nil, "k", 3, compute); err != nil || tier != memoTierMiss {
 		t.Fatalf("seeding the memo: tier=%v err=%v", tier, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		_, tier, err := m.do(ctx, "k", nil, nil, 3, compute)
+		_, tier, err := walkMemo(ctx, m, nil, nil, "k", 3, compute)
 		if err != nil || tier != memoTierMemory {
 			t.Fatalf("warm lookup: tier=%v err=%v", tier, err)
 		}

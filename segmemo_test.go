@@ -330,7 +330,7 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 	release := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := memo.do(context.Background(), key, nil, nil, 1, func() (SearchResult, error) {
+		_, _, err := walkMemo(context.Background(), memo, nil, nil, key, 1, func() (SearchResult, error) {
 			close(started)
 			<-release
 			return okResult, nil
@@ -348,7 +348,7 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := memo.do(canceled, key, nil, nil, 1, func() (SearchResult, error) {
+			_, _, err := walkMemo(canceled, memo, nil, nil, key, 1, func() (SearchResult, error) {
 				t.Error("canceled follower ran the compute itself")
 				return okResult, nil
 			})
@@ -368,14 +368,14 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 
 	// A failing compute is an Error too — nothing served, nothing stored.
 	wantErr := fmt.Errorf("search exploded")
-	if _, _, err := memo.do(context.Background(), "bad|key", nil, nil, 1, func() (SearchResult, error) {
+	if _, _, err := walkMemo(context.Background(), memo, nil, nil, "bad|key", 1, func() (SearchResult, error) {
 		return SearchResult{}, wantErr
 	}); err == nil {
 		t.Fatal("failing compute reported no error")
 	}
 
 	// And one warm hit to exercise all three counters at once.
-	if _, tier, err := memo.do(context.Background(), key, nil, nil, 1, func() (SearchResult, error) {
+	if _, tier, err := walkMemo(context.Background(), memo, nil, nil, key, 1, func() (SearchResult, error) {
 		t.Error("warm lookup recomputed")
 		return okResult, nil
 	}); err != nil || tier != memoTierMemory {

@@ -1,7 +1,6 @@
 package serenity
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"github.com/serenity-ml/serenity/internal/store"
-	"github.com/serenity-ml/serenity/internal/trace"
 )
 
 // ArtifactVersion is the version byte of the per-segment artifact payload —
@@ -105,6 +103,30 @@ func UnmarshalSegmentArtifact(b []byte) (SearchResult, error) {
 	return sr, nil
 }
 
+// decodeArtifact is the one checkpoint every payload passes before the memo
+// hierarchy trusts it, whether it was loaded from disk or fetched from a
+// peer: decode (which enforces the version and shape; the encoding cannot
+// carry a degraded result) plus the full permutation check against the
+// segment's node count. Receivers that do not know the node count — the
+// replication and sync handlers; only a later lookup does — pass nodes < 0
+// to require a permutation of the payload's own length, so an order that is
+// a permutation of nothing never occupies store space. Every caller treats a
+// failure the same way — as a miss — so it reports only whether the payload
+// passed.
+func decodeArtifact(payload []byte, nodes int) (SearchResult, bool) {
+	sr, err := UnmarshalSegmentArtifact(payload)
+	if err != nil {
+		return SearchResult{}, false
+	}
+	if nodes < 0 {
+		nodes = len(sr.Order)
+	}
+	if !validPermutation(sr.Order, nodes) {
+		return SearchResult{}, false
+	}
+	return sr, true
+}
+
 // StoreStats is a snapshot of a ScheduleStore's counters. Hits and Misses
 // count tier-2 (disk) lookups only — lookups that reached the store because
 // the in-memory tier missed. CorruptRecords includes both byte-level CRC
@@ -132,11 +154,14 @@ type StoreStats struct {
 // persist: every process, today's or next deploy's, derives the same address
 // for the same sub-problem.
 //
-// Layer it under a SegmentMemo by assigning Pipeline.Store: lookups then
-// fall through memory → disk → fresh search, disk hits are promoted to
-// memory, and fresh results are written through asynchronously (the DP's
-// caller never waits on the disk). Degraded (FellBack) results are never
-// persisted — the same poison rule the SegmentMemo enforces.
+// Assign it to Pipeline.Store and the hierarchy's one walk (walkMemo)
+// consults it after the SegmentMemo — or first, on a Pipeline without one:
+// disk hits are promoted to memory, and fresh or peer-fetched results are
+// written through asynchronously (the DP's caller never waits on the disk).
+// Degraded (FellBack) results are never persisted — the artifact encoding
+// refuses them. Every write the hierarchy makes here — write-behind, the
+// RefinePool's upgrade, a peer's replica — is an atomic conditional put, so
+// an established optimal artifact is never clobbered.
 //
 // Artifacts are re-validated on every load: CRC at the byte layer, then
 // version, shape, and a full permutation check against the segment's node
@@ -150,8 +175,8 @@ type StoreStats struct {
 type ScheduleStore struct {
 	st *store.Store
 
-	// mu is read-held by every data operation (get, putAsync, Flush,
-	// Compact, replace, Stats) and write-held only by Close, which makes
+	// mu is read-held by every data operation (get, putAsync, putIf, Flush,
+	// Compact, Stats) and write-held only by Close, which makes
 	// "closed store drops lookups and writes silently" a real invariant:
 	// once Close holds the write lock no operation can be mid-flight
 	// against the inner store, and every later operation observes closed
@@ -205,10 +230,11 @@ func (ss *ScheduleStore) writer() {
 			close(w.flushed)
 			continue
 		}
-		// Put can only fail on I/O trouble or an oversized record; either
+		// The put can only fail on I/O trouble or an oversized record; either
 		// way the result is recomputable, so a failed write-behind costs a
-		// future cold search, nothing more.
-		_ = ss.st.Put(w.key, w.payload)
+		// future cold search, nothing more. Conditional, because a refinement
+		// may have upgraded the key while this write sat in the queue.
+		_, _ = ss.st.PutIf(w.key, w.payload, keepOptimalArtifact)
 	}
 }
 
@@ -228,11 +254,8 @@ func (ss *ScheduleStore) get(key string, nodes int) (SearchResult, bool) {
 		ss.misses.Add(1)
 		return SearchResult{}, false
 	}
-	sr, err := UnmarshalSegmentArtifact(payload)
-	if err == nil && !validPermutation(sr.Order, nodes) {
-		err = fmt.Errorf("serenity: artifact order is not a permutation of %d nodes", nodes)
-	}
-	if err != nil {
+	sr, ok := decodeArtifact(payload, nodes)
+	if !ok {
 		ss.st.Delete(key)
 		ss.decodeErrs.Add(1)
 		ss.misses.Add(1)
@@ -258,18 +281,10 @@ func validPermutation(order Order, nodes int) bool {
 	return true
 }
 
-// putAsync enqueues a write-through of sr without blocking: if the queue is
-// full the write is dropped and counted — the artifact is recomputable, and
-// the hot path must never wait on disk. Degraded results are refused here as
-// well as at the memo layer, so no caller ordering can persist one.
-func (ss *ScheduleStore) putAsync(key string, sr SearchResult) {
-	if sr.FellBack {
-		return
-	}
-	payload, err := MarshalSegmentArtifact(sr)
-	if err != nil {
-		return
-	}
+// putAsync enqueues a write-through of an encoded artifact without blocking:
+// if the queue is full the write is dropped and counted — the artifact is
+// recomputable, and the hot path must never wait on disk.
+func (ss *ScheduleStore) putAsync(key string, payload []byte) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if ss.closed {
@@ -280,6 +295,19 @@ func (ss *ScheduleStore) putAsync(key string, sr SearchResult) {
 	default:
 		ss.dropped.Add(1)
 	}
+}
+
+// putIf is the synchronous conditional write behind the hierarchy's guarded
+// paths (upgradeMemo, PutArtifact): allow decides under the inner store's
+// lock, so nothing can land between the check and the write. Writing into a
+// closed store is a silent no-op.
+func (ss *ScheduleStore) putIf(key string, payload []byte, allow func(cur []byte, exists bool) bool) (bool, error) {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	if ss.closed {
+		return false, nil
+	}
+	return ss.st.PutIf(key, payload, allow)
 }
 
 // Flush blocks until every write enqueued before the call has reached the
@@ -312,33 +340,6 @@ func (ss *ScheduleStore) Compact() error {
 	ss.writeCh <- barrier
 	<-barrier.flushed
 	return ss.st.Compact()
-}
-
-// replace is the RefinePool's persistent-tier write-through, mirroring
-// SegmentMemo.replace: refined results pass the same quality/permutation
-// validation artifacts pass on load, an existing optimal artifact is never
-// clobbered, and the write is synchronous — refinement runs in the
-// background, so it may wait on disk where the compile hot path may not.
-// Replacing into a closed store is a silent no-op.
-func (ss *ScheduleStore) replace(key string, nodes int, sr SearchResult) error {
-	if err := validateRefined(sr, nodes); err != nil {
-		return err
-	}
-	payload, err := MarshalSegmentArtifact(sr)
-	if err != nil {
-		return err
-	}
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return nil
-	}
-	if cur, ok := ss.st.Get(key); ok {
-		if dec, derr := UnmarshalSegmentArtifact(cur); derr == nil && dec.Quality == QualityOptimal {
-			return nil // already exact on disk; keep the established artifact
-		}
-	}
-	return ss.st.Put(key, payload)
 }
 
 // Close drains the write-behind queue, syncs, and releases the store. A
@@ -383,58 +384,4 @@ func (ss *ScheduleStore) Stats() StoreStats {
 		FileBytes:      raw.FileBytes,
 		Entries:        raw.Entries,
 	}
-}
-
-// lookupOrCompute is the store-only lookup path for Pipelines running with a
-// ScheduleStore but no SegmentMemo: disk hit, else peer fetch (when a fleet
-// tier is installed), else compute and write through. No singleflight — that
-// is the memo's job; without one, concurrent identical segments each pay (or
-// each disk-hit) on their own. Peer artifacts pass the same validation the
-// memo path applies, and fresh non-owned computes replicate to their owner.
-func (ss *ScheduleStore) lookupOrCompute(ctx context.Context, key string, peers PeerTier, nodes int, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
-	span := trace.FromContext(ctx)
-	var diskSp *trace.SpanHandle
-	if span != nil {
-		diskSp = span.Child("memo.disk")
-	}
-	sr, ok := ss.get(key, nodes)
-	if diskSp != nil {
-		diskSp.Annotate(trace.Bool("hit", ok))
-		diskSp.End()
-	}
-	if ok {
-		return sr, memoTierDisk, nil
-	}
-	if peers != nil && !peers.Owns(key) {
-		fctx := ctx
-		var peerSp *trace.SpanHandle
-		if span != nil {
-			peerSp = span.Child("memo.peer")
-			fctx = trace.ContextWith(ctx, peerSp)
-		}
-		if payload, ok := peers.Fetch(fctx, key); ok {
-			if sr, ok := decodePeerArtifact(payload, nodes); ok {
-				ss.putAsync(key, sr)
-				if peerSp != nil {
-					peerSp.Annotate(trace.Bool("hit", true))
-					peerSp.End()
-				}
-				return sr, memoTierPeer, nil
-			}
-		}
-		if peerSp != nil {
-			peerSp.Annotate(trace.Bool("hit", false))
-			peerSp.End()
-		}
-	}
-	sr, err := compute()
-	if err == nil && !sr.FellBack {
-		ss.putAsync(key, sr)
-		if peers != nil && !peers.Owns(key) {
-			if payload, perr := MarshalSegmentArtifact(sr); perr == nil {
-				peers.Replicate(ctx, key, payload)
-			}
-		}
-	}
-	return sr, memoTierMiss, err
 }

@@ -331,6 +331,15 @@ func TestScheduleStoreClosedIsInert(t *testing.T) {
 	}
 }
 
+func mustMarshalArtifact(t *testing.T, sr SearchResult) []byte {
+	t.Helper()
+	payload, err := MarshalSegmentArtifact(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
 // TestScheduleStoreConcurrentCloseDrain is the shutdown race test (run under
 // -race in CI): lookups, writes, flushes, compactions, and stats snapshots
 // drain through a store while another goroutine closes it mid-storm. Every
@@ -343,8 +352,8 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal}
-	ss.putAsync("seed", sr)
+	payload := mustMarshalArtifact(t, SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal})
+	ss.putAsync("seed", payload)
 	ss.Flush()
 
 	start := make(chan struct{})
@@ -359,7 +368,7 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 				case 0:
 					ss.get("seed", 3)
 				case 1:
-					ss.putAsync(fmt.Sprintf("k%d-%d", w, i), sr)
+					ss.putAsync(fmt.Sprintf("k%d-%d", w, i), payload)
 				case 2:
 					ss.Flush()
 				case 3:
@@ -386,7 +395,7 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 	if _, ok := ss.get("seed", 3); ok {
 		t.Error("closed store served a lookup")
 	}
-	ss.putAsync("late", sr)
+	ss.putAsync("late", payload)
 	ss.Flush()
 	if err := ss.Compact(); err != nil {
 		t.Errorf("Compact on a closed store: %v", err)
@@ -413,9 +422,9 @@ func TestScheduleStoreReplaceUpgradesOnly(t *testing.T) {
 	optimal := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 9, Quality: QualityOptimal}
 
 	// Upgrade heuristic → optimal.
-	ss.putAsync("k", heuristic)
+	ss.putAsync("k", mustMarshalArtifact(t, heuristic))
 	ss.Flush()
-	if err := ss.replace("k", 3, optimal); err != nil {
+	if err := upgradeMemo(nil, ss, "k", 3, optimal); err != nil {
 		t.Fatalf("replace heuristic with optimal: %v", err)
 	}
 	got, ok := ss.get("k", 3)
@@ -426,7 +435,7 @@ func TestScheduleStoreReplaceUpgradesOnly(t *testing.T) {
 	// An established optimal artifact wins over a later refinement: hits
 	// must stay bit-identical to whichever run populated the entry.
 	other := SearchResult{Order: Order{1, 0, 2}, StatesExplored: 7, Quality: QualityOptimal}
-	if err := ss.replace("k", 3, other); err != nil {
+	if err := upgradeMemo(nil, ss, "k", 3, other); err != nil {
 		t.Fatalf("replace optimal with optimal: %v", err)
 	}
 	got, _ = ss.get("k", 3)
@@ -435,13 +444,13 @@ func TestScheduleStoreReplaceUpgradesOnly(t *testing.T) {
 	}
 
 	// Nothing degraded or malformed gets in.
-	if err := ss.replace("k2", 3, SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal, FellBack: true}); err == nil {
+	if err := upgradeMemo(nil, ss, "k2", 3, SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal, FellBack: true}); err == nil {
 		t.Error("replace accepted a degraded result")
 	}
-	if err := ss.replace("k2", 3, heuristic); err == nil {
+	if err := upgradeMemo(nil, ss, "k2", 3, heuristic); err == nil {
 		t.Error("replace accepted a heuristic result")
 	}
-	if err := ss.replace("k2", 3, SearchResult{Order: Order{0, 0, 2}, Quality: QualityOptimal}); err == nil {
+	if err := upgradeMemo(nil, ss, "k2", 3, SearchResult{Order: Order{0, 0, 2}, Quality: QualityOptimal}); err == nil {
 		t.Error("replace accepted a non-permutation order")
 	}
 	if _, ok := ss.get("k2", 3); ok {
