@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/govern"
 	"github.com/serenity-ml/serenity/internal/trace"
 )
@@ -73,7 +72,6 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	opts, deadline := prm.opts, prm.deadline
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
@@ -120,9 +118,10 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]batchItemResult, len(req.Items))
-	workers, perItem := batchSplit(opts.Parallelism, len(req.Items))
-	itemOpts := opts
-	itemOpts.Parallelism = perItem
+	workers, perItem := batchSplit(prm.opts.Parallelism, len(req.Items))
+	itemPrm := prm
+	itemPrm.opts.Parallelism = perItem
+	itemPrm.forceDegrade = false // the ?degrade=force drill is a single-endpoint feature
 
 	ctx := r.Context()
 	if root != nil {
@@ -154,7 +153,7 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				results[idx] = s.runBatchItem(ctx, idx, req.Items[idx], itemOpts, deadline)
+				results[idx] = s.runBatchItem(ctx, idx, req.Items[idx], itemPrm)
 			}
 		}()
 	}
@@ -187,13 +186,12 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runBatchItem runs one batch item through the same path as the single
-// endpoint: parse, size gate, per-item timeouts, cache/flight/memo, and the
-// single endpoint's status mapping. Unlike the single endpoint, the item
-// runs on a worker goroutine net/http does not guard, so a panicking
+// runBatchItem runs one batch item through the same per-graph path as the
+// single endpoint (decodeGraph + runGraph). Unlike the single endpoint, the
+// item runs on a worker goroutine net/http does not guard, so a panicking
 // compilation is converted into that item's 500 instead of killing the
 // process (and every other in-flight request with it).
-func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessage, opts serenity.Options, deadline time.Duration) (result batchItemResult) {
+func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessage, prm reqParams) (result batchItemResult) {
 	fail := func(status int, err error) batchItemResult {
 		return batchItemResult{Index: idx, Status: status, Error: err.Error()}
 	}
@@ -202,35 +200,19 @@ func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessa
 			result = fail(http.StatusInternalServerError, fmt.Errorf("internal panic compiling item %d: %v", idx, p))
 		}
 	}()
-	g, err := serenity.ReadGraphJSON(bytes.NewReader(raw))
+	job, code, err := s.decodeGraph(bytes.NewReader(raw), prm)
 	if err != nil {
-		return fail(http.StatusBadRequest, fmt.Errorf("parsing graph: %w", err))
+		return fail(code, err)
 	}
-	if s.maxNodes > 0 && g.NumNodes() > s.maxNodes {
-		return fail(http.StatusRequestEntityTooLarge,
-			fmt.Errorf("graph has %d nodes, server accepts at most %d", g.NumNodes(), s.maxNodes))
-	}
-	ctx := parent
-	if s.computeTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.computeTimeout)
-		defer cancel()
-	}
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	fp := g.Fingerprint()
-	resp, cached, err := s.schedule(ctx, g, opts, fp, scheduleKey(fp, opts, deadline, false), classPreAdmitted, false)
+	resp, cached, code, err := s.runGraph(parent, job, prm, classPreAdmitted)
 	if err != nil {
-		if isContextErr(err) && parent.Err() != nil {
+		if code == 0 {
 			// The whole batch's client hung up; the caller discards results.
 			return fail(http.StatusServiceUnavailable, parent.Err())
 		}
-		return fail(s.scheduleErrorStatus(err, opts.Strategy, deadline))
+		return fail(code, err)
 	}
-	return batchItemResult{Index: idx, Status: http.StatusOK, Schedule: respForClient(resp, cached, g.Name)}
+	return batchItemResult{Index: idx, Status: http.StatusOK, Schedule: respForClient(resp, cached, job.g.Name)}
 }
 
 // batchSplit divides a batch request's parallelism budget between its two

@@ -1,0 +1,145 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/fleet"
+	"github.com/serenity-ml/serenity/internal/govern"
+	"github.com/serenity-ml/serenity/internal/trace"
+)
+
+// TestFlagSurfaceGolden pins -h: flag names, types, defaults and usage text
+// equal the pre-config daemon's, minus its four drill flags. The two
+// GOMAXPROCS-derived defaults are normalized so the golden is portable.
+func TestFlagSurfaceGolden(t *testing.T) {
+	fs := flag.NewFlagSet("serenityd", flag.ContinueOnError)
+	bindFlags(fs)
+	var buf bytes.Buffer
+	fs.SetOutput(&buf)
+	fs.PrintDefaults()
+	procs := regexp.MustCompile(`(?m)^(  -(?:parallelism|compile-slots) int\n.*\(default )\d+\)$`)
+	got := procs.ReplaceAllString(buf.String(), "${1}GOMAXPROCS)")
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("flag surface diverged from testdata/flags.golden:\n%s", got)
+	}
+}
+
+// TestRunBusyPortFailsBeforeBuild: a fleet node started on an occupied port
+// must fail at the bind — before it opens (and warm-starts) its store, starts
+// a prober, or pulls the fleet corpus.
+func TestRunBusyPortFailsBeforeBuild(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := testConfig()
+	cfg.addr = ln.Addr().String()
+	cfg.storeDir = filepath.Join(t.TempDir(), "store")
+	cfg.peerAddr = "http://" + cfg.addr
+	cfg.sync.Interval, cfg.joinSync, cfg.joinTimeout = time.Hour, true, 30*time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := run(ctx, cfg); err == nil {
+		t.Fatal("run on an occupied port returned no error")
+	}
+	if _, err := os.Stat(cfg.storeDir); !os.IsNotExist(err) {
+		t.Errorf("store directory exists (stat err %v): the store was opened before the bind failed", err)
+	}
+}
+
+// TestBuildWiresWhatMainWired certifies the hooks build installs between
+// components — wiring that used to be exercised only by process-level smokes.
+func TestBuildWiresWhatMainWired(t *testing.T) {
+	t.Run("refinement is gated and pressure-parked", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.compileSlots, cfg.admitQueue = 2, 4
+		cfg.govern = govern.Options{Limit: 64 << 20, Headroom: 1, ReadLoad: func() int64 { return 0 }}
+		cfg.refineOpts = serenity.RefinePoolOptions{Workers: 1, QueueDepth: 4, RequeueInterval: 2 * time.Millisecond}
+		s, _ := startServer(t, cfg)
+		var ran atomic.Int64
+		job := func(context.Context) error { ran.Add(1); return nil }
+
+		s.refine.Enqueue(context.Background(), "gated", job)
+		drainRefine(t, s.refine)
+		if got := s.admit.admitted[classRefine].Load(); ran.Load() != 1 || got != 1 {
+			t.Fatalf("%d runs took %d refinement-class slots, want 1 and 1", ran.Load(), got)
+		}
+
+		ballast := s.gov.Reserve(int64(0.72 * float64(s.gov.Stats().Limit)))
+		if lvl := s.gov.Refresh(); lvl != govern.LevelElevated {
+			t.Fatalf("ballast yields level %s, want elevated", lvl)
+		}
+		s.refine.Enqueue(context.Background(), "parked", job)
+		for deadline := time.Now().Add(10 * time.Second); s.refine.Stats().Parked == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("refinement never parked at elevated pressure: %+v", s.refine.Stats())
+			}
+		}
+		if ran.Load() != 1 {
+			t.Fatal("a refinement ran at elevated pressure")
+		}
+		ballast.Release()
+		s.gov.Refresh()
+		drainRefine(t, s.refine)
+		if ran.Load() != 2 || s.refine.Stats().Requeued == 0 {
+			t.Errorf("parked refinement did not requeue and run once pressure cleared: %+v", s.refine.Stats())
+		}
+	})
+
+	t.Run("fleet probes readyz and stitches peer spans", func(t *testing.T) {
+		probed := make(chan string, 1)
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case probed <- r.URL.Path:
+			default:
+			}
+		}))
+		defer peer.Close()
+		cfg := testConfig()
+		cfg.storeDir = t.TempDir()
+		cfg.peerAddr, cfg.peerList = "http://127.0.0.1:7433", peer.URL
+		cfg.probe.Interval = 10 * time.Millisecond
+		s, ts := startServer(t, cfg)
+		select {
+		case path := <-probed:
+			if path != "/readyz" {
+				t.Errorf("health probe hit %s, want /readyz", path)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the prober never probed the peer")
+		}
+
+		caller := trace.New(trace.Options{}).StartTrace("caller")
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/peer/segment/absent", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(fleet.TraceparentHeader, caller.Traceparent())
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		frag := s.tracer.Get(caller.TraceID().String())
+		if frag == nil || len(frag.Spans) == 0 || frag.Spans[0].Name != "peer.serve.segment" {
+			t.Errorf("peer surface recorded no serve span under the caller's trace: %+v", frag)
+		}
+	})
+}

@@ -10,118 +10,126 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/fleet"
 )
 
-// drillNode is one member of the in-process drill fleet.
+// drillNode is one member of the in-process drill fleet. Its listener is up
+// before its server exists — the ring needs every member's URL, and URLs
+// only exist once the listeners do — so requests arriving early wait for
+// boot to bind the handler instead of reading a false 503 (which would boot
+// the fleet into false suspects).
 type drillNode struct {
 	s   *server
 	ts  *httptest.Server
 	dir string
 	// fault fronts every outbound fleet path (fetch, replication, sync,
 	// probes), so the drill partitions and heals nodes with rule edits.
-	fault *fleet.FaultTransport
+	fault   *fleet.FaultTransport
+	bound   chan struct{} // closed once handler is set
+	handler http.Handler
 }
 
-// newDrillFleet stands up n serenityd instances, each with its own segment
-// memo and persistent store, joined into one consistent-hash ring over their
-// httptest URLs. The handlers are late-bound because the ring needs every
-// member's URL, and URLs only exist once the listeners are up.
+func newDrillNode() *drillNode {
+	n := &drillNode{bound: make(chan struct{})}
+	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-n.bound:
+			n.handler.ServeHTTP(w, r)
+		case <-r.Context().Done():
+		}
+	}))
+	return n
+}
+
+// boot assembles the node's server with the daemon's own constructor — its
+// own store directory, the ring over urls, /readyz probes — and binds it to
+// the listener. tweak, when non-nil, edits the config first. The server is
+// left not ready, like a production node before its join pre-stream.
+func (n *drillNode) boot(opts serenity.Options, urls []string, seed int64, tweak func(*config)) error {
+	dir, err := os.MkdirTemp("", "serenityd-fleet-drill-")
+	if err != nil {
+		return err
+	}
+	n.dir = dir
+	n.fault = fleet.NewFaultTransport(nil, seed)
+	hc := &http.Client{Transport: n.fault}
+	cfg := testConfig()
+	cfg.opts = opts
+	cfg.segMemoSize = 4096
+	cfg.storeDir = dir
+	cfg.peerAddr, cfg.peerList = n.ts.URL, strings.Join(urls, ",")
+	cfg.peerVnodes, cfg.peerSlots = fleet.DefaultVirtualNodes, 8
+	// Fast probes so failure detection converges in drill time.
+	cfg.probe = fleet.HealthOptions{Interval: 50 * time.Millisecond, Timeout: 500 * time.Millisecond, DeadAfter: 2, HTTPClient: hc}
+	// Generous fetch budget: the drill proves correctness, not latency,
+	// and a loaded CI machine must not flake it on a slow scheduler tick.
+	cfg.client = fleet.ClientOptions{Timeout: 2 * time.Second, HTTPClient: hc}
+	// An hour between rounds parks the background loop: the drill drives
+	// anti-entropy deterministically through SyncOnce and Converge.
+	cfg.sync = fleet.SyncerOptions{Interval: time.Hour, Batch: 64, HTTPClient: hc}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	if n.s, err = build(cfg); err != nil {
+		return err
+	}
+	n.handler = n.s.handler()
+	close(n.bound)
+	return nil
+}
+
+// newDrillFleet stands up n ready serenityd instances, each with its own
+// segment memo and persistent store, joined into one consistent-hash ring
+// over their httptest URLs.
 func newDrillFleet(opts serenity.Options, n int) ([]*drillNode, error) {
-	handlers := make([]atomic.Value, n)
 	nodes := make([]*drillNode, n)
 	urls := make([]string, n)
 	for i := range nodes {
-		i := i
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h, _ := handlers[i].Load().(http.Handler)
-			if h == nil {
-				http.Error(w, "booting", http.StatusServiceUnavailable)
-				return
-			}
-			h.ServeHTTP(w, r)
-		}))
-		nodes[i] = &drillNode{ts: ts}
-		urls[i] = ts.URL
+		nodes[i] = newDrillNode()
+		urls[i] = nodes[i].ts.URL
 	}
 	for i, node := range nodes {
-		dir, err := os.MkdirTemp("", "serenityd-fleet-drill-")
-		if err != nil {
+		if err := node.boot(opts, urls, int64(i+1), nil); err != nil {
 			return nodes, err
 		}
-		node.dir = dir
-		store, err := serenity.OpenScheduleStore(dir, 0)
-		if err != nil {
-			return nodes, err
-		}
-		ring, err := fleet.NewRing(urls[i], urls, fleet.DefaultVirtualNodes)
-		if err != nil {
-			return nodes, err
-		}
-		s := newServer(opts, 64)
-		s.segMemo = serenity.NewSegmentMemo(4096)
-		s.store = store
-		s.ring.Store(ring)
-		s.peerVnodes = fleet.DefaultVirtualNodes
-		node.fault = fleet.NewFaultTransport(nil, int64(i+1))
-		hc := &http.Client{Transport: node.fault}
-		// Fast probes so failure detection converges in drill time, probing
-		// /readyz the way production does.
-		s.health = fleet.NewHealth(ring.Peers(), fleet.HealthOptions{
-			Interval:   50 * time.Millisecond,
-			Timeout:    500 * time.Millisecond,
-			DeadAfter:  2,
-			ProbePath:  "/readyz",
-			HTTPClient: hc,
-		})
-		// Generous fetch budget: the drill proves correctness, not latency,
-		// and a loaded CI machine must not flake it on a slow scheduler tick.
-		s.peers = fleet.NewClient(ring, fleet.ClientOptions{
-			Timeout:    2 * time.Second,
-			HTTPClient: hc,
-			Health:     s.health,
-		})
-		s.peerSrv = fleet.NewServer(store, ring, peerGate(8))
-		// Traced compiles on one node stitch their peer-serve child spans on
-		// the owner — the drill fleet mirrors production wiring.
-		s.peerSrv.SetTracer(s.tracer)
-		// No background loop: the drill drives anti-entropy deterministically
-		// through SyncOnce.
-		s.syncer = fleet.NewSyncer(store, ring, fleet.SyncerOptions{
-			Batch:      64,
-			HTTPClient: hc,
-			Health:     s.health,
-		})
-		s.ready.Store(true)
-		node.s = s
-		handlers[i].Store(s.handler())
-	}
-	// Probers start only after EVERY node's handler is live: a probe landing
-	// on a still-booting handler reads 503 and would boot the fleet into
-	// false suspects.
-	for _, node := range nodes {
-		if node.s != nil && node.s.health != nil {
-			node.s.health.Start()
-		}
+		node.s.ready.Store(true)
 	}
 	return nodes, nil
 }
 
 func (n *drillNode) close() {
-	if n.ts != nil {
-		n.ts.Close()
-	}
+	n.ts.Close()
 	if n.s != nil {
-		closeFleet(n.s)
-		closeStore(n.s)
+		n.s.close()
 	}
 	if n.dir != "" {
 		os.RemoveAll(n.dir)
 	}
+}
+
+// drillWorkload serializes the bundled benchmark models: the zoo node A pays
+// for and every other node must answer from the fleet.
+func drillWorkload() ([][]byte, error) {
+	graphs := []*serenity.Graph{
+		serenity.SwiftNetCellA(),
+		serenity.SwiftNetCellB(),
+		serenity.SwiftNetCellC(),
+		serenity.DARTSNormalCell(),
+		serenity.RandWireCell("rw-loadgen", 24, 4, 0.75, 11, 16, 8),
+	}
+	bodies := make([][]byte, len(graphs))
+	for i, g := range graphs {
+		var buf bytes.Buffer
+		if err := serenity.WriteGraphJSON(&buf, g); err != nil {
+			return nil, err
+		}
+		bodies[i] = buf.Bytes()
+	}
+	return bodies, nil
 }
 
 // drillPost compiles one graph on a node and decodes the response.
@@ -164,7 +172,7 @@ func drillPost(ts *httptest.Server, body []byte) (*scheduleResponse, error) {
 //     the two views revive each other, C converges the partition-era corpus
 //     via anti-entropy, and C replays it with zero fresh DP states.
 func runFleetDrill(opts serenity.Options, out io.Writer) error {
-	bodies, err := loadgenWorkload()
+	bodies, err := drillWorkload()
 	if err != nil {
 		return err
 	}

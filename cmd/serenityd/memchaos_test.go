@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -54,35 +53,20 @@ func newMemChaosServer(t *testing.T) (*server, *httptest.Server) {
 	baseline := runtime.NumGoroutine()
 	t.Cleanup(func() { checkGoroutines(t, baseline, 2) })
 
-	opts := serenity.DefaultOptions()
-	opts.StepTimeout = 500 * time.Millisecond
-	opts.Parallelism = 4
-	s := newServer(opts, 256)
-	s.segMemo = serenity.NewSegmentMemo(1024)
-	s.admit = newAdmission(4, [numClasses]int{16, 16, 16})
-	s.gov = govern.New(govern.Options{
+	cfg := testConfig()
+	cfg.cacheSize = 256
+	cfg.compileSlots, cfg.admitQueue = 4, 16
+	cfg.govern = govern.Options{
 		Limit:          64 << 20,
 		Headroom:       1,
 		SampleInterval: 5 * time.Millisecond,
 		ReadLoad:       func() int64 { return 0 },
-	})
+	}
+	cfg.refineOpts = serenity.RefinePoolOptions{Workers: 2, QueueDepth: 256, RequeueInterval: 2 * time.Millisecond}
+	s, ts := startServer(t, cfg)
 	if !s.gov.Enabled() {
 		t.Fatal("chaos governor failed to enable")
 	}
-	s.gov.Start()
-	t.Cleanup(s.gov.Stop)
-	s.refine = serenity.NewRefinePool(s.segMemo, nil, serenity.RefinePoolOptions{
-		Workers: 2, QueueDepth: 256,
-		RequeueInterval: 2 * time.Millisecond,
-		Pressure:        func() bool { return s.gov.Level() >= govern.LevelElevated },
-		Gate: func(ctx context.Context) (func(), error) {
-			return s.admit.acquire(ctx, classRefine, 1)
-		},
-	})
-	t.Cleanup(s.refine.Close)
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(ts.Client().CloseIdleConnections)
 	return s, ts
 }
 
@@ -234,17 +218,7 @@ func TestMemChaosSurvivesPressure(t *testing.T) {
 	if resp503.Header.Get("Retry-After") == "" {
 		t.Error("critical 503 missing Retry-After")
 	}
-	respBE, dataBE, err := post("/v1/schedule?strategy=best-effort&deadline_ms=2000", fresh.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respBE.StatusCode != http.StatusOK {
-		t.Fatalf("best-effort under held critical ballast: status %d: %s", respBE.StatusCode, dataBE)
-	}
-	var degraded scheduleResponse
-	if err := json.Unmarshal(dataBE, &degraded); err != nil {
-		t.Fatal(err)
-	}
+	degraded, _ := postScheduleOK(t, ts, "?strategy=best-effort&deadline_ms=2000", fresh.Bytes())
 	if degraded.Quality != serenity.QualityHeuristic {
 		t.Fatalf("best-effort under critical ballast served quality %q, want heuristic", degraded.Quality)
 	}
@@ -261,31 +235,11 @@ func TestMemChaosSurvivesPressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	drainRefine(t, s.refine)
-	respRef, dataRef, err := post("/v1/schedule?strategy=best-effort&deadline_ms=2000&wait_refined=30000", fresh.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refined scheduleResponse
-	if respRef.StatusCode != http.StatusOK {
-		t.Fatalf("post-chaos refined request: status %d: %s", respRef.StatusCode, dataRef)
-	}
-	if err := json.Unmarshal(dataRef, &refined); err != nil {
-		t.Fatal(err)
-	}
+	refined, _ := postScheduleOK(t, ts, "?strategy=best-effort&deadline_ms=2000&wait_refined=30000", fresh.Bytes())
 	if refined.Quality != serenity.QualityOptimal {
 		t.Fatalf("degraded answer never repaired: quality %q", refined.Quality)
 	}
-	respEx, dataEx, err := post("/v1/schedule", fresh.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var exact scheduleResponse
-	if respEx.StatusCode != http.StatusOK {
-		t.Fatalf("post-chaos exact request: status %d: %s", respEx.StatusCode, dataEx)
-	}
-	if err := json.Unmarshal(dataEx, &exact); err != nil {
-		t.Fatal(err)
-	}
+	exact, _ := postScheduleOK(t, ts, "", fresh.Bytes())
 	if exact.Peak != refined.Peak || exact.ArenaSize != refined.ArenaSize {
 		t.Errorf("repaired peak/arena %d/%d diverged from exact %d/%d",
 			refined.Peak, refined.ArenaSize, exact.Peak, exact.ArenaSize)

@@ -16,15 +16,12 @@ import (
 	serenity "github.com/serenity-ml/serenity"
 )
 
-// refineServer attaches a background refinement pool to a test server.
+// refineServer is testServer plus a background refinement pool.
 func refineServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s, ts := testServer(t)
-	s.refine = serenity.NewRefinePool(s.segMemo, nil, serenity.RefinePoolOptions{
-		Workers: 1, QueueDepth: 64,
-	})
-	t.Cleanup(s.refine.Close)
-	return s, ts
+	cfg := testConfig()
+	cfg.refineOpts = serenity.RefinePoolOptions{Workers: 1, QueueDepth: 64}
+	return startServer(t, cfg)
 }
 
 func postScheduleINM(t *testing.T, ts *httptest.Server, query string, body []byte, inm string) (*http.Response, []byte) {
@@ -78,14 +75,7 @@ func TestOverloadSoakRefinedBitIdentical(t *testing.T) {
 	}
 
 	body := graphBody(t, g)
-	resp, data := postSchedule(t, ts, "?strategy=best-effort&degrade=force", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded request: status %d: %s", resp.StatusCode, data)
-	}
-	var degraded scheduleResponse
-	if err := json.Unmarshal(data, &degraded); err != nil {
-		t.Fatal(err)
-	}
+	degraded, resp := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force", body)
 	if degraded.Quality != serenity.QualityHeuristic || degraded.Fallbacks == 0 {
 		t.Fatalf("forced degradation served quality %q with %d fallbacks", degraded.Quality, degraded.Fallbacks)
 	}
@@ -105,14 +95,7 @@ func TestOverloadSoakRefinedBitIdentical(t *testing.T) {
 		t.Fatalf("refinements failed: %+v", st)
 	}
 
-	resp2, data2 := postSchedule(t, ts, "?strategy=best-effort&degrade=force", body)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-refinement request: status %d: %s", resp2.StatusCode, data2)
-	}
-	var refined scheduleResponse
-	if err := json.Unmarshal(data2, &refined); err != nil {
-		t.Fatal(err)
-	}
+	refined, resp2 := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force", body)
 	if refined.Quality != serenity.QualityOptimal {
 		t.Fatalf("post-refinement quality %q, want optimal", refined.Quality)
 	}
@@ -154,14 +137,7 @@ func TestWaitRefinedAndPending304(t *testing.T) {
 	}
 
 	body := graphBody(t, smallCell(42))
-	resp, data := postSchedule(t, ts, "?strategy=best-effort&degrade=force", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var degraded scheduleResponse
-	if err := json.Unmarshal(data, &degraded); err != nil {
-		t.Fatal(err)
-	}
+	degraded, resp := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force", body)
 	if degraded.Quality != serenity.QualityHeuristic {
 		t.Fatalf("forced degradation served quality %q", degraded.Quality)
 	}
@@ -399,8 +375,9 @@ func TestAdmissionAbandonedHeadRegrants(t *testing.T) {
 // 429 with Retry-After immediately — never a hung connection — and recover
 // once the slot frees.
 func TestSchedule429UnderOverload(t *testing.T) {
-	s, ts := testServer(t)
-	s.admit = newAdmission(1, [numClasses]int{1, 1, 1})
+	cfg := testConfig()
+	cfg.compileSlots, cfg.admitQueue = 1, 1
+	s, ts := startServer(t, cfg)
 
 	release, err := s.admit.acquire(context.Background(), classInteractive, 1)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -143,7 +144,7 @@ type server struct {
 	// slots: interactive requests are admitted ahead of batch, batch ahead
 	// of background refinement, and a full class queue answers 429 +
 	// Retry-After instead of hanging (see admission). Nil means unlimited
-	// admission (tests, and -compile-slots 0).
+	// admission (-compile-slots 0).
 	admit *admission
 	// gov, when enabled, is the process-wide memory governor (-mem-limit):
 	// every fresh search reserves its estimated byte footprint, the watchdog
@@ -186,8 +187,7 @@ type server struct {
 	// ?debug=trace requests, the tail-sampled retained-trace ring behind
 	// GET /debug/traces, the fragment store collecting fleet child spans and
 	// refinement lifecycle spans by trace ID, and the degraded-request
-	// flight recorder. Always non-nil (newServer installs a default; main
-	// resizes it from -trace-ring/-trace-sample).
+	// flight recorder. Always non-nil (sized by -trace-ring/-trace-sample).
 	tracer *trace.Tracer
 	// logger is the structured request log (-log-format); request-scoped
 	// lines carry request_id and, when the request was traced, trace_id.
@@ -233,16 +233,6 @@ func stageIdx(st serenity.Stage) int {
 		}
 	}
 	return -1
-}
-
-func newServer(opts serenity.Options, cacheSize int) *server {
-	return &server{
-		opts:    opts,
-		cache:   cache.New[*scheduleResponse](cacheSize),
-		tracer:  trace.New(trace.Options{}),
-		logger:  slog.Default(),
-		started: time.Now(),
-	}
 }
 
 // handler routes the service endpoints.
@@ -381,20 +371,12 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	opts, deadline := prm.opts, prm.deadline
-	g, err := serenity.ReadGraphJSON(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	job, code, err := s.decodeGraph(http.MaxBytesReader(w, r.Body, maxRequestBytes), prm)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing graph: %w", err))
+		s.fail(w, code, err)
 		return
 	}
-	if s.maxNodes > 0 && g.NumNodes() > s.maxNodes {
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("graph has %d nodes, server accepts at most %d", g.NumNodes(), s.maxNodes))
-		return
-	}
-
-	fp := g.Fingerprint()
-	key := scheduleKey(fp, opts, deadline, prm.forceDegrade)
+	g, key := job.g, job.key
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if resp, ok := s.cache.Get(key); ok {
 			if tag := etagFor(resp); etagMatch(inm, tag) {
@@ -430,31 +412,18 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if root != nil {
 		ctx = trace.ContextWith(ctx, root)
 	}
-	if s.computeTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.computeTimeout)
-		defer cancel()
-	}
-	if deadline > 0 {
-		// The client's own compile deadline: under strategy=best-effort it
-		// degrades the search instead of failing it.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	resp, cached, err := s.schedule(ctx, g, opts, fp, key, classInteractive, prm.forceDegrade)
+	resp, cached, code, err := s.runGraph(ctx, job, prm, classInteractive)
 	if err != nil {
-		if isContextErr(err) && r.Context().Err() != nil {
+		if code == 0 {
 			// The client is gone; nothing useful to write, and it is not a
 			// served error — it gets its own counter.
 			s.canceled.Add(1)
 			s.tracer.Finish(root, trace.Outcome{Err: err, Force: prm.debugTrace})
 			return
 		}
-		code, werr := s.scheduleErrorStatus(err, opts.Strategy, deadline)
-		s.tracer.Finish(root, trace.Outcome{Status: code, Err: werr, Force: prm.debugTrace})
-		s.logSchedule(reqID, root, code, cached, werr)
-		s.fail(w, code, werr)
+		s.tracer.Finish(root, trace.Outcome{Status: code, Err: err, Force: prm.debugTrace})
+		s.logSchedule(reqID, root, code, cached, err)
+		s.fail(w, code, err)
 		return
 	}
 	if prm.waitRefined > 0 && resp.Fallbacks > 0 && s.refine != nil {
@@ -488,6 +457,58 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("ETag", etagFor(resp))
 	writeJSON(w, http.StatusOK, out)
+}
+
+// graphJob is one submitted graph on the per-graph path the single and batch
+// endpoints share: decoded, size-gated, fingerprinted and keyed.
+type graphJob struct {
+	g       *serenity.Graph
+	fp, key string
+}
+
+// decodeGraph is the first half of the shared per-graph path: parse, the
+// -max-nodes gate, fingerprint, cache key. A non-nil error comes with the
+// status to answer it with.
+func (s *server) decodeGraph(body io.Reader, prm reqParams) (graphJob, int, error) {
+	g, err := serenity.ReadGraphJSON(body)
+	if err != nil {
+		return graphJob{}, http.StatusBadRequest, fmt.Errorf("parsing graph: %w", err)
+	}
+	if s.maxNodes > 0 && g.NumNodes() > s.maxNodes {
+		return graphJob{}, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("graph has %d nodes, server accepts at most %d", g.NumNodes(), s.maxNodes)
+	}
+	fp := g.Fingerprint()
+	return graphJob{g, fp, scheduleKey(fp, prm.opts, prm.deadline, prm.forceDegrade)}, 0, nil
+}
+
+// runGraph is the second half: the server's compute budget and the client's
+// deadline around schedule, then the status mapping both endpoints answer
+// with. Status 0 means ctx itself ended — the client hung up, so there is
+// nobody to answer and err is the bare context error.
+func (s *server) runGraph(ctx context.Context, j graphJob, prm reqParams, class admitClass) (*scheduleResponse, bool, int, error) {
+	run := ctx
+	if s.computeTimeout > 0 {
+		var cancel context.CancelFunc
+		run, cancel = context.WithTimeout(run, s.computeTimeout)
+		defer cancel()
+	}
+	if prm.deadline > 0 {
+		// The client's own compile deadline: under strategy=best-effort it
+		// degrades the search instead of failing it.
+		var cancel context.CancelFunc
+		run, cancel = context.WithTimeout(run, prm.deadline)
+		defer cancel()
+	}
+	resp, cached, err := s.schedule(run, j.g, prm.opts, j.fp, j.key, class, prm.forceDegrade)
+	if err == nil {
+		return resp, cached, http.StatusOK, nil
+	}
+	if isContextErr(err) && ctx.Err() != nil {
+		return nil, false, 0, err
+	}
+	code, werr := s.scheduleErrorStatus(err, prm.opts.Strategy, prm.deadline)
+	return nil, false, code, werr
 }
 
 // logSchedule emits the structured per-request log line. Successes log at
@@ -1025,277 +1046,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp["mem_reserved_bytes"] = gs.Reserved
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP serenityd_requests_total Schedule requests received, including rejected ones.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_requests_total counter\n")
-	fmt.Fprintf(w, "serenityd_requests_total %d\n", s.requests.Load())
-	fmt.Fprintf(w, "# HELP serenityd_in_flight_requests Schedule requests currently executing.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_in_flight_requests gauge\n")
-	fmt.Fprintf(w, "serenityd_in_flight_requests %d\n", s.inFlight.Load())
-	fmt.Fprintf(w, "# HELP serenityd_cache_hits_total Schedule cache hits.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "serenityd_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# HELP serenityd_cache_misses_total Schedule cache lookups that missed; subtract coalesced requests for compilations actually run.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "serenityd_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# HELP serenityd_cache_evictions_total Schedule cache evictions.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "serenityd_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(w, "# HELP serenityd_cache_entries Schedule cache current size.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_cache_entries gauge\n")
-	fmt.Fprintf(w, "serenityd_cache_entries %d\n", cs.Len)
-	fmt.Fprintf(w, "# HELP serenityd_coalesced_requests_total Requests served by joining an identical in-flight compilation.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_coalesced_requests_total counter\n")
-	fmt.Fprintf(w, "serenityd_coalesced_requests_total %d\n", s.coalesced.Load())
-	fmt.Fprintf(w, "# HELP serenityd_states_explored_total DP states explored by non-cached compilations.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_states_explored_total counter\n")
-	fmt.Fprintf(w, "serenityd_states_explored_total %d\n", s.states.Load())
-	fmt.Fprintf(w, "# HELP serenityd_errors_total Requests answered with an error.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_errors_total counter\n")
-	fmt.Fprintf(w, "serenityd_errors_total %d\n", s.errored.Load())
-	fmt.Fprintf(w, "# HELP serenityd_canceled_requests_total Requests abandoned by the client mid-compile.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_canceled_requests_total counter\n")
-	fmt.Fprintf(w, "serenityd_canceled_requests_total %d\n", s.canceled.Load())
-	fmt.Fprintf(w, "# HELP serenityd_fallbacks_total Segments degraded from exact to heuristic search (strategy=best-effort).\n")
-	fmt.Fprintf(w, "# TYPE serenityd_fallbacks_total counter\n")
-	fmt.Fprintf(w, "serenityd_fallbacks_total %d\n", s.fallbacks.Load())
-	fmt.Fprintf(w, "# HELP serenityd_heuristic_responses_total Non-cached compilations answered with a heuristic-quality schedule.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_heuristic_responses_total counter\n")
-	fmt.Fprintf(w, "serenityd_heuristic_responses_total %d\n", s.heuristic.Load())
-	fmt.Fprintf(w, "# HELP serenityd_stage_seconds_total Cumulative pipeline time per stage across non-cached compilations.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_stage_seconds_total counter\n")
-	for i, st := range pipelineStages {
-		fmt.Fprintf(w, "serenityd_stage_seconds_total{stage=%q} %.6f\n", st, float64(s.stageNS[i].Load())/1e9)
-	}
-	// Exemplars: the latest traced compilation's per-stage time, labeled
-	// with its trace ID so a dashboard can jump from the latency series to
-	// GET /debug/traces/{trace_id}. A separate valid 0.0.4 series (the
-	// `# {...}` exemplar suffix is OpenMetrics-only).
-	fmt.Fprintf(w, "# HELP serenityd_stage_exemplar_seconds Per-stage time of the most recent traced compilation; trace_id keys into /debug/traces.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_stage_exemplar_seconds gauge\n")
-	for i, st := range pipelineStages {
-		if ex := s.exemplars[i].Load(); ex != nil {
-			fmt.Fprintf(w, "serenityd_stage_exemplar_seconds{stage=%q,trace_id=%q} %.6f\n", st, ex.traceID, ex.seconds)
-		}
-	}
-	fmt.Fprintf(w, "# HELP serenityd_traces_retained Traces currently retained in the /debug/traces ring (fleet fragments included).\n")
-	fmt.Fprintf(w, "# TYPE serenityd_traces_retained gauge\n")
-	fmt.Fprintf(w, "serenityd_traces_retained %d\n", len(s.tracer.Traces()))
-	// DP core throughput: fresh states over cumulative search-stage time.
-	// Cache hits skip the pipeline entirely; segment-memo hits add zero
-	// states and only microseconds of lookup time to the denominator, so
-	// the gauge tracks the core's crunch rate to within the memo's lookup
-	// overhead (a slight under-read under heavily warmed traffic).
-	var statesPerSec float64
-	if searchSec := float64(s.stageNS[stageIdx(serenity.StageSearch)].Load()) / 1e9; searchSec > 0 {
-		statesPerSec = float64(s.states.Load()) / searchSec
-	}
-	fmt.Fprintf(w, "# HELP serenityd_dp_states_per_second Fresh DP states explored per second of cumulative search-stage time.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_dp_states_per_second gauge\n")
-	fmt.Fprintf(w, "serenityd_dp_states_per_second %.1f\n", statesPerSec)
-	fmt.Fprintf(w, "# HELP serenityd_dp_frontier_high_water Largest DP frontier (coexisting signatures) any compilation has held.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_dp_frontier_high_water gauge\n")
-	fmt.Fprintf(w, "serenityd_dp_frontier_high_water %d\n", s.frontierHigh.Load())
-	var ms serenity.SegmentMemoStats
-	if s.segMemo != nil {
-		ms = s.segMemo.Stats()
-	}
-	fmt.Fprintf(w, "# HELP serenityd_segment_memo_hits_total Segment searches served from the cross-request segment memo.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_segment_memo_hits_total counter\n")
-	fmt.Fprintf(w, "serenityd_segment_memo_hits_total %d\n", ms.Hits)
-	fmt.Fprintf(w, "# HELP serenityd_segment_memo_misses_total Segment searches that ran because the memo had no entry.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_segment_memo_misses_total counter\n")
-	fmt.Fprintf(w, "serenityd_segment_memo_misses_total %d\n", ms.Misses)
-	fmt.Fprintf(w, "# HELP serenityd_segment_memo_entries Segment memo current size.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_segment_memo_entries gauge\n")
-	fmt.Fprintf(w, "serenityd_segment_memo_entries %d\n", ms.Entries)
-	var ss serenity.StoreStats
-	if s.store != nil {
-		ss = s.store.Stats()
-	}
-	fmt.Fprintf(w, "# HELP serenityd_store_hits_total Segment artifacts served from the persistent schedule store.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_store_hits_total counter\n")
-	fmt.Fprintf(w, "serenityd_store_hits_total %d\n", ss.Hits)
-	fmt.Fprintf(w, "# HELP serenityd_store_misses_total Store lookups that fell through to a fresh search.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_store_misses_total counter\n")
-	fmt.Fprintf(w, "serenityd_store_misses_total %d\n", ss.Misses)
-	fmt.Fprintf(w, "# HELP serenityd_store_writes_total Segment artifacts written through to the store.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_store_writes_total counter\n")
-	fmt.Fprintf(w, "serenityd_store_writes_total %d\n", ss.Writes)
-	fmt.Fprintf(w, "# HELP serenityd_store_evictions_total Artifacts evicted to honor -store-max-bytes.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_store_evictions_total counter\n")
-	fmt.Fprintf(w, "serenityd_store_evictions_total %d\n", ss.Evictions)
-	fmt.Fprintf(w, "# HELP serenityd_store_corrupt_records_total Store records dropped for failing CRC or artifact validation.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_store_corrupt_records_total counter\n")
-	fmt.Fprintf(w, "serenityd_store_corrupt_records_total %d\n", ss.CorruptRecords)
-	fmt.Fprintf(w, "# HELP serenityd_store_bytes Live bytes held by the persistent schedule store.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_store_bytes gauge\n")
-	fmt.Fprintf(w, "serenityd_store_bytes %d\n", ss.LiveBytes)
-	fmt.Fprintf(w, "# HELP serenityd_store_entries Artifacts currently retrievable from the store.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_store_entries gauge\n")
-	fmt.Fprintf(w, "serenityd_store_entries %d\n", ss.Entries)
-	fmt.Fprintf(w, "# HELP serenityd_batch_requests_total Batch schedule requests received.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_batch_requests_total counter\n")
-	fmt.Fprintf(w, "serenityd_batch_requests_total %d\n", s.batches.Load())
-	fmt.Fprintf(w, "# HELP serenityd_batch_items_total Graphs submitted across all batch requests.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_batch_items_total counter\n")
-	fmt.Fprintf(w, "serenityd_batch_items_total %d\n", s.batchItem.Load())
-	var rs serenity.RefinePoolStats
-	if s.refine != nil {
-		rs = s.refine.Stats()
-	}
-	fmt.Fprintf(w, "# HELP serenityd_refinements_queued_total Background refinements accepted into the repair queue.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_queued_total counter\n")
-	fmt.Fprintf(w, "serenityd_refinements_queued_total %d\n", rs.Queued)
-	fmt.Fprintf(w, "# HELP serenityd_refinements_done_total Background refinements that completed and repaired their caches.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_done_total counter\n")
-	fmt.Fprintf(w, "serenityd_refinements_done_total %d\n", rs.Done)
-	fmt.Fprintf(w, "# HELP serenityd_refinements_failed_total Background refinements that ran but errored; nothing was replaced.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_failed_total counter\n")
-	fmt.Fprintf(w, "serenityd_refinements_failed_total %d\n", rs.Failed)
-	fmt.Fprintf(w, "# HELP serenityd_refinements_dropped_total Refinements shed without running: full queue, duplicate key, or shutdown.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_dropped_total counter\n")
-	fmt.Fprintf(w, "serenityd_refinements_dropped_total %d\n", rs.Dropped)
-	fmt.Fprintf(w, "# HELP serenityd_refinements_outstanding Refinements queued or running right now.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_outstanding gauge\n")
-	fmt.Fprintf(w, "serenityd_refinements_outstanding %d\n", rs.Outstanding)
-	fmt.Fprintf(w, "# HELP serenityd_refinements_shed_total Refinements parked by the memory governor's pressure signal (re-enqueued once pressure clears).\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_shed_total counter\n")
-	fmt.Fprintf(w, "serenityd_refinements_shed_total %d\n", rs.Shed)
-	fmt.Fprintf(w, "# HELP serenityd_refinements_requeued_total Parked refinements re-injected into the queue after pressure cleared.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_requeued_total counter\n")
-	fmt.Fprintf(w, "serenityd_refinements_requeued_total %d\n", rs.Requeued)
-	fmt.Fprintf(w, "# HELP serenityd_refinements_parked Refinements currently parked waiting out memory pressure.\n")
-	fmt.Fprintf(w, "# TYPE serenityd_refinements_parked gauge\n")
-	fmt.Fprintf(w, "serenityd_refinements_parked %d\n", rs.Parked)
-	if s.gov.Enabled() {
-		gs := s.gov.Stats()
-		fmt.Fprintf(w, "# HELP serenityd_mem_limit_bytes Effective byte budget the memory governor defends (limit minus headroom).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_limit_bytes gauge\n")
-		fmt.Fprintf(w, "serenityd_mem_limit_bytes %d\n", gs.Limit)
-		fmt.Fprintf(w, "# HELP serenityd_mem_pressure_level Current pressure tier: 0 normal, 1 elevated (refinement shed), 2 high (batch 429, grows denied), 3 critical (searches forced to degrade).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_pressure_level gauge\n")
-		fmt.Fprintf(w, "serenityd_mem_pressure_level %d\n", int(gs.Level))
-		fmt.Fprintf(w, "# HELP serenityd_mem_heap_bytes Last sampled heap-live bytes.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_heap_bytes gauge\n")
-		fmt.Fprintf(w, "serenityd_mem_heap_bytes %d\n", gs.Heap)
-		fmt.Fprintf(w, "# HELP serenityd_mem_reserved_bytes Outstanding search reservation bytes in the governor's ledger.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_reserved_bytes gauge\n")
-		fmt.Fprintf(w, "serenityd_mem_reserved_bytes %d\n", gs.Reserved)
-		fmt.Fprintf(w, "# HELP serenityd_mem_pressure_sheds_total Work units shed by the pressure ladder: batch 429s plus parked refinements.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_pressure_sheds_total counter\n")
-		fmt.Fprintf(w, "serenityd_mem_pressure_sheds_total %d\n", gs.Sheds+rs.Shed)
-		fmt.Fprintf(w, "# HELP serenityd_mem_pressure_degraded_total Searches forced down the degradation ladder by Critical pressure (heuristic fallback or 503).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_pressure_degraded_total counter\n")
-		fmt.Fprintf(w, "serenityd_mem_pressure_degraded_total %d\n", gs.Degraded)
-		fmt.Fprintf(w, "# HELP serenityd_mem_grows_total Mid-search reservation upgrades granted by the governor.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_grows_total counter\n")
-		fmt.Fprintf(w, "serenityd_mem_grows_total %d\n", gs.Grows)
-		fmt.Fprintf(w, "# HELP serenityd_mem_grow_denied_total Mid-search reservation upgrades denied at High pressure or above; the search aborted at its ceiling.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_mem_grow_denied_total counter\n")
-		fmt.Fprintf(w, "serenityd_mem_grow_denied_total %d\n", gs.GrowDenied)
-	}
-	if s.peers != nil {
-		ps := s.peers.Stats()
-		fmt.Fprintf(w, "# HELP serenityd_peer_hits_total Segment artifacts fetched from a fleet peer instead of a fresh search.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_hits_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_hits_total %d\n", ps.Hits)
-		fmt.Fprintf(w, "# HELP serenityd_peer_misses_total Peer fetches that came back empty (404, dead peer, breaker, shed); the caller computed locally.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_misses_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_misses_total %d\n", ps.Misses)
-		fmt.Fprintf(w, "# HELP serenityd_peer_timeouts_total Peer fetch attempts that ran out their per-attempt budget.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_timeouts_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_timeouts_total %d\n", ps.Timeouts)
-		fmt.Fprintf(w, "# HELP serenityd_peer_replicated_total Locally computed artifacts pushed to their ring owners (write-behind).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_replicated_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_replicated_total %d\n", ps.Replicated)
-		fmt.Fprintf(w, "# HELP serenityd_peer_replication_dropped_total Replication pushes shed (queue overflow, dead owner); anti-entropy heals them.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_replication_dropped_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_replication_dropped_total %d\n", ps.ReplicationDropped)
-		fmt.Fprintf(w, "# HELP serenityd_peer_failovers_total Fetches and replications routed to a failover owner because the primary was unhealthy.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_failovers_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_failovers_total %d\n", ps.Failovers)
-	}
-	if s.health != nil {
-		snap := s.health.Snapshot()
-		fmt.Fprintf(w, "# HELP serenityd_peer_state Per-peer health as seen from this node: 1 for the current state, 0 otherwise.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_state gauge\n")
-		for _, peer := range s.health.Members() {
-			for _, st := range fleet.States {
-				v := 0
-				if snap[peer] == st {
-					v = 1
-				}
-				fmt.Fprintf(w, "serenityd_peer_state{peer=%q,state=%q} %d\n", peer, st, v)
-			}
-		}
-		hs := s.health.Stats()
-		fmt.Fprintf(w, "# HELP serenityd_peer_probes_total Health probe attempts against fleet peers.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_probes_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_probes_total %d\n", hs.Probes)
-		fmt.Fprintf(w, "# HELP serenityd_peer_probe_failures_total Health probes that failed (error, timeout, non-2xx).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_probe_failures_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_probe_failures_total %d\n", hs.Failures)
-		fmt.Fprintf(w, "# HELP serenityd_peer_transitions_total Health state changes (demotions and revivals), from probes and fetch outcomes alike.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_transitions_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_transitions_total %d\n", hs.Transitions)
-	}
-	if s.peerSrv != nil {
-		fs := s.peerSrv.Stats()
-		fmt.Fprintf(w, "# HELP serenityd_peer_served_hits_total Peer artifact GETs this node answered with a payload.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_served_hits_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_served_hits_total %d\n", fs.SegmentHits)
-		fmt.Fprintf(w, "# HELP serenityd_peer_served_misses_total Peer artifact GETs this node answered 404.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_served_misses_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_served_misses_total %d\n", fs.SegmentMisses)
-		fmt.Fprintf(w, "# HELP serenityd_peer_shed_total Peer requests refused by the peer admission lane (-peer-slots).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_shed_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_shed_total %d\n", fs.Shed)
-		fmt.Fprintf(w, "# HELP serenityd_peer_sync_records_total Store records streamed out to peers' anti-entropy pulls.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_sync_records_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_sync_records_total %d\n", fs.SyncRecords)
-	}
-	if s.syncer != nil {
-		ys := s.syncer.Stats()
-		fmt.Fprintf(w, "# HELP serenityd_peer_sync_rounds_total Anti-entropy rounds completed (including no-op ones).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_sync_rounds_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_sync_rounds_total %d\n", ys.Rounds)
-		fmt.Fprintf(w, "# HELP serenityd_peer_sync_pulled_total Store records imported from peers by anti-entropy.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_sync_pulled_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_sync_pulled_total %d\n", ys.Pulled)
-		fmt.Fprintf(w, "# HELP serenityd_peer_sync_errors_total Anti-entropy rounds that failed (unreachable peer, alien stream).\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_sync_errors_total counter\n")
-		fmt.Fprintf(w, "serenityd_peer_sync_errors_total %d\n", ys.Errors)
-	}
-	if ring := s.ring.Load(); ring != nil {
-		fmt.Fprintf(w, "# HELP serenityd_peer_ring_members Fleet membership size, this node included.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_ring_members gauge\n")
-		fmt.Fprintf(w, "serenityd_peer_ring_members %d\n", len(ring.Members()))
-		fmt.Fprintf(w, "# HELP serenityd_peer_ring_owned_share Estimated fraction of the keyspace this node owns; far from 1/members means a misbalanced ring.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_peer_ring_owned_share gauge\n")
-		fmt.Fprintf(w, "serenityd_peer_ring_owned_share %.4f\n", ring.OwnedShare(4096))
-	}
-	if s.admit != nil {
-		fmt.Fprintf(w, "# HELP serenityd_admission_admitted_total Compile-slot acquisitions granted, per priority class.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_admission_admitted_total counter\n")
-		for c := admitClass(0); c < numClasses; c++ {
-			fmt.Fprintf(w, "serenityd_admission_admitted_total{class=%q} %d\n", c, s.admit.admitted[c].Load())
-		}
-		fmt.Fprintf(w, "# HELP serenityd_admission_rejected_total Acquisitions rejected with 429 because the class queue was full.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_admission_rejected_total counter\n")
-		for c := admitClass(0); c < numClasses; c++ {
-			fmt.Fprintf(w, "serenityd_admission_rejected_total{class=%q} %d\n", c, s.admit.rejected[c].Load())
-		}
-		fmt.Fprintf(w, "# HELP serenityd_admission_waiting Acquisitions currently queued for a compile slot, per priority class.\n")
-		fmt.Fprintf(w, "# TYPE serenityd_admission_waiting gauge\n")
-		for c := admitClass(0); c < numClasses; c++ {
-			fmt.Fprintf(w, "serenityd_admission_waiting{class=%q} %d\n", c, s.admit.waiting[c].Load())
-		}
-	}
 }
 
 func (s *server) fail(w http.ResponseWriter, code int, err error) {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,19 +14,39 @@ import (
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/govern"
 	"github.com/serenity-ml/serenity/internal/models"
 )
 
-func testServer(t *testing.T) (*server, *httptest.Server) {
-	t.Helper()
+// testConfig is the baseline test daemon: small caches and a segment memo;
+// no store, fleet, governor, admission or refinement. Helpers switch layers
+// on by filling the same fields the flags bind to.
+func testConfig() config {
 	opts := serenity.DefaultOptions()
 	opts.StepTimeout = 500 * time.Millisecond
 	opts.Parallelism = 4
-	s := newServer(opts, 64)
-	s.segMemo = serenity.NewSegmentMemo(1024)
+	return config{opts: opts, cacheSize: 64, segMemoSize: 1024, govern: govern.Options{Limit: -1}}
+}
+
+// startServer assembles cfg with the daemon's own constructor and serves it
+// from an httptest listener; cleanup is the daemon's own teardown.
+func startServer(t *testing.T, cfg config) (*server, *httptest.Server) {
+	t.Helper()
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		s.close()
+	})
 	return s, ts
+}
+
+func testServer(t *testing.T) (*server, *httptest.Server) {
+	t.Helper()
+	return startServer(t, testConfig())
 }
 
 // smallCell is a compact irregularly wired model: real enough to exercise
@@ -60,18 +79,26 @@ func postSchedule(t *testing.T, ts *httptest.Server, query string, body []byte) 
 	return resp, data
 }
 
+// postScheduleOK posts a graph that must schedule: it fails the test on any
+// status but 200 and returns the decoded response.
+func postScheduleOK(t *testing.T, ts *httptest.Server, query string, body []byte) (scheduleResponse, *http.Response) {
+	t.Helper()
+	resp, data := postSchedule(t, ts, query, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/schedule%s: status %d: %s", query, resp.StatusCode, data)
+	}
+	var sr scheduleResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	return sr, resp
+}
+
 func TestScheduleEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	body := graphBody(t, smallCell(1))
 
-	resp, data := postSchedule(t, ts, "", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var got scheduleResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
+	got, _ := postScheduleOK(t, ts, "", body)
 	if got.Nodes == 0 || len(got.Order) != got.Nodes {
 		t.Errorf("order covers %d of %d nodes", len(got.Order), got.Nodes)
 	}
@@ -86,14 +113,7 @@ func TestScheduleEndpoint(t *testing.T) {
 	}
 
 	// Same topology again: served from cache, otherwise identical.
-	resp2, data2 := postSchedule(t, ts, "", body)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp2.StatusCode, data2)
-	}
-	var again scheduleResponse
-	if err := json.Unmarshal(data2, &again); err != nil {
-		t.Fatal(err)
-	}
+	again, _ := postScheduleOK(t, ts, "", body)
 	if !again.Cached {
 		t.Error("second request not served from cache")
 	}
@@ -106,14 +126,7 @@ func TestScheduleEndpoint(t *testing.T) {
 	// but must echo the requester's name, not the first submitter's.
 	renamed := smallCell(1)
 	renamed.Name = "renamed-topology"
-	resp3, data3 := postSchedule(t, ts, "", graphBody(t, renamed))
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp3.StatusCode, data3)
-	}
-	var third scheduleResponse
-	if err := json.Unmarshal(data3, &third); err != nil {
-		t.Fatal(err)
-	}
+	third, _ := postScheduleOK(t, ts, "", graphBody(t, renamed))
 	if !third.Cached {
 		t.Error("renamed topology missed the structural cache")
 	}
@@ -203,14 +216,7 @@ func TestScheduleReturnsRewrittenGraph(t *testing.T) {
 	z := b.Conv(cc, 8, 3, 1, serenity.PadSame)
 	b.ReLU(z)
 
-	resp, data := postSchedule(t, ts, "", graphBody(t, b.Graph()))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var got scheduleResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
+	got, _ := postScheduleOK(t, ts, "", graphBody(t, b.Graph()))
 	if got.Rewrites == 0 {
 		t.Fatal("conv-conv-concat pattern did not rewrite; test graph needs updating")
 	}
@@ -230,14 +236,7 @@ func TestScheduleReturnsRewrittenGraph(t *testing.T) {
 	}
 
 	// A graph that does not rewrite must omit the field.
-	resp, data = postSchedule(t, ts, "?rewrite=false", graphBody(t, b.Graph()))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var plain scheduleResponse
-	if err := json.Unmarshal(data, &plain); err != nil {
-		t.Fatal(err)
-	}
+	plain, _ := postScheduleOK(t, ts, "?rewrite=false", graphBody(t, b.Graph()))
 	if plain.RewrittenGraph != nil {
 		t.Error("rewrite=false response still carries rewritten_graph")
 	}
@@ -263,12 +262,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		t.Errorf("healthz = %v", health)
 	}
 
-	resp, err = ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, metrics := getJSON(t, ts, "/metrics")
 	for _, want := range []string{
 		"serenityd_requests_total 2",
 		"serenityd_cache_hits_total 1",
@@ -326,14 +320,7 @@ func TestQueryOverridesChangeCacheKey(t *testing.T) {
 	s, ts := testServer(t)
 	body := graphBody(t, smallCell(1))
 	postSchedule(t, ts, "", body)
-	resp, data := postSchedule(t, ts, "?rewrite=false", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var got scheduleResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
+	got, _ := postScheduleOK(t, ts, "?rewrite=false", body)
 	if got.Cached {
 		t.Error("different options hit the same cache entry")
 	}
@@ -342,14 +329,7 @@ func TestQueryOverridesChangeCacheKey(t *testing.T) {
 	}
 
 	// Parallelism is excluded from the key: results are bit-identical.
-	resp, data = postSchedule(t, ts, "?parallelism=1", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Cached {
+	if got, _ = postScheduleOK(t, ts, "?parallelism=1", body); !got.Cached {
 		t.Error("parallelism override missed the cache")
 	}
 }
@@ -360,14 +340,7 @@ func TestStrategyParam(t *testing.T) {
 	_, ts := testServer(t)
 	body := graphBody(t, smallCell(4))
 
-	resp, data := postSchedule(t, ts, "?strategy=greedy", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var got scheduleResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
+	got, _ := postScheduleOK(t, ts, "?strategy=greedy", body)
 	if got.Strategy != "greedy" {
 		t.Errorf("strategy = %q, want greedy", got.Strategy)
 	}
@@ -383,14 +356,7 @@ func TestStrategyParam(t *testing.T) {
 
 	// Exact on the same graph: distinct cache entry, optimal quality, and a
 	// peak no better than the heuristic's.
-	resp, data = postSchedule(t, ts, "", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var exact scheduleResponse
-	if err := json.Unmarshal(data, &exact); err != nil {
-		t.Fatal(err)
-	}
+	exact, _ := postScheduleOK(t, ts, "", body)
 	if exact.Cached {
 		t.Error("exact request hit the greedy cache entry")
 	}
@@ -399,6 +365,21 @@ func TestStrategyParam(t *testing.T) {
 	}
 	if got.Peak < exact.Peak {
 		t.Errorf("greedy peak %d below optimal %d", got.Peak, exact.Peak)
+	}
+
+	// The batch endpoint applies the same parameter to every item.
+	batch, err := json.Marshal(batchRequest{Items: []json.RawMessage{body, graphBody(t, smallCell(5))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br batchResponse
+	if resp, data := postBatch(t, ts, "?strategy=greedy", batch); resp.StatusCode != http.StatusOK || json.Unmarshal(data, &br) != nil || br.Scheduled != 2 {
+		t.Fatalf("greedy batch: status %d: %s", resp.StatusCode, data)
+	}
+	for _, item := range br.Items {
+		if item.Schedule.Strategy != "greedy" || item.Schedule.Quality != serenity.QualityHeuristic {
+			t.Errorf("batch item %d labeled %q/%q, want greedy/heuristic", item.Index, item.Schedule.Strategy, item.Schedule.Quality)
+		}
 	}
 }
 
@@ -409,14 +390,7 @@ func TestBestEffortDeadlineFallback(t *testing.T) {
 	s, ts := testServer(t)
 	// Exact DP on this wiring runs seconds per segment; 50ms lands mid-search.
 	g := serenity.RandWireCell("be-big", 48, 8, 0.9, 10, 16, 8)
-	resp, data := postSchedule(t, ts, "?strategy=best-effort&deadline_ms=50", graphBody(t, g))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var got scheduleResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
+	got, _ := postScheduleOK(t, ts, "?strategy=best-effort&deadline_ms=50", graphBody(t, g))
 	if got.Quality != serenity.QualityHeuristic {
 		t.Errorf("quality = %q, want heuristic under an impossible deadline", got.Quality)
 	}
@@ -430,12 +404,7 @@ func TestBestEffortDeadlineFallback(t *testing.T) {
 		t.Error("fallback counter never incremented")
 	}
 
-	mresp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
+	_, metrics := getJSON(t, ts, "/metrics")
 	for _, want := range []string{
 		"serenityd_fallbacks_total",
 		"serenityd_heuristic_responses_total 1",
@@ -448,28 +417,14 @@ func TestBestEffortDeadlineFallback(t *testing.T) {
 	}
 
 	// Degraded results must not be pinned in the cache.
-	resp, data = postSchedule(t, ts, "?strategy=best-effort&deadline_ms=50", graphBody(t, g))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat status %d: %s", resp.StatusCode, data)
-	}
-	var again scheduleResponse
-	if err := json.Unmarshal(data, &again); err != nil {
-		t.Fatal(err)
-	}
+	again, _ := postScheduleOK(t, ts, "?strategy=best-effort&deadline_ms=50", graphBody(t, g))
 	if again.Cached {
 		t.Error("heuristic fallback response was served from the cache")
 	}
 
 	// Same strategy with a generous deadline: full exact quality.
 	small := graphBody(t, smallCell(5))
-	resp, data = postSchedule(t, ts, "?strategy=best-effort&deadline_ms=60000", small)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var easy scheduleResponse
-	if err := json.Unmarshal(data, &easy); err != nil {
-		t.Fatal(err)
-	}
+	easy, _ := postScheduleOK(t, ts, "?strategy=best-effort&deadline_ms=60000", small)
 	if easy.Quality != serenity.QualityOptimal || easy.Fallbacks != 0 {
 		t.Errorf("feasible best-effort degraded: quality=%q fallbacks=%d", easy.Quality, easy.Fallbacks)
 	}
@@ -580,12 +535,7 @@ func TestScheduleBatchEndpoint(t *testing.T) {
 	if st.Hits < 1 || st.Misses < 1 || st.Entries < 1 {
 		t.Errorf("segment memo did not move: %+v", st)
 	}
-	mresp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
+	_, metrics := getJSON(t, ts, "/metrics")
 	for _, want := range []string{
 		fmt.Sprintf("serenityd_segment_memo_hits_total %d", st.Hits),
 		fmt.Sprintf("serenityd_segment_memo_misses_total %d", st.Misses),
@@ -724,33 +674,4 @@ func postBatch(t *testing.T, ts *httptest.Server, query string, body []byte) (*h
 		t.Fatal(err)
 	}
 	return resp, data
-}
-
-func TestLoadgenSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loadgen smoke test is not short")
-	}
-	opts := serenity.DefaultOptions()
-	opts.StepTimeout = 500 * time.Millisecond
-	s := newServer(opts, 64)
-	s.segMemo = serenity.NewSegmentMemo(1024)
-	s.admit = newAdmission(2, [numClasses]int{64, 64, 64})
-	s.refine = serenity.NewRefinePool(s.segMemo, nil, serenity.RefinePoolOptions{
-		Workers: 1, QueueDepth: 256,
-		Gate: func(ctx context.Context) (func(), error) {
-			return s.admit.acquire(ctx, classRefine, 1)
-		},
-	})
-	defer s.refine.Close()
-	var out bytes.Buffer
-	if err := runLoadgen(s, 30, 8, &out); err != nil {
-		t.Fatalf("loadgen: %v\n%s", err, out.String())
-	}
-	if s.cache.Stats().Hits < 1 {
-		t.Errorf("loadgen produced no cache hits:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "refined to exact in") &&
-		!strings.Contains(out.String(), "nothing to refine") {
-		t.Errorf("loadgen overload drill never reported:\n%s", out.String())
-	}
 }

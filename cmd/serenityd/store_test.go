@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -19,35 +18,21 @@ import (
 // simulating one serenityd process lifetime per call.
 func storeServer(t *testing.T, dir string) (*server, *httptest.Server, *serenity.ScheduleStore) {
 	t.Helper()
-	opts := serenity.DefaultOptions()
-	opts.StepTimeout = time.Minute // fully deterministic across "restarts"
-	opts.Parallelism = 2
-	s := newServer(opts, 64)
-	s.segMemo = serenity.NewSegmentMemo(1024)
-	ss, err := serenity.OpenScheduleStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ss.Close() })
-	s.store = ss
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(ts.Close)
-	return s, ts, ss
+	cfg := testConfig()
+	cfg.opts.StepTimeout = time.Minute // fully deterministic across "restarts"
+	cfg.opts.Parallelism = 2
+	cfg.storeDir = dir
+	s, ts := startServer(t, cfg)
+	return s, ts, s.store
 }
 
 func metricValue(t *testing.T, ts *httptest.Server, name string) int64 {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
+	_, page := getJSON(t, ts, "/metrics")
 	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`)
-	m := re.FindSubmatch(buf.Bytes())
+	m := re.FindSubmatch(page)
 	if m == nil {
-		t.Fatalf("metric %s not found in:\n%s", name, buf.String())
+		t.Fatalf("metric %s not found in:\n%s", name, page)
 	}
 	v, err := strconv.ParseInt(string(m[1]), 10, 64)
 	if err != nil {
@@ -165,49 +150,5 @@ func TestServerStoreCorruptionRecovery(t *testing.T) {
 	}
 	if corrupt := metricValue(t, ts2, "serenityd_store_corrupt_records_total"); corrupt == 0 {
 		t.Error("corruption went uncounted in /metrics")
-	}
-}
-
-// TestLoadgenWithStore: the CLI-visible warm-vs-cold story — a second
-// loadgen run over the same store directory must report disk hits in its
-// cold pass.
-func TestLoadgenWithStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loadgen smoke test is not short")
-	}
-	dir := t.TempDir()
-	opts := serenity.DefaultOptions()
-	opts.StepTimeout = 500 * time.Millisecond
-
-	run := func() (*server, string) {
-		s := newServer(opts, 64)
-		s.segMemo = serenity.NewSegmentMemo(1024)
-		ss, err := serenity.OpenScheduleStore(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.store = ss
-		var out bytes.Buffer
-		if err := runLoadgen(s, 24, 4, &out); err != nil {
-			t.Fatalf("loadgen: %v\n%s", err, out.String())
-		}
-		if err := ss.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return s, out.String()
-	}
-
-	s1, out1 := run()
-	if st := s1.store.Stats(); st.Writes == 0 {
-		t.Fatalf("first loadgen run wrote nothing to the store:\n%s", out1)
-	}
-	s2, out2 := run()
-	if st := s2.store.Stats(); st.Hits == 0 {
-		t.Errorf("second loadgen run over a warm store reported no disk hits:\n%s", out2)
-	}
-	for _, want := range []string{"cold pass", "warm pass", "store:", "batch requests"} {
-		if !bytes.Contains([]byte(out2), []byte(want)) {
-			t.Errorf("loadgen output missing %q:\n%s", want, out2)
-		}
 	}
 }

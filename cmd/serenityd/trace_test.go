@@ -13,17 +13,15 @@ import (
 	"github.com/serenity-ml/serenity/internal/trace"
 )
 
-// tracedServer is testServer plus a refinement pool wired to the server's
-// tracer, so refine.* lifecycle spans link back to the degraded request.
+// tracedServer is testServer plus admission and a refinement pool, so a
+// trace shows its admission wait and refine.* lifecycle spans link back to
+// the degraded request.
 func tracedServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s, ts := testServer(t)
-	s.admit = newAdmission(4, [numClasses]int{64, 64, 64})
-	s.refine = serenity.NewRefinePool(s.segMemo, nil, serenity.RefinePoolOptions{
-		Workers: 1, QueueDepth: 64, Tracer: s.tracer,
-	})
-	t.Cleanup(s.refine.Close)
-	return s, ts
+	cfg := testConfig()
+	cfg.compileSlots, cfg.admitQueue = 4, 64
+	cfg.refineOpts = serenity.RefinePoolOptions{Workers: 1, QueueDepth: 64}
+	return startServer(t, cfg)
 }
 
 // flattenTree collects every span name in a rendered tree, and returns the
@@ -42,14 +40,7 @@ func flattenTree(nodes []*trace.Node, names map[string][]*trace.Node) {
 func TestDebugTraceInlineSpanTree(t *testing.T) {
 	_, ts := tracedServer(t)
 	body := graphBody(t, smallCell(91))
-	resp, data := postSchedule(t, ts, "?debug=trace", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var sr scheduleResponse
-	if err := json.Unmarshal(data, &sr); err != nil {
-		t.Fatal(err)
-	}
+	sr, _ := postScheduleOK(t, ts, "?debug=trace", body)
 	if sr.Trace == nil {
 		t.Fatal("?debug=trace response carried no inline trace")
 	}
@@ -99,14 +90,7 @@ func spanNames(names map[string][]*trace.Node) []string {
 func TestDegradedTraceRetainedWithRefinement(t *testing.T) {
 	s, ts := tracedServer(t)
 	body := graphBody(t, smallCell(92))
-	resp, data := postSchedule(t, ts, "?strategy=best-effort&degrade=force&debug=trace", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var sr scheduleResponse
-	if err := json.Unmarshal(data, &sr); err != nil {
-		t.Fatal(err)
-	}
+	sr, _ := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force&debug=trace", body)
 	if sr.Quality != serenity.QualityHeuristic || sr.Trace == nil {
 		t.Fatalf("forced degrade: quality %q, trace %v", sr.Quality, sr.Trace)
 	}

@@ -43,9 +43,7 @@ func (t testStore) ExportSubset(w io.Writer, want map[uint64]bool) (int, error) 
 }
 
 func (t testStore) ImportMissing(r io.Reader) (int, error) {
-	added, _, err := t.s.ImportFiltered(r, func(key string, payload []byte) bool {
-		return !t.s.Has(key)
-	})
+	added, _, err := t.s.ImportFiltered(r, nil, func(_ []byte, exists bool) bool { return !exists })
 	return added, err
 }
 

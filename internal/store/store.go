@@ -810,15 +810,18 @@ func (s *Store) ExportFiltered(w io.Writer, keep func(key string) bool) error {
 // torn tail stops the import without failing it. Only a missing or alien
 // header makes Import return an error.
 func (s *Store) Import(r io.Reader) (added int, corrupt int64, err error) {
-	return s.ImportFiltered(r, nil)
+	return s.ImportFiltered(r, nil, nil)
 }
 
-// ImportFiltered is Import with a per-record acceptance gate: records accept
-// rejects are skipped without being counted as corrupt (nil accepts
-// everything). The fleet's anti-entropy receiver uses it to take only records
-// it is missing and whose payloads decode, so a convergence pull can never
-// clobber an established local artifact with a byte-different twin.
-func (s *Store) ImportFiltered(r io.Reader, accept func(key string, payload []byte) bool) (added int, corrupt int64, err error) {
+// ImportFiltered is Import with two per-record gates (nil admits everything).
+// accept screens a record by its own content, outside the store's lock —
+// the place for payload validation. allow is PutIf's condition: it sees what
+// the store currently holds for the key and decides under the store's lock,
+// so a merge that must not disturb established records (the fleet's
+// anti-entropy receiver, first-writer-wins) cannot lose a race against a
+// writer landing between the check and the append. Records either gate
+// rejects are skipped without being counted as corrupt or added.
+func (s *Store) ImportFiltered(r io.Reader, accept func(key string, payload []byte) bool, allow func(cur []byte, exists bool) bool) (added int, corrupt int64, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -839,13 +842,16 @@ func (s *Store) ImportFiltered(r io.Reader, accept func(key string, payload []by
 		if accept != nil && !accept(key, payload) {
 			continue
 		}
-		if err := s.Put(key, payload); err != nil {
+		wrote, err := s.PutIf(key, payload, allow)
+		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
 				continue // one oversized record should not abort the merge
 			}
 			return added, corrupt, err
 		}
-		added++
+		if wrote {
+			added++
+		}
 	}
 	s.mu.Lock()
 	s.corrupt += corrupt

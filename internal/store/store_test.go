@@ -522,6 +522,32 @@ func TestPutIfDecidesUnderTheLock(t *testing.T) {
 		t.Errorf("refused PutIf changed the record to %q", got)
 	}
 
+	// An import passes the same condition down, so it decides under the lock
+	// too: a writer landing after the import screened the record (simulated
+	// from inside accept) but before its append is not overwritten.
+	src := openT(t, t.TempDir(), 0)
+	for _, key := range []string{"late", "contended"} {
+		if err := src.Put(key, []byte("peer twin")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stream bytes.Buffer
+	if err := src.ExportFiltered(&stream, func(key string) bool { return key == "late" }); err != nil {
+		t.Fatal(err)
+	}
+	landsFirst := func(key string, _ []byte) bool {
+		if err := s.Put(key, []byte("local")); err != nil {
+			t.Error(err)
+		}
+		return true
+	}
+	if added, _, err := s.ImportFiltered(&stream, landsFirst, absent); err != nil || added != 0 {
+		t.Errorf("import over a record that landed mid-merge: added=%d err=%v, want 0 added", added, err)
+	}
+	if got, _ := s.Get("late"); string(got) != "local" {
+		t.Errorf("import overwrote the record that landed mid-merge with %q", got)
+	}
+
 	const writers = 16
 	var wg sync.WaitGroup
 	var won atomic.Int64
@@ -536,8 +562,16 @@ func TestPutIfDecidesUnderTheLock(t *testing.T) {
 			}
 		}(i)
 	}
+	stream.Reset()
+	if err := src.ExportFiltered(&stream, func(key string) bool { return key == "contended" }); err != nil {
+		t.Fatal(err)
+	}
+	added, _, err := s.ImportFiltered(&stream, nil, absent)
+	if err != nil {
+		t.Error(err)
+	}
 	wg.Wait()
-	if won.Load() != 1 {
-		t.Errorf("%d of %d racing first-writer-wins puts were admitted, want exactly 1", won.Load(), writers)
+	if won.Load()+int64(added) != 1 {
+		t.Errorf("%d of %d racing first-writer-wins puts and %d import were admitted, want exactly 1 in total", won.Load(), writers, added)
 	}
 }

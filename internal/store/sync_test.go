@@ -109,13 +109,14 @@ func TestImportFilteredSkipsRejectedWithoutCountingCorrupt(t *testing.T) {
 	if err := dst.Put("k1", []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	accept := func(key string, payload []byte) bool { return !dst.Has(key) }
-	added, corrupt, err := dst.ImportFiltered(&buf, accept)
+	accept := func(key string, payload []byte) bool { return key != "k2" }
+	absent := func(_ []byte, exists bool) bool { return !exists }
+	added, corrupt, err := dst.ImportFiltered(&buf, accept, absent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 5 || corrupt != 0 {
-		t.Fatalf("ImportFiltered added=%d corrupt=%d, want 5 and 0", added, corrupt)
+	if added != 4 || corrupt != 0 || dst.Has("k2") {
+		t.Fatalf("ImportFiltered added=%d corrupt=%d k2=%t, want 4, 0 and the rejected record absent", added, corrupt, dst.Has("k2"))
 	}
 	// The pre-existing record must keep its established payload: skip-existing
 	// is the fleet's first-writer-wins rule.

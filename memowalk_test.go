@@ -1,6 +1,7 @@
 package serenity
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -321,6 +322,40 @@ func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 		observe(onDisk.Order)
 		if t.Failed() {
 			return
+		}
+	}
+
+	// The anti-entropy import obeys the same rule at the disk tier. Racing a
+	// walk's write-behind (the queue worker's own conditional put) against the
+	// import of a peer's byte-different optimal twin, exactly one of them
+	// lands: the first bytes on disk are the only bytes ever on disk.
+	local, _ := MarshalSegmentArtifact(fresh)
+	twin, _ := MarshalSegmentArtifact(refined)
+	peer := openStoreT(t, t.TempDir())
+	for round := 0; round < rounds; round++ {
+		key := fmt.Sprintf("import-%d|k", round)
+		var stream bytes.Buffer
+		if !peer.PutArtifact(key, twin) {
+			t.Fatal("peer store refused the twin")
+		}
+		if _, err := peer.ExportSubset(&stream, map[uint64]bool{store.KeyHash(key): true}); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		landed := make(chan bool)
+		go func() {
+			<-start
+			wrote, err := ss.putIf(key, local, keepOptimalArtifact)
+			landed <- wrote && err == nil
+		}()
+		go func() {
+			<-start
+			added, err := ss.ImportMissing(&stream)
+			landed <- added == 1 && err == nil
+		}()
+		close(start)
+		if a, b := <-landed, <-landed; a == b {
+			t.Fatalf("round %d: write-behind and import both report landed=%t, want exactly one winner", round, a)
 		}
 	}
 }

@@ -41,6 +41,10 @@ func artifactSelfConsistent(payload []byte) bool {
 	return ok
 }
 
+// ifAbsent is the fleet-facing writes' PutIf condition, first-writer-wins: an
+// established record keeps its bytes.
+func ifAbsent(_ []byte, exists bool) bool { return !exists }
+
 // The methods below adapt a ScheduleStore to the fleet's Store interface
 // (internal/fleet.Server and Syncer), making the persistent tier double as
 // the fleet-visible artifact corpus. All of them are inert on a closed store,
@@ -67,7 +71,7 @@ func (ss *ScheduleStore) PutArtifact(key string, payload []byte) bool {
 	if !artifactSelfConsistent(payload) {
 		return false
 	}
-	wrote, err := ss.putIf(key, payload, func(_ []byte, exists bool) bool { return !exists })
+	wrote, err := ss.putIf(key, payload, ifAbsent)
 	return wrote && err == nil
 }
 
@@ -101,17 +105,19 @@ func (ss *ScheduleStore) ExportSubset(w io.Writer, want map[uint64]bool) (int, e
 }
 
 // ImportMissing merges an anti-entropy stream: records for keys already
-// present are skipped (first-writer-wins), payloads that fail artifact
-// validation are skipped, and corrupt records are tolerated exactly as a
-// store Open tolerates them. Returns how many records were added.
+// present are skipped (first-writer-wins, decided under the store's own lock
+// like PutArtifact, so a write-behind landing mid-merge is never overwritten
+// by a peer's byte-different twin), payloads that fail artifact validation
+// are skipped, and corrupt records are tolerated exactly as a store Open
+// tolerates them. Returns how many records were added.
 func (ss *ScheduleStore) ImportMissing(r io.Reader) (int, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if ss.closed {
 		return 0, nil
 	}
-	added, _, err := ss.st.ImportFiltered(r, func(key string, payload []byte) bool {
-		return !ss.st.Has(key) && artifactSelfConsistent(payload)
-	})
+	added, _, err := ss.st.ImportFiltered(r, func(_ string, payload []byte) bool {
+		return artifactSelfConsistent(payload)
+	}, ifAbsent)
 	return added, err
 }
