@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -72,9 +70,9 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	body, code, err := s.readBody(w, r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		s.fail(w, code, fmt.Errorf("reading body: %w", err))
 		return
 	}
 	var req batchRequest
@@ -183,7 +181,7 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		root.Annotate(trace.Int("scheduled", int64(resp.Scheduled)), trace.Int("failed", int64(resp.Failed)))
 	}
 	s.tracer.Finish(root, trace.Outcome{Status: http.StatusOK, Degraded: resp.Failed > 0, Force: prm.debugTrace})
-	writeJSON(w, http.StatusOK, resp)
+	writeBatchResponse(w, &resp)
 }
 
 // runBatchItem runs one batch item through the same per-graph path as the
@@ -200,7 +198,7 @@ func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessa
 			result = fail(http.StatusInternalServerError, fmt.Errorf("internal panic compiling item %d: %v", idx, p))
 		}
 	}()
-	job, code, err := s.decodeGraph(bytes.NewReader(raw), prm)
+	job, code, err := s.decodeGraph(raw, prm)
 	if err != nil {
 		return fail(code, err)
 	}

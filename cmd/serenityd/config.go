@@ -172,6 +172,7 @@ func build(cfg config) (*server, error) {
 		cache:          cache.New[*scheduleResponse](cfg.cacheSize),
 		maxNodes:       cfg.maxNodes,
 		computeTimeout: cfg.computeTimeout,
+		maxBody:        maxRequestBytes,
 		// The tracer exists regardless of sampling: ?debug=trace requests are
 		// always traced, and the fleet/refinement layers feed fragments into it.
 		tracer:  trace.New(cfg.trace),

@@ -1,12 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -27,6 +27,10 @@ import (
 // model serializes to well under 1 MB, so 64 MB leaves room for very large
 // client graphs without letting one request exhaust memory.
 const maxRequestBytes = 64 << 20
+
+// maxBodyPresize caps how much of a declared Content-Length is allocated
+// before any of it arrived; a longer body grows the buffer as it comes in.
+const maxBodyPresize = 1 << 20
 
 // stageMS breaks the compile time down per pipeline stage, milliseconds.
 type stageMS struct {
@@ -94,6 +98,10 @@ type scheduleResponse struct {
 	// only ever set on a per-response copy — cached entries are shared and
 	// stay trace-free.
 	Trace *traceView `json:"trace,omitempty"`
+
+	// etag is the entity tag of this answer (see etagFor), computed once
+	// where the answer is built rather than on every request that serves it.
+	etag string
 }
 
 // traceView is the ?debug=trace rendering of one request's span tree,
@@ -140,6 +148,9 @@ type server struct {
 	// cannot pin a CPU indefinitely (0 = unlimited).
 	maxNodes       int
 	computeTimeout time.Duration
+	// maxBody bounds a request body in bytes (maxRequestBytes); a longer one
+	// answers 413.
+	maxBody int64
 	// admit, when non-nil, is the weighted priority semaphore over compile
 	// slots: interactive requests are admitted ahead of batch, batch ahead
 	// of background refinement, and a full class queue answers 429 +
@@ -371,7 +382,12 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	job, code, err := s.decodeGraph(http.MaxBytesReader(w, r.Body, maxRequestBytes), prm)
+	body, code, err := s.readBody(w, r)
+	if err != nil {
+		s.fail(w, code, fmt.Errorf("parsing graph: %w", err))
+		return
+	}
+	job, code, err := s.decodeGraph(body, prm)
 	if err != nil {
 		s.fail(w, code, err)
 		return
@@ -379,9 +395,9 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	g, key := job.g, job.key
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if resp, ok := s.cache.Get(key); ok {
-			if tag := etagFor(resp); etagMatch(inm, tag) {
+			if etagMatch(inm, resp.etag) {
 				// The client already holds the current answer.
-				w.Header().Set("ETag", tag)
+				w.Header().Set("ETag", resp.etag)
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
@@ -455,8 +471,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		out = &c
 	}
-	w.Header().Set("ETag", etagFor(resp))
-	writeJSON(w, http.StatusOK, out)
+	writeScheduleResponse(w, out)
 }
 
 // graphJob is one submitted graph on the per-graph path the single and batch
@@ -466,12 +481,30 @@ type graphJob struct {
 	fp, key string
 }
 
+// readBody reads a request body of at most maxBody bytes, into a buffer
+// sized from Content-Length when the client declared one. A non-nil error
+// comes with the status to answer it with: 413 past the limit, else 400.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	var buf bytes.Buffer
+	if n := min(r.ContentLength, s.maxBody, maxBodyPresize); n > 0 {
+		// MinRead spare bytes let ReadFrom see EOF without growing.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+		return nil, http.StatusBadRequest, err
+	}
+	return buf.Bytes(), 0, nil
+}
+
 // decodeGraph is the first half of the shared per-graph path: parse, the
 // -max-nodes gate, fingerprint, cache key. A non-nil error comes with the
 // status to answer it with.
-func (s *server) decodeGraph(body io.Reader, prm reqParams) (graphJob, int, error) {
-	g, err := serenity.ReadGraphJSON(body)
-	if err != nil {
+func (s *server) decodeGraph(body []byte, prm reqParams) (graphJob, int, error) {
+	g := new(serenity.Graph)
+	if err := g.UnmarshalJSON(body); err != nil {
 		return graphJob{}, http.StatusBadRequest, fmt.Errorf("parsing graph: %w", err)
 	}
 	if s.maxNodes > 0 && g.NumNodes() > s.maxNodes {
@@ -710,7 +743,14 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 	if resp, ok := s.cache.Get(key); ok {
 		return resp, true, nil
 	}
-	resp, shared, err := s.flights.Do(ctx, key, func() (*scheduleResponse, error) {
+	// Pre-admitted callers hold compile slots already, so they coalesce only
+	// among themselves: following an interactive leader that is still queued
+	// for a slot would have the slot's holder wait on the slot's waiter.
+	flight := key
+	if class == classPreAdmitted {
+		flight = "pre|" + key
+	}
+	resp, shared, err := s.flights.Do(ctx, flight, func() (*scheduleResponse, error) {
 		if s.admit != nil && class != classPreAdmitted {
 			// The admission wait is often the dominant latency under load;
 			// traced requests get it as its own span so queueing time is
@@ -773,6 +813,7 @@ func (s *server) enqueueRespRefine(ctx context.Context, key string, g *serenity.
 			return fmt.Errorf("refinement of %q still degraded (%d fallbacks); keeping it out of the cache", key, r.Fallbacks)
 		}
 		r.ScheduleVersion = version
+		r.etag = etagFor(r)
 		s.cache.Put(key, r)
 		return nil
 	})
@@ -880,6 +921,7 @@ func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.O
 	if res.Rewritten {
 		resp.RewrittenGraph = res.Graph
 	}
+	resp.etag = etagFor(resp)
 	return resp, nil
 }
 
@@ -1076,7 +1118,8 @@ func (s *server) fail(w http.ResponseWriter, code int, err error) {
 // etagFor derives the entity tag clients revalidate against: a content hash
 // over everything that distinguishes one served schedule from another,
 // including ScheduleVersion so a refined answer never shares a tag with the
-// degraded one it replaced.
+// degraded one it replaced. The value is stored in scheduleResponse.etag; the
+// format is pinned (TestETagPinned) so tags survive a deploy.
 func etagFor(resp *scheduleResponse) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%s|%d|%d|%d|%v",

@@ -56,7 +56,7 @@ func smallCell(seed int64) *serenity.Graph {
 	return serenity.RandWireCell(fmt.Sprintf("rw-test-%d", seed), 12, 4, 0.75, seed, 8, 4)
 }
 
-func graphBody(t *testing.T, g *serenity.Graph) []byte {
+func graphBody(t testing.TB, g *serenity.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := serenity.WriteGraphJSON(&buf, g); err != nil {
