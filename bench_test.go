@@ -19,6 +19,7 @@ import (
 	"github.com/serenity-ml/serenity/internal/bench"
 	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/models"
+	"github.com/serenity-ml/serenity/internal/partition"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
@@ -174,18 +175,45 @@ func BenchmarkTable2Ablation(b *testing.B) {
 	b.ReportMetric(fullMS, "swiftnet+GR-1+2+3-ms")
 }
 
-// BenchmarkDPSchedulerMicro is a microbenchmark of the core DP scheduler on
-// SwiftNet Cell C (ablation support; not a paper figure).
+// BenchmarkDPSchedulerMicro isolates the core DP scheduler on each of the
+// nine evaluation cells (ablation support; not a paper figure): one exact,
+// deterministic run per partition segment under the segment's Kahn-peak soft
+// budget — what a warmed Algorithm 2 converges to, without its wall-clock
+// probes — reporting allocations and DP states per op.
 func BenchmarkDPSchedulerMicro(b *testing.B) {
-	g := models.SwiftNetCellC()
-	m := sched.NewMemModel(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := dp.Optimal(m)
-		if r.Flag != dp.FlagSolution {
-			b.Fatal("DP failed")
-		}
+	for _, cell := range models.BenchmarkCells() {
+		b.Run(cell.Network+"/"+cell.Dataset+"/"+cell.Cell, func(b *testing.B) {
+			part, err := partition.Split(cell.Build())
+			if err != nil {
+				b.Fatal(err)
+			}
+			segs := make([]*sched.MemModel, len(part.Segments))
+			budgets := make([]int64, len(segs))
+			for i, seg := range part.Segments {
+				segs[i] = sched.NewMemModel(seg.G)
+				kahn, err := sched.KahnFIFO(seg.G)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if budgets[i], err = segs[i].Peak(kahn); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var states int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				states = 0
+				for j, m := range segs {
+					r := dp.Schedule(m, dp.Options{Budget: budgets[j], MaxStates: 1 << 20})
+					if r.Flag != dp.FlagSolution {
+						b.Fatalf("segment %d: %v", j, r.Flag)
+					}
+					states += r.StatesExplored
+				}
+			}
+			b.ReportMetric(float64(states), "states/op")
+		})
 	}
 }
 

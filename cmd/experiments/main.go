@@ -5,13 +5,6 @@
 //	experiments -run all -timeout 1s
 //
 // Artifacts: table1, fig2, fig3b, fig10, fig11, fig12, fig13, fig15, table2.
-//
-// The extra dpbench artifact (excluded from "all": it is a benchmark, not a
-// paper figure) isolates the core DP scheduler per evaluation cell and
-// writes machine-readable BENCH_dp.json — ns/op, allocs/op, states/second —
-// for CI to archive the scheduler's perf trajectory:
-//
-//	experiments -run dpbench -bench-time 1s -out BENCH_dp.json
 package main
 
 import (
@@ -24,25 +17,12 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "artifact to regenerate (table1|fig2|fig3b|fig10|fig11|fig12|fig13|fig15|table2|all|dpbench)")
+	run := flag.String("run", "all", "artifact to regenerate (table1|fig2|fig3b|fig10|fig11|fig12|fig13|fig15|table2|all)")
 	stepTimeout := flag.Duration("timeout", time.Second, "adaptive soft budgeting step timeout T")
 	samples := flag.Int("samples", 20000, "schedule samples for fig3b")
-	out := flag.String("out", "", "output path for the dpbench JSON artifact (default BENCH_dp.json)")
-	benchTime := flag.Duration("bench-time", time.Second, "minimum measurement time per model for dpbench")
 	flag.Parse()
 
-	var err error
-	switch *run {
-	case "dpbench":
-		path := *out
-		if path == "" {
-			path = "BENCH_dp.json"
-		}
-		err = dpBench(os.Stdout, path, *benchTime)
-	default:
-		err = execute(*run, *stepTimeout, *samples)
-	}
-	if err != nil {
+	if err := execute(*run, *stepTimeout, *samples); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -22,34 +18,5 @@ func TestExecuteKnownArtifacts(t *testing.T) {
 func TestExecuteRejectsUnknownArtifact(t *testing.T) {
 	if err := execute("fig99", time.Second, 10); err == nil {
 		t.Error("unknown artifact accepted")
-	}
-}
-
-func TestDPBenchWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_dp.json")
-	var buf bytes.Buffer
-	// A tiny bench time keeps this a smoke test; the floor of two timed
-	// iterations per model still produces non-zero measurements.
-	if err := dpBench(&buf, out, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report dpBenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_dp.json is not valid JSON: %v", err)
-	}
-	if len(report.Models) != 9 {
-		t.Fatalf("report covers %d models, want the nine evaluation cells", len(report.Models))
-	}
-	for _, m := range report.Models {
-		if m.NsPerOp <= 0 || m.StatesPerOp <= 0 || m.StatesPerSec <= 0 {
-			t.Errorf("%s %s: degenerate measurements %+v", m.Network, m.Cell, m)
-		}
-		if m.MaxFrontier <= 0 || m.Iters < 2 {
-			t.Errorf("%s %s: missing accounting %+v", m.Network, m.Cell, m)
-		}
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
+	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/govern"
 	"github.com/serenity-ml/serenity/internal/trace"
 )
@@ -116,7 +116,7 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]batchItemResult, len(req.Items))
-	workers, perItem := batchSplit(prm.opts.Parallelism, len(req.Items))
+	workers, perItem := serenity.SplitParallelism(prm.opts.Parallelism, len(req.Items))
 	itemPrm := prm
 	itemPrm.opts.Parallelism = perItem
 	itemPrm.forceDegrade = false // the ?degrade=force drill is a single-endpoint feature
@@ -211,34 +211,4 @@ func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessa
 		return fail(code, err)
 	}
 	return batchItemResult{Index: idx, Status: http.StatusOK, Schedule: respForClient(resp, cached, job.g.Name)}
-}
-
-// batchSplit divides a batch request's parallelism budget between its two
-// fan-out levels: item workers and each item's per-segment workers. The
-// budget is the requested parallelism clamped to [1, GOMAXPROCS] FIRST —
-// compilation is pure CPU work, so workers beyond GOMAXPROCS cannot run —
-// and both levels divide that clamped budget, guaranteeing
-// workers*perItem <= budget. (The old derivation divided the UNclamped
-// request by the clamped worker count: parallelism=64 on an 8-way box ran 8
-// workers each fanning 8-wide — 64 goroutines contending for 8 CPUs.)
-func batchSplit(parallelism, items int) (workers, perItem int) {
-	budget := parallelism
-	if budget < 1 {
-		budget = 1
-	}
-	if mp := runtime.GOMAXPROCS(0); budget > mp {
-		budget = mp
-	}
-	workers = budget
-	if workers > items {
-		workers = items
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	perItem = budget / workers
-	if perItem < 1 {
-		perItem = 1
-	}
-	return workers, perItem
 }

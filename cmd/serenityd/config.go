@@ -173,6 +173,7 @@ func build(cfg config) (*server, error) {
 		maxNodes:       cfg.maxNodes,
 		computeTimeout: cfg.computeTimeout,
 		maxBody:        maxRequestBytes,
+		newPipeline:    serenity.NewPipeline,
 		// The tracer exists regardless of sampling: ?debug=trace requests are
 		// always traced, and the fleet/refinement layers feed fragments into it.
 		tracer:  trace.New(cfg.trace),
@@ -214,7 +215,6 @@ func build(cfg config) (*server, error) {
 	}
 	if cfg.refineOpts.Workers > 0 {
 		ropts := cfg.refineOpts
-		ropts.Parallelism = 1 // background repairs crawl one segment at a time
 		// Refinement lifecycle spans (queued/parked/run) link back to the
 		// originating request's trace.
 		ropts.Tracer = s.tracer
@@ -231,7 +231,7 @@ func build(cfg config) (*server, error) {
 				return s.admit.acquire(ctx, classRefine, 1)
 			}
 		}
-		s.refine = serenity.NewRefinePool(s.segMemo, s.store, ropts)
+		s.refine = serenity.NewRefinePool(ropts)
 	}
 	return s, nil
 }
@@ -286,10 +286,11 @@ func (s *server) joinFleet(cfg config) error {
 }
 
 // close is the one place a server is torn down, and the order matters: the
-// syncer and replication client write to the store, the refinement pool
-// writes to the memo, store, and cache, the governor's pressure signal is
-// read by the pool — stop each producer before the tier it feeds, store
-// last. Safe on a partially built server.
+// syncer and replication client write to the store, the refinement pool's
+// recomputes write to the memo, the store, the replication client and the
+// cache, the governor's pressure signal is read by the pool — stop each
+// producer before the tier it feeds, store last. Safe on a partially built
+// server.
 func (s *server) close() {
 	if s.health != nil {
 		s.health.Stop()
@@ -303,19 +304,19 @@ func (s *server) close() {
 		s.logger.Info("anti-entropy stopped",
 			"rounds", ys.Rounds, "pulled", ys.Pulled, "errors", ys.Errors)
 	}
-	if s.peers != nil {
-		s.peers.Close()
-		cs := s.peers.Stats()
-		s.logger.Info("fleet client stopped",
-			"hits", cs.Hits, "misses", cs.Misses, "timeouts", cs.Timeouts,
-			"replicated", cs.Replicated, "replication_drops", cs.ReplicationDropped)
-	}
 	if s.refine != nil {
 		// Cancels the running repair and sheds the backlog.
 		s.refine.Close()
 		st := s.refine.Stats()
 		s.logger.Info("refinement pool stopped",
 			"queued", st.Queued, "done", st.Done, "failed", st.Failed, "dropped", st.Dropped)
+	}
+	if s.peers != nil {
+		s.peers.Close()
+		cs := s.peers.Stats()
+		s.logger.Info("fleet client stopped",
+			"hits", cs.Hits, "misses", cs.Misses, "timeouts", cs.Timeouts,
+			"replicated", cs.Replicated, "replication_drops", cs.ReplicationDropped)
 	}
 	if s.gov.Enabled() {
 		s.gov.Stop()

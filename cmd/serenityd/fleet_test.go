@@ -15,6 +15,7 @@ import (
 
 	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/fleet"
+	"github.com/serenity-ml/serenity/internal/trace"
 )
 
 // testFleet builds an n-node in-process fleet with the drill's constructor
@@ -402,4 +403,90 @@ func TestFleetDrillSmoke(t *testing.T) {
 	if !bytes.Contains(out.Bytes(), []byte("fleet drill: PASS")) {
 		t.Errorf("drill output missing PASS line:\n%s", out.String())
 	}
+}
+
+// TestFleetRefinementReachesOwner: fleet ≡ single node for repaired answers
+// too. A forced-degraded request on a node that does not own (some of) the
+// graph's segment keys is refined in the background; because that refinement
+// is an ordinary recompute through the walk, its fresh exact results are
+// replicated toward their ring owner like any request's, so the owner's
+// store holds the very artifact the repairing node wrote — with no
+// anti-entropy round in between (the drill fleet's sync interval is an hour).
+func TestFleetRefinementReachesOwner(t *testing.T) {
+	opts := serenity.DefaultOptions()
+	opts.StepTimeout = 500 * time.Millisecond
+	opts.Parallelism = 4
+	nodes := []*drillNode{newDrillNode(), newDrillNode()}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.close()
+		}
+	})
+	urls := []string{nodes[0].ts.URL, nodes[1].ts.URL}
+	for i, n := range nodes {
+		if err := n.boot(opts, urls, int64(i+1), func(c *config) {
+			c.refineOpts = serenity.RefinePoolOptions{Workers: 1, QueueDepth: 64}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		n.s.ready.Store(true)
+	}
+	owner, b := nodes[0], nodes[1]
+
+	// Plug B's one refinement worker so "before the repair" is observable.
+	unblock := plugRefine(t, b.s.refine, 1)
+
+	// Ownership is hashed over this run's random ports, so scan graphs until
+	// one has a segment key the other node owns; the degraded request's own
+	// trace names its keys.
+	for seed := int64(61); seed < 81; seed++ {
+		body := graphBody(t, smallCell(seed))
+		degraded, _ := postScheduleOK(t, b.ts, "?strategy=best-effort&degrade=force&debug=trace", body)
+		if degraded.Quality != serenity.QualityHeuristic || degraded.Trace == nil {
+			t.Fatalf("forced degrade: quality %q, trace %v", degraded.Quality, degraded.Trace)
+		}
+		spans := map[string][]*trace.Node{}
+		flattenTree(degraded.Trace.Spans, spans)
+		var owned []string
+		for _, seg := range spans["segment"] {
+			if key := seg.Attrs["memo_key"]; key != "" && b.s.ring.Load().Owner(key) == owner.ts.URL {
+				owned = append(owned, key)
+			}
+		}
+		if len(owned) == 0 {
+			continue
+		}
+		b.s.peers.Drain()
+		for _, key := range owned {
+			if _, ok := owner.s.store.GetArtifact(key); ok {
+				t.Fatalf("owner holds %q before the refinement ran: a degraded result was replicated", key)
+			}
+		}
+
+		close(unblock)
+		drainRefine(t, b.s.refine)
+		if st := b.s.refine.Stats(); st.Failed != 0 {
+			t.Fatalf("refinement failed: %+v", st)
+		}
+		b.s.peers.Drain()
+		b.s.store.Flush()
+		for _, key := range owned {
+			got, ok := owner.s.store.GetArtifact(key)
+			if !ok {
+				t.Errorf("owner's store lacks refined key %q", key)
+				continue
+			}
+			if sr, err := serenity.UnmarshalSegmentArtifact(got); err != nil || sr.Quality != serenity.QualityOptimal {
+				t.Errorf("owner's artifact for %q: quality %q, err %v", key, sr.Quality, err)
+			}
+			if local, _ := b.s.store.GetArtifact(key); !bytes.Equal(local, got) {
+				t.Errorf("owner's artifact for %q differs from the repairing node's", key)
+			}
+		}
+		if rounds := owner.s.syncer.Stats().Rounds + b.s.syncer.Stats().Rounds; rounds != 0 {
+			t.Errorf("%d anti-entropy rounds ran; the artifacts must have arrived by replication", rounds)
+		}
+		return
+	}
+	t.Fatal("no scanned graph had a segment key owned by the other node")
 }

@@ -49,11 +49,15 @@
 // into one search. Degraded (deadline-fallback) segment results are never
 // memoized, so one overloaded moment cannot pin heuristic schedules.
 //
-// Degraded answers are provisional, not final: a compilation that fell back
-// queues its exact re-search with the background refinement pool
-// (-refine-workers/-refine-queue), which repairs the segment memo, the
-// persistent store, and the response cache once the load subsides — serve
-// now, refine when quiet. Compile slots (-compile-slots) are granted by a
+// Degraded answers are provisional, not final: a response that fell back
+// queues exactly one job with the background refinement pool
+// (-refine-workers/-refine-queue) — the same request, recomputed without the
+// pressure once the load subsides. That recompute is an ordinary walk of the
+// memo hierarchy, so the exact segments it finds land in the segment memo,
+// the persistent store and (in a fleet) on their ring owner the way any
+// request's do, and the exact answer then replaces the degraded one in the
+// response cache with schedule_version 2 — serve now, refine when quiet.
+// Compile slots (-compile-slots) are granted by a
 // strict-priority admission controller: interactive requests ahead of batch,
 // batch ahead of refinement, each class's wait queue bounded (-admit-queue)
 // and answering 429 + Retry-After when full instead of hanging connections.

@@ -154,7 +154,7 @@ var metricFamilies = []family{
 	{"serenityd_refinements_queued_total", "counter", "Background refinements accepted into the repair queue.", "%d", nil, one(func(m *scrape) any { return m.rs.Queued })},
 	{"serenityd_refinements_done_total", "counter", "Background refinements that completed and repaired their caches.", "%d", nil, one(func(m *scrape) any { return m.rs.Done })},
 	{"serenityd_refinements_failed_total", "counter", "Background refinements that ran but errored; nothing was replaced.", "%d", nil, one(func(m *scrape) any { return m.rs.Failed })},
-	{"serenityd_refinements_dropped_total", "counter", "Refinements shed without running: full queue, duplicate key, or shutdown.", "%d", nil, one(func(m *scrape) any { return m.rs.Dropped })},
+	{"serenityd_refinements_dropped_total", "counter", "Refinements shed without running: full queue, refused gate, or shutdown.", "%d", nil, one(func(m *scrape) any { return m.rs.Dropped })},
 	{"serenityd_refinements_outstanding", "gauge", "Refinements queued or running right now.", "%d", nil, one(func(m *scrape) any { return m.rs.Outstanding })},
 	{"serenityd_refinements_shed_total", "counter", "Refinements parked by the memory governor's pressure signal (re-enqueued once pressure clears).", "%d", nil, one(func(m *scrape) any { return m.rs.Shed })},
 	{"serenityd_refinements_requeued_total", "counter", "Parked refinements re-injected into the queue after pressure cleared.", "%d", nil, one(func(m *scrape) any { return m.rs.Requeued })},

@@ -5,15 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/models"
 )
 
 // refineServer is testServer plus a background refinement pool.
@@ -53,6 +55,31 @@ func drainRefine(t *testing.T, pool *serenity.RefinePool) {
 	}
 }
 
+// plugRefine occupies n refinement workers with jobs that block until the
+// returned channel is closed, and returns once all n are running — so repairs
+// queued behind them stay pending until the test says otherwise.
+func plugRefine(t *testing.T, pool *serenity.RefinePool, n int) (unblock chan struct{}) {
+	t.Helper()
+	unblock = make(chan struct{})
+	var running sync.WaitGroup
+	running.Add(n)
+	for i := 0; i < n; i++ {
+		if !pool.Enqueue(context.Background(), fmt.Sprintf("test-plug-%d", i), func(ctx context.Context) error {
+			running.Done()
+			select {
+			case <-unblock:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}) {
+			t.Fatal("plug job declined")
+		}
+	}
+	running.Wait()
+	return unblock
+}
+
 // TestOverloadSoakRefinedBitIdentical is the serve-then-refine acceptance
 // scenario over HTTP: a forced-degraded request is served instantly at
 // heuristic quality, and after the background refinement drains, the
@@ -82,8 +109,9 @@ func TestOverloadSoakRefinedBitIdentical(t *testing.T) {
 	if degraded.ScheduleVersion != 1 {
 		t.Errorf("degraded schedule_version = %d, want 1", degraded.ScheduleVersion)
 	}
-	if degraded.RefinementsQueued == 0 {
-		t.Error("degraded response queued no segment refinements")
+	if degraded.RefinementsQueued != degraded.Fallbacks {
+		t.Errorf("degraded response reports refinements_queued=%d for %d fallbacks with its repair queued",
+			degraded.RefinementsQueued, degraded.Fallbacks)
 	}
 	degradedTag := resp.Header.Get("ETag")
 	if degradedTag == "" {
@@ -124,17 +152,7 @@ func TestWaitRefinedAndPending304(t *testing.T) {
 	s, ts := refineServer(t)
 
 	// Plug the single refinement worker so queued repairs stay pending.
-	unblock := make(chan struct{})
-	if !s.refine.Enqueue(context.Background(), "test-blocker", func(ctx context.Context) error {
-		select {
-		case <-unblock:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}) {
-		t.Fatal("blocker job declined")
-	}
+	unblock := plugRefine(t, s.refine, 1)
 
 	body := graphBody(t, smallCell(42))
 	degraded, resp := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force", body)
@@ -142,6 +160,26 @@ func TestWaitRefinedAndPending304(t *testing.T) {
 		t.Fatalf("forced degradation served quality %q", degraded.Quality)
 	}
 	degradedTag := resp.Header.Get("ETag")
+
+	// refinements_queued is the server's to report: the fallback count while
+	// the key's repair is pending — accepted by this request, or, for an
+	// identical request arriving meanwhile, already queued by the earlier one
+	// (one job repairs the key for both) — and omitted when none is coming.
+	if degraded.Fallbacks == 0 || degraded.RefinementsQueued != degraded.Fallbacks {
+		t.Errorf("first degraded answer: refinements_queued=%d, fallbacks=%d", degraded.RefinementsQueued, degraded.Fallbacks)
+	}
+	again, _ := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force", body)
+	if again.RefinementsQueued != again.Fallbacks || again.Cached {
+		t.Errorf("identical request during the pending repair: refinements_queued=%d, fallbacks=%d, cached=%t",
+			again.RefinementsQueued, again.Fallbacks, again.Cached)
+	}
+	if st := s.refine.Stats(); st.Queued != 2 { // the blocker and one repair
+		t.Errorf("pool accepted %d jobs, want the blocker and a single repair for both requests", st.Queued)
+	}
+	_, poolless := testServer(t)
+	if final, _ := postScheduleOK(t, poolless, "?strategy=best-effort&degrade=force", body); final.Fallbacks == 0 || final.RefinementsQueued != 0 {
+		t.Errorf("without a refinement pool: refinements_queued=%d for %d fallbacks, want it omitted", final.RefinementsQueued, final.Fallbacks)
+	}
 
 	// Revalidation while the repair is queued: unchanged, retry later, and
 	// crucially no recompilation of an answer the client already holds.
@@ -431,36 +469,6 @@ func TestSchedule429UnderOverload(t *testing.T) {
 	}
 }
 
-// TestBatchSplitBudget pins the oversubscription fix: the two fan-out levels
-// (item workers × per-item parallelism) never exceed the GOMAXPROCS-clamped
-// request budget.
-func TestBatchSplitBudget(t *testing.T) {
-	mp := runtime.GOMAXPROCS(0)
-	for _, tc := range []struct{ par, items int }{
-		{0, 1}, {1, 1}, {1, 8}, {2, 2}, {4, 2}, {4, 8}, {3, 7},
-		{64, 1}, {64, 8}, {mp, mp}, {4 * mp, 16}, {4 * mp, 1},
-	} {
-		workers, perItem := batchSplit(tc.par, tc.items)
-		budget := tc.par
-		if budget < 1 {
-			budget = 1
-		}
-		if budget > mp {
-			budget = mp
-		}
-		if workers < 1 || perItem < 1 {
-			t.Errorf("batchSplit(%d, %d) = %d, %d; both must be >= 1", tc.par, tc.items, workers, perItem)
-		}
-		if workers > tc.items {
-			t.Errorf("batchSplit(%d, %d) = %d workers for %d items", tc.par, tc.items, workers, tc.items)
-		}
-		if workers*perItem > budget {
-			t.Errorf("batchSplit(%d, %d) = %d×%d = %d goroutines, budget %d: oversubscribed",
-				tc.par, tc.items, workers, perItem, workers*perItem, budget)
-		}
-	}
-}
-
 // TestServeRefineParamValidation rejects malformed serve-then-refine
 // parameters with 400s.
 func TestServeRefineParamValidation(t *testing.T) {
@@ -477,5 +485,208 @@ func TestServeRefineParamValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", q, resp.StatusCode, data)
 		}
+	}
+}
+
+// pipelineServer is a server with a refinement pool whose newPipeline seam is
+// wrapped by wrap before the listener (and so any request goroutine) exists.
+func pipelineServer(t *testing.T, wrap func(o serenity.Options, p *serenity.Pipeline)) (*server, *httptest.Server) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.refineOpts = serenity.RefinePoolOptions{Workers: 1, QueueDepth: 64}
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.newPipeline = func(o serenity.Options) (*serenity.Pipeline, error) {
+		p, err := serenity.NewPipeline(o)
+		if err == nil {
+			wrap(o, p)
+		}
+		return p, err
+	}
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.close()
+	})
+	return s, ts
+}
+
+// TestRefinementRunsOneShardWide pins the refinement's CPU budget: the repair
+// holds ONE refinement-class compile slot, so it recomputes with parallelism 1
+// whatever the client asked for — its pipeline never fans segments out or
+// scopes its searcher above one DP shard — and still lands under the
+// client's schedule key (optionsKey ignores parallelism).
+func TestRefinementRunsOneShardWide(t *testing.T) {
+	type asked struct{ pipeline, shards int }
+	var mu sync.Mutex
+	var compiles []asked
+	s, ts := pipelineServer(t, func(_ serenity.Options, p *serenity.Pipeline) {
+		mu.Lock()
+		defer mu.Unlock()
+		compiles = append(compiles, asked{p.Parallelism, p.Searcher.(serenity.BestEffort).Exact.Parallelism})
+	})
+
+	body := graphBody(t, smallCell(46))
+	const q = "?strategy=best-effort&degrade=force&parallelism=8"
+	if degraded, _ := postScheduleOK(t, ts, q, body); degraded.Quality != serenity.QualityHeuristic {
+		t.Fatalf("forced degradation served quality %q", degraded.Quality)
+	}
+	drainRefine(t, s.refine)
+	mu.Lock()
+	defer mu.Unlock()
+	want := []asked{{8, 8}, {1, 1}}
+	if !reflect.DeepEqual(compiles, want) {
+		t.Errorf("compilations ran with {pipeline parallelism, DP shards} %v, want the request at %v and its refinement at %v",
+			compiles, want[0], want[1])
+	}
+	if refined, _ := postScheduleOK(t, ts, q, body); !refined.Cached || refined.ScheduleVersion != 2 {
+		t.Errorf("the one-shard repair did not land under the parallelism=8 request's key: cached=%t version=%d",
+			refined.Cached, refined.ScheduleVersion)
+	}
+}
+
+// TestRefinementsCoalesceOnSharedCell: with two refinement workers, two
+// different stackings of one cell — every un-memoized segment shared between
+// them — are both served forced-degraded. Their two repairs run concurrently
+// and walk the same cold keys; because a refinement is an ordinary recompute,
+// the walk's singleflight (or, if one finishes first, its memo entry) makes
+// the pair cost exactly one exact search per key, counted in
+// serenityd_states_explored_total like any fresh search, and both cached
+// answers are bit-identical to an unpressured exact run.
+func TestRefinementsCoalesceOnSharedCell(t *testing.T) {
+	cell := models.WSConfig{Nodes: 12, K: 4, P: 0.75, Seed: 47, HW: 8, Channel: 4}
+	bodies := [2][]byte{
+		graphBody(t, models.StackedUniformRandWire("stack-2", 2, cell)),
+		graphBody(t, models.StackedUniformRandWire("stack-3", 3, cell)),
+	}
+
+	// The unpressured reference, on its own server: the first stacking pays
+	// for every segment key once, the second adds nothing.
+	_, refTS := testServer(t)
+	var ref [2]scheduleResponse
+	ref[0], _ = postScheduleOK(t, refTS, "?strategy=best-effort", bodies[0])
+	oneSearchPerKey := metricValue(t, refTS, "serenityd_states_explored_total")
+	ref[1], _ = postScheduleOK(t, refTS, "?strategy=best-effort", bodies[1])
+	if got := metricValue(t, refTS, "serenityd_states_explored_total"); oneSearchPerKey == 0 || got != oneSearchPerKey {
+		t.Fatalf("reference: %d fresh states after the first stacking, %d after both; the stackings must share every segment", oneSearchPerKey, got)
+	}
+
+	cfg := testConfig()
+	cfg.refineOpts = serenity.RefinePoolOptions{Workers: 2, QueueDepth: 64}
+	s, ts := startServer(t, cfg)
+	// Plug both workers so neither repair starts before both degraded
+	// answers are out.
+	unblock := plugRefine(t, s.refine, 2)
+
+	const q = "?strategy=best-effort&degrade=force"
+	for i, body := range bodies {
+		if degraded, _ := postScheduleOK(t, ts, q, body); degraded.Quality != serenity.QualityHeuristic || degraded.RefinementsQueued == 0 {
+			t.Fatalf("stacking %d: quality %q, refinements_queued %d", i, degraded.Quality, degraded.RefinementsQueued)
+		}
+	}
+	before := metricValue(t, ts, "serenityd_states_explored_total")
+	close(unblock)
+	drainRefine(t, s.refine)
+	if st := s.refine.Stats(); st.Failed != 0 || st.Done != 4 {
+		t.Fatalf("pool after the two repairs: %+v", st)
+	}
+	if grew := metricValue(t, ts, "serenityd_states_explored_total") - before; grew != oneSearchPerKey {
+		t.Errorf("two concurrent repairs explored %d fresh states, want exactly one exact search per shared key = %d", grew, oneSearchPerKey)
+	}
+	for i, body := range bodies {
+		refined, _ := postScheduleOK(t, ts, q, body)
+		if !refined.Cached || refined.Quality != serenity.QualityOptimal || refined.ScheduleVersion != 2 {
+			t.Errorf("stacking %d: cached=%t quality=%q version=%d after refinement", i, refined.Cached, refined.Quality, refined.ScheduleVersion)
+		}
+		if !reflect.DeepEqual(refined.Order, ref[i].Order) || refined.Peak != ref[i].Peak || refined.ArenaSize != ref[i].ArenaSize {
+			t.Errorf("stacking %d: refined answer diverged from the unpressured exact run\nref: %v\ngot: %v", i, ref[i].Order, refined.Order)
+		}
+	}
+}
+
+// gatedSearcher delays one pipeline's searches until open is closed, telling
+// the test (once) that a search has started and is holding its segment's
+// flight.
+type gatedSearcher struct {
+	serenity.BestEffort
+	started *sync.Once
+	running chan struct{}
+	open    chan struct{}
+}
+
+func (g gatedSearcher) Search(ctx context.Context, m *serenity.MemModel) (serenity.SearchResult, error) {
+	g.started.Do(func() { close(g.running) })
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return serenity.SearchResult{}, ctx.Err()
+	}
+	return g.BestEffort.Search(ctx, m)
+}
+
+// TestDegradedRequestJoinsRunningRepair pins what coalescing with the repair
+// means for the external contract. While a key's repair is mid-search, an
+// identical forced-degraded request's segments join the repair's flights, so
+// it comes back exact; that answer supersedes the degraded one like the
+// repair's own — schedule_version 2, the repair's ETag — and whichever of the
+// two reaches the response cache second leaves the first standing, so the
+// cache never steps back to version 1.
+func TestDegradedRequestJoinsRunningRepair(t *testing.T) {
+	running, open := make(chan struct{}), make(chan struct{})
+	var started sync.Once
+	s, ts := pipelineServer(t, func(o serenity.Options, p *serenity.Pipeline) {
+		if o.Parallelism == 1 { // only the refinement compiles one shard wide here
+			p.Searcher = gatedSearcher{p.Searcher.(serenity.BestEffort), &started, running, open}
+		}
+	})
+
+	body := graphBody(t, smallCell(48))
+	const q = "?strategy=best-effort&degrade=force"
+	degraded, resp := postScheduleOK(t, ts, q, body)
+	if degraded.Quality != serenity.QualityHeuristic || degraded.ScheduleVersion != 1 {
+		t.Fatalf("first answer: quality %q version %d", degraded.Quality, degraded.ScheduleVersion)
+	}
+	<-running // the repair now leads a segment flight
+
+	joined := make(chan scheduleResponse, 1)
+	joinedTag := make(chan string, 1)
+	go func() {
+		var sr scheduleResponse
+		resp, data := postSchedule(t, ts, q+"&wait_refined=30000", body)
+		if err := json.Unmarshal(data, &sr); resp.StatusCode != http.StatusOK || err != nil {
+			t.Errorf("request during the repair: status %d, decode error %v: %s", resp.StatusCode, err, data)
+		}
+		joined <- sr
+		joinedTag <- resp.Header.Get("ETag")
+	}()
+	// The second request parks on the repair's flight; give it time to get
+	// there, then let the repair search.
+	for deadline := time.Now().Add(10 * time.Second); s.inFlight.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(open)
+
+	got, tag := <-joined, <-joinedTag
+	if got.Quality != serenity.QualityOptimal || got.ScheduleVersion != 2 || got.Fallbacks != 0 {
+		t.Fatalf("request that joined the repair: quality %q version %d fallbacks %d, want the exact answer at version 2",
+			got.Quality, got.ScheduleVersion, got.Fallbacks)
+	}
+	if tag == resp.Header.Get("ETag") {
+		t.Error("the exact answer kept the degraded answer's ETag")
+	}
+	drainRefine(t, s.refine)
+	if st := s.refine.Stats(); st.Failed != 0 {
+		t.Fatalf("repair failed: %+v", st)
+	}
+	final, finalResp := postScheduleOK(t, ts, q, body)
+	if !final.Cached || final.ScheduleVersion != 2 || finalResp.Header.Get("ETag") != tag {
+		t.Errorf("after the repair: cached=%t version=%d etag %s, want the same version-2 entry %s",
+			final.Cached, final.ScheduleVersion, finalResp.Header.Get("ETag"), tag)
+	}
+	if !reflect.DeepEqual(final.Order, got.Order) {
+		t.Error("the cached answer's order differs from the one served while the repair ran")
 	}
 }

@@ -81,14 +81,17 @@ type scheduleResponse struct {
 	StageMS      stageMS `json:"stage_ms"`
 	Cached       bool    `json:"cached"`
 	// ScheduleVersion starts at 1 for a fresh compilation and increments
-	// when a background refinement replaces a degraded answer with the
-	// exact one. Together with the ETag header it lets a client that
-	// accepted a degraded schedule revalidate cheaply (If-None-Match) or
-	// wait for the repair (?wait_refined=ms).
+	// when the exact answer replaces a degraded one — the background
+	// refinement's, or that of a request that compiled exact while the
+	// refinement was still pending. Together with the ETag header it lets a
+	// client that accepted a degraded schedule revalidate cheaply
+	// (If-None-Match) or wait for the repair (?wait_refined=ms).
 	ScheduleVersion int `json:"schedule_version"`
-	// RefinementsQueued reports how many of this compilation's degraded
-	// segments were queued for background refinement; a later identical
-	// request can expect exact quality once they drain.
+	// RefinementsQueued is Fallbacks when this answer's background repair
+	// was pending as the answer was built — queued by this request or by an
+	// earlier identical one — so a later identical request can expect exact
+	// quality; omitted when no repair is coming (none needed, no refinement
+	// pool, or the pool shed the job).
 	RefinementsQueued int `json:"refinements_queued,omitempty"`
 	// RewrittenGraph is set when identity graph rewriting changed the graph:
 	// Order indexes ITS nodes, not the submitted graph's, so clients need it
@@ -165,12 +168,17 @@ type server struct {
 	// instead of letting the process OOM. Nil or disabled is fully
 	// transparent. See internal/govern.
 	gov *govern.Governor
-	// refine, when non-nil, is the background refinement pool: degraded
-	// compilations are served immediately and their exact re-search is
-	// queued here, repairing the segment memo, the schedule store, and this
-	// server's response cache once a compile slot is free (lowest priority
-	// class). See serenity.RefinePool.
+	// refine, when non-nil, is the background refinement pool: a degraded
+	// compilation is served immediately and one job, keyed by the schedule
+	// key, re-runs it without the pressure once a compile slot is free
+	// (lowest priority class) — filling the segment memo, the schedule store
+	// and the ring owners through the ordinary walk, then this server's
+	// response cache. See enqueueRefine and serenity.RefinePool.
 	refine *serenity.RefinePool
+	// newPipeline builds one compilation's Pipeline from its options. It is
+	// serenity.NewPipeline; a field so a test can see what each compile — a
+	// request's or a refinement's — was asked for.
+	newPipeline func(serenity.Options) (*serenity.Pipeline, error)
 	// Fleet tier (-peers/-peer-addr), all nil on a fleetless server: ring is
 	// the consistent-hash membership (an atomic pointer — admin join/leave
 	// swaps it under live traffic); peers the bounded fetch/replication
@@ -403,7 +411,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			}
 			// The cached entry differs (typically a refinement landed); fall
 			// through and serve it.
-		} else if s.refine != nil && s.refine.Pending(respRefineKey(key)) {
+		} else if s.refine != nil && s.refine.Pending(key) {
 			// The client holds a degraded answer whose repair is still
 			// queued. Recomputing now would duplicate the refinement's work,
 			// so report "unchanged, try again shortly" instead.
@@ -611,11 +619,6 @@ func (s *server) handleIncidents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"incidents": s.tracer.Incidents()})
 }
 
-// respRefineKey names the response-level refinement job for a schedule key;
-// the prefix keeps it from colliding with segment-memo refinement keys in the
-// shared pool.
-func respRefineKey(key string) string { return "resp|" + key }
-
 // awaitRefined polls the response cache for up to budget waiting for key's
 // background refinement to land, returning the refined entry or nil if the
 // budget (or the client) ran out first. It bails early when the refinement is
@@ -630,7 +633,7 @@ func (s *server) awaitRefined(ctx context.Context, key string, budget time.Durat
 		if resp, ok := s.cache.Get(key); ok && resp.Fallbacks == 0 {
 			return resp
 		}
-		if !s.refine.Pending(respRefineKey(key)) {
+		if !s.refine.Pending(key) {
 			// Re-check: the job may have retired between the two tests above,
 			// with its cache write already visible.
 			if resp, ok := s.cache.Get(key); ok && resp.Fallbacks == 0 {
@@ -736,9 +739,10 @@ func scheduleKey(fp string, opts serenity.Options, deadline time.Duration, force
 // The flight's leader acquires a compile slot in class before computing
 // (classPreAdmitted skips this — the caller already holds slots), so cache
 // and coalesced hits are never throttled, only actual compilations. A
-// degraded compute queues a response-level background refinement before
-// returning, so the repaired exact answer eventually replaces it in the
-// cache with a bumped ScheduleVersion.
+// degraded compute queues its background refinement before returning — and
+// reports it in refinements_queued, set here, inside the flight, before the
+// response is shared — so the repaired exact answer eventually replaces it
+// in the cache with a bumped ScheduleVersion.
 func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint, key string, class admitClass, degrade bool) (*scheduleResponse, bool, error) {
 	if resp, ok := s.cache.Get(key); ok {
 		return resp, true, nil
@@ -750,6 +754,7 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 	if class == classPreAdmitted {
 		flight = "pre|" + key
 	}
+	stood := false // the leader found a cached answer standing where it meant to put its own
 	resp, shared, err := s.flights.Do(ctx, flight, func() (*scheduleResponse, error) {
 		if s.admit != nil && class != classPreAdmitted {
 			// The admission wait is often the dominant latency under load;
@@ -770,41 +775,69 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 		if err != nil {
 			return nil, err
 		}
-		if r.Fallbacks == 0 {
+		switch {
+		case r.Fallbacks > 0:
 			// Degraded (fallback) schedules are served but not cached: the
 			// degradation reflects this moment's load, and pinning it would
 			// deny every later identical request the exact answer a quieter
 			// server could produce.
-			s.cache.Put(key, r)
-		} else {
-			s.enqueueRespRefine(ctx, key, g, opts, fingerprint, r)
+			if s.enqueueRefine(ctx, key, g, opts, fingerprint, r.ScheduleVersion+1) {
+				r.RefinementsQueued = r.Fallbacks
+			}
+			return r, nil
+		case s.refine != nil && s.refine.Pending(key):
+			// A degraded answer for this key is out and its repair has not
+			// landed, yet this compile came back exact — typically because its
+			// segments joined the running repair's searches. It supersedes
+			// the degraded answer exactly as the repair's own will.
+			r.ScheduleVersion++
+			r.etag = etagFor(r)
 		}
-		return r, nil
+		cur := s.putExact(key, r)
+		stood = cur != r
+		return cur, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
 	if shared {
 		s.coalesced.Add(1)
-		return resp, true, nil
 	}
-	return resp, false, nil
+	return resp, shared || stood, nil
 }
 
-// enqueueRespRefine queues the serve-then-refine repair for a degraded
-// response: recompute the same request without degradation under the
-// refinement pool's context (no client deadline — background work takes the
-// time it needs), and write the exact answer into the response cache with the
-// next ScheduleVersion. The pool runs it at the lowest admission priority via
-// its Gate, and FIFO order means the compilation's per-segment refinements —
-// queued earlier by the pipeline — have already warmed the segment memo by
-// the time this recompute runs.
-func (s *server) enqueueRespRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string, degraded *scheduleResponse) {
+// putExact caches the exact answer r under key unless an answer of at least
+// its schedule version already stands, and returns the one that stands. A
+// request that compiled alongside the key's repair and the repair itself
+// finish in either order; the cache never steps back a version.
+func (s *server) putExact(key string, r *scheduleResponse) *scheduleResponse {
+	s.cache.PutIf(key, r, func(cur *scheduleResponse, exists bool) bool {
+		if exists && cur.ScheduleVersion >= r.ScheduleVersion {
+			r = cur
+			return false
+		}
+		return true
+	})
+	return r
+}
+
+// enqueueRefine queues the serve-then-refine repair of a degraded answer —
+// the one refinement mechanism — and reports whether key's repair is pending
+// afterwards (accepted now, or already queued by an earlier identical
+// request). The job is the request itself, recomputed without degradation
+// under the pool's context (no client deadline: background work takes the
+// time it needs) at the lowest admission priority (the pool's Gate). It holds
+// one compile slot, so it runs one shard wide whatever parallelism the client
+// asked for; optionsKey ignores parallelism, so the key is the client's. The
+// exact segments it finds reach memory, disk and their ring owners through
+// walkMemo's fill like any request's, and the exact answer then enters the
+// response cache with the next ScheduleVersion.
+func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string, version int) bool {
 	if s.refine == nil {
-		return
+		return false
 	}
-	version := degraded.ScheduleVersion + 1
-	s.refine.Enqueue(ctx, respRefineKey(key), func(ctx context.Context) error {
+	opts.Parallelism = 1
+	return s.refine.Enqueue(ctx, key, func(ctx context.Context) error {
 		r, err := s.compute(ctx, g, opts, fingerprint, false)
 		if err != nil {
 			return err
@@ -814,16 +847,16 @@ func (s *server) enqueueRespRefine(ctx context.Context, key string, g *serenity.
 		}
 		r.ScheduleVersion = version
 		r.etag = etagFor(r)
-		s.cache.Put(key, r)
+		s.putExact(key, r)
 		return nil
-	})
+	}) || s.refine.Pending(key)
 }
 
 // compute runs one compilation. degrade forces every best-effort segment
 // down the heuristic path (?degrade=force) — the deterministic overload
 // drill for the serve-then-refine machinery.
 func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint string, degrade bool) (*scheduleResponse, error) {
-	p, err := serenity.NewPipeline(opts)
+	p, err := s.newPipeline(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -836,12 +869,9 @@ func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.O
 	// One process-wide memo across every request: per-segment results are
 	// interchangeable wherever the segment fingerprint and strategy match,
 	// whatever graph they arrived in. The store beneath it extends the same
-	// sharing across process restarts. The refinement pool hangs off the
-	// same pipeline: any segment that falls back is queued for background
-	// repair.
+	// sharing across process restarts.
 	p.SegmentMemo = s.segMemo
 	p.Store = s.store
-	p.RefinePool = s.refine
 	if s.gov.Enabled() {
 		// Every fresh segment search reserves its estimated footprint with
 		// the governor; at Critical the floor grant aborts the search before
@@ -909,7 +939,6 @@ func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.O
 		SegmentMemoPeerHits: res.SegmentMemoPeerHits,
 		MaxFrontier:         res.MaxFrontier,
 		ScheduleVersion:     1,
-		RefinementsQueued:   res.RefinementsQueued,
 		SchedulingMS:        float64(res.SchedulingTime.Microseconds()) / 1000,
 		StageMS: stageMS{
 			Rewrite:   float64(res.Stages.Rewrite.Microseconds()) / 1000,

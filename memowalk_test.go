@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
-	"sync"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/serenity-ml/serenity/internal/store"
 )
@@ -237,98 +237,108 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 	}
 }
 
-// TestWalkVsUpgradeFirstWriterStands is the guarded-upgrade race (run under
-// -race in CI): a fresh walk and a background refinement land two distinct
-// optimal orders on one key at the same moment. Whichever entry is observed
-// first — by a concurrent reader, as a walk's return value, or on disk
-// afterwards — must be the only one ever observed: the conditional puts
-// decide under each tier's own lock, so neither writer can slip between the
-// other's check and its write.
+// dupSearcher answers every segment with an order of the right length that
+// visits node 0 twice: the shape a length-only check lets through.
+type dupSearcher struct{}
+
+func (dupSearcher) Name() string    { return "dup" }
+func (dupSearcher) MemoKey() string { return "dup" }
+func (dupSearcher) Search(_ context.Context, m *MemModel) (SearchResult, error) {
+	order := make(Order, m.G.NumNodes())
+	for i := 2; i < len(order); i++ {
+		order[i] = i
+	}
+	return SearchResult{Order: order, Quality: QualityOptimal}, nil
+}
+
+// TestWalkRejectsNonPermutation pins the one checkpoint every fresh result
+// passes — a request's or a refinement's recompute, they are the same walk:
+// a searcher returning a right-length non-permutation fails the run, and the
+// result reaches no tier (memory, the disk queue, or the key's ring owner).
+func TestWalkRejectsNonPermutation(t *testing.T) {
+	memo, ss := NewSegmentMemo(64), writerlessStore(t)
+	peers := &recordingPeers{replicated: map[string][][]byte{}}
+	p := &Pipeline{Searcher: dupSearcher{}, Partition: true, SegmentMemo: memo, Store: ss, Peers: peers}
+	// The first segment of the stack has two nodes, so the sequential run
+	// fails on its first search.
+	_, err := p.Run(context.Background(), uniformStack("non-permutation", 1, 12))
+	if err == nil || !strings.Contains(err.Error(), "not a permutation") {
+		t.Fatalf("Run with a duplicate-visiting searcher: err = %v, want a permutation error", err)
+	}
+	if st := memo.Stats(); st.Entries != 0 || st.Errors != 1 || st.Misses != 0 {
+		t.Errorf("memo after the rejected result: %+v, want no entry and one errored lookup", st)
+	}
+	if w := drainWrites(ss); len(w) != 0 {
+		t.Errorf("%d disk writes enqueued for a rejected result", len(w))
+	}
+	if len(peers.replicated) != 0 {
+		t.Errorf("rejected result replicated toward %d keys' owners", len(peers.replicated))
+	}
+}
+
+// TestWalkFollowerDeadlineDegrades: a caller whose deadline expires while it
+// follows another caller's flight — a patient request's, or a background
+// refinement's, which may hold a segment's flight for its whole exact search
+// — is answered by its own searcher's deadline behaviour (here a degraded
+// fallback), not failed with the flight's wait error; the fallback reaches no
+// tier, and the leader's exact result still lands.
+func TestWalkFollowerDeadlineDegrades(t *testing.T) {
+	memo := NewSegmentMemo(64)
+	exact := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 9, Quality: QualityOptimal}
+	leading, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := walkMemo(context.Background(), memo, nil, nil, "k", 3, func() (SearchResult, error) {
+			close(leading)
+			<-release
+			return exact, nil
+		})
+		leaderDone <- err
+	}()
+	<-leading
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	fallback := SearchResult{Order: Order{2, 1, 0}, Quality: QualityHeuristic, FellBack: true, FallbackReason: context.DeadlineExceeded}
+	sr, tier, err := walkMemo(ctx, memo, nil, nil, "k", 3, func() (SearchResult, error) {
+		if ctx.Err() == nil {
+			t.Error("the follower searched before its deadline expired instead of waiting on the flight")
+		}
+		return fallback, nil
+	})
+	if err != nil || !sr.FellBack || tier != memoTierMiss {
+		t.Fatalf("follower past its deadline: sr=%+v tier=%v err=%v, want its searcher's fallback", sr, tier, err)
+	}
+	if _, ok := memo.store.Get("k"); ok {
+		t.Error("the follower's fallback was stored")
+	}
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := memo.store.Get("k"); !ok || !reflect.DeepEqual(got.Order, exact.Order) {
+		t.Errorf("after the leader finished the memo holds %+v (ok=%t), want its exact result", got, ok)
+	}
+	if st := memo.Stats(); st.Misses != 2 || st.Errors != 0 {
+		t.Errorf("stats %+v, want two misses (each caller ran its searcher) and no errors", st)
+	}
+}
+
+// TestWalkVsUpgradeFirstWriterStands is the disk tier's first-writer-stands
+// race (run under -race in CI). A walk's write-behind (the queue worker's
+// conditional put, which only ever upgrades: keepOptimalArtifact) races the
+// anti-entropy import of a peer's byte-different optimal twin for the same
+// key; exactly one of them lands, and the first bytes on disk are the only
+// bytes ever on disk — the conditional puts decide under the store's own
+// lock, so neither writer can slip between the other's check and its write.
 func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 	ss := openStoreT(t, t.TempDir())
-	memo := NewSegmentMemo(1024)
 	fresh := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 5, Quality: QualityOptimal}
 	refined := SearchResult{Order: Order{2, 1, 0}, StatesExplored: 9, Quality: QualityOptimal}
 	rounds := 300
 	if testing.Short() {
 		rounds = 50
 	}
-	for round := 0; round < rounds; round++ {
-		key := fmt.Sprintf("race-%d|k", round)
-		var mu sync.Mutex
-		var first Order
-		observe := func(o Order) {
-			mu.Lock()
-			defer mu.Unlock()
-			if first == nil {
-				first = o
-			} else if !reflect.DeepEqual(first, o) {
-				t.Errorf("round %d: observed %v after %v", round, o, first)
-			}
-		}
-		start := make(chan struct{})
-		stop := make(chan struct{})
-		var writers, readers sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			writers.Add(2)
-			go func() {
-				defer writers.Done()
-				<-start
-				sr, _, err := walkMemo(context.Background(), memo, ss, nil, key, 3, func() (SearchResult, error) {
-					runtime.Gosched() // widen the window between the memory miss and the fill
-					return fresh, nil
-				})
-				if err != nil {
-					t.Errorf("round %d: walk: %v", round, err)
-					return
-				}
-				observe(sr.Order)
-			}()
-			go func() {
-				defer writers.Done()
-				<-start
-				if err := upgradeMemo(memo, ss, key, 3, refined); err != nil {
-					t.Errorf("round %d: upgrade: %v", round, err)
-				}
-			}()
-		}
-		for i := 0; i < 2; i++ {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				<-start
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if sr, ok := memo.store.Get(key); ok {
-						observe(sr.Order)
-					}
-					runtime.Gosched()
-				}
-			}()
-		}
-		close(start)
-		writers.Wait()
-		close(stop)
-		readers.Wait()
-		ss.Flush()
-		onDisk, ok := ss.get(key, 3)
-		if !ok {
-			t.Fatalf("round %d: nothing reached the disk", round)
-		}
-		observe(onDisk.Order)
-		if t.Failed() {
-			return
-		}
-	}
-
-	// The anti-entropy import obeys the same rule at the disk tier. Racing a
-	// walk's write-behind (the queue worker's own conditional put) against the
-	// import of a peer's byte-different optimal twin, exactly one of them
-	// lands: the first bytes on disk are the only bytes ever on disk.
 	local, _ := MarshalSegmentArtifact(fresh)
 	twin, _ := MarshalSegmentArtifact(refined)
 	peer := openStoreT(t, t.TempDir())

@@ -31,14 +31,6 @@ const (
 	// EventFallback reports a degradable searcher abandoning its exact
 	// search for a segment; Err carries the reason.
 	EventFallback
-	// EventRefined reports a RefinePool repairing one degraded key in the
-	// background: the exact search ran to completion and its optimal result
-	// replaced the poisoned (never-cached) answer in the memo hierarchy.
-	// Emitted by the pool's Observer, not a Pipeline's; Segment is -1,
-	// Nodes/Quality/States/Elapsed describe the refining search, and Err is
-	// set when the refinement failed (the key stays cold, nothing was
-	// replaced).
-	EventRefined
 )
 
 // String renders the kind.
@@ -54,8 +46,6 @@ func (k EventKind) String() string {
 		return "segment-done"
 	case EventFallback:
 		return "fallback"
-	case EventRefined:
-		return "refined"
 	}
 	return "unknown"
 }

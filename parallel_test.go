@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,35 @@ func TestParallelismOversubscription(t *testing.T) {
 		}
 		if res.Peak != seq.Peak || !reflect.DeepEqual(res.Order, seq.Order) {
 			t.Errorf("parallelism %d: result diverged", p)
+		}
+	}
+}
+
+// TestSplitParallelism pins the one budget splitter behind every two-level
+// fan-out (segment pool × DP shards, batch item workers × per-item
+// parallelism): the two levels never multiply past the GOMAXPROCS-clamped
+// budget, never exceed the unit count, and never reach zero.
+func TestSplitParallelism(t *testing.T) {
+	mp := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ budget, units int }{
+		{0, 1}, {1, 1}, {1, 8}, {2, 2}, {4, 2}, {4, 8}, {3, 7},
+		{64, 1}, {64, 8}, {mp, mp}, {4 * mp, 16}, {4 * mp, 1},
+		{-3, 4}, {8, 0},
+	} {
+		workers, per := SplitParallelism(tc.budget, tc.units)
+		budget := max(1, min(tc.budget, mp))
+		if workers < 1 || per < 1 {
+			t.Errorf("SplitParallelism(%d, %d) = %d, %d; both must be >= 1", tc.budget, tc.units, workers, per)
+		}
+		if workers > max(1, tc.units) {
+			t.Errorf("SplitParallelism(%d, %d) = %d workers for %d units", tc.budget, tc.units, workers, tc.units)
+		}
+		if workers*per > budget {
+			t.Errorf("SplitParallelism(%d, %d) = %d×%d = %d goroutines, budget %d: oversubscribed",
+				tc.budget, tc.units, workers, per, workers*per, budget)
+		}
+		if want := min(budget, max(1, tc.units)); workers != want {
+			t.Errorf("SplitParallelism(%d, %d) = %d workers, want min(budget, units) = %d", tc.budget, tc.units, workers, want)
 		}
 	}
 }

@@ -66,13 +66,6 @@ type Pipeline struct {
 	// when a SegmentMemo or Store is installed (the fleet tier needs a local
 	// tier to promote fetched artifacts into). See PeerTier.
 	Peers PeerTier
-	// RefinePool, when non-nil, makes degraded segment results provisional:
-	// whenever a memoizable segment falls back, its exact re-search is
-	// enqueued here and the optimal result is written through the memo
-	// hierarchy in the background (see RefinePool). Only consulted when the
-	// segment was memo-eligible (a degraded key that cannot be cached cannot
-	// be repaired either) and the Searcher implements Refiner.
-	RefinePool *RefinePool
 	// Govern, when non-nil, admits every fresh segment search's memory:
 	// before a search runs (memo/store/peer hits never reserve — they do no
 	// search) the pipeline reserves an estimated byte footprint and scopes
@@ -237,26 +230,13 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	searchSp := root.Child("stage.search")
 	searchStart := time.Now()
 
-	// One Parallelism budget, two fan-outs: the segment pool takes w
+	// One Parallelism budget, two fan-outs: the segment pool takes its
 	// workers, and a scope-aware searcher spreads the remainder across each
 	// segment's own wide DP levels — so a single-segment graph (where the
-	// pool is useless) finally spends the whole budget inside its search.
+	// pool is useless) spends the whole budget inside its search.
 	searcher := p.Searcher
 	if ps, ok := searcher.(parallelScoper); ok && p.Parallelism > 1 {
-		perSegment := p.Parallelism
-		if w := segmentWorkers(p.Parallelism, len(segments)); w > 1 {
-			// The pool already occupies w cores, so each segment's DP gets
-			// the smaller of its share of the stated budget and its share of
-			// the machine — pool workers × per-segment shards never
-			// oversubscribe GOMAXPROCS.
-			perSegment = p.Parallelism / w
-			if mp := runtime.GOMAXPROCS(0) / w; perSegment > mp {
-				perSegment = mp
-			}
-			if perSegment < 1 {
-				perSegment = 1
-			}
-		}
+		_, perSegment := SplitParallelism(p.Parallelism, len(segments))
 		searcher = ps.scopeParallelism(perSegment)
 	}
 
@@ -266,13 +246,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// workers do no fingerprinting of their own.
 	var memoKeys []string
 	var tierHits [numMemoTiers]atomic.Int64 // memoized lookups by answering tier
-	var freshStates, refined atomic.Int64
-	var refiner Refiner
-	if p.RefinePool != nil {
-		if rf, ok := p.Searcher.(Refiner); ok {
-			refiner = rf
-		}
-	}
+	var freshStates atomic.Int64
 	if (p.SegmentMemo != nil || p.Store != nil) && part != nil {
 		if mk, ok := p.Searcher.(MemoKeyer); ok {
 			if disc := mk.MemoKey(); disc != "" {
@@ -292,15 +266,17 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		if searchSp != nil {
 			segSp = searchSp.Child("segment",
 				trace.Int("index", int64(idx)), trace.Int("nodes", int64(nodes)))
-			// Downstream tiers (memo walk, peer fetch, refinement enqueue)
-			// parent their spans to the segment, not the request root.
+			// Downstream tiers (memo walk, peer fetch) parent their spans to
+			// the segment, not the request root.
 			ctx = trace.ContextWith(ctx, segSp)
 		}
-		// Validation happens inside compute so the memo can never store a
-		// malformed result; a hit is a result that already passed it (equal
-		// fingerprints imply equal node counts). The governor reservation
-		// lives here too: only a search that actually runs costs memory, so
-		// memo/store/peer hits never touch the ledger.
+		// Validation happens inside compute: every fresh result — a request's
+		// or a background refinement's recompute — is checked to be a
+		// permutation of the segment's nodes before any tier sees it, the same
+		// check artifacts pass on load (decodeArtifact); a hit is a result
+		// that already passed it (equal fingerprints imply equal node counts).
+		// The governor reservation lives here too: only a search that actually
+		// runs costs memory, so memo/store/peer hits never touch the ledger.
 		compute := func() (SearchResult, error) {
 			var dpSp *trace.SpanHandle
 			if segSp != nil {
@@ -347,8 +323,8 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			if err != nil {
 				return sr, err
 			}
-			if len(sr.Order) != nodes {
-				return sr, fmt.Errorf("serenity: searcher %s returned %d of %d nodes", searcher.Name(), len(sr.Order), nodes)
+			if !validPermutation(sr.Order, nodes) {
+				return sr, fmt.Errorf("serenity: searcher %s returned %d ids that are not a permutation of the segment's %d nodes", searcher.Name(), len(sr.Order), nodes)
 			}
 			return sr, nil
 		}
@@ -375,14 +351,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		}
 		if sr.FellBack {
 			obs.fallback(idx, sr.FallbackReason, time.Since(segStart))
-			// Serve-then-refine: the degraded answer is returned to this
-			// caller, and the segment's exact search is queued for background
-			// repair under the same memo key the degraded result was denied.
-			if refiner != nil && memoKeys != nil {
-				if p.RefinePool.EnqueueSegment(ctx, memoKeys[idx], m.G, refiner) {
-					refined.Add(1)
-				}
-			}
 		}
 		var key, tierName string
 		if segSp != nil || obs.obs != nil {
@@ -444,7 +412,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	res.SegmentMemoDiskHits = int(tierHits[memoTierDisk].Load())
 	res.SegmentMemoPeerHits = int(tierHits[memoTierPeer].Load())
 	res.SegmentMemoHits = int(tierHits[memoTierMemory].Load()) + res.SegmentMemoDiskHits + res.SegmentMemoPeerHits
-	res.RefinementsQueued = int(refined.Load())
 	res.FreshStatesExplored = freshStates.Load()
 	res.Stages.Search = time.Since(searchStart)
 	if searchSp != nil {
@@ -489,28 +456,22 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	return res, nil
 }
 
-// segmentWorkers returns the segment-pool size searchSegments uses for a
-// given budget: min(parallelism, segments, GOMAXPROCS), at least 1. The
-// per-segment search is pure CPU work — workers beyond GOMAXPROCS cannot run
-// and only multiply live frontier tables. Run consults the same function to
-// decide how much of the budget remains for intra-segment sharding.
-func segmentWorkers(parallelism, segments int) int {
-	w := parallelism
-	if w > segments {
-		w = segments
-	}
-	if mp := runtime.GOMAXPROCS(0); w > mp {
-		w = mp
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// SplitParallelism divides one CPU budget between two nested fan-outs: a
+// pool of workers over units (a compilation's segments, a batch's items) and
+// the parallelism each unit's own work may use. The budget is clamped to
+// [1, GOMAXPROCS] first — the work is pure CPU, so goroutines beyond
+// GOMAXPROCS cannot run and only multiply live frontier tables — then
+// workers = min(budget, units) (at least 1) and per = budget / workers, so
+// workers*per never exceeds the clamped budget.
+func SplitParallelism(budget, units int) (workers, per int) {
+	budget = max(1, min(budget, runtime.GOMAXPROCS(0)))
+	workers = max(1, min(budget, units))
+	return workers, budget / workers
 }
 
 // searchSegments solves every partition segment, sequentially or on a
-// bounded worker pool of segmentWorkers(parallelism, len(segments)) goroutines. Results
-// are collected by segment index, so on success the outcome is identical
+// bounded worker pool of SplitParallelism's worker count. Results are
+// collected by segment index, so on success the outcome is identical
 // regardless of parallelism or goroutine interleaving. On the first failure
 // the remaining segments are canceled for a prompt abort; the reported
 // segment index may then differ from the sequential path's (the failure
@@ -522,7 +483,7 @@ func searchSegments(ctx context.Context, segments []*partition.Segment, parallel
 	results := make([]SearchResult, len(segments))
 	errs := make([]error, len(segments))
 
-	workers := segmentWorkers(parallelism, len(segments))
+	workers, _ := SplitParallelism(parallelism, len(segments))
 	if workers <= 1 {
 		for i, seg := range segments {
 			sr, err := searchOne(ctx, i, sched.NewMemModel(seg.G))

@@ -2,30 +2,12 @@ package serenity
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/trace"
 )
-
-// Refiner is implemented by Searchers whose degraded results can be repaired
-// in the background: RefineSearcher returns the searcher configuration a
-// RefinePool runs — the same search with the deadline pressure removed —
-// whose result is valid under the original MemoKey. BestEffort implements it
-// (the refined searcher is the exact attempt, run to completion under a
-// background context). A Searcher that does not implement Refiner opts out:
-// the Pipeline serves its degraded results as before, final and uncached.
-type Refiner interface {
-	Searcher
-	MemoKeyer
-	// RefineSearcher returns the searcher the RefinePool runs to produce
-	// the exact result for a key this searcher degraded. The returned
-	// searcher must produce results interchangeable with this searcher's
-	// non-degraded results (same MemoKey contract).
-	RefineSearcher() Searcher
-}
 
 // RefinePoolOptions configures a RefinePool.
 type RefinePoolOptions struct {
@@ -36,10 +18,6 @@ type RefinePoolOptions struct {
 	// queue is dropped and counted — refinement is best-effort repair, and
 	// the serving path must never block on it. Values < 1 mean 64.
 	QueueDepth int
-	// Parallelism is the CPU budget of each refining search (the same
-	// semantics as Options.Parallelism). Refinement is the lowest-priority
-	// work in the process, so keep this small; values < 1 mean 1.
-	Parallelism int
 	// Gate, when non-nil, is acquired around every refinement run. It is
 	// how serenityd subordinates refinement to live traffic: the gate is an
 	// admission-control slot in the lowest priority class, so a refinement
@@ -47,9 +25,6 @@ type RefinePoolOptions struct {
 	// wants it. Gate blocks until a slot is free and returns its release,
 	// or an error when ctx ends (the job is then dropped, not failed).
 	Gate func(ctx context.Context) (release func(), err error)
-	// Observer, when non-nil, receives one EventRefined per finished job
-	// (Err set on failure). Calls are serialized, like a Pipeline's.
-	Observer Observer
 	// Pressure, when non-nil, is the memory governor's shed signal: while it
 	// returns true, workers park jobs instead of running them — refinement
 	// is the first work the pressure ladder sheds, since a refining search
@@ -75,7 +50,7 @@ type RefinePoolStats struct {
 	// of a pending key are not accepted and count nowhere).
 	Queued int64
 	// Done counts jobs that ran to completion, successfully or not; Failed
-	// is the subset whose refining search or write-through failed.
+	// is the subset that returned an error.
 	Done   int64
 	Failed int64
 	// Dropped counts jobs rejected at enqueue (full queue, closed pool) or
@@ -106,40 +81,35 @@ type refineJob struct {
 	parks      int
 }
 
-// RefinePool repairs degraded schedules in the background, making fallbacks
-// provisional instead of final.
+// RefinePool is the background half of serve-then-refine: a keyed, gated,
+// pressure-parked job queue that makes fallbacks provisional instead of
+// final. It knows nothing about schedules — a job is a key and a function.
 //
 // The poison rule (see SegmentMemo) keeps degraded results out of every
 // cache tier, which protects future requests from one overloaded moment —
 // but it also means a hot key compiled under pressure stays cold for
-// everyone until some quiet request happens to recompute it. A RefinePool
-// closes that gap: when a compilation falls back, the Pipeline enqueues the
-// segment's exact search here; workers run it with no deadline, and the
-// optimal result is written through the hierarchy's one guarded upgrade
-// (upgradeMemo) into the SegmentMemo and ScheduleStore. The next identical
-// request is then a warm hit on the exact answer, bit-identical to an
-// unpressured run.
-//
-// Un-poisoning is safe by construction: every refined result passes the
-// same quality and permutation validation disk artifacts pass on load
-// before it may replace anything, and an entry that is already optimal is
-// never clobbered (see upgradeMemo). A buggy or degraded refinement
-// therefore repairs nothing rather than poisoning something.
+// everyone until some quiet request happens to recompute it. The pool closes
+// that gap without a second write path: the owner of a degraded answer
+// enqueues a job that re-runs the same compilation with the pressure removed
+// (serenityd: the whole request, keyed by its schedule key), and the exact
+// segments that run finds enter memory, disk and the fleet through walkMemo's
+// own fill, behind the same singleflight and the same validation every
+// request's results pass. A refinement is a recompute, not a repair
+// mechanism of its own.
 //
 // Enqueue order is FIFO and keys are deduplicated while pending, so a hot
 // degraded key costs one refinement no matter how many requests hit it.
 // The pool is bounded (QueueDepth) and drops on overflow: under sustained
 // overload refinement sheds load first, which is exactly its place in the
-// priority order (serenityd additionally routes every refinement run
-// through the lowest admission class via Gate).
+// priority order (serenityd additionally routes every job through the lowest
+// admission class via Gate). With a Tracer installed every job is bracketed
+// by refine.queued and refine.run spans linked to the enqueuing request's
+// trace.
 //
 // A RefinePool is safe for concurrent use. Close it on shutdown: queued
-// jobs are dropped, running searches are canceled, and workers exit.
+// jobs are dropped, running jobs are canceled, and workers exit.
 type RefinePool struct {
-	memo  *SegmentMemo
-	store *ScheduleStore
-	opts  RefinePoolOptions
-	obs   *emitter
+	opts RefinePoolOptions
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -160,26 +130,17 @@ type RefinePool struct {
 	requeued    atomic.Int64
 }
 
-// NewRefinePool starts a pool writing refined results through to memo
-// and/or store (either may be nil; with both nil the pool still runs jobs,
-// which is useful only for the generic Enqueue). The caller owns the pool
-// and must Close it.
-func NewRefinePool(memo *SegmentMemo, store *ScheduleStore, opts RefinePoolOptions) *RefinePool {
+// NewRefinePool starts a pool. The caller owns it and must Close it.
+func NewRefinePool(opts RefinePoolOptions) *RefinePool {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
 	if opts.QueueDepth < 1 {
 		opts.QueueDepth = 64
 	}
-	if opts.Parallelism < 1 {
-		opts.Parallelism = 1
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &RefinePool{
-		memo:    memo,
-		store:   store,
 		opts:    opts,
-		obs:     &emitter{obs: opts.Observer},
 		ctx:     ctx,
 		cancel:  cancel,
 		jobs:    make(chan refineJob, opts.QueueDepth),
@@ -200,53 +161,14 @@ func NewRefinePool(memo *SegmentMemo, store *ScheduleStore, opts RefinePoolOptio
 	return p
 }
 
-// EnqueueSegment queues the exact re-search of one degraded segment: run
-// r.RefineSearcher() on g with no deadline and write the optimal result
-// through to the memo hierarchy under key. ctx is consulted only for trace
-// context — when the degrading request was traced, the refinement's
-// lifecycle spans are linked back to its trace ID — and is not a
-// cancellation signal (the job runs under the pool's own context). Returns
-// whether the job was accepted; false means the key is already pending (the
-// earlier job covers this request too), the queue is full, or the pool is
-// closed.
-func (p *RefinePool) EnqueueSegment(ctx context.Context, key string, g *Graph, r Refiner) bool {
-	searcher := r.RefineSearcher()
-	if ps, ok := searcher.(parallelScoper); ok && p.opts.Parallelism > 1 {
-		searcher = ps.scopeParallelism(p.opts.Parallelism)
-	}
-	link := trace.LinkFromContext(ctx)
-	return p.Enqueue(ctx, key, func(ctx context.Context) error {
-		m := NewMemModel(g)
-		nodes := g.NumNodes()
-		start := time.Now()
-		sr, err := searcher.Search(ctx, m)
-		if err == nil && len(sr.Order) != nodes {
-			err = fmt.Errorf("serenity: refining searcher %s returned %d of %d nodes", searcher.Name(), len(sr.Order), nodes)
-		}
-		if err == nil {
-			err = upgradeMemo(p.memo, p.store, key, nodes, sr)
-		}
-		if p.opts.Tracer != nil {
-			p.opts.Tracer.RecordLinked(link, "refine.run", start, time.Since(start), err,
-				trace.Str("key", key),
-				trace.Str("quality", string(sr.Quality)),
-				trace.Int("states", sr.StatesExplored))
-		}
-		p.obs.emit(Event{
-			Kind: EventRefined, Stage: StageSearch, Segment: -1, Nodes: nodes,
-			Quality: sr.Quality, States: sr.StatesExplored,
-			Elapsed: time.Since(start), Err: err,
-		})
-		return err
-	})
-}
-
-// Enqueue queues an arbitrary refinement job under key. Keys deduplicate:
-// while a job for key is queued or running, further enqueues of the same
-// key are declined (return false) — the pending job repairs the key for
-// everyone. ctx carries only trace context (see EnqueueSegment). serenityd
-// uses this form for whole-response refinements on top of the Pipeline's
-// per-segment ones.
+// Enqueue queues run under key and reports whether it was accepted. Keys
+// deduplicate: while a job for key is queued, parked or running, further
+// enqueues of the same key are declined — the pending job repairs the key
+// for everyone — and count nowhere; a full queue or a closed pool declines
+// too, counted in Dropped. ctx is consulted only for trace context (when the
+// degrading request was traced, the job's lifecycle spans link back to its
+// trace ID); it is not a cancellation signal — run receives the pool's own
+// context, which has no deadline and ends only at Close.
 func (p *RefinePool) Enqueue(ctx context.Context, key string, run func(ctx context.Context) error) bool {
 	job := refineJob{key: key, run: run, link: trace.LinkFromContext(ctx), enqueuedAt: time.Now()}
 	// The whole admission — closed check, dedup, and the non-blocking send —
@@ -318,9 +240,14 @@ func (p *RefinePool) worker() {
 				time.Since(job.enqueuedAt), nil,
 				trace.Str("key", job.key), trace.Int("parks", int64(job.parks)))
 		}
+		start := time.Now()
 		err := job.run(p.ctx)
 		if release != nil {
 			release()
+		}
+		if p.opts.Tracer != nil {
+			p.opts.Tracer.RecordLinked(job.link, "refine.run", start, time.Since(start), err,
+				trace.Str("key", job.key))
 		}
 		p.done.Add(1)
 		if err != nil {
@@ -438,7 +365,7 @@ func (p *RefinePool) Stats() RefinePoolStats {
 }
 
 // Close stops the pool: no further jobs are accepted, queued jobs are
-// dropped, running searches are canceled promptly, and workers exit before
+// dropped, running jobs are canceled promptly, and workers exit before
 // Close returns. Closing twice is safe.
 func (p *RefinePool) Close() {
 	p.mu.Lock()

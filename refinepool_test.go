@@ -3,10 +3,11 @@ package serenity
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/serenity-ml/serenity/internal/trace"
 )
 
 // refineTestOpts is the best-effort configuration shared by the refinement
@@ -40,10 +41,13 @@ func quiesce(t *testing.T, pool *RefinePool) {
 }
 
 // TestRefinePoolRepairsDegradedRun is the serve-then-refine acceptance
-// scenario at the segment level: a forced-degraded run leaves nothing cached
-// (the poison rule) but queues every fallen-back segment for repair; after
-// the pool drains, a warm identical request is answered entirely from the
-// memo with zero fresh search — bit-identical to an unpressured exact run.
+// scenario at the library level, the shape serenityd runs per request: a
+// forced-degraded run leaves nothing cached (the poison rule), and its repair
+// is one queued job that re-runs the same compilation with the pressure
+// removed. The exact segments that recompute finds land through the walk's
+// own fill — memory, disk, and the keys' ring owner — so after the pool
+// drains a warm identical request is answered entirely from the memo with
+// zero fresh search, bit-identical to an unpressured exact run.
 func TestRefinePoolRepairsDegradedRun(t *testing.T) {
 	g := uniformStack("refine-repair", 4, 12)
 	opts := refineTestOpts()
@@ -60,27 +64,13 @@ func TestRefinePoolRepairsDegradedRun(t *testing.T) {
 
 	memo := NewSegmentMemo(256)
 	ss := openStoreT(t, t.TempDir())
-	// Refinement waits at the gate until the rushed run has returned: a
-	// 12-node repair is fast enough to land in the memo while that run is
-	// still walking its later, identical segments, turning their fallbacks
-	// into hits and the counts below into a coin toss.
-	rushedDone := make(chan struct{})
-	pool := NewRefinePool(memo, ss, RefinePoolOptions{Workers: 1, QueueDepth: 64,
-		Gate: func(ctx context.Context) (func(), error) {
-			select {
-			case <-rushedDone:
-				return func() {}, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}})
+	peers := &recordingPeers{replicated: map[string][][]byte{}} // owns nothing: every fresh key has a remote owner
+	pool := NewRefinePool(RefinePoolOptions{Workers: 1, QueueDepth: 64})
 	defer pool.Close()
 
 	rushedP := skipExactPipeline(t, opts, memo)
-	rushedP.Store = ss
-	rushedP.RefinePool = pool
+	rushedP.Store, rushedP.Peers = ss, peers
 	rushed, err := rushedP.Run(context.Background(), g)
-	close(rushedDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +78,31 @@ func TestRefinePoolRepairsDegradedRun(t *testing.T) {
 	if rushed.Fallbacks != nsegs {
 		t.Fatalf("forced degradation fell back on %d of %d segments", rushed.Fallbacks, nsegs)
 	}
-	if rushed.RefinementsQueued == 0 {
-		t.Fatal("degraded run queued no refinements")
-	}
-	// Identical interior cells share one memo key, so dedup keeps the queue
-	// smaller than the fallback count.
-	if rushed.RefinementsQueued > rushed.Fallbacks {
-		t.Errorf("queued %d refinements for %d fallbacks", rushed.RefinementsQueued, rushed.Fallbacks)
+	if st := memo.Stats(); st.Entries != 0 || len(peers.replicated) != 0 {
+		t.Fatalf("degraded results reached a tier: memo %+v, %d keys replicated", st, len(peers.replicated))
 	}
 
+	// The repair: one job, the same compilation without the pressure.
+	repairP := memoPipeline(t, opts, memo)
+	repairP.Store, repairP.Peers = ss, peers
+	var repaired *Result
+	if !pool.Enqueue(context.Background(), "refine-repair", func(ctx context.Context) error {
+		var err error
+		repaired, err = repairP.Run(ctx, g)
+		return err
+	}) {
+		t.Fatal("repair job declined")
+	}
 	quiesce(t, pool)
-	st := pool.Stats()
-	if st.Done != int64(rushed.RefinementsQueued) || st.Failed != 0 {
-		t.Fatalf("pool stats %+v after draining %d refinements", st, rushed.RefinementsQueued)
+	if st := pool.Stats(); st.Queued != 1 || st.Done != 1 || st.Failed != 0 {
+		t.Fatalf("pool stats %+v after draining one repair", st)
+	}
+	assertSameResult(t, "repair vs unpressured", ref, repaired)
+
+	// Every distinct segment key the repair searched was replicated toward
+	// its owner, once, by the walk itself.
+	if got, want := len(peers.replicated), memo.Stats().Entries; got == 0 || got != want {
+		t.Errorf("%d keys replicated toward their owners, memo holds %d", got, want)
 	}
 
 	// Warm run: pure memo hits, exact quality, no fresh search — the repaired
@@ -119,6 +121,7 @@ func TestRefinePoolRepairsDegradedRun(t *testing.T) {
 
 	// The repair reached the persistent tier too: a cold memo over the same
 	// store warm-starts from disk at exact quality.
+	ss.Flush()
 	coldMemoP := memoPipeline(t, opts, NewSegmentMemo(256))
 	coldMemoP.Store = ss
 	fromDisk, err := coldMemoP.Run(context.Background(), g)
@@ -129,56 +132,13 @@ func TestRefinePoolRepairsDegradedRun(t *testing.T) {
 		t.Error("refined artifacts never reached the schedule store")
 	}
 	assertSameResult(t, "refined-from-disk vs unpressured", ref, fromDisk)
-
-	if mst := memo.Stats(); mst.Replaced == 0 {
-		t.Error("memo records no replaced entries after refinement")
-	}
-}
-
-// TestSegmentMemoReplaceUpgradesOnly pins the in-memory half of the guarded
-// replace path: heuristic entries upgrade, optimal entries are never
-// clobbered, and degraded or malformed results are rejected.
-func TestSegmentMemoReplaceUpgradesOnly(t *testing.T) {
-	memo := NewSegmentMemo(64)
-	heuristic := SearchResult{Order: Order{1, 0}, Quality: QualityHeuristic}
-	optimal := SearchResult{Order: Order{0, 1}, StatesExplored: 4, Quality: QualityOptimal}
-	other := SearchResult{Order: Order{1, 0}, StatesExplored: 2, Quality: QualityOptimal}
-
-	memo.store.Put("k", heuristic)
-	if err := upgradeMemo(memo, nil, "k", 2, optimal); err != nil {
-		t.Fatalf("upgrade heuristic→optimal: %v", err)
-	}
-	if got, _ := memo.store.Get("k"); !reflect.DeepEqual(got, optimal) {
-		t.Fatalf("after upgrade: %+v", got)
-	}
-	if err := upgradeMemo(memo, nil, "k", 2, other); err != nil {
-		t.Fatalf("replace over optimal: %v", err)
-	}
-	if got, _ := memo.store.Get("k"); !reflect.DeepEqual(got, optimal) {
-		t.Error("replace clobbered an established optimal entry")
-	}
-	if err := upgradeMemo(memo, nil, "k2", 2, SearchResult{Order: Order{0, 1}, Quality: QualityOptimal, FellBack: true}); err == nil {
-		t.Error("replace accepted a degraded result")
-	}
-	if err := upgradeMemo(memo, nil, "k2", 2, heuristic); err == nil {
-		t.Error("replace accepted a heuristic result")
-	}
-	if err := upgradeMemo(memo, nil, "k2", 2, SearchResult{Order: Order{0, 0}, Quality: QualityOptimal}); err == nil {
-		t.Error("replace accepted a non-permutation")
-	}
-	if _, ok := memo.store.Get("k2"); ok {
-		t.Error("a rejected replace still stored an entry")
-	}
-	if st := memo.Stats(); st.Replaced != 1 {
-		t.Errorf("Replaced = %d, want 1 (only the heuristic upgrade wrote)", st.Replaced)
-	}
 }
 
 // TestRefinePoolDedupOverflowAndClose drives the queue mechanics with
 // choreographed jobs: pending keys deduplicate, a full queue drops, and
 // Close drops the backlog while canceling the running job.
 func TestRefinePoolDedupOverflowAndClose(t *testing.T) {
-	pool := NewRefinePool(nil, nil, RefinePoolOptions{Workers: 1, QueueDepth: 1})
+	pool := NewRefinePool(RefinePoolOptions{Workers: 1, QueueDepth: 1})
 	running := make(chan struct{})
 	if !pool.Enqueue(context.Background(), "a", func(ctx context.Context) error {
 		close(running)
@@ -227,7 +187,7 @@ func TestRefinePoolPressureParksAndRequeues(t *testing.T) {
 	var pressure atomic.Bool
 	pressure.Store(true)
 	var ran atomic.Int64
-	pool := NewRefinePool(nil, nil, RefinePoolOptions{
+	pool := NewRefinePool(RefinePoolOptions{
 		Workers:         1,
 		QueueDepth:      8,
 		Pressure:        pressure.Load,
@@ -285,7 +245,7 @@ func TestRefinePoolPressureParksAndRequeues(t *testing.T) {
 
 	// Close with a job parked: it is dropped and un-pended, never run.
 	pressure.Store(true)
-	pool2 := NewRefinePool(nil, nil, RefinePoolOptions{
+	pool2 := NewRefinePool(RefinePoolOptions{
 		Workers:         1,
 		QueueDepth:      8,
 		Pressure:        pressure.Load,
@@ -317,78 +277,53 @@ func TestRefinePoolPressureParksAndRequeues(t *testing.T) {
 	}
 }
 
-// failingRefiner is a Refiner whose refinement always fails; it exercises
-// the EventRefined error path and proves a broken refinement repairs
-// nothing.
-type failingRefiner struct{ BestEffort }
-
-func (f failingRefiner) RefineSearcher() Searcher { return failingSearcher{} }
-
-type failingSearcher struct{}
-
-func (failingSearcher) Name() string { return "failing" }
-func (failingSearcher) Search(ctx context.Context, m *MemModel) (SearchResult, error) {
-	return SearchResult{}, errors.New("refinement exploded")
-}
-
-// TestRefinePoolObserverAndFailure: every finished refinement emits one
-// EventRefined (Err set on failure), and a failed refinement leaves the memo
-// untouched.
+// TestRefinePoolObserverAndFailure: the pool's Tracer observes every job —
+// one refine.queued and one refine.run span each, linked to the trace of the
+// request that enqueued it even when they are recorded after that request
+// finished — and a failing job is counted, carries its error on its run
+// span, and un-pends its key like any other.
 func TestRefinePoolObserverAndFailure(t *testing.T) {
-	g := uniformStack("refine-observe", 2, 12)
-	memo := NewSegmentMemo(64)
-	var refinedOK, refinedErr atomic.Int64
-	obs := ObserverFunc(func(e Event) {
-		if e.Kind != EventRefined {
-			return
-		}
-		if e.Err != nil {
-			refinedErr.Add(1)
-		} else {
-			refinedOK.Add(1)
-		}
-	})
+	tr := trace.New(trace.Options{})
+	pool := NewRefinePool(RefinePoolOptions{Workers: 1, Tracer: tr})
+	defer pool.Close()
 
-	// Failure path first: a refiner whose background search errors.
-	pool := NewRefinePool(memo, nil, RefinePoolOptions{Workers: 1, Observer: obs})
-	be := refineTestOpts()
-	p := skipExactPipeline(t, be, memo)
-	p.Searcher = failingRefiner{p.Searcher.(BestEffort)}
-	p.RefinePool = pool
-	res, err := p.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
+	root := tr.StartTrace("degraded-request")
+	ctx := trace.ContextWith(context.Background(), root)
+	boom := errors.New("refinement exploded")
+	if !pool.Enqueue(ctx, "bad", func(context.Context) error { return boom }) ||
+		!pool.Enqueue(ctx, "good", func(context.Context) error { return nil }) {
+		t.Fatal("enqueue declined")
 	}
-	if res.RefinementsQueued == 0 {
-		t.Fatal("no refinements queued")
-	}
+	tr.Finish(root, trace.Outcome{Degraded: true})
 	quiesce(t, pool)
-	if got := refinedErr.Load(); got != int64(res.RefinementsQueued) {
-		t.Errorf("%d failed-refinement events for %d queued jobs", got, res.RefinementsQueued)
-	}
-	if st := pool.Stats(); st.Failed != int64(res.RefinementsQueued) {
-		t.Errorf("pool stats %+v; every refinement should have failed", st)
-	}
-	if st := memo.Stats(); st.Replaced != 0 || st.Entries != 0 {
-		t.Errorf("failed refinements touched the memo: %+v", st)
-	}
-	pool.Close()
 
-	// Success path: the real refiner repairs the same keys and emits
-	// error-free events.
-	pool2 := NewRefinePool(memo, nil, RefinePoolOptions{Workers: 1, Observer: obs})
-	p2 := skipExactPipeline(t, be, memo)
-	p2.RefinePool = pool2
-	res2, err := p2.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
+	if st := pool.Stats(); st.Done != 2 || st.Failed != 1 || st.Dropped != 0 {
+		t.Errorf("pool stats %+v, want two done and one of them failed", st)
 	}
-	quiesce(t, pool2)
-	if got := refinedOK.Load(); got != int64(res2.RefinementsQueued) {
-		t.Errorf("%d successful-refinement events for %d queued jobs", got, res2.RefinementsQueued)
+	if pool.Pending("bad") || pool.Pending("good") {
+		t.Error("finished keys still pending")
 	}
-	if st := memo.Stats(); st.Replaced == 0 {
-		t.Error("successful refinements replaced nothing")
+	td := tr.Get(root.TraceID().String())
+	if td == nil {
+		t.Fatal("the degraded request's trace was not retained")
 	}
-	pool2.Close()
+	runErr := map[string]string{}
+	queued := 0
+	for _, sp := range td.Spans {
+		var key string
+		for _, a := range sp.Attrs {
+			if a.Key == "key" {
+				key = a.Value
+			}
+		}
+		switch sp.Name {
+		case "refine.queued":
+			queued++
+		case "refine.run":
+			runErr[key] = sp.Err
+		}
+	}
+	if queued != 2 || len(runErr) != 2 || runErr["bad"] != boom.Error() || runErr["good"] != "" {
+		t.Errorf("linked spans: %d queued, run errors %v; want 2 queued and only \"bad\" failing", queued, runErr)
+	}
 }

@@ -2,8 +2,6 @@ package serenity
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"github.com/serenity-ml/serenity/internal/cache"
@@ -61,9 +59,8 @@ type SegmentMemo struct {
 
 	// lookups counts resolved lookups by the tier that answered them
 	// (memoTierMiss: this caller ran the search); errors counts the rest.
-	lookups  [numMemoTiers]atomic.Int64
-	errors   atomic.Int64
-	replaced atomic.Int64
+	lookups [numMemoTiers]atomic.Int64
+	errors  atomic.Int64
 }
 
 // memoTier names one level of the memo hierarchy, in walk order; a lookup
@@ -147,12 +144,8 @@ type SegmentMemoStats struct {
 	// Errors counts lookups that resolved with an error — canceled waiters,
 	// failed searches, and followers of a failed flight. An errored lookup is
 	// neither a Hit nor a Miss: nothing was served and no result was stored.
-	Errors int64
-	// Replaced counts background refinements the guarded upgrade landed in
-	// this memo (see RefinePool): previously un-cacheable (degraded) keys
-	// upgraded to their exact result.
-	Replaced int64
-	Entries  int
+	Errors  int64
+	Entries int
 }
 
 // Stats returns a snapshot of the memo's counters.
@@ -164,7 +157,6 @@ func (m *SegmentMemo) Stats() SegmentMemoStats {
 		DiskHits: disk,
 		PeerHits: peer,
 		Errors:   m.errors.Load(),
-		Replaced: m.replaced.Load(),
 		Entries:  m.store.Len(),
 	}
 }
@@ -173,8 +165,9 @@ func (m *SegmentMemo) Stats() SegmentMemoStats {
 // and returns the entry that stands. It is the memory tier's one write rule:
 // two optimal runs may have converged through different adaptive budgets, and
 // hits must stay bit-identical to whichever run populated the entry first —
-// so a fresh search and a background refinement racing on one key both defer
-// to the first to land, atomically (the check runs under the cache's lock).
+// so every writer, whichever tier its result arrived from, defers to an
+// optimal entry already there, atomically (the check runs under the cache's
+// lock).
 func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, wrote bool) {
 	wrote = m.store.PutIf(key, sr, func(cur SearchResult, exists bool) bool {
 		if exists && cur.Quality == QualityOptimal {
@@ -209,7 +202,10 @@ func keepOptimalArtifact(cur []byte, exists bool) bool {
 // round trip, and one search, not N. (Without a memo there is nothing to
 // coalesce on; concurrent identical segments each walk on their own.)
 // Errors are never stored; context errors follow cache.Group's retry
-// contract. Results reach the tiers inside the flight — before followers are
+// contract, except that a caller whose own deadline expires — even while it
+// merely follows someone else's flight — gets its searcher's deadline
+// behaviour (a degradable searcher's fallback), not the flight's wait error.
+// Results reach the tiers inside the flight — before followers are
 // released and before the flight is torn down — so a caller arriving as the
 // leader finishes can never slip between the closed flight and the
 // not-yet-written store and redo the search.
@@ -265,6 +261,13 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		}
 		return sr
 	}
+	fresh := func() (memoLoad, error) {
+		sr, err := compute()
+		if err == nil && !sr.FellBack {
+			sr = fill(memoTierMiss, sr, nil)
+		}
+		return memoLoad{sr, memoTierMiss}, err
+	}
 	load := func() (memoLoad, error) {
 		if disk != nil {
 			sp := span.Child(memoSpanNames[memoTierDisk])
@@ -291,17 +294,22 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 				return memoLoad{fill(memoTierPeer, sr, payload), memoTierPeer}, nil
 			}
 		}
-		sr, err := compute()
-		if err == nil && !sr.FellBack {
-			sr = fill(memoTierMiss, sr, nil)
-		}
-		return memoLoad{sr, memoTierMiss}, err
+		return fresh()
 	}
 	if memo == nil {
 		v, err := load()
 		return v.sr, v.tier, err
 	}
 	v, shared, err := memo.group.Do(ctx, key, load)
+	if err != nil && ctx.Err() == context.DeadlineExceeded {
+		// This caller's own deadline ran out — possibly while it was only
+		// following another caller's flight (a more patient request's, or a
+		// background refinement's). Whether an expired deadline degrades or
+		// fails is the searcher's contract, not the flight's, so ask it
+		// directly: a degradable searcher answers with its fallback at once,
+		// an exact one returns the deadline error it would have anyway.
+		v, err = fresh()
+	}
 	if err != nil {
 		// Neither a hit nor a miss: nothing was served and nothing ran to
 		// completion for this caller. Counting it as either would break the
@@ -315,42 +323,4 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 	}
 	memo.lookups[v.tier].Add(1)
 	return v.sr, v.tier, nil
-}
-
-// upgradeMemo is the memo hierarchy's one guarded write, the RefinePool's
-// write-through: it lands the refined result sr under key in the memory tier
-// and then the persistent tier (either may be nil), but only upward — an
-// established optimal entry is never clobbered (see settle), and whatever
-// stands in memory is what reaches the disk, so the tiers agree. sr itself
-// must be worth storing: a degraded, non-optimal, or structurally invalid
-// result is rejected here, once, before any tier sees it, so no refinement
-// outcome — however buggy the searcher — can poison the hierarchy this path
-// exists to un-poison. nodes is the segment's node count for the permutation
-// check, the same validation artifacts pass on load. The disk write is
-// synchronous: refinement runs in the background, so it may wait on disk
-// where the compile hot path may not.
-func upgradeMemo(memo *SegmentMemo, disk *ScheduleStore, key string, nodes int, sr SearchResult) error {
-	switch {
-	case sr.FellBack:
-		return errors.New("serenity: refined result fell back; degraded results are never stored")
-	case sr.Quality != QualityOptimal:
-		return fmt.Errorf("serenity: refined result has quality %q, want %q", sr.Quality, QualityOptimal)
-	case !validPermutation(sr.Order, nodes):
-		return fmt.Errorf("serenity: refined order is not a permutation of %d nodes", nodes)
-	}
-	if memo != nil {
-		var wrote bool
-		if sr, wrote = memo.settle(key, sr); wrote {
-			memo.replaced.Add(1)
-		}
-	}
-	if disk == nil {
-		return nil
-	}
-	payload, err := MarshalSegmentArtifact(sr)
-	if err != nil {
-		return err
-	}
-	_, err = disk.putIf(key, payload, keepOptimalArtifact)
-	return err
 }

@@ -159,8 +159,8 @@ type StoreStats struct {
 // disk hits are promoted to memory, and fresh or peer-fetched results are
 // written through asynchronously (the DP's caller never waits on the disk).
 // Degraded (FellBack) results are never persisted — the artifact encoding
-// refuses them. Every write the hierarchy makes here — write-behind, the
-// RefinePool's upgrade, a peer's replica — is an atomic conditional put, so
+// refuses them. Every write the hierarchy makes here — write-behind, a
+// peer's replica, an anti-entropy import — is an atomic conditional put, so
 // an established optimal artifact is never clobbered.
 //
 // Artifacts are re-validated on every load: CRC at the byte layer, then
@@ -232,8 +232,9 @@ func (ss *ScheduleStore) writer() {
 		}
 		// The put can only fail on I/O trouble or an oversized record; either
 		// way the result is recomputable, so a failed write-behind costs a
-		// future cold search, nothing more. Conditional, because a refinement
-		// may have upgraded the key while this write sat in the queue.
+		// future cold search, nothing more. Conditional, because a peer's
+		// replica or an import may have landed the key while this write sat in
+		// the queue.
 		_, _ = ss.st.PutIf(w.key, w.payload, keepOptimalArtifact)
 	}
 }
@@ -297,10 +298,9 @@ func (ss *ScheduleStore) putAsync(key string, payload []byte) {
 	}
 }
 
-// putIf is the synchronous conditional write behind the hierarchy's guarded
-// paths (upgradeMemo, PutArtifact): allow decides under the inner store's
-// lock, so nothing can land between the check and the write. Writing into a
-// closed store is a silent no-op.
+// putIf is the synchronous conditional write behind PutArtifact: allow
+// decides under the inner store's lock, so nothing can land between the
+// check and the write. Writing into a closed store is a silent no-op.
 func (ss *ScheduleStore) putIf(key string, payload []byte, allow func(cur []byte, exists bool) bool) (bool, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()

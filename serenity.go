@@ -256,12 +256,6 @@ type Result struct {
 	// Fallbacks counts segments where a degradable searcher abandoned the
 	// exact search for its heuristic fallback.
 	Fallbacks int
-	// RefinementsQueued counts fallen-back segments whose exact re-search
-	// was accepted by the Pipeline's RefinePool for background repair.
-	// Always zero without a RefinePool installed; may be less than
-	// Fallbacks when a refinement for the key is already pending or the
-	// pool's queue is full.
-	RefinementsQueued int
 	// SegmentMemoHits counts segments whose search result came from the
 	// memo hierarchy instead of a fresh search — from the Pipeline's
 	// in-memory SegmentMemo (stored by an earlier run, or shared with a

@@ -283,8 +283,9 @@ type BestEffort struct {
 	// RefinePool) force fallbacks with it instead of racing a wall-clock
 	// deadline against the DP. It is deliberately absent from MemoKey:
 	// degraded results are never stored, so the flag cannot alias cached
-	// entries, and a RefinePool repairs the key with RefineSearcher's
-	// configuration, which clears it.
+	// entries, and the background refinement — the same compilation re-run
+	// with the flag cleared — fills the very keys the degraded run was
+	// denied.
 	SkipExact bool
 }
 
@@ -315,15 +316,6 @@ func (b BestEffort) scopeParallelism(perSegment int) Searcher {
 // ErrMemoryPressure so serve-then-refine can repair the segment later.
 func (b BestEffort) scopeMemory(limit int64, grow func(needed int64) int64) Searcher {
 	b.Exact.MemLimit, b.Exact.MemGrow = limit, grow
-	return b
-}
-
-// RefineSearcher implements Refiner: a fallen-back BestEffort segment is
-// repaired by the same configuration with the deadline pressure removed —
-// SkipExact cleared, run under a background context — which produces the
-// exact answer the degraded request was denied, under the same MemoKey.
-func (b BestEffort) RefineSearcher() Searcher {
-	b.SkipExact = false
 	return b
 }
 
