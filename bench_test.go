@@ -176,10 +176,10 @@ func BenchmarkTable2Ablation(b *testing.B) {
 }
 
 // BenchmarkDPSchedulerMicro isolates the core DP scheduler on each of the
-// nine evaluation cells (ablation support; not a paper figure): one exact,
-// deterministic run per partition segment under the segment's Kahn-peak soft
-// budget — what a warmed Algorithm 2 converges to, without its wall-clock
-// probes — reporting allocations and DP states per op.
+// nine evaluation cells (ablation support; not a paper figure): one
+// dp.AdaptiveSchedule per partition segment — the budget ladder serenityd
+// runs for a cold segment, every probe included — reporting allocations and
+// DP states per op.
 func BenchmarkDPSchedulerMicro(b *testing.B) {
 	for _, cell := range models.BenchmarkCells() {
 		b.Run(cell.Network+"/"+cell.Dataset+"/"+cell.Cell, func(b *testing.B) {
@@ -188,16 +188,8 @@ func BenchmarkDPSchedulerMicro(b *testing.B) {
 				b.Fatal(err)
 			}
 			segs := make([]*sched.MemModel, len(part.Segments))
-			budgets := make([]int64, len(segs))
 			for i, seg := range part.Segments {
 				segs[i] = sched.NewMemModel(seg.G)
-				kahn, err := sched.KahnFIFO(seg.G)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if budgets[i], err = segs[i].Peak(kahn); err != nil {
-					b.Fatal(err)
-				}
 			}
 			var states int64
 			b.ReportAllocs()
@@ -205,11 +197,11 @@ func BenchmarkDPSchedulerMicro(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				states = 0
 				for j, m := range segs {
-					r := dp.Schedule(m, dp.Options{Budget: budgets[j], MaxStates: 1 << 20})
-					if r.Flag != dp.FlagSolution {
-						b.Fatalf("segment %d: %v", j, r.Flag)
+					ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{MaxStates: 1 << 20})
+					if err != nil || ar.Flag != dp.FlagSolution {
+						b.Fatalf("segment %d: %v, %v", j, ar.Flag, err)
 					}
-					states += r.StatesExplored
+					states += ar.StatesExplored
 				}
 			}
 			b.ReportMetric(float64(states), "states/op")

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	run := flag.String("run", "all", "artifact to regenerate (table1|fig2|fig3b|fig10|fig11|fig12|fig13|fig15|table2|all)")
-	stepTimeout := flag.Duration("timeout", time.Second, "adaptive soft budgeting step timeout T")
+	stepTimeout := flag.Duration("timeout", time.Second, "adaptive soft budgeting step timeout T: a per-level safety valve; exceeding it fails the search")
 	samples := flag.Int("samples", 20000, "schedule samples for fig3b")
 	flag.Parse()
 

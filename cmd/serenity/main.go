@@ -44,7 +44,7 @@ func main() {
 	dotOut := flag.String("dot", "", "write the (rewritten) graph as Graphviz DOT to this file")
 	noRewrite := flag.Bool("no-rewrite", false, "disable identity graph rewriting")
 	noPartition := flag.Bool("no-partition", false, "disable divide-and-conquer")
-	stepTimeout := flag.Duration("timeout", time.Second, "adaptive soft budgeting step timeout T")
+	stepTimeout := flag.Duration("timeout", time.Second, "adaptive soft budgeting step timeout T: a per-level safety valve; exceeding it fails the search")
 	strategy := flag.String("strategy", "exact", "search strategy (exact|greedy|best-effort)")
 	deadline := flag.Duration("deadline", 0, "compile deadline; with -strategy best-effort the search degrades instead of failing")
 	quiet := flag.Bool("quiet", false, "print only the summary line")

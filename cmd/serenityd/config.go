@@ -67,7 +67,7 @@ func bindFlags(fs *flag.FlagSet) (c *config, finish func() error) {
 	fs.IntVar(&c.segMemoSize, "segment-memo-size", 4096, "cross-request segment memo capacity (segment results; 0 disables)")
 	fs.IntVar(&c.opts.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "per-request segment scheduling parallelism")
 	fs.StringVar((*string)(&c.opts.Strategy), "strategy", "exact", "default search strategy (exact|greedy|best-effort); requests override with ?strategy=")
-	fs.DurationVar(&c.opts.StepTimeout, "timeout", time.Second, "adaptive soft budgeting step timeout T")
+	fs.DurationVar(&c.opts.StepTimeout, "timeout", time.Second, "adaptive soft budgeting step timeout T: a per-level safety valve; exceeding it fails the search")
 	noRewrite := fs.Bool("no-rewrite", false, "disable identity graph rewriting")
 	noPartition := fs.Bool("no-partition", false, "disable divide-and-conquer")
 	fs.IntVar(&c.maxNodes, "max-nodes", 20000, "reject graphs with more nodes (0 = unlimited)")

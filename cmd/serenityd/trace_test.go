@@ -66,10 +66,15 @@ func TestDebugTraceInlineSpanTree(t *testing.T) {
 		}
 	}
 	// The DP span carries the search counters the flight recorder and
-	// exemplars lean on.
+	// exemplars lean on, and the budget ladder it climbed.
 	for _, dp := range names["dp.search"] {
 		if dp.Attrs["states"] == "" || dp.Attrs["quality"] == "" {
 			t.Errorf("dp.search span missing counters: %v", dp.Attrs)
+		}
+		for _, k := range []string{"probes", "lower_bound", "budget_cap", "final_budget", "states_pruned"} {
+			if dp.Attrs[k] == "" {
+				t.Errorf("dp.search span missing ladder attribute %q: %v", k, dp.Attrs)
+			}
 		}
 	}
 }

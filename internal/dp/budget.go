@@ -8,77 +8,93 @@ import (
 )
 
 // AdaptiveOptions controls the adaptive soft budgeting meta-search
-// (Algorithm 2).
+// (Algorithm 2, as the deterministic ladder AdaptiveSchedule describes). Every
+// field is a valve that fails the search; none steers which budgets it probes.
 type AdaptiveOptions struct {
 	// StepTimeout is the hyperparameter T limiting the scheduling time per
 	// search step. Defaults to 1s when zero.
 	StepTimeout time.Duration
-	// MaxIters caps the binary-search iterations (τ is halved/bisected on
-	// integer bytes, so convergence needs at most ~63 steps). Defaults to 64.
-	MaxIters int
 	// MaxStates is forwarded to every DP run as a memory-safety valve;
-	// exceeding it is treated as a timeout, shrinking τ. Defaults to 4M.
+	// exceeding it ends the search with FlagTimeout. Defaults to 4M.
 	MaxStates int
-	// GrowTimeoutOnCollapse doubles T and restarts from the hard budget if
-	// the τ interval collapses without a solution — a liveness guarantee the
-	// paper leaves implicit (τ = τmax always succeeds given enough time).
-	// Defaults to true; set DisableGrowth to turn off.
-	DisableGrowth bool
 	// Parallelism is forwarded to every DP probe: wide levels fan their
 	// expansion across up to this many worker shards. See
 	// Options.Parallelism for the bit-identity contract.
 	Parallelism int
 	// MemLimit is forwarded to every DP probe as the retained-byte ceiling
-	// (Options.MemLimit). A probe aborting with FlagMemPressure is treated
-	// like a timeout — τ shrinks, which prunes the frontier and relieves
-	// memory — but if the τ interval collapses after any memory abort the
-	// meta-search surrenders with FlagMemPressure even when timeout growth
-	// is enabled: doubling T cannot shrink a frontier that does not fit.
+	// (Options.MemLimit); a probe that crosses it ends the search with
+	// FlagMemPressure.
 	MemLimit int64
-	// MemGrow is forwarded to every DP probe (Options.MemGrow).
+	// MemGrow is forwarded to every DP probe (Options.MemGrow). A ceiling it
+	// raised stands for the later probes.
 	MemGrow func(needed int64) int64
 }
 
-// BudgetProbe records one iteration of the meta-search, for the
-// scheduling-time analyses (Figure 8(b), Table 2).
+// BudgetProbe records one rung of the ladder, for the scheduling-time
+// analyses (Figure 8(b), Table 2) and the dp.search trace span.
 type BudgetProbe struct {
-	Budget    int64
-	Flag      Flag
-	States    int64
-	PeakBytes int64
-	Elapsed   time.Duration
+	Budget      int64
+	Flag        Flag
+	States      int64
+	Pruned      int64
+	MaxFrontier int
+	PeakBytes   int64
+	Elapsed     time.Duration
 }
 
-// AdaptiveResult is the outcome of AdaptiveSchedule.
+// AdaptiveResult is the outcome of AdaptiveSchedule. The embedded Result is
+// the last probe's, with its accounting widened to the whole search:
+// StatesExplored, StatesPruned and Elapsed are summed over the probes (the
+// work done) and MaxFrontier and PeakBytes are the maximum over them (the
+// memory held at once).
 type AdaptiveResult struct {
 	*Result
 	HardBudget  int64         // τmax: peak of Kahn's schedule (Algorithm 2 line 3)
-	FinalBudget int64         // the τ that produced the solution
+	LowerBound  int64         // the ladder's first rung (MemModel.LowerBound)
+	BudgetCap   int64         // the ladder's last rung: min(τmax, greedy peak)
+	FinalBudget int64         // the τ of the last probe
 	Probes      []BudgetProbe // every (τ, flag) probe in order
 }
 
-// AdaptiveSchedule implements Algorithm 2: it obtains a hard budget τmax
-// from Kahn's algorithm, then binary-searches a soft budget τ — lowering τ
-// on 'timeout' (not enough pruning) and raising it on 'no solution'
-// (over-aggressive pruning) — until the DP returns a solution. The returned
-// schedule is optimal: pruning with any τ ≥ µ* preserves the optimal path,
-// and the search only accepts solutions, whose peaks are optimal for their
-// budget; see the package tests for the oracle comparison.
+// The geometric floor under the ladder: a 'no solution' probe raises τ by at
+// least τ/ladderStep, so graphs whose tensor sizes are all distinct (where the
+// smallest pruned peak creeps up one transition at a time) still finish in
+// O(log(cap/lower bound)) probes. The floor doubles, up to ladderMaxWiden
+// times (to τ itself), each time a failed probe explored less than twice the
+// states of the one before: failed work then grows geometrically and sums to
+// about twice the last failed probe's, where a fixed τ/16 step on a graph
+// whose lower bound sits far under µ* pays for ~35 near-full searches (a
+// 200-node WS(16) cell: 6-11x the states of one probe at Kahn's peak, 1.3-2.6x
+// with the widening). Overshooting µ* costs states, never the answer.
+const (
+	ladderStep     = 16
+	ladderMaxWiden = 4
+)
+
+// AdaptiveSchedule is Algorithm 2's soft-budget search made clock-free. It
+// probes the DP at τ = an admissible lower bound on the peak and, on 'no
+// solution', raises τ to the smallest peak that probe pruned (no budget below
+// it can behave differently) or by the geometric floor, whichever is larger,
+// capped at the better of Kahn's and the greedy heuristic's peaks, which some
+// schedule attains. The first 'solution' ends the ladder: pruning with any
+// τ ≥ µ* preserves every optimal path, so its peak is µ*, and because peak
+// ties break on the node id its order is the same one an unbudgeted run
+// returns. Probes below µ* prune hardest and are cheap; the paper's top-down
+// start at τmax ran unpruned whenever its first probe fit the timeout.
+// 'timeout', memory pressure and cancellation end the ladder with that flag —
+// a higher τ only widens the frontier — so which probes run depends on the
+// graph alone, never on the clock.
 func AdaptiveSchedule(m *sched.MemModel, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	return AdaptiveScheduleCtx(context.Background(), m, opts)
 }
 
 // AdaptiveScheduleCtx is AdaptiveSchedule with cooperative cancellation. The
-// context is threaded into every DP probe; when it is done the meta-search
-// stops immediately and ctx.Err() is returned alongside the partial
-// AdaptiveResult, whose Probes record the work done up to and including the
-// canceled probe (Result stays nil).
+// context is threaded into every DP probe; when it is done the ladder stops
+// and ctx.Err() is returned alongside the AdaptiveResult, whose accounting
+// covers the work done up to and including the canceled probe.
 func AdaptiveScheduleCtx(ctx context.Context, m *sched.MemModel, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	if opts.StepTimeout <= 0 {
 		opts.StepTimeout = time.Second
-	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 64
 	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 4 << 20
@@ -92,73 +108,42 @@ func AdaptiveScheduleCtx(ctx context.Context, m *sched.MemModel, opts AdaptiveOp
 	if err != nil {
 		return nil, err
 	}
+	greedy, err := sched.GreedyMemoryRunCtx(ctx, m)
+	if err != nil {
+		return nil, err
+	}
 
-	ar := &AdaptiveResult{HardBudget: hardBudget}
-	timeout := opts.StepTimeout
-	var sawMem bool
-	var maxPeakBytes int64
-
-	// Fallback answer: Kahn's schedule is always valid, so even if every DP
-	// probe times out we can return it (flagged via FinalBudget==hardBudget
-	// and Result.Flag==FlagSolution after verification below).
-	for round := 0; ; round++ {
-		tauOld, tauNew := hardBudget, hardBudget
-		var best *Result
-		for iter := 0; iter < opts.MaxIters; iter++ {
-			r := ScheduleCtx(ctx, m, Options{Budget: tauNew, StepTimeout: timeout, MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, MemLimit: opts.MemLimit, MemGrow: opts.MemGrow})
-			if r.PeakBytes > maxPeakBytes {
-				maxPeakBytes = r.PeakBytes
-			}
-			if r.Flag == FlagCanceled {
-				// Return the probe record alongside the error: the states
-				// explored before cancellation are real work callers may
-				// want to account for (e.g. a degradable searcher).
-				ar.Probes = append(ar.Probes, BudgetProbe{Budget: tauNew, Flag: r.Flag, States: r.StatesExplored, PeakBytes: r.PeakBytes, Elapsed: r.Elapsed})
-				return ar, ctx.Err()
-			}
-			ar.Probes = append(ar.Probes, BudgetProbe{Budget: tauNew, Flag: r.Flag, States: r.StatesExplored, PeakBytes: r.PeakBytes, Elapsed: r.Elapsed})
-			switch r.Flag {
-			case FlagSolution:
-				best = r
-				ar.FinalBudget = tauNew
-			case FlagTimeout:
-				// Decrease τ: τold ← τnew, τnew ← τnew/2 (line 11).
-				tauOld, tauNew = tauNew, tauNew/2
-			case FlagMemPressure:
-				// A frontier that does not fit is the timeout case's sibling:
-				// shrink τ so the budget prunes the frontier down to size.
-				sawMem = true
-				tauOld, tauNew = tauNew, tauNew/2
-			case FlagNoSolution:
-				// Increase τ: τold ← τnew, τnew ← (τnew+τold)/2 (line 14).
-				tauOld, tauNew = tauNew, (tauNew+tauOld)/2
-			}
-			if best != nil {
-				ar.Result = best
-				return ar, nil
-			}
-			if tauNew == tauOld || tauNew <= 0 {
-				break // interval collapsed without a solution
-			}
+	ar := &AdaptiveResult{
+		HardBudget: hardBudget,
+		LowerBound: m.LowerBound(),
+		BudgetCap:  min(hardBudget, greedy.Peak),
+	}
+	s := newSearch(m)
+	var widen uint
+	var prevStates int64
+	for tau := min(ar.LowerBound, ar.BudgetCap); ; {
+		r := s.run(ctx, Options{Budget: tau, StepTimeout: opts.StepTimeout, MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, MemLimit: opts.MemLimit, MemGrow: opts.MemGrow})
+		states := r.StatesExplored
+		ar.Probes = append(ar.Probes, BudgetProbe{Budget: tau, Flag: r.Flag, States: states, Pruned: r.StatesPruned, MaxFrontier: r.MaxFrontier, PeakBytes: r.PeakBytes, Elapsed: r.Elapsed})
+		if p := ar.Result; p != nil {
+			r.StatesExplored += p.StatesExplored
+			r.StatesPruned += p.StatesPruned
+			r.Elapsed += p.Elapsed
+			r.MaxFrontier = max(r.MaxFrontier, p.MaxFrontier)
+			r.PeakBytes = max(r.PeakBytes, p.PeakBytes)
 		}
-		if sawMem {
-			// Surrender under memory pressure regardless of growth policy:
-			// doubling T buys wall-clock, not bytes, so another round would
-			// hit the same ceiling forever. Callers degrade to a heuristic
-			// (always feasible, needs no frontier) or report the pressure.
-			ar.Result = &Result{Flag: FlagMemPressure, PeakBytes: maxPeakBytes}
-			ar.FinalBudget = hardBudget
+		ar.Result, ar.FinalBudget = r, tau
+		switch {
+		case r.Flag == FlagCanceled:
+			return ar, ctx.Err()
+		case r.Flag != FlagNoSolution || tau >= ar.BudgetCap:
+			// At the cap some schedule fits, so 'no solution' cannot recur.
 			return ar, nil
 		}
-		if opts.DisableGrowth {
-			// Surrender with the Kahn schedule: feasible but possibly
-			// suboptimal; callers see Flag==FlagTimeout.
-			ar.Result = &Result{Flag: FlagTimeout, PeakBytes: maxPeakBytes}
-			ar.FinalBudget = hardBudget
-			return ar, nil
+		if states < 2*prevStates && widen < ladderMaxWiden {
+			widen++
 		}
-		// Liveness: double T and retry from the hard budget. With unlimited
-		// time a τ=τmax run must terminate with a solution.
-		timeout *= 2
+		prevStates = states
+		tau = min(ar.BudgetCap, max(r.MinPruned, tau+(tau/ladderStep)<<widen))
 	}
 }

@@ -1,0 +1,329 @@
+package dp_test
+
+// The canonical-order suite: with peak ties broken on the node id, the exact
+// schedule is a pure function of the segment. Every test here checks that per
+// instance — the order and peak of one unbudgeted dp.Schedule must come back
+// byte for byte from every budget τ ≥ µ*, from the sharded expander, and from
+// the budget ladder — together with the ladder's own contracts: an admissible
+// first rung, valves that fail rather than steer, and a bounded probe count.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/serenity-ml/serenity/internal/dp"
+	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/models"
+	"github.com/serenity-ml/serenity/internal/partition"
+	"github.com/serenity-ml/serenity/internal/rewrite"
+	"github.com/serenity-ml/serenity/internal/sched"
+)
+
+// assertCanonical runs m unbudgeted, at Budget ∈ {Kahn, greedy, µ*, 2µ*}, each
+// sequentially and sharded four ways, and through the ladder at Parallelism 1
+// and 4, and fails unless all of them return the unbudgeted run's order and
+// peak. It also pins the ladder's accounting rule and its admissible lower
+// bound, and returns the sequential ladder's result.
+func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveResult {
+	t.Helper()
+	want := dp.Schedule(m, dp.Options{})
+	if want.Flag != dp.FlagSolution {
+		t.Fatalf("%s: unbudgeted run: %v", name, want.Flag)
+	}
+	same := func(what string, got *dp.Result) {
+		t.Helper()
+		if got.Flag != dp.FlagSolution || got.Peak != want.Peak || !slices.Equal(got.Order, want.Order) {
+			t.Fatalf("%s/%s: flag %v peak %d order %v\nwant solution peak %d order %v",
+				name, what, got.Flag, got.Peak, got.Order, want.Peak, want.Order)
+		}
+	}
+
+	kahn, err := sched.KahnFIFO(m.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, greedy, err := sched.GreedyMemory(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, m.MustPeak(kahn), greedy, want.Peak, 2 * want.Peak} {
+		same(fmt.Sprintf("budget=%d", budget), dp.Schedule(m, dp.Options{Budget: budget}))
+		same(fmt.Sprintf("budget=%d/parallel", budget), dp.Schedule(m, parallelOpts(dp.Options{Budget: budget}, 4)))
+	}
+
+	if lb := m.LowerBound(); lb > want.Peak {
+		t.Fatalf("%s: lower bound %d above the optimal peak %d", name, lb, want.Peak)
+	}
+	var seq *dp.AdaptiveResult
+	for _, workers := range []int{4, 1} {
+		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{Parallelism: workers})
+		if err != nil {
+			t.Fatalf("%s/ladder/workers%d: %v", name, workers, err)
+		}
+		same(fmt.Sprintf("ladder/workers%d", workers), ar.Result)
+		var states, pruned int64
+		var frontier int
+		var bytes int64
+		for i, p := range ar.Probes {
+			if last := i == len(ar.Probes)-1; last != (p.Flag == dp.FlagSolution) {
+				t.Fatalf("%s/ladder/workers%d: probe %d of %d ended %v", name, workers, i, len(ar.Probes), p.Flag)
+			}
+			states, pruned = states+p.States, pruned+p.Pruned
+			frontier, bytes = max(frontier, p.MaxFrontier), max(bytes, p.PeakBytes)
+		}
+		if ar.StatesExplored != states || ar.StatesPruned != pruned || ar.MaxFrontier != frontier || ar.PeakBytes != bytes {
+			t.Fatalf("%s/ladder/workers%d: accounting (%d explored, %d pruned, frontier %d, %d bytes) is not Σ/max over probes (%d, %d, %d, %d)",
+				name, workers, ar.StatesExplored, ar.StatesPruned, ar.MaxFrontier, ar.PeakBytes, states, pruned, frontier, bytes)
+		}
+		if ar.FinalBudget < want.Peak || ar.FinalBudget > ar.BudgetCap || ar.Probes[0].Budget != min(ar.LowerBound, ar.BudgetCap) {
+			t.Fatalf("%s/ladder/workers%d: rungs %d..%d outside [lower bound %d, cap %d] (peak %d)",
+				name, workers, ar.Probes[0].Budget, ar.FinalBudget, ar.LowerBound, ar.BudgetCap, want.Peak)
+		}
+		seq = ar
+	}
+	return seq
+}
+
+// randomCanonicalDAG draws from the same family TestDifferentialRandomDAGs
+// sweeps.
+func randomCanonicalDAG(rng *rand.Rand) *graph.Graph {
+	return graph.RandomDAG(rng, graph.RandomDAGConfig{
+		Nodes:    4 + rng.Intn(15),
+		EdgeProb: 0.1 + rng.Float64()*0.6,
+		MaxFanIn: 1 + rng.Intn(4),
+	})
+}
+
+// TestCanonicalOrderNineCells is the suite over every partition segment of the
+// nine evaluation cells, as built and after identity graph rewriting (the
+// graphs whose Kahn-budget searches ran up to 21× wider than needed).
+func TestCanonicalOrderNineCells(t *testing.T) {
+	forceProcs(t, 4)
+	for _, cell := range models.BenchmarkCells() {
+		built := cell.Build()
+		rewritten, _, err := rewrite.RewriteAll(built, rewrite.DefaultRules(), 0)
+		if err != nil {
+			t.Fatalf("%s %s: %v", cell.Network, cell.Cell, err)
+		}
+		for gi, g := range []*graph.Graph{built, rewritten} {
+			part, err := partition.Split(g)
+			if err != nil {
+				t.Fatalf("%s %s: %v", cell.Network, cell.Cell, err)
+			}
+			for i, seg := range part.Segments {
+				// The widest rewritten segments take ~2M states unbudgeted;
+				// eleven such runs each are minutes under the race detector.
+				if (raceEnabled || testing.Short()) && seg.G.NumNodes() > 24 {
+					continue
+				}
+				name := fmt.Sprintf("%s/%s/rewritten=%t/seg%d", cell.Network, cell.Cell, gi == 1, i)
+				assertCanonical(t, name, sched.NewMemModel(seg.G))
+			}
+		}
+	}
+}
+
+// TestCanonicalOrderRandomDAGs is the suite over 200 random DAGs. For the
+// ones small enough to enumerate, an exhaustive search that knows nothing of
+// levels, signatures or budgets must pick the same order.
+func TestCanonicalOrderRandomDAGs(t *testing.T) {
+	forceProcs(t, 4)
+	iters := 200
+	if testing.Short() || raceEnabled {
+		iters = 40
+	}
+	rng := rand.New(rand.NewSource(2026))
+	enumerated := 0
+	for i := 0; i < iters; i++ {
+		g := randomCanonicalDAG(rng)
+		m := sched.NewMemModel(g)
+		ar := assertCanonical(t, fmt.Sprintf("iter%d", i), m)
+		if g.NumNodes() > 10 || sched.CountTopoOrders(g, 200_001) > 200_000 {
+			continue
+		}
+		enumerated++
+		order, peak := bruteForceCanonical(m)
+		if _, bf, err := sched.BruteForce(m); err != nil || bf != peak {
+			t.Fatalf("iter%d: sched.BruteForce peak %d (%v) != enumerated %d", i, bf, err, peak)
+		}
+		if ar.Peak != peak || !slices.Equal(ar.Order, order) {
+			t.Fatalf("iter%d: DP peak %d order %v\nbrute force peak %d order %v", i, ar.Peak, ar.Order, peak, order)
+		}
+	}
+	if enumerated < iters/10 {
+		t.Fatalf("only %d of %d instances were small enough to enumerate", enumerated, iters)
+	}
+}
+
+// bruteForceCanonical enumerates every topological order of m.G, as
+// sched.BruteForce does, and returns the least under the DP's tie-break
+// written out as a total order on complete schedules: compare the full peak,
+// then the last node, then the peak of the first n-1 steps, then the node
+// before last, and so on down. (The DP's recorded predecessor of a signature
+// is the smallest node among those reaching it at its least peak, which is
+// this comparison applied one suffix position at a time.)
+func bruteForceCanonical(m *sched.MemModel) (sched.Schedule, int64) {
+	g := m.G
+	n := g.NumNodes()
+	indeg := g.Indegrees()
+	remaining := make([]int, n)
+	for r, cs := range m.Consumers {
+		remaining[r] = len(cs)
+	}
+	cur := make(sched.Schedule, 0, n)
+	peaks := make([]int64, 0, n) // peaks[k]: peak of cur[:k+1]
+	done := make([]bool, n)
+	var best sched.Schedule
+	var bestPeaks []int64
+
+	less := func() bool {
+		if best == nil {
+			return true
+		}
+		for k := n - 1; k >= 0; k-- {
+			if peaks[k] != bestPeaks[k] {
+				return peaks[k] < bestPeaks[k]
+			}
+			if cur[k] != best[k] {
+				return cur[k] < best[k]
+			}
+		}
+		return false
+	}
+	var rec func(mu, peak int64)
+	rec = func(mu, peak int64) {
+		if len(cur) == n {
+			if less() {
+				best, bestPeaks = slices.Clone(cur), slices.Clone(peaks)
+			}
+			return
+		}
+		for u := 0; u < n; u++ {
+			if done[u] || indeg[u] != 0 {
+				continue
+			}
+			muU := mu + m.Alloc[u]
+			done[u] = true
+			cur, peaks = append(cur, u), append(peaks, max(peak, muU))
+			var freed int64
+			for _, r := range m.PredRoots[u] {
+				if remaining[r]--; remaining[r] == 0 {
+					freed += m.RootSize[r]
+				}
+			}
+			for _, s := range g.Nodes[u].Succs {
+				indeg[s]--
+			}
+			rec(muU-freed, max(peak, muU))
+			for _, s := range g.Nodes[u].Succs {
+				indeg[s]++
+			}
+			for _, r := range m.PredRoots[u] {
+				remaining[r]++
+			}
+			cur, peaks = cur[:len(cur)-1], peaks[:len(peaks)-1]
+			done[u] = false
+		}
+	}
+	rec(0, 0)
+	return best, bestPeaks[n-1]
+}
+
+// TestLadderValvesFailTheSearch: a probe the StepTimeout, MaxStates or
+// MemLimit valve aborts ends the ladder with that flag and no order. None of
+// them moves τ: the probes before the abort are exactly the 'no solution'
+// rungs an unpressured ladder climbs.
+func TestLadderValvesFailTheSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 30, EdgeProb: 0.1, MaxFanIn: 3})
+	m := sched.NewMemModel(g)
+	free, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
+	if err != nil || free.Flag != dp.FlagSolution {
+		t.Fatalf("unpressured ladder: %v, %v", free.Flag, err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts dp.AdaptiveOptions
+		want dp.Flag
+	}{
+		{"step-timeout", dp.AdaptiveOptions{StepTimeout: time.Nanosecond}, dp.FlagTimeout},
+		{"max-states", dp.AdaptiveOptions{MaxStates: 1}, dp.FlagTimeout},
+		{"mem-limit", dp.AdaptiveOptions{MemLimit: dp.FrontierStateBytes(g.NumNodes()) + 8}, dp.FlagMemPressure},
+	} {
+		ar, err := dp.AdaptiveSchedule(m, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ar.Flag != tc.want || ar.Order != nil {
+			t.Fatalf("%s: flag %v order %v, want %v and no order", tc.name, ar.Flag, ar.Order, tc.want)
+		}
+		last := len(ar.Probes) - 1
+		if ar.Probes[last].Flag != tc.want || ar.FinalBudget != ar.Probes[last].Budget {
+			t.Fatalf("%s: ladder did not stop at the aborted probe: %+v", tc.name, ar.Probes)
+		}
+		for i, p := range ar.Probes[:last] {
+			if p.Flag != dp.FlagNoSolution || p.Budget != free.Probes[i].Budget {
+				t.Fatalf("%s: probe %d (τ=%d, %v) left the unpressured ladder's rung τ=%d", tc.name, i, p.Budget, p.Flag, free.Probes[i].Budget)
+			}
+		}
+	}
+}
+
+// TestLadderProbeCountBounded: when every tensor has its own size the
+// smallest pruned peak creeps up one transition at a time, and only the
+// geometric floor keeps the ladder short (without it, 400 such DAGs did not
+// finish in ten minutes). The bound is the floor's: log base 17/16 of
+// cap/lower bound.
+func TestLadderProbeCountBounded(t *testing.T) {
+	iters := 200
+	if testing.Short() || raceEnabled {
+		iters = 40
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < iters; i++ {
+		g := randomCanonicalDAG(rng)
+		for id, rank := range rng.Perm(g.NumNodes()) {
+			g.Nodes[id].Shape = graph.Shape{64 + 97*rank + id} // 97 > n: all distinct
+		}
+		m := sched.NewMemModel(g)
+		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
+		if err != nil || ar.Flag != dp.FlagSolution {
+			t.Fatalf("iter%d: %v, %v", i, ar.Flag, err)
+		}
+		if want := dp.Optimal(m); ar.Peak != want.Peak || !slices.Equal(ar.Order, want.Order) {
+			t.Fatalf("iter%d: ladder peak %d order %v\nunbudgeted peak %d order %v", i, ar.Peak, ar.Order, want.Peak, want.Order)
+		}
+		bound := 2 + int(math.Ceil(math.Log(float64(ar.BudgetCap)/float64(ar.LowerBound))/math.Log(17.0/16)))
+		if len(ar.Probes) > bound {
+			t.Fatalf("iter%d: %d probes from τ=%d to cap %d, bound %d", i, len(ar.Probes), ar.LowerBound, ar.BudgetCap, bound)
+		}
+	}
+}
+
+// TestLadderWidensWhenWorkStalls: on a 200-node WS(16) cell the lower bound
+// sits 8x under µ*, so a fixed τ/16 floor climbs ~35 rungs and pays for a
+// near-full search on most of them. The floor doubles whenever a failed
+// probe's work less than doubled, which keeps the failed probes' work
+// geometric; the order is the canonical one all the same.
+func TestLadderWidensWhenWorkStalls(t *testing.T) {
+	g := models.RandWireCell("wide", models.WSConfig{Nodes: 200, K: 16, P: 0.75, Seed: 1, HW: 16, Channel: 8})
+	m := sched.NewMemModel(g)
+	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
+	if err != nil || ar.Flag != dp.FlagSolution {
+		t.Fatalf("%v, %v", ar.Flag, err)
+	}
+	if len(ar.Probes) > 12 {
+		t.Fatalf("%d probes from τ=%d to %d; the floor never widened", len(ar.Probes), ar.LowerBound, ar.FinalBudget)
+	}
+	want := dp.Schedule(m, dp.Options{Budget: ar.HardBudget})
+	if want.Flag != dp.FlagSolution || ar.Peak != want.Peak || !slices.Equal(ar.Order, want.Order) {
+		t.Fatalf("ladder peak %d differs from the τ=Kahn probe's %d, or the order does", ar.Peak, want.Peak)
+	}
+	if last := ar.Probes[len(ar.Probes)-1]; ar.StatesExplored > 4*last.States {
+		t.Fatalf("failed probes cost %d states against the solution probe's %d", ar.StatesExplored-last.States, last.States)
+	}
+}

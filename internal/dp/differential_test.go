@@ -272,9 +272,8 @@ func TestParallelExpansionRace(t *testing.T) {
 	}
 }
 
-// TestAdaptiveParallelFindsOptimum wires Parallelism through the Algorithm 2
-// meta-search: probe outcomes are wall-clock sensitive, but the converged
-// peak must be the optimum regardless of sharding.
+// TestAdaptiveParallelFindsOptimum wires Parallelism through the budget
+// ladder: the converged peak must be the optimum regardless of sharding.
 func TestAdaptiveParallelFindsOptimum(t *testing.T) {
 	forceProcs(t, 4)
 	rng := rand.New(rand.NewSource(23))
@@ -294,7 +293,8 @@ func TestAdaptiveParallelFindsOptimum(t *testing.T) {
 
 // FuzzDPDifferential fuzzes the harness itself: generator parameters plus a
 // budget selector, asserting reference/sequential/parallel agreement on
-// whatever DAG falls out.
+// whatever DAG falls out, and that its order is canonical (one order across
+// budgets, sharding and the ladder; see canonical_test.go).
 func FuzzDPDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(80), uint8(0))
 	f.Add(int64(7), uint8(16), uint8(40), uint8(1))
@@ -328,6 +328,7 @@ func FuzzDPDifferential(f *testing.F) {
 			budget = base.Peak + base.Peak/2
 		}
 		diffOne(t, "fuzz/budgeted", m, dp.Options{Budget: budget, MaxStates: 1 << 18})
+		assertCanonical(t, "fuzz/canonical", m)
 	})
 }
 

@@ -122,38 +122,25 @@ func TestMemGrowUpgradesAndDenies(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSurrendersUnderMemPressure is the meta-search liveness
-// guarantee: a ceiling no τ can fit under must terminate promptly with
-// FlagMemPressure — even with timeout growth enabled, where a timeout-only
-// surrender path does not exist — instead of doubling T forever.
+// TestAdaptiveSurrendersUnderMemPressure: a ceiling no τ can fit under ends
+// the ladder at its first probe with FlagMemPressure and no order — a higher
+// τ only widens the frontier, so there is nothing to retry.
 func TestAdaptiveSurrendersUnderMemPressure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 16, EdgeProb: 0.2, MaxFanIn: 3})
 	m := sched.NewMemModel(g)
-	for _, disableGrowth := range []bool{false, true} {
-		done := make(chan *dp.AdaptiveResult, 1)
-		go func() {
-			ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{
-				StepTimeout:   time.Second,
-				DisableGrowth: disableGrowth,
-				MemLimit:      1, // below even level 0: every probe aborts
-			})
-			if err != nil {
-				t.Errorf("disableGrowth=%v: %v", disableGrowth, err)
-			}
-			done <- ar
-		}()
-		select {
-		case ar := <-done:
-			if ar.Flag != dp.FlagMemPressure {
-				t.Fatalf("disableGrowth=%v: flag %v, want memory pressure", disableGrowth, ar.Flag)
-			}
-			if ar.FinalBudget != ar.HardBudget {
-				t.Fatalf("disableGrowth=%v: FinalBudget %d != HardBudget %d", disableGrowth, ar.FinalBudget, ar.HardBudget)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("disableGrowth=%v: meta-search failed to surrender", disableGrowth)
-		}
+	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{
+		StepTimeout: time.Second,
+		MemLimit:    1, // below even level 0: every probe aborts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.Flag != dp.FlagMemPressure || ar.Order != nil {
+		t.Fatalf("flag %v order %v, want memory pressure and no order", ar.Flag, ar.Order)
+	}
+	if len(ar.Probes) != 1 || ar.FinalBudget != ar.Probes[0].Budget {
+		t.Fatalf("ladder kept climbing after memory pressure: %+v", ar.Probes)
 	}
 }
 

@@ -6,23 +6,24 @@ package dp
 // scans the whole parent frontier in discovery order but owns only the
 // transitions whose child hash maps to its shard — ownership is a pure
 // function of the signature, so all duplicates of a signature are resolved
-// inside one shard, with the same first-discovery/lowest-peak tie-break the
-// sequential path applies. Non-owned transitions cost a hash XOR and a
+// inside one shard, with the same lowest-peak, then smallest-via tie-break
+// the sequential path applies. Non-owned transitions cost a hash XOR and a
 // modulo; the expensive work (footprint evaluation, probing, slab writes) is
 // done once, by the owner.
 //
-// Each shard records its states' discovery keys (parent index, node), which
-// are strictly increasing within a shard because workers scan in order. The
-// sequential path's frontier ordering is exactly the ascending merge of
-// those key streams, so mergeShards' k-way merge reproduces it bit for bit —
-// parent indices, duplicate winners, StatesExplored, StatesPruned,
-// MaxFrontier, and the reconstructed schedule are all identical to a
-// sequential run on the solution path. Abort paths (cancellation, timeouts,
-// the MaxStates valve) keep the identical Flag but may report different
-// partial counts; see Options.Parallelism.
+// The merged frontier is the shards' frontiers laid end to end, which is not
+// the order a sequential expansion discovers states in. Nothing observable
+// depends on that order: a level's set of signatures, each signature's least
+// peak and (by the via tie-break) its recorded predecessor are the same
+// however the level is scanned, so StatesExplored, StatesPruned, MaxFrontier,
+// PeakBytes and the reconstructed schedule are all identical to a sequential
+// run on the solution path. Abort paths (cancellation, timeouts, the
+// MaxStates valve) keep the identical Flag but may report different partial
+// counts; see Options.Parallelism.
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,16 +59,16 @@ const (
 type shardWorker struct {
 	lvl      level
 	tbl      ftable
-	keys     []uint64 // discovery key (si<<32 | u) per state, ascending
 	scratch  graph.Bitset
 	explored int64
 	pruned   int64
+	minPrune int64 // this shard's share of Result.MinPruned
 }
 
 // expandParallel expands the current level across shardCount() workers and
-// merges the per-shard frontiers back into s.next in sequential discovery
-// order. Counters are folded into s.res only after all workers join, so the
-// workers share nothing mutable but the atomics below.
+// concatenates the per-shard frontiers into s.next. Counters are folded into
+// s.res only after all workers join, so the workers share nothing mutable but
+// the atomics below.
 func (s *search) expandParallel() expandOutcome {
 	shards := s.shardCount()
 	if s.px == nil {
@@ -106,6 +107,9 @@ func (s *search) expandParallel() expandOutcome {
 	for _, w := range ws {
 		s.res.StatesExplored += w.explored
 		s.res.StatesPruned += w.pruned
+		if w.minPrune != 0 && (s.res.MinPruned == 0 || w.minPrune < s.res.MinPruned) {
+			s.res.MinPruned = w.minPrune
+		}
 	}
 	switch reason.Load() {
 	case abortCanceled:
@@ -160,9 +164,8 @@ func (s *search) runShard(wk *shardWorker, id, shards int, created *atomic.Int64
 		nsh    = uint64(shards)
 	)
 	wk.lvl.reset()
-	wk.keys = wk.keys[:0]
 	wk.tbl.reset(len(s.cur.states)/shards + 1)
-	wk.explored, wk.pruned = 0, 0
+	wk.explored, wk.pruned, wk.minPrune = 0, 0, 0
 
 	scan := 0
 	for si := range s.cur.states {
@@ -207,6 +210,9 @@ func (s *search) runShard(wk *shardWorker, id, shards int, created *atomic.Int64
 				}
 				if budget > 0 && peak > budget {
 					wk.pruned++
+					if wk.minPrune == 0 || peak < wk.minPrune {
+						wk.minPrune = peak
+					}
 					continue
 				}
 				uw, ubit := u>>6, uint64(1)<<uint(u&63)
@@ -214,7 +220,7 @@ func (s *search) runShard(wk *shardWorker, id, shards int, created *atomic.Int64
 				idx, slot := wk.tbl.probe(h, &wk.lvl, w, psched, uw, ubit)
 				if idx >= 0 {
 					ns := &wk.lvl.states[idx]
-					if peak < ns.peak {
+					if peak < ns.peak || (peak == ns.peak && int32(u) < ns.via) {
 						ns.peak = peak
 						ns.parent = int32(si)
 						ns.via = int32(u)
@@ -223,7 +229,6 @@ func (s *search) runShard(wk *shardWorker, id, shards int, created *atomic.Int64
 				}
 				wk.lvl.appendChild(s.m, &wk.scratch, psched, pready, si, u, w, h, muHigh, peak)
 				wk.tbl.place(slot, int32(len(wk.lvl.states)-1))
-				wk.keys = append(wk.keys, uint64(si)<<32|uint64(u))
 				wk.explored++
 				created.Add(1)
 			}
@@ -231,36 +236,13 @@ func (s *search) runShard(wk *shardWorker, id, shards int, created *atomic.Int64
 	}
 }
 
-// mergeShards concatenates the per-shard frontiers into s.next in ascending
-// discovery-key order — a k-way merge of already sorted streams, so the
-// result is exactly the frontier a sequential expansion would have built.
+// mergeShards lays the per-shard frontiers end to end in s.next.
 func (s *search) mergeShards(ws []*shardWorker, total int) {
-	w := s.w
 	next := s.next
-	if cap(next.states) < total {
-		next.states = make([]stNode, 0, total)
-	}
-	if need := total * 2 * w; cap(next.slab) < need {
-		next.slab = make([]uint64, 0, need)
-	}
-	var at [maxShards]int
-	for k := 0; k < total; k++ {
-		best := -1
-		var bk uint64
-		for i := range ws {
-			j := at[i]
-			if j >= len(ws[i].keys) {
-				continue
-			}
-			if best < 0 || ws[i].keys[j] < bk {
-				best, bk = i, ws[i].keys[j]
-			}
-		}
-		wk := ws[best]
-		j := at[best]
-		at[best]++
-		next.states = append(next.states, wk.lvl.states[j])
-		off := 2 * j * w
-		next.slab = append(next.slab, wk.lvl.slab[off:off+2*w]...)
+	next.states = slices.Grow(next.states, total)
+	next.slab = slices.Grow(next.slab, total*2*s.w)
+	for _, wk := range ws {
+		next.states = append(next.states, wk.lvl.states...)
+		next.slab = append(next.slab, wk.lvl.slab...)
 	}
 }

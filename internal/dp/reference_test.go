@@ -107,7 +107,7 @@ func referenceScheduleCtx(ctx context.Context, m *sched.MemModel, opts dp.Option
 
 				key := newScheduled.Key()
 				if idx, ok := nextIdx[key]; ok {
-					if peak < next[idx].peak {
+					if peak < next[idx].peak || (peak == next[idx].peak && int32(u) < next[idx].via) {
 						next[idx].peak = peak
 						next[idx].parent = int32(si)
 						next[idx].via = int32(u)

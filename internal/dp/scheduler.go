@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/graph"
@@ -97,9 +98,9 @@ type Options struct {
 	// Parallelism fans a single level's expansion across up to this many
 	// worker shards once the frontier is at least ParallelThreshold wide.
 	// Transitions are sharded by signature hash (all duplicates of a
-	// signature land in one shard) and the per-shard frontiers are merged
-	// back in the sequential path's exact discovery order, so on the
-	// solution path every Result field is bit-identical to a sequential run.
+	// signature land in one shard), and which predecessor a signature
+	// records does not depend on scan order, so on the solution path every
+	// Result field is bit-identical to a sequential run.
 	// The one concession, mirroring the segment pool's: when a run aborts
 	// (timeout, cancellation, MaxStates), the partial StatesExplored and
 	// StatesPruned counts may differ from the sequential path's — the Flag
@@ -142,7 +143,11 @@ type Result struct {
 	Peak           int64          // peak footprint of Order
 	StatesExplored int64          // memo entries created across all steps
 	StatesPruned   int64          // transitions discarded by the budget
-	MaxFrontier    int            // largest number of coexisting signatures
+	// MinPruned is the smallest running peak among the transitions the budget
+	// discarded (zero when none were): every budget below it repeats this
+	// search exactly, so it is the least τ worth probing next.
+	MinPruned   int64
+	MaxFrontier int // largest number of coexisting signatures
 	// PeakBytes is the high-water mark of the search's retained memory:
 	// the two ping-ponged level buffers at their widest (2⌈n/64⌉ slab words
 	// plus a 32-byte header per state) plus the compacted 8-byte
@@ -183,10 +188,12 @@ const (
 	expandMemPressure               // MemLimit crossed and MemGrow denied
 )
 
-// search carries one ScheduleCtx run's working set: the current and
-// under-construction levels (ping-ponged so slabs and state slices are
-// recycled every level), the frontier index, the reusable scratch view for
-// footprint evaluation, and the compacted (parent, via) history.
+// search carries the working set of the DP runs over one memory model: the
+// current and under-construction levels (ping-ponged so slabs and state
+// slices are recycled every level), the frontier index, the reusable scratch
+// view for footprint evaluation, and the compacted (parent, via) history.
+// Everything but the per-run fields run resets is capacity, so the budget
+// ladder's probes share one search and allocate like one run.
 type search struct {
 	m    *sched.MemModel
 	opts Options
@@ -267,31 +274,50 @@ var memAuditHook func(accounted, inUse int64)
 // returning FlagCanceled as soon as ctx is done. The partial frontier is
 // discarded; a canceled run does no further work.
 func ScheduleCtx(ctx context.Context, m *sched.MemModel, opts Options) *Result {
+	return newSearch(m).run(ctx, opts)
+}
+
+// newSearch returns an empty working set for DP runs over m.
+func newSearch(m *sched.MemModel) *search {
+	n := m.G.NumNodes()
+	return &search{
+		m:          m,
+		n:          n,
+		w:          (n + 63) / 64,
+		cur:        &level{},
+		next:       &level{},
+		pvs:        make([][]pv, n+1),
+		stateBytes: FrontierStateBytes(n),
+	}
+}
+
+// run is one DP search under opts, reusing whatever capacity earlier runs on
+// s left behind. The byte accounting restarts with the run — it is a pure
+// function of this run's frontier widths — but a ceiling MemGrow raised in an
+// earlier run stands, so a ladder of probes consults the governor once per
+// crossing rather than once per probe.
+func (s *search) run(ctx context.Context, opts Options) *Result {
 	start := time.Now()
 	res := &Result{Flag: FlagNoSolution}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	g := m.G
-	n := g.NumNodes()
+	g := s.m.G
+	n := s.n
 	if n == 0 {
 		res.Flag = FlagSolution
 		res.Order = sched.Schedule{}
 		return res
 	}
 
-	s := &search{
-		m:        m,
-		opts:     opts,
-		res:      res,
-		n:        n,
-		w:        (n + 63) / 64,
-		cur:      &level{},
-		next:     &level{},
-		done:     ctx.Done(),
-		pvs:      make([][]pv, n+1),
-		memLimit: opts.MemLimit,
+	s.opts, s.res, s.done, s.trans = opts, res, ctx.Done(), 0
+	if s.memLimit < opts.MemLimit {
+		s.memLimit = opts.MemLimit
 	}
-	s.stateBytes = FrontierStateBytes(n)
+	s.cur.reset()
+	s.next.reset()
+	for i := range s.pvs {
+		s.pvs[i] = s.pvs[i][:0]
+	}
 	defer func() {
 		res.PeakBytes = s.liveBytes()
 		if memAuditHook != nil {
@@ -307,10 +333,10 @@ func ScheduleCtx(ctx context.Context, m *sched.MemModel, opts Options) *Result {
 	// Level 0: empty schedule (s0=[], µ0=0, µpeak,0=0; M0[z0] per
 	// Algorithm 1). hash(∅) = 0 by the Zobrist XOR construction.
 	s.cur.states = append(s.cur.states, stNode{parent: -1, via: -1})
-	s.cur.slab = make([]uint64, 2*s.w)
-	copy(s.cur.slab[s.w:], g.ZeroIndegree(graph.NewBitset(n)).Words())
-	s.pvs[0] = []pv{{parent: -1, via: -1}}
-	s.hiCur, s.pvBytes = 1, 8
+	s.cur.slab = append(s.cur.slab, make([]uint64, s.w)...)
+	s.cur.slab = append(s.cur.slab, g.ZeroIndegree(graph.NewBitset(n)).Words()...)
+	s.pvs[0] = append(s.pvs[0], pv{parent: -1, via: -1})
+	s.hiCur, s.hiNext, s.pvBytes = 1, 0, 8
 	if s.memOver(0) {
 		// The ceiling cannot hold even the empty schedule's level.
 		res.Flag = FlagMemPressure
@@ -357,12 +383,12 @@ func ScheduleCtx(ctx context.Context, m *sched.MemModel, opts Options) *Result {
 		// The finished level's (parent, via) pairs are final; compact them
 		// for reconstruction and retire the expanded level entirely — its
 		// slab and state slice are recycled for level i+2.
-		pairs := make([]pv, len(s.next.states))
+		width := len(s.next.states)
+		pairs := slices.Grow(s.pvs[i+1], width)
 		for j := range s.next.states {
-			pairs[j] = pv{s.next.states[j].parent, s.next.states[j].via}
+			pairs = append(pairs, pv{s.next.states[j].parent, s.next.states[j].via})
 		}
 		s.pvs[i+1] = pairs
-		width := len(s.next.states)
 		if int64(width) > s.hiNext {
 			s.hiNext = int64(width)
 		}
@@ -434,6 +460,9 @@ func (s *search) expandSequential() expandOutcome {
 				}
 				if budget > 0 && peak > budget {
 					s.res.StatesPruned++
+					if s.res.MinPruned == 0 || peak < s.res.MinPruned {
+						s.res.MinPruned = peak
+					}
 					continue
 				}
 				h := st.hash ^ zob[u]
@@ -441,9 +470,12 @@ func (s *search) expandSequential() expandOutcome {
 				s.tbl.grow(next)
 				idx, slot := s.tbl.probe(h, next, w, psched, uw, ubit)
 				if idx >= 0 {
-					// Memoize the schedule with the least peak (lines 21-22).
+					// Memoize the schedule with the least peak (lines 21-22);
+					// ties go to the smaller via, which names the parent
+					// signature uniquely, so the winner does not depend on
+					// discovery order, sharding or τ.
 					ns := &next.states[idx]
-					if peak < ns.peak {
+					if peak < ns.peak || (peak == ns.peak && int32(u) < ns.via) {
 						ns.peak = peak
 						ns.parent = int32(si)
 						ns.via = int32(u)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"math/bits"
 
 	"github.com/serenity-ml/serenity/internal/graph"
 )
@@ -54,12 +55,12 @@ func GreedyMemoryRunCtx(ctx context.Context, m *MemModel) (*GreedyResult, error)
 
 	indeg := g.Indegrees()
 	scheduled := graph.NewBitset(n)
-	ready := make(map[int]bool)
-	for id := 0; id < n; id++ {
-		if indeg[id] == 0 {
-			ready[id] = true
-		}
-	}
+	// The ready set is a bitset scanned in ascending id: the candidate
+	// comparison below is a total order ending in the id, so the scan order
+	// cannot change the winner, and a word scan beats iterating a map on the
+	// path every cold search (as the budget ladder's cap) and every degraded
+	// request takes.
+	ready := g.ZeroIndegree(scheduled).Words()
 	remaining := make([]int, n)
 	for r, cs := range m.Consumers {
 		remaining[r] = len(cs)
@@ -68,7 +69,7 @@ func GreedyMemoryRunCtx(ctx context.Context, m *MemModel) (*GreedyResult, error)
 	res := &GreedyResult{Order: make(Schedule, 0, n)}
 	done := ctx.Done()
 	var mu int64
-	for len(ready) > 0 {
+	for len(res.Order) < n {
 		if len(res.Order)%64 == 63 {
 			select {
 			case <-done:
@@ -78,35 +79,41 @@ func GreedyMemoryRunCtx(ctx context.Context, m *MemModel) (*GreedyResult, error)
 		}
 		best := -1
 		var bestAfter, bestFreed, bestAlloc int64
-		for u := range ready {
-			res.StatesExplored++
-			var freed int64
-			for _, r := range m.PredRoots[u] {
-				if remaining[r] == 1 {
-					freed += m.RootSize[r]
+		for wi, word := range ready {
+			for ; word != 0; word &= word - 1 {
+				u := wi<<6 + bits.TrailingZeros64(word)
+				res.StatesExplored++
+				var freed int64
+				for _, r := range m.PredRoots[u] {
+					if remaining[r] == 1 {
+						freed += m.RootSize[r]
+					}
+				}
+				after := mu + m.Alloc[u] - freed
+				better := false
+				switch {
+				case best == -1:
+					better = true
+				case after != bestAfter:
+					better = after < bestAfter
+				case freed != bestFreed:
+					better = freed > bestFreed
+				case m.Alloc[u] != bestAlloc:
+					better = m.Alloc[u] < bestAlloc
+				default:
+					better = u < best
+				}
+				if better {
+					best, bestAfter, bestFreed, bestAlloc = u, after, freed, m.Alloc[u]
 				}
 			}
-			after := mu + m.Alloc[u] - freed
-			better := false
-			switch {
-			case best == -1:
-				better = true
-			case after != bestAfter:
-				better = after < bestAfter
-			case freed != bestFreed:
-				better = freed > bestFreed
-			case m.Alloc[u] != bestAlloc:
-				better = m.Alloc[u] < bestAlloc
-			default:
-				better = u < best
-			}
-			if better {
-				best, bestAfter, bestFreed, bestAlloc = u, after, freed, m.Alloc[u]
-			}
+		}
+		if best < 0 {
+			return nil, graph.ErrCycle // nothing ready with nodes left
 		}
 
 		u := best
-		delete(ready, u)
+		ready[u>>6] &^= 1 << uint(u&63)
 		scheduled.Set(u)
 		res.Order = append(res.Order, u)
 		mu += m.Alloc[u]
@@ -122,12 +129,9 @@ func GreedyMemoryRunCtx(ctx context.Context, m *MemModel) (*GreedyResult, error)
 		for _, s := range g.Nodes[u].Succs {
 			indeg[s]--
 			if indeg[s] == 0 && !scheduled.Has(s) {
-				ready[s] = true
+				ready[s>>6] |= 1 << uint(s&63)
 			}
 		}
-	}
-	if len(res.Order) != n {
-		return nil, graph.ErrCycle
 	}
 	return res, nil
 }

@@ -26,9 +26,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Run(cell.Network+"/"+cell.Cell, func(t *testing.T) {
 			t.Parallel()
 			opts := DefaultOptions()
-			// Large enough that no DP step ever hits the timeout, even under
-			// the race detector: Algorithm 2's probe sequence is then
-			// wall-clock independent, and the whole pipeline deterministic.
+			// Large enough that no DP step ever trips the valve (which would
+			// fail the search), even under the race detector.
 			opts.StepTimeout = time.Minute
 			seq, err := Schedule(cell.Build(), opts)
 			if err != nil {

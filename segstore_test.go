@@ -458,17 +458,7 @@ func TestScheduleStoreReplaceUpgradesOnly(t *testing.T) {
 // `go run testdata/golden/gen.go` — committing it is the explicit act that
 // acknowledges the break; deployed stores will cold-start across it.
 func TestGoldenStoreFixture(t *testing.T) {
-	// Copy the fixture into a scratch directory: Open repairs files in
-	// place, and a test must never mutate a committed fixture.
-	fixture := filepath.Join("testdata", "golden", "store_v1", store.DataFileName)
-	data, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, store.DataFileName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := copyGoldenStore(t, "store_v1")
 
 	raw, err := store.Open(dir, 0)
 	if err != nil {
@@ -531,6 +521,59 @@ func TestGoldenStoreFixture(t *testing.T) {
 	}
 	if st := ss.Stats(); st.Hits == 0 {
 		t.Errorf("golden warm-start never hit the disk tier: %+v", st)
+	}
+}
+
+// copyGoldenStore copies a committed store fixture into a scratch directory:
+// Open repairs files in place, and a test must never mutate a committed
+// fixture.
+func copyGoldenStore(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", name, store.DataFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, store.DataFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestGoldenStoreOldMemoKeysReadAsMiss is the other half of the MemoKey
+// change to "exact|v2": a store written by a build that keyed exact results
+// "exact|a=…|t=…|s=…" (the fixture store_v1 held until then, kept as
+// store_v1_exact_v1_keys) must open clean and serve nothing — its orders
+// predate the node-id tie-break, so a hit would break warm ≡ cold. Old
+// stores go cold, never wrong.
+func TestGoldenStoreOldMemoKeysReadAsMiss(t *testing.T) {
+	ss, err := OpenScheduleStore(copyGoldenStore(t, "store_v1_exact_v1_keys"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if st := ss.Stats(); st.Entries != 2 || st.CorruptRecords != 0 {
+		t.Fatalf("old-key store opened with stats %+v; want 2 clean entries", st)
+	}
+	for _, tc := range []int{1, 2} { // SwiftNet cells A and B, as gen.go compiled them
+		p, err := NewPipeline(compatOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Store = ss
+		res, err := p.Run(context.Background(), models.BenchmarkCells()[tc].Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := compatGolden[tc]
+		checkCompat(t, "old-key store "+golden.name, res, golden.peak, golden.arenaSize, golden.order)
+		if res.SegmentMemoHits != 0 || res.FreshStatesExplored == 0 {
+			t.Errorf("%s: %d segment hits, %d fresh states; want an all-miss recompute",
+				golden.name, res.SegmentMemoHits, res.FreshStatesExplored)
+		}
+	}
+	if st := ss.Stats(); st.Hits != 0 {
+		t.Errorf("old-key artifacts were served: %+v", st)
 	}
 }
 

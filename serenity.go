@@ -44,8 +44,7 @@
 // Divide-and-conquer makes the partition segments independent sub-problems,
 // so the pipeline can solve them concurrently: set Options.Parallelism
 // to fan the per-segment search out over a bounded worker pool. Parallelism
-// changes wall-clock time, not results (see Options.Parallelism for the
-// wall-clock caveat Algorithm 2 carries with or without the pool).
+// changes wall-clock time, not results (see Options.Parallelism).
 // Cancellation is threaded into the search loops, so deadlines and client
 // disconnects abort (or, under BestEffort, degrade) a compilation
 // mid-search.
@@ -116,10 +115,13 @@ type Options struct {
 	// StrategyBestEffort. See the Searcher implementations for semantics.
 	Strategy Strategy
 	// AdaptiveBudget enables adaptive soft budgeting (Section 3.2) for the
-	// exact strategy. When false the DP runs unbudgeted, which is exact but
-	// may be intractable for graphs beyond ~30 nodes per partition.
+	// exact strategy. When false the DP runs unbudgeted, which finds the
+	// same schedule but may be intractable for graphs beyond ~30 nodes per
+	// partition.
 	AdaptiveBudget bool
-	// StepTimeout is the per-search-step limit T of Algorithm 2.
+	// StepTimeout is the per-search-step limit T of Algorithm 2, kept as a
+	// safety valve: exceeding it fails the search (or, under
+	// StrategyBestEffort, degrades the segment); it never steers it.
 	// Defaults to 1s when zero and AdaptiveBudget is on. Under
 	// StrategyExact it requires AdaptiveBudget (Validate rejects a
 	// StepTimeout the unbudgeted DP would silently ignore); under
@@ -139,18 +141,10 @@ type Options struct {
 	// sharded expansion inside each segment's DP, so even a single-segment
 	// graph benefits (see ExactDP.Parallelism and dp.Options.Parallelism).
 	// Values of 0 or 1 mean sequential; negative values are rejected by
-	// Validate. Segments are independent sub-problems (Section 3.2), each
-	// segment's DP is deterministic, and sharded expansion merges shard
-	// frontiers back in sequential discovery order, so parallelism
-	// introduces no nondeterminism of its own: given the same per-segment
-	// budget-probe outcomes, the combined schedule is bit-identical to the
-	// sequential path. The one caveat is inherited from Algorithm 2, not
-	// from the fan-outs: with AdaptiveBudget on, probe outcomes depend on
-	// wall-clock StepTimeout, so under CPU contention any two runs —
-	// sequential or parallel — can converge through different budgets
-	// (Order and StatesExplored may vary; the peak stays optimal). Whenever
-	// no probe times out, the whole pipeline is deterministic at every
-	// Parallelism.
+	// Validate. Segments are independent sub-problems (Section 3.2) and each
+	// segment's exact schedule is a pure function of the segment (peak ties
+	// break on the node id; see internal/dp), so the combined schedule is
+	// bit-identical at every Parallelism, with or without AdaptiveBudget.
 	Parallelism int
 }
 

@@ -23,7 +23,7 @@ type Strategy string
 
 // Built-in strategies.
 const (
-	// StrategyExact is the paper's exact DP (with adaptive soft budgeting
+	// StrategyExact is the paper's exact DP (under the soft-budget ladder
 	// when Options.AdaptiveBudget is set). The empty string means exact.
 	StrategyExact Strategy = "exact"
 	// StrategyGreedy schedules with the one-step-lookahead greedy heuristic:
@@ -78,6 +78,10 @@ type SearchResult struct {
 	// dp.Result.PeakBytes). It reports only work done in this process on
 	// this call: heuristic searchers and memo/store/peer hits report zero.
 	PeakBytes int64
+	// Ladder describes the soft-budget ladder a fresh adaptive search
+	// climbed, for the dp.search trace span; zero (Probes == 0) for
+	// unbudgeted and heuristic searches and for store and peer hits.
+	Ladder BudgetLadder
 	// Quality reports whether Order is provably optimal for the segment.
 	Quality Quality
 	// FellBack is set when a degradable searcher abandoned its primary
@@ -85,6 +89,40 @@ type SearchResult struct {
 	// records why the primary search gave up.
 	FellBack       bool
 	FallbackReason error
+}
+
+// BudgetLadder summarizes one dp.AdaptiveSchedule call: how many budgets it
+// probed, between which bounds, where it stopped, and how many transitions
+// the budgets pruned along the way.
+type BudgetLadder struct {
+	Probes       int
+	LowerBound   int64
+	BudgetCap    int64
+	FinalBudget  int64
+	StatesPruned int64
+}
+
+// ladderOf summarizes ar for the trace.
+func ladderOf(ar *dp.AdaptiveResult) BudgetLadder {
+	return BudgetLadder{
+		Probes:       len(ar.Probes),
+		LowerBound:   ar.LowerBound,
+		BudgetCap:    ar.BudgetCap,
+		FinalBudget:  ar.FinalBudget,
+		StatesPruned: ar.StatesPruned,
+	}
+}
+
+// adaptiveResult converts a ladder that ended in a solution.
+func adaptiveResult(ar *dp.AdaptiveResult) SearchResult {
+	return SearchResult{
+		Order:          ar.Order,
+		StatesExplored: ar.StatesExplored,
+		MaxFrontier:    ar.MaxFrontier,
+		PeakBytes:      ar.PeakBytes,
+		Quality:        QualityOptimal,
+		Ladder:         ladderOf(ar),
+	}
 }
 
 // ErrMemoryPressure reports that a search was aborted by its byte ceiling —
@@ -139,15 +177,17 @@ type Searcher interface {
 }
 
 // ExactDP is the paper's exact search: Algorithm 1's dynamic programming,
-// optionally wrapped in Algorithm 2's adaptive soft budgeting. It either
-// returns a provably peak-optimal order or an error — a timeout or state-cap
-// blowup is a hard failure. This is the default Searcher and reproduces the
-// pre-Pipeline Schedule behavior bit for bit.
+// optionally under Algorithm 2's soft budget (dp.AdaptiveSchedule's
+// deterministic ladder). It either returns the segment's canonical
+// peak-optimal order — the same one with or without the budget, at any
+// Parallelism — or an error: a timeout or state-cap blowup is a hard failure.
+// This is the default Searcher.
 type ExactDP struct {
-	// AdaptiveBudget wraps the DP in the adaptive soft budgeting
-	// meta-search; off means one unbudgeted exact run.
+	// AdaptiveBudget prunes the DP with the soft-budget ladder; off means
+	// one unbudgeted exact run (same answer, up to 21x the states).
 	AdaptiveBudget bool
-	// StepTimeout is Algorithm 2's per-search-step limit T (adaptive only).
+	// StepTimeout is the per-search-step safety valve T (adaptive only):
+	// exceeding it fails the search.
 	StepTimeout time.Duration
 	// MaxStates caps the DP frontier as a memory-safety valve; zero means
 	// the adaptive default (unlimited when AdaptiveBudget is off).
@@ -170,23 +210,19 @@ type ExactDP struct {
 // Name implements Searcher.
 func (e ExactDP) Name() string { return "exact" }
 
-// MemoKey implements MemoKeyer: AdaptiveBudget, StepTimeout, and MaxStates
-// can each change the resulting order (never the peak, which is provably
-// minimal either way), so all three discriminate the memo key. Parallelism
-// is deliberately excluded: sharded expansion is bit-identical on the
-// solution path, and only solutions are memoized. MemLimit/MemGrow are
-// excluded for the same reason: a search the byte valve aborts produces no
-// result to store, and one that completes is the same optimal answer it
-// would have found unlimited.
+// MemoKey implements MemoKeyer. It is a versioned constant: a completed
+// exact search returns the segment's canonical optimal order whatever
+// AdaptiveBudget, StepTimeout, MaxStates, Parallelism or MemLimit were (they
+// decide whether the search completes, not what it finds), and only completed
+// searches are memoized. v2 is the first key under the node-id tie-break;
+// artifacts keyed "exact|a=…" by earlier builds read as misses.
 //
 // MemoKeys outlive the process: they are half of the on-disk ScheduleStore's
 // content address (the other half, Segment.Fingerprint, is golden-pinned in
 // testdata/golden). Changing any MemoKey's rendering silently orphans — or,
 // worse, aliases — every artifact persisted by deployed stores, so treat the
 // format of all three built-in keys as a wire format.
-func (e ExactDP) MemoKey() string {
-	return fmt.Sprintf("exact|a=%t|t=%d|s=%d", e.AdaptiveBudget, e.StepTimeout, e.MaxStates)
-}
+func (e ExactDP) MemoKey() string { return "exact|v2" }
 
 // scopeParallelism implements parallelScoper.
 func (e ExactDP) scopeParallelism(perSegment int) Searcher {
@@ -219,7 +255,7 @@ func (e ExactDP) Search(ctx context.Context, m *MemModel) (SearchResult, error) 
 		if ar.Flag != dp.FlagSolution {
 			return SearchResult{}, fmt.Errorf("serenity: adaptive scheduling ended with %v", ar.Flag)
 		}
-		return SearchResult{Order: ar.Order, StatesExplored: ar.StatesExplored, MaxFrontier: ar.MaxFrontier, PeakBytes: ar.PeakBytes, Quality: QualityOptimal}, nil
+		return adaptiveResult(ar), nil
 	}
 	r := dp.ScheduleCtx(ctx, m, dp.Options{MaxStates: e.MaxStates, Parallelism: e.Parallelism, MemLimit: e.MemLimit, MemGrow: e.MemGrow})
 	if r.Flag == dp.FlagCanceled {
@@ -262,10 +298,10 @@ func (GreedyMemory) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 }
 
 // BestEffort turns "exact or error" into "exact, else valid": it runs the
-// exact DP (adaptive soft budgeting with the liveness growth loop disabled,
-// so a hopeless instance gives up instead of retrying forever) under ctx's
-// deadline, and on timeout, state-cap blowup, or deadline expiry degrades to
-// the greedy heuristic rather than failing. The segment's Quality reports
+// exact DP (under the soft-budget ladder, whose valves give up on a hopeless
+// instance instead of retrying) under ctx's deadline, and on timeout,
+// state-cap blowup, or deadline expiry degrades to the greedy heuristic
+// rather than failing. The segment's Quality reports
 // which path produced the order.
 //
 // Cancellation semantics: a context *deadline* triggers the fallback (the
@@ -292,16 +328,13 @@ type BestEffort struct {
 // Name implements Searcher.
 func (b BestEffort) Name() string { return "best-effort" }
 
-// MemoKey implements MemoKeyer. The caller's deadline is deliberately NOT
-// part of the key: only non-degraded (optimal) results are ever stored in a
-// SegmentMemo, and an optimal segment order is valid under any deadline. Two
-// best-effort runs at different deadlines may therefore share stored optimal
-// segments — the same interchangeability Algorithm 2 already grants runs that
-// converge through different budgets. Degraded results never enter the memo
-// (see SegmentMemo), so deadline pressure cannot leak across requests.
-func (b BestEffort) MemoKey() string {
-	return fmt.Sprintf("best-effort|t=%d|s=%d", b.Exact.StepTimeout, b.Exact.MaxStates)
-}
+// MemoKey implements MemoKeyer. Like ExactDP's it is a versioned constant:
+// only non-degraded (optimal) results are ever stored in a SegmentMemo, and
+// those are the canonical order under any deadline, StepTimeout or MaxStates.
+// Degraded results never enter the memo (see SegmentMemo), so deadline
+// pressure cannot leak across requests. (A met deadline's result is the very
+// artifact "exact|v2" names; sharing the key is left for a later change.)
+func (b BestEffort) MemoKey() string { return "best-effort|v2" }
 
 // scopeParallelism implements parallelScoper.
 func (b BestEffort) scopeParallelism(perSegment int) Searcher {
@@ -338,26 +371,23 @@ func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 		}, nil
 	}
 	ar, err := dp.AdaptiveScheduleCtx(ctx, m, dp.AdaptiveOptions{
-		StepTimeout:   b.Exact.StepTimeout,
-		MaxStates:     b.Exact.MaxStates,
-		DisableGrowth: true,
-		Parallelism:   b.Exact.Parallelism,
-		MemLimit:      b.Exact.MemLimit,
-		MemGrow:       b.Exact.MemGrow,
+		StepTimeout: b.Exact.StepTimeout,
+		MaxStates:   b.Exact.MaxStates,
+		Parallelism: b.Exact.Parallelism,
+		MemLimit:    b.Exact.MemLimit,
+		MemGrow:     b.Exact.MemGrow,
 	})
 	var reason error
-	var dpStates, dpPeakBytes int64
 	switch {
 	case err == nil && ar.Flag == dp.FlagSolution:
-		return SearchResult{Order: ar.Order, StatesExplored: ar.StatesExplored, MaxFrontier: ar.MaxFrontier, PeakBytes: ar.PeakBytes, Quality: QualityOptimal}, nil
+		return adaptiveResult(ar), nil
 	case err == nil && ar.Flag == dp.FlagMemPressure:
 		// The byte ceiling, not the clock, stopped the search: degrade like
 		// a deadline, but tag the reason so governors and metrics can tell
 		// pressure-forced heuristics from deadline-forced ones.
 		reason = fmt.Errorf("%w: adaptive scheduling aborted at its byte ceiling", ErrMemoryPressure)
 	case err == nil:
-		// The meta-search surrendered (every probe timed out or the budget
-		// interval collapsed); the probes' work still counts.
+		// A valve (StepTimeout, MaxStates) ended the ladder.
 		reason = fmt.Errorf("serenity: adaptive scheduling ended with %v", ar.Flag)
 	case errors.Is(err, context.DeadlineExceeded):
 		reason = err
@@ -365,16 +395,6 @@ func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 		// Explicit cancellation or an invalid graph: not degradable.
 		return SearchResult{}, err
 	}
-	if ar != nil {
-		// Both abandoned-DP paths report the work burned before giving up.
-		for _, p := range ar.Probes {
-			dpStates += p.States
-			if p.PeakBytes > dpPeakBytes {
-				dpPeakBytes = p.PeakBytes
-			}
-		}
-	}
-
 	// The fallback deliberately runs without ctx: the deadline has already
 	// expired, and the contract is that the caller is owed a valid answer
 	// anyway (explicit cancellation was handled above, before the DP work
@@ -383,12 +403,18 @@ func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 	if err != nil {
 		return SearchResult{}, err
 	}
-	return SearchResult{
+	sr := SearchResult{
 		Order:          gr.Order,
-		StatesExplored: dpStates + gr.StatesExplored,
-		PeakBytes:      dpPeakBytes,
+		StatesExplored: gr.StatesExplored,
 		Quality:        QualityHeuristic,
 		FellBack:       true,
 		FallbackReason: reason,
-	}, nil
+	}
+	if ar != nil {
+		// Every abandoned-DP path reports the work burned before giving up
+		// (ar is nil only when the deadline fired before the first probe).
+		sr.StatesExplored += ar.StatesExplored
+		sr.PeakBytes, sr.Ladder = ar.PeakBytes, ladderOf(ar)
+	}
+	return sr, nil
 }

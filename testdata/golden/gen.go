@@ -82,7 +82,9 @@ func main() {
 	// incompatible change to the record framing, the artifact codec, the
 	// segment fingerprints, or the MemoKey rendering fails the suite until
 	// this fixture is regenerated — the explicit act of acknowledging a
-	// format break.
+	// format break. (store_v1_exact_v1_keys is the fixture as it was before
+	// MemoKey became "exact|v2"; it is never regenerated, and
+	// TestGoldenStoreOldMemoKeysReadAsMiss requires it to serve nothing.)
 	storeDir := filepath.Join(dir, "store_v1")
 	if err := os.RemoveAll(storeDir); err != nil {
 		log.Fatal(err)
