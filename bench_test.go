@@ -253,16 +253,30 @@ func BenchmarkRandomScheduleSampling(b *testing.B) {
 //
 //	go test -bench BenchmarkScheduleParallelism -benchtime 3x
 //
-// The step timeout is set high enough that adaptive budgeting runs exactly
-// one probe per segment, so the comparison isolates the DP fan-out. Speedup
-// requires GOMAXPROCS > 1; on a single core the pool degrades to roughly
-// sequential cost.
+// Speedup requires GOMAXPROCS > 1; on a single core the pool degrades to
+// roughly sequential cost.
 func BenchmarkScheduleParallelism(b *testing.B) {
-	g := models.StackedRandWire("bench-par", 6, models.WSConfig{
+	benchScheduleAt(b, models.StackedRandWire("bench-par", 6, models.WSConfig{
 		Nodes: 40, K: 6, P: 0.9, Seed: 5, HW: 16, Channel: 8,
-	})
+	}), 1, 4, 8)
+}
+
+// BenchmarkDPIntraLevelParallel is the same comparison on the shape the
+// segment pool cannot help with: SwiftNet Cell A, which rewrites into one
+// 33-node segment. A search is single-threaded, so the sub-benchmarks must
+// agree on time and allocations as well as on the peak; a per-search fan-out
+// would have these numbers to beat (the sharded level expansion this replaced
+// ran 1.5-2x slower at parallelism 2).
+func BenchmarkDPIntraLevelParallel(b *testing.B) {
+	benchScheduleAt(b, models.SwiftNetCellA(), 1, 4)
+}
+
+// benchScheduleAt times Schedule on g under the default pipeline at each
+// Options.Parallelism, asserting every run finds the same peak. The step
+// timeout is far above what any level needs, so the valve never fires.
+func benchScheduleAt(b *testing.B, g *Graph, parallelism ...int) {
 	var wantPeak int64
-	for _, p := range []int{1, 4, 8} {
+	for _, p := range parallelism {
 		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			opts := DefaultOptions()
@@ -277,34 +291,6 @@ func BenchmarkScheduleParallelism(b *testing.B) {
 					wantPeak = res.Peak
 				} else if res.Peak != wantPeak {
 					b.Fatalf("peak %d diverged from %d", res.Peak, wantPeak)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDPIntraLevelParallel measures the sharded intra-level expansion
-// on a single dense cell — the single-segment shape the segment pool cannot
-// help with. Results are bit-identical across sub-benchmarks (asserted);
-// only wall-clock changes, and only with GOMAXPROCS > 1.
-func BenchmarkDPIntraLevelParallel(b *testing.B) {
-	g := models.RandWireCell("bench-intra", models.WSConfig{
-		Nodes: 44, K: 6, P: 0.9, Seed: 11, HW: 16, Channel: 8,
-	})
-	m := sched.NewMemModel(g)
-	var wantPeak int64
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := dp.Schedule(m, dp.Options{Parallelism: p})
-				if r.Flag != dp.FlagSolution {
-					b.Fatal("DP failed")
-				}
-				if wantPeak == 0 {
-					wantPeak = r.Peak
-				} else if r.Peak != wantPeak {
-					b.Fatalf("peak %d diverged from %d", r.Peak, wantPeak)
 				}
 			}
 		})

@@ -515,17 +515,16 @@ func pipelineServer(t *testing.T, wrap func(o serenity.Options, p *serenity.Pipe
 
 // TestRefinementRunsOneShardWide pins the refinement's CPU budget: the repair
 // holds ONE refinement-class compile slot, so it recomputes with parallelism 1
-// whatever the client asked for — its pipeline never fans segments out or
-// scopes its searcher above one DP shard — and still lands under the
-// client's schedule key (optionsKey ignores parallelism).
+// whatever the client asked for — its pipeline never fans segments out — and
+// still lands under the client's schedule key (optionsKey ignores
+// parallelism).
 func TestRefinementRunsOneShardWide(t *testing.T) {
-	type asked struct{ pipeline, shards int }
 	var mu sync.Mutex
-	var compiles []asked
+	var compiles []int
 	s, ts := pipelineServer(t, func(_ serenity.Options, p *serenity.Pipeline) {
 		mu.Lock()
 		defer mu.Unlock()
-		compiles = append(compiles, asked{p.Parallelism, p.Searcher.(serenity.BestEffort).Exact.Parallelism})
+		compiles = append(compiles, p.Parallelism)
 	})
 
 	body := graphBody(t, smallCell(46))
@@ -536,13 +535,12 @@ func TestRefinementRunsOneShardWide(t *testing.T) {
 	drainRefine(t, s.refine)
 	mu.Lock()
 	defer mu.Unlock()
-	want := []asked{{8, 8}, {1, 1}}
-	if !reflect.DeepEqual(compiles, want) {
-		t.Errorf("compilations ran with {pipeline parallelism, DP shards} %v, want the request at %v and its refinement at %v",
+	if want := []int{8, 1}; !reflect.DeepEqual(compiles, want) {
+		t.Errorf("compilations ran at pipeline parallelism %v, want the request at %d and its refinement at %d",
 			compiles, want[0], want[1])
 	}
 	if refined, _ := postScheduleOK(t, ts, q, body); !refined.Cached || refined.ScheduleVersion != 2 {
-		t.Errorf("the one-shard repair did not land under the parallelism=8 request's key: cached=%t version=%d",
+		t.Errorf("the parallelism-1 repair did not land under the parallelism=8 request's key: cached=%t version=%d",
 			refined.Cached, refined.ScheduleVersion)
 	}
 }

@@ -827,11 +827,11 @@ func (s *server) putExact(key string, r *scheduleResponse) *scheduleResponse {
 // request). The job is the request itself, recomputed without degradation
 // under the pool's context (no client deadline: background work takes the
 // time it needs) at the lowest admission priority (the pool's Gate). It holds
-// one compile slot, so it runs one shard wide whatever parallelism the client
-// asked for; optionsKey ignores parallelism, so the key is the client's. The
-// exact segments it finds reach memory, disk and their ring owners through
-// walkMemo's fill like any request's, and the exact answer then enters the
-// response cache with the next ScheduleVersion.
+// one compile slot, so it searches one segment at a time whatever parallelism
+// the client asked for; optionsKey ignores parallelism, so the key is the
+// client's. The exact segments it finds reach memory, disk and their ring
+// owners through walkMemo's fill like any request's, and the exact answer
+// then enters the response cache with the next ScheduleVersion.
 func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string, version int) bool {
 	if s.refine == nil {
 		return false

@@ -1,8 +1,10 @@
 // Example parallel_compile demonstrates the concurrent scheduling engine:
 // it builds a stacked multi-segment RandWire network, schedules it
 // sequentially and with the per-segment worker pool, verifies the results
-// are bit-identical, and reports the wall-clock difference. A context
-// deadline shows cancellation reaching into the DP search.
+// are bit-identical, and reports the wall-clock difference. The pool is the
+// only fan-out — each segment's search is single-threaded — so the gain
+// needs several segments and several cores. A context deadline shows
+// cancellation reaching into the DP search.
 package main
 
 import (

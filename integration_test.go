@@ -119,11 +119,7 @@ func TestPipelineAllStageCombinations(t *testing.T) {
 					Rewrite:        rw,
 					Partition:      part,
 					AdaptiveBudget: asb,
-				}
-				if asb {
-					// Validate rejects a StepTimeout the unbudgeted DP
-					// would silently ignore.
-					opts.StepTimeout = 500 * time.Millisecond
+					StepTimeout:    500 * time.Millisecond,
 				}
 				res, err := Schedule(g, opts)
 				if err != nil {

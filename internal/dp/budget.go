@@ -17,9 +17,9 @@ type AdaptiveOptions struct {
 	// MaxStates is forwarded to every DP run as a memory-safety valve;
 	// exceeding it ends the search with FlagTimeout. Defaults to 4M.
 	MaxStates int
-	// Parallelism is forwarded to every DP probe: wide levels fan their
-	// expansion across up to this many worker shards. See
-	// Options.Parallelism for the bit-identity contract.
+	// Parallelism is accepted and ignored: a search is single-threaded. The
+	// field stays only because the frozen benchmark/replay.go sets it; it
+	// goes when a [benchmark] PR drops that reference.
 	Parallelism int
 	// MemLimit is forwarded to every DP probe as the retained-byte ceiling
 	// (Options.MemLimit); a probe that crosses it ends the search with
@@ -122,7 +122,7 @@ func AdaptiveScheduleCtx(ctx context.Context, m *sched.MemModel, opts AdaptiveOp
 	var widen uint
 	var prevStates int64
 	for tau := min(ar.LowerBound, ar.BudgetCap); ; {
-		r := s.run(ctx, Options{Budget: tau, StepTimeout: opts.StepTimeout, MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, MemLimit: opts.MemLimit, MemGrow: opts.MemGrow})
+		r := s.run(ctx, Options{Budget: tau, StepTimeout: opts.StepTimeout, MaxStates: opts.MaxStates, MemLimit: opts.MemLimit, MemGrow: opts.MemGrow})
 		states := r.StatesExplored
 		ar.Probes = append(ar.Probes, BudgetProbe{Budget: tau, Flag: r.Flag, States: states, Pruned: r.StatesPruned, MaxFrontier: r.MaxFrontier, PeakBytes: r.PeakBytes, Elapsed: r.Elapsed})
 		if p := ar.Result; p != nil {

@@ -3,8 +3,8 @@ package dp_test
 // The canonical-order suite: with peak ties broken on the node id, the exact
 // schedule is a pure function of the segment. Every test here checks that per
 // instance — the order and peak of one unbudgeted dp.Schedule must come back
-// byte for byte from every budget τ ≥ µ*, from the sharded expander, and from
-// the budget ladder — together with the ladder's own contracts: an admissible
+// byte for byte from every budget τ ≥ µ* and from the budget ladder —
+// together with the ladder's own contracts: an admissible
 // first rung, valves that fail rather than steer, and a bounded probe count.
 
 import (
@@ -23,11 +23,10 @@ import (
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
-// assertCanonical runs m unbudgeted, at Budget ∈ {Kahn, greedy, µ*, 2µ*}, each
-// sequentially and sharded four ways, and through the ladder at Parallelism 1
-// and 4, and fails unless all of them return the unbudgeted run's order and
-// peak. It also pins the ladder's accounting rule and its admissible lower
-// bound, and returns the sequential ladder's result.
+// assertCanonical runs m unbudgeted, at Budget ∈ {Kahn, greedy, µ*, 2µ*} and
+// through the ladder, and fails unless all of them return the unbudgeted
+// run's order and peak. It also pins the ladder's accounting rule and its
+// admissible lower bound, and returns the ladder's result.
 func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveResult {
 	t.Helper()
 	want := dp.Schedule(m, dp.Options{})
@@ -52,40 +51,35 @@ func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveR
 	}
 	for _, budget := range []int64{0, m.MustPeak(kahn), greedy, want.Peak, 2 * want.Peak} {
 		same(fmt.Sprintf("budget=%d", budget), dp.Schedule(m, dp.Options{Budget: budget}))
-		same(fmt.Sprintf("budget=%d/parallel", budget), dp.Schedule(m, parallelOpts(dp.Options{Budget: budget}, 4)))
 	}
 
 	if lb := m.LowerBound(); lb > want.Peak {
 		t.Fatalf("%s: lower bound %d above the optimal peak %d", name, lb, want.Peak)
 	}
-	var seq *dp.AdaptiveResult
-	for _, workers := range []int{4, 1} {
-		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{Parallelism: workers})
-		if err != nil {
-			t.Fatalf("%s/ladder/workers%d: %v", name, workers, err)
-		}
-		same(fmt.Sprintf("ladder/workers%d", workers), ar.Result)
-		var states, pruned int64
-		var frontier int
-		var bytes int64
-		for i, p := range ar.Probes {
-			if last := i == len(ar.Probes)-1; last != (p.Flag == dp.FlagSolution) {
-				t.Fatalf("%s/ladder/workers%d: probe %d of %d ended %v", name, workers, i, len(ar.Probes), p.Flag)
-			}
-			states, pruned = states+p.States, pruned+p.Pruned
-			frontier, bytes = max(frontier, p.MaxFrontier), max(bytes, p.PeakBytes)
-		}
-		if ar.StatesExplored != states || ar.StatesPruned != pruned || ar.MaxFrontier != frontier || ar.PeakBytes != bytes {
-			t.Fatalf("%s/ladder/workers%d: accounting (%d explored, %d pruned, frontier %d, %d bytes) is not Σ/max over probes (%d, %d, %d, %d)",
-				name, workers, ar.StatesExplored, ar.StatesPruned, ar.MaxFrontier, ar.PeakBytes, states, pruned, frontier, bytes)
-		}
-		if ar.FinalBudget < want.Peak || ar.FinalBudget > ar.BudgetCap || ar.Probes[0].Budget != min(ar.LowerBound, ar.BudgetCap) {
-			t.Fatalf("%s/ladder/workers%d: rungs %d..%d outside [lower bound %d, cap %d] (peak %d)",
-				name, workers, ar.Probes[0].Budget, ar.FinalBudget, ar.LowerBound, ar.BudgetCap, want.Peak)
-		}
-		seq = ar
+	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
+	if err != nil {
+		t.Fatalf("%s/ladder: %v", name, err)
 	}
-	return seq
+	same("ladder", ar.Result)
+	var states, pruned int64
+	var frontier int
+	var bytes int64
+	for i, p := range ar.Probes {
+		if last := i == len(ar.Probes)-1; last != (p.Flag == dp.FlagSolution) {
+			t.Fatalf("%s/ladder: probe %d of %d ended %v", name, i, len(ar.Probes), p.Flag)
+		}
+		states, pruned = states+p.States, pruned+p.Pruned
+		frontier, bytes = max(frontier, p.MaxFrontier), max(bytes, p.PeakBytes)
+	}
+	if ar.StatesExplored != states || ar.StatesPruned != pruned || ar.MaxFrontier != frontier || ar.PeakBytes != bytes {
+		t.Fatalf("%s/ladder: accounting (%d explored, %d pruned, frontier %d, %d bytes) is not Σ/max over probes (%d, %d, %d, %d)",
+			name, ar.StatesExplored, ar.StatesPruned, ar.MaxFrontier, ar.PeakBytes, states, pruned, frontier, bytes)
+	}
+	if ar.FinalBudget < want.Peak || ar.FinalBudget > ar.BudgetCap || ar.Probes[0].Budget != min(ar.LowerBound, ar.BudgetCap) {
+		t.Fatalf("%s/ladder: rungs %d..%d outside [lower bound %d, cap %d] (peak %d)",
+			name, ar.Probes[0].Budget, ar.FinalBudget, ar.LowerBound, ar.BudgetCap, want.Peak)
+	}
+	return ar
 }
 
 // randomCanonicalDAG draws from the same family TestDifferentialRandomDAGs
@@ -102,7 +96,6 @@ func randomCanonicalDAG(rng *rand.Rand) *graph.Graph {
 // nine evaluation cells, as built and after identity graph rewriting (the
 // graphs whose Kahn-budget searches ran up to 21× wider than needed).
 func TestCanonicalOrderNineCells(t *testing.T) {
-	forceProcs(t, 4)
 	for _, cell := range models.BenchmarkCells() {
 		built := cell.Build()
 		rewritten, _, err := rewrite.RewriteAll(built, rewrite.DefaultRules(), 0)
@@ -131,7 +124,6 @@ func TestCanonicalOrderNineCells(t *testing.T) {
 // ones small enough to enumerate, an exhaustive search that knows nothing of
 // levels, signatures or budgets must pick the same order.
 func TestCanonicalOrderRandomDAGs(t *testing.T) {
-	forceProcs(t, 4)
 	iters := 200
 	if testing.Short() || raceEnabled {
 		iters = 40

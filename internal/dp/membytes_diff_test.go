@@ -4,7 +4,7 @@ package dp_test
 // accounting, in the same harness style as differential_test.go: a ceiling
 // the run fits under must change nothing (bit-identical to the oracle, which
 // has no byte accounting at all), and a ceiling it cannot fit under must
-// abort both cores deterministically with FlagMemPressure.
+// abort deterministically with FlagMemPressure.
 
 import (
 	"fmt"
@@ -19,10 +19,9 @@ import (
 
 // TestDifferentialMemLimitValve pins the valve across random DAGs: the
 // unlimited run's PeakBytes is exactly the ceiling that still succeeds, any
-// smaller ceiling aborts with FlagMemPressure in both the sequential and
-// sharded cores, and PeakBytes itself is bit-identical on solution paths.
+// smaller ceiling aborts with FlagMemPressure, and a ceiling that fits
+// leaves PeakBytes unchanged.
 func TestDifferentialMemLimitValve(t *testing.T) {
-	forceProcs(t, 4)
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 15; trial++ {
 		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 10 + rng.Intn(9), EdgeProb: 0.1 + rng.Float64()*0.4, MaxFanIn: 1 + rng.Intn(3)})
@@ -41,17 +40,14 @@ func TestDifferentialMemLimitValve(t *testing.T) {
 		// against the accounting-free oracle.
 		fit := dp.Options{MemLimit: base.PeakBytes}
 		want := referenceSchedule(m, fit)
-		seq := dp.Schedule(m, fit)
-		assertBitIdentical(t, name+"/fit/sequential", want, seq)
-		par := dp.Schedule(m, parallelOpts(fit, 4))
-		assertBitIdentical(t, name+"/fit/parallel", want, par)
-		if seq.PeakBytes != base.PeakBytes || par.PeakBytes != base.PeakBytes {
-			t.Fatalf("%s: PeakBytes diverged: unlimited %d, fit-seq %d, fit-par %d",
-				name, base.PeakBytes, seq.PeakBytes, par.PeakBytes)
+		got := dp.Schedule(m, fit)
+		assertBitIdentical(t, name+"/fit", want, got)
+		if got.PeakBytes != base.PeakBytes {
+			t.Fatalf("%s: PeakBytes diverged: unlimited %d, fit %d", name, base.PeakBytes, got.PeakBytes)
 		}
 
-		// Any ceiling below the peak must abort, deterministically, in both
-		// cores, and a repeat run must agree with itself bit for bit.
+		// Any ceiling below the peak must abort, deterministically: a repeat
+		// run must agree with itself bit for bit.
 		floor := dp.FrontierStateBytes(g.NumNodes()) + 8
 		for _, limit := range []int64{base.PeakBytes - 1, base.PeakBytes / 2, floor} {
 			if limit <= 0 || limit >= base.PeakBytes {
@@ -60,16 +56,12 @@ func TestDifferentialMemLimitValve(t *testing.T) {
 			tight := dp.Options{MemLimit: limit}
 			s1 := dp.Schedule(m, tight)
 			if s1.Flag != dp.FlagMemPressure {
-				t.Fatalf("%s/limit=%d: sequential flag %v, want memory pressure", name, limit, s1.Flag)
+				t.Fatalf("%s/limit=%d: flag %v, want memory pressure", name, limit, s1.Flag)
 			}
 			s2 := dp.Schedule(m, tight)
 			assertBitIdentical(t, fmt.Sprintf("%s/limit=%d/repeat", name, limit), s1, s2)
 			if s2.PeakBytes != s1.PeakBytes {
 				t.Fatalf("%s/limit=%d: abort PeakBytes not deterministic: %d vs %d", name, limit, s1.PeakBytes, s2.PeakBytes)
-			}
-			p := dp.Schedule(m, parallelOpts(tight, 4))
-			if p.Flag != dp.FlagMemPressure {
-				t.Fatalf("%s/limit=%d: parallel flag %v, want memory pressure", name, limit, p.Flag)
 			}
 		}
 
@@ -86,7 +78,6 @@ func TestDifferentialMemLimitValve(t *testing.T) {
 // solution is bit-identical to an unlimited run), and aborts with
 // FlagMemPressure the moment it denies.
 func TestMemGrowUpgradesAndDenies(t *testing.T) {
-	forceProcs(t, 4)
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 8; trial++ {
 		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 12 + rng.Intn(6), EdgeProb: 0.25, MaxFanIn: 3})
@@ -97,27 +88,21 @@ func TestMemGrowUpgradesAndDenies(t *testing.T) {
 		}
 		start := dp.FrontierStateBytes(g.NumNodes()) + 8
 
-		for _, workers := range []int{1, 4} {
-			var grants int
-			grant := func(needed int64) int64 { grants++; return needed * 2 }
-			opts := dp.Options{MemLimit: start, MemGrow: grant}
-			if workers > 1 {
-				opts = parallelOpts(opts, workers)
-			}
-			got := dp.Schedule(m, opts)
-			assertBitIdentical(t, fmt.Sprintf("trial%d/workers%d/grant", trial, workers), want, got)
-			if got.PeakBytes != want.PeakBytes {
-				t.Fatalf("trial%d/workers%d: granted run PeakBytes %d != %d", trial, workers, got.PeakBytes, want.PeakBytes)
-			}
-			if want.PeakBytes > start && grants == 0 {
-				t.Fatalf("trial%d/workers%d: run outgrew %d bytes without consulting MemGrow", trial, workers, start)
-			}
+		var grants int
+		grant := func(needed int64) int64 { grants++; return needed * 2 }
+		opts := dp.Options{MemLimit: start, MemGrow: grant}
+		got := dp.Schedule(m, opts)
+		assertBitIdentical(t, fmt.Sprintf("trial%d/grant", trial), want, got)
+		if got.PeakBytes != want.PeakBytes {
+			t.Fatalf("trial%d: granted run PeakBytes %d != %d", trial, got.PeakBytes, want.PeakBytes)
+		}
+		if want.PeakBytes > start && grants == 0 {
+			t.Fatalf("trial%d: run outgrew %d bytes without consulting MemGrow", trial, start)
+		}
 
-			deny := func(needed int64) int64 { return 0 }
-			opts.MemGrow = deny
-			if f := dp.Schedule(m, opts).Flag; f != dp.FlagMemPressure {
-				t.Fatalf("trial%d/workers%d/deny: flag %v, want memory pressure", trial, workers, f)
-			}
+		opts.MemGrow = func(needed int64) int64 { return 0 }
+		if f := dp.Schedule(m, opts).Flag; f != dp.FlagMemPressure {
+			t.Fatalf("trial%d/deny: flag %v, want memory pressure", trial, f)
 		}
 	}
 }

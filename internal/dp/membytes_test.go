@@ -74,9 +74,6 @@ func FuzzPeakBytesCoversRetention(f *testing.F) {
 			opts.MaxStates = 16
 		case 2:
 			opts.Budget = 1 << uint(sel%20)
-		case 3:
-			opts.Parallelism = 4
-			opts.ParallelThreshold = 1
 		}
 		r := Schedule(m, opts)
 		if audits != 1 {

@@ -4,7 +4,6 @@ package dp_test
 
 // raceEnabled trims the differential sweeps when the race detector is on:
 // the map-based reference oracle runs ~8x slower under race and contributes
-// nothing to race coverage (it is single-threaded by construction). The
-// sharded expander keeps full race coverage via TestParallelExpansionRace
-// and TestParallelMatchesSequentialWideFrontiers.
+// nothing to race coverage (like the search it checks, it is single-threaded
+// by construction).
 const raceEnabled = true

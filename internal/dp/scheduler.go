@@ -24,15 +24,18 @@
 // Duplicate transitions (the bulk of a dense level) cost zero allocations;
 // only genuinely new signatures write to the slab. Completed levels are
 // compacted down to the (parent, via) pairs schedule reconstruction needs.
-// Wide levels can additionally fan expansion across worker shards — see
-// parallel.go and Options.Parallelism.
+//
+// A search is single-threaded: Algorithm 1 is one level-by-level recursion,
+// and sharding a level's transitions across workers measured 1.5-2x slower
+// than this loop (every shard rescans the whole parent level and the merge
+// copies every state). The parallelism the paper offers is between partition
+// segments, which the pipeline above this package fans out.
 package dp
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"time"
 
@@ -56,11 +59,9 @@ const (
 	// compacted-history bytes (the accounting behind Result.PeakBytes) would
 	// have exceeded Options.MemLimit and Options.MemGrow declined to raise
 	// the ceiling. The abort is deterministic: the byte accounting is a pure
-	// function of per-level frontier widths, so (with a fixed MemLimit and a
-	// nil MemGrow) sequential and sharded runs of the same search abort at
-	// the same level with the same Flag. Unlike FlagTimeout, it signals that
-	// retrying with more time cannot help — only a larger byte ceiling, a
-	// smaller soft budget τ (which prunes the frontier), or a heuristic
+	// function of per-level frontier widths. Unlike FlagTimeout, it signals
+	// that retrying with more time cannot help — only a larger byte ceiling,
+	// a smaller soft budget τ (which prunes the frontier), or a heuristic
 	// fallback can.
 	FlagMemPressure
 )
@@ -95,44 +96,20 @@ type Options struct {
 	// memory-safety valve for graphs the paper would call intractable
 	// without divide-and-conquer.
 	MaxStates int
-	// Parallelism fans a single level's expansion across up to this many
-	// worker shards once the frontier is at least ParallelThreshold wide.
-	// Transitions are sharded by signature hash (all duplicates of a
-	// signature land in one shard), and which predecessor a signature
-	// records does not depend on scan order, so on the solution path every
-	// Result field is bit-identical to a sequential run.
-	// The one concession, mirroring the segment pool's: when a run aborts
-	// (timeout, cancellation, MaxStates), the partial StatesExplored and
-	// StatesPruned counts may differ from the sequential path's — the Flag
-	// itself is still identical for the deterministic MaxStates valve.
-	// Values <= 1 mean sequential; the shard count is also capped by
-	// GOMAXPROCS.
-	Parallelism int
-	// ParallelThreshold is the minimum frontier width (states in the level
-	// being expanded) before Parallelism engages; below it sharding overhead
-	// outweighs the win and expansion stays sequential. Zero means the
-	// default (256).
-	ParallelThreshold int
 	// MemLimit caps the bytes the search may retain across its frontier
 	// slabs and compacted (parent, via) history — the quantity reported in
 	// Result.PeakBytes. Crossing it aborts with FlagMemPressure (after
 	// consulting MemGrow, if set). Zero means unlimited. Unlike MaxStates,
 	// which counts signatures regardless of width, the byte valve accounts
 	// 2⌈n/64⌉ slab words plus a 32-byte header per state, so wide graphs
-	// trip it proportionally earlier. With a fixed MemLimit and nil MemGrow
-	// the abort is deterministic and bit-identical between sequential and
-	// sharded runs (same Flag at the same level); when both MaxStates and
-	// MemLimit could trip within one level, the sharded path resolves
-	// MaxStates first while the sequential path reports whichever cap it
-	// crossed first — configure one valve where that distinction matters.
+	// trip it proportionally earlier. It is checked after each parent
+	// state's transitions and once more when a level's history is compacted.
 	MemLimit int64
 	// MemGrow, when non-nil, is consulted before a MemLimit abort with the
 	// bytes the search needs to continue. Returning a new limit >= needed
 	// raises the ceiling and the search proceeds; returning anything
 	// smaller denies the upgrade and the search aborts with
-	// FlagMemPressure. Sequential and sharded runs consult the callback at
-	// different points mid-level, so abort-point determinism is only
-	// guaranteed when MemGrow is nil.
+	// FlagMemPressure.
 	MemGrow func(needed int64) int64
 }
 
@@ -152,11 +129,7 @@ type Result struct {
 	// the two ping-ponged level buffers at their widest (2⌈n/64⌉ slab words
 	// plus a 32-byte header per state) plus the compacted 8-byte
 	// (parent, via) history. It is a pure function of per-level frontier
-	// widths, so on the solution path it is bit-identical between
-	// sequential and sharded runs; on abort paths it reflects only the
-	// committed structure (like the partial-count concession in
-	// Options.Parallelism, a mid-level abort may report fewer bytes under
-	// sharding because unmerged shard-private frontiers are torn down).
+	// widths; an aborted run reports the bytes held when it stopped.
 	PeakBytes int64
 	Elapsed   time.Duration
 }
@@ -219,9 +192,6 @@ type search struct {
 	hiCur      int64
 	hiNext     int64
 	pvBytes    int64
-	byteCap    int64 // per-level shard-poll width cap; -1 when inactive
-
-	px *parallelExpander // lazily built on the first sharded level
 }
 
 // liveBytes is the search's current (== peak, by monotonicity) retained
@@ -239,8 +209,7 @@ func (s *search) liveBytes() int64 {
 
 // memOver reports whether retaining width states in the next buffer would
 // exceed MemLimit, consulting MemGrow once per crossing. A true return means
-// the search must abort with FlagMemPressure. Single-threaded contexts only
-// (sequential expansion, post-join, level end): it may mutate s.memLimit.
+// the search must abort with FlagMemPressure.
 func (s *search) memOver(width int) bool {
 	if s.memLimit <= 0 {
 		return false
@@ -351,13 +320,7 @@ func (s *search) run(ctx context.Context, opts Options) *Result {
 		s.stepStart = time.Now()
 		s.next.reset()
 
-		var out expandOutcome
-		if s.shardCount() > 1 {
-			out = s.expandParallel()
-		} else {
-			out = s.expandSequential()
-		}
-		switch out {
+		switch s.expandSequential() {
 		case expandCanceled:
 			res.Flag = FlagCanceled
 			return res
@@ -473,7 +436,7 @@ func (s *search) expandSequential() expandOutcome {
 					// Memoize the schedule with the least peak (lines 21-22);
 					// ties go to the smaller via, which names the parent
 					// signature uniquely, so the winner does not depend on
-					// discovery order, sharding or τ.
+					// discovery order or τ.
 					ns := &next.states[idx]
 					if peak < ns.peak || (peak == ns.peak && int32(u) < ns.via) {
 						ns.peak = peak
@@ -495,30 +458,6 @@ func (s *search) expandSequential() expandOutcome {
 		}
 	}
 	return expandOK
-}
-
-// shardCount returns how many expansion shards the coming level would use:
-// 1 (sequential) unless Parallelism allows more, the frontier is at least
-// ParallelThreshold wide, and the machine has the cores to run them.
-func (s *search) shardCount() int {
-	if s.opts.Parallelism <= 1 {
-		return 1
-	}
-	thr := s.opts.ParallelThreshold
-	if thr <= 0 {
-		thr = defaultParallelThreshold
-	}
-	if len(s.cur.states) < thr {
-		return 1
-	}
-	shards := s.opts.Parallelism
-	if mp := runtime.GOMAXPROCS(0); shards > mp {
-		shards = mp
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
-	return shards
 }
 
 // canceled reports whether the context's done channel has fired.

@@ -326,11 +326,11 @@ func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 
 // TestWalkVsUpgradeFirstWriterStands is the disk tier's first-writer-stands
 // race (run under -race in CI). A walk's write-behind (the queue worker's
-// conditional put, which only ever upgrades: keepOptimalArtifact) races the
-// anti-entropy import of a peer's byte-different optimal twin for the same
-// key; exactly one of them lands, and the first bytes on disk are the only
-// bytes ever on disk — the conditional puts decide under the store's own
-// lock, so neither writer can slip between the other's check and its write.
+// put-if-absent) races the anti-entropy import of a peer's byte-different
+// twin for the same key; exactly one of them lands, and the first bytes on
+// disk are the only bytes ever on disk — the conditional puts decide under
+// the store's own lock, so neither writer can slip between the other's check
+// and its write.
 func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 	ss := openStoreT(t, t.TempDir())
 	fresh := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 5, Quality: QualityOptimal}
@@ -355,7 +355,7 @@ func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 		landed := make(chan bool)
 		go func() {
 			<-start
-			wrote, err := ss.putIf(key, local, keepOptimalArtifact)
+			wrote, err := ss.putIfAbsent(key, local)
 			landed <- wrote && err == nil
 		}()
 		go func() {

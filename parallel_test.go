@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +63,57 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelismReachesNothingInsideASearch pins that the Parallelism budget
+// only fans out independent units: on a cell that rewrites into a single
+// segment, with cores to spare, Parallelism 8 returns the same Result field
+// for field as Parallelism 1 and allocates the same (a search that forked
+// workers of its own would allocate their working sets). testing.AllocsPerRun
+// pins GOMAXPROCS to 1, where no fan-out could engage, so the mallocs are
+// counted here; the minimum over a few runs drops what other goroutines
+// allocated meanwhile. The counts agree to within 1, except under the race
+// detector, where sync.Pool drops a quarter of its Puts at random and fmt's
+// pooled buffers make every run wobble by a handful (a forked search adds
+// hundreds).
+func TestParallelismReachesNothingInsideASearch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	run := func(parallelism int) (*Result, uint64) {
+		opts := DefaultOptions()
+		opts.StepTimeout = time.Minute
+		opts.Parallelism = parallelism
+		var res *Result
+		mallocs := ^uint64(0)
+		var ms runtime.MemStats
+		for i := 0; i < 5; i++ {
+			g := SwiftNetCellA()
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			r, err := Schedule(g, opts)
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				t.Fatalf("parallelism %d: %v", parallelism, err)
+			}
+			res, mallocs = r, min(mallocs, ms.Mallocs-before)
+		}
+		res.Stages, res.SchedulingTime = StageTimings{}, 0
+		return res, mallocs
+	}
+	seq, seqMallocs := run(1)
+	if len(seq.PartitionSizes) != 1 {
+		t.Fatalf("SwiftNet A split into %v; the test needs a single segment", seq.PartitionSizes)
+	}
+	par, parMallocs := run(8)
+	if !reflect.DeepEqual(par, seq) {
+		t.Errorf("Parallelism 8 result differs from Parallelism 1:\n%+v\n%+v", par, seq)
+	}
+	slack := int64(1)
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		slack = 16
+	}
+	if d := int64(parMallocs) - int64(seqMallocs); d < -slack || d > slack {
+		t.Errorf("Parallelism 8 made %d allocations per Schedule, Parallelism 1 %d", parMallocs, seqMallocs)
+	}
+}
+
 // TestParallelismOversubscription exercises worker counts beyond the segment
 // count and degenerate values.
 func TestParallelismOversubscription(t *testing.T) {
@@ -89,10 +142,10 @@ func TestParallelismOversubscription(t *testing.T) {
 	}
 }
 
-// TestSplitParallelism pins the one budget splitter behind every two-level
-// fan-out (segment pool × DP shards, batch item workers × per-item
-// parallelism): the two levels never multiply past the GOMAXPROCS-clamped
-// budget, never exceed the unit count, and never reach zero.
+// TestSplitParallelism pins the one budget splitter behind the two-level
+// fan-out (batch item workers × each item's segment pool): the two levels
+// never multiply past the GOMAXPROCS-clamped budget, never exceed the unit
+// count, and never reach zero.
 func TestSplitParallelism(t *testing.T) {
 	mp := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct{ budget, units int }{

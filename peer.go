@@ -41,8 +41,10 @@ func artifactSelfConsistent(payload []byte) bool {
 	return ok
 }
 
-// ifAbsent is the fleet-facing writes' PutIf condition, first-writer-wins: an
-// established record keeps its bytes.
+// ifAbsent is the PutIf condition of every disk write — write-behind, a
+// peer's replica, an anti-entropy import — first-writer-wins: an established
+// record keeps its bytes. (A record that fails validation is deleted by the
+// lookup that finds it, so it never stands in a recompute's way.)
 func ifAbsent(_ []byte, exists bool) bool { return !exists }
 
 // The methods below adapt a ScheduleStore to the fleet's Store interface
@@ -71,7 +73,7 @@ func (ss *ScheduleStore) PutArtifact(key string, payload []byte) bool {
 	if !artifactSelfConsistent(payload) {
 		return false
 	}
-	wrote, err := ss.putIf(key, payload, ifAbsent)
+	wrote, err := ss.putIfAbsent(key, payload)
 	return wrote && err == nil
 }
 

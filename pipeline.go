@@ -230,16 +230,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	searchSp := root.Child("stage.search")
 	searchStart := time.Now()
 
-	// One Parallelism budget, two fan-outs: the segment pool takes its
-	// workers, and a scope-aware searcher spreads the remainder across each
-	// segment's own wide DP levels — so a single-segment graph (where the
-	// pool is useless) spends the whole budget inside its search.
-	searcher := p.Searcher
-	if ps, ok := searcher.(parallelScoper); ok && p.Parallelism > 1 {
-		_, perSegment := SplitParallelism(p.Parallelism, len(segments))
-		searcher = ps.scopeParallelism(perSegment)
-	}
-
 	// memoKeys[i] is segment i's memo/store key; nil disables memoization
 	// (no memo or store installed, partitioning off, or a Searcher that does
 	// not expose a MemoKey). Keys are computed up front so the per-segment
@@ -283,7 +273,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 				dpSp = segSp.Child("dp.search")
 			}
 			t0 := time.Now()
-			segSearcher := searcher
+			segSearcher := p.Searcher
 			var rsv SearchReservation
 			if p.Govern != nil {
 				if ms, ok := segSearcher.(memScoper); ok {
@@ -332,7 +322,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 				return sr, err
 			}
 			if !validPermutation(sr.Order, nodes) {
-				return sr, fmt.Errorf("serenity: searcher %s returned %d ids that are not a permutation of the segment's %d nodes", searcher.Name(), len(sr.Order), nodes)
+				return sr, fmt.Errorf("serenity: searcher %s returned %d ids that are not a permutation of the segment's %d nodes", p.Searcher.Name(), len(sr.Order), nodes)
 			}
 			return sr, nil
 		}

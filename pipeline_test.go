@@ -33,7 +33,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"best-effort without adaptive", Options{Strategy: StrategyBestEffort, StepTimeout: time.Second}, ""},
 		{"negative parallelism", valid(func(o *Options) { o.Parallelism = -1 }), "negative Parallelism"},
 		{"negative step timeout", valid(func(o *Options) { o.StepTimeout = -time.Second }), "negative StepTimeout"},
-		{"step timeout without adaptive", Options{StepTimeout: time.Second}, "requires AdaptiveBudget"},
+		{"step timeout without adaptive", Options{StepTimeout: time.Second}, ""},
 		{"negative max states", valid(func(o *Options) { o.MaxStates = -5 }), "negative MaxStates"},
 		{"negative memory budget", valid(func(o *Options) { o.MemoryBudget = -1 }), "negative MemoryBudget"},
 		{"unknown strategy", valid(func(o *Options) { o.Strategy = "simulated-annealing" }), "unknown strategy"},
@@ -49,6 +49,13 @@ func TestOptionsValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.wantErr)
 		}
+	}
+
+	// StepTimeout is a valve on the unbudgeted DP too: a level that exceeds
+	// it (SwiftNet A's 21 nodes cannot be searched in a nanosecond) fails the
+	// search rather than being rejected up front.
+	if _, err := Schedule(SwiftNetCellA(), Options{StepTimeout: time.Nanosecond}); err == nil || !strings.Contains(err.Error(), "ended with timeout") {
+		t.Errorf("unbudgeted search under a 1ns StepTimeout: err = %v, want a timeout from the search", err)
 	}
 
 	// Invalid options must fail before any scheduling work, from both

@@ -161,32 +161,21 @@ func (m *SegmentMemo) Stats() SegmentMemoStats {
 	}
 }
 
-// settle stores sr under key unless an optimal entry is already established,
-// and returns the entry that stands. It is the memory tier's one write rule:
-// two optimal runs may have converged through different adaptive budgets, and
-// hits must stay bit-identical to whichever run populated the entry first —
-// so every writer, whichever tier its result arrived from, defers to an
-// optimal entry already there, atomically (the check runs under the cache's
-// lock).
+// settle stores sr under key unless the key already holds an entry, and
+// returns the entry that stands. It is the memory tier's one write rule, the
+// same first-writer-wins every disk write obeys (ifAbsent): only non-degraded
+// results reach a tier and a key names one canonical order, so no later
+// writer has anything better — it only differs in the search accounting, and
+// hits must stay bit-identical to the run that populated the entry. The check
+// runs under the cache's lock.
 func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, wrote bool) {
 	wrote = m.store.PutIf(key, sr, func(cur SearchResult, exists bool) bool {
-		if exists && cur.Quality == QualityOptimal {
+		if exists {
 			sr = cur
-			return false
 		}
-		return true
+		return !exists
 	})
 	return sr, wrote
-}
-
-// keepOptimalArtifact is settle's rule for the disk tier: a payload may
-// supersede the stored one unless that one already decodes as optimal.
-func keepOptimalArtifact(cur []byte, exists bool) bool {
-	if !exists {
-		return true
-	}
-	sr, err := UnmarshalSegmentArtifact(cur)
-	return err != nil || sr.Quality != QualityOptimal
 }
 
 // walkMemo is the memo hierarchy's one lookup: it returns the result for key,

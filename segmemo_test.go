@@ -523,27 +523,24 @@ func (plainSearcher) Search(ctx context.Context, m *MemModel) (SearchResult, err
 }
 
 // TestSegmentMemoReplaceUpgradesOnly pins the memory tier's one write rule
-// (settle): a heuristic entry upgrades to optimal, and an established optimal
-// entry is never clobbered — a later writer gets the standing entry back, so
-// hits stay bit-identical to whichever run populated it first.
+// (settle), first writer stands: whatever a later writer brings — the same
+// order with other accounting, another quality — it gets the standing entry
+// back, so hits stay bit-identical to the run that populated it.
 func TestSegmentMemoReplaceUpgradesOnly(t *testing.T) {
 	memo := NewSegmentMemo(64)
+	first := SearchResult{Order: Order{0, 1}, StatesExplored: 4, Quality: QualityOptimal}
+	recount := SearchResult{Order: Order{0, 1}, StatesExplored: 2, Quality: QualityOptimal}
 	heuristic := SearchResult{Order: Order{1, 0}, Quality: QualityHeuristic}
-	optimal := SearchResult{Order: Order{0, 1}, StatesExplored: 4, Quality: QualityOptimal}
-	other := SearchResult{Order: Order{1, 0}, StatesExplored: 2, Quality: QualityOptimal}
 
-	if _, wrote := memo.settle("k", heuristic); !wrote {
-		t.Fatal("settle refused the first entry")
+	if stands, wrote := memo.settle("k", first); !wrote || !reflect.DeepEqual(stands, first) {
+		t.Fatalf("settle refused the first entry: wrote=%t stands=%+v", wrote, stands)
 	}
-	if stands, wrote := memo.settle("k", optimal); !wrote || !reflect.DeepEqual(stands, optimal) {
-		t.Fatalf("heuristic→optimal upgrade: wrote=%t stands=%+v", wrote, stands)
-	}
-	for _, late := range []SearchResult{other, heuristic} {
-		if stands, wrote := memo.settle("k", late); wrote || !reflect.DeepEqual(stands, optimal) {
-			t.Errorf("settle over an optimal entry: wrote=%t stands=%+v, want the first optimal entry to stand", wrote, stands)
+	for _, late := range []SearchResult{recount, heuristic} {
+		if stands, wrote := memo.settle("k", late); wrote || !reflect.DeepEqual(stands, first) {
+			t.Errorf("settle over an entry: wrote=%t stands=%+v, want the first entry to stand", wrote, stands)
 		}
 	}
-	if got, _ := memo.store.Get("k"); !reflect.DeepEqual(got, optimal) {
-		t.Errorf("stored entry %+v, want the first optimal one", got)
+	if got, _ := memo.store.Get("k"); !reflect.DeepEqual(got, first) {
+		t.Errorf("stored entry %+v, want the first one", got)
 	}
 }

@@ -160,8 +160,8 @@ type StoreStats struct {
 // written through asynchronously (the DP's caller never waits on the disk).
 // Degraded (FellBack) results are never persisted — the artifact encoding
 // refuses them. Every write the hierarchy makes here — write-behind, a
-// peer's replica, an anti-entropy import — is an atomic conditional put, so
-// an established optimal artifact is never clobbered.
+// peer's replica, an anti-entropy import — is an atomic put-if-absent
+// (ifAbsent): a key names one canonical result, so the first record stands.
 //
 // Artifacts are re-validated on every load: CRC at the byte layer, then
 // version, shape, and a full permutation check against the segment's node
@@ -175,8 +175,8 @@ type StoreStats struct {
 type ScheduleStore struct {
 	st *store.Store
 
-	// mu is read-held by every data operation (get, putAsync, putIf, Flush,
-	// Compact, Stats) and write-held only by Close, which makes
+	// mu is read-held by every data operation (get, putAsync, putIfAbsent,
+	// Flush, Compact, Stats) and write-held only by Close, which makes
 	// "closed store drops lookups and writes silently" a real invariant:
 	// once Close holds the write lock no operation can be mid-flight
 	// against the inner store, and every later operation observes closed
@@ -235,7 +235,7 @@ func (ss *ScheduleStore) writer() {
 		// future cold search, nothing more. Conditional, because a peer's
 		// replica or an import may have landed the key while this write sat in
 		// the queue.
-		_, _ = ss.st.PutIf(w.key, w.payload, keepOptimalArtifact)
+		_, _ = ss.st.PutIf(w.key, w.payload, ifAbsent)
 	}
 }
 
@@ -298,16 +298,16 @@ func (ss *ScheduleStore) putAsync(key string, payload []byte) {
 	}
 }
 
-// putIf is the synchronous conditional write behind PutArtifact: allow
-// decides under the inner store's lock, so nothing can land between the
-// check and the write. Writing into a closed store is a silent no-op.
-func (ss *ScheduleStore) putIf(key string, payload []byte, allow func(cur []byte, exists bool) bool) (bool, error) {
+// putIfAbsent is the synchronous write behind PutArtifact: ifAbsent decides
+// under the inner store's lock, so nothing can land between the check and the
+// write. Writing into a closed store is a silent no-op.
+func (ss *ScheduleStore) putIfAbsent(key string, payload []byte) (bool, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if ss.closed {
 		return false, nil
 	}
-	return ss.st.PutIf(key, payload, allow)
+	return ss.st.PutIf(key, payload, ifAbsent)
 }
 
 // Flush blocks until every write enqueued before the call has reached the

@@ -413,34 +413,42 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 }
 
 // TestScheduleStoreReplaceUpgradesOnly pins the disk tier's write rule, the
-// one every write-behind obeys (keepOptimalArtifact): a heuristic artifact
-// upgrades to optimal, an established optimal artifact is never clobbered,
-// and a degraded result cannot even be encoded for the store.
+// one every write-behind obeys (ifAbsent): the first artifact under a key
+// stands against any later write, a record that fails validation is deleted
+// by the one lookup that finds it — so the recompute's write-behind replaces
+// it — and a degraded result cannot even be encoded for the store.
 func TestScheduleStoreReplaceUpgradesOnly(t *testing.T) {
 	ss := openStoreT(t, t.TempDir())
-	heuristic := SearchResult{Order: Order{2, 1, 0}, StatesExplored: 3, Quality: QualityHeuristic}
-	optimal := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 9, Quality: QualityOptimal}
-	write := func(sr SearchResult) {
+	first := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 9, Quality: QualityOptimal}
+	write := func(key string, payload []byte) {
 		t.Helper()
-		ss.putAsync("k", mustMarshalArtifact(t, sr))
+		ss.putAsync(key, payload)
 		ss.Flush()
 	}
 
-	// Upgrade heuristic → optimal.
-	write(heuristic)
-	write(optimal)
-	got, ok := ss.get("k", 3)
-	if !ok || got.Quality != QualityOptimal || !reflect.DeepEqual(got.Order, optimal.Order) {
-		t.Fatalf("after the upgrade: got %+v ok=%v", got, ok)
+	// Hits must stay bit-identical to whichever run populated the entry.
+	write("k", mustMarshalArtifact(t, first))
+	write("k", mustMarshalArtifact(t, SearchResult{Order: Order{0, 1, 2}, StatesExplored: 7, Quality: QualityOptimal}))
+	write("k", mustMarshalArtifact(t, SearchResult{Order: Order{2, 1, 0}, StatesExplored: 3, Quality: QualityHeuristic}))
+	if got, ok := ss.get("k", 3); !ok || !reflect.DeepEqual(got, first) {
+		t.Errorf("a later write clobbered the established artifact: got %+v ok=%v", got, ok)
 	}
 
-	// An established optimal artifact wins over any later write: hits must
-	// stay bit-identical to whichever run populated the entry.
-	write(SearchResult{Order: Order{1, 0, 2}, StatesExplored: 7, Quality: QualityOptimal})
-	write(heuristic)
-	got, _ = ss.get("k", 3)
-	if !reflect.DeepEqual(got.Order, optimal.Order) {
-		t.Errorf("a later write clobbered the established optimal artifact: %v", got.Order)
+	// A standing record that does not decode (CRC-clean, so the byte layer
+	// serves it) blocks write-behind only until it is looked up once.
+	corrupt := mustMarshalArtifact(t, first)
+	corrupt[0] = ArtifactVersion + 1
+	write("c", corrupt)
+	write("c", mustMarshalArtifact(t, first))
+	if _, ok := ss.get("c", 3); ok {
+		t.Fatal("the corrupt record was served")
+	}
+	if st := ss.Stats(); st.CorruptRecords != 1 {
+		t.Errorf("the failed decode counted %d corrupt records, want 1", st.CorruptRecords)
+	}
+	write("c", mustMarshalArtifact(t, first))
+	if got, ok := ss.get("c", 3); !ok || !reflect.DeepEqual(got, first) {
+		t.Errorf("after one lookup the corrupt record was not replaced: got %+v ok=%v", got, ok)
 	}
 
 	if _, err := MarshalSegmentArtifact(SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal, FellBack: true}); err == nil {

@@ -120,12 +120,9 @@ type Options struct {
 	// partition.
 	AdaptiveBudget bool
 	// StepTimeout is the per-search-step limit T of Algorithm 2, kept as a
-	// safety valve: exceeding it fails the search (or, under
-	// StrategyBestEffort, degrades the segment); it never steers it.
-	// Defaults to 1s when zero and AdaptiveBudget is on. Under
-	// StrategyExact it requires AdaptiveBudget (Validate rejects a
-	// StepTimeout the unbudgeted DP would silently ignore); under
-	// StrategyBestEffort it bounds the exact attempt's steps; under
+	// safety valve: a DP level that exceeds it fails the search (or, under
+	// StrategyBestEffort, degrades the segment); it never steers it. Zero
+	// means 1s when AdaptiveBudget is on and unlimited when it is off; under
 	// StrategyGreedy it is ignored.
 	StepTimeout time.Duration
 	// MemoryBudget, when positive, makes Schedule fail with
@@ -135,16 +132,19 @@ type Options struct {
 	// MaxStates caps the DP frontier as a memory-safety valve; zero means
 	// the adaptive default.
 	MaxStates int
-	// Parallelism is the compilation's CPU budget, spent on two fan-outs
-	// that share it: the worker pool scheduling partition segments
-	// concurrently, and — for the built-in exact searchers — intra-level
-	// sharded expansion inside each segment's DP, so even a single-segment
-	// graph benefits (see ExactDP.Parallelism and dp.Options.Parallelism).
-	// Values of 0 or 1 mean sequential; negative values are rejected by
-	// Validate. Segments are independent sub-problems (Section 3.2) and each
-	// segment's exact schedule is a pure function of the segment (peak ties
-	// break on the node id; see internal/dp), so the combined schedule is
-	// bit-identical at every Parallelism, with or without AdaptiveBudget.
+	// Parallelism is how many independent units are searched at once: the
+	// worker pool scheduling partition segments concurrently (and, in
+	// serenityd, a batch's items before that; see SplitParallelism). A
+	// single segment's search is single-threaded whatever the value —
+	// Algorithm 1 is one level-by-level recursion, and sharding a level
+	// measured 1.5-2x slower than the plain loop (README, Performance) — so a
+	// graph that does not partition gains nothing from it. Values of 0 or 1
+	// mean sequential; negative values are rejected by Validate; the pool is
+	// capped at GOMAXPROCS. Segments are independent sub-problems
+	// (Section 3.2) and each segment's exact schedule is a pure function of
+	// the segment (peak ties break on the node id; see internal/dp), so the
+	// combined schedule is bit-identical at every Parallelism, with or
+	// without AdaptiveBudget.
 	Parallelism int
 }
 
@@ -159,8 +159,7 @@ func DefaultOptions() Options {
 }
 
 // Validate rejects option combinations that would otherwise surface as
-// confusing deep-pipeline errors or silently do nothing: negative
-// Parallelism, a StepTimeout the unbudgeted exact DP would ignore, negative
+// confusing deep-pipeline errors: negative Parallelism, StepTimeout,
 // MaxStates or MemoryBudget, and unknown strategies. ScheduleContext and
 // NewPipeline call it; servers should call it at request-decoding time so
 // bad requests fail fast with a clear message.
@@ -177,14 +176,8 @@ func (o Options) Validate() error {
 	if o.MemoryBudget < 0 {
 		return fmt.Errorf("serenity: negative MemoryBudget %d", o.MemoryBudget)
 	}
-	strategy, err := ParseStrategy(string(o.Strategy))
-	if err != nil {
-		return err
-	}
-	if strategy == StrategyExact && o.StepTimeout > 0 && !o.AdaptiveBudget {
-		return fmt.Errorf("serenity: StepTimeout %s requires AdaptiveBudget under the exact strategy (the unbudgeted DP has no search steps to time out)", o.StepTimeout)
-	}
-	return nil
+	_, err := ParseStrategy(string(o.Strategy))
+	return err
 }
 
 // searcher derives the Searcher opts.Strategy selects. Callers must have
@@ -194,7 +187,6 @@ func (o Options) searcher() Searcher {
 		AdaptiveBudget: o.AdaptiveBudget,
 		StepTimeout:    o.StepTimeout,
 		MaxStates:      o.MaxStates,
-		Parallelism:    o.Parallelism,
 	}
 	switch o.Strategy {
 	case StrategyGreedy:

@@ -134,11 +134,22 @@ func adaptiveResult(ar *dp.AdaptiveResult) SearchResult {
 // it as the FallbackReason instead.
 var ErrMemoryPressure = errors.New("serenity: memory pressure")
 
+// flagError turns a search that ended without a solution into its error:
+// ErrMemoryPressure for the byte valve, a plain error naming the flag for
+// the StepTimeout and MaxStates valves. what names the search in the message.
+// Cancellation never gets here: dp reports it as ctx.Err().
+func flagError(what string, f dp.Flag) error {
+	if f == dp.FlagMemPressure {
+		return fmt.Errorf("%w: %s aborted at its byte ceiling", ErrMemoryPressure, what)
+	}
+	return fmt.Errorf("serenity: %s ended with %v", what, f)
+}
+
 // memScoper is implemented by searchers whose primary search honors a byte
 // ceiling. The Pipeline uses it to thread a governor reservation into each
 // segment's search: limit seeds the DP's MemLimit, grow its MemGrow upgrade
-// hook. Like scopeParallelism it returns a scoped copy, so the shared
-// Searcher stays immutable across concurrent segments.
+// hook. It returns a scoped copy, so the shared Searcher stays immutable
+// across concurrent segments.
 type memScoper interface {
 	scopeMemory(limit int64, grow func(needed int64) int64) Searcher
 }
@@ -155,16 +166,6 @@ func estimateSearchBytes(nodes int) int64 {
 	return dp.FrontierStateBytes(nodes) * estimateReserveStates
 }
 
-// parallelScoper is implemented by searchers whose single-segment search can
-// itself fan out (the DP's intra-level sharded expansion). The Pipeline uses
-// it to split one Parallelism budget between the segment pool and the
-// per-segment DP: when w segment workers run concurrently, each segment's
-// search is scoped to Parallelism/w shards, and a single-segment graph gets
-// the whole budget.
-type parallelScoper interface {
-	scopeParallelism(perSegment int) Searcher
-}
-
 // Searcher is a per-segment scheduling strategy. Implementations must be
 // safe for concurrent use: with Options.Parallelism > 1 the Pipeline calls
 // Search from multiple goroutines, one segment each.
@@ -179,25 +180,19 @@ type Searcher interface {
 // ExactDP is the paper's exact search: Algorithm 1's dynamic programming,
 // optionally under Algorithm 2's soft budget (dp.AdaptiveSchedule's
 // deterministic ladder). It either returns the segment's canonical
-// peak-optimal order — the same one with or without the budget, at any
-// Parallelism — or an error: a timeout or state-cap blowup is a hard failure.
-// This is the default Searcher.
+// peak-optimal order — the same one with or without the budget — or an
+// error: a timeout or state-cap blowup is a hard failure. The search itself
+// is single-threaded; see Options.Parallelism. This is the default Searcher.
 type ExactDP struct {
 	// AdaptiveBudget prunes the DP with the soft-budget ladder; off means
 	// one unbudgeted exact run (same answer, up to 21x the states).
 	AdaptiveBudget bool
-	// StepTimeout is the per-search-step safety valve T (adaptive only):
-	// exceeding it fails the search.
+	// StepTimeout is the per-search-step safety valve T: exceeding it fails
+	// the search. Zero means 1s under AdaptiveBudget, unlimited without.
 	StepTimeout time.Duration
 	// MaxStates caps the DP frontier as a memory-safety valve; zero means
 	// the adaptive default (unlimited when AdaptiveBudget is off).
 	MaxStates int
-	// Parallelism fans a single segment's wide DP levels across worker
-	// shards (see dp.Options.Parallelism); results on the solution path are
-	// bit-identical to a sequential search. The Pipeline scopes this down
-	// automatically when it is already running segments concurrently, so
-	// the two fan-outs share one budget.
-	Parallelism int
 	// MemLimit caps the bytes the search may retain (dp.Options.MemLimit);
 	// crossing it without a MemGrow grant fails the search with an error
 	// wrapping ErrMemoryPressure. Zero means unlimited. The Pipeline sets
@@ -212,7 +207,7 @@ func (e ExactDP) Name() string { return "exact" }
 
 // MemoKey implements MemoKeyer. It is a versioned constant: a completed
 // exact search returns the segment's canonical optimal order whatever
-// AdaptiveBudget, StepTimeout, MaxStates, Parallelism or MemLimit were (they
+// AdaptiveBudget, StepTimeout, MaxStates or MemLimit were (they
 // decide whether the search completes, not what it finds), and only completed
 // searches are memoized. v2 is the first key under the node-id tie-break;
 // artifacts keyed "exact|a=…" by earlier builds read as misses.
@@ -224,48 +219,44 @@ func (e ExactDP) Name() string { return "exact" }
 // format of all three built-in keys as a wire format.
 func (e ExactDP) MemoKey() string { return "exact|v2" }
 
-// scopeParallelism implements parallelScoper.
-func (e ExactDP) scopeParallelism(perSegment int) Searcher {
-	e.Parallelism = perSegment
-	return e
-}
-
 // scopeMemory implements memScoper.
 func (e ExactDP) scopeMemory(limit int64, grow func(needed int64) int64) Searcher {
 	e.MemLimit, e.MemGrow = limit, grow
 	return e
 }
 
+// climb runs the soft-budget ladder under e's valves. A nil error means the
+// AdaptiveResult holds a solution; a ladder a valve ended returns flagError
+// alongside the AdaptiveResult (for the work it burned), anything else — an
+// invalid graph, ctx's own error — whatever dp reported.
+func (e ExactDP) climb(ctx context.Context, m *MemModel) (*dp.AdaptiveResult, error) {
+	ar, err := dp.AdaptiveScheduleCtx(ctx, m, dp.AdaptiveOptions{
+		StepTimeout: e.StepTimeout,
+		MaxStates:   e.MaxStates,
+		MemLimit:    e.MemLimit,
+		MemGrow:     e.MemGrow,
+	})
+	if err == nil && ar.Flag != dp.FlagSolution {
+		err = flagError("adaptive scheduling", ar.Flag)
+	}
+	return ar, err
+}
+
 // Search implements Searcher.
 func (e ExactDP) Search(ctx context.Context, m *MemModel) (SearchResult, error) {
 	if e.AdaptiveBudget {
-		ar, err := dp.AdaptiveScheduleCtx(ctx, m, dp.AdaptiveOptions{
-			StepTimeout: e.StepTimeout,
-			MaxStates:   e.MaxStates,
-			Parallelism: e.Parallelism,
-			MemLimit:    e.MemLimit,
-			MemGrow:     e.MemGrow,
-		})
+		ar, err := e.climb(ctx, m)
 		if err != nil {
 			return SearchResult{}, err
 		}
-		if ar.Flag == dp.FlagMemPressure {
-			return SearchResult{}, fmt.Errorf("%w: adaptive scheduling aborted at its byte ceiling", ErrMemoryPressure)
-		}
-		if ar.Flag != dp.FlagSolution {
-			return SearchResult{}, fmt.Errorf("serenity: adaptive scheduling ended with %v", ar.Flag)
-		}
 		return adaptiveResult(ar), nil
 	}
-	r := dp.ScheduleCtx(ctx, m, dp.Options{MaxStates: e.MaxStates, Parallelism: e.Parallelism, MemLimit: e.MemLimit, MemGrow: e.MemGrow})
+	r := dp.ScheduleCtx(ctx, m, dp.Options{StepTimeout: e.StepTimeout, MaxStates: e.MaxStates, MemLimit: e.MemLimit, MemGrow: e.MemGrow})
 	if r.Flag == dp.FlagCanceled {
 		return SearchResult{}, ctx.Err()
 	}
-	if r.Flag == dp.FlagMemPressure {
-		return SearchResult{}, fmt.Errorf("%w: dynamic programming aborted at its byte ceiling", ErrMemoryPressure)
-	}
 	if r.Flag != dp.FlagSolution {
-		return SearchResult{}, fmt.Errorf("serenity: dynamic programming ended with %v", r.Flag)
+		return SearchResult{}, flagError("dynamic programming", r.Flag)
 	}
 	return SearchResult{Order: r.Order, StatesExplored: r.StatesExplored, MaxFrontier: r.MaxFrontier, PeakBytes: r.PeakBytes, Quality: QualityOptimal}, nil
 }
@@ -336,12 +327,6 @@ func (b BestEffort) Name() string { return "best-effort" }
 // artifact "exact|v2" names; sharing the key is left for a later change.)
 func (b BestEffort) MemoKey() string { return "best-effort|v2" }
 
-// scopeParallelism implements parallelScoper.
-func (b BestEffort) scopeParallelism(perSegment int) Searcher {
-	b.Exact.Parallelism = perSegment
-	return b
-}
-
 // scopeMemory implements memScoper. A governed BestEffort converts the byte
 // ceiling into degradation, not failure: when the adaptive search aborts
 // under memory pressure the greedy fallback (whose O(n) working set needs no
@@ -370,30 +355,19 @@ func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 			FallbackReason: errSkipExact,
 		}, nil
 	}
-	ar, err := dp.AdaptiveScheduleCtx(ctx, m, dp.AdaptiveOptions{
-		StepTimeout: b.Exact.StepTimeout,
-		MaxStates:   b.Exact.MaxStates,
-		Parallelism: b.Exact.Parallelism,
-		MemLimit:    b.Exact.MemLimit,
-		MemGrow:     b.Exact.MemGrow,
-	})
-	var reason error
+	ar, reason := b.Exact.climb(ctx, m)
 	switch {
-	case err == nil && ar.Flag == dp.FlagSolution:
+	case reason == nil:
 		return adaptiveResult(ar), nil
-	case err == nil && ar.Flag == dp.FlagMemPressure:
-		// The byte ceiling, not the clock, stopped the search: degrade like
-		// a deadline, but tag the reason so governors and metrics can tell
-		// pressure-forced heuristics from deadline-forced ones.
-		reason = fmt.Errorf("%w: adaptive scheduling aborted at its byte ceiling", ErrMemoryPressure)
-	case err == nil:
-		// A valve (StepTimeout, MaxStates) ended the ladder.
-		reason = fmt.Errorf("serenity: adaptive scheduling ended with %v", ar.Flag)
-	case errors.Is(err, context.DeadlineExceeded):
-		reason = err
+	case ar != nil && ar.Flag != dp.FlagCanceled:
+		// A valve ended the ladder. A byte-ceiling abort degrades like a
+		// deadline, but its reason wraps ErrMemoryPressure so governors and
+		// metrics can tell pressure-forced heuristics from deadline-forced
+		// ones.
+	case errors.Is(reason, context.DeadlineExceeded):
 	default:
 		// Explicit cancellation or an invalid graph: not degradable.
-		return SearchResult{}, err
+		return SearchResult{}, reason
 	}
 	// The fallback deliberately runs without ctx: the deadline has already
 	// expired, and the contract is that the caller is owed a valid answer
