@@ -671,6 +671,13 @@ func (s *server) scheduleErrorStatus(err error, strategy serenity.Strategy, dead
 		// condition, not a client one: 503 + Retry-After (added by fail()).
 		return http.StatusServiceUnavailable,
 			&errMemPressure{level: s.gov.Level(), retryAfter: memPressureRetryAfter, cause: err}
+	case errors.Is(err, serenity.ErrSearchLimit):
+		// The exact search ran into a search valve: the per-level -timeout or
+		// the frontier-size cap. Like the compute budget below it is the
+		// server's limit, and the same request fails the same way again, so
+		// no Retry-After: the message names the valve and the way out.
+		return http.StatusServiceUnavailable,
+			fmt.Errorf("exact search stopped by the server's step-timeout (-timeout %s) or frontier-size valve (use strategy=best-effort to degrade instead): %w", s.opts.StepTimeout, err)
 	case errors.As(err, new(*serenity.ErrBudgetExceeded)):
 		return http.StatusUnprocessableEntity, err
 	case isContextErr(err):
@@ -806,19 +813,15 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 	return resp, shared || stood, nil
 }
 
-// putExact caches the exact answer r under key unless an answer of at least
-// its schedule version already stands, and returns the one that stands. A
-// request that compiled alongside the key's repair and the repair itself
-// finish in either order; the cache never steps back a version.
+// putExact caches the exact answer r under key unless one already stands, and
+// returns the one that stands: the response cache takes the memo hierarchy's
+// write rule, first writer wins. Degraded answers are never cached and exact
+// answers to one key are schedule-equal, so whichever of a request that
+// compiled alongside the key's repair and the repair itself lands first, the
+// other has nothing better to put.
 func (s *server) putExact(key string, r *scheduleResponse) *scheduleResponse {
-	s.cache.PutIf(key, r, func(cur *scheduleResponse, exists bool) bool {
-		if exists && cur.ScheduleVersion >= r.ScheduleVersion {
-			r = cur
-			return false
-		}
-		return true
-	})
-	return r
+	stands, _ := s.cache.PutIfAbsent(key, r)
+	return stands
 }
 
 // enqueueRefine queues the serve-then-refine repair of a degraded answer —

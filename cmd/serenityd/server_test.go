@@ -662,6 +662,46 @@ func TestScheduleBatchPerItemBudget(t *testing.T) {
 	}
 }
 
+// TestSearchValveAnswers503: a StepTimeout no level can meet fails the exact
+// search of SwiftNet A by the valve, which is the server's limit — 503 naming
+// the valve and the way out, on the single endpoint and per batch item, never
+// 500 — while best-effort absorbs the same valve and answers 200.
+func TestSearchValveAnswers503(t *testing.T) {
+	cfg := testConfig()
+	cfg.opts.StepTimeout = time.Nanosecond
+	_, ts := startServer(t, cfg)
+	body := graphBody(t, serenity.SwiftNetCellA())
+
+	resp, data := postSchedule(t, ts, "", body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("exact under a 1ns step timeout: status %d, want 503: %s", resp.StatusCode, data)
+	}
+	for _, want := range []string{"-timeout 1ns", "strategy=best-effort"} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("503 body %s does not mention %q", data, want)
+		}
+	}
+	if got, _ := postScheduleOK(t, ts, "?strategy=best-effort", body); got.Quality != "heuristic" || got.Fallbacks == 0 {
+		t.Errorf("best-effort under the same valve: quality %q, fallbacks %d, want a degraded 200", got.Quality, got.Fallbacks)
+	}
+
+	batch, err := json.Marshal(batchRequest{Items: []json.RawMessage{body}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data = postBatch(t, ts, "", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
+	}
+	var got batchResponse
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Items) != 1 || got.Items[0].Status != http.StatusServiceUnavailable {
+		t.Errorf("batch item under the valve: %s, want status 503", data)
+	}
+}
+
 func postBatch(t *testing.T, ts *httptest.Server, query string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := ts.Client().Post(ts.URL+"/v1/schedule/batch"+query, "application/json", bytes.NewReader(body))

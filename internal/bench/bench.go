@@ -1,7 +1,9 @@
 // Package bench regenerates every measured table and figure of the paper's
 // evaluation section. Each Fig*/Table* function computes the underlying
 // data; the Render* helpers print rows/series shaped like the paper's.
-// EXPERIMENTS.md records paper-vs-measured for each artifact.
+// Every schedule it measures comes from serenity.Schedule — the pipeline that
+// ships — and testdata/paper/cells.json pins the results; README's
+// "Reproduction" section sets them next to the paper's.
 package bench
 
 import (
@@ -12,13 +14,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/serenity-ml/serenity/internal/alloc"
-	"github.com/serenity-ml/serenity/internal/dp"
+	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/graph"
 	"github.com/serenity-ml/serenity/internal/memsim"
 	"github.com/serenity-ml/serenity/internal/models"
-	"github.com/serenity-ml/serenity/internal/partition"
-	"github.com/serenity-ml/serenity/internal/rewrite"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
@@ -35,42 +34,6 @@ func geomean(xs []float64) float64 {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs)))
-}
-
-// scheduleAdaptive runs partition + DP + ASB on g, returning the schedule,
-// its ideal peak, arena peak, and elapsed wall time.
-func scheduleAdaptive(g *graph.Graph, stepTimeout time.Duration) (sched.Schedule, int64, int64, time.Duration, error) {
-	start := time.Now()
-	part, err := partition.Split(g)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	orders := make([]sched.Schedule, len(part.Segments))
-	for i, seg := range part.Segments {
-		ar, err := dp.AdaptiveSchedule(sched.NewMemModel(seg.G), dp.AdaptiveOptions{StepTimeout: stepTimeout})
-		if err != nil {
-			return nil, 0, 0, 0, err
-		}
-		if ar.Flag != dp.FlagSolution {
-			return nil, 0, 0, 0, fmt.Errorf("bench: segment %d ended with %v", i, ar.Flag)
-		}
-		orders[i] = ar.Order
-	}
-	order, err := part.Combine(orders)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	elapsed := time.Since(start)
-	m := sched.NewMemModel(g)
-	peak, err := m.Peak(order)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	arena, err := alloc.ArenaPeak(m, order)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	return order, peak, arena, elapsed, nil
 }
 
 // CellResult is the full measurement set for one benchmark cell, shared by
@@ -94,50 +57,44 @@ type CellResult struct {
 	RewrittenGraph *graph.Graph
 }
 
-// MeasureCell runs the whole SERENITY pipeline on one benchmark cell.
+// MeasureCell runs the whole SERENITY pipeline on one benchmark cell:
+// serenity.Schedule under the default options without and with rewriting,
+// against Kahn's order in the same arena allocator.
 func MeasureCell(c models.BenchCell, stepTimeout time.Duration) (*CellResult, error) {
 	g := c.Build()
-	m := sched.NewMemModel(g)
-	kahn, err := sched.KahnFIFO(g)
+	opts := serenity.DefaultOptions()
+	opts.StepTimeout = stepTimeout
+	opts.Rewrite = false
+	dp, err := serenity.Schedule(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	baseIdeal, err := m.Peak(kahn)
+	opts.Rewrite = true
+	gr, err := serenity.Schedule(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	baseArena, err := alloc.ArenaPeak(m, kahn)
+	kahn, err := serenity.BaselineOrder(g)
 	if err != nil {
 		return nil, err
 	}
-
-	dpOrder, dpIdeal, dpArena, dpTime, err := scheduleAdaptive(g, stepTimeout)
+	base, err := serenity.ArenaBestFit{}.Allocate(sched.NewMemModel(g), kahn)
 	if err != nil {
 		return nil, err
 	}
-
-	rw, _, err := rewrite.Rewrite(g)
-	if err != nil {
-		return nil, err
-	}
-	grOrder, grIdeal, grArena, grTime, err := scheduleAdaptive(rw, stepTimeout)
-	if err != nil {
-		return nil, err
-	}
-
 	return &CellResult{
 		Network: c.Network, Dataset: c.Dataset, Cell: c.Cell,
 		Nodes:         g.NumNodes(),
-		BaselinePeak:  baseArena,
-		DPPeak:        dpArena,
-		DPGRPeak:      grArena,
-		DPPeakIdeal:   dpIdeal,
-		DPGRPeakIdeal: grIdeal,
-		BaselineIdeal: baseIdeal,
-		DPTime:        dpTime,
-		DPGRTime:      grTime,
-		BaselineOrder: kahn, DPOrder: dpOrder, DPGROrder: grOrder,
-		Graph: g, RewrittenGraph: rw,
+		BaselinePeak:  base.ArenaSize,
+		DPPeak:        dp.ArenaSize,
+		DPGRPeak:      gr.ArenaSize,
+		DPPeakIdeal:   dp.Peak,
+		DPGRPeakIdeal: gr.Peak,
+		BaselineIdeal: dp.BaselinePeak,
+		DPTime:        dp.SchedulingTime,
+		DPGRTime:      gr.SchedulingTime,
+		BaselineOrder: kahn, DPOrder: dp.Order, DPGROrder: gr.Order,
+		Graph: g, RewrittenGraph: gr.Graph,
 	}, nil
 }
 
@@ -301,24 +258,25 @@ func Fig3b(samples int, seed int64) (*Fig3bResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	cdf := sched.SamplePeakCDF(m, samples, rng)
 
-	_, ideal, _, _, err := scheduleAdaptive(g, time.Second)
+	opts := serenity.DefaultOptions()
+	opts.Rewrite = false
+	opt, err := serenity.Schedule(g, opts)
 	if err != nil {
 		return nil, err
 	}
+	ideal := opt.Peak
 
 	res := &Fig3bResult{
-		Samples:      samples,
-		GraphName:    g.Name,
-		MinKB:        KB(cdf.Min()),
-		MaxKB:        KB(cdf.Max()),
-		OptimalKB:    KB(ideal),
-		DeviceCapKB:  250,
-		FracUnderCap: cdf.FractionAtOrBelow(250 * 1024),
-		FracOptimal:  cdf.FractionAtOrBelow(ideal),
+		Samples:        samples,
+		GraphName:      g.Name,
+		MinKB:          KB(cdf.Min()),
+		MaxKB:          KB(cdf.Max()),
+		OptimalKB:      KB(ideal),
+		DeviceCapKB:    250,
+		FracUnderCap:   cdf.FractionAtOrBelow(250 * 1024),
+		FracOptimal:    cdf.FractionAtOrBelow(ideal),
+		BaselinePeakKB: KB(opt.BaselinePeak),
 	}
-	kahn, _ := sched.KahnFIFO(g)
-	bp, _ := m.Peak(kahn)
-	res.BaselinePeakKB = KB(bp)
 	for i := 0; i <= 10; i++ {
 		res.DecileKB[i] = KB(cdf.Quantile(float64(i) / 10))
 	}

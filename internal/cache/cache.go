@@ -66,33 +66,34 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // Put inserts or refreshes key, evicting the least recently used entry when
 // over capacity.
 func (c *Cache[V]) Put(key string, val V) {
-	c.PutIf(key, val, nil)
-}
-
-// PutIf is the atomic conditional Put: allow sees the value currently stored
-// for key (exists=false when there is none) and decides, under the cache's
-// own lock, whether val may take its place — so no other writer can land
-// between the check and the write. It reports whether val was stored. A nil
-// allow always stores. allow must not call back into the cache; the entry it
-// inspects is not marked used and counts as neither hit nor miss.
-func (c *Cache[V]) PutIf(key string, val V, allow func(cur V, exists bool) bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, exists := c.items[key]
-	if allow != nil {
-		var cur V
-		if exists {
-			cur = el.Value.(*entry[V]).val
-		}
-		if !allow(cur, exists) {
-			return false
-		}
-	}
-	if exists {
+	if el, ok := c.items[key]; ok {
 		el.Value.(*entry[V]).val = val
 		c.ll.MoveToFront(el)
-		return true
+		return
 	}
+	c.insert(key, val)
+}
+
+// PutIfAbsent is the first-writer-wins Put: it stores val under key unless
+// the key already holds a value, and returns the value that stands and
+// whether it was val. The check and the write share the cache's lock, so of
+// any number of racing writers exactly one wins. A standing value is not
+// marked used and counts as neither hit nor miss.
+func (c *Cache[V]) PutIfAbsent(key string, val V) (stands V, wrote bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry[V]).val, false
+	}
+	c.insert(key, val)
+	return val, true
+}
+
+// insert adds a new most-recently-used entry and evicts down to capacity.
+// The caller holds c.mu and has checked that key is absent.
+func (c *Cache[V]) insert(key string, val V) {
 	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
@@ -100,7 +101,6 @@ func (c *Cache[V]) PutIf(key string, val V, allow func(cur V, exists bool) bool)
 		delete(c.items, last.Value.(*entry[V]).key)
 		c.stats.Evictions++
 	}
-	return true
 }
 
 // Len returns the current number of entries.

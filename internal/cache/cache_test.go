@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -81,43 +82,37 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestPutIfDecidesUnderTheLock pins the conditional put: allow sees the
-// current value (or exists=false), a refusal stores nothing and counts as
-// neither hit nor miss, and racing first-writer-wins puts on one key admit
-// exactly one.
-func TestPutIfDecidesUnderTheLock(t *testing.T) {
+// TestPutIfAbsentFirstWriterWins pins the conditional put: an absent key is
+// stored, a held key keeps its value and hands it back, the refusal counts as
+// neither hit nor miss, and of racing puts on one key exactly one is admitted.
+func TestPutIfAbsentFirstWriterWins(t *testing.T) {
 	c := New[int](4)
-	absent := func(_ int, exists bool) bool { return !exists }
-	if !c.PutIf("k", 1, absent) {
-		t.Fatal("PutIf on an absent key refused")
+	if stands, wrote := c.PutIfAbsent("k", 1); !wrote || stands != 1 {
+		t.Fatalf("PutIfAbsent on an absent key = (%d, %t), want (1, true)", stands, wrote)
 	}
-	seen := 0
-	if c.PutIf("k", 2, func(cur int, exists bool) bool { seen = cur; return !exists }) || seen != 1 {
-		t.Fatalf("PutIf over an existing key stored, or allow saw %d, want 1", seen)
+	if stands, wrote := c.PutIfAbsent("k", 2); wrote || stands != 1 {
+		t.Fatalf("PutIfAbsent over a held key = (%d, %t), want (1, false)", stands, wrote)
 	}
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("PutIf moved the hit/miss counters: %+v", s)
+		t.Errorf("PutIfAbsent moved the hit/miss counters: %+v", s)
 	}
 	if v, _ := c.Get("k"); v != 1 {
-		t.Errorf("refused PutIf changed the value to %d", v)
+		t.Errorf("refused PutIfAbsent changed the value to %d", v)
 	}
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	won := 0
+	var won atomic.Int32
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if c.PutIf("contended", i, absent) {
-				mu.Lock()
-				won++
-				mu.Unlock()
+			if _, wrote := c.PutIfAbsent("contended", i); wrote {
+				won.Add(1)
 			}
 		}(i)
 	}
 	wg.Wait()
-	if won != 1 {
-		t.Errorf("%d racing first-writer-wins puts were admitted, want exactly 1", won)
+	if won.Load() != 1 {
+		t.Errorf("%d racing first-writer-wins puts were admitted, want exactly 1", won.Load())
 	}
 }

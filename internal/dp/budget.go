@@ -100,11 +100,7 @@ func AdaptiveScheduleCtx(ctx context.Context, m *sched.MemModel, opts AdaptiveOp
 		opts.MaxStates = 4 << 20
 	}
 
-	kahn, err := sched.KahnFIFO(m.G)
-	if err != nil {
-		return nil, err
-	}
-	hardBudget, err := m.Peak(kahn)
+	_, hardBudget, err := sched.BaselinePeak(m)
 	if err != nil {
 		return nil, err
 	}

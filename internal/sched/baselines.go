@@ -80,12 +80,11 @@ func MinIDOrder(g *graph.Graph) (Schedule, error) {
 	return Schedule(o), nil
 }
 
-// BaselinePeak evaluates the worst peak among the memory-oblivious baseline
-// orderings; the paper normalizes against TensorFlow Lite, which we proxy
-// with DFSEmission (see DESIGN.md). Exposed for experiments that want a
-// single named baseline.
+// BaselinePeak returns Kahn's memory-oblivious order and its peak: the
+// baseline the paper normalizes against, the hard budget τmax of Algorithm 2,
+// and the figure every Result reports as BaselinePeak.
 func BaselinePeak(m *MemModel) (Schedule, int64, error) {
-	order, err := DFSEmission(m.G)
+	order, err := KahnFIFO(m.G)
 	if err != nil {
 		return nil, 0, err
 	}

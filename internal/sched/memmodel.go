@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/serenity-ml/serenity/internal/graph"
 )
@@ -65,14 +66,18 @@ func NewMemModel(g *graph.Graph) *MemModel {
 		m.Consumers[r] = cs
 	}
 	for _, node := range g.Nodes {
-		seen := map[int]bool{}
+		if len(node.Preds) == 0 {
+			continue
+		}
+		// A node has a handful of operands: scanning the roots found so far
+		// de-duplicates them without a set per node.
+		roots := make([]int, 0, len(node.Preds))
 		for _, p := range node.Preds {
-			r := m.Root[p]
-			if !seen[r] {
-				seen[r] = true
-				m.PredRoots[node.ID] = append(m.PredRoots[node.ID], r)
+			if r := m.Root[p]; !slices.Contains(roots, r) {
+				roots = append(roots, r)
 			}
 		}
+		m.PredRoots[node.ID] = roots
 	}
 	return m
 }

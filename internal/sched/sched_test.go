@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/serenity-ml/serenity/internal/graph"
@@ -161,21 +162,22 @@ func TestDFSEmissionDeterministic(t *testing.T) {
 	}
 }
 
-func TestBaselinePeakMatchesDFS(t *testing.T) {
-	g := chainGraph()
+func TestBaselinePeakIsKahn(t *testing.T) {
+	g := graph.RandomDAG(rand.New(rand.NewSource(5)), graph.RandomDAGConfig{Nodes: 30, EdgeProb: 0.15})
 	m := NewMemModel(g)
 	order, peak, err := BaselinePeak(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := DFSEmission(g)
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatal("BaselinePeak order differs from DFSEmission")
-		}
+	want, _ := KahnFIFO(g)
+	if !slices.Equal(order, want) {
+		t.Fatal("BaselinePeak order differs from KahnFIFO")
 	}
-	if peak != 200 {
-		t.Errorf("baseline peak = %d, want 200", peak)
+	if wantPeak, _ := m.Peak(want); peak != wantPeak {
+		t.Errorf("baseline peak = %d, want Kahn's %d", peak, wantPeak)
+	}
+	if _, chainPeak, _ := BaselinePeak(NewMemModel(chainGraph())); chainPeak != 200 {
+		t.Errorf("chain baseline peak = %d, want 200", chainPeak)
 	}
 }
 

@@ -158,13 +158,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	res := &Result{Graph: g, Quality: QualityOptimal}
 
 	// Baseline / hard budget from Kahn's algorithm.
-	kahn, err := sched.KahnFIFO(g)
-	if err != nil {
-		return nil, err
-	}
-	baseModel := sched.NewMemModel(g)
-	res.BaselinePeak, err = baseModel.Peak(kahn)
-	if err != nil {
+	model := sched.NewMemModel(g)
+	var err error
+	if _, res.BaselinePeak, err = sched.BaselinePeak(model); err != nil {
 		return nil, err
 	}
 
@@ -197,7 +193,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		}
 		obs.stageDone(StageRewrite, res.Stages.Rewrite)
 	}
-	model := sched.NewMemModel(work)
+	if work != g {
+		model = sched.NewMemModel(work)
+	}
 
 	// Stage 2: divide-and-conquer.
 	var segments []*partition.Segment
@@ -248,9 +246,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		}
 	}
 
-	searchOne := func(ctx context.Context, idx int, m *sched.MemModel) (SearchResult, error) {
+	searchOne := func(ctx context.Context, idx int, seg *Graph) (SearchResult, error) {
 		segStart := time.Now()
-		nodes := m.G.NumNodes()
+		nodes := seg.NumNodes()
 		obs.segmentStart(idx, nodes)
 		var segSp *trace.SpanHandle
 		if searchSp != nil {
@@ -285,7 +283,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 					}
 				}
 			}
-			sr, err := segSearcher.Search(ctx, m)
+			// The memory model is built here, where a search actually runs:
+			// a memo hit needs the segment's node count and nothing else.
+			sr, err := segSearcher.Search(ctx, sched.NewMemModel(seg))
 			if dpSp != nil {
 				el := time.Since(t0)
 				rate := int64(0)
@@ -384,7 +384,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		sr, err := searchOne(ctx, 0, model)
+		sr, err := searchOne(ctx, 0, work)
 		if err != nil {
 			return nil, err
 		}
@@ -476,7 +476,7 @@ func SplitParallelism(budget, units int) (workers, per int) {
 // itself is the same kind), which is the one deliberate concession to the
 // worker pool.
 func searchSegments(ctx context.Context, segments []*partition.Segment, parallelism int,
-	searchOne func(context.Context, int, *sched.MemModel) (SearchResult, error)) ([]SearchResult, error) {
+	searchOne func(context.Context, int, *Graph) (SearchResult, error)) ([]SearchResult, error) {
 
 	results := make([]SearchResult, len(segments))
 	errs := make([]error, len(segments))
@@ -484,7 +484,7 @@ func searchSegments(ctx context.Context, segments []*partition.Segment, parallel
 	workers, _ := SplitParallelism(parallelism, len(segments))
 	if workers <= 1 {
 		for i, seg := range segments {
-			sr, err := searchOne(ctx, i, sched.NewMemModel(seg.G))
+			sr, err := searchOne(ctx, i, seg.G)
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return nil, ctxErr
@@ -505,7 +505,7 @@ func searchSegments(ctx context.Context, segments []*partition.Segment, parallel
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				sr, err := searchOne(segCtx, i, sched.NewMemModel(segments[i].G))
+				sr, err := searchOne(segCtx, i, segments[i].G)
 				if err != nil {
 					errs[i] = err
 					cancel() // abort the remaining segments

@@ -166,16 +166,9 @@ func (m *SegmentMemo) Stats() SegmentMemoStats {
 // same first-writer-wins every disk write obeys (ifAbsent): only non-degraded
 // results reach a tier and a key names one canonical order, so no later
 // writer has anything better — it only differs in the search accounting, and
-// hits must stay bit-identical to the run that populated the entry. The check
-// runs under the cache's lock.
+// hits must stay bit-identical to the run that populated the entry.
 func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, wrote bool) {
-	wrote = m.store.PutIf(key, sr, func(cur SearchResult, exists bool) bool {
-		if exists {
-			sr = cur
-		}
-		return !exists
-	})
-	return sr, wrote
+	return m.store.PutIfAbsent(key, sr)
 }
 
 // walkMemo is the memo hierarchy's one lookup: it returns the result for key,

@@ -3,6 +3,8 @@ package serenity
 import (
 	"context"
 	"testing"
+
+	"github.com/serenity-ml/serenity/internal/models"
 )
 
 // TestMemoWarmPathZeroAlloc pins the tracing-off overhead contract: an
@@ -27,6 +29,33 @@ func TestMemoWarmPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced memo warm path allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestWarmRunAllocationCeiling bounds what an all-hit Run allocates on a
+// warm-memo-shaped graph (six stacked WS(24) cells): one whole-graph memory
+// model when nothing was rewritten, and none per segment — a memo hit needs
+// the segment's node count, not its model. Measured 6026 allocations; with a
+// model per segment and a set per node inside each model it was 7961.
+func TestWarmRunAllocationCeiling(t *testing.T) {
+	g := models.StackedRandWire("warm-stack", 6, models.WSConfig{Nodes: 24, K: 4, P: 0.75, Seed: 3, HW: 16, Channel: 8})
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SegmentMemo = NewSegmentMemo(64)
+	ctx := context.Background()
+	if _, err := p.Run(ctx, g); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := p.Run(ctx, g)
+		if err != nil || res.SegmentMemoHits != len(res.PartitionSizes) {
+			t.Fatalf("warm run: %d of %d segments hit, err=%v", res.SegmentMemoHits, len(res.PartitionSizes), err)
+		}
+	})
+	if allocs > 7000 {
+		t.Fatalf("warm Run allocates %.0f per op, want at most 7000", allocs)
 	}
 }
 

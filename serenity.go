@@ -120,10 +120,10 @@ type Options struct {
 	// partition.
 	AdaptiveBudget bool
 	// StepTimeout is the per-search-step limit T of Algorithm 2, kept as a
-	// safety valve: a DP level that exceeds it fails the search (or, under
-	// StrategyBestEffort, degrades the segment); it never steers it. Zero
-	// means 1s when AdaptiveBudget is on and unlimited when it is off; under
-	// StrategyGreedy it is ignored.
+	// safety valve: a DP level that exceeds it fails the search with
+	// ErrSearchLimit (or, under StrategyBestEffort, degrades the segment); it
+	// never steers it. Zero means 1s when AdaptiveBudget is on and unlimited
+	// when it is off; under StrategyGreedy it is ignored.
 	StepTimeout time.Duration
 	// MemoryBudget, when positive, makes Schedule fail with
 	// ErrBudgetExceeded if even the optimal schedule's arena exceeds it

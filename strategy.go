@@ -134,15 +134,22 @@ func adaptiveResult(ar *dp.AdaptiveResult) SearchResult {
 // it as the FallbackReason instead.
 var ErrMemoryPressure = errors.New("serenity: memory pressure")
 
+// ErrSearchLimit reports that an exact search was ended by its StepTimeout or
+// MaxStates valve: the instance is beyond what those limits allow, and the
+// same request fails the same way until they are raised. Callers match it
+// with errors.Is; serenityd maps it to 503 pointing at strategy=best-effort,
+// whose greedy fallback absorbs it like ErrMemoryPressure.
+var ErrSearchLimit = errors.New("serenity: search limit reached")
+
 // flagError turns a search that ended without a solution into its error:
-// ErrMemoryPressure for the byte valve, a plain error naming the flag for
+// ErrMemoryPressure for the byte valve, ErrSearchLimit naming the flag for
 // the StepTimeout and MaxStates valves. what names the search in the message.
 // Cancellation never gets here: dp reports it as ctx.Err().
 func flagError(what string, f dp.Flag) error {
 	if f == dp.FlagMemPressure {
 		return fmt.Errorf("%w: %s aborted at its byte ceiling", ErrMemoryPressure, what)
 	}
-	return fmt.Errorf("serenity: %s ended with %v", what, f)
+	return fmt.Errorf("%w: %s ended with %v", ErrSearchLimit, what, f)
 }
 
 // memScoper is implemented by searchers whose primary search honors a byte
@@ -181,8 +188,9 @@ type Searcher interface {
 // optionally under Algorithm 2's soft budget (dp.AdaptiveSchedule's
 // deterministic ladder). It either returns the segment's canonical
 // peak-optimal order — the same one with or without the budget — or an
-// error: a timeout or state-cap blowup is a hard failure. The search itself
-// is single-threaded; see Options.Parallelism. This is the default Searcher.
+// error: a timeout or state-cap blowup is a hard failure (ErrSearchLimit). The
+// search itself is single-threaded; see Options.Parallelism. This is the
+// default Searcher.
 type ExactDP struct {
 	// AdaptiveBudget prunes the DP with the soft-budget ladder; off means
 	// one unbudgeted exact run (same answer, up to 21x the states).
