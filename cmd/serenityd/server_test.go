@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 
 	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/govern"
+	"github.com/serenity-ml/serenity/internal/graph"
 	"github.com/serenity-ml/serenity/internal/models"
 )
 
@@ -384,12 +386,15 @@ func TestStrategyParam(t *testing.T) {
 }
 
 // TestBestEffortDeadlineFallback is the serving-side acceptance scenario: a
-// deadline far too tight for the exact DP yields 200 with a heuristic
-// schedule, and /metrics reports the fallback.
+// deadline the exact DP cannot meet yields 200 with a heuristic schedule, and
+// /metrics reports the fallback.
 func TestBestEffortDeadlineFallback(t *testing.T) {
 	s, ts := testServer(t)
-	// Exact DP on this wiring runs seconds per segment; 50ms lands mid-search.
-	g := serenity.RandWireCell("be-big", 48, 8, 0.9, 10, 16, 8)
+	// No exact search of this graph finishes, at any machine speed: a sparse
+	// 100-node random DAG whose tensors all differ in size offers the DP few
+	// safe moves, and its frontier passes a million states (on its way past
+	// the 4M-state valve) within a dozen levels. 50ms lands mid-search.
+	g := graph.RandomDAG(rand.New(rand.NewSource(7)), graph.RandomDAGConfig{Nodes: 100, EdgeProb: 0.03, MaxFanIn: 2})
 	got, _ := postScheduleOK(t, ts, "?strategy=best-effort&deadline_ms=50", graphBody(t, g))
 	if got.Quality != serenity.QualityHeuristic {
 		t.Errorf("quality = %q, want heuristic under an impossible deadline", got.Quality)

@@ -71,7 +71,7 @@ func TestDebugTraceInlineSpanTree(t *testing.T) {
 		if dp.Attrs["states"] == "" || dp.Attrs["quality"] == "" {
 			t.Errorf("dp.search span missing counters: %v", dp.Attrs)
 		}
-		for _, k := range []string{"probes", "lower_bound", "budget_cap", "final_budget", "states_pruned"} {
+		for _, k := range []string{"probes", "lower_bound", "budget_cap", "final_budget", "states_pruned", "forced"} {
 			if dp.Attrs[k] == "" {
 				t.Errorf("dp.search span missing ladder attribute %q: %v", k, dp.Attrs)
 			}

@@ -44,9 +44,9 @@ type BudgetProbe struct {
 
 // AdaptiveResult is the outcome of AdaptiveSchedule. The embedded Result is
 // the last probe's, with its accounting widened to the whole search:
-// StatesExplored, StatesPruned and Elapsed are summed over the probes (the
-// work done) and MaxFrontier and PeakBytes are the maximum over them (the
-// memory held at once).
+// StatesExplored, StatesPruned, StatesForced and Elapsed are summed over the
+// probes (the work done) and MaxFrontier and PeakBytes are the maximum over
+// them (the memory held at once).
 type AdaptiveResult struct {
 	*Result
 	HardBudget  int64         // τmax: peak of Kahn's schedule (Algorithm 2 line 3)
@@ -124,6 +124,7 @@ func AdaptiveScheduleCtx(ctx context.Context, m *sched.MemModel, opts AdaptiveOp
 		if p := ar.Result; p != nil {
 			r.StatesExplored += p.StatesExplored
 			r.StatesPruned += p.StatesPruned
+			r.StatesForced += p.StatesForced
 			r.Elapsed += p.Elapsed
 			r.MaxFrontier = max(r.MaxFrontier, p.MaxFrontier)
 			r.PeakBytes = max(r.PeakBytes, p.PeakBytes)

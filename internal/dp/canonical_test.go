@@ -6,6 +6,9 @@ package dp_test
 // byte for byte from every budget τ ≥ µ* and from the budget ladder —
 // together with the ladder's own contracts: an admissible
 // first rung, valves that fail rather than steer, and a bounded probe count.
+// The search runs on the transition graph the safe-move rule restricts, so
+// every instance also certifies that the restriction kept the optimum
+// (assertOptimumKept).
 
 import (
 	"fmt"
@@ -53,6 +56,7 @@ func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveR
 		same(fmt.Sprintf("budget=%d", budget), dp.Schedule(m, dp.Options{Budget: budget}))
 	}
 
+	assertOptimumKept(t, name, m, want.Peak)
 	if lb := m.LowerBound(); lb > want.Peak {
 		t.Fatalf("%s: lower bound %d above the optimal peak %d", name, lb, want.Peak)
 	}
@@ -61,7 +65,7 @@ func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveR
 		t.Fatalf("%s/ladder: %v", name, err)
 	}
 	same("ladder", ar.Result)
-	var states, pruned int64
+	var states, pruned, forced int64
 	var frontier int
 	var bytes int64
 	for i, p := range ar.Probes {
@@ -69,17 +73,37 @@ func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveR
 			t.Fatalf("%s/ladder: probe %d of %d ended %v", name, i, len(ar.Probes), p.Flag)
 		}
 		states, pruned = states+p.States, pruned+p.Pruned
+		// Probes record no forced count; the same budget run alone has it.
+		forced += dp.Schedule(m, dp.Options{Budget: p.Budget}).StatesForced
 		frontier, bytes = max(frontier, p.MaxFrontier), max(bytes, p.PeakBytes)
 	}
-	if ar.StatesExplored != states || ar.StatesPruned != pruned || ar.MaxFrontier != frontier || ar.PeakBytes != bytes {
-		t.Fatalf("%s/ladder: accounting (%d explored, %d pruned, frontier %d, %d bytes) is not Σ/max over probes (%d, %d, %d, %d)",
-			name, ar.StatesExplored, ar.StatesPruned, ar.MaxFrontier, ar.PeakBytes, states, pruned, frontier, bytes)
+	if ar.StatesExplored != states || ar.StatesPruned != pruned || ar.StatesForced != forced || ar.MaxFrontier != frontier || ar.PeakBytes != bytes {
+		t.Fatalf("%s/ladder: accounting (%d explored, %d pruned, %d forced, frontier %d, %d bytes) is not Σ/max over probes (%d, %d, %d, %d, %d)",
+			name, ar.StatesExplored, ar.StatesPruned, ar.StatesForced, ar.MaxFrontier, ar.PeakBytes, states, pruned, forced, frontier, bytes)
 	}
 	if ar.FinalBudget < want.Peak || ar.FinalBudget > ar.BudgetCap || ar.Probes[0].Budget != min(ar.LowerBound, ar.BudgetCap) {
 		t.Fatalf("%s/ladder: rungs %d..%d outside [lower bound %d, cap %d] (peak %d)",
 			name, ar.Probes[0].Budget, ar.FinalBudget, ar.LowerBound, ar.BudgetCap, want.Peak)
 	}
 	return ar
+}
+
+// assertOptimumKept certifies the safe-move rule on one instance: peak, the
+// restricted search's answer, is some schedule's peak, so it can only be too
+// high. The unrestricted oracle (every ready node at every state) run at
+// τ = peak would return any lower optimum, which fits the same budget; for
+// graphs of at most ten nodes sched.BruteForce must agree too.
+func assertOptimumKept(t *testing.T, name string, m *sched.MemModel, peak int64) {
+	t.Helper()
+	if r := referenceUnrestricted(m, dp.Options{Budget: peak}); r.Flag != dp.FlagSolution || r.Peak != peak {
+		t.Fatalf("%s: safe moves gave peak %d, the unrestricted search %v with peak %d", name, peak, r.Flag, r.Peak)
+	}
+	if m.G.NumNodes() > 10 {
+		return
+	}
+	if _, bf, err := sched.BruteForce(m); err != nil || bf != peak {
+		t.Fatalf("%s: safe moves gave peak %d, brute force %d (%v)", name, peak, bf, err)
+	}
 }
 
 // randomCanonicalDAG draws from the same family TestDifferentialRandomDAGs
@@ -151,9 +175,12 @@ func TestCanonicalOrderRandomDAGs(t *testing.T) {
 	}
 }
 
-// bruteForceCanonical enumerates every topological order of m.G, as
-// sched.BruteForce does, and returns the least under the DP's tie-break
-// written out as a total order on complete schedules: compare the full peak,
+// bruteForceCanonical enumerates the topological orders of m.G, as
+// sched.BruteForce does — except that wherever a prefix has a safe move (the
+// smallest ready node among those allocating the least that frees at least
+// what it allocates, see the DP's safeMove) only that node may come next — and
+// returns the least under the DP's tie-break written out as a total order on
+// complete schedules: compare the full peak,
 // then the last node, then the peak of the first n-1 steps, then the node
 // before last, and so on down. (The DP's recorded predecessor of a signature
 // is the smallest node among those reaching it at its least peak, which is
@@ -194,8 +221,29 @@ func bruteForceCanonical(m *sched.MemModel) (sched.Schedule, int64) {
 			}
 			return
 		}
+		ready := func(u int) bool { return !done[u] && indeg[u] == 0 }
+		minAlloc, safe := int64(math.MaxInt64), -1
 		for u := 0; u < n; u++ {
-			if done[u] || indeg[u] != 0 {
+			if ready(u) {
+				minAlloc = min(minAlloc, m.Alloc[u])
+			}
+		}
+		for u := n - 1; u >= 0; u-- {
+			if !ready(u) || m.Alloc[u] != minAlloc {
+				continue
+			}
+			var freed int64
+			for _, r := range m.PredRoots[u] {
+				if remaining[r] == 1 { // u is the last consumer standing
+					freed += m.RootSize[r]
+				}
+			}
+			if freed >= minAlloc {
+				safe = u
+			}
+		}
+		for u := 0; u < n; u++ {
+			if !ready(u) || (safe >= 0 && u != safe) {
 				continue
 			}
 			muU := mu + m.Alloc[u]

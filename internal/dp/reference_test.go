@@ -8,10 +8,16 @@ package dp_test
 // and MaxFrontier — across the nine-cell suite, random DAGs, and the
 // deterministic abort paths (budget, MaxStates, pre-canceled contexts).
 //
-// Do not "fix" or modernize this file: its value is being the old code.
+// Do not "fix" or modernize this file: its value is being the old code. Its
+// one edit since is the safe-move rule (see (*search).safeMove), spelled here
+// on heap bitsets and the Consumers lists so the two cores keep agreeing
+// transition for transition; referenceUnrestricted is the loop without the
+// rule — the paper's line 10, every ready node — and certifies per instance
+// that the rule never costs the optimum.
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/dp"
@@ -34,10 +40,47 @@ func referenceSchedule(m *sched.MemModel, opts dp.Options) *dp.Result {
 	return referenceScheduleCtx(context.Background(), m, opts)
 }
 
-// referenceScheduleCtx is the seed repository's ScheduleCtx, unchanged apart
-// from the package qualifiers (and dropping its dead budgetPruned bool, which
-// was computed and discarded).
 func referenceScheduleCtx(ctx context.Context, m *sched.MemModel, opts dp.Options) *dp.Result {
+	return referenceRun(ctx, m, opts, true)
+}
+
+// referenceUnrestricted branches on every ready node at every state.
+func referenceUnrestricted(m *sched.MemModel, opts dp.Options) *dp.Result {
+	return referenceRun(context.Background(), m, opts, false)
+}
+
+// referenceSafeMove is the rule on the oracle's own data: the smallest ready
+// node that allocates the least of the ready set and frees at least that much
+// the moment it runs, or -1.
+func referenceSafeMove(m *sched.MemModel, st *refState) int {
+	minAlloc := int64(math.MaxInt64)
+	st.ready.ForEach(func(v int) { minAlloc = min(minAlloc, m.Alloc[v]) })
+	safe := -1
+	st.ready.ForEach(func(v int) {
+		if safe >= 0 || m.Alloc[v] != minAlloc {
+			return
+		}
+		var freed int64
+		for _, r := range m.PredRoots[v] {
+			last := true
+			for _, c := range m.Consumers[r] {
+				last = last && (c == v || st.scheduled.Has(c))
+			}
+			if last {
+				freed += m.RootSize[r]
+			}
+		}
+		if freed >= minAlloc {
+			safe = v
+		}
+	})
+	return safe
+}
+
+// referenceRun is the seed repository's ScheduleCtx, unchanged apart from the
+// package qualifiers (and dropping its dead budgetPruned bool, which was
+// computed and discarded) and, when safeMoves is set, the rule above.
+func referenceRun(ctx context.Context, m *sched.MemModel, opts dp.Options, safeMoves bool) *dp.Result {
 	start := time.Now()
 	g := m.G
 	n := g.NumNodes()
@@ -91,7 +134,16 @@ func referenceScheduleCtx(ctx context.Context, m *sched.MemModel, opts dp.Option
 
 		for si := range cur {
 			st := &cur[si]
+			safe := -1
+			if safeMoves {
+				if safe = referenceSafeMove(m, st); safe >= 0 {
+					res.StatesForced++
+				}
+			}
 			st.ready.ForEach(func(u int) {
+				if safe >= 0 && u != safe {
+					return
+				}
 				muHigh := st.mu + m.Alloc[u]
 				peak := st.peak
 				if muHigh > peak {
@@ -99,6 +151,9 @@ func referenceScheduleCtx(ctx context.Context, m *sched.MemModel, opts dp.Option
 				}
 				if opts.Budget > 0 && peak > opts.Budget {
 					res.StatesPruned++
+					if res.MinPruned == 0 || peak < res.MinPruned {
+						res.MinPruned = peak
+					}
 					return
 				}
 				newScheduled := st.scheduled.Clone()

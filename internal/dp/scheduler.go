@@ -35,6 +35,7 @@ package dp
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -120,6 +121,7 @@ type Result struct {
 	Peak           int64          // peak footprint of Order
 	StatesExplored int64          // memo entries created across all steps
 	StatesPruned   int64          // transitions discarded by the budget
+	StatesForced   int64          // states expanded through a safe move alone (expandSequential)
 	// MinPruned is the smallest running peak among the transitions the budget
 	// discarded (zero when none were): every budget below it repeats this
 	// search exactly, so it is the least τ worth probing next.
@@ -177,6 +179,12 @@ type search struct {
 	tbl       ftable
 	scratch   graph.Bitset
 	pvs       [][]pv
+	// mustHave[u·w:] is safeMove's precomputed filter: the nodes that have
+	// to be scheduled before u can pass its test (ii) — the other consumers
+	// of every operand root u must free to cover its output. A node whose
+	// operand roots together are smaller than its output never passes, which
+	// the mask says by naming u itself.
+	mustHave []uint64
 
 	done      <-chan struct{}
 	trans     int // transitions since the run began; poll clock
@@ -249,15 +257,38 @@ func ScheduleCtx(ctx context.Context, m *sched.MemModel, opts Options) *Result {
 // newSearch returns an empty working set for DP runs over m.
 func newSearch(m *sched.MemModel) *search {
 	n := m.G.NumNodes()
-	return &search{
+	w := (n + 63) / 64
+	s := &search{
 		m:          m,
 		n:          n,
-		w:          (n + 63) / 64,
+		w:          w,
 		cur:        &level{},
 		next:       &level{},
 		pvs:        make([][]pv, n+1),
+		mustHave:   make([]uint64, n*w),
 		stateBytes: FrontierStateBytes(n),
 	}
+	for u, roots := range m.PredRoots {
+		var operands int64
+		for _, r := range roots {
+			operands += m.RootSize[r]
+		}
+		if operands < m.Alloc[u] {
+			s.mustHave[u*w+u>>6] |= 1 << uint(u&63)
+			continue
+		}
+		for _, r := range roots {
+			if operands-m.RootSize[r] >= m.Alloc[u] {
+				continue // the other operands can cover u without r
+			}
+			for _, c := range m.Consumers[r] {
+				if c != u {
+					s.mustHave[u*w+c>>6] |= 1 << uint(c&63)
+				}
+			}
+		}
+	}
+	return s
 }
 
 // run is one DP search under opts, reusing whatever capacity earlier runs on
@@ -383,11 +414,12 @@ func (s *search) run(ctx context.Context, opts Options) *Result {
 }
 
 // expandSequential runs one level of Algorithm 1's recursion in discovery
-// order: for each parent state, for each ready node u (line 10), the child
-// signature's hash is computed incrementally and probed before anything is
-// allocated. Duplicates only compete on peak (lines 21-22); new signatures
-// are appended to the slab. Mirrors the original map-based loop transition
-// for transition, so Result accounting is bit-identical.
+// order: for each parent state, for each ready node u (line 10) — or for its
+// safe move alone, see safeMove — the child signature's hash is computed
+// incrementally and probed before anything is allocated. Duplicates only
+// compete on peak (lines 21-22); new signatures are appended to the slab.
+// Mirrors the map-based reference loop transition for transition, so Result
+// accounting is bit-identical.
 func (s *search) expandSequential() expandOutcome {
 	var (
 		w      = s.w
@@ -401,8 +433,15 @@ func (s *search) expandSequential() expandOutcome {
 		st := &s.cur.states[si]
 		psched := s.cur.sched(si, w)
 		pready := s.cur.ready(si, w)
-		for wi := 0; wi < w; wi++ {
-			word := pready[wi]
+		// A safe move is the state's only transition. If the budget prunes
+		// it, it was the state's cheapest, so MinPruned stays exact.
+		lo, hi, only := 0, w, ^uint64(0)
+		if u := s.safeMove(psched, pready); u >= 0 {
+			lo, hi, only = u>>6, u>>6+1, uint64(1)<<uint(u&63)
+			s.res.StatesForced++
+		}
+		for wi := lo; wi < hi; wi++ {
+			word := pready[wi] & only
 			for word != 0 {
 				u := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
@@ -458,6 +497,50 @@ func (s *search) expandSequential() expandOutcome {
 		}
 	}
 	return expandOK
+}
+
+// safeMove returns the smallest-id ready node that may be scheduled alone at
+// the state (psched, pready) without losing the optimum, or -1 when the state
+// must branch on every ready node. u is safe when (i) no ready node allocates
+// less than Alloc[u] and (ii) the bytes freed the moment u runs are at least
+// Alloc[u]. The exchange argument: take any completion σ = v1 … vk u … of the
+// state and move u to the front. Its spike µ + Alloc[u] ≤ µ + Alloc[v1] is
+// one σ pays anyway; every later step up to u's old position holds Alloc[u]
+// more and at least the freed bytes less (scheduling more nodes first can
+// only let u free more); from there on the live sets coincide. So
+// peak(σ') ≤ peak(σ), restricting the state to u keeps µ*, and because the
+// choice reads only the scheduled set, the restricted transition graph — and
+// with it the via tie-break's canonical order — is a pure function of the
+// segment, independent of τ. One pass over the ready set tracks the running
+// minimum — (i) before (ii) — and computes the freed bytes only for a node
+// that ties or lowers it and passes the mustHave filter (an AND per word), so
+// graphs where tensor sizes differ and the rule rarely fires pay little.
+func (s *search) safeMove(psched, pready []uint64) int {
+	alloc, must, w := s.m.Alloc, s.mustHave, s.w
+	safe, minAlloc := -1, int64(math.MaxInt64)
+	for wi, word := range pready {
+	ready:
+		for ; word != 0; word &= word - 1 {
+			u := wi<<6 + bits.TrailingZeros64(word)
+			a := alloc[u]
+			if a > minAlloc || (a == minAlloc && safe >= 0) {
+				continue
+			}
+			if a < minAlloc {
+				safe, minAlloc = -1, a
+			}
+			for i, have := range psched {
+				if must[u*w+i]&^have != 0 {
+					continue ready
+				}
+			}
+			s.scratch.Attach(psched, s.n)
+			if s.m.StepDealloc(&s.scratch, u) >= a {
+				safe = u
+			}
+		}
+	}
+	return safe
 }
 
 // canceled reports whether the context's done channel has fired.

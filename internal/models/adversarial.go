@@ -11,17 +11,19 @@ import (
 // fanning out into `branches` independent SepConv chains of about `depth`
 // operations each, merged by a single Add before the output head.
 //
-// The shape is chosen to maximize the DP's frontier per node scheduled. With
-// B independent chains the scheduler may interleave them freely, so the
-// signatures alive at level L are the compositions of L into B parts bounded
-// by the chain depths — the frontier peaks near (depth+1)^B / (B*depth+1)
-// states, exponential in the branch count, while the graph itself stays
-// small. And because every interior node lies on a stem→merge path, the
-// graph has no internal articulation points: divide-and-conquer cannot cut
-// it, so the whole frontier lands in ONE segment's search. That is exactly
-// the profile that drives a byte-accounted search into its MemLimit valve
-// (and an ungoverned one toward an OOM kill), which is what the OOM-chaos
-// suite needs to provoke deterministically.
+// The shape is chosen to maximize the DP's frontier per node scheduled. A
+// chain's head cannot free the stem while another head is pending, so it is
+// never a safe move and the search branches on which heads have run: about
+// 2^B signatures coexist, exponential in the branch count, while the graph
+// itself stays small. (Inside a chain every tensor has the same size, each
+// operation frees what it allocates and the DP takes it alone, so depth no
+// longer multiplies the frontier: the (depth+1)^B interleavings of the chains
+// collapse to forced moves.) And because every interior node lies on a
+// stem→merge path, the graph has no internal articulation points:
+// divide-and-conquer cannot cut it, so the whole frontier lands in ONE
+// segment's search. That is the profile that drives a byte-accounted search
+// into a tight MemLimit valve, which is what the OOM-chaos suite needs to
+// provoke deterministically.
 //
 // The seed jitters each chain's depth by ±1, giving the drill distinct
 // fingerprints (no memo reuse across passes) without changing the frontier

@@ -191,22 +191,21 @@ func (m *MemModel) CheckValid(order Schedule) error {
 	return nil
 }
 
-// StepDealloc computes the deallocation when node u executes given that
-// scheduled already includes u: every predecessor root whose consumers are
-// all scheduled is freed. Used by the DP scheduler's transition function.
+// StepDealloc computes the deallocation when node u executes: every
+// predecessor root whose consumers other than u are all in scheduled is
+// freed. u itself is not consulted, so the answer is the same whether or not
+// scheduled already holds it — the DP scheduler's transition function asks
+// with u in the set, its safe-move rule asks before u is.
 func (m *MemModel) StepDealloc(scheduled *graph.Bitset, u int) int64 {
 	var freed int64
+roots:
 	for _, r := range m.PredRoots[u] {
-		all := true
 		for _, c := range m.Consumers[r] {
-			if !scheduled.Has(c) {
-				all = false
-				break
+			if c != u && !scheduled.Has(c) {
+				continue roots
 			}
 		}
-		if all {
-			freed += m.RootSize[r]
-		}
+		freed += m.RootSize[r]
 	}
 	return freed
 }

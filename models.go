@@ -30,8 +30,9 @@ func RandWireCell(name string, nodes, k int, p float64, seed int64, hw, channels
 
 // AdversarialWideGraph generates the memory drill's worst case: `branches`
 // independent convolution chains of about `depth` ops between one stem and
-// one merge, so the DP frontier grows near (depth+1)^branches signatures
-// while partitioning cannot cut the graph. Deterministic per seed.
+// one merge, so the DP frontier grows near 2^branches signatures (which chain
+// heads have run; inside a chain every move is a safe one, taken alone) while
+// partitioning cannot cut the graph. Deterministic per seed.
 func AdversarialWideGraph(name string, branches, depth, hw, channels int, seed int64) *Graph {
 	return models.AdversarialWideGraph(name, branches, depth, hw, channels, seed)
 }

@@ -306,7 +306,8 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 						trace.Int("lower_bound", l.LowerBound),
 						trace.Int("budget_cap", l.BudgetCap),
 						trace.Int("final_budget", l.FinalBudget),
-						trace.Int("states_pruned", l.StatesPruned))
+						trace.Int("states_pruned", l.StatesPruned),
+						trace.Int("forced", l.StatesForced))
 				}
 				if gs, ok := rsv.(interface {
 					Grows() int64

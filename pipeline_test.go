@@ -143,26 +143,48 @@ func TestGreedyStrategyCancellation(t *testing.T) {
 	}
 }
 
-// bigStacked is a graph whose exact DP needs seconds per segment (the same
-// wiring the cancellation tests use) — far beyond the tight deadlines the
-// best-effort tests set, so the fallback always triggers.
+// bigStacked is a four-cell stack of 48-node RandWire cells: several
+// partition segments, each a real search (tens of milliseconds; it was
+// seconds before the DP's safe-move rule).
 func bigStacked(name string) *Graph {
 	return models.StackedRandWire(name, 4, models.WSConfig{
 		Nodes: 48, K: 8, P: 0.9, Seed: 10, HW: 16, Channel: 8,
 	})
 }
 
+// runPastDeadline runs the best-effort pipeline on g under a deadline the
+// exact DP cannot meet by construction rather than by machine speed: an
+// Observer parks the pipeline at the search stage's start event until the
+// deadline has expired, so every segment's exact attempt begins past it.
+// Events are forwarded to observe (may be nil).
+func runPastDeadline(t *testing.T, g *Graph, parallelism int, observe func(Event)) (*Result, error) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Strategy = StrategyBestEffort
+	opts.Parallelism = parallelism
+	p, err := NewPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	p.Observer = ObserverFunc(func(e Event) {
+		if e.Kind == EventStageStart && e.Stage == StageSearch {
+			<-ctx.Done()
+		}
+		if observe != nil {
+			observe(e)
+		}
+	})
+	return p.Run(ctx, g)
+}
+
 // TestBestEffortFallsBackUnderDeadline is the acceptance scenario: a
 // deadline far too tight for the exact DP must yield a valid heuristic
 // schedule tagged as such — not an error.
 func TestBestEffortFallsBackUnderDeadline(t *testing.T) {
-	g := bigStacked("be-fallback")
-	opts := DefaultOptions()
-	opts.Strategy = StrategyBestEffort
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
 	start := time.Now()
-	res, err := ScheduleContext(ctx, g, opts)
+	res, err := runPastDeadline(t, bigStacked("be-fallback"), 1, nil)
 	if err != nil {
 		t.Fatalf("best-effort errored under deadline: %v", err)
 	}
@@ -193,13 +215,7 @@ func TestBestEffortFallsBackUnderDeadline(t *testing.T) {
 // through the worker pool: an expired deadline must not void segments that
 // completed via fallback.
 func TestBestEffortFallsBackUnderDeadlineParallel(t *testing.T) {
-	g := bigStacked("be-fallback-par")
-	opts := DefaultOptions()
-	opts.Strategy = StrategyBestEffort
-	opts.Parallelism = 4
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	res, err := ScheduleContext(ctx, g, opts)
+	res, err := runPastDeadline(t, bigStacked("be-fallback-par"), 4, nil)
 	if err != nil {
 		t.Fatalf("parallel best-effort errored under deadline: %v", err)
 	}
@@ -308,20 +324,11 @@ func TestObserverSeesEveryStage(t *testing.T) {
 // reason attached.
 func TestObserverFallbackEvent(t *testing.T) {
 	var fallbacks []Event
-	opts := DefaultOptions()
-	opts.Strategy = StrategyBestEffort
-	p, err := NewPipeline(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Observer = ObserverFunc(func(e Event) {
+	res, err := runPastDeadline(t, bigStacked("be-observe"), 1, func(e Event) {
 		if e.Kind == EventFallback {
 			fallbacks = append(fallbacks, e)
 		}
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	res, err := p.Run(ctx, bigStacked("be-observe"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +336,7 @@ func TestObserverFallbackEvent(t *testing.T) {
 		t.Errorf("observed %d fallback events, Result says %d", len(fallbacks), res.Fallbacks)
 	}
 	if res.Fallbacks == 0 {
-		t.Fatal("expected at least one fallback under the 50ms deadline")
+		t.Fatal("expected at least one fallback past the deadline")
 	}
 	for _, e := range fallbacks {
 		if e.Err == nil {

@@ -548,40 +548,45 @@ func copyGoldenStore(t *testing.T, name string) string {
 	return dir
 }
 
-// TestGoldenStoreOldMemoKeysReadAsMiss is the other half of the MemoKey
-// change to "exact|v2": a store written by a build that keyed exact results
-// "exact|a=…|t=…|s=…" (the fixture store_v1 held until then, kept as
-// store_v1_exact_v1_keys) must open clean and serve nothing — its orders
-// predate the node-id tie-break, so a hit would break warm ≡ cold. Old
-// stores go cold, never wrong.
+// TestGoldenStoreOldMemoKeysReadAsMiss is the other half of every MemoKey
+// version bump: a store written by a build that keyed exact results
+// "exact|a=…|t=…|s=…" (the fixture store_v1 held until "exact|v2", kept as
+// store_v1_exact_v1_keys) or "exact|v2" (held until "exact|v3", kept as
+// store_v1_exact_v2_keys) must open clean and serve nothing — its orders
+// predate the node-id tie-break or the DP's safe-move rule, so a hit would
+// break warm ≡ cold. Old stores go cold, never wrong.
 func TestGoldenStoreOldMemoKeysReadAsMiss(t *testing.T) {
-	ss, err := OpenScheduleStore(copyGoldenStore(t, "store_v1_exact_v1_keys"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	if st := ss.Stats(); st.Entries != 2 || st.CorruptRecords != 0 {
-		t.Fatalf("old-key store opened with stats %+v; want 2 clean entries", st)
-	}
-	for _, tc := range []int{1, 2} { // SwiftNet cells A and B, as gen.go compiled them
-		p, err := NewPipeline(compatOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Store = ss
-		res, err := p.Run(context.Background(), models.BenchmarkCells()[tc].Build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden := compatGolden[tc]
-		checkCompat(t, "old-key store "+golden.name, res, golden.peak, golden.arenaSize, golden.order)
-		if res.SegmentMemoHits != 0 || res.FreshStatesExplored == 0 {
-			t.Errorf("%s: %d segment hits, %d fresh states; want an all-miss recompute",
-				golden.name, res.SegmentMemoHits, res.FreshStatesExplored)
-		}
-	}
-	if st := ss.Stats(); st.Hits != 0 {
-		t.Errorf("old-key artifacts were served: %+v", st)
+	for _, fixture := range []string{"store_v1_exact_v1_keys", "store_v1_exact_v2_keys"} {
+		t.Run(fixture, func(t *testing.T) {
+			ss, err := OpenScheduleStore(copyGoldenStore(t, fixture), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ss.Close()
+			if st := ss.Stats(); st.Entries != 2 || st.CorruptRecords != 0 {
+				t.Fatalf("old-key store opened with stats %+v; want 2 clean entries", st)
+			}
+			for _, tc := range []int{1, 2} { // SwiftNet cells A and B, as gen.go compiled them
+				p, err := NewPipeline(compatOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Store = ss
+				res, err := p.Run(context.Background(), models.BenchmarkCells()[tc].Build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				golden := compatGolden[tc]
+				checkCompat(t, "old-key store "+golden.name, res, golden.peak, golden.arenaSize, golden.order)
+				if res.SegmentMemoHits != 0 || res.FreshStatesExplored == 0 {
+					t.Errorf("%s: %d segment hits, %d fresh states; want an all-miss recompute",
+						golden.name, res.SegmentMemoHits, res.FreshStatesExplored)
+				}
+			}
+			if st := ss.Stats(); st.Hits != 0 {
+				t.Errorf("old-key artifacts were served: %+v", st)
+			}
+		})
 	}
 }
 

@@ -92,14 +92,16 @@ type SearchResult struct {
 }
 
 // BudgetLadder summarizes one dp.AdaptiveSchedule call: how many budgets it
-// probed, between which bounds, where it stopped, and how many transitions
-// the budgets pruned along the way.
+// probed, between which bounds, where it stopped, how many transitions the
+// budgets pruned along the way, and how many states expanded through a safe
+// move alone instead of branching.
 type BudgetLadder struct {
 	Probes       int
 	LowerBound   int64
 	BudgetCap    int64
 	FinalBudget  int64
 	StatesPruned int64
+	StatesForced int64
 }
 
 // ladderOf summarizes ar for the trace.
@@ -110,6 +112,7 @@ func ladderOf(ar *dp.AdaptiveResult) BudgetLadder {
 		BudgetCap:    ar.BudgetCap,
 		FinalBudget:  ar.FinalBudget,
 		StatesPruned: ar.StatesPruned,
+		StatesForced: ar.StatesForced,
 	}
 }
 
@@ -217,15 +220,17 @@ func (e ExactDP) Name() string { return "exact" }
 // exact search returns the segment's canonical optimal order whatever
 // AdaptiveBudget, StepTimeout, MaxStates or MemLimit were (they
 // decide whether the search completes, not what it finds), and only completed
-// searches are memoized. v2 is the first key under the node-id tie-break;
-// artifacts keyed "exact|a=…" by earlier builds read as misses.
+// searches are memoized. v3 is the key under the safe-move rule, whose
+// canonical order (not its peak) differs from v2's, the first under the
+// node-id tie-break; artifacts keyed "exact|v2" or "exact|a=…" by earlier
+// builds read as misses.
 //
 // MemoKeys outlive the process: they are half of the on-disk ScheduleStore's
 // content address (the other half, Segment.Fingerprint, is golden-pinned in
 // testdata/golden). Changing any MemoKey's rendering silently orphans — or,
 // worse, aliases — every artifact persisted by deployed stores, so treat the
 // format of all three built-in keys as a wire format.
-func (e ExactDP) MemoKey() string { return "exact|v2" }
+func (e ExactDP) MemoKey() string { return "exact|v3" }
 
 // scopeMemory implements memScoper.
 func (e ExactDP) scopeMemory(limit int64, grow func(needed int64) int64) Searcher {
@@ -332,8 +337,8 @@ func (b BestEffort) Name() string { return "best-effort" }
 // those are the canonical order under any deadline, StepTimeout or MaxStates.
 // Degraded results never enter the memo (see SegmentMemo), so deadline
 // pressure cannot leak across requests. (A met deadline's result is the very
-// artifact "exact|v2" names; sharing the key is left for a later change.)
-func (b BestEffort) MemoKey() string { return "best-effort|v2" }
+// artifact "exact|v3" names; sharing the key is left for a later change.)
+func (b BestEffort) MemoKey() string { return "best-effort|v3" }
 
 // scopeMemory implements memScoper. A governed BestEffort converts the byte
 // ceiling into degradation, not failure: when the adaptive search aborts

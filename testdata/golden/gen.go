@@ -85,9 +85,10 @@ func main() {
 	// incompatible change to the record framing, the artifact codec, the
 	// segment fingerprints, or the MemoKey rendering fails the suite until
 	// this fixture is regenerated — the explicit act of acknowledging a
-	// format break. (store_v1_exact_v1_keys is the fixture as it was before
-	// MemoKey became "exact|v2"; it is never regenerated, and
-	// TestGoldenStoreOldMemoKeysReadAsMiss requires it to serve nothing.)
+	// format break. (store_v1_exact_v1_keys and store_v1_exact_v2_keys are
+	// the fixture as it was before MemoKey became "exact|v2" and "exact|v3";
+	// they are never regenerated, and TestGoldenStoreOldMemoKeysReadAsMiss
+	// requires them to serve nothing.)
 	storeDir := filepath.Join(dir, "store_v1")
 	if err := os.RemoveAll(storeDir); err != nil {
 		log.Fatal(err)
