@@ -66,14 +66,14 @@ func TestDebugTraceInlineSpanTree(t *testing.T) {
 		}
 	}
 	// The DP span carries the search counters the flight recorder and
-	// exemplars lean on, and the budget ladder it climbed.
+	// exemplars lean on, and the soft budget it searched at.
 	for _, dp := range names["dp.search"] {
 		if dp.Attrs["states"] == "" || dp.Attrs["quality"] == "" {
 			t.Errorf("dp.search span missing counters: %v", dp.Attrs)
 		}
-		for _, k := range []string{"probes", "lower_bound", "budget_cap", "final_budget", "states_pruned", "forced"} {
+		for _, k := range []string{"budget_cap", "states_pruned", "forced"} {
 			if dp.Attrs[k] == "" {
-				t.Errorf("dp.search span missing ladder attribute %q: %v", k, dp.Attrs)
+				t.Errorf("dp.search span missing budget attribute %q: %v", k, dp.Attrs)
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func Table2(opts Table2Options) ([]Table2Row, error) {
 		// unbudgeted whole-graph DP, bounded by time and frontier size so the
 		// probe terminates (expected N/A on a slow machine — the state space of
 		// a 62/90-node graph is what divide-and-conquer exists for); 2 adds
-		// Partition; 3 adds AdaptiveBudget under the ladder's own step timeout.
+		// Partition; 3 adds AdaptiveBudget under its own step timeout.
 		plain := serenity.Options{Rewrite: rw, StepTimeout: opts.PlainDPBudget, MaxStates: opts.MaxStates}
 		divided := plain
 		divided.Partition = true

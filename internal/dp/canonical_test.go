@@ -3,12 +3,12 @@ package dp_test
 // The canonical-order suite: with peak ties broken on the node id, the exact
 // schedule is a pure function of the segment. Every test here checks that per
 // instance — the order and peak of one unbudgeted dp.Schedule must come back
-// byte for byte from every budget τ ≥ µ* and from the budget ladder —
-// together with the ladder's own contracts: an admissible
-// first rung, valves that fail rather than steer, and a bounded probe count.
-// The search runs on the transition graph the safe-move rule restricts, so
-// every instance also certifies that the restriction kept the optimum
-// (assertOptimumKept).
+// byte for byte from every budget τ ≥ µ* and from AdaptiveSchedule —
+// together with the adaptive search's own contracts: it is exactly one probe
+// at min(Kahn, greedy), its valves fail rather than steer, and its state
+// counts on the families it is weakest on stay pinned. The search runs on the
+// transition graph the safe-move rule restricts, so every instance also
+// certifies that the restriction kept the optimum (assertOptimumKept).
 
 import (
 	"fmt"
@@ -27,9 +27,10 @@ import (
 )
 
 // assertCanonical runs m unbudgeted, at Budget ∈ {Kahn, greedy, µ*, 2µ*} and
-// through the ladder, and fails unless all of them return the unbudgeted
-// run's order and peak. It also pins the ladder's accounting rule and its
-// admissible lower bound, and returns the ladder's result.
+// through AdaptiveSchedule, and fails unless all of them return the
+// unbudgeted run's order and peak. It also holds AdaptiveSchedule to being one
+// dp.Schedule at τ = min(Kahn, greedy), field for field, and returns its
+// result.
 func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveResult {
 	t.Helper()
 	want := dp.Schedule(m, dp.Options{})
@@ -52,38 +53,24 @@ func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveR
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{0, m.MustPeak(kahn), greedy, want.Peak, 2 * want.Peak} {
+	kahnPeak := m.MustPeak(kahn)
+	for _, budget := range []int64{0, kahnPeak, greedy, want.Peak, 2 * want.Peak} {
 		same(fmt.Sprintf("budget=%d", budget), dp.Schedule(m, dp.Options{Budget: budget}))
 	}
 
 	assertOptimumKept(t, name, m, want.Peak)
-	if lb := m.LowerBound(); lb > want.Peak {
-		t.Fatalf("%s: lower bound %d above the optimal peak %d", name, lb, want.Peak)
-	}
 	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
 	if err != nil {
-		t.Fatalf("%s/ladder: %v", name, err)
+		t.Fatalf("%s/adaptive: %v", name, err)
 	}
-	same("ladder", ar.Result)
-	var states, pruned, forced int64
-	var frontier int
-	var bytes int64
-	for i, p := range ar.Probes {
-		if last := i == len(ar.Probes)-1; last != (p.Flag == dp.FlagSolution) {
-			t.Fatalf("%s/ladder: probe %d of %d ended %v", name, i, len(ar.Probes), p.Flag)
-		}
-		states, pruned = states+p.States, pruned+p.Pruned
-		// Probes record no forced count; the same budget run alone has it.
-		forced += dp.Schedule(m, dp.Options{Budget: p.Budget}).StatesForced
-		frontier, bytes = max(frontier, p.MaxFrontier), max(bytes, p.PeakBytes)
+	same("adaptive", ar.Result)
+	probe := dp.Schedule(m, dp.Options{Budget: min(kahnPeak, greedy)})
+	acct := func(r *dp.Result) [5]int64 {
+		return [5]int64{r.StatesExplored, r.StatesPruned, r.StatesForced, int64(r.MaxFrontier), r.PeakBytes}
 	}
-	if ar.StatesExplored != states || ar.StatesPruned != pruned || ar.StatesForced != forced || ar.MaxFrontier != frontier || ar.PeakBytes != bytes {
-		t.Fatalf("%s/ladder: accounting (%d explored, %d pruned, %d forced, frontier %d, %d bytes) is not Σ/max over probes (%d, %d, %d, %d, %d)",
-			name, ar.StatesExplored, ar.StatesPruned, ar.StatesForced, ar.MaxFrontier, ar.PeakBytes, states, pruned, forced, frontier, bytes)
-	}
-	if ar.FinalBudget < want.Peak || ar.FinalBudget > ar.BudgetCap || ar.Probes[0].Budget != min(ar.LowerBound, ar.BudgetCap) {
-		t.Fatalf("%s/ladder: rungs %d..%d outside [lower bound %d, cap %d] (peak %d)",
-			name, ar.Probes[0].Budget, ar.FinalBudget, ar.LowerBound, ar.BudgetCap, want.Peak)
+	if ar.HardBudget != kahnPeak || ar.BudgetCap != min(kahnPeak, greedy) || acct(ar.Result) != acct(probe) {
+		t.Fatalf("%s/adaptive: τ=%d (Kahn %d), accounting (explored, pruned, forced, frontier, bytes) %v\nwant τ=min(%d, %d) and the probe's %v",
+			name, ar.BudgetCap, ar.HardBudget, acct(ar.Result), kahnPeak, greedy, acct(probe))
 	}
 	return ar
 }
@@ -273,17 +260,17 @@ func bruteForceCanonical(m *sched.MemModel) (sched.Schedule, int64) {
 	return best, bestPeaks[n-1]
 }
 
-// TestLadderValvesFailTheSearch: a probe the StepTimeout, MaxStates or
-// MemLimit valve aborts ends the ladder with that flag and no order. None of
-// them moves τ: the probes before the abort are exactly the 'no solution'
-// rungs an unpressured ladder climbs.
-func TestLadderValvesFailTheSearch(t *testing.T) {
+// TestValvesFailTheProbe: the StepTimeout, MaxStates and MemLimit valves each
+// fail the one probe with their flag and no order. None moves τ or retries:
+// the failed search probed the unpressured search's budget and explored no
+// more than it.
+func TestValvesFailTheProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 30, EdgeProb: 0.1, MaxFanIn: 3})
 	m := sched.NewMemModel(g)
 	free, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
 	if err != nil || free.Flag != dp.FlagSolution {
-		t.Fatalf("unpressured ladder: %v, %v", free.Flag, err)
+		t.Fatalf("unpressured search: %v, %v", free.Flag, err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -301,30 +288,19 @@ func TestLadderValvesFailTheSearch(t *testing.T) {
 		if ar.Flag != tc.want || ar.Order != nil {
 			t.Fatalf("%s: flag %v order %v, want %v and no order", tc.name, ar.Flag, ar.Order, tc.want)
 		}
-		last := len(ar.Probes) - 1
-		if ar.Probes[last].Flag != tc.want || ar.FinalBudget != ar.Probes[last].Budget {
-			t.Fatalf("%s: ladder did not stop at the aborted probe: %+v", tc.name, ar.Probes)
-		}
-		for i, p := range ar.Probes[:last] {
-			if p.Flag != dp.FlagNoSolution || p.Budget != free.Probes[i].Budget {
-				t.Fatalf("%s: probe %d (τ=%d, %v) left the unpressured ladder's rung τ=%d", tc.name, i, p.Budget, p.Flag, free.Probes[i].Budget)
-			}
+		if ar.BudgetCap != free.BudgetCap || ar.StatesExplored > free.StatesExplored {
+			t.Fatalf("%s: τ=%d and %d states, the unpressured search τ=%d and %d", tc.name, ar.BudgetCap, ar.StatesExplored, free.BudgetCap, free.StatesExplored)
 		}
 	}
 }
 
-// TestLadderProbeCountBounded: when every tensor has its own size the
-// smallest pruned peak creeps up one transition at a time, and only the
-// geometric floor keeps the ladder short (without it, 400 such DAGs did not
-// finish in ten minutes). The bound is the floor's: log base 17/16 of
-// cap/lower bound.
-func TestLadderProbeCountBounded(t *testing.T) {
-	iters := 200
-	if testing.Short() || raceEnabled {
-		iters = 40
-	}
+// TestProbeStatesDistinctSizes pins the probe's total work, and checks the
+// canonical order, on 200 random DAGs whose tensors all differ in size, so
+// peaks are rarely tied and safe moves rarely fire. The count may only fall.
+func TestProbeStatesDistinctSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < iters; i++ {
+	var states int64
+	for i := 0; i < 200; i++ {
 		g := randomCanonicalDAG(rng)
 		for id, rank := range rng.Perm(g.NumNodes()) {
 			g.Nodes[id].Shape = graph.Shape{64 + 97*rank + id} // 97 > n: all distinct
@@ -335,35 +311,66 @@ func TestLadderProbeCountBounded(t *testing.T) {
 			t.Fatalf("iter%d: %v, %v", i, ar.Flag, err)
 		}
 		if want := dp.Optimal(m); ar.Peak != want.Peak || !slices.Equal(ar.Order, want.Order) {
-			t.Fatalf("iter%d: ladder peak %d order %v\nunbudgeted peak %d order %v", i, ar.Peak, ar.Order, want.Peak, want.Order)
+			t.Fatalf("iter%d: adaptive peak %d order %v\nunbudgeted peak %d order %v", i, ar.Peak, ar.Order, want.Peak, want.Order)
 		}
-		bound := 2 + int(math.Ceil(math.Log(float64(ar.BudgetCap)/float64(ar.LowerBound))/math.Log(17.0/16)))
-		if len(ar.Probes) > bound {
-			t.Fatalf("iter%d: %d probes from τ=%d to cap %d, bound %d", i, len(ar.Probes), ar.LowerBound, ar.BudgetCap, bound)
-		}
+		states += ar.StatesExplored
+	}
+	const pin = 344_434
+	if states > pin {
+		t.Fatalf("200 distinct-size DAGs explored %d states, pinned at %d", states, pin)
 	}
 }
 
-// TestLadderWidensWhenWorkStalls: on a 200-node WS(16) cell the lower bound
-// sits 8x under µ*, so a fixed τ/16 floor climbs ~35 rungs and pays for a
-// near-full search on most of them. The floor doubles whenever a failed
-// probe's work less than doubled, which keeps the failed probes' work
-// geometric; the order is the canonical one all the same.
-func TestLadderWidensWhenWorkStalls(t *testing.T) {
+// TestProbeStatesWideWS pins the probe's work on a 200-node WS(16) cell and
+// checks its order against the τ = Kahn run. The count may only fall.
+func TestProbeStatesWideWS(t *testing.T) {
 	g := models.RandWireCell("wide", models.WSConfig{Nodes: 200, K: 16, P: 0.75, Seed: 1, HW: 16, Channel: 8})
 	m := sched.NewMemModel(g)
 	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
 	if err != nil || ar.Flag != dp.FlagSolution {
 		t.Fatalf("%v, %v", ar.Flag, err)
 	}
-	if len(ar.Probes) > 12 {
-		t.Fatalf("%d probes from τ=%d to %d; the floor never widened", len(ar.Probes), ar.LowerBound, ar.FinalBudget)
-	}
 	want := dp.Schedule(m, dp.Options{Budget: ar.HardBudget})
 	if want.Flag != dp.FlagSolution || ar.Peak != want.Peak || !slices.Equal(ar.Order, want.Order) {
-		t.Fatalf("ladder peak %d differs from the τ=Kahn probe's %d, or the order does", ar.Peak, want.Peak)
+		t.Fatalf("adaptive peak %d differs from the τ=Kahn probe's %d, or the order does", ar.Peak, want.Peak)
 	}
-	if last := ar.Probes[len(ar.Probes)-1]; ar.StatesExplored > 4*last.States {
-		t.Fatalf("failed probes cost %d states against the solution probe's %d", ar.StatesExplored-last.States, last.States)
+	const pin = 28_758
+	if ar.StatesExplored > pin {
+		t.Fatalf("%d states, pinned at %d", ar.StatesExplored, pin)
+	}
+}
+
+// TestProbeStatesRewrittenSwiftNet pins the probe's price: on the rewritten
+// SwiftNet cells, whose tensors all differ in size, greedy's peak sits about
+// 1.5× over µ*, so the budget prunes least there. The counts may only fall.
+func TestProbeStatesRewrittenSwiftNet(t *testing.T) {
+	for _, cell := range []struct {
+		name  string
+		build func() *graph.Graph
+		pin   int64
+	}{
+		{"A", models.SwiftNetCellA, 344_896},
+		{"B", models.SwiftNetCellB, 35_213},
+		{"C", models.SwiftNetCellC, 3_611},
+	} {
+		rewritten, _, err := rewrite.RewriteAll(cell.build(), rewrite.DefaultRules(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := partition.Split(rewritten)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var states int64
+		for i, seg := range part.Segments {
+			ar, err := dp.AdaptiveSchedule(sched.NewMemModel(seg.G), dp.AdaptiveOptions{})
+			if err != nil || ar.Flag != dp.FlagSolution {
+				t.Fatalf("cell %s seg%d: %v, %v", cell.name, i, ar.Flag, err)
+			}
+			states += ar.StatesExplored
+		}
+		if states > cell.pin {
+			t.Errorf("SwiftNet %s rewritten: %d states, pinned at %d", cell.name, states, cell.pin)
+		}
 	}
 }

@@ -190,13 +190,10 @@ func TestAdaptiveScheduleFindsOptimum(t *testing.T) {
 		if ar.HardBudget < ar.Peak {
 			t.Fatalf("trial %d: hard budget %d below optimal peak %d", trial, ar.HardBudget, ar.Peak)
 		}
-		// The solution's budget can never be below its own peak, nor above
-		// the ladder's cap.
-		if ar.FinalBudget < ar.Peak || ar.FinalBudget > ar.BudgetCap {
-			t.Fatalf("trial %d: final budget %d outside [peak %d, cap %d]", trial, ar.FinalBudget, ar.Peak, ar.BudgetCap)
-		}
-		if len(ar.Probes) == 0 {
-			t.Fatal("no probes recorded")
+		// The searched budget is a heuristic's peak: never below the optimum,
+		// never above Kahn's.
+		if ar.BudgetCap < ar.Peak || ar.BudgetCap > ar.HardBudget {
+			t.Fatalf("trial %d: budget %d outside [peak %d, Kahn %d]", trial, ar.BudgetCap, ar.Peak, ar.HardBudget)
 		}
 	}
 }

@@ -107,8 +107,8 @@ func TestMemGrowUpgradesAndDenies(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSurrendersUnderMemPressure: a ceiling no τ can fit under ends
-// the ladder at its first probe with FlagMemPressure and no order — a higher
+// TestAdaptiveSurrendersUnderMemPressure: a ceiling no τ can fit under fails
+// the probe before any expansion with FlagMemPressure and no order — a higher
 // τ only widens the frontier, so there is nothing to retry.
 func TestAdaptiveSurrendersUnderMemPressure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -124,8 +124,8 @@ func TestAdaptiveSurrendersUnderMemPressure(t *testing.T) {
 	if ar.Flag != dp.FlagMemPressure || ar.Order != nil {
 		t.Fatalf("flag %v order %v, want memory pressure and no order", ar.Flag, ar.Order)
 	}
-	if len(ar.Probes) != 1 || ar.FinalBudget != ar.Probes[0].Budget {
-		t.Fatalf("ladder kept climbing after memory pressure: %+v", ar.Probes)
+	if ar.StatesExplored != 0 {
+		t.Fatalf("search explored %d states past a ceiling below level 0", ar.StatesExplored)
 	}
 }
 

@@ -151,9 +151,6 @@ func referenceRun(ctx context.Context, m *sched.MemModel, opts dp.Options, safeM
 				}
 				if opts.Budget > 0 && peak > opts.Budget {
 					res.StatesPruned++
-					if res.MinPruned == 0 || peak < res.MinPruned {
-						res.MinPruned = peak
-					}
 					return
 				}
 				newScheduled := st.scheduled.Clone()

@@ -59,9 +59,9 @@ func randomRewritableDAG(rng *rand.Rand, nodes int) *graph.Graph {
 }
 
 // checkSafeMoveInstance draws one graph, rewrites it, and holds the DP and
-// the ladder to brute force on both (whichever fit its node limit), and to the
-// unrestricted oracle and the canonical contract. It reports whether the
-// rewrite fired and how many states took a safe move.
+// AdaptiveSchedule to brute force on both (whichever fit its node limit), and
+// to the unrestricted oracle and the canonical contract. It reports whether
+// the rewrite fired and how many states took a safe move.
 func checkSafeMoveInstance(t *testing.T, name string, rng *rand.Rand, nodes int) (rewritten bool, forced int64) {
 	t.Helper()
 	built := randomRewritableDAG(rng, nodes)

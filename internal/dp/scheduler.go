@@ -122,11 +122,7 @@ type Result struct {
 	StatesExplored int64          // memo entries created across all steps
 	StatesPruned   int64          // transitions discarded by the budget
 	StatesForced   int64          // states expanded through a safe move alone (expandSequential)
-	// MinPruned is the smallest running peak among the transitions the budget
-	// discarded (zero when none were): every budget below it repeats this
-	// search exactly, so it is the least τ worth probing next.
-	MinPruned   int64
-	MaxFrontier int // largest number of coexisting signatures
+	MaxFrontier    int            // largest number of coexisting signatures
 	// PeakBytes is the high-water mark of the search's retained memory:
 	// the two ping-ponged level buffers at their widest (2⌈n/64⌉ slab words
 	// plus a 32-byte header per state) plus the compacted 8-byte
@@ -163,12 +159,10 @@ const (
 	expandMemPressure               // MemLimit crossed and MemGrow denied
 )
 
-// search carries the working set of the DP runs over one memory model: the
-// current and under-construction levels (ping-ponged so slabs and state
-// slices are recycled every level), the frontier index, the reusable scratch
-// view for footprint evaluation, and the compacted (parent, via) history.
-// Everything but the per-run fields run resets is capacity, so the budget
-// ladder's probes share one search and allocate like one run.
+// search carries the working set of one DP run: the current and
+// under-construction levels (ping-ponged so slabs and state slices are
+// recycled every level), the frontier index, the reusable scratch view for
+// footprint evaluation, and the compacted (parent, via) history.
 type search struct {
 	m    *sched.MemModel
 	opts Options
@@ -254,7 +248,7 @@ func ScheduleCtx(ctx context.Context, m *sched.MemModel, opts Options) *Result {
 	return newSearch(m).run(ctx, opts)
 }
 
-// newSearch returns an empty working set for DP runs over m.
+// newSearch returns an empty working set for a DP run over m.
 func newSearch(m *sched.MemModel) *search {
 	n := m.G.NumNodes()
 	w := (n + 63) / 64
@@ -291,11 +285,7 @@ func newSearch(m *sched.MemModel) *search {
 	return s
 }
 
-// run is one DP search under opts, reusing whatever capacity earlier runs on
-// s left behind. The byte accounting restarts with the run — it is a pure
-// function of this run's frontier widths — but a ceiling MemGrow raised in an
-// earlier run stands, so a ladder of probes consults the governor once per
-// crossing rather than once per probe.
+// run is the DP search under opts on the fresh working set s.
 func (s *search) run(ctx context.Context, opts Options) *Result {
 	start := time.Now()
 	res := &Result{Flag: FlagNoSolution}
@@ -309,15 +299,7 @@ func (s *search) run(ctx context.Context, opts Options) *Result {
 		return res
 	}
 
-	s.opts, s.res, s.done, s.trans = opts, res, ctx.Done(), 0
-	if s.memLimit < opts.MemLimit {
-		s.memLimit = opts.MemLimit
-	}
-	s.cur.reset()
-	s.next.reset()
-	for i := range s.pvs {
-		s.pvs[i] = s.pvs[i][:0]
-	}
+	s.opts, s.res, s.done, s.memLimit = opts, res, ctx.Done(), opts.MemLimit
 	defer func() {
 		res.PeakBytes = s.liveBytes()
 		if memAuditHook != nil {
@@ -433,8 +415,7 @@ func (s *search) expandSequential() expandOutcome {
 		st := &s.cur.states[si]
 		psched := s.cur.sched(si, w)
 		pready := s.cur.ready(si, w)
-		// A safe move is the state's only transition. If the budget prunes
-		// it, it was the state's cheapest, so MinPruned stays exact.
+		// A safe move is the state's only transition.
 		lo, hi, only := 0, w, ^uint64(0)
 		if u := s.safeMove(psched, pready); u >= 0 {
 			lo, hi, only = u>>6, u>>6+1, uint64(1)<<uint(u&63)
@@ -462,9 +443,6 @@ func (s *search) expandSequential() expandOutcome {
 				}
 				if budget > 0 && peak > budget {
 					s.res.StatesPruned++
-					if s.res.MinPruned == 0 || peak < s.res.MinPruned {
-						s.res.MinPruned = peak
-					}
 					continue
 				}
 				h := st.hash ^ zob[u]

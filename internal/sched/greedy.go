@@ -58,7 +58,7 @@ func GreedyMemoryRunCtx(ctx context.Context, m *MemModel) (*GreedyResult, error)
 	// The ready set is a bitset scanned in ascending id: the candidate
 	// comparison below is a total order ending in the id, so the scan order
 	// cannot change the winner, and a word scan beats iterating a map on the
-	// path every cold search (as the budget ladder's cap) and every degraded
+	// path every cold search (as the soft budget's cap) and every degraded
 	// request takes.
 	ready := g.ZeroIndegree(scheduled).Words()
 	remaining := make([]int, n)

@@ -3,7 +3,7 @@ package sched_test
 // Differential pin for GreedyMemoryRunCtx's bitset ready set: the map-based
 // implementation it replaced is kept here, verbatim, as the oracle. Orders,
 // peaks and StatesExplored must be byte-identical — the greedy order is what
-// degraded responses serve and its peak caps the DP's budget ladder.
+// degraded responses serve and its peak caps the DP's soft budget.
 
 import (
 	"fmt"

@@ -82,24 +82,6 @@ func NewMemModel(g *graph.Graph) *MemModel {
 	return m
 }
 
-// LowerBound returns an admissible lower bound on the peak of every schedule:
-// the moment node u is allocated, its own output and the physical tensor
-// behind each of its operands are all live, so no schedule peaks below the
-// largest such sum over the nodes.
-func (m *MemModel) LowerBound() int64 {
-	var lb int64
-	for u, roots := range m.PredRoots {
-		need := m.Alloc[u]
-		for _, r := range roots {
-			need += m.RootSize[r]
-		}
-		if need > lb {
-			lb = need
-		}
-	}
-	return lb
-}
-
 // SimResult captures the outcome of simulating a complete schedule.
 type SimResult struct {
 	Peak     int64   // peak footprint (max over time of live bytes)

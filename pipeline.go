@@ -300,12 +300,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 					trace.Str("quality", string(sr.Quality)),
 					trace.Bool("fell_back", sr.FellBack),
 				)
-				if l := sr.Ladder; l.Probes > 0 {
+				if l := sr.Ladder; l.BudgetCap > 0 {
 					dpSp.Annotate(
-						trace.Int("probes", int64(l.Probes)),
-						trace.Int("lower_bound", l.LowerBound),
 						trace.Int("budget_cap", l.BudgetCap),
-						trace.Int("final_budget", l.FinalBudget),
 						trace.Int("states_pruned", l.StatesPruned),
 						trace.Int("forced", l.StatesForced))
 				}

@@ -23,7 +23,7 @@ type Strategy string
 
 // Built-in strategies.
 const (
-	// StrategyExact is the paper's exact DP (under the soft-budget ladder
+	// StrategyExact is the paper's exact DP (under the soft budget
 	// when Options.AdaptiveBudget is set). The empty string means exact.
 	StrategyExact Strategy = "exact"
 	// StrategyGreedy schedules with the one-step-lookahead greedy heuristic:
@@ -78,9 +78,9 @@ type SearchResult struct {
 	// dp.Result.PeakBytes). It reports only work done in this process on
 	// this call: heuristic searchers and memo/store/peer hits report zero.
 	PeakBytes int64
-	// Ladder describes the soft-budget ladder a fresh adaptive search
-	// climbed, for the dp.search trace span; zero (Probes == 0) for
-	// unbudgeted and heuristic searches and for store and peer hits.
+	// Ladder describes the soft-budget probe a fresh adaptive search ran,
+	// for the dp.search trace span; zero (BudgetCap == 0) for unbudgeted and
+	// heuristic searches and for store and peer hits.
 	Ladder BudgetLadder
 	// Quality reports whether Order is provably optimal for the segment.
 	Quality Quality
@@ -91,32 +91,21 @@ type SearchResult struct {
 	FallbackReason error
 }
 
-// BudgetLadder summarizes one dp.AdaptiveSchedule call: how many budgets it
-// probed, between which bounds, where it stopped, how many transitions the
-// budgets pruned along the way, and how many states expanded through a safe
-// move alone instead of branching.
+// BudgetLadder summarizes one dp.AdaptiveSchedule call: the budget it
+// searched at, how many transitions that budget pruned, and how many states
+// expanded through a safe move alone instead of branching.
 type BudgetLadder struct {
-	Probes       int
-	LowerBound   int64
 	BudgetCap    int64
-	FinalBudget  int64
 	StatesPruned int64
 	StatesForced int64
 }
 
 // ladderOf summarizes ar for the trace.
 func ladderOf(ar *dp.AdaptiveResult) BudgetLadder {
-	return BudgetLadder{
-		Probes:       len(ar.Probes),
-		LowerBound:   ar.LowerBound,
-		BudgetCap:    ar.BudgetCap,
-		FinalBudget:  ar.FinalBudget,
-		StatesPruned: ar.StatesPruned,
-		StatesForced: ar.StatesForced,
-	}
+	return BudgetLadder{BudgetCap: ar.BudgetCap, StatesPruned: ar.StatesPruned, StatesForced: ar.StatesForced}
 }
 
-// adaptiveResult converts a ladder that ended in a solution.
+// adaptiveResult converts an adaptive search that ended in a solution.
 func adaptiveResult(ar *dp.AdaptiveResult) SearchResult {
 	return SearchResult{
 		Order:          ar.Order,
@@ -188,15 +177,15 @@ type Searcher interface {
 }
 
 // ExactDP is the paper's exact search: Algorithm 1's dynamic programming,
-// optionally under Algorithm 2's soft budget (dp.AdaptiveSchedule's
-// deterministic ladder). It either returns the segment's canonical
+// optionally under Algorithm 2's soft budget (dp.AdaptiveSchedule's one
+// probe at min(Kahn, greedy)). It either returns the segment's canonical
 // peak-optimal order — the same one with or without the budget — or an
 // error: a timeout or state-cap blowup is a hard failure (ErrSearchLimit). The
 // search itself is single-threaded; see Options.Parallelism. This is the
 // default Searcher.
 type ExactDP struct {
-	// AdaptiveBudget prunes the DP with the soft-budget ladder; off means
-	// one unbudgeted exact run (same answer, up to 21x the states).
+	// AdaptiveBudget prunes the DP with the soft budget; off means one
+	// unbudgeted exact run (same answer, more states).
 	AdaptiveBudget bool
 	// StepTimeout is the per-search-step safety valve T: exceeding it fails
 	// the search. Zero means 1s under AdaptiveBudget, unlimited without.
@@ -238,11 +227,11 @@ func (e ExactDP) scopeMemory(limit int64, grow func(needed int64) int64) Searche
 	return e
 }
 
-// climb runs the soft-budget ladder under e's valves. A nil error means the
-// AdaptiveResult holds a solution; a ladder a valve ended returns flagError
+// adaptive runs the soft-budget search under e's valves. A nil error means the
+// AdaptiveResult holds a solution; a search a valve ended returns flagError
 // alongside the AdaptiveResult (for the work it burned), anything else — an
 // invalid graph, ctx's own error — whatever dp reported.
-func (e ExactDP) climb(ctx context.Context, m *MemModel) (*dp.AdaptiveResult, error) {
+func (e ExactDP) adaptive(ctx context.Context, m *MemModel) (*dp.AdaptiveResult, error) {
 	ar, err := dp.AdaptiveScheduleCtx(ctx, m, dp.AdaptiveOptions{
 		StepTimeout: e.StepTimeout,
 		MaxStates:   e.MaxStates,
@@ -258,7 +247,7 @@ func (e ExactDP) climb(ctx context.Context, m *MemModel) (*dp.AdaptiveResult, er
 // Search implements Searcher.
 func (e ExactDP) Search(ctx context.Context, m *MemModel) (SearchResult, error) {
 	if e.AdaptiveBudget {
-		ar, err := e.climb(ctx, m)
+		ar, err := e.adaptive(ctx, m)
 		if err != nil {
 			return SearchResult{}, err
 		}
@@ -302,7 +291,7 @@ func (GreedyMemory) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 }
 
 // BestEffort turns "exact or error" into "exact, else valid": it runs the
-// exact DP (under the soft-budget ladder, whose valves give up on a hopeless
+// exact DP (under the soft budget, whose valves give up on a hopeless
 // instance instead of retrying) under ctx's deadline, and on timeout,
 // state-cap blowup, or deadline expiry degrades to the greedy heuristic
 // rather than failing. The segment's Quality reports
@@ -368,12 +357,12 @@ func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 			FallbackReason: errSkipExact,
 		}, nil
 	}
-	ar, reason := b.Exact.climb(ctx, m)
+	ar, reason := b.Exact.adaptive(ctx, m)
 	switch {
 	case reason == nil:
 		return adaptiveResult(ar), nil
 	case ar != nil && ar.Flag != dp.FlagCanceled:
-		// A valve ended the ladder. A byte-ceiling abort degrades like a
+		// A valve ended the search. A byte-ceiling abort degrades like a
 		// deadline, but its reason wraps ErrMemoryPressure so governors and
 		// metrics can tell pressure-forced heuristics from deadline-forced
 		// ones.
@@ -399,7 +388,7 @@ func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 	}
 	if ar != nil {
 		// Every abandoned-DP path reports the work burned before giving up
-		// (ar is nil only when the deadline fired before the first probe).
+		// (ar is nil only when the deadline fired before the DP started).
 		sr.StatesExplored += ar.StatesExplored
 		sr.PeakBytes, sr.Ladder = ar.PeakBytes, ladderOf(ar)
 	}
