@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/serenity-ml/serenity/internal/alloc"
 	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/models"
 	"github.com/serenity-ml/serenity/internal/partition"
@@ -229,3 +230,58 @@ func BenchmarkSegmentMemo(b *testing.B) {
 
 func ln(x float64) float64  { return math.Log(x) }
 func exp(x float64) float64 { return math.Exp(x) }
+
+// BenchmarkWarmLayers times each layer a memo-warm Run pays for besides the
+// memo lookup itself, on the graph TestWarmRunAllocationCeiling pins (six
+// stacked WS(24) cells, 247 nodes in 18 segments; the default rewrite finds
+// nothing to fire on): the rewrite, the partitioner, the memory model, Kahn's
+// baseline peak, the segment fingerprints and the arena plan, then the whole
+// warm Run.
+func BenchmarkWarmLayers(b *testing.B) {
+	g := models.StackedRandWire("warm-stack", 6, models.WSConfig{Nodes: 24, K: 4, P: 0.75, Seed: 3, HW: 16, Channel: 8})
+	work, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := partition.Split(work)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := sched.NewMemModel(work)
+	order, err := sched.KahnFIFO(work)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layer := func(name string, f func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	layer("rewrite", func() error { _, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0); return err })
+	layer("partition", func() error { _, err := partition.Split(work); return err })
+	layer("memmodel", func() error { sched.NewMemModel(work); return nil })
+	layer("baseline", func() error { _, _, err := sched.BaselinePeak(sched.NewMemModel(work)); return err })
+	layer("fingerprints", func() error {
+		for _, seg := range part.Segments {
+			seg.Fingerprint()
+		}
+		return nil
+	})
+	layer("alloc", func() error { _, err := alloc.Plan(m, order); return err })
+
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.SegmentMemo = NewSegmentMemo(64)
+	ctx := context.Background()
+	if _, err := p.Run(ctx, g); err != nil {
+		b.Fatal(err)
+	}
+	layer("run", func() error { _, err := p.Run(ctx, g); return err })
+}

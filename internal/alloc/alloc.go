@@ -10,8 +10,9 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/serenity-ml/serenity/internal/sched"
 )
@@ -47,7 +48,7 @@ func Lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
 	for i, u := range order {
 		pos[u] = i
 	}
-	var out []Lifetime
+	out := make([]Lifetime, 0, n)
 	for root := 0; root < n; root++ {
 		if m.Root[root] != root || m.RootSize[root] == 0 {
 			continue
@@ -71,16 +72,24 @@ func Lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
 // TensorFlow Lite's arena planner: tensors are placed in decreasing size
 // order, each at the lowest offset where it fits without overlapping (in
 // space) any already-placed tensor whose lifetime overlaps (in time).
+//
+// The placed tensors are kept in one slice sorted by offset. A new tensor
+// scans it from the bottom, skipping neighbours it does not meet in time and
+// moving past those it does, until a gap of its size opens before the next
+// placed offset; the scan stops there even at a tensor it would not meet,
+// since every later one starts higher still. Placed tensors with equal
+// offsets may sit in either order: a gap that opens before one opens before
+// the other, and moving past both lands at the larger end either way.
 func Plan(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
 	lts, err := Lifetimes(m, order)
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(lts, func(i, j int) bool {
-		if lts[i].Size != lts[j].Size {
-			return lts[i].Size > lts[j].Size
+	slices.SortStableFunc(lts, func(x, y Lifetime) int {
+		if x.Size != y.Size {
+			return cmp.Compare(y.Size, x.Size)
 		}
-		return lts[i].Start < lts[j].Start
+		return cmp.Compare(x.Start, y.Start)
 	})
 
 	a := &Assignment{
@@ -92,34 +101,26 @@ func Plan(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
 	}
 
 	type placed struct {
-		lt     Lifetime
-		offset int64
+		start, end  int   // lifetime
+		offset, top int64 // occupied bytes [offset, top)
 	}
-	var fixed []placed
+	fixed := make([]placed, 0, len(lts)) // sorted by offset
 	for _, lt := range lts {
-		// Collect the occupied intervals that conflict in time, sorted by
-		// offset, then scan for the lowest gap of lt.Size bytes.
-		var conflicts []placed
-		for _, p := range fixed {
-			if p.lt.Start <= lt.End && lt.Start <= p.lt.End {
-				conflicts = append(conflicts, p)
-			}
-		}
-		sort.Slice(conflicts, func(i, j int) bool { return conflicts[i].offset < conflicts[j].offset })
 		var offset int64
-		for _, c := range conflicts {
+		for _, c := range fixed {
 			if offset+lt.Size <= c.offset {
 				break // fits in the gap before c
 			}
-			if end := c.offset + c.lt.Size; end > offset {
-				offset = end
+			if c.start <= lt.End && lt.Start <= c.end && c.top > offset {
+				offset = c.top
 			}
 		}
 		a.Offsets[lt.Root] = offset
 		if end := offset + lt.Size; end > a.ArenaSize {
 			a.ArenaSize = end
 		}
-		fixed = append(fixed, placed{lt: lt, offset: offset})
+		at, _ := slices.BinarySearchFunc(fixed, offset, func(c placed, off int64) int { return cmp.Compare(c.offset, off) })
+		fixed = slices.Insert(fixed, at, placed{start: lt.Start, end: lt.End, offset: offset, top: offset + lt.Size})
 	}
 	return a, nil
 }

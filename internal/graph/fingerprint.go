@@ -15,12 +15,14 @@ import (
 // internal/cache and cmd/serenityd to recognize repeated compilations of the
 // same topology.
 func (g *Graph) Fingerprint() string {
-	h := sha256.New()
-	var buf [8]byte
-	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	// Every word is appended to one buffer, sized for the fixed words of
+	// each node, and hashed in a single call.
+	words := 1
+	for _, n := range g.Nodes {
+		words += 14 + len(n.Shape) + len(n.Preds)
 	}
+	buf := make([]byte, 0, 8*words)
+	wi := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
 	wi(int64(len(g.Nodes)))
 	for _, n := range g.Nodes {
 		wi(int64(n.Op))
@@ -45,5 +47,6 @@ func (g *Graph) Fingerprint() string {
 		wi(int64(a.ChanOffset))
 		wi(int64(a.InChannels))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // OpType enumerates the operation kinds understood by the scheduler, the
@@ -374,25 +373,4 @@ func (g *Graph) PhysRoot(id int) int {
 		}
 	}
 	return id
-}
-
-// Consumers returns, for every node, the IDs of nodes that consume its
-// physical tensor (i.e. nodes having a predecessor whose PhysRoot is this
-// node). Keys are physical roots only.
-func (g *Graph) Consumers() map[int][]int {
-	out := make(map[int][]int)
-	for _, n := range g.Nodes {
-		seen := map[int]bool{}
-		for _, p := range n.Preds {
-			r := g.PhysRoot(p)
-			if !seen[r] {
-				seen[r] = true
-				out[r] = append(out[r], n.ID)
-			}
-		}
-	}
-	for _, v := range out {
-		sort.Ints(v)
-	}
-	return out
 }

@@ -72,29 +72,6 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// Reachability returns, for every node v, the bitset of nodes reachable from
-// v (excluding v itself). Complexity O(V·E/64) via reverse-topological
-// union of successor sets.
-func (g *Graph) Reachability() ([]*Bitset, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := len(g.Nodes)
-	reach := make([]*Bitset, n)
-	for i := range reach {
-		reach[i] = NewBitset(n)
-	}
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		for _, s := range g.Nodes[v].Succs {
-			reach[v].Set(s)
-			reach[v].Or(reach[s])
-		}
-	}
-	return reach, nil
-}
-
 // Ancestors returns, for every node v, the bitset of nodes that can reach v
 // (excluding v itself).
 func (g *Graph) Ancestors() ([]*Bitset, error) {

@@ -14,6 +14,16 @@
 // independent of the choices made in other segments. Minimizing each
 // segment independently therefore minimizes the global peak (the argument
 // of Wilken et al. 2000 instantiated for tensor liveness).
+//
+// The cuts are found in one sweep over a topological order. The node v at
+// position i satisfies (a)+(b) iff no edge runs from a position before i to
+// one after i, no node before i is a sink and no node after i is a source.
+// Forward: under (a) the nodes before i are exactly v's ancestors, so none is
+// a sink, and those after it its descendants, so none is a source; (b) then
+// forbids an edge across i. Backward: a node before i has a successor, which
+// by the edge rule is v or lies between them, so by induction down from i it
+// reaches v; symmetrically every node after i is reached from v — that is
+// (a), and the edge rule is (b).
 package partition
 
 import (
@@ -47,12 +57,11 @@ type Segment struct {
 // is valid — order, peak, and optimality proof included — for the other. This
 // is the key of the cross-request segment memo (serenity.SegmentMemo).
 func (s *Segment) Fingerprint() string {
-	h := sha256.New()
-	h.Write([]byte(s.G.Fingerprint()))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(s.VirtualInput)))
-	h.Write(buf[:])
-	return hex.EncodeToString(h.Sum(nil))
+	fp := s.G.Fingerprint()
+	buf := make([]byte, 0, len(fp)+8)
+	buf = binary.LittleEndian.AppendUint64(append(buf, fp...), uint64(int64(s.VirtualInput)))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // Partition is the result of Split.
@@ -65,91 +74,85 @@ type Partition struct {
 // CutNodes returns the graph's cut nodes in topological order. The final
 // node of the graph is excluded (cutting after the last node is vacuous).
 func CutNodes(g *graph.Graph) ([]int, error) {
-	n := g.NumNodes()
-	reach, err := g.Reachability()
-	if err != nil {
-		return nil, err
-	}
-	anc, err := g.Ancestors()
-	if err != nil {
-		return nil, err
-	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	var cuts []int
-	for _, v := range order[:max(0, n-1)] {
-		if anc[v].Count() == 0 {
-			// A sourceless cut (the graph's single entry) would only carve
-			// off a one-node segment; skip it so segments align with cells.
-			continue
-		}
-		if anc[v].Count()+reach[v].Count() != n-1 {
-			continue // (a) fails: some node is incomparable with v
-		}
-		ok := true
-		anc[v].ForEach(func(u int) {
-			if !ok {
-				return
-			}
-			for _, s := range g.Nodes[u].Succs {
-				if s != v && !anc[v].Has(s) {
-					ok = false // (b) fails: edge u->s skips v
-					return
-				}
-			}
-		})
-		if ok {
-			cuts = append(cuts, v)
+	return cutNodes(g, order, positions(order)), nil
+}
+
+// positions inverts order: pos[order[i]] = i.
+func positions(order []int) []int {
+	pos := make([]int, len(order))
+	for i, v := range order {
+		pos[v] = i
+	}
+	return pos
+}
+
+// cutNodes sweeps order (pos is its inverse) for the cuts of the package doc.
+func cutNodes(g *graph.Graph, order, pos []int) []int {
+	n := len(order)
+	lastSource := -1 // position of the last source in order
+	for i, v := range order {
+		if len(g.Nodes[v].Preds) == 0 {
+			lastSource = i
 		}
 	}
-	return cuts, nil
+	var cuts []int
+	reach := 0 // furthest position an edge from before i lands on
+	for i, v := range order[:max(0, n-1)] {
+		node := g.Nodes[v]
+		if len(node.Succs) == 0 {
+			break // a sink at or before i: no later node is a cut either
+		}
+		// A sourceless cut (the graph's single entry) would only carve off a
+		// one-node segment; skip it so segments align with cells.
+		if len(node.Preds) > 0 && reach <= i && i >= lastSource {
+			cuts = append(cuts, v)
+		}
+		for _, s := range node.Succs {
+			reach = max(reach, pos[s])
+		}
+	}
+	return cuts
 }
 
 // Split partitions g at its cut nodes. A graph with no cuts yields a single
 // segment identical to g.
 func Split(g *graph.Graph) (*Partition, error) {
-	cuts, err := CutNodes(g)
-	if err != nil {
-		return nil, err
-	}
-	anc, err := g.Ancestors()
-	if err != nil {
-		return nil, err
-	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	pos := positions(order)
+	cuts := cutNodes(g, order, pos)
 
 	p := &Partition{Original: g, Cuts: cuts}
-	// segmentOf[v] = index of the segment containing v: the number of cuts
-	// that are proper ancestors of v... plus care for the cuts themselves,
-	// which terminate their own segment.
-	segmentOf := make([]int, g.NumNodes())
-	for _, v := range order {
-		seg := 0
-		for _, c := range cuts {
-			if c != v && anc[v].Has(c) {
-				seg++
-			}
+	// Every node before a cut is its ancestor and every node after it its
+	// descendant, so segment s is the run of order after cut s-1 up to and
+	// including cut s, and the last segment runs to the end. A segment's node
+	// IDs follow its run, after the virtual input standing for cut s-1, so
+	// the segment ID of an original node u is pos[u] - base, with base the
+	// position of cut s-1 (or 0 for the first segment). cutNodes never
+	// returns the final node, so no segment is empty.
+	p.Segments = make([]*Segment, 0, len(cuts)+1)
+	var preds []int
+	lo := 0 // position of the segment's first real node
+	for s := 0; s <= len(cuts); s++ {
+		hi := len(order) // one past the segment's last position
+		if s < len(cuts) {
+			hi = pos[cuts[s]] + 1
 		}
-		segmentOf[v] = seg
-	}
-	numSegs := len(cuts) + 1
-	// The last cut may be the final node; then the trailing segment is empty.
-	counts := make([]int, numSegs)
-	for _, v := range order {
-		counts[segmentOf[v]]++
-	}
-	for numSegs > 1 && counts[numSegs-1] == 0 {
-		numSegs--
-	}
-
-	for s := 0; s < numSegs; s++ {
-		seg := &Segment{G: graph.New(fmt.Sprintf("%s/seg%d", g.Name, s)), VirtualInput: -1}
-		remap := map[int]int{}
+		base := lo
+		if s > 0 {
+			base = lo - 1
+		}
+		seg := &Segment{
+			G:            graph.New(fmt.Sprintf("%s/seg%d", g.Name, s)),
+			ToOriginal:   make([]int, 0, hi-base),
+			VirtualInput: -1,
+		}
 		if s > 0 {
 			// Virtual input standing for the previous cut's output storage.
 			prev := g.Nodes[cuts[s-1]]
@@ -157,16 +160,21 @@ func Split(g *graph.Graph) (*Partition, error) {
 			seg.G.Nodes[vid].DType = prev.DType
 			seg.ToOriginal = append(seg.ToOriginal, prev.ID)
 			seg.VirtualInput = vid
-			remap[prev.ID] = vid
 		}
-		for _, v := range order {
-			if segmentOf[v] != s {
-				continue
+		for i := lo; i < hi; i++ {
+			v := order[i]
+			// Only the previous cut and the nodes placed before v in this
+			// segment have segment IDs yet.
+			remap := func(u int) (int, bool) {
+				if pu := pos[u]; pu >= base && pu < i {
+					return pu - base, true
+				}
+				return 0, false
 			}
 			orig := g.Nodes[v]
-			var preds []int
+			preds = preds[:0]
 			for _, pr := range orig.Preds {
-				mapped, ok := remap[pr]
+				mapped, ok := remap(pr)
 				if !ok {
 					return nil, fmt.Errorf("partition: node %d pred %d crosses segment %d unexpectedly", v, pr, s)
 				}
@@ -177,16 +185,16 @@ func Split(g *graph.Graph) (*Partition, error) {
 			nn.DType = orig.DType
 			nn.Attr = orig.Attr
 			if orig.Attr.AliasOf >= 0 {
-				if a, ok := remap[orig.Attr.AliasOf]; ok {
+				if a, ok := remap(orig.Attr.AliasOf); ok {
 					nn.Attr.AliasOf = a
 				} else {
 					return nil, fmt.Errorf("partition: node %d aliases %d across segment boundary", v, orig.Attr.AliasOf)
 				}
 			}
 			seg.ToOriginal = append(seg.ToOriginal, v)
-			remap[v] = nid
 		}
 		p.Segments = append(p.Segments, seg)
+		lo = hi
 	}
 	return p, nil
 }
@@ -228,11 +236,4 @@ func (p *Partition) Sizes() []int {
 		out[i] = n
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,15 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/models"
+	"github.com/serenity-ml/serenity/internal/rewrite"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
@@ -290,21 +294,7 @@ func TestSegmentFingerprintIgnoresNames(t *testing.T) {
 func TestSplitPreservesRandomHourglasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
-		// Random cells chained by waist nodes.
-		g := graph.New("rand-hourglass")
-		cur := g.AddNode(graph.OpInput, "in", bytesShape(32))
-		for c := 0; c < 3; c++ {
-			nb := 2 + rng.Intn(3)
-			var branches []int
-			for w := 0; w < nb; w++ {
-				n := g.AddNode(graph.OpReLU, "x", bytesShape(int64(4*(1+rng.Intn(16)))), cur)
-				if rng.Intn(2) == 0 {
-					n = g.AddNode(graph.OpReLU, "y", bytesShape(int64(4*(1+rng.Intn(16)))), n)
-				}
-				branches = append(branches, n)
-			}
-			cur = g.AddNode(graph.OpAdd, "join", bytesShape(32), branches...)
-		}
+		g := randomHourglass(rng, 3)
 		m := sched.NewMemModel(g)
 		whole := dp.Optimal(m)
 
@@ -324,4 +314,270 @@ func TestSplitPreservesRandomHourglasses(t *testing.T) {
 			t.Fatalf("trial %d: combined %d != whole %d", trial, got, whole.Peak)
 		}
 	}
+}
+
+// reachability returns, for every node v, the bitset of nodes reachable from
+// v (excluding v itself), by a reverse-topological union of successor sets.
+func reachability(g *graph.Graph) ([]*graph.Bitset, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	n := len(g.Nodes)
+	reach := make([]*graph.Bitset, n)
+	for i := range reach {
+		reach[i] = graph.NewBitset(n)
+	}
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
+		for _, s := range g.Nodes[v].Succs {
+			reach[v].Set(s)
+			reach[v].Or(reach[s])
+		}
+	}
+	return reach, nil
+}
+
+// cutNodesReference is the cut definition of the package doc taken
+// literally, over ancestor and descendant bitsets: (a) every other node is an
+// ancestor or a descendant of v, and (b) every ancestor's successors are
+// ancestors of v or v itself. CutNodes must return exactly its cuts.
+func cutNodesReference(g *graph.Graph) ([]int, error) {
+	n := g.NumNodes()
+	reach, err := reachability(g)
+	if err != nil {
+		return nil, err
+	}
+	anc, err := g.Ancestors()
+	if err != nil {
+		return nil, err
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	var cuts []int
+	for _, v := range order[:max(0, n-1)] {
+		if anc[v].Count() == 0 {
+			// A sourceless cut (the graph's single entry) would only carve
+			// off a one-node segment; skip it so segments align with cells.
+			continue
+		}
+		if anc[v].Count()+reach[v].Count() != n-1 {
+			continue // (a) fails: some node is incomparable with v
+		}
+		ok := true
+		anc[v].ForEach(func(u int) {
+			if !ok {
+				return
+			}
+			for _, s := range g.Nodes[u].Succs {
+				if s != v && !anc[v].Has(s) {
+					ok = false // (b) fails: edge u->s skips v
+					return
+				}
+			}
+		})
+		if ok {
+			cuts = append(cuts, v)
+		}
+	}
+	return cuts, nil
+}
+
+// splitReference is Split as first written: segment membership counted from
+// the ancestor bitsets, a node-ID map per segment. Split must build the same
+// segments.
+func splitReference(g *graph.Graph) (*Partition, error) {
+	cuts, err := cutNodesReference(g)
+	if err != nil {
+		return nil, err
+	}
+	anc, err := g.Ancestors()
+	if err != nil {
+		return nil, err
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+
+	p := &Partition{Original: g, Cuts: cuts}
+	// segmentOf[v] = index of the segment containing v: the number of cuts
+	// that are proper ancestors of v... plus care for the cuts themselves,
+	// which terminate their own segment.
+	segmentOf := make([]int, g.NumNodes())
+	for _, v := range order {
+		seg := 0
+		for _, c := range cuts {
+			if c != v && anc[v].Has(c) {
+				seg++
+			}
+		}
+		segmentOf[v] = seg
+	}
+	numSegs := len(cuts) + 1
+	// The last cut may be the final node; then the trailing segment is empty.
+	counts := make([]int, numSegs)
+	for _, v := range order {
+		counts[segmentOf[v]]++
+	}
+	for numSegs > 1 && counts[numSegs-1] == 0 {
+		numSegs--
+	}
+
+	for s := 0; s < numSegs; s++ {
+		seg := &Segment{G: graph.New(fmt.Sprintf("%s/seg%d", g.Name, s)), VirtualInput: -1}
+		remap := map[int]int{}
+		if s > 0 {
+			// Virtual input standing for the previous cut's output storage.
+			prev := g.Nodes[cuts[s-1]]
+			vid := seg.G.AddNode(graph.OpInput, prev.Name+"#boundary", prev.Shape)
+			seg.G.Nodes[vid].DType = prev.DType
+			seg.ToOriginal = append(seg.ToOriginal, prev.ID)
+			seg.VirtualInput = vid
+			remap[prev.ID] = vid
+		}
+		for _, v := range order {
+			if segmentOf[v] != s {
+				continue
+			}
+			orig := g.Nodes[v]
+			var preds []int
+			for _, pr := range orig.Preds {
+				mapped, ok := remap[pr]
+				if !ok {
+					return nil, fmt.Errorf("partition: node %d pred %d crosses segment %d unexpectedly", v, pr, s)
+				}
+				preds = append(preds, mapped)
+			}
+			nid := seg.G.AddNode(orig.Op, orig.Name, orig.Shape, preds...)
+			nn := seg.G.Nodes[nid]
+			nn.DType = orig.DType
+			nn.Attr = orig.Attr
+			if orig.Attr.AliasOf >= 0 {
+				if a, ok := remap[orig.Attr.AliasOf]; ok {
+					nn.Attr.AliasOf = a
+				} else {
+					return nil, fmt.Errorf("partition: node %d aliases %d across segment boundary", v, orig.Attr.AliasOf)
+				}
+			}
+			seg.ToOriginal = append(seg.ToOriginal, v)
+			remap[v] = nid
+		}
+		p.Segments = append(p.Segments, seg)
+	}
+	return p, nil
+}
+
+// randomHourglass chains cells of 2-4 random branches by single waist nodes.
+func randomHourglass(rng *rand.Rand, cells int) *graph.Graph {
+	g := graph.New("rand-hourglass")
+	cur := g.AddNode(graph.OpInput, "in", bytesShape(32))
+	for c := 0; c < cells; c++ {
+		nb := 2 + rng.Intn(3)
+		var branches []int
+		for w := 0; w < nb; w++ {
+			n := g.AddNode(graph.OpReLU, "x", bytesShape(int64(4*(1+rng.Intn(16)))), cur)
+			if rng.Intn(2) == 0 {
+				n = g.AddNode(graph.OpReLU, "y", bytesShape(int64(4*(1+rng.Intn(16)))), n)
+			}
+			branches = append(branches, n)
+		}
+		cur = g.AddNode(graph.OpAdd, "join", bytesShape(32), branches...)
+	}
+	return g
+}
+
+// assertSplitMatchesReference fails unless CutNodes and Split agree with
+// their references on g: the same cuts, and segment for segment the same
+// name, node names, ToOriginal, VirtualInput and memo fingerprint.
+func assertSplitMatchesReference(t testing.TB, g *graph.Graph, what string) {
+	t.Helper()
+	cuts, err := CutNodes(g)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	wantCuts, err := cutNodesReference(g)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	if !slices.Equal(cuts, wantCuts) {
+		t.Fatalf("%s: cuts %v, reference %v", what, cuts, wantCuts)
+	}
+	got, err := Split(g)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want, err := splitReference(g)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	if !slices.Equal(got.Cuts, want.Cuts) || len(got.Segments) != len(want.Segments) {
+		t.Fatalf("%s: cuts %v in %d segments, reference %v in %d", what, got.Cuts, len(got.Segments), want.Cuts, len(want.Segments))
+	}
+	for i, gs := range got.Segments {
+		ws := want.Segments[i]
+		if gs.G.Name != ws.G.Name || gs.VirtualInput != ws.VirtualInput || !slices.Equal(gs.ToOriginal, ws.ToOriginal) {
+			t.Fatalf("%s: segment %d is %q virtual %d from %v, reference %q virtual %d from %v",
+				what, i, gs.G.Name, gs.VirtualInput, gs.ToOriginal, ws.G.Name, ws.VirtualInput, ws.ToOriginal)
+		}
+		for v, n := range gs.G.Nodes {
+			if n.Name != ws.G.Nodes[v].Name {
+				t.Fatalf("%s: segment %d node %d named %q, reference %q", what, i, v, n.Name, ws.G.Nodes[v].Name)
+			}
+		}
+		if gs.Fingerprint() != ws.Fingerprint() {
+			t.Fatalf("%s: segment %d fingerprint differs from the reference", what, i)
+		}
+		if err := gs.G.Validate(); err != nil {
+			t.Fatalf("%s: segment %d: %v", what, i, err)
+		}
+	}
+}
+
+// TestSplitMatchesReference holds the one-sweep partitioner to the bitset
+// definition on the nine evaluation cells (as built and after the extended
+// rewrite), random DAGs, random hourglasses and stacked WS cells.
+func TestSplitMatchesReference(t *testing.T) {
+	for _, c := range models.BenchmarkCells() {
+		g := c.Build()
+		assertSplitMatchesReference(t, g, g.Name)
+		rw, _, err := rewrite.RewriteAll(g, rewrite.ExtendedRules(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSplitMatchesReference(t, rw, g.Name+" rewritten")
+	}
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 100; i++ {
+		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 2 + rng.Intn(60), EdgeProb: 0.02 + 0.3*rng.Float64()})
+		assertSplitMatchesReference(t, g, fmt.Sprintf("random DAG %d", i))
+	}
+	for i := 0; i < 20; i++ {
+		assertSplitMatchesReference(t, randomHourglass(rng, 1+rng.Intn(4)), fmt.Sprintf("random hourglass %d", i))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		g := models.StackedRandWire("stack", 4, models.WSConfig{Nodes: 16, K: 4, P: 0.75, Seed: seed, HW: 8, Channel: 4})
+		assertSplitMatchesReference(t, g, fmt.Sprintf("stack %d", seed))
+		rw, _, err := rewrite.RewriteAll(g, rewrite.ExtendedRules(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSplitMatchesReference(t, rw, fmt.Sprintf("stack %d rewritten", seed))
+	}
+}
+
+// FuzzSplitDifferential holds CutNodes and Split to their references on
+// random DAGs drawn from the fuzzed seed and shape. Sparse edge
+// probabilities leave waists for the cut sweep to find.
+func FuzzSplitDifferential(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(8))
+	f.Add(int64(2), uint8(64), uint8(2))
+	f.Add(int64(3), uint8(120), uint8(80))
+	f.Fuzz(func(t *testing.T, seed int64, nodes, edge uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 2 + int(nodes)%120, EdgeProb: (1 + float64(edge)) / 256})
+		assertSplitMatchesReference(t, g, "random DAG")
+	})
 }

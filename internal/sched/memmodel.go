@@ -61,23 +61,43 @@ func NewMemModel(g *graph.Graph) *MemModel {
 			m.RootSize[node.ID] = node.StorageBytes()
 		}
 	}
-	cons := g.Consumers()
-	for r, cs := range cons {
-		m.Consumers[r] = cs
-	}
+	// Every PredRoots list shares one backing array, and every Consumers
+	// list another: a model costs a handful of allocations, not two per node.
+	roots := make([]int, 0, g.NumEdges())
+	uses := make([]int, n+1) // uses[r+1]: consumers of root r
 	for _, node := range g.Nodes {
-		if len(node.Preds) == 0 {
-			continue
-		}
 		// A node has a handful of operands: scanning the roots found so far
 		// de-duplicates them without a set per node.
-		roots := make([]int, 0, len(node.Preds))
+		start := len(roots)
 		for _, p := range node.Preds {
-			if r := m.Root[p]; !slices.Contains(roots, r) {
+			if r := m.Root[p]; !slices.Contains(roots[start:], r) {
 				roots = append(roots, r)
+				uses[r+1]++
 			}
 		}
-		m.PredRoots[node.ID] = roots
+		if len(roots) > start {
+			m.PredRoots[node.ID] = roots[start:len(roots):len(roots)]
+		}
+	}
+	// Prefix sums turn the counts into each root's first slot; filling in
+	// node-ID order leaves every consumer list sorted.
+	for r := 0; r < n; r++ {
+		uses[r+1] += uses[r]
+	}
+	consumers := make([]int, len(roots))
+	fill := uses[:n]
+	for _, node := range g.Nodes {
+		for _, r := range m.PredRoots[node.ID] {
+			consumers[fill[r]] = node.ID
+			fill[r]++
+		}
+	}
+	lo := 0 // root r's consumers now sit in consumers[lo:fill[r]]
+	for r, hi := range fill {
+		if lo < hi {
+			m.Consumers[r] = consumers[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return m
 }

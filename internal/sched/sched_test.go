@@ -3,9 +3,12 @@ package sched
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/models"
+	"github.com/serenity-ml/serenity/internal/rewrite"
 )
 
 // bytesShape returns a rank-1 shape occupying exactly b bytes of float32.
@@ -310,6 +313,89 @@ func TestStepDeallocConsistency(t *testing.T) {
 			mu -= m.StepDealloc(scheduled, u)
 			if mu != res.Profile[i] {
 				t.Fatalf("trial %d step %d: replay mu %d != profile %d", trial, i, mu, res.Profile[i])
+			}
+		}
+	}
+}
+
+// TestMemModelAliasConsumers: a tensor is consumed by every node reading it
+// through any of its alias views, each consumer listed once and in ID order,
+// and a node's operand roots are de-duplicated.
+func TestMemModelAliasConsumers(t *testing.T) {
+	g := graph.New("alias")
+	x := g.AddNode(graph.OpInput, "x", graph.Shape{16})
+	buf := g.AddNode(graph.OpBuffer, "buf", graph.Shape{32}, x)
+	w := g.AddNode(graph.OpPartialDWConv, "w", graph.Shape{16}, x, buf)
+	g.Nodes[w].Attr.AliasOf = buf
+	j := g.AddNode(graph.OpIdentity, "join", graph.Shape{32}, w)
+	g.Nodes[j].Attr.AliasOf = buf
+	r := g.AddNode(graph.OpReLU, "read", graph.Shape{32}, j)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("alias graph invalid: %v", err)
+	}
+	m := NewMemModel(g)
+	if m.Root[j] != buf || m.Root[w] != buf || m.Root[x] != x {
+		t.Errorf("roots = %v", m.Root)
+	}
+	// buf consumed by: w (direct), j (via w alias), r (via j alias).
+	if got := m.Consumers[buf]; !slices.Equal(got, []int{w, j, r}) {
+		t.Errorf("buf consumers = %v, want %v", got, []int{w, j, r})
+	}
+	if got := m.Consumers[x]; !slices.Equal(got, []int{buf, w}) {
+		t.Errorf("x consumers = %v, want %v", got, []int{buf, w})
+	}
+	if got := m.Consumers[r]; got != nil {
+		t.Errorf("sink must have no consumers, got %v", got)
+	}
+	if got := m.PredRoots[w]; !slices.Equal(got, []int{x, buf}) {
+		t.Errorf("w pred roots = %v, want %v", got, []int{x, buf})
+	}
+}
+
+// consumersReference is the consumer table as first built, with a map of
+// roots and a set per node: root r maps to the sorted IDs of the nodes with
+// a predecessor whose physical root is r.
+func consumersReference(g *graph.Graph) map[int][]int {
+	out := make(map[int][]int)
+	for _, n := range g.Nodes {
+		seen := map[int]bool{}
+		for _, p := range n.Preds {
+			r := g.PhysRoot(p)
+			if !seen[r] {
+				seen[r] = true
+				out[r] = append(out[r], n.ID)
+			}
+		}
+	}
+	for _, v := range out {
+		sort.Ints(v)
+	}
+	return out
+}
+
+// TestMemModelConsumersMatchReference holds NewMemModel's consumer lists to
+// consumersReference on the nine evaluation cells (as built and after the
+// extended rewrite, which adds alias nodes) and on random DAGs.
+func TestMemModelConsumersMatchReference(t *testing.T) {
+	var gs []*graph.Graph
+	for _, c := range models.BenchmarkCells() {
+		g := c.Build()
+		rw, _, err := rewrite.RewriteAll(g, rewrite.ExtendedRules(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g, rw)
+	}
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 50; i++ {
+		gs = append(gs, graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 2 + rng.Intn(60), EdgeProb: 0.02 + 0.3*rng.Float64()}))
+	}
+	for _, g := range gs {
+		m := NewMemModel(g)
+		want := consumersReference(g)
+		for r, got := range m.Consumers {
+			if !slices.Equal(got, want[r]) {
+				t.Fatalf("%s: root %d consumers %v, reference %v", g.Name, r, got, want[r])
 			}
 		}
 	}
