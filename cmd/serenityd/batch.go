@@ -76,7 +76,9 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err = json.Unmarshal(*body, &req)
+	putWireBuf(body)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing batch: %w (want {\"items\": [<graph>, ...]})", err))
 		return
 	}

@@ -395,7 +395,8 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, fmt.Errorf("parsing graph: %w", err))
 		return
 	}
-	job, code, err := s.decodeGraph(body, prm)
+	job, code, err := s.decodeGraph(*body, prm)
+	putWireBuf(body)
 	if err != nil {
 		s.fail(w, code, err)
 		return
@@ -489,22 +490,27 @@ type graphJob struct {
 	fp, key string
 }
 
-// readBody reads a request body of at most maxBody bytes, into a buffer
-// sized from Content-Length when the client declared one. A non-nil error
-// comes with the status to answer it with: 413 past the limit, else 400.
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
-	var buf bytes.Buffer
+// readBody reads a request body of at most maxBody bytes into a recycled
+// buffer, grown up front to Content-Length when the client declared one. The
+// caller hands it back with putWireBuf once the body is decoded. A non-nil
+// error comes with the status to answer it with: 413 past the limit, else 400.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, int, error) {
+	bp := getWireBuf()
+	buf := bytes.NewBuffer(*bp)
 	if n := min(r.ContentLength, s.maxBody, maxBodyPresize); n > 0 {
 		// MinRead spare bytes let ReadFrom see EOF without growing.
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	*bp = buf.Bytes()
+	if err != nil {
+		putWireBuf(bp)
 		if errors.As(err, new(*http.MaxBytesError)) {
 			return nil, http.StatusRequestEntityTooLarge, err
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	return buf.Bytes(), 0, nil
+	return bp, 0, nil
 }
 
 // decodeGraph is the first half of the shared per-graph path: parse, the

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/jsonwire"
@@ -143,34 +144,39 @@ func appendQualities(dst []byte, qs []serenity.Quality, depth int) []byte {
 	return append(dst, ']')
 }
 
-// sizeHint estimates appendScheduleResponse's output so the buffer is
-// allocated once: the scalar fields, one line per order entry, the graph.
-func (r *scheduleResponse) sizeHint(depth int) int {
-	line := 2*(depth+2) + 8
-	size := 1024 + len(r.Graph) + (len(r.Order)+len(r.PartitionSizes))*line + len(r.SegmentQuality)*(line+8)
-	if r.RewrittenGraph != nil {
-		size += r.RewrittenGraph.JSONSizeHint(depth + 1)
+// wireBufs recycles request-body and response buffers: without it a warm
+// request allocates ~200 KB of them, most of what makes the garbage collector
+// run. A buffer goes back once nothing reads it — a body after decoding (the
+// graph decoders and json.RawMessage copy what they keep), a response after
+// Write (an io.Writer must not retain its argument). One grown past
+// maxBodyPresize is left to the collector, so a huge request pins nothing.
+var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func getWireBuf() *[]byte { return wireBufs.Get().(*[]byte) }
+
+// putWireBuf hands *bp back to the pool; the caller must not touch it again.
+func putWireBuf(bp *[]byte) {
+	if cap(*bp) > maxBodyPresize {
+		return
 	}
-	return size
+	*bp = (*bp)[:0]
+	wireBufs.Put(bp)
 }
 
 // writeScheduleResponse answers 200 with r and its entity tag.
 func writeScheduleResponse(w http.ResponseWriter, r *scheduleResponse) {
-	body := appendScheduleResponse(make([]byte, 0, r.sizeHint(0)), r, 0)
 	w.Header().Set("ETag", r.etag)
-	writeBody(w, http.StatusOK, append(body, '\n'))
+	bp := getWireBuf()
+	*bp = append(appendScheduleResponse(*bp, r, 0), '\n')
+	writeBody(w, http.StatusOK, *bp)
+	putWireBuf(bp)
 }
 
 func writeBatchResponse(w http.ResponseWriter, r *batchResponse) {
-	size := 256
-	for i := range r.Items {
-		size += 128 + len(r.Items[i].Error)
-		if s := r.Items[i].Schedule; s != nil {
-			size += s.sizeHint(3)
-		}
-	}
-	body := appendBatchResponse(make([]byte, 0, size), r)
-	writeBody(w, http.StatusOK, append(body, '\n'))
+	bp := getWireBuf()
+	*bp = append(appendBatchResponse(*bp, r), '\n')
+	writeBody(w, http.StatusOK, *bp)
+	putWireBuf(bp)
 }
 
 // writeBody sends one complete JSON document: length declared, one Write.

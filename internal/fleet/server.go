@@ -46,12 +46,12 @@ type ServerStats struct {
 	// vs. dropped (already present or invalid). SyncRecords counts records
 	// streamed out to peers' anti-entropy pulls; Shed counts requests the
 	// gate refused.
-	SegmentHits     int64
-	SegmentMisses   int64
+	SegmentHits      int64
+	SegmentMisses    int64
 	ReplicasAccepted int64
-	ReplicasIgnored int64
-	SyncRecords     int64
-	Shed            int64
+	ReplicasIgnored  int64
+	SyncRecords      int64
+	Shed             int64
 }
 
 // Server is serenityd's peer-facing HTTP surface: artifact get/put for the
@@ -63,9 +63,9 @@ type Server struct {
 	gate   Gate
 	tracer atomic.Pointer[trace.Tracer]
 
-	segHits, segMisses       atomic.Int64
-	repAccepted, repIgnored  atomic.Int64
-	syncRecords, shed        atomic.Int64
+	segHits, segMisses      atomic.Int64
+	repAccepted, repIgnored atomic.Int64
+	syncRecords, shed       atomic.Int64
 }
 
 // NewServer builds the peer surface over store and ring. gate may be nil

@@ -54,7 +54,7 @@ func TestLadderTransitions(t *testing.T) {
 func TestReserveLedgerDrivesLevel(t *testing.T) {
 	var mu sync.Mutex
 	load := int64(0)
-	g := testGovernor(1 << 20, &load, &mu)
+	g := testGovernor(1<<20, &load, &mu)
 
 	// A reservation alone can escalate the level: the ledger counts toward
 	// the watermarks even before the search allocates.

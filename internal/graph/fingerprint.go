@@ -15,27 +15,38 @@ import (
 // internal/cache and cmd/serenityd to recognize repeated compilations of the
 // same topology.
 func (g *Graph) Fingerprint() string {
-	// Every word is appended to one buffer, sized for the fixed words of
-	// each node, and hashed in a single call.
-	words := 1
-	for _, n := range g.Nodes {
-		words += 14 + len(n.Shape) + len(n.Preds)
+	var hx [2 * sha256.Size]byte
+	return string(g.AppendFingerprint(hx[:0]))
+}
+
+// AppendFingerprint appends the hex digits of Fingerprint to dst. The words
+// go through a fixed buffer on the stack into one SHA-256 digest, so hashing
+// allocates nothing.
+func (g *Graph) AppendFingerprint(dst []byte) []byte {
+	h := sha256.New()
+	var buf [512]byte
+	n := 0
+	wi := func(v int64) {
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], uint64(v))
+		n += 8
 	}
-	buf := make([]byte, 0, 8*words)
-	wi := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
 	wi(int64(len(g.Nodes)))
-	for _, n := range g.Nodes {
-		wi(int64(n.Op))
-		wi(int64(n.DType))
-		wi(int64(len(n.Shape)))
-		for _, d := range n.Shape {
+	for _, nd := range g.Nodes {
+		wi(int64(nd.Op))
+		wi(int64(nd.DType))
+		wi(int64(len(nd.Shape)))
+		for _, d := range nd.Shape {
 			wi(int64(d))
 		}
-		wi(int64(len(n.Preds)))
-		for _, p := range n.Preds {
+		wi(int64(len(nd.Preds)))
+		for _, p := range nd.Preds {
 			wi(int64(p))
 		}
-		a := n.Attr
+		a := nd.Attr
 		wi(int64(a.KernelH))
 		wi(int64(a.KernelW))
 		wi(int64(a.StrideH))
@@ -47,6 +58,7 @@ func (g *Graph) Fingerprint() string {
 		wi(int64(a.ChanOffset))
 		wi(int64(a.InChannels))
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	h.Write(buf[:n])
+	var sum [sha256.Size]byte
+	return hex.AppendEncode(dst, h.Sum(sum[:0]))
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -69,5 +72,48 @@ func TestFingerprintRandomCollisionFree(t *testing.T) {
 	// fingerprints distinguish the overwhelming majority.
 	if len(seen) < 190 {
 		t.Errorf("only %d distinct fingerprints over 200 random graphs", len(seen))
+	}
+}
+
+// fingerprintReference is Fingerprint as first written: every word appended
+// to one buffer, hashed in one call.
+func fingerprintReference(g *Graph) string {
+	var buf []byte
+	wi := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	wi(int64(len(g.Nodes)))
+	for _, n := range g.Nodes {
+		wi(int64(n.Op))
+		wi(int64(n.DType))
+		wi(int64(len(n.Shape)))
+		for _, d := range n.Shape {
+			wi(int64(d))
+		}
+		wi(int64(len(n.Preds)))
+		for _, p := range n.Preds {
+			wi(int64(p))
+		}
+		a := n.Attr
+		for _, v := range []int{a.KernelH, a.KernelW, a.StrideH, a.StrideW, int(a.Pad), a.Dilation, a.Axis, a.AliasOf, a.ChanOffset, a.InChannels} {
+			wi(int64(v))
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFingerprintStreamsWithoutAllocating: the streamed hash equals the
+// one-buffer hash on graphs whose words end on and around every offset of
+// the stack buffer, and costs at most the digest and the returned string.
+func TestFingerprintStreamsWithoutAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for nodes := 0; nodes < 120; nodes++ {
+		g := RandomDAG(rng, RandomDAGConfig{Nodes: nodes, EdgeProb: 0.2})
+		if got, want := g.Fingerprint(), fingerprintReference(g); got != want {
+			t.Fatalf("%d nodes: fingerprint %s, reference %s", nodes, got, want)
+		}
+	}
+	g := RandomDAG(rng, RandomDAGConfig{Nodes: 300, EdgeProb: 0.05})
+	if allocs := testing.AllocsPerRun(20, func() { g.Fingerprint() }); allocs > 2 {
+		t.Errorf("Fingerprint took %.0f allocations, want at most 2", allocs)
 	}
 }

@@ -154,23 +154,6 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 	}
 }
 
-func TestAncestors(t *testing.T) {
-	g := diamond(t)
-	anc, err := g.Ancestors()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !anc[3].Has(0) || !anc[3].Has(1) || !anc[3].Has(2) {
-		t.Error("sink should have all ancestors")
-	}
-	if anc[1].Has(2) || anc[2].Has(1) {
-		t.Error("parallel branches must not reach each other")
-	}
-	if anc[0].Count() != 0 {
-		t.Error("source has no ancestors")
-	}
-}
-
 func TestZeroIndegree(t *testing.T) {
 	g := diamond(t)
 	s := NewBitset(4)

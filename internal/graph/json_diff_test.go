@@ -129,10 +129,16 @@ func FuzzGraphEncodeDifferential(f *testing.F) {
 // checkDecode holds the fast path to its contract on one input: whenever it
 // accepts, the reference accepts too and builds a deep-equal graph (Succs
 // included); and UnmarshalJSON as a whole answers exactly as the reference —
-// same verdict, same error text, same graph.
+// same verdict, same error text, same graph. Every graph the reference
+// accepts must also come out of a Slab deep-equal to what AddNode built.
 func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
 	ref, refErr := unmarshalStd(data)
+	if refErr == nil {
+		if copied := slabCopy(ref); !reflect.DeepEqual(copied, ref) {
+			t.Fatalf("a Slab copy differs from the graph AddNode built for %q\nslab: %+v\n ref: %+v", data, dump(copied), dump(ref))
+		}
+	}
 	if fast, ok := decodeFast(data); ok {
 		if refErr != nil {
 			t.Fatalf("fast path accepted what the reference rejects (%v): %q", refErr, data)
@@ -151,6 +157,19 @@ func checkDecode(t *testing.T, data []byte) {
 	case err == nil && !reflect.DeepEqual(&g, ref):
 		t.Fatalf("UnmarshalJSON built a different graph for %q", data)
 	}
+}
+
+// slabCopy rebuilds g node by node through a Slab.
+func slabCopy(g *Graph) *Graph {
+	ints := 0
+	for _, n := range g.Nodes {
+		ints += n.ArenaInts()
+	}
+	s := NewSlab(len(g.Nodes), ints)
+	for _, n := range g.Nodes {
+		s.Add(*n)
+	}
+	return s.Build(g.Name)
 }
 
 func dump(g *Graph) []Node {

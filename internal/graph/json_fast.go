@@ -6,27 +6,16 @@ import (
 	"math/bits"
 )
 
-// fastDecoder is the single-pass scanner behind decodeFast. While scanning
-// it records offsets into growing scratch buffers, never slices: finish
-// carves the real slices out of exactly sized allocations once every count
-// is known.
+// fastDecoder is the single-pass scanner behind decodeFast. It stages every
+// node straight into a Slab, and every name into one buffer it copies, so
+// the graph never pins data.
 type fastDecoder struct {
-	data  []byte
-	pos   int
-	name  span     // the graph's name, in names
-	nodes []Node   // the slab every *Node of the result points into
-	spans []fields // parallel to nodes
-	ints  []int    // shape dimensions and preds of every node, back to back
-	names []byte   // every name, back to back; copied, so the graph never pins data
-}
-
-type span struct{ off, len int }
-
-// fields says where one node's variable-length fields sit in the scratch
-// buffers, and how many successors it turned out to have.
-type fields struct {
-	name, shape, preds span
-	succs              int
+	data      []byte
+	pos       int
+	slab      Slab
+	name      span   // the graph's name, in names
+	nameSpans []span // parallel to slab.nodes
+	names     []byte // every name, back to back
 }
 
 // maxNodeHint caps the scratch pre-sizing: the hint counts '{' bytes, which a
@@ -44,16 +33,19 @@ func decodeFast(data []byte) (*Graph, bool) {
 	d := fastDecoder{data: data}
 	if hint := bytes.Count(data, []byte{'{'}) - 1; hint > 0 {
 		hint = min(hint, maxNodeHint)
-		d.nodes = make([]Node, 0, hint)
-		d.spans = make([]fields, 0, hint)
-		// A typical node: a rank-4 shape, a few preds, a short name.
-		d.ints = make([]int, 0, 8*hint)
+		// A typical node: a rank-4 shape, a few preds and as many succs.
+		d.slab = *NewSlab(hint, 8*hint)
+		d.nameSpans = make([]span, 0, hint)
 		d.names = make([]byte, 0, 16*hint)
 	}
 	if !d.document() {
 		return nil, false
 	}
-	g := d.finish()
+	names := string(d.names)
+	for i, sp := range d.nameSpans {
+		d.slab.nodes[i].Name = names[sp.off : sp.off+sp.len]
+	}
+	g := d.slab.Build(names[d.name.off : d.name.off+d.name.len])
 	if g.Validate() != nil {
 		return nil, false
 	}
@@ -137,10 +129,11 @@ func (d *fastDecoder) node() bool {
 	if !d.eat('{') {
 		return false
 	}
-	idx := len(d.nodes)
-	d.nodes = append(d.nodes, Node{Attr: Attr{AliasOf: -1}})
-	n := &d.nodes[idx]
-	var f fields
+	idx := len(d.slab.nodes)
+	d.slab.nodes = append(d.slab.nodes, Node{Attr: Attr{AliasOf: -1}})
+	n := &d.slab.nodes[idx]
+	var name span
+	var f slabSpan
 	seen := 0
 	for more := !d.eat('}'); more; {
 		key, ok := d.str()
@@ -154,7 +147,7 @@ func (d *fastDecoder) node() bool {
 			n.ID, ok = d.integer()
 		case "name":
 			bit = keyName
-			f.name, ok = d.nameValue()
+			name, ok = d.nameValue()
 		case "op":
 			bit = keyOp
 			var s []byte
@@ -173,7 +166,7 @@ func (d *fastDecoder) node() bool {
 		case "preds":
 			bit = keyPreds
 			if f.preds, ok = d.intArray(); ok {
-				for _, p := range d.ints[f.preds.off:] {
+				for _, p := range d.slab.ints[f.preds.off:] {
 					if p < 0 || p >= idx {
 						return false
 					}
@@ -227,53 +220,9 @@ func (d *fastDecoder) node() bool {
 	if seen&keyOp == 0 || n.ID != idx {
 		return false
 	}
-	d.spans = append(d.spans, f)
+	d.slab.spans = append(d.slab.spans, f)
+	d.nameSpans = append(d.nameSpans, name)
 	return true
-}
-
-// finish builds the Graph: one []*Node over the slab, one string holding
-// every name, and one []int arena holding every Shape and Preds (copied at
-// their scratch offsets) followed by every Succs. Sub-slices carry their own
-// capacity, so appending to one never writes into its neighbour.
-func (d *fastDecoder) finish() *Graph {
-	names := string(d.names)
-	g := &Graph{Name: names[d.name.off : d.name.off+d.name.len]}
-	if len(d.nodes) == 0 {
-		return g
-	}
-	edges := 0
-	for i := range d.spans {
-		p := d.spans[i].preds
-		edges += p.len
-		for _, from := range d.ints[p.off : p.off+p.len] {
-			d.spans[from].succs++
-		}
-	}
-	arena := make([]int, len(d.ints)+edges)
-	copy(arena, d.ints)
-	g.Nodes = make([]*Node, len(d.nodes))
-	next := len(d.ints)
-	for i := range d.nodes {
-		n, f := &d.nodes[i], &d.spans[i]
-		g.Nodes[i] = n
-		n.Name = names[f.name.off : f.name.off+f.name.len]
-		n.Shape = arena[f.shape.off : f.shape.off+f.shape.len : f.shape.off+f.shape.len]
-		if f.preds.len > 0 {
-			n.Preds = arena[f.preds.off : f.preds.off+f.preds.len : f.preds.off+f.preds.len]
-		}
-		if f.succs > 0 {
-			n.Succs = arena[next : next : next+f.succs]
-			next += f.succs
-		}
-	}
-	// Same order AddEdge produces: by consumer, then by operand position.
-	for i, n := range g.Nodes {
-		for _, from := range n.Preds {
-			p := g.Nodes[from]
-			p.Succs = append(p.Succs, i)
-		}
-	}
-	return g
 }
 
 // skipSpace advances past JSON whitespace. Indented documents are half
@@ -371,23 +320,23 @@ func (d *fastDecoder) integer() (int, bool) {
 	return v, true
 }
 
-// intArray scans an array of integers into the ints buffer.
+// intArray scans an array of integers into the slab's arena.
 func (d *fastDecoder) intArray() (span, bool) {
 	if !d.eat('[') {
 		return span{}, false
 	}
-	off := len(d.ints)
+	off := len(d.slab.ints)
 	for more := !d.eat(']'); more; {
 		v, ok := d.integer()
 		if !ok {
 			return span{}, false
 		}
-		d.ints = append(d.ints, v)
+		d.slab.ints = append(d.slab.ints, v)
 		if more, ok = d.next(']'); !ok {
 			return span{}, false
 		}
 	}
-	return span{off, len(d.ints) - off}, true
+	return span{off, len(d.slab.ints) - off}, true
 }
 
 func opFromBytes(b []byte) (OpType, bool) {

@@ -72,27 +72,6 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// Ancestors returns, for every node v, the bitset of nodes that can reach v
-// (excluding v itself).
-func (g *Graph) Ancestors() ([]*Bitset, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := len(g.Nodes)
-	anc := make([]*Bitset, n)
-	for i := range anc {
-		anc[i] = NewBitset(n)
-	}
-	for _, v := range order {
-		for _, s := range g.Nodes[v].Succs {
-			anc[s].Set(v)
-			anc[s].Or(anc[v])
-		}
-	}
-	return anc, nil
-}
-
 // ZeroIndegree computes the zero-indegree set z of the paper: the nodes not
 // in scheduled whose predecessors are all in scheduled. scheduled must be a
 // downward-closed set for the result to be meaningful.

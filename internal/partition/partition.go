@@ -57,11 +57,10 @@ type Segment struct {
 // is valid — order, peak, and optimality proof included — for the other. This
 // is the key of the cross-request segment memo (serenity.SegmentMemo).
 func (s *Segment) Fingerprint() string {
-	fp := s.G.Fingerprint()
-	buf := make([]byte, 0, len(fp)+8)
-	buf = binary.LittleEndian.AppendUint64(append(buf, fp...), uint64(int64(s.VirtualInput)))
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	var buf [2*sha256.Size + 8]byte
+	b := binary.LittleEndian.AppendUint64(s.G.AppendFingerprint(buf[:0]), uint64(int64(s.VirtualInput)))
+	sum := sha256.Sum256(b)
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
 // Partition is the result of Split.
@@ -148,18 +147,22 @@ func Split(g *graph.Graph) (*Partition, error) {
 		if s > 0 {
 			base = lo - 1
 		}
-		seg := &Segment{
-			G:            graph.New(fmt.Sprintf("%s/seg%d", g.Name, s)),
-			ToOriginal:   make([]int, 0, hi-base),
-			VirtualInput: -1,
-		}
+		seg := &Segment{ToOriginal: make([]int, 0, hi-base), VirtualInput: -1}
+		var prev *graph.Node
+		ints := 0
 		if s > 0 {
+			prev = g.Nodes[cuts[s-1]]
+			ints = len(prev.Shape)
+		}
+		for _, v := range order[lo:hi] {
+			ints += g.Nodes[v].ArenaInts()
+		}
+		slab := graph.NewSlab(hi-base, ints)
+		if prev != nil {
 			// Virtual input standing for the previous cut's output storage.
-			prev := g.Nodes[cuts[s-1]]
-			vid := seg.G.AddNode(graph.OpInput, prev.Name+"#boundary", prev.Shape)
-			seg.G.Nodes[vid].DType = prev.DType
+			seg.VirtualInput = slab.Add(graph.Node{Op: graph.OpInput, Name: prev.Name + "#boundary",
+				Shape: prev.Shape, DType: prev.DType, Attr: graph.Attr{AliasOf: -1}})
 			seg.ToOriginal = append(seg.ToOriginal, prev.ID)
-			seg.VirtualInput = vid
 		}
 		for i := lo; i < hi; i++ {
 			v := order[i]
@@ -180,19 +183,19 @@ func Split(g *graph.Graph) (*Partition, error) {
 				}
 				preds = append(preds, mapped)
 			}
-			nid := seg.G.AddNode(orig.Op, orig.Name, orig.Shape, preds...)
-			nn := seg.G.Nodes[nid]
-			nn.DType = orig.DType
-			nn.Attr = orig.Attr
+			nn := *orig
+			nn.Preds = preds
 			if orig.Attr.AliasOf >= 0 {
-				if a, ok := remap(orig.Attr.AliasOf); ok {
-					nn.Attr.AliasOf = a
-				} else {
+				a, ok := remap(orig.Attr.AliasOf)
+				if !ok {
 					return nil, fmt.Errorf("partition: node %d aliases %d across segment boundary", v, orig.Attr.AliasOf)
 				}
+				nn.Attr.AliasOf = a
 			}
+			slab.Add(nn)
 			seg.ToOriginal = append(seg.ToOriginal, v)
 		}
+		seg.G = slab.Build(fmt.Sprintf("%s/seg%d", g.Name, s))
 		p.Segments = append(p.Segments, seg)
 		lo = hi
 	}

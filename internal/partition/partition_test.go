@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -338,6 +339,27 @@ func reachability(g *graph.Graph) ([]*graph.Bitset, error) {
 	return reach, nil
 }
 
+// ancestors returns, for every node v, the bitset of nodes that can reach v
+// (excluding v itself), by a topological union of predecessor sets.
+func ancestors(g *graph.Graph) ([]*graph.Bitset, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	n := len(g.Nodes)
+	anc := make([]*graph.Bitset, n)
+	for i := range anc {
+		anc[i] = graph.NewBitset(n)
+	}
+	for _, v := range order {
+		for _, s := range g.Nodes[v].Succs {
+			anc[s].Set(v)
+			anc[s].Or(anc[v])
+		}
+	}
+	return anc, nil
+}
+
 // cutNodesReference is the cut definition of the package doc taken
 // literally, over ancestor and descendant bitsets: (a) every other node is an
 // ancestor or a descendant of v, and (b) every ancestor's successors are
@@ -348,7 +370,7 @@ func cutNodesReference(g *graph.Graph) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	anc, err := g.Ancestors()
+	anc, err := ancestors(g)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +415,7 @@ func splitReference(g *graph.Graph) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	anc, err := g.Ancestors()
+	anc, err := ancestors(g)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +513,8 @@ func randomHourglass(rng *rand.Rand, cells int) *graph.Graph {
 
 // assertSplitMatchesReference fails unless CutNodes and Split agree with
 // their references on g: the same cuts, and segment for segment the same
-// name, node names, ToOriginal, VirtualInput and memo fingerprint.
+// name, node names, ToOriginal, VirtualInput and memo fingerprint, and
+// deep-equal graphs (the slab-built segment against the one AddNode built).
 func assertSplitMatchesReference(t testing.TB, g *graph.Graph, what string) {
 	t.Helper()
 	cuts, err := CutNodes(g)
@@ -530,6 +553,9 @@ func assertSplitMatchesReference(t testing.TB, g *graph.Graph, what string) {
 		if gs.Fingerprint() != ws.Fingerprint() {
 			t.Fatalf("%s: segment %d fingerprint differs from the reference", what, i)
 		}
+		if !reflect.DeepEqual(gs.G, ws.G) {
+			t.Fatalf("%s: segment %d graph differs from the reference in a field or an edge", what, i)
+		}
 		if err := gs.G.Validate(); err != nil {
 			t.Fatalf("%s: segment %d: %v", what, i, err)
 		}
@@ -537,17 +563,29 @@ func assertSplitMatchesReference(t testing.TB, g *graph.Graph, what string) {
 }
 
 // TestSplitMatchesReference holds the one-sweep partitioner to the bitset
-// definition on the nine evaluation cells (as built and after the extended
-// rewrite), random DAGs, random hourglasses and stacked WS cells.
+// definition on the nine evaluation cells (as built, after either rule set's
+// rewrite, and decoded from their JSON, the three slab-built forms a request
+// hands it), random DAGs, random hourglasses and stacked WS cells.
 func TestSplitMatchesReference(t *testing.T) {
 	for _, c := range models.BenchmarkCells() {
 		g := c.Build()
 		assertSplitMatchesReference(t, g, g.Name)
-		rw, _, err := rewrite.RewriteAll(g, rewrite.ExtendedRules(), 0)
-		if err != nil {
-			t.Fatal(err)
+		for name, rules := range map[string][]rewrite.Rule{"default": rewrite.DefaultRules(), "extended": rewrite.ExtendedRules()} {
+			rw, _, err := rewrite.RewriteAll(g, rules, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSplitMatchesReference(t, rw, g.Name+" rewritten "+name)
+			data, err := rw.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded := graph.New("")
+			if err := decoded.UnmarshalJSON(data); err != nil {
+				t.Fatal(err)
+			}
+			assertSplitMatchesReference(t, decoded, g.Name+" rewritten "+name+" decoded")
 		}
-		assertSplitMatchesReference(t, rw, g.Name+" rewritten")
 	}
 	rng := rand.New(rand.NewSource(32))
 	for i := 0; i < 100; i++ {

@@ -24,6 +24,7 @@ package rewrite
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"github.com/serenity-ml/serenity/internal/graph"
 )
@@ -93,58 +94,58 @@ func Apply(g *graph.Graph, matches []Match) (*graph.Graph, error) {
 	if len(matches) == 0 {
 		return g.Clone(), nil
 	}
-	matchByConcat := map[int]*Match{}
-	matchByOp := map[int]*Match{}
-	for i := range matches {
-		m := &matches[i]
-		matchByConcat[m.Concat] = m
-		matchByOp[m.Op] = m
+	// role[v] is m+1 when v is the convolution of matches[m], -1 when it is
+	// an elided concat, and 0 when it is copied as is. The slab is sized for
+	// the result: a match's buffer, k partials and join (k+2 shapes of the
+	// conv's rank, at most 6k+2 operand and successor entries) stand in for
+	// its concat and conv (their two shapes and 2k+2 entries).
+	role := make([]int, g.NumNodes())
+	nodes, ints := g.NumNodes(), arenaInts(g)
+	for i, m := range matches {
 		c := g.Nodes[m.Concat]
 		if c.Op != graph.OpConcat || len(c.Succs) != 1 || c.Succs[0] != m.Op {
-			return nil, fmt.Errorf("rewrite: stale match %+v", *m)
+			return nil, fmt.Errorf("rewrite: stale match %+v", m)
 		}
+		role[m.Op] = i + 1
+		k, rank := len(c.Preds), len(g.Nodes[m.Op].Shape)
+		nodes += k
+		ints += (k+1)*rank - len(c.Shape) + 4*k
+	}
+	for _, m := range matches {
+		role[m.Concat] = -1
 	}
 
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	anc, err := g.Ancestors()
-	if err != nil {
-		return nil, err
-	}
-	topoPos := make([]int, g.NumNodes())
-	for i, v := range order {
-		topoPos[v] = i
-	}
-	out := graph.New(g.Name + "+rewrite")
+	w := newAnchorWalk(g, order)
 	remap := make([]int, g.NumNodes())
 	for i := range remap {
 		remap[i] = -1
 	}
-
+	out := graph.NewSlab(nodes, ints)
+	var preds, partials, shape []int
 	for _, v := range order {
 		n := g.Nodes[v]
-		if _, isConcat := matchByConcat[v]; isConcat {
+		r := role[v]
+		if r < 0 {
 			continue // elided; the partials consume the branches directly
 		}
-		m, isOp := matchByOp[v]
-		if !isOp {
-			preds := make([]int, len(n.Preds))
-			for i, p := range n.Preds {
+		if r == 0 {
+			preds = preds[:0]
+			for _, p := range n.Preds {
 				if remap[p] < 0 {
 					return nil, fmt.Errorf("rewrite: node %d consumed elided node %d", v, p)
 				}
-				preds[i] = remap[p]
+				preds = append(preds, remap[p])
 			}
-			nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
-			nn := out.Nodes[nid]
-			nn.DType = n.DType
-			nn.Attr = n.Attr
+			c := *n
+			c.Preds = preds
 			if n.Attr.AliasOf >= 0 {
-				nn.Attr.AliasOf = remap[n.Attr.AliasOf]
+				c.Attr.AliasOf = remap[n.Attr.AliasOf]
 			}
-			remap[v] = nid
+			remap[v] = out.Add(c)
 			continue
 		}
 
@@ -154,56 +155,54 @@ func Apply(g *graph.Graph, matches []Match) (*graph.Graph, error) {
 		// that could beat the optimum — a buffer allocated any earlier only
 		// holds memory longer), and the anchor keeps the buffer inside its
 		// cell so divide-and-conquer cut points survive rewriting.
-		conv := n
-		concat := g.Nodes[m.Concat]
-		var bufPreds []int
-		if a := commonAncestor(g, concat.Preds, anc, topoPos, remap); a >= 0 {
-			bufPreds = []int{a}
+		m := matches[r-1]
+		conv, concat := n, g.Nodes[m.Concat]
+		preds = preds[:0]
+		if a := w.commonAncestor(concat.Preds, remap); a >= 0 {
+			preds = append(preds, a)
 		}
-		buf := out.AddNode(graph.OpBuffer, conv.Name+"#buf", conv.Shape, bufPreds...)
-		out.Nodes[buf].DType = conv.DType
+		buf := out.Add(graph.Node{Op: graph.OpBuffer, Name: conv.Name + "#buf", Shape: conv.Shape,
+			DType: conv.DType, Preds: preds, Attr: graph.Attr{AliasOf: -1}})
 
-		partials := make([]int, 0, len(concat.Preds))
+		seed := WeightSeed(conv)
+		partials = partials[:0]
 		inOffset := 0
 		for bi, branch := range concat.Preds {
 			if remap[branch] < 0 {
 				return nil, fmt.Errorf("rewrite: branch %d of concat %d not materialized", branch, m.Concat)
 			}
-			bshape := g.Nodes[branch].Shape
-			var pid int
+			ch := g.Nodes[branch].Shape.Channels()
+			preds = append(preds[:0], remap[branch], buf)
+			part := graph.Node{Name: conv.Name + "#part" + strconv.Itoa(bi), Shape: conv.Shape,
+				DType: conv.DType, Preds: preds, Attr: conv.Attr}
 			switch m.Kind {
 			case ChannelWise:
 				// Partial conv over branch channels, accumulating into buf.
-				pid = out.AddNode(graph.OpPartialConv,
-					fmt.Sprintf("%s#part%d", conv.Name, bi), conv.Shape, remap[branch], buf)
+				part.Op = graph.OpPartialConv
 			case KernelWise:
 				// Partial depthwise conv producing the branch's output slice.
-				ps := conv.Shape.Clone()
-				ps[len(ps)-1] = bshape.Channels()
-				pid = out.AddNode(graph.OpPartialDWConv,
-					fmt.Sprintf("%s#part%d", conv.Name, bi), ps, remap[branch], buf)
+				part.Op = graph.OpPartialDWConv
+				shape = append(shape[:0], conv.Shape...)
+				shape[len(shape)-1] = ch
+				part.Shape = shape
 			}
-			pn := out.Nodes[pid]
-			pn.DType = conv.DType
-			pn.Attr = conv.Attr
-			pn.Attr.AliasOf = buf
-			pn.Attr.ChanOffset = inOffset
-			pn.Attr.InChannels = bshape.Channels()
-			pn.Attr.Seed = WeightSeed(conv)
-			inOffset += bshape.Channels()
-			partials = append(partials, pid)
+			part.Attr.AliasOf = buf
+			part.Attr.ChanOffset = inOffset
+			part.Attr.InChannels = ch
+			part.Attr.Seed = seed
+			inOffset += ch
+			partials = append(partials, out.Add(part))
 		}
 
-		join := out.AddNode(graph.OpIdentity, conv.Name+"#join", conv.Shape, partials...)
-		out.Nodes[join].DType = conv.DType
-		out.Nodes[join].Attr.AliasOf = buf
-		remap[v] = join
+		remap[v] = out.Add(graph.Node{Op: graph.OpIdentity, Name: conv.Name + "#join", Shape: conv.Shape,
+			DType: conv.DType, Preds: partials, Attr: graph.Attr{AliasOf: buf}})
 	}
 
-	if err := out.Validate(); err != nil {
+	rw := out.Build(g.Name + "+rewrite")
+	if err := rw.Validate(); err != nil {
 		return nil, fmt.Errorf("rewrite: produced invalid graph: %w", err)
 	}
-	return out, nil
+	return rw, nil
 }
 
 // Rewrite finds and applies all matches, returning the rewritten graph and
@@ -217,31 +216,69 @@ func Rewrite(g *graph.Graph) (*graph.Graph, []Match, error) {
 	return out, matches, nil
 }
 
-// commonAncestor returns the new-graph ID of the deepest node that is an
-// ancestor of every branch (and survives rewriting), or -1 if none exists.
-func commonAncestor(g *graph.Graph, branches []int, anc []*graph.Bitset, topoPos []int, remap []int) int {
-	if len(branches) == 0 {
-		return -1
+// arenaInts is the arena a Slab needs to copy g.
+func arenaInts(g *graph.Graph) int {
+	ints := 0
+	for _, n := range g.Nodes {
+		ints += n.ArenaInts()
 	}
-	common := anc[branches[0]].Clone()
-	for _, b := range branches[1:] {
-		and := graph.NewBitset(g.NumNodes())
-		and.Or(common)
-		// common ∩ anc[b] via AndNot of the complement is awkward; do it
-		// directly: keep only elements also in anc[b].
-		common.ForEach(func(v int) {
-			if !anc[b].Has(v) {
-				and.Clear(v)
+	return ints
+}
+
+// anchorWalk finds buffer anchors without all-pairs ancestor sets.
+type anchorWalk struct {
+	g       *graph.Graph
+	topoPos []int // position of each node in the topological order
+	reach   []int // how many walks reached each node
+	mark    []int // the last walk that reached each node
+	walk    int
+	stack   []int
+	touched []int // the nodes with reach > 0
+}
+
+func newAnchorWalk(g *graph.Graph, order []int) *anchorWalk {
+	n := g.NumNodes()
+	w := &anchorWalk{g: g, topoPos: make([]int, n), reach: make([]int, n), mark: make([]int, n),
+		stack: make([]int, 0, n), touched: make([]int, 0, n)}
+	for i, v := range order {
+		w.topoPos[v] = i
+	}
+	return w
+}
+
+// commonAncestor returns the new-graph ID of the deepest node that is an
+// ancestor of every branch and survives rewriting (remap[v] >= 0), or -1 if
+// none exists. It walks back from each branch, counting how many walks reach
+// each node: the nodes all of them reach are the intersection of the
+// branches' ancestor sets, and of those the surviving one latest in the
+// topological order is the anchor.
+func (w *anchorWalk) commonAncestor(branches, remap []int) int {
+	for _, b := range branches {
+		w.walk++
+		w.stack = append(w.stack[:0], b)
+		for len(w.stack) > 0 {
+			u := w.stack[len(w.stack)-1]
+			w.stack = w.stack[:len(w.stack)-1]
+			for _, p := range w.g.Nodes[u].Preds {
+				if w.mark[p] == w.walk {
+					continue
+				}
+				w.mark[p] = w.walk
+				if w.reach[p]++; w.reach[p] == 1 {
+					w.touched = append(w.touched, p)
+				}
+				w.stack = append(w.stack, p)
 			}
-		})
-		common = and
+		}
 	}
 	best, bestPos := -1, -1
-	common.ForEach(func(v int) {
-		if remap[v] >= 0 && topoPos[v] > bestPos {
-			best, bestPos = remap[v], topoPos[v]
+	for _, u := range w.touched {
+		if w.reach[u] == len(branches) && remap[u] >= 0 && w.topoPos[u] > bestPos {
+			best, bestPos = remap[u], w.topoPos[u]
 		}
-	})
+		w.reach[u] = 0
+	}
+	w.touched = w.touched[:0]
 	return best
 }
 

@@ -1,10 +1,15 @@
 package rewrite
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/models"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
@@ -240,5 +245,455 @@ func TestRewriteChainsOfConcats(t *testing.T) {
 	}
 	if buffers != 2 {
 		t.Errorf("buffers = %d, want 2", buffers)
+	}
+}
+
+// applyReference is Apply as first written: node by node through AddNode,
+// each buffer anchored by intersecting all-pairs ancestor bitsets. Apply must
+// build a deep-equal graph.
+func applyReference(g *graph.Graph, matches []Match) (*graph.Graph, error) {
+	if len(matches) == 0 {
+		return g.Clone(), nil
+	}
+	matchByConcat := map[int]*Match{}
+	matchByOp := map[int]*Match{}
+	for i := range matches {
+		m := &matches[i]
+		matchByConcat[m.Concat] = m
+		matchByOp[m.Op] = m
+		c := g.Nodes[m.Concat]
+		if c.Op != graph.OpConcat || len(c.Succs) != 1 || c.Succs[0] != m.Op {
+			return nil, fmt.Errorf("rewrite: stale match %+v", *m)
+		}
+	}
+
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	anc, err := ancestors(g)
+	if err != nil {
+		return nil, err
+	}
+	topoPos := make([]int, g.NumNodes())
+	for i, v := range order {
+		topoPos[v] = i
+	}
+	out := graph.New(g.Name + "+rewrite")
+	remap := make([]int, g.NumNodes())
+	for i := range remap {
+		remap[i] = -1
+	}
+
+	for _, v := range order {
+		n := g.Nodes[v]
+		if _, isConcat := matchByConcat[v]; isConcat {
+			continue
+		}
+		m, isOp := matchByOp[v]
+		if !isOp {
+			preds := make([]int, len(n.Preds))
+			for i, p := range n.Preds {
+				if remap[p] < 0 {
+					return nil, fmt.Errorf("rewrite: node %d consumed elided node %d", v, p)
+				}
+				preds[i] = remap[p]
+			}
+			nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
+			nn := out.Nodes[nid]
+			nn.DType = n.DType
+			nn.Attr = n.Attr
+			if n.Attr.AliasOf >= 0 {
+				nn.Attr.AliasOf = remap[n.Attr.AliasOf]
+			}
+			remap[v] = nid
+			continue
+		}
+
+		conv := n
+		concat := g.Nodes[m.Concat]
+		var bufPreds []int
+		if a := commonAncestorReference(g, concat.Preds, anc, topoPos, remap); a >= 0 {
+			bufPreds = []int{a}
+		}
+		buf := out.AddNode(graph.OpBuffer, conv.Name+"#buf", conv.Shape, bufPreds...)
+		out.Nodes[buf].DType = conv.DType
+
+		partials := make([]int, 0, len(concat.Preds))
+		inOffset := 0
+		for bi, branch := range concat.Preds {
+			if remap[branch] < 0 {
+				return nil, fmt.Errorf("rewrite: branch %d of concat %d not materialized", branch, m.Concat)
+			}
+			bshape := g.Nodes[branch].Shape
+			var pid int
+			switch m.Kind {
+			case ChannelWise:
+				pid = out.AddNode(graph.OpPartialConv,
+					fmt.Sprintf("%s#part%d", conv.Name, bi), conv.Shape, remap[branch], buf)
+			case KernelWise:
+				ps := conv.Shape.Clone()
+				ps[len(ps)-1] = bshape.Channels()
+				pid = out.AddNode(graph.OpPartialDWConv,
+					fmt.Sprintf("%s#part%d", conv.Name, bi), ps, remap[branch], buf)
+			}
+			pn := out.Nodes[pid]
+			pn.DType = conv.DType
+			pn.Attr = conv.Attr
+			pn.Attr.AliasOf = buf
+			pn.Attr.ChanOffset = inOffset
+			pn.Attr.InChannels = bshape.Channels()
+			pn.Attr.Seed = WeightSeed(conv)
+			inOffset += bshape.Channels()
+			partials = append(partials, pid)
+		}
+
+		join := out.AddNode(graph.OpIdentity, conv.Name+"#join", conv.Shape, partials...)
+		out.Nodes[join].DType = conv.DType
+		out.Nodes[join].Attr.AliasOf = buf
+		remap[v] = join
+	}
+
+	if err := out.Validate(); err != nil {
+		return nil, fmt.Errorf("rewrite: produced invalid graph: %w", err)
+	}
+	return out, nil
+}
+
+// commonAncestorReference intersects the branches' ancestor bitsets and
+// returns the new-graph ID of the surviving member latest in the
+// topological order, or -1.
+func commonAncestorReference(g *graph.Graph, branches []int, anc []*graph.Bitset, topoPos []int, remap []int) int {
+	if len(branches) == 0 {
+		return -1
+	}
+	common := anc[branches[0]].Clone()
+	for _, b := range branches[1:] {
+		and := graph.NewBitset(g.NumNodes())
+		and.Or(common)
+		common.ForEach(func(v int) {
+			if !anc[b].Has(v) {
+				and.Clear(v)
+			}
+		})
+		common = and
+	}
+	best, bestPos := -1, -1
+	common.ForEach(func(v int) {
+		if remap[v] >= 0 && topoPos[v] > bestPos {
+			best, bestPos = remap[v], topoPos[v]
+		}
+	})
+	return best
+}
+
+// ancestors returns, for every node v, the bitset of nodes that can reach v
+// (excluding v itself), by a topological union of predecessor sets.
+func ancestors(g *graph.Graph) ([]*graph.Bitset, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	n := len(g.Nodes)
+	anc := make([]*graph.Bitset, n)
+	for i := range anc {
+		anc[i] = graph.NewBitset(n)
+	}
+	for _, v := range order {
+		for _, s := range g.Nodes[v].Succs {
+			anc[s].Set(v)
+			anc[s].Or(anc[v])
+		}
+	}
+	return anc, nil
+}
+
+// flattenReference is the concat-flatten rule as first written, node by node
+// through AddNode.
+func flattenReference(g *graph.Graph) (*graph.Graph, int, error) {
+	inner := map[int]bool{}
+	for _, n := range g.Nodes {
+		if n.Op == graph.OpConcat && len(n.Succs) == 1 && g.Nodes[n.Succs[0]].Op == graph.OpConcat {
+			inner[n.ID] = true
+		}
+	}
+	if len(inner) == 0 {
+		return nil, 0, nil
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, 0, err
+	}
+	out := graph.New(g.Name)
+	remap := make([]int, g.NumNodes())
+	expansion := make(map[int][]int)
+	for i := range remap {
+		remap[i] = -1
+	}
+	count := 0
+	for _, v := range order {
+		n := g.Nodes[v]
+		var preds []int
+		for _, p := range n.Preds {
+			if exp, ok := expansion[p]; ok {
+				preds = append(preds, exp...)
+			} else {
+				preds = append(preds, remap[p])
+			}
+		}
+		if inner[n.ID] {
+			expansion[v] = preds
+			count++
+			continue
+		}
+		nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
+		nn := out.Nodes[nid]
+		nn.DType = n.DType
+		nn.Attr = n.Attr
+		if n.Attr.AliasOf >= 0 {
+			nn.Attr.AliasOf = remap[n.Attr.AliasOf]
+		}
+		remap[v] = nid
+	}
+	if err := out.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("rewrite: concat-flatten produced invalid graph: %w", err)
+	}
+	return out, count, nil
+}
+
+// identityElimReference is the identity-elimination rule as first written,
+// node by node through AddNode.
+func identityElimReference(g *graph.Graph) (*graph.Graph, int, error) {
+	elide := map[int]bool{}
+	for _, n := range g.Nodes {
+		if n.Op == graph.OpIdentity && n.Attr.AliasOf < 0 && len(n.Preds) == 1 && len(n.Succs) > 0 {
+			elide[n.ID] = true
+		}
+	}
+	if len(elide) == 0 {
+		return nil, 0, nil
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, 0, err
+	}
+	out := graph.New(g.Name)
+	remap := make([]int, g.NumNodes())
+	for i := range remap {
+		remap[i] = -1
+	}
+	resolve := func(p int) int {
+		for elide[p] {
+			p = g.Nodes[p].Preds[0]
+		}
+		return p
+	}
+	for _, v := range order {
+		n := g.Nodes[v]
+		if elide[v] {
+			continue
+		}
+		var preds []int
+		for _, p := range n.Preds {
+			preds = append(preds, remap[resolve(p)])
+		}
+		nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
+		nn := out.Nodes[nid]
+		nn.DType = n.DType
+		nn.Attr = n.Attr
+		if n.Attr.AliasOf >= 0 {
+			nn.Attr.AliasOf = remap[resolve(n.Attr.AliasOf)]
+		}
+		remap[v] = nid
+	}
+	if err := out.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("rewrite: identity-elimination produced invalid graph: %w", err)
+	}
+	return out, len(elide), nil
+}
+
+// referenceRule is a rule's first implementation, under the rule's name.
+type referenceRule struct {
+	name  string
+	apply func(*graph.Graph) (*graph.Graph, int, error)
+}
+
+func (r referenceRule) Name() string                                    { return r.name }
+func (r referenceRule) Apply(g *graph.Graph) (*graph.Graph, int, error) { return r.apply(g) }
+
+// referenceRules swaps every rule for its reference.
+func referenceRules(rules []Rule) []Rule {
+	refs := map[string]func(*graph.Graph) (*graph.Graph, int, error){
+		"concat-partitioning": func(g *graph.Graph) (*graph.Graph, int, error) {
+			ms := FindMatches(g)
+			if len(ms) == 0 {
+				return nil, 0, nil
+			}
+			out, err := applyReference(g, ms)
+			return out, len(ms), err
+		},
+		"concat-flatten":       flattenReference,
+		"identity-elimination": identityElimReference,
+	}
+	out := make([]Rule, len(rules))
+	for i, r := range rules {
+		out[i] = referenceRule{r.Name(), refs[r.Name()]}
+	}
+	return out
+}
+
+// assertRewriteMatchesReference rewrites g under rules and under their
+// references, and fails unless both fire the same rules and build deep-equal
+// graphs: the same fingerprint, names, dtypes and attributes (Seed included),
+// and the same Shape, Preds and Succs of every node.
+func assertRewriteMatchesReference(t testing.TB, g *graph.Graph, rules []Rule, what string) {
+	t.Helper()
+	got, gotApps, err := RewriteAll(g, rules, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want, wantApps, err := RewriteAll(g, referenceRules(rules), 0)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	if !slices.Equal(gotApps, wantApps) {
+		t.Fatalf("%s: applied %v, reference %v", what, gotApps, wantApps)
+	}
+	if got.Name != want.Name || got.NumNodes() != want.NumNodes() || got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("%s: %q with %d nodes, reference %q with %d nodes, or the fingerprints differ",
+			what, got.Name, got.NumNodes(), want.Name, want.NumNodes())
+	}
+	for v, n := range got.Nodes {
+		if w := want.Nodes[v]; n.Name != w.Name || n.DType != w.DType || n.Attr != w.Attr {
+			t.Fatalf("%s: node %d is %q %v %+v, reference %q %v %+v", what, v, n.Name, n.DType, n.Attr, w.Name, w.DType, w.Attr)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: shapes or edges differ from the reference", what)
+	}
+}
+
+// randomRewritableGraph grows an NHWC graph with every site the extended
+// rules fire on: concat → conv and concat → depthwise conv, concats nested in
+// concats, and Identity copies. Operands are drawn from every earlier node,
+// repeats included, so concat branches share ancestors in every way.
+func randomRewritableGraph(rng *rand.Rand, nodes int) *graph.Graph {
+	b := graph.NewBuilder("rand-rewrite")
+	widths := []int{1, 2, 3, 4, 6, 8}
+	width := func() int { return widths[rng.Intn(len(widths))] }
+	ids := []int{b.Input(graph.Shape{1, 4, 4, width()})}
+	pick := func() int { return ids[rng.Intn(len(ids))] }
+	for b.Graph().NumNodes() < nodes {
+		x, y := pick(), pick()
+		switch rng.Intn(6) {
+		case 0:
+			ids = append(ids, b.ReLU(x))
+		case 1:
+			ids = append(ids, b.PointwiseConv(x, width()))
+		case 2:
+			if x != y && b.Graph().Nodes[x].Shape.Equal(b.Graph().Nodes[y].Shape) {
+				ids = append(ids, b.Add(x, y))
+			}
+		case 3:
+			ids = append(ids, b.Identity(x))
+		default:
+			c := b.Concat(x, y)
+			if rng.Intn(3) == 0 {
+				c = b.Concat(c, pick())
+			}
+			if rng.Intn(2) == 0 {
+				ids = append(ids, b.PointwiseConv(c, width()))
+			} else {
+				ids = append(ids, b.DepthwiseConv(c, 3, 1, graph.PadSame))
+			}
+		}
+	}
+	return b.Graph()
+}
+
+// stackedConcatCells chains cells that each end in concat → pointwise conv
+// behind a pointwise waist, the shape serenityd's warm-memo traffic stacks:
+// a few SepConv branches wired off the waist and each other.
+func stackedConcatCells(rng *rand.Rand, cells int) *graph.Graph {
+	b := graph.NewBuilder("concat-stack")
+	x := b.Input(graph.Shape{1, 8, 8, 8})
+	for c := 0; c < cells; c++ {
+		x = b.PointwiseConv(x, 8)
+		ids := []int{x}
+		var ends []int
+		for k := 2 + rng.Intn(4); k > 0; k-- {
+			y := ids[rng.Intn(len(ids))]
+			for d := 1 + rng.Intn(3); d > 0; d-- {
+				y = b.SepConv(y, 8, 3, 1, graph.PadSame)
+				ids = append(ids, y)
+			}
+			ends = append(ends, y)
+		}
+		x = b.PointwiseConv(b.Concat(ends...), 8)
+	}
+	return b.Graph()
+}
+
+// TestApplyMatchesReference holds the slab-built rewrite to its node-by-node
+// reference on the nine evaluation cells under both rule sets, on random
+// rewritable DAGs and on stacked concat cells.
+func TestApplyMatchesReference(t *testing.T) {
+	ruleSets := []struct {
+		name  string
+		rules []Rule
+	}{{"default", DefaultRules()}, {"extended", ExtendedRules()}}
+	for _, c := range models.BenchmarkCells() {
+		for _, rs := range ruleSets {
+			assertRewriteMatchesReference(t, c.Build(), rs.rules, c.Network+" "+c.Dataset+" "+c.Cell+" "+rs.name)
+		}
+	}
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < 200; i++ {
+		g := randomRewritableGraph(rng, 2+rng.Intn(40))
+		for _, rs := range ruleSets {
+			assertRewriteMatchesReference(t, g, rs.rules, fmt.Sprintf("random %d %s", i, rs.name))
+		}
+	}
+	for i := 0; i < 10; i++ {
+		g := stackedConcatCells(rng, 1+rng.Intn(8))
+		for _, rs := range ruleSets {
+			assertRewriteMatchesReference(t, g, rs.rules, fmt.Sprintf("stack %d %s", i, rs.name))
+		}
+	}
+}
+
+// FuzzRewriteDifferential is the same oracle over whatever graphs the fuzzer
+// draws.
+func FuzzRewriteDifferential(f *testing.F) {
+	f.Add(int64(1), uint8(12))
+	f.Add(int64(33), uint8(40))
+	f.Add(int64(-5), uint8(90))
+	f.Fuzz(func(t *testing.T, seed int64, nodes uint8) {
+		g := randomRewritableGraph(rand.New(rand.NewSource(seed)), 2+int(nodes)%100)
+		assertRewriteMatchesReference(t, g, DefaultRules(), "default")
+		assertRewriteMatchesReference(t, g, ExtendedRules(), "extended")
+	})
+}
+
+// TestRewriteAllocations pins the heap shape of a rewritten graph: a fixed
+// handful of slabs and scratch slices plus one string per new node's name,
+// where building node by node cost four objects per node.
+func TestRewriteAllocations(t *testing.T) {
+	g := stackedConcatCells(rand.New(rand.NewSource(8)), 16)
+	rw, apps, err := RewriteAll(g, DefaultRules(), 0)
+	if err != nil || len(apps) != 1 {
+		t.Fatalf("rewrite applied %v: %v", apps, err)
+	}
+	// Each site elides its concat and conv and adds a buffer, the partials
+	// and a join: every added node carries a new name.
+	named := rw.NumNodes() - g.NumNodes() + 2*apps[0].Sites
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := RewriteAll(g, DefaultRules(), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(named + 40); allocs > limit {
+		t.Errorf("rewriting %d nodes into %d took %.0f allocations, want at most %.0f (%d new names + 40)",
+			g.NumNodes(), rw.NumNodes(), allocs, limit, named)
 	}
 }

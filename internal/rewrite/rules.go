@@ -14,8 +14,8 @@ type Rule interface {
 	// Name identifies the rule in logs and results.
 	Name() string
 	// Apply returns a transformed copy of g and the number of sites
-	// changed; it returns (nil, 0) best-effort clones are not required when
-	// count is zero — callers keep the input graph.
+	// changed. When no site changes it returns (nil, 0, nil) and callers keep
+	// the input graph.
 	Apply(g *graph.Graph) (*graph.Graph, int, error)
 }
 
@@ -52,20 +52,15 @@ func (concatFlattenRule) Name() string { return "concat-flatten" }
 func (concatFlattenRule) Apply(g *graph.Graph) (*graph.Graph, int, error) {
 	// Find inner concats whose only consumer is another concat (on the
 	// channel axis; the builder only produces channel concats).
-	inner := map[int]bool{}
+	inner := make([]bool, g.NumNodes())
+	count := 0
 	for _, n := range g.Nodes {
-		if n.Op != graph.OpConcat {
-			continue
-		}
-		if len(n.Succs) != 1 {
-			continue
-		}
-		s := g.Nodes[n.Succs[0]]
-		if s.Op == graph.OpConcat {
+		if n.Op == graph.OpConcat && len(n.Succs) == 1 && g.Nodes[n.Succs[0]].Op == graph.OpConcat {
 			inner[n.ID] = true
+			count++
 		}
 	}
-	if len(inner) == 0 {
+	if count == 0 {
 		return nil, 0, nil
 	}
 
@@ -73,51 +68,46 @@ func (concatFlattenRule) Apply(g *graph.Graph) (*graph.Graph, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	out := graph.New(g.Name)
 	remap := make([]int, g.NumNodes())
-	// expansion[v] lists the new-graph IDs replacing v when v is an elided
-	// inner concat (its operands in order).
-	expansion := make(map[int][]int)
 	for i := range remap {
 		remap[i] = -1
 	}
-	count := 0
+	// expansion[v] lists the new-graph IDs replacing v when v is an elided
+	// inner concat (its operands in order).
+	expansion := make(map[int][]int, count)
+	expand := func(dst, preds []int) []int {
+		for _, p := range preds {
+			if exp, ok := expansion[p]; ok {
+				dst = append(dst, exp...)
+			} else {
+				dst = append(dst, remap[p])
+			}
+		}
+		return dst
+	}
+	// Flattening drops more arena entries than it adds, so g's own arena
+	// bounds the result's.
+	out := graph.NewSlab(g.NumNodes()-count, arenaInts(g))
+	var preds []int
 	for _, v := range order {
 		n := g.Nodes[v]
-		if inner[n.ID] {
-			var expanded []int
-			for _, p := range n.Preds {
-				if exp, ok := expansion[p]; ok {
-					expanded = append(expanded, exp...)
-				} else {
-					expanded = append(expanded, remap[p])
-				}
-			}
-			expansion[v] = expanded
-			count++
+		if inner[v] {
+			expansion[v] = expand(nil, n.Preds)
 			continue
 		}
-		var preds []int
-		for _, p := range n.Preds {
-			if exp, ok := expansion[p]; ok {
-				preds = append(preds, exp...)
-			} else {
-				preds = append(preds, remap[p])
-			}
-		}
-		nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
-		nn := out.Nodes[nid]
-		nn.DType = n.DType
-		nn.Attr = n.Attr
+		preds = expand(preds[:0], n.Preds)
+		c := *n
+		c.Preds = preds
 		if n.Attr.AliasOf >= 0 {
-			nn.Attr.AliasOf = remap[n.Attr.AliasOf]
+			c.Attr.AliasOf = remap[n.Attr.AliasOf]
 		}
-		remap[v] = nid
+		remap[v] = out.Add(c)
 	}
-	if err := out.Validate(); err != nil {
+	rw := out.Build(g.Name)
+	if err := rw.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("rewrite: concat-flatten produced invalid graph: %w", err)
 	}
-	return out, count, nil
+	return rw, count, nil
 }
 
 // ConcatFlattenRule returns the nested-concat flattening rule.
@@ -131,57 +121,55 @@ type identityElimRule struct{}
 func (identityElimRule) Name() string { return "identity-elimination" }
 
 func (identityElimRule) Apply(g *graph.Graph) (*graph.Graph, int, error) {
-	elide := map[int]bool{}
+	elide := make([]bool, g.NumNodes())
+	count := 0
 	for _, n := range g.Nodes {
 		if n.Op == graph.OpIdentity && n.Attr.AliasOf < 0 &&
 			len(n.Preds) == 1 && len(n.Succs) > 0 {
 			elide[n.ID] = true
+			count++
 		}
 	}
-	if len(elide) == 0 {
+	if count == 0 {
 		return nil, 0, nil
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, 0, err
 	}
-	out := graph.New(g.Name)
 	remap := make([]int, g.NumNodes())
 	for i := range remap {
 		remap[i] = -1
 	}
-	resolve := func(p int) int {
+	source := func(p int) int {
 		for elide[p] {
 			p = g.Nodes[p].Preds[0]
 		}
-		return remap[p]
+		return p
 	}
+	out := graph.NewSlab(g.NumNodes()-count, arenaInts(g))
+	var preds []int
 	for _, v := range order {
 		n := g.Nodes[v]
 		if elide[v] {
 			continue
 		}
-		var preds []int
+		preds = preds[:0]
 		for _, p := range n.Preds {
-			preds = append(preds, resolve(p))
+			preds = append(preds, remap[source(p)])
 		}
-		nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
-		nn := out.Nodes[nid]
-		nn.DType = n.DType
-		nn.Attr = n.Attr
+		c := *n
+		c.Preds = preds
 		if n.Attr.AliasOf >= 0 {
-			a := n.Attr.AliasOf
-			for elide[a] {
-				a = g.Nodes[a].Preds[0]
-			}
-			nn.Attr.AliasOf = remap[a]
+			c.Attr.AliasOf = remap[source(n.Attr.AliasOf)]
 		}
-		remap[v] = nid
+		remap[v] = out.Add(c)
 	}
-	if err := out.Validate(); err != nil {
+	rw := out.Build(g.Name)
+	if err := rw.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("rewrite: identity-elimination produced invalid graph: %w", err)
 	}
-	return out, len(elide), nil
+	return rw, count, nil
 }
 
 // IdentityElimRule returns the identity-copy elimination rule.
