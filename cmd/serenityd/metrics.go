@@ -132,7 +132,7 @@ var metricFamilies = []family{
 	// overhead (a slight under-read under heavily warmed traffic).
 	{"serenityd_dp_states_per_second", "gauge", "Fresh DP states explored per second of cumulative search-stage time.", "%.1f", nil,
 		one(func(m *scrape) any {
-			searchSec := float64(m.s.stageNS[stageIdx(serenity.StageSearch)].Load()) / 1e9
+			searchSec := float64(m.s.stageNS[searchStage].Load()) / 1e9
 			if searchSec <= 0 {
 				return 0.0
 			}

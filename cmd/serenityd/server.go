@@ -233,26 +233,17 @@ type server struct {
 	// compilation's search has held since startup — the scheduler's memory
 	// high-water mark, fed from Result.MaxFrontier.
 	frontierHigh atomic.Int64
-	// Cumulative per-stage pipeline time in nanoseconds, fed by the
-	// Pipeline's Observer hook on every non-cached compilation.
-	stageNS [4]atomic.Int64 // indexed by stageIdx order: rewrite, partition, search, alloc
+	// Cumulative per-stage pipeline time in nanoseconds, fed from
+	// Result.Stages by every non-cached compilation that returns a Result.
+	stageNS [4]atomic.Int64 // indexed like pipelineStages
 	started time.Time
 }
 
-// pipelineStages fixes the order of the stageNS counters and the /metrics
-// stage labels.
-var pipelineStages = [4]serenity.Stage{
-	serenity.StageRewrite, serenity.StagePartition, serenity.StageSearch, serenity.StageAlloc,
-}
+// pipelineStages names the stageNS counters' /metrics stage labels, in
+// serenity.StageTimings field order; searchStage indexes the search stage.
+var pipelineStages = [4]string{"rewrite", "partition", "search", "alloc"}
 
-func stageIdx(st serenity.Stage) int {
-	for i, s := range pipelineStages {
-		if s == st {
-			return i
-		}
-	}
-	return -1
-}
+const searchStage = 2
 
 // handler routes the service endpoints.
 func (s *server) handler() http.Handler {
@@ -893,28 +884,25 @@ func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.O
 		// than holding a typed nil *fleet.Client.
 		p.Peers = s.peers
 	}
-	// The Observer feeds the /metrics stage and fallback counters as the
-	// compilation runs, so a long compile is visible before it finishes.
-	p.Observer = serenity.ObserverFunc(func(e serenity.Event) {
-		switch e.Kind {
-		case serenity.EventStageDone:
-			if i := stageIdx(e.Stage); i >= 0 {
-				s.stageNS[i].Add(int64(e.Elapsed))
-			}
-		case serenity.EventFallback:
-			s.fallbacks.Add(1)
-			// Flight recorder: a degradation snapshots the recent span
-			// history across all requests, plus this request's spans so far
-			// when it was traced.
-			s.tracer.Incident("fallback", trace.FromContext(ctx))
-		}
-	})
 	res, err := p.Run(ctx, g)
 	if res != nil {
 		// Over-budget compilations (ErrBudgetExceeded) still ran the full
-		// DP; their states count. Segment-memo hits do not: they replay a
-		// stored count into StatesExplored without exploring anything.
+		// pipeline; their stage time, fallbacks and states count. A
+		// compilation that failed mid-pipeline returns no Result and counts
+		// nothing. Segment-memo hits add no states: they replay a stored
+		// count into StatesExplored without exploring anything.
+		st := res.Stages
+		for i, d := range [4]time.Duration{st.Rewrite, st.Partition, st.Search, st.Alloc} {
+			s.stageNS[i].Add(int64(d))
+		}
 		s.states.Add(res.FreshStatesExplored)
+		if res.Fallbacks > 0 {
+			s.fallbacks.Add(int64(res.Fallbacks))
+			// Flight recorder: a degradation snapshots the recent span
+			// history across all requests, plus this request's spans so far
+			// when it was traced (its root span is still open).
+			s.tracer.Incident("fallback", trace.FromContext(ctx))
+		}
 		for {
 			cur := s.frontierHigh.Load()
 			if int64(res.MaxFrontier) <= cur || s.frontierHigh.CompareAndSwap(cur, int64(res.MaxFrontier)) {

@@ -433,6 +433,22 @@ func TestBestEffortDeadlineFallback(t *testing.T) {
 	if easy.Quality != serenity.QualityOptimal || easy.Fallbacks != 0 {
 		t.Errorf("feasible best-effort degraded: quality=%q fallbacks=%d", easy.Quality, easy.Fallbacks)
 	}
+
+	// The counter is the sum of the responses' fallbacks: add one forced
+	// degradation and one exact compile, then reconcile every response.
+	forced, _ := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force", graphBody(t, smallCell(6)))
+	if forced.Fallbacks == 0 {
+		t.Error("forced degradation reports no fallbacks")
+	}
+	exact, _ := postScheduleOK(t, ts, "", graphBody(t, smallCell(7)))
+	sum := 0
+	for _, r := range []scheduleResponse{got, again, easy, forced, exact} {
+		sum += r.Fallbacks
+	}
+	_, metrics = getJSON(t, ts, "/metrics")
+	if want := fmt.Sprintf("\nserenityd_fallbacks_total %d\n", sum); !strings.Contains(string(metrics), want) {
+		t.Errorf("metrics disagree with the responses' fallbacks (want %q):\n%s", strings.TrimSpace(want), metrics)
+	}
 }
 
 // TestRequestValidation: malformed strategy/deadline/options fail fast with

@@ -41,8 +41,8 @@ func ExampleOptions_Validate() {
 }
 
 // ExamplePipeline assembles the composable form explicitly: an exact
-// searcher, the TF-Lite best-fit arena planner, and an observer counting
-// segment searches.
+// searcher and the TF-Lite best-fit arena planner; the Result reports each
+// segment's outcome.
 func ExamplePipeline() {
 	b := serenity.NewBuilder("net")
 	in := b.Input(serenity.Shape{1, 16, 16, 4})
@@ -50,24 +50,18 @@ func ExamplePipeline() {
 	y := b.Conv(in, 8, 3, 1, serenity.PadSame)
 	b.Concat(x, y)
 
-	segments := 0
 	p := &serenity.Pipeline{
 		Searcher:  serenity.ExactDP{AdaptiveBudget: true},
 		Allocator: serenity.ArenaBestFit{},
 		Rewrite:   true,
 		Partition: true,
-		Observer: serenity.ObserverFunc(func(e serenity.Event) {
-			if e.Kind == serenity.EventSegmentDone {
-				segments++
-			}
-		}),
 	}
 	res, err := p.Run(context.Background(), b.Graph())
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("quality:", res.Quality)
-	fmt.Println("segments searched:", segments)
+	fmt.Println("segments searched:", len(res.SegmentQuality))
 	// Output:
 	// quality: optimal
 	// segments searched: 1

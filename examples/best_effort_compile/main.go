@@ -4,8 +4,8 @@
 //
 // It compiles a large randomly wired cell three ways — exact (no deadline),
 // best-effort under a tight deadline, and pure greedy — and prints the
-// peak/quality trade-off, with an Observer logging each stage and every
-// fallback as it happens.
+// peak/quality trade-off, then reads the best-effort Result's per-stage
+// timings and the segments that degraded.
 package main
 
 import (
@@ -43,23 +43,15 @@ func main() {
 	fmt.Printf("exact:       peak %.1f KB  quality=%s  in %s\n",
 		float64(exact.Peak)/1024, exact.Quality, exact.SchedulingTime.Round(time.Millisecond))
 
-	// 2. Best-effort under a 100ms deadline: the Pipeline form, with an
-	// Observer narrating stages and fallbacks. The deadline expires inside
-	// the DP, each segment degrades to the greedy heuristic, and the
-	// compile still succeeds.
+	// 2. Best-effort under a 100ms deadline: the Pipeline form. The deadline
+	// expires inside the DP, each segment degrades to the greedy heuristic,
+	// and the compile still succeeds; the Result says where the time went
+	// and which segments degraded.
 	opts.Strategy = serenity.StrategyBestEffort
 	p, err := serenity.NewPipeline(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.Observer = serenity.ObserverFunc(func(e serenity.Event) {
-		switch e.Kind {
-		case serenity.EventStageDone:
-			fmt.Printf("  [observer] stage %-9s done in %s\n", e.Stage, e.Elapsed.Round(time.Microsecond))
-		case serenity.EventFallback:
-			fmt.Printf("  [observer] segment %d fell back to the heuristic: %v\n", e.Segment, e.Err)
-		}
-	})
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	be, err := p.Run(ctx, g)
@@ -68,6 +60,15 @@ func main() {
 	}
 	fmt.Printf("best-effort: peak %.1f KB  quality=%s  fallbacks=%d  in %s\n",
 		float64(be.Peak)/1024, be.Quality, be.Fallbacks, be.SchedulingTime.Round(time.Millisecond))
+	st := be.Stages
+	fmt.Printf("  stages: rewrite %s  partition %s  search %s  alloc %s\n",
+		st.Rewrite.Round(time.Microsecond), st.Partition.Round(time.Microsecond),
+		st.Search.Round(time.Microsecond), st.Alloc.Round(time.Microsecond))
+	for i, q := range be.SegmentQuality {
+		if q != serenity.QualityOptimal {
+			fmt.Printf("  segment %d (%d nodes) degraded to %s\n", i, be.PartitionSizes[i], q)
+		}
+	}
 
 	// 3. Greedy as an explicit strategy, for comparison.
 	opts.Strategy = serenity.StrategyGreedy

@@ -181,9 +181,9 @@ func TestScheduleContextPreCanceled(t *testing.T) {
 }
 
 // TestScheduleContextCancelMidSearch verifies cancellation reaches down into
-// the DP search loop: the Observer cancels the context at the instant the
-// search stage starts (Observer calls are synchronous, so the search begins
-// with the context already done), and the unbudgeted exact DP — which would
+// the DP search loop: a hookSearcher cancels the context just before each
+// search starts (the hook is synchronous, so the search begins with the
+// context already done), and the unbudgeted exact DP — which would
 // otherwise run ~1.3s on this cell — must return promptly with the context's
 // error. The hook replaces the 50ms wall-clock deadline this test used to
 // race against the DP, which flaked under CPU contention.
@@ -197,11 +197,7 @@ func TestScheduleContextCancelMidSearch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p.Observer = ObserverFunc(func(e Event) {
-		if e.Kind == EventStageStart && e.Stage == StageSearch {
-			cancel()
-		}
-	})
+	p.Searcher = hookSearcher{p.Searcher, cancel}
 	start := time.Now()
 	_, err = p.Run(ctx, g)
 	elapsed := time.Since(start)
@@ -226,11 +222,7 @@ func TestScheduleContextCancelMidSearchParallel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p.Observer = ObserverFunc(func(e Event) {
-		if e.Kind == EventStageStart && e.Stage == StageSearch {
-			cancel()
-		}
-	})
+	p.Searcher = hookSearcher{p.Searcher, cancel}
 	start := time.Now()
 	_, err = p.Run(ctx, g)
 	elapsed := time.Since(start)

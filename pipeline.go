@@ -26,7 +26,9 @@ type StageTimings struct {
 
 // Pipeline is the composable form of the SERENITY compilation pipeline
 // (Figure 4: rewrite → partition → search → arena allocation) with the
-// search and allocation strategies pluggable and every stage observable.
+// search and allocation strategies pluggable. A compilation reports through
+// its Result (accounting: counts, qualities, Stages timings) and, when ctx
+// carries a trace span, through one span per stage and segment (narration).
 //
 // Construct one with NewPipeline (which derives the strategy from Options)
 // or populate the fields directly; then call Run. Schedule and
@@ -39,9 +41,6 @@ type Pipeline struct {
 	// Allocator plans the arena for the combined schedule; nil means
 	// ArenaBestFit (the paper's TF-Lite planner).
 	Allocator Allocator
-	// Observer, when non-nil, receives per-stage and per-segment events.
-	// Calls are serialized; see Observer.
-	Observer Observer
 	// SegmentMemo, when non-nil, shares per-segment search results across
 	// runs (and across Pipelines holding the same memo): before searching a
 	// partition segment the pipeline consults the memo under the segment's
@@ -143,7 +142,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	if allocator == nil {
 		allocator = ArenaBestFit{}
 	}
-	obs := &emitter{obs: p.Observer}
 	// Tracing rides in on the context: a traced request carries a live span,
 	// an untraced one carries nothing and every handle below stays nil (all
 	// span methods are nil-safe, and attribute construction is guarded, so
@@ -167,7 +165,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// Stage 1: identity graph rewriting.
 	work := g
 	if p.Rewrite || p.ExtendedRewrite {
-		obs.stageStart(StageRewrite)
 		rwSp := root.Child("stage.rewrite")
 		t0 := time.Now()
 		rules := rewrite.DefaultRules()
@@ -191,7 +188,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			rwSp.Annotate(trace.Int("rewrites", int64(res.RewriteCount)))
 			rwSp.End()
 		}
-		obs.stageDone(StageRewrite, res.Stages.Rewrite)
 	}
 	if work != g {
 		model = sched.NewMemModel(work)
@@ -201,7 +197,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	var segments []*partition.Segment
 	var part *partition.Partition
 	if p.Partition {
-		obs.stageStart(StagePartition)
 		ptSp := root.Child("stage.partition")
 		t0 := time.Now()
 		part, err = partition.Split(work)
@@ -215,7 +210,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			ptSp.Annotate(trace.Int("segments", int64(len(segments))))
 			ptSp.End()
 		}
-		obs.stageDone(StagePartition, res.Stages.Partition)
 	} else {
 		res.PartitionSizes = []int{work.NumNodes()}
 	}
@@ -224,7 +218,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// sub-problem; the Searcher is required to be pure across segments, so
 	// segments may run concurrently — and, when a SegmentMemo is installed,
 	// structurally identical segments share one search across runs.
-	obs.stageStart(StageSearch)
 	searchSp := root.Child("stage.search")
 	searchStart := time.Now()
 
@@ -247,9 +240,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	}
 
 	searchOne := func(ctx context.Context, idx int, seg *Graph) (SearchResult, error) {
-		segStart := time.Now()
 		nodes := seg.NumNodes()
-		obs.segmentStart(idx, nodes)
 		var segSp *trace.SpanHandle
 		if searchSp != nil {
 			segSp = searchSp.Child("segment",
@@ -300,6 +291,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 					trace.Str("quality", string(sr.Quality)),
 					trace.Bool("fell_back", sr.FellBack),
 				)
+				if sr.FellBack && sr.FallbackReason != nil {
+					dpSp.Annotate(trace.Str("fallback_reason", sr.FallbackReason.Error()))
+				}
 				if l := sr.Ladder; l.BudgetCap > 0 {
 					dpSp.Annotate(
 						trace.Int("budget_cap", l.BudgetCap),
@@ -345,24 +339,13 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			// search actually run here counts as fresh work.
 			freshStates.Add(sr.StatesExplored)
 		}
-		if sr.FellBack {
-			obs.fallback(idx, sr.FallbackReason, time.Since(segStart))
-		}
-		var key, tierName string
-		if segSp != nil || obs.obs != nil {
-			if memoKeys != nil {
-				key = memoKeys[idx]
-			}
-			tierName = tier.name()
-		}
 		if segSp != nil {
-			segSp.Annotate(trace.Str("memo_tier", tierName))
-			if key != "" {
-				segSp.Annotate(trace.Str("memo_key", key))
+			segSp.Annotate(trace.Str("memo_tier", tier.name()))
+			if memoKeys != nil {
+				segSp.Annotate(trace.Str("memo_key", memoKeys[idx]))
 			}
 			segSp.End()
 		}
-		obs.segmentDone(idx, nodes, sr, time.Since(segStart), key, tierName)
 		return sr, nil
 	}
 
@@ -418,7 +401,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			trace.Int("fallbacks", int64(res.Fallbacks)))
 		searchSp.End()
 	}
-	obs.stageDone(StageSearch, res.Stages.Search)
 
 	// Verify and measure the combined schedule end to end.
 	sim, err := model.Simulate(order)
@@ -429,7 +411,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	res.Peak = sim.Peak
 
 	// Stage 4: arena allocation.
-	obs.stageStart(StageAlloc)
 	alSp := root.Child("stage.alloc")
 	t0 := time.Now()
 	asn, err := allocator.Allocate(model, order)
@@ -443,7 +424,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		alSp.Annotate(trace.Int("arena_bytes", res.ArenaSize))
 		alSp.End()
 	}
-	obs.stageDone(StageAlloc, res.Stages.Alloc)
 	res.SchedulingTime = time.Since(start)
 
 	if p.MemoryBudget > 0 && res.ArenaSize > p.MemoryBudget {

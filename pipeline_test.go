@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/models"
 	"github.com/serenity-ml/serenity/internal/sched"
+	"github.com/serenity-ml/serenity/internal/trace"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -152,12 +154,62 @@ func bigStacked(name string) *Graph {
 	})
 }
 
+// hookSearcher runs before ahead of every Search of the Searcher it wraps:
+// a deterministic "a search is starting now" point where a test parks or
+// cancels a compilation. It delegates MemoKey, so memoized runs stay
+// memoized.
+type hookSearcher struct {
+	Searcher
+	before func()
+}
+
+func (h hookSearcher) Search(ctx context.Context, m *MemModel) (SearchResult, error) {
+	h.before()
+	return h.Searcher.Search(ctx, m)
+}
+
+func (h hookSearcher) MemoKey() string {
+	if mk, ok := h.Searcher.(MemoKeyer); ok {
+		return mk.MemoKey()
+	}
+	return ""
+}
+
+// traced returns a context carrying a fresh trace's root span, and a func
+// that ends the trace and returns every span recorded under it.
+func traced(t *testing.T) (context.Context, func() []trace.Span) {
+	tr := trace.New(trace.Options{})
+	root := tr.StartTrace("run")
+	return trace.ContextWith(context.Background(), root), func() []trace.Span {
+		td := tr.Finish(root, trace.Outcome{Force: true})
+		if td.Dropped > 0 {
+			t.Fatalf("trace dropped %d spans", td.Dropped)
+		}
+		return td.Spans
+	}
+}
+
+// spansNamed returns the attributes of every span called name.
+func spansNamed(spans []trace.Span, name string) []map[string]string {
+	var out []map[string]string
+	for _, sp := range spans {
+		if sp.Name != name {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		out = append(out, attrs)
+	}
+	return out
+}
+
 // runPastDeadline runs the best-effort pipeline on g under a deadline the
-// exact DP cannot meet by construction rather than by machine speed: an
-// Observer parks the pipeline at the search stage's start event until the
-// deadline has expired, so every segment's exact attempt begins past it.
-// Events are forwarded to observe (may be nil).
-func runPastDeadline(t *testing.T, g *Graph, parallelism int, observe func(Event)) (*Result, error) {
+// exact DP cannot meet by construction rather than by machine speed: a
+// hookSearcher parks every search until the deadline, derived from ctx, has
+// expired, so every segment's exact attempt begins past it.
+func runPastDeadline(ctx context.Context, t *testing.T, g *Graph, parallelism int) (*Result, error) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Strategy = StrategyBestEffort
@@ -166,16 +218,9 @@ func runPastDeadline(t *testing.T, g *Graph, parallelism int, observe func(Event
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 	defer cancel()
-	p.Observer = ObserverFunc(func(e Event) {
-		if e.Kind == EventStageStart && e.Stage == StageSearch {
-			<-ctx.Done()
-		}
-		if observe != nil {
-			observe(e)
-		}
-	})
+	p.Searcher = hookSearcher{p.Searcher, func() { <-ctx.Done() }}
 	return p.Run(ctx, g)
 }
 
@@ -184,7 +229,7 @@ func runPastDeadline(t *testing.T, g *Graph, parallelism int, observe func(Event
 // schedule tagged as such — not an error.
 func TestBestEffortFallsBackUnderDeadline(t *testing.T) {
 	start := time.Now()
-	res, err := runPastDeadline(t, bigStacked("be-fallback"), 1, nil)
+	res, err := runPastDeadline(context.Background(), t, bigStacked("be-fallback"), 1)
 	if err != nil {
 		t.Fatalf("best-effort errored under deadline: %v", err)
 	}
@@ -215,7 +260,7 @@ func TestBestEffortFallsBackUnderDeadline(t *testing.T) {
 // through the worker pool: an expired deadline must not void segments that
 // completed via fallback.
 func TestBestEffortFallsBackUnderDeadlineParallel(t *testing.T) {
-	res, err := runPastDeadline(t, bigStacked("be-fallback-par"), 4, nil)
+	res, err := runPastDeadline(context.Background(), t, bigStacked("be-fallback-par"), 4)
 	if err != nil {
 		t.Fatalf("parallel best-effort errored under deadline: %v", err)
 	}
@@ -262,51 +307,47 @@ func TestBestEffortCancellationAborts(t *testing.T) {
 	}
 }
 
-// TestObserverSeesEveryStage: the Observer hook receives bracketed events
-// for each enabled stage, per-segment search events, and the Result carries
-// the same timings.
-func TestObserverSeesEveryStage(t *testing.T) {
-	var events []Event
+// TestSpansCoverEveryStage: a traced run opens exactly one stage.* span per
+// enabled stage and none for a disabled one, one segment span and one
+// dp.search span per segment, and the Result carries the stage timings.
+func TestSpansCoverEveryStage(t *testing.T) {
+	stageSpans := func(spans []trace.Span) map[string]int {
+		counts := map[string]int{}
+		for _, sp := range spans {
+			if name, ok := strings.CutPrefix(sp.Name, "stage."); ok {
+				counts[name]++
+			}
+		}
+		return counts
+	}
+
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Observer = ObserverFunc(func(e Event) { events = append(events, e) })
-	res, err := p.Run(context.Background(), SwiftNet())
+	ctx, finish := traced(t)
+	res, err := p.Run(ctx, SwiftNet())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	type key struct {
-		kind  EventKind
-		stage Stage
+	spans := finish()
+	want := map[string]int{"rewrite": 1, "partition": 1, "search": 1, "alloc": 1}
+	if got := stageSpans(spans); !reflect.DeepEqual(got, want) {
+		t.Errorf("stage spans %v, want %v", got, want)
 	}
-	counts := map[key]int{}
-	segStarts, segDones := map[int]bool{}, map[int]bool{}
-	for _, e := range events {
-		counts[key{e.Kind, e.Stage}]++
-		switch e.Kind {
-		case EventSegmentStart:
-			segStarts[e.Segment] = true
-		case EventSegmentDone:
-			segDones[e.Segment] = true
-			if e.Quality != QualityOptimal {
-				t.Errorf("segment %d done with quality %q", e.Segment, e.Quality)
-			}
-			if e.States <= 0 {
-				t.Errorf("segment %d done with no states", e.Segment)
-			}
+	if n := len(spansNamed(spans, "segment")); n != len(res.PartitionSizes) {
+		t.Errorf("%d segment spans for %d segments", n, len(res.PartitionSizes))
+	}
+	searches := spansNamed(spans, "dp.search")
+	if len(searches) != len(res.PartitionSizes) {
+		t.Errorf("%d dp.search spans for %d segments", len(searches), len(res.PartitionSizes))
+	}
+	for i, a := range searches {
+		if a["quality"] != string(QualityOptimal) {
+			t.Errorf("dp.search %d ended with quality %q", i, a["quality"])
 		}
-	}
-	for _, st := range []Stage{StageRewrite, StagePartition, StageSearch, StageAlloc} {
-		if counts[key{EventStageStart, st}] != 1 || counts[key{EventStageDone, st}] != 1 {
-			t.Errorf("stage %s events: %d starts, %d dones; want 1 and 1",
-				st, counts[key{EventStageStart, st}], counts[key{EventStageDone, st}])
-		}
-	}
-	for i := range res.PartitionSizes {
-		if !segStarts[i] || !segDones[i] {
-			t.Errorf("segment %d missing start/done events", i)
+		if a["states"] == "" || a["states"] == "0" {
+			t.Errorf("dp.search %d explored no states", i)
 		}
 	}
 	if res.Stages.Search <= 0 {
@@ -318,30 +359,103 @@ func TestObserverSeesEveryStage(t *testing.T) {
 	if res.SchedulingTime < res.Stages.Search {
 		t.Error("stage timings exceed end-to-end time")
 	}
-}
 
-// TestObserverFallbackEvent: degraded segments emit EventFallback with the
-// reason attached.
-func TestObserverFallbackEvent(t *testing.T) {
-	var fallbacks []Event
-	res, err := runPastDeadline(t, bigStacked("be-observe"), 1, func(e Event) {
-		if e.Kind == EventFallback {
-			fallbacks = append(fallbacks, e)
-		}
-	})
+	// Disabled stages open no span and report zero time.
+	opts := DefaultOptions()
+	opts.Rewrite, opts.Partition = false, false
+	bare, err := NewPipeline(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fallbacks) != res.Fallbacks {
-		t.Errorf("observed %d fallback events, Result says %d", len(fallbacks), res.Fallbacks)
+	ctx, finish = traced(t)
+	res, err = bare.Run(ctx, SwiftNetCellA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = map[string]int{"search": 1, "alloc": 1}
+	if got := stageSpans(finish()); !reflect.DeepEqual(got, want) {
+		t.Errorf("rewrite and partition off: stage spans %v, want %v", got, want)
+	}
+	if res.Stages.Rewrite != 0 || res.Stages.Partition != 0 {
+		t.Errorf("disabled stages timed: %+v", res.Stages)
+	}
+}
+
+// TestFallbackSpansCarryReason: every degraded segment's dp.search span says
+// fell_back=true with the reason attached, one per Result.Fallbacks, and no
+// exact search carries a reason.
+func TestFallbackSpansCarryReason(t *testing.T) {
+	ctx, finish := traced(t)
+	res, err := runPastDeadline(ctx, t, bigStacked("be-spans"), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.Fallbacks == 0 {
 		t.Fatal("expected at least one fallback past the deadline")
 	}
-	for _, e := range fallbacks {
-		if e.Err == nil {
-			t.Error("fallback event carries no reason")
+	fell := 0
+	for _, a := range spansNamed(finish(), "dp.search") {
+		if a["fell_back"] != "true" {
+			if r, ok := a["fallback_reason"]; ok {
+				t.Errorf("exact search carries fallback_reason %q", r)
+			}
+			continue
 		}
+		fell++
+		if a["fallback_reason"] == "" {
+			t.Error("fallen-back dp.search span carries no fallback_reason")
+		}
+	}
+	if fell != res.Fallbacks {
+		t.Errorf("%d dp.search spans fell back, Result says %d", fell, res.Fallbacks)
+	}
+}
+
+// TestSegmentDoneCarriesTierAndFingerprint pins what a traced run's segment
+// spans report: every one carries its memo key, a fresh compilation reads
+// memo_tier "fresh", and an identical re-run through the same memo reads
+// "memory" under the same keys.
+func TestSegmentDoneCarriesTierAndFingerprint(t *testing.T) {
+	memo := NewSegmentMemo(128)
+	run := func(wantTier string) []string {
+		opts := DefaultOptions()
+		opts.Parallelism = 4
+		p, err := NewPipeline(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SegmentMemo = memo
+		ctx, finish := traced(t)
+		res, err := p.Run(ctx, RandWireCell("rw-segment-tier", 48, 4, 0.75, 11, 16, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, len(res.PartitionSizes))
+		segs := spansNamed(finish(), "segment")
+		if len(segs) != len(keys) {
+			t.Fatalf("%d segment spans for %d segments", len(segs), len(keys))
+		}
+		for _, a := range segs {
+			idx, err := strconv.Atoi(a["index"])
+			if err != nil || idx < 0 || idx >= len(keys) {
+				t.Fatalf("segment span index %q", a["index"])
+			}
+			if a["memo_key"] == "" {
+				t.Errorf("segment %d span without a memo_key", idx)
+			}
+			if a["memo_tier"] != wantTier {
+				t.Errorf("segment %d answered by %q, want %q", idx, a["memo_tier"], wantTier)
+			}
+			keys[idx] = a["memo_key"]
+		}
+		return keys
+	}
+	cold := run("fresh")
+	if len(cold) < 2 {
+		t.Fatalf("%d segments; the test needs several", len(cold))
+	}
+	if warm := run("memory"); !reflect.DeepEqual(warm, cold) {
+		t.Errorf("memo keys moved between runs:\ncold %v\nwarm %v", cold, warm)
 	}
 }
 

@@ -277,12 +277,12 @@ func TestRefinePoolPressureParksAndRequeues(t *testing.T) {
 	}
 }
 
-// TestRefinePoolObserverAndFailure: the pool's Tracer observes every job —
+// TestRefinePoolTracerAndFailure: the pool's Tracer records every job —
 // one refine.queued and one refine.run span each, linked to the trace of the
 // request that enqueued it even when they are recorded after that request
 // finished — and a failing job is counted, carries its error on its run
 // span, and un-pends its key like any other.
-func TestRefinePoolObserverAndFailure(t *testing.T) {
+func TestRefinePoolTracerAndFailure(t *testing.T) {
 	tr := trace.New(trace.Options{})
 	pool := NewRefinePool(RefinePoolOptions{Workers: 1, Tracer: tr})
 	defer pool.Close()

@@ -81,7 +81,7 @@ const (
 	numMemoTiers
 )
 
-// name renders the tier for Observer events and trace spans. The miss tier
+// name renders the tier for the segment span's memo_tier. The miss tier
 // reads "fresh": the caller ran the search itself.
 func (t memoTier) name() string {
 	switch t {

@@ -207,9 +207,8 @@ func TestScheduleStoreWithoutMemo(t *testing.T) {
 // TestScheduleStorePoisonRule: a deadline-degraded run must leave nothing on
 // disk that a later process could mistake for the exact answer — the
 // SegmentMemo's poison rule extended to the persistent tier. The deadline
-// expires by construction, not by machine speed: an Observer parks the
-// pipeline at the search stage's start until it has passed, as
-// runPastDeadline does.
+// expires by construction, not by machine speed: a hookSearcher parks every
+// search until it has passed, as runPastDeadline does.
 func TestScheduleStorePoisonRule(t *testing.T) {
 	g := models.StackedUniformRandWire("store-poison", 4, models.WSConfig{
 		Nodes: 40, K: 6, P: 0.9, Seed: 5, HW: 16, Channel: 8,
@@ -221,18 +220,18 @@ func TestScheduleStorePoisonRule(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
-	p := storePipeline(t, opts, NewSegmentMemo(256), ss)
-	p.Observer = ObserverFunc(func(e Event) {
-		if e.Kind == EventStageStart && e.Stage == StageSearch {
-			<-ctx.Done()
-		}
-	})
+	memo := NewSegmentMemo(256)
+	p := storePipeline(t, opts, memo, ss)
+	p.Searcher = hookSearcher{p.Searcher, func() { <-ctx.Done() }}
 	rushed, err := p.Run(ctx, g)
 	if err != nil {
 		t.Fatalf("best-effort errored under deadline: %v", err)
 	}
 	if rushed.Fallbacks == 0 {
 		t.Fatal("expected fallbacks under the 25ms deadline; the poison scenario never happened")
+	}
+	if st := memo.Stats(); st.Misses+st.Errors == 0 {
+		t.Fatalf("the rushed run never went through the memo (%+v); the poison rule was not exercised", st)
 	}
 	ss.Flush()
 	ss.Close()

@@ -21,9 +21,11 @@
 // # Pipeline, strategies, observability
 //
 // The pipeline is composable: Pipeline wires a Searcher (the per-segment
-// scheduling strategy), an Allocator (the arena planning strategy), and an
-// optional Observer (per-stage and per-segment events) around the graph
-// stages. Three searchers ship built in:
+// scheduling strategy) and an Allocator (the arena planning strategy) around
+// the graph stages. A compilation reports through its Result (per-stage
+// timings, segment qualities, fallbacks, memo hits) and, when the context
+// carries a trace span, through one child span per stage and segment.
+// Three searchers ship built in:
 //
 //   - ExactDP — the paper's exact search; optimal or an error (default)
 //   - GreedyMemory — the linear-time heuristic, for graphs beyond DP reach
