@@ -210,7 +210,7 @@ func (a *admission) grantLocked() {
 // never wait behind a long local DP (its caller budgets a few hundred
 // milliseconds, then computes), and a flood of peer traffic must never
 // starve interactive compiles. Saturation sheds with 429; the fetching
-// peer treats that as a miss without tripping its breaker.
+// peer treats that as a miss and does not report this node as failing.
 func peerGate(slots int) fleet.Gate {
 	sem := make(chan struct{}, slots)
 	return func() (func(), bool) {

@@ -49,7 +49,7 @@ type config struct {
 	peerAddr, peerList    string // peerAddr "" = fleetless
 	peerVnodes, peerSlots int
 	client                fleet.ClientOptions
-	probe                 fleet.HealthOptions // Interval 0 = no health view
+	probe                 fleet.HealthOptions // the fleet's one failure detector; always probing
 	sync                  fleet.SyncerOptions // Interval 0 = no syncer at all
 	joinSync              bool
 	joinTimeout           time.Duration
@@ -84,12 +84,12 @@ func bindFlags(fs *flag.FlagSet) (c *config, finish func() error) {
 	fs.StringVar(&c.peerList, "peers", "", "comma-separated fleet member base URLs (e.g. http://10.0.0.5:7433,http://10.0.0.6:7433); requires -peer-addr")
 	fs.StringVar(&c.peerAddr, "peer-addr", "", "this node's own base URL as fleet peers dial it; joins the fleet and requires -store-dir (the store is the fleet-visible corpus)")
 	fs.IntVar(&c.peerVnodes, "peer-vnodes", fleet.DefaultVirtualNodes, "consistent-hash virtual nodes per fleet member")
-	fs.DurationVar(&c.client.Timeout, "peer-timeout", 250*time.Millisecond, "per-attempt budget for one peer artifact fetch; a slow peer costs at most two of these, then its breaker trips")
+	fs.DurationVar(&c.client.Timeout, "peer-timeout", 250*time.Millisecond, "per-attempt budget for one peer artifact fetch; a slow peer costs at most two of these, and each one it fails counts toward -peer-suspect-after")
 	fs.IntVar(&c.client.Concurrency, "peer-concurrency", 8, "in-flight peer fetches; arrivals beyond the bound skip the fleet tier instead of queueing")
 	fs.IntVar(&c.peerSlots, "peer-slots", 4, "concurrently served peer requests, a dedicated admission lane apart from -compile-slots (0 = unlimited)")
 	fs.DurationVar(&c.sync.Interval, "peer-sync-interval", 15*time.Second, "anti-entropy round interval, jittered per node (0 disables the background sync loop)")
 	fs.IntVar(&c.sync.Batch, "peer-sync-batch", 512, "max store records pulled per anti-entropy round; a rebooted node converges over several rounds instead of thundering onto one peer")
-	fs.DurationVar(&c.probe.Interval, "peer-probe-interval", 2*time.Second, "health probe round interval, jittered per node (0 disables health-driven failover; the fleet falls back to breaker-only protection)")
+	fs.DurationVar(&c.probe.Interval, "peer-probe-interval", 2*time.Second, "health probe round interval, jittered per node; must be > 0 with -peer-addr, since probes are the only way a dead peer revives")
 	fs.DurationVar(&c.probe.Timeout, "peer-probe-timeout", 500*time.Millisecond, "budget for one health probe against a peer's /readyz")
 	fs.IntVar(&c.probe.SuspectAfter, "peer-suspect-after", 1, "consecutive probe/fetch failures before a peer is suspect (skipped by the fetch path)")
 	fs.IntVar(&c.probe.DeadAfter, "peer-dead-after", 3, "consecutive failures before a peer is dead (skipped by every path; its keys fail over)")
@@ -157,6 +157,9 @@ func (c *config) validate() error {
 	}
 	if c.peerAddr != "" && c.storeDir == "" {
 		return errors.New("-peer-addr requires -store-dir (the persistent store is the fleet-visible artifact corpus)")
+	}
+	if c.peerAddr != "" && c.probe.Interval <= 0 {
+		return errors.New("-peer-addr requires -peer-probe-interval > 0 (health probes are the fleet's only way to revive a dead peer)")
 	}
 	return nil
 }
@@ -246,17 +249,15 @@ func (s *server) joinFleet(cfg config) error {
 	}
 	s.ring.Store(ring)
 	s.peerVnodes = cfg.peerVnodes
-	if cfg.probe.Interval > 0 {
-		hopts := cfg.probe
-		// Probes target /readyz, not the fleet ping: a node pre-streaming
-		// its corpus answers 503 and therefore takes no ownership until
-		// its join handoff completes.
-		hopts.ProbePath = "/readyz"
-		hopts.OnTransition = func(peer string, from, to fleet.State) {
-			s.logger.Info("fleet peer transition", "peer", peer, "from", from.String(), "to", to.String())
-		}
-		s.health = fleet.NewHealth(ring.Peers(), hopts)
+	hopts := cfg.probe
+	// Probes target /readyz, not the fleet ping: a node pre-streaming its
+	// corpus answers 503 and therefore takes no ownership until its join
+	// handoff completes.
+	hopts.ProbePath = "/readyz"
+	hopts.OnTransition = func(peer string, from, to fleet.State) {
+		s.logger.Info("fleet peer transition", "peer", peer, "from", from.String(), "to", to.String())
 	}
+	s.health = fleet.NewHealth(ring.Peers(), hopts)
 	copts := cfg.client
 	copts.Health = s.health
 	s.peers = fleet.NewClient(ring, copts)
@@ -277,9 +278,7 @@ func (s *server) joinFleet(cfg config) error {
 		s.syncer = fleet.NewSyncer(s.store, ring, yopts)
 		s.syncer.Start()
 	}
-	if s.health != nil {
-		s.health.Start()
-	}
+	s.health.Start()
 	s.logger.Info("fleet assembled",
 		"members", len(ring.Members()), "self", ring.Self(), "owned_share", ring.OwnedShare(4096))
 	return nil
@@ -292,7 +291,7 @@ func (s *server) joinFleet(cfg config) error {
 // producer before the tier it feeds, store last. Safe on a partially built
 // server.
 func (s *server) close() {
-	if s.health != nil {
+	if s.health != nil { // a fleet node
 		s.health.Stop()
 		hs := s.health.Stats()
 		s.logger.Info("health prober stopped",

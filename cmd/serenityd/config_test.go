@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,6 +38,40 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("flag surface diverged from testdata/flags.golden:\n%s", got)
+	}
+}
+
+// TestFlagValidation pins the cross-flag rules finish applies: each rejected
+// combination fails at flag time with an error naming the flag at fault.
+func TestFlagValidation(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string // "" = accepted
+	}{
+		{"fleet with the default prober", []string{"-peer-addr", "http://a:1", "-store-dir", dir}, ""},
+		{"peers without peer-addr", []string{"-peers", "http://a:1"}, "-peers requires -peer-addr"},
+		{"peer-addr without a store", []string{"-peer-addr", "http://a:1"}, "-peer-addr requires -store-dir"},
+		{"fleet with the prober off", []string{"-peer-addr", "http://a:1", "-store-dir", dir, "-peer-probe-interval", "0"}, "-peer-probe-interval"},
+		{"store bound without a store", []string{"-store-max-bytes", "1MiB"}, "-store-max-bytes requires -store-dir"},
+		{"unparseable byte size", []string{"-mem-limit", "12XB"}, "-mem-limit"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("serenityd", flag.ContinueOnError)
+			_, finish := bindFlags(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			err := finish()
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -103,14 +103,16 @@
 // finish, so load balancers can hold traffic off a booting node (/healthz
 // stays a pure liveness probe).
 //
-// Membership is dynamic: a background health prober (-peer-probe-interval,
-// -peer-probe-timeout) heartbeats every peer's /readyz and drives it through
-// alive -> suspect (-peer-suspect-after failures; the fetch path skips it
-// immediately, so a freshly dead owner stops costing timeouts after its FIRST
-// failure) -> dead (-peer-dead-after; every path routes around it and its
-// keys fail over to the next live ring point, identically on every node) and
-// back (-peer-revive-after successes). Fetch outcomes feed the same detector,
-// so discovery does not wait for the next probe tick. POST
+// Membership is dynamic, and one health view is the fleet's only failure
+// detector: a background prober (-peer-probe-interval, required > 0 in a
+// fleet, and -peer-probe-timeout) heartbeats every peer's /readyz and drives
+// it through alive -> suspect (-peer-suspect-after failures; the fetch path
+// skips it immediately, so a freshly dead owner stops costing timeouts after
+// its FIRST failure) -> dead (-peer-dead-after; every path routes around it
+// and its keys fail over to the next live ring point, identically on every
+// node) and back (-peer-revive-after probe successes). Failed fetches and
+// replication pushes feed the same detector, so discovery does not wait for
+// the next probe tick. POST
 // /admin/fleet/join?peer=URL and /admin/fleet/leave?peer=URL edit this node's
 // membership view without a restart (GET /admin/fleet shows it); a booting
 // node pre-streams the fleet corpus to convergence before reporting ready

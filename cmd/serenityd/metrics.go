@@ -83,7 +83,6 @@ func perClass(v func(a *admission, c admitClass) int64) func(*scrape) []sample {
 
 func hasGov(m *scrape) bool     { return m.s.gov.Enabled() }
 func hasPeers(m *scrape) bool   { return m.s.peers != nil }
-func hasHealth(m *scrape) bool  { return m.s.health != nil }
 func hasPeerSrv(m *scrape) bool { return m.s.peerSrv != nil }
 func hasSyncer(m *scrape) bool  { return m.s.syncer != nil }
 func hasRing(m *scrape) bool    { return m.ring != nil }
@@ -170,12 +169,12 @@ var metricFamilies = []family{
 	{"serenityd_mem_grow_denied_total", "counter", "Mid-search reservation upgrades denied at High pressure or above; the search aborted at its ceiling.", "%d", hasGov, one(func(m *scrape) any { return m.gs.GrowDenied })},
 
 	{"serenityd_peer_hits_total", "counter", "Segment artifacts fetched from a fleet peer instead of a fresh search.", "%d", hasPeers, one(func(m *scrape) any { return m.ps.Hits })},
-	{"serenityd_peer_misses_total", "counter", "Peer fetches that came back empty (404, dead peer, breaker, shed); the caller computed locally.", "%d", hasPeers, one(func(m *scrape) any { return m.ps.Misses })},
+	{"serenityd_peer_misses_total", "counter", "Peer fetches that came back empty (404, dead peer, shed); the caller computed locally.", "%d", hasPeers, one(func(m *scrape) any { return m.ps.Misses })},
 	{"serenityd_peer_timeouts_total", "counter", "Peer fetch attempts that ran out their per-attempt budget.", "%d", hasPeers, one(func(m *scrape) any { return m.ps.Timeouts })},
 	{"serenityd_peer_replicated_total", "counter", "Locally computed artifacts pushed to their ring owners (write-behind).", "%d", hasPeers, one(func(m *scrape) any { return m.ps.Replicated })},
 	{"serenityd_peer_replication_dropped_total", "counter", "Replication pushes shed (queue overflow, dead owner); anti-entropy heals them.", "%d", hasPeers, one(func(m *scrape) any { return m.ps.ReplicationDropped })},
 	{"serenityd_peer_failovers_total", "counter", "Fetches and replications routed to a failover owner because the primary was unhealthy.", "%d", hasPeers, one(func(m *scrape) any { return m.ps.Failovers })},
-	{"serenityd_peer_state", "gauge", "Per-peer health as seen from this node: 1 for the current state, 0 otherwise.", "%d", hasHealth,
+	{"serenityd_peer_state", "gauge", "Per-peer health as seen from this node: 1 for the current state, 0 otherwise.", "%d", hasPeers,
 		func(m *scrape) (out []sample) {
 			snap := m.s.health.Snapshot()
 			for _, peer := range m.s.health.Members() {
@@ -189,9 +188,9 @@ var metricFamilies = []family{
 			}
 			return out
 		}},
-	{"serenityd_peer_probes_total", "counter", "Health probe attempts against fleet peers.", "%d", hasHealth, one(func(m *scrape) any { return m.hs.Probes })},
-	{"serenityd_peer_probe_failures_total", "counter", "Health probes that failed (error, timeout, non-2xx).", "%d", hasHealth, one(func(m *scrape) any { return m.hs.Failures })},
-	{"serenityd_peer_transitions_total", "counter", "Health state changes (demotions and revivals), from probes and fetch outcomes alike.", "%d", hasHealth, one(func(m *scrape) any { return m.hs.Transitions })},
+	{"serenityd_peer_probes_total", "counter", "Health probe attempts against fleet peers.", "%d", hasPeers, one(func(m *scrape) any { return m.hs.Probes })},
+	{"serenityd_peer_probe_failures_total", "counter", "Health probes that failed (error, timeout, non-2xx).", "%d", hasPeers, one(func(m *scrape) any { return m.hs.Failures })},
+	{"serenityd_peer_transitions_total", "counter", "Health state changes (demotions and revivals), from probes and fetch outcomes alike.", "%d", hasPeers, one(func(m *scrape) any { return m.hs.Transitions })},
 	{"serenityd_peer_served_hits_total", "counter", "Peer artifact GETs this node answered with a payload.", "%d", hasPeerSrv, one(func(m *scrape) any { return m.fs.SegmentHits })},
 	{"serenityd_peer_served_misses_total", "counter", "Peer artifact GETs this node answered 404.", "%d", hasPeerSrv, one(func(m *scrape) any { return m.fs.SegmentMisses })},
 	{"serenityd_peer_shed_total", "counter", "Peer requests refused by the peer admission lane (-peer-slots).", "%d", hasPeerSrv, one(func(m *scrape) any { return m.fs.Shed })},

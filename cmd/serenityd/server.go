@@ -185,7 +185,9 @@ type server struct {
 	// client the pipeline consults as its PeerTier; peerSrv the peer-facing
 	// HTTP surface (artifact get/put, digest, sync) mounted on the same mux;
 	// syncer the background anti-entropy loop; health the per-peer liveness
-	// view driving failover routing. See internal/fleet.
+	// view, the fleet's one failure detector, driving failover routing. ring,
+	// peers, peerSrv and health are set together on every fleet node; syncer
+	// only with -peer-sync-interval > 0. See internal/fleet.
 	ring    atomic.Pointer[fleet.Ring]
 	peers   *fleet.Client
 	peerSrv *fleet.Server
@@ -264,21 +266,14 @@ func (s *server) handler() http.Handler {
 }
 
 // applyRing swaps the fleet membership everywhere it is consulted: the
-// pipeline's routing (peers), the peer surface, the anti-entropy loop, and
-// the health view. Callers hold fleetMu.
+// pipeline's routing and the health view (peers), the peer surface, and the
+// anti-entropy loop. Callers hold fleetMu.
 func (s *server) applyRing(r *fleet.Ring) {
 	s.ring.Store(r)
-	if s.peers != nil {
-		s.peers.UpdateRing(r)
-	}
-	if s.peerSrv != nil {
-		s.peerSrv.UpdateRing(r)
-	}
+	s.peers.UpdateRing(r)
+	s.peerSrv.UpdateRing(r)
 	if s.syncer != nil {
 		s.syncer.UpdateRing(r)
-	}
-	if s.health != nil {
-		s.health.SetMembers(r.Peers())
 	}
 }
 
@@ -288,11 +283,7 @@ func (s *server) fleetStatus() map[string]any {
 	r := s.ring.Load()
 	states := map[string]string{r.Self(): "self"}
 	for _, p := range r.Peers() {
-		if s.health != nil {
-			states[p] = s.health.State(p).String()
-		} else {
-			states[p] = "untracked"
-		}
+		states[p] = s.health.State(p).String()
 	}
 	return map[string]any{
 		"self":    r.Self(),
@@ -1100,13 +1091,11 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if ring := s.ring.Load(); ring != nil {
 		resp["fleet_members"] = len(ring.Members())
 		resp["fleet_self"] = ring.Self()
-		if s.health != nil {
-			states := map[string]string{}
-			for peer, st := range s.health.Snapshot() {
-				states[peer] = st.String()
-			}
-			resp["peer_states"] = states
+		states := map[string]string{}
+		for peer, st := range s.health.Snapshot() {
+			states[peer] = st.String()
 		}
+		resp["peer_states"] = states
 	}
 	if s.gov.Enabled() {
 		gs := s.gov.Stats()

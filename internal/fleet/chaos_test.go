@@ -53,10 +53,9 @@ func buildChaosFleet(t *testing.T, count int, seed int64) []*chaosNode {
 		fleet[i] = &chaosNode{
 			n: n, ring: r, ft: ft, h: h,
 			c: NewClient(r, ClientOptions{
-				Timeout:        150 * time.Millisecond,
-				BreakerBackoff: 50 * time.Millisecond,
-				HTTPClient:     hc,
-				Health:         h,
+				Timeout:    150 * time.Millisecond,
+				HTTPClient: hc,
+				Health:     h,
 			}),
 			sy: NewSyncer(n.st, r, SyncerOptions{
 				Timeout:    500 * time.Millisecond,

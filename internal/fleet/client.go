@@ -1,13 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,10 +51,6 @@ type ClientOptions struct {
 	// remembered so a storm of identical cold keys costs one round trip, not
 	// one per request. Default 2s.
 	NegativeTTL time.Duration
-	// BreakerBackoff is how long a peer that timed out or refused a
-	// connection is skipped entirely; during the window every fetch routed to
-	// it misses instantly. Default 3s.
-	BreakerBackoff time.Duration
 	// ReplicationQueue bounds the write-behind replication queue; overflow
 	// drops the replication (the owner converges later via anti-entropy).
 	// Default 256.
@@ -62,13 +58,14 @@ type ClientOptions struct {
 	// HTTPClient overrides the transport (tests); nil uses a dedicated
 	// client with sane connection pooling.
 	HTTPClient *http.Client
-	// Health, when non-nil, is the member health view driving failover
-	// routing: fetches skip any owner that is not Alive and go straight to
-	// the next live ring point (a dead owner costs zero added latency once
-	// its first probe or fetch fails), replication reroutes only around Dead
-	// owners (a Suspect blip is still worth one cheap push), and every
-	// transport outcome this client observes is fed back into the view. Nil
-	// preserves the static PR-7 behavior: breaker-only protection.
+	// Health is the member health view, the fleet's one failure detector:
+	// fetches skip any owner that is not Alive and go straight to the next
+	// live ring point (a dead owner costs zero added latency once its first
+	// probe or fetch fails), replication reroutes only around Dead owners (a
+	// Suspect blip is still worth one cheap push), and every transport
+	// failure this client observes is fed back into the view. Nil builds an
+	// unprobed view over the ring's peers that only this client's own
+	// outcomes drive; a peer it demotes then never revives.
 	Health *Health
 }
 
@@ -81,9 +78,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.NegativeTTL <= 0 {
 		o.NegativeTTL = 2 * time.Second
-	}
-	if o.BreakerBackoff <= 0 {
-		o.BreakerBackoff = 3 * time.Second
 	}
 	if o.ReplicationQueue <= 0 {
 		o.ReplicationQueue = 256
@@ -100,8 +94,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // ClientStats is a snapshot of the fetch/replication counters.
 type ClientStats struct {
 	// Hits are fetches that returned an artifact payload; Misses everything
-	// else the compile path asked for (404s, errors, breaker skips, negative
-	// cache, concurrency shedding). Timeouts is the subset of misses whose
+	// else the compile path asked for (404s, errors, negative cache,
+	// concurrency shedding). Timeouts is the subset of misses whose
 	// attempts ran out the per-attempt budget.
 	Hits     int64
 	Misses   int64
@@ -135,7 +129,6 @@ type Client struct {
 
 	mu       sync.Mutex
 	negative map[string]time.Time // key -> expiry of a remembered miss
-	down     map[string]time.Time // peer -> end of its breaker window
 	closed   bool
 
 	pushCh  chan replicaPush
@@ -151,11 +144,13 @@ type Client struct {
 // stop the replication worker.
 func NewClient(ring *Ring, opts ClientOptions) *Client {
 	o := opts.withDefaults()
+	if o.Health == nil {
+		o.Health = NewHealth(ring.Peers(), HealthOptions{})
+	}
 	c := &Client{
 		opts:     o,
 		sem:      make(chan struct{}, o.Concurrency),
 		negative: make(map[string]time.Time),
-		down:     make(map[string]time.Time),
 		pushCh:   make(chan replicaPush, o.ReplicationQueue),
 	}
 	c.ring.Store(ring)
@@ -168,19 +163,19 @@ func NewClient(ring *Ring, opts ClientOptions) *Client {
 func (c *Client) Ring() *Ring { return c.ring.Load() }
 
 // UpdateRing swaps the membership the client routes over — a join or leave
-// took effect. In-flight fetches finish against the old ring; that is safe
-// because any owner answers only from its store and a misrouted fetch is at
-// worst a 404 miss.
-func (c *Client) UpdateRing(r *Ring) { c.ring.Store(r) }
+// took effect — and hands the new peer set to the health view. In-flight
+// fetches finish against the old ring; that is safe because any owner answers
+// only from its store and a misrouted fetch is at worst a 404 miss.
+func (c *Client) UpdateRing(r *Ring) {
+	c.ring.Store(r)
+	c.opts.Health.SetMembers(r.Peers())
+}
 
-// fetchOwner resolves key's owner for the latency-sensitive fetch path:
-// with a health view, the first Alive member in failover order (counting a
-// reroute); without one, the static ring owner.
-func (c *Client) fetchOwner(r *Ring, key string) string {
-	if c.opts.Health == nil {
-		return r.Owner(key)
-	}
-	owner := r.LiveOwner(key, c.opts.Health.Live)
+// route resolves key's owner under one health view, Live for fetches and
+// Reachable for replication, counting a failover when that is not the static
+// ring owner.
+func (c *Client) route(r *Ring, key string, view func(string) bool) string {
+	owner := r.LiveOwner(key, view)
 	if owner != r.Owner(key) {
 		c.failovers.Add(1)
 	}
@@ -194,9 +189,6 @@ func (c *Client) fetchOwner(r *Ring, key string) string {
 // ownership failover means.
 func (c *Client) Owns(key string) bool {
 	r := c.ring.Load()
-	if c.opts.Health == nil {
-		return r.Owns(key)
-	}
 	return r.LiveOwner(key, c.opts.Health.Live) == r.Self()
 }
 
@@ -215,17 +207,16 @@ func (c *Client) Stats() ClientStats {
 // Fetch implements serenity.PeerTier: it asks key's ring owner for the raw
 // artifact payload. Every failure mode — dead peer, slow peer, 404, overload,
 // shutdown — returns ok=false so the caller computes locally; Fetch never
-// surfaces an error. One transport-level retry, then the peer's breaker
-// trips.
+// surfaces an error. One retry; every transport failure is reported to the
+// health view, which is what stops later fetches from dialing a dead owner.
 func (c *Client) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	r := c.ring.Load()
-	owner := c.fetchOwner(r, key)
+	owner := c.route(r, key, c.opts.Health.Live)
 	if owner == r.Self() {
 		return nil, false
 	}
-	now := time.Now()
 	c.mu.Lock()
-	if c.closed || now.Before(c.negative[key]) || now.Before(c.down[owner]) {
+	if c.closed || time.Now().Before(c.negative[key]) {
 		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
@@ -245,15 +236,21 @@ func (c *Client) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	defer func() { <-c.sem }()
 
 	reqURL := owner + segmentPathPrefix + url.PathEscape(key)
-	var lastTimeout bool
+	tp := trace.FromContext(ctx).Traceparent()
 	for attempt := 0; attempt < 2; attempt++ {
-		payload, status, err := c.getOnce(ctx, reqURL)
+		var payload []byte
+		status, err := roundTrip(ctx, c.opts.HTTPClient, c.opts.Timeout, http.MethodGet, reqURL, tp, nil,
+			func(body io.Reader) (err error) {
+				payload, err = io.ReadAll(io.LimitReader(body, maxArtifactBytes+1))
+				if err == nil && len(payload) > maxArtifactBytes {
+					err = fmt.Errorf("fleet: artifact exceeds %d bytes", maxArtifactBytes)
+				}
+				return err
+			})
 		switch {
 		case err == nil && status == http.StatusOK:
 			c.hits.Add(1)
-			if c.opts.Health != nil {
-				c.opts.Health.ReportSuccess(owner)
-			}
+			c.opts.Health.ReportSuccess(owner)
 			return payload, true
 		case err == nil && status == http.StatusNotFound:
 			// The authoritative owner does not have it; nobody does. Remember
@@ -265,65 +262,53 @@ func (c *Client) Fetch(ctx context.Context, key string) ([]byte, bool) {
 			c.misses.Add(1)
 			return nil, false
 		case err == nil:
-			// Overload (429) or an unexpected status: one retry, then miss
-			// without tripping the breaker — the peer is alive, just busy.
-			lastTimeout = false
+			// Overload (429) or an unexpected status: one retry, then miss.
+			// The peer is alive, just busy, so the detector hears nothing.
+		case ctx.Err() != nil:
+			// The compile itself is done waiting; not the peer's fault.
+			c.misses.Add(1)
+			return nil, false
 		default:
-			if ctx.Err() != nil {
-				// The compile itself is done waiting; not the peer's fault.
-				c.misses.Add(1)
-				return nil, false
-			}
-			lastTimeout = true
+			// Feed the detector immediately: with SuspectAfter 1 the very next
+			// fetch routed at this owner already fails over, so a dead owner
+			// costs the fleet SuspectAfter failed attempts, total.
 			c.timeouts.Add(1)
-			if c.opts.Health != nil {
-				// Feed the detector immediately: with SuspectAfter 1 the very
-				// next fetch routed at this owner already fails over, so a
-				// dead owner costs the fleet exactly one timeout, total.
-				c.opts.Health.ReportFailure(owner)
-			}
+			c.opts.Health.ReportFailure(owner)
 		}
-	}
-	if lastTimeout {
-		// Two consecutive transport failures: stop dialing this peer for a
-		// while. Fetches routed to it during the window miss instantly, so a
-		// dead owner costs the fleet one breaker window of round trips, total.
-		c.mu.Lock()
-		c.down[owner] = time.Now().Add(c.opts.BreakerBackoff)
-		c.mu.Unlock()
 	}
 	c.misses.Add(1)
 	return nil, false
 }
 
-// getOnce performs one GET attempt under the per-attempt timeout.
-func (c *Client) getOnce(ctx context.Context, reqURL string) ([]byte, int, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
+// roundTrip is every peer request's one round trip: a per-call timeout, the
+// caller's trace context, and a drained body on any non-2xx answer. A 2xx
+// body goes to read (nil drains it too). err is set only when the request
+// never got an answer or read failed; an answered status comes back with a
+// nil error, and each caller applies its own rule to it.
+func roundTrip(ctx context.Context, hc *http.Client, timeout time.Duration, method, target, traceparent string,
+	body io.Reader, read func(io.Reader) error) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, http.MethodGet, reqURL, nil)
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if tp := trace.FromContext(ctx).Traceparent(); tp != "" {
-		req.Header.Set(TraceparentHeader, tp)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
-	resp, err := c.opts.HTTPClient.Do(req)
+	if traceparent != "" {
+		req.Header.Set(TraceparentHeader, traceparent)
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode < 200 || resp.StatusCode > 299 || read == nil {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, resp.StatusCode, nil
+		return resp.StatusCode, nil
 	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes+1))
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(payload) > maxArtifactBytes {
-		return nil, 0, fmt.Errorf("fleet: artifact exceeds %d bytes", maxArtifactBytes)
-	}
-	return payload, http.StatusOK, nil
+	return resp.StatusCode, read(resp.Body)
 }
 
 // pruneNegativeLocked bounds the negative cache; expired entries go first,
@@ -382,59 +367,30 @@ func (c *Client) replicator() {
 	}
 }
 
+// replicateOne pushes one artifact. A Dead owner's push goes to the failover
+// owner instead, so the keys a dead member would have held keep converging
+// onto the member that is actually serving them; a merely Suspect owner still
+// gets the push, because a blip is cheaper to retry than to route around.
+// A push the owner never answered is reported to the health view, so an
+// unreachable owner turns Dead after DeadAfter of them and later pushes
+// reroute. Successes are not reported: a joiner still pre-streaming accepts
+// PUTs, yet must stay out of routing until its own probes pass.
 func (c *Client) replicateOne(p replicaPush) {
 	r := c.ring.Load()
-	owner := r.Owner(p.key)
-	if c.opts.Health != nil && !c.opts.Health.Reachable(owner) {
-		// The owner is Dead: push to the failover owner instead, so the keys
-		// a dead member would have held keep converging onto the member that
-		// is actually serving them. A merely Suspect owner still gets the
-		// push — a blip is cheaper to retry than to route around.
-		if lo := r.LiveOwner(p.key, c.opts.Health.Reachable); lo != owner {
-			c.failovers.Add(1)
-			owner = lo
-		}
-	}
+	owner := c.route(r, p.key, c.opts.Health.Reachable)
 	if owner == r.Self() {
 		return
 	}
-	c.mu.Lock()
-	down := time.Now().Before(c.down[owner])
-	c.mu.Unlock()
-	if down {
-		c.repDropped.Add(1)
-		return
+	status, err := roundTrip(context.Background(), c.opts.HTTPClient, c.opts.Timeout, http.MethodPut,
+		owner+segmentPathPrefix+url.PathEscape(p.key), p.traceparent, bytes.NewReader(p.payload), nil)
+	if err != nil {
+		c.opts.Health.ReportFailure(owner)
 	}
-	if err := c.putOnce(owner, p); err != nil {
+	if err != nil || (status != http.StatusOK && status != http.StatusNoContent) {
 		c.repDropped.Add(1)
 		return
 	}
 	c.replicated.Add(1)
-}
-
-// putOnce performs one replication PUT under the per-attempt timeout.
-func (c *Client) putOnce(owner string, p replicaPush) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		owner+segmentPathPrefix+url.PathEscape(p.key), strings.NewReader(string(p.payload)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if p.traceparent != "" {
-		req.Header.Set(TraceparentHeader, p.traceparent)
-	}
-	resp, err := c.opts.HTTPClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("fleet: replication to %s answered %d", owner, resp.StatusCode)
-	}
-	return nil
 }
 
 // Drain blocks until every replication enqueued before the call has been

@@ -157,12 +157,15 @@ func TestClientNegativeCacheAbsorbsRepeatMisses(t *testing.T) {
 	}
 }
 
-func TestClientBreakerSkipsDeadPeer(t *testing.T) {
+// TestClientSkipsDeadOwnerAfterFirstFailure: a client built with no health
+// view of its own gets the defaulted, unprobed one, and its fetch failures
+// alone demote a dead owner, so the next key it owns is not dialed at all.
+func TestClientSkipsDeadOwnerAfterFirstFailure(t *testing.T) {
 	nodes, rings := buildFleet(t, 2, nil)
 	b := nodes[1]
 	key := keyOwnedBy(t, rings[0], b.srv.URL, 0)
 	b.srv.Close() // the owner is dead before the first fetch
-	c := NewClient(rings[0], ClientOptions{Timeout: 100 * time.Millisecond, BreakerBackoff: time.Minute})
+	c := NewClient(rings[0], ClientOptions{})
 	defer c.Close()
 	if _, ok := c.Fetch(context.Background(), key); ok {
 		t.Fatal("Fetch succeeded against a dead peer")
@@ -171,18 +174,18 @@ func TestClientBreakerSkipsDeadPeer(t *testing.T) {
 	if afterFirst.Timeouts == 0 {
 		t.Fatalf("dead peer produced no transport failures: %+v", afterFirst)
 	}
-	// A different key with the same dead owner must now miss instantly via
-	// the breaker — no further dial attempts.
+	// A different key with the same dead owner must now miss instantly: the
+	// health view routes it away from the owner, with no further dial.
 	key2 := keyOwnedBy(t, rings[0], b.srv.URL, 99)
 	start := time.Now()
 	if _, ok := c.Fetch(context.Background(), key2); ok {
 		t.Fatal("Fetch succeeded against a dead peer")
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-		t.Errorf("breaker-window fetch took %v; it should not dial at all", elapsed)
+		t.Errorf("fetch after the owner's failure took %v; it should not dial at all", elapsed)
 	}
 	if st := c.Stats(); st.Timeouts != afterFirst.Timeouts {
-		t.Errorf("breaker window still dialed the dead peer: %+v", st)
+		t.Errorf("the demoted owner was dialed again: %+v", st)
 	}
 }
 
@@ -223,7 +226,7 @@ func TestGateShedsPeerTraffic(t *testing.T) {
 	c := NewClient(rings[0], ClientOptions{})
 	defer c.Close()
 	// The record exists, but the gate sheds the request: the client must
-	// treat 429 as a miss, not an error and not a breaker trip.
+	// treat 429 as a miss, not an error and not a failure of the peer.
 	if _, ok := c.Fetch(context.Background(), key); ok {
 		t.Fatal("Fetch got through a closed gate")
 	}
@@ -424,6 +427,11 @@ func TestClientReplicationReroutesAroundDeadOwner(t *testing.T) {
 	if _, ok := b.st.GetArtifact(keySuspect); !ok {
 		t.Fatal("suspect owner lost its replica; only Dead reroutes replication")
 	}
+	// An accepted push is no evidence of readiness (a pre-streaming joiner
+	// accepts PUTs too), so it must not revive the owner.
+	if got := h.State(b.srv.URL); got != StateSuspect {
+		t.Fatalf("a successful push moved the suspect owner to %v", got)
+	}
 	// Dead: the push reroutes to the failover owner.
 	keyDead := keyWithFailover(t, rings[0], b.srv.URL, cNode.srv.URL, 777)
 	h.ReportFailure(b.srv.URL)
@@ -435,6 +443,39 @@ func TestClientReplicationReroutesAroundDeadOwner(t *testing.T) {
 	}
 	if _, ok := b.st.GetArtifact(keyDead); ok {
 		t.Fatal("replica was pushed to the dead owner anyway")
+	}
+}
+
+// TestReplicationFailuresDemoteOwner: pushes that never reach their owner are
+// evidence against it. After DeadAfter unanswered pushes the owner is Dead,
+// and the next push lands on the failover owner instead of being dropped.
+func TestReplicationFailuresDemoteOwner(t *testing.T) {
+	nodes, rings := buildFleet(t, 3, nil)
+	b, cNode := nodes[1], nodes[2]
+	b.srv.Close() // a closed listener: every push is refused
+	const deadAfter = 3
+	h := NewHealth(rings[0].Peers(), HealthOptions{DeadAfter: deadAfter})
+	c := NewClient(rings[0], ClientOptions{Health: h})
+	defer c.Close()
+
+	for i := 1; i <= deadAfter; i++ {
+		if got := h.State(b.srv.URL); got == StateDead {
+			t.Fatalf("owner Dead after %d failed pushes, want %d", i-1, deadAfter)
+		}
+		c.Replicate(context.Background(), keyWithFailover(t, rings[0], b.srv.URL, cNode.srv.URL, i), []byte("lost"))
+		c.Drain()
+	}
+	if got := h.State(b.srv.URL); got != StateDead {
+		t.Fatalf("owner is %v after %d failed pushes, want dead", got, deadAfter)
+	}
+	key := keyWithFailover(t, rings[0], b.srv.URL, cNode.srv.URL, 1000)
+	c.Replicate(context.Background(), key, []byte("rerouted"))
+	c.Drain()
+	if got, ok := cNode.st.GetArtifact(key); !ok || string(got) != "rerouted" {
+		t.Fatalf("push after the owner died never reached the failover owner: ok=%v payload=%q", ok, got)
+	}
+	if st := c.Stats(); st.ReplicationDropped != deadAfter || st.Replicated != 1 || st.Failovers != 1 {
+		t.Errorf("stats %+v, want %d dropped, 1 replicated, 1 failover", st, deadAfter)
 	}
 }
 
@@ -456,9 +497,13 @@ func TestClientUpdateRing(t *testing.T) {
 	}
 	NewServer(d.st, ringD, nil).Register(d.mux)
 
-	c := NewClient(rings[0], ClientOptions{})
+	h := NewHealth(rings[0].Peers(), HealthOptions{})
+	c := NewClient(rings[0], ClientOptions{Health: h})
 	defer c.Close()
 	c.UpdateRing(ringA)
+	if got, want := fmt.Sprint(h.Members()), fmt.Sprint(ringA.Peers()); got != want {
+		t.Fatalf("health tracks %s after the join, want the new ring's peers %s", got, want)
+	}
 	key := keyOwnedBy(t, ringA, d.srv.URL, 3)
 	payload := []byte("served-by-the-joiner")
 	if err := d.st.s.Put(key, payload); err != nil {

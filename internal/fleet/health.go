@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -238,7 +237,8 @@ func (h *Health) ReportSuccess(peer string) { h.report(peer, true) }
 // ReportFailure feeds a transport-level failure (timeout, refused
 // connection) into the state machine. The fetch path calls this the moment
 // an owner times out, so the SECOND cold key routed at a dead owner already
-// skips it — the probe loop is the backstop, not the only detector.
+// skips it, and replication calls it for every push that got no answer — the
+// probe loop is the backstop, not the only detector.
 func (h *Health) ReportFailure(peer string) { h.report(peer, false) }
 
 func (h *Health) report(peer string, ok bool) {
@@ -334,21 +334,8 @@ func (h *Health) probeAll(ctx context.Context) {
 // exists but must not take ownership yet — exactly what Suspect means).
 func (h *Health) probeOne(ctx context.Context, peer string) bool {
 	h.probes.Add(1)
-	callCtx, cancel := context.WithTimeout(ctx, h.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(callCtx, http.MethodGet, peer+h.opts.ProbePath, nil)
-	if err != nil {
-		h.failures.Add(1)
-		return false
-	}
-	resp, err := h.opts.HTTPClient.Do(req)
-	if err != nil {
-		h.failures.Add(1)
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	status, err := roundTrip(ctx, h.opts.HTTPClient, h.opts.Timeout, http.MethodGet, peer+h.opts.ProbePath, "", nil, nil)
+	if err != nil || status < 200 || status > 299 {
 		h.failures.Add(1)
 		return false
 	}

@@ -3,19 +3,24 @@
 // artifacts, so each distinct segment fingerprint pays its memory-aware DP
 // once — fleet-wide, not once per process.
 //
-// Three pieces compose the tier:
+// Four pieces compose the tier:
 //
 //   - Ring: a consistent-hash ring (virtual nodes, rendezvous tiebreak) that
 //     assigns every content-addressed segment key exactly one authoritative
 //     owner. Ownership bounds the compile path to at most one peer round trip
 //     per miss: a node asks the owner, and only the owner.
+//   - Health: the fleet's one failure detector. A prober heartbeats every
+//     peer, and every transport failure a fetch or a replication push sees
+//     feeds the same view, which walks each peer alive → suspect → dead and
+//     back. Every peer round trip routes by it, so a dead owner's keys fail
+//     over to the next live ring point, identically on every node.
 //   - Client: the bounded-concurrency HTTP fetch path a compile miss takes
 //     before falling back to running the DP, plus write-behind replication of
 //     locally computed non-owned keys to their owners. Budgeted aggressively:
-//     short timeout, single retry, negative-result cache, and a per-peer
-//     breaker, so a slow or dead peer costs a small bounded latency — never
-//     more than a fraction of the DP it was trying to avoid — and degrades to
-//     local compute, never to an error.
+//     short timeout, single retry, and a negative-result cache, so a slow or
+//     dead peer costs a small bounded latency — never more than a fraction of
+//     the DP it was trying to avoid — and degrades to local compute, never to
+//     an error.
 //   - Server + Syncer: the peer-facing HTTP surface (artifact get/put, key
 //     digest, sync pull) and the pull-based anti-entropy loop built on the
 //     store's digest/filtered-export primitives. The ring bounds who a

@@ -30,9 +30,10 @@ type SyncerOptions struct {
 	Timeout time.Duration
 	// HTTPClient overrides the transport (tests).
 	HTTPClient *http.Client
-	// Health, when non-nil, steers rounds away from peers that are not
-	// Alive: syncing against a dead peer only burns the round's budget, and
-	// anti-entropy is exactly the machinery that heals it once it revives.
+	// Health steers rounds away from peers that are not Alive: syncing
+	// against a dead peer only burns the round's budget, and anti-entropy is
+	// exactly the machinery that heals it once it revives. Nil builds an
+	// unprobed view over the ring's peers, under which every peer reads Alive.
 	Health *Health
 	// OnRound, when non-nil, observes every completed exchange (including
 	// Converge's) — a deterministic test and logging hook. Called from the
@@ -93,6 +94,9 @@ type Syncer struct {
 // run it; SyncOnce works without Start for drills and tests.
 func NewSyncer(store Store, ring *Ring, opts SyncerOptions) *Syncer {
 	s := &Syncer{store: store, opts: opts.withDefaults()}
+	if s.opts.Health == nil {
+		s.opts.Health = NewHealth(ring.Peers(), HealthOptions{})
+	}
 	s.ring.Store(ring)
 	return s
 }
@@ -101,13 +105,9 @@ func NewSyncer(store Store, ring *Ring, opts SyncerOptions) *Syncer {
 // took effect. The next round sees the new peer list.
 func (s *Syncer) UpdateRing(r *Ring) { s.ring.Store(r) }
 
-// livePeers returns the peers worth syncing against right now: every peer
-// without a health view, only Alive ones with it.
+// livePeers returns the Alive peers: the ones worth syncing against now.
 func (s *Syncer) livePeers() []string {
 	peers := s.ring.Load().Peers()
-	if s.opts.Health == nil {
-		return peers
-	}
 	out := peers[:0]
 	for _, p := range peers {
 		if s.opts.Health.Live(p) {
@@ -261,55 +261,34 @@ func (s *Syncer) syncOnce(ctx context.Context, peer string) (int, error) {
 }
 
 // fetchDigest GETs peer's key digest.
-func (s *Syncer) fetchDigest(ctx context.Context, peer string) ([]uint64, error) {
-	callCtx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(callCtx, http.MethodGet, peer+digestPath, nil)
-	if err != nil {
-		return nil, err
+func (s *Syncer) fetchDigest(ctx context.Context, peer string) (hashes []uint64, err error) {
+	status, err := roundTrip(ctx, s.opts.HTTPClient, s.opts.Timeout, http.MethodGet, peer+digestPath,
+		trace.FromContext(ctx).Traceparent(), nil, func(body io.Reader) (err error) {
+			hashes, err = readDigest(body)
+			return err
+		})
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("fleet: digest from %s answered %d", peer, status)
 	}
-	if tp := trace.FromContext(ctx).Traceparent(); tp != "" {
-		req.Header.Set(TraceparentHeader, tp)
-	}
-	resp, err := s.opts.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("fleet: digest from %s answered %d", peer, resp.StatusCode)
-	}
-	return readDigest(resp.Body)
+	return hashes, err
 }
 
 // pull POSTs the wanted hashes to peer and imports the record stream it
 // answers with. The store's ImportMissing skips keys that arrived locally in
 // the meantime and payloads that fail validation, so a stale or lying peer
 // can waste a round but never poison the store.
-func (s *Syncer) pull(ctx context.Context, peer string, want []uint64) (int, error) {
+func (s *Syncer) pull(ctx context.Context, peer string, want []uint64) (added int, err error) {
 	var body bytes.Buffer
 	if err := writeDigest(&body, want); err != nil {
 		return 0, err
 	}
-	callCtx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(callCtx, http.MethodPost, peer+syncPath, &body)
-	if err != nil {
-		return 0, err
+	status, err := roundTrip(ctx, s.opts.HTTPClient, s.opts.Timeout, http.MethodPost, peer+syncPath,
+		trace.FromContext(ctx).Traceparent(), &body, func(stream io.Reader) (err error) {
+			added, err = s.store.ImportMissing(stream)
+			return err
+		})
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("fleet: sync pull from %s answered %d", peer, status)
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if tp := trace.FromContext(ctx).Traceparent(); tp != "" {
-		req.Header.Set(TraceparentHeader, tp)
-	}
-	resp, err := s.opts.HTTPClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return 0, fmt.Errorf("fleet: sync pull from %s answered %d", peer, resp.StatusCode)
-	}
-	return s.store.ImportMissing(resp.Body)
+	return added, err
 }

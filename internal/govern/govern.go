@@ -355,15 +355,6 @@ func (g *Governor) NoteShed() {
 	}
 }
 
-// NoteDegraded records one search forced down the degradation ladder by
-// pressure outside Reserve's Critical path (e.g. a denied mid-search grow
-// that ended in a heuristic fallback).
-func (g *Governor) NoteDegraded() {
-	if g != nil {
-		g.degraded.Add(1)
-	}
-}
-
 // Stats is a point-in-time snapshot for metrics and logs.
 type Stats struct {
 	Limit      int64 // effective limit the watermarks divide (0 = disabled)

@@ -152,7 +152,6 @@ func TestDisabledGovernorIsTransparent(t *testing.T) {
 	}
 	nr.Release()
 	nilG.NoteShed()
-	nilG.NoteDegraded()
 	if s := nilG.Stats(); s != (Stats{}) {
 		t.Fatalf("nil governor stats %+v", s)
 	}

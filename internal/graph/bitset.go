@@ -45,11 +45,6 @@ func (b *Bitset) Clone() *Bitset {
 	return &Bitset{words: w, n: b.n}
 }
 
-// CopyFrom overwrites the receiver with o's contents (capacities must match).
-func (b *Bitset) CopyFrom(o *Bitset) {
-	copy(b.words, o.words)
-}
-
 // Or sets b to b ∪ o.
 func (b *Bitset) Or(o *Bitset) {
 	for i, w := range o.words {

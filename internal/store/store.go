@@ -453,22 +453,32 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
+// rawLocked reads one indexed record's on-disk bytes, framing included, and
+// reports whether the read succeeded and the CRC matched. It changes nothing:
+// what a bad record costs (dropped from the index, skipped, counted) is each
+// caller's call.
+func (s *Store) rawLocked(r *rec) ([]byte, bool) {
+	buf := make([]byte, r.size)
+	if _, err := s.f.ReadAt(buf, r.off); err != nil {
+		return nil, false
+	}
+	body := buf[recHeaderSize : recHeaderSize+len(r.key)+r.payloadLen]
+	return buf, crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(buf[len(buf)-recTrailerLen:])
+}
+
 // readLocked reads and CRC-verifies one indexed record, returning a copy of
 // its payload. A record that fails either step is dropped from the index and
 // counted corrupt. Recency and the hit/miss counters are the caller's call.
 func (s *Store) readLocked(el *list.Element) ([]byte, bool) {
 	r := el.Value.(*rec)
-	buf := make([]byte, r.size)
-	_, err := s.f.ReadAt(buf, r.off)
-	body := buf[recHeaderSize : recHeaderSize+len(r.key)+r.payloadLen]
-	if err != nil || crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(buf)-recTrailerLen:]) {
+	raw, ok := s.rawLocked(r)
+	if !ok {
 		s.dropLocked(el, r)
 		s.corrupt++
 		return nil, false
 	}
-	payload := make([]byte, r.payloadLen)
-	copy(payload, body[len(r.key):])
-	return payload, true
+	end := recHeaderSize + len(r.key) + r.payloadLen
+	return raw[recHeaderSize+len(r.key) : end : end], true
 }
 
 // Put appends a record for key, superseding any previous one, and evicts
@@ -532,9 +542,10 @@ func (s *Store) PutIf(key string, payload []byte, allow func(cur []byte, exists 
 	return true, nil
 }
 
-// Has reports whether key is currently retrievable, without touching recency
-// or the hit/miss counters — membership probes (replication receivers, the
-// anti-entropy import filter) must not perturb the LRU order lookups see.
+// Has reports whether key is indexed, without touching recency or the
+// hit/miss counters or re-verifying the record's CRC. A check-then-write
+// built on it races other writers, so conditional writes (replication
+// receivers, the anti-entropy import filter) use PutIf instead.
 func (s *Store) Has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -629,18 +640,12 @@ func (s *Store) Compact() error {
 	off := int64(headerSize)
 	for el := s.ll.Back(); el != nil; el = el.Prev() {
 		r := el.Value.(*rec)
-		buf := make([]byte, r.size)
-		if _, err := s.f.ReadAt(buf, r.off); err != nil {
+		raw, ok := s.rawLocked(r)
+		if !ok {
 			s.corrupt++
 			continue
 		}
-		body := buf[recHeaderSize : recHeaderSize+len(r.key)+r.payloadLen]
-		want := binary.LittleEndian.Uint32(buf[len(buf)-recTrailerLen:])
-		if crc32.ChecksumIEEE(body) != want {
-			s.corrupt++
-			continue
-		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(raw); err != nil {
 			cleanup()
 			return err
 		}
@@ -745,13 +750,9 @@ func (s *Store) Verify() (ok, corrupt int) {
 	for el := s.ll.Front(); el != nil; el = next {
 		next = el.Next()
 		r := el.Value.(*rec)
-		buf := make([]byte, r.size)
-		if _, err := s.f.ReadAt(buf, r.off); err == nil {
-			body := buf[recHeaderSize : recHeaderSize+len(r.key)+r.payloadLen]
-			if crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(buf[len(buf)-recTrailerLen:]) {
-				ok++
-				continue
-			}
+		if _, good := s.rawLocked(r); good {
+			ok++
+			continue
 		}
 		s.dropLocked(el, r)
 		s.corrupt++
@@ -787,17 +788,12 @@ func (s *Store) ExportFiltered(w io.Writer, keep func(key string) bool) error {
 		if keep != nil && !keep(r.key) {
 			continue
 		}
-		buf := make([]byte, r.size)
-		if _, err := s.f.ReadAt(buf, r.off); err != nil {
+		raw, ok := s.rawLocked(r)
+		if !ok {
 			s.corrupt++
 			continue
 		}
-		body := buf[recHeaderSize : recHeaderSize+len(r.key)+r.payloadLen]
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(buf)-recTrailerLen:]) {
-			s.corrupt++
-			continue
-		}
-		if _, err := bw.Write(buf); err != nil {
+		if _, err := bw.Write(raw); err != nil {
 			return err
 		}
 	}

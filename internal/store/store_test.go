@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,7 +164,8 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 	}
 }
 
-// corruptAt flips one byte of the data file (store must be closed).
+// corruptAt flips one byte of the data file. An open store sees the flip on
+// its next read of that record; Open sees it on its scan.
 func corruptAt(t *testing.T, dir string, off int64) {
 	t.Helper()
 	path := filepath.Join(dir, DataFileName)
@@ -365,6 +367,93 @@ func TestVerifyDropsRottenRecords(t *testing.T) {
 	}
 	if st := s.Stats(); st.Entries != 3 {
 		t.Errorf("entries after Verify: %d", st.Entries)
+	}
+}
+
+// TestRottenLiveRecordOnEveryReadPath flips one payload byte of a live record
+// underneath an open store and runs each path that re-reads indexed records.
+// Every path counts the record corrupt exactly once and never hands its bytes
+// on; Get, PutIf and Verify drop it from the index, Compact leaves it out of
+// the rewrite, and an export skips it but leaves the index alone.
+func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
+	keysOf := func(s *Store) []string {
+		var out []string
+		for _, e := range s.Entries() {
+			out = append(out, e.Key)
+		}
+		sort.Strings(out)
+		return out
+	}
+	absent := func(_ []byte, exists bool) bool { return !exists }
+	cases := []struct {
+		name string
+		// run exercises one path and returns the keys that survived it: the
+		// store's own for the in-place paths, the exported stream's for export.
+		run         func(t *testing.T, s *Store) []string
+		wantEntries int
+		wantKeys    string
+	}{
+		{"get", func(t *testing.T, s *Store) []string {
+			var hit []string
+			for _, k := range []string{"k0", "k1", "k2"} {
+				if _, ok := s.Get(k); ok {
+					hit = append(hit, k)
+				}
+			}
+			return hit
+		}, 2, "[k0 k2]"},
+		{"putif", func(t *testing.T, s *Store) []string {
+			if wrote, err := s.PutIf("k1", []byte("fresh"), absent); err != nil || !wrote {
+				t.Fatalf("PutIf over a rotten record: wrote=%t err=%v; a record failing its CRC reads as absent", wrote, err)
+			}
+			if got, _ := s.Get("k1"); string(got) != "fresh" {
+				t.Errorf("k1 after PutIf = %q, want the fresh payload", got)
+			}
+			return keysOf(s)
+		}, 3, "[k0 k1 k2]"},
+		{"verify", func(t *testing.T, s *Store) []string {
+			if ok, corrupt := s.Verify(); ok != 2 || corrupt != 1 {
+				t.Errorf("Verify = %d ok, %d corrupt; want 2/1", ok, corrupt)
+			}
+			return keysOf(s)
+		}, 2, "[k0 k2]"},
+		{"compact", func(t *testing.T, s *Store) []string {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			return keysOf(s)
+		}, 2, "[k0 k2]"},
+		{"export", func(t *testing.T, s *Store) []string {
+			var buf bytes.Buffer
+			if err := s.ExportFiltered(&buf, nil); err != nil {
+				t.Fatal(err)
+			}
+			dst := openT(t, t.TempDir(), 0)
+			if _, corrupt, err := dst.Import(&buf); err != nil || corrupt != 0 {
+				t.Fatalf("importing the export: corrupt=%d err=%v; the rotten record must not be streamed", corrupt, err)
+			}
+			return keysOf(dst)
+		}, 3, "[k0 k2]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, 0)
+			var offs []int64
+			for i := 0; i < 3; i++ {
+				offs = append(offs, s.Stats().FileBytes)
+				if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 24)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			corruptAt(t, dir, offs[1]+recHeaderSize+int64(len("k1"))+3)
+			if got := fmt.Sprint(tc.run(t, s)); got != tc.wantKeys {
+				t.Errorf("surviving keys %s, want %s", got, tc.wantKeys)
+			}
+			if st := s.Stats(); st.CorruptRecords != 1 || st.Entries != tc.wantEntries {
+				t.Errorf("stats %+v; want 1 corrupt record and %d entries", st, tc.wantEntries)
+			}
+		})
 	}
 }
 
