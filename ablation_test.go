@@ -4,10 +4,10 @@
 package serenity
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/memsim"
 	"github.com/serenity-ml/serenity/internal/models"
 	"github.com/serenity-ml/serenity/internal/sched"
@@ -28,11 +28,11 @@ func BenchmarkAblationGreedyVsDP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{StepTimeout: 500 * time.Millisecond})
+			sr, err := ExactDP{AdaptiveBudget: true, StepTimeout: 500 * time.Millisecond}.Search(context.Background(), m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ratio := float64(greedyPeak) / float64(ar.Peak)
+			ratio := float64(greedyPeak) / float64(m.MustPeak(sr.Order))
 			if ratio < 1 {
 				b.Fatalf("%s/%s: greedy beat the optimum", c.Network, c.Cell)
 			}
@@ -52,18 +52,18 @@ func BenchmarkAblationGreedyVsDP(b *testing.B) {
 func BenchmarkAblationBeladyVsLRU(b *testing.B) {
 	g := models.SwiftNetCellA()
 	m := sched.NewMemModel(g)
-	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{StepTimeout: time.Second})
+	sr, err := ExactDP{AdaptiveBudget: true, StepTimeout: time.Second}.Search(context.Background(), m)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var bel, lru int64
 	for i := 0; i < b.N; i++ {
-		tb, err := memsim.Simulate(m, ar.Order, memsim.Config{OnChipBytes: 64 * 1024, Policy: memsim.Belady})
+		tb, err := memsim.Simulate(m, sr.Order, memsim.Config{OnChipBytes: 64 * 1024, Policy: memsim.Belady})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tl, err := memsim.Simulate(m, ar.Order, memsim.Config{OnChipBytes: 64 * 1024, Policy: memsim.LRU})
+		tl, err := memsim.Simulate(m, sr.Order, memsim.Config{OnChipBytes: 64 * 1024, Policy: memsim.LRU})
 		if err != nil {
 			b.Fatal(err)
 		}

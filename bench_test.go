@@ -25,7 +25,7 @@ import (
 
 // BenchmarkDPSchedulerMicro isolates the core DP scheduler on each of the
 // nine evaluation cells, as built and after identity graph rewriting
-// (ablation support; not a paper figure): one dp.AdaptiveSchedule per
+// (ablation support; not a paper figure): one budgeted ExactDP search per
 // partition segment — the one soft-budget probe serenityd runs for a cold
 // segment — reporting allocations and DP states per op. The rewritten
 // SwiftNet cells show the probe's price: their greedy peak sits furthest
@@ -54,16 +54,17 @@ func BenchmarkDPSchedulerMicro(b *testing.B) {
 					segs[i] = sched.NewMemModel(seg.G)
 				}
 				var states int64
+				exact := ExactDP{AdaptiveBudget: true, MaxStates: 1 << 20}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					states = 0
 					for j, m := range segs {
-						ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{MaxStates: 1 << 20})
-						if err != nil || ar.Flag != dp.FlagSolution {
-							b.Fatalf("segment %d: %v, %v", j, ar.Flag, err)
+						sr, err := exact.Search(context.Background(), m)
+						if err != nil {
+							b.Fatalf("segment %d: %v", j, err)
 						}
-						states += ar.StatesExplored
+						states += sr.StatesExplored
 					}
 				}
 				b.ReportMetric(float64(states), "states/op")
@@ -81,18 +82,19 @@ func BenchmarkAdaptiveVsUnbudgeted(b *testing.B) {
 	g := models.SwiftNetCellA()
 	m := sched.NewMemModel(g)
 	var plain, adaptive int64
+	exact := ExactDP{AdaptiveBudget: true, StepTimeout: time.Second}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr := dp.Optimal(m)
-		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{StepTimeout: time.Second})
+		sr, err := exact.Search(context.Background(), m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if pr.Peak != ar.Peak {
-			b.Fatalf("adaptive peak %d != exact %d", ar.Peak, pr.Peak)
+		if peak := m.MustPeak(sr.Order); pr.Peak != peak {
+			b.Fatalf("adaptive peak %d != exact %d", peak, pr.Peak)
 		}
-		plain, adaptive = pr.StatesExplored, ar.StatesExplored
+		plain, adaptive = pr.StatesExplored, sr.StatesExplored
 	}
 	b.ReportMetric(float64(plain), "states-unbudgeted")
 	b.ReportMetric(float64(adaptive), "states-adaptive")

@@ -222,8 +222,9 @@ func build(cfg config) (*server, error) {
 		// originating request's trace.
 		ropts.Tracer = s.tracer
 		if s.gov.Enabled() {
-			// Refinement is the first work the pressure ladder sheds: parked
-			// at Elevated and above, re-enqueued when the level drops back.
+			// Refinement is the first work the pressure ladder sheds: a
+			// worker holds its job at Elevated and above, re-checking every
+			// RequeueInterval, and runs it when the level drops back.
 			ropts.Pressure = func() bool { return s.gov.Level() >= govern.LevelElevated }
 		}
 		if s.admit != nil {

@@ -155,9 +155,9 @@ var metricFamilies = []family{
 	{"serenityd_refinements_failed_total", "counter", "Background refinements that ran but errored; nothing was replaced.", "%d", nil, one(func(m *scrape) any { return m.rs.Failed })},
 	{"serenityd_refinements_dropped_total", "counter", "Refinements shed without running: full queue, refused gate, or shutdown.", "%d", nil, one(func(m *scrape) any { return m.rs.Dropped })},
 	{"serenityd_refinements_outstanding", "gauge", "Refinements queued or running right now.", "%d", nil, one(func(m *scrape) any { return m.rs.Outstanding })},
-	{"serenityd_refinements_shed_total", "counter", "Refinements parked by the memory governor's pressure signal (re-enqueued once pressure clears).", "%d", nil, one(func(m *scrape) any { return m.rs.Shed })},
-	{"serenityd_refinements_requeued_total", "counter", "Parked refinements re-injected into the queue after pressure cleared.", "%d", nil, one(func(m *scrape) any { return m.rs.Requeued })},
-	{"serenityd_refinements_parked", "gauge", "Refinements currently parked waiting out memory pressure.", "%d", nil, one(func(m *scrape) any { return m.rs.Parked })},
+	{"serenityd_refinements_shed_total", "counter", "Refinements that had to wait out the memory governor's pressure signal before running.", "%d", nil, one(func(m *scrape) any { return m.rs.Shed })},
+	{"serenityd_refinements_requeued_total", "counter", "Held refinements resumed after pressure cleared.", "%d", nil, one(func(m *scrape) any { return m.rs.Requeued })},
+	{"serenityd_refinements_parked", "gauge", "Refinements a worker holds right now, waiting out memory pressure (at most -refine-workers).", "%d", nil, one(func(m *scrape) any { return m.rs.Parked })},
 
 	{"serenityd_mem_limit_bytes", "gauge", "Effective byte budget the memory governor defends (limit minus headroom).", "%d", hasGov, one(func(m *scrape) any { return m.gs.Limit })},
 	{"serenityd_mem_pressure_level", "gauge", "Current pressure tier: 0 normal, 1 elevated (refinement shed), 2 high (batch 429, grows denied), 3 critical (searches forced to degrade).", "%d", hasGov, one(func(m *scrape) any { return int(m.gs.Level) })},

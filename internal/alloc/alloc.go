@@ -168,12 +168,3 @@ func (a *Assignment) Verify() error {
 	}
 	return nil
 }
-
-// ArenaPeak is a convenience: plan order and return the arena size.
-func ArenaPeak(m *sched.MemModel, order sched.Schedule) (int64, error) {
-	a, err := Plan(m, order)
-	if err != nil {
-		return 0, err
-	}
-	return a.ArenaSize, nil
-}

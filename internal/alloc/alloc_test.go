@@ -165,19 +165,8 @@ func TestPlanRejectsInvalidOrder(t *testing.T) {
 	if _, err := Plan(m, sched.Schedule{2, 1, 0}); err == nil {
 		t.Error("invalid order accepted")
 	}
-	if _, err := ArenaPeak(m, sched.Schedule{0}); err == nil {
+	if _, err := Plan(m, sched.Schedule{0}); err == nil {
 		t.Error("short order accepted")
-	}
-}
-
-func TestArenaPeak(t *testing.T) {
-	m, order := chain()
-	p, err := ArenaPeak(m, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 200 {
-		t.Errorf("ArenaPeak = %d", p)
 	}
 }
 

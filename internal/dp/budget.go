@@ -1,78 +1,63 @@
 package dp
 
 import (
+	"cmp"
 	"context"
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
-// AdaptiveOptions controls the adaptive soft budgeting search (Algorithm 2, as
-// the single probe AdaptiveSchedule describes). Every field is a valve that
-// fails the search; none steers which budget it probes.
-type AdaptiveOptions struct {
-	// StepTimeout is the hyperparameter T limiting the scheduling time per
-	// search step. Defaults to 1s when zero.
-	StepTimeout time.Duration
-	// MaxStates is forwarded to the DP run as a memory-safety valve;
-	// exceeding it ends the search with FlagTimeout. Defaults to 4M.
-	MaxStates int
-	// Parallelism is accepted and ignored: a search is single-threaded. The
-	// field stays only because the frozen benchmark/replay.go sets it; it
-	// goes when a [benchmark] PR drops that reference.
-	Parallelism int
-	// MemLimit is forwarded to the DP run as the retained-byte ceiling
-	// (Options.MemLimit); crossing it ends the search with FlagMemPressure.
-	MemLimit int64
-	// MemGrow is forwarded to the DP run (Options.MemGrow).
-	MemGrow func(needed int64) int64
+// CapResult is the soft budget Cap derives and the incumbents it comes from.
+type CapResult struct {
+	Kahn   int64               // τmax: peak of Kahn's schedule (Algorithm 2 line 3)
+	Greedy *sched.GreedyResult // the greedy heuristic's run: a valid order at Greedy.Peak
+	Tau    int64               // the budget to search at: min(Kahn, Greedy.Peak)
 }
 
-// AdaptiveResult is the outcome of AdaptiveSchedule: the DP run at BudgetCap
-// and the budgets it was derived from.
-type AdaptiveResult struct {
-	*Result
-	HardBudget int64 // τmax: peak of Kahn's schedule (Algorithm 2 line 3)
-	BudgetCap  int64 // the τ searched: min(τmax, greedy peak)
-}
-
-// AdaptiveSchedule is Algorithm 2's soft-budget search made clock-free: one DP
-// run at τ = min(Kahn's peak, the greedy heuristic's peak). Some schedule
-// attains that peak, so 'no solution' cannot happen, and pruning with any
-// τ ≥ µ* preserves every optimal path, so the run returns µ* — and, because
-// peak ties break on the node id, the very order an unbudgeted run returns.
-// The paper opens with the same probe at τmax; the greedy peak only tightens
-// it. 'timeout', memory pressure and cancellation fail the search with that
-// flag instead of halving τ, so what runs depends on the graph alone, never
-// on the clock.
-func AdaptiveSchedule(m *sched.MemModel, opts AdaptiveOptions) (*AdaptiveResult, error) {
-	return AdaptiveScheduleCtx(context.Background(), m, opts)
-}
-
-// AdaptiveScheduleCtx is AdaptiveSchedule with cooperative cancellation. The
-// context is threaded into the DP run; when it is done the search stops and
-// ctx.Err() is returned alongside the AdaptiveResult, whose accounting covers
-// the work done up to the cancellation.
-func AdaptiveScheduleCtx(ctx context.Context, m *sched.MemModel, opts AdaptiveOptions) (*AdaptiveResult, error) {
-	if opts.StepTimeout <= 0 {
-		opts.StepTimeout = time.Second
-	}
-	if opts.MaxStates <= 0 {
-		opts.MaxStates = 4 << 20
-	}
-
-	_, hardBudget, err := sched.BaselinePeak(m)
+// Cap derives Algorithm 2's soft budget, made clock-free: the exact search is
+// one DP run at τ = min(Kahn's peak, the greedy heuristic's peak), and a
+// tighter incumbent would be one more term of that min. Some schedule attains that
+// peak, so 'no solution' cannot happen, and pruning with any τ ≥ µ* preserves
+// every optimal path, so ScheduleCtx at Tau returns µ* — and, because peak ties
+// break on the node id, the very order an unbudgeted run returns. The paper
+// opens with the same probe at τmax; the greedy peak only tightens it.
+// 'timeout', memory pressure and cancellation fail the search with that flag
+// instead of halving τ, so what runs depends on the graph alone, never on the
+// clock. The greedy run is returned too: it is the heuristic answer a caller
+// that abandons the search falls back to. Only ctx's error or an invalid graph
+// fail Cap.
+func Cap(ctx context.Context, m *sched.MemModel) (CapResult, error) {
+	_, kahn, err := sched.BaselinePeak(m)
 	if err != nil {
-		return nil, err
+		return CapResult{}, err
 	}
 	greedy, err := sched.GreedyMemoryRunCtx(ctx, m)
 	if err != nil {
+		return CapResult{}, err
+	}
+	return CapResult{Kahn: kahn, Greedy: greedy, Tau: min(kahn, greedy.Peak)}, nil
+}
+
+// AdaptiveOptions, AdaptiveResult and AdaptiveSchedule are Cap + ScheduleCtx
+// under the old 1s / 4Mi-state valve defaults, kept only for
+// benchmark/replay.go; they go with that call. Parallelism is ignored.
+type AdaptiveOptions struct {
+	StepTimeout time.Duration
+	Parallelism int
+	MemLimit    int64
+	MemGrow     func(needed int64) int64
+}
+
+// AdaptiveResult is the DP run AdaptiveSchedule made.
+type AdaptiveResult = Result
+
+// AdaptiveSchedule runs ScheduleCtx at Cap's budget.
+func AdaptiveSchedule(m *sched.MemModel, o AdaptiveOptions) (*AdaptiveResult, error) {
+	c, err := Cap(context.Background(), m)
+	if err != nil {
 		return nil, err
 	}
-	ar := &AdaptiveResult{HardBudget: hardBudget, BudgetCap: min(hardBudget, greedy.Peak)}
-	ar.Result = ScheduleCtx(ctx, m, Options{Budget: ar.BudgetCap, StepTimeout: opts.StepTimeout, MaxStates: opts.MaxStates, MemLimit: opts.MemLimit, MemGrow: opts.MemGrow})
-	if ar.Flag == FlagCanceled {
-		return ar, ctx.Err()
-	}
-	return ar, nil
+	return ScheduleCtx(context.Background(), m, Options{Budget: c.Tau, StepTimeout: cmp.Or(o.StepTimeout, time.Second),
+		MaxStates: 4 << 20, MemLimit: o.MemLimit, MemGrow: o.MemGrow}), nil
 }

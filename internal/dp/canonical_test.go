@@ -3,14 +3,15 @@ package dp_test
 // The canonical-order suite: with peak ties broken on the node id, the exact
 // schedule is a pure function of the segment. Every test here checks that per
 // instance — the order and peak of one unbudgeted dp.Schedule must come back
-// byte for byte from every budget τ ≥ µ* and from AdaptiveSchedule —
-// together with the adaptive search's own contracts: it is exactly one probe
-// at min(Kahn, greedy), its valves fail rather than steer, and its state
+// byte for byte from every budget τ ≥ µ* and from the capped search —
+// together with that search's own contracts: it is exactly one probe at
+// dp.Cap's min(Kahn, greedy), its valves fail rather than steer, and its state
 // counts on the families it is weakest on stay pinned. The search runs on the
 // transition graph the safe-move rule restricts, so every instance also
 // certifies that the restriction kept the optimum (assertOptimumKept).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,11 +28,12 @@ import (
 )
 
 // assertCanonical runs m unbudgeted, at Budget ∈ {Kahn, greedy, µ*, 2µ*} and
-// through AdaptiveSchedule, and fails unless all of them return the
-// unbudgeted run's order and peak. It also holds AdaptiveSchedule to being one
-// dp.Schedule at τ = min(Kahn, greedy), field for field, and returns its
-// result.
-func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveResult {
+// as production does — dp.ScheduleCtx at dp.Cap's τ — and fails unless all of
+// them return the unbudgeted run's order and peak. It also holds dp.Cap to
+// τ = min(Kahn, greedy) with the probe's accounting field for field, holds
+// the replay's shim to the same run (assertShimMatches), and returns the
+// capped run.
+func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.Result {
 	t.Helper()
 	want := dp.Schedule(m, dp.Options{})
 	if want.Flag != dp.FlagSolution {
@@ -59,20 +61,76 @@ func assertCanonical(t *testing.T, name string, m *sched.MemModel) *dp.AdaptiveR
 	}
 
 	assertOptimumKept(t, name, m, want.Peak)
-	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
+	c, err := dp.Cap(context.Background(), m)
 	if err != nil {
-		t.Fatalf("%s/adaptive: %v", name, err)
+		t.Fatalf("%s/capped: %v", name, err)
 	}
-	same("adaptive", ar.Result)
+	got := dp.ScheduleCtx(context.Background(), m, dp.Options{Budget: c.Tau})
+	same("capped", got)
 	probe := dp.Schedule(m, dp.Options{Budget: min(kahnPeak, greedy)})
 	acct := func(r *dp.Result) [5]int64 {
 		return [5]int64{r.StatesExplored, r.StatesPruned, r.StatesForced, int64(r.MaxFrontier), r.PeakBytes}
 	}
-	if ar.HardBudget != kahnPeak || ar.BudgetCap != min(kahnPeak, greedy) || acct(ar.Result) != acct(probe) {
-		t.Fatalf("%s/adaptive: τ=%d (Kahn %d), accounting (explored, pruned, forced, frontier, bytes) %v\nwant τ=min(%d, %d) and the probe's %v",
-			name, ar.BudgetCap, ar.HardBudget, acct(ar.Result), kahnPeak, greedy, acct(probe))
+	if c.Kahn != kahnPeak || c.Tau != min(kahnPeak, greedy) || acct(got) != acct(probe) {
+		t.Fatalf("%s/capped: τ=%d (Kahn %d), accounting (explored, pruned, forced, frontier, bytes) %v\nwant τ=min(%d, %d) and the probe's %v",
+			name, c.Tau, c.Kahn, acct(got), kahnPeak, greedy, acct(probe))
 	}
-	return ar
+	assertShimMatches(t, name, m, got)
+	return got
+}
+
+// probe runs the production exact search under opts' valves: one dp.Schedule
+// at dp.Cap's τ. It returns the cap alongside the run.
+func probe(t testing.TB, m *sched.MemModel, opts dp.Options) (dp.CapResult, *dp.Result) {
+	t.Helper()
+	c, err := dp.Cap(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Budget = c.Tau
+	return c, dp.Schedule(m, opts)
+}
+
+// TestCap holds dp.Cap, on every partition segment of the nine evaluation
+// cells as built and rewritten, to its definition: τ is the smaller of Kahn's
+// peak and the greedy peak, and the greedy run it returns is
+// sched.GreedyMemoryRun's, order, peak and states.
+func TestCap(t *testing.T) {
+	for _, cell := range models.BenchmarkCells() {
+		built := cell.Build()
+		rewritten, _, err := rewrite.RewriteAll(built, rewrite.DefaultRules(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gi, g := range []*graph.Graph{built, rewritten} {
+			part, err := partition.Split(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, seg := range part.Segments {
+				name := fmt.Sprintf("%s/%s/rewritten=%t/seg%d", cell.Network, cell.Cell, gi == 1, i)
+				m := sched.NewMemModel(seg.G)
+				c, err := dp.Cap(context.Background(), m)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				_, kahn, err := sched.BaselinePeak(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gr, err := sched.GreedyMemoryRun(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.Kahn != kahn || c.Tau != min(kahn, gr.Peak) {
+					t.Fatalf("%s: Kahn %d τ %d, want Kahn %d τ min(%d, %d)", name, c.Kahn, c.Tau, kahn, kahn, gr.Peak)
+				}
+				if !slices.Equal(c.Greedy.Order, gr.Order) || c.Greedy.Peak != gr.Peak || c.Greedy.StatesExplored != gr.StatesExplored {
+					t.Fatalf("%s: cap's greedy run %+v differs from GreedyMemoryRun's %+v", name, *c.Greedy, *gr)
+				}
+			}
+		}
+	}
 }
 
 // assertOptimumKept certifies the safe-move rule on one instance: peak, the
@@ -268,28 +326,25 @@ func TestValvesFailTheProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 30, EdgeProb: 0.1, MaxFanIn: 3})
 	m := sched.NewMemModel(g)
-	free, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
-	if err != nil || free.Flag != dp.FlagSolution {
-		t.Fatalf("unpressured search: %v, %v", free.Flag, err)
+	freeCap, free := probe(t, m, dp.Options{})
+	if free.Flag != dp.FlagSolution {
+		t.Fatalf("unpressured search: %v", free.Flag)
 	}
 	for _, tc := range []struct {
 		name string
-		opts dp.AdaptiveOptions
+		opts dp.Options
 		want dp.Flag
 	}{
-		{"step-timeout", dp.AdaptiveOptions{StepTimeout: time.Nanosecond}, dp.FlagTimeout},
-		{"max-states", dp.AdaptiveOptions{MaxStates: 1}, dp.FlagTimeout},
-		{"mem-limit", dp.AdaptiveOptions{MemLimit: dp.FrontierStateBytes(g.NumNodes()) + 8}, dp.FlagMemPressure},
+		{"step-timeout", dp.Options{StepTimeout: time.Nanosecond}, dp.FlagTimeout},
+		{"max-states", dp.Options{MaxStates: 1}, dp.FlagTimeout},
+		{"mem-limit", dp.Options{MemLimit: dp.FrontierStateBytes(g.NumNodes()) + 8}, dp.FlagMemPressure},
 	} {
-		ar, err := dp.AdaptiveSchedule(m, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		c, r := probe(t, m, tc.opts)
+		if r.Flag != tc.want || r.Order != nil {
+			t.Fatalf("%s: flag %v order %v, want %v and no order", tc.name, r.Flag, r.Order, tc.want)
 		}
-		if ar.Flag != tc.want || ar.Order != nil {
-			t.Fatalf("%s: flag %v order %v, want %v and no order", tc.name, ar.Flag, ar.Order, tc.want)
-		}
-		if ar.BudgetCap != free.BudgetCap || ar.StatesExplored > free.StatesExplored {
-			t.Fatalf("%s: τ=%d and %d states, the unpressured search τ=%d and %d", tc.name, ar.BudgetCap, ar.StatesExplored, free.BudgetCap, free.StatesExplored)
+		if c.Tau != freeCap.Tau || r.StatesExplored > free.StatesExplored {
+			t.Fatalf("%s: τ=%d and %d states, the unpressured search τ=%d and %d", tc.name, c.Tau, r.StatesExplored, freeCap.Tau, free.StatesExplored)
 		}
 	}
 }
@@ -306,14 +361,14 @@ func TestProbeStatesDistinctSizes(t *testing.T) {
 			g.Nodes[id].Shape = graph.Shape{64 + 97*rank + id} // 97 > n: all distinct
 		}
 		m := sched.NewMemModel(g)
-		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
-		if err != nil || ar.Flag != dp.FlagSolution {
-			t.Fatalf("iter%d: %v, %v", i, ar.Flag, err)
+		_, r := probe(t, m, dp.Options{})
+		if r.Flag != dp.FlagSolution {
+			t.Fatalf("iter%d: %v", i, r.Flag)
 		}
-		if want := dp.Optimal(m); ar.Peak != want.Peak || !slices.Equal(ar.Order, want.Order) {
-			t.Fatalf("iter%d: adaptive peak %d order %v\nunbudgeted peak %d order %v", i, ar.Peak, ar.Order, want.Peak, want.Order)
+		if want := dp.Optimal(m); r.Peak != want.Peak || !slices.Equal(r.Order, want.Order) {
+			t.Fatalf("iter%d: capped peak %d order %v\nunbudgeted peak %d order %v", i, r.Peak, r.Order, want.Peak, want.Order)
 		}
-		states += ar.StatesExplored
+		states += r.StatesExplored
 	}
 	const pin = 344_434
 	if states > pin {
@@ -326,17 +381,17 @@ func TestProbeStatesDistinctSizes(t *testing.T) {
 func TestProbeStatesWideWS(t *testing.T) {
 	g := models.RandWireCell("wide", models.WSConfig{Nodes: 200, K: 16, P: 0.75, Seed: 1, HW: 16, Channel: 8})
 	m := sched.NewMemModel(g)
-	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
-	if err != nil || ar.Flag != dp.FlagSolution {
-		t.Fatalf("%v, %v", ar.Flag, err)
+	c, r := probe(t, m, dp.Options{})
+	if r.Flag != dp.FlagSolution {
+		t.Fatalf("%v", r.Flag)
 	}
-	want := dp.Schedule(m, dp.Options{Budget: ar.HardBudget})
-	if want.Flag != dp.FlagSolution || ar.Peak != want.Peak || !slices.Equal(ar.Order, want.Order) {
-		t.Fatalf("adaptive peak %d differs from the τ=Kahn probe's %d, or the order does", ar.Peak, want.Peak)
+	want := dp.Schedule(m, dp.Options{Budget: c.Kahn})
+	if want.Flag != dp.FlagSolution || r.Peak != want.Peak || !slices.Equal(r.Order, want.Order) {
+		t.Fatalf("capped peak %d differs from the τ=Kahn probe's %d, or the order does", r.Peak, want.Peak)
 	}
 	const pin = 28_758
-	if ar.StatesExplored > pin {
-		t.Fatalf("%d states, pinned at %d", ar.StatesExplored, pin)
+	if r.StatesExplored > pin {
+		t.Fatalf("%d states, pinned at %d", r.StatesExplored, pin)
 	}
 }
 
@@ -363,11 +418,11 @@ func TestProbeStatesRewrittenSwiftNet(t *testing.T) {
 		}
 		var states int64
 		for i, seg := range part.Segments {
-			ar, err := dp.AdaptiveSchedule(sched.NewMemModel(seg.G), dp.AdaptiveOptions{})
-			if err != nil || ar.Flag != dp.FlagSolution {
-				t.Fatalf("cell %s seg%d: %v, %v", cell.name, i, ar.Flag, err)
+			_, r := probe(t, sched.NewMemModel(seg.G), dp.Options{})
+			if r.Flag != dp.FlagSolution {
+				t.Fatalf("cell %s seg%d: %v", cell.name, i, r.Flag)
 			}
-			states += ar.StatesExplored
+			states += r.StatesExplored
 		}
 		if states > cell.pin {
 			t.Errorf("SwiftNet %s rewritten: %d states, pinned at %d", cell.name, states, cell.pin)

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -168,7 +169,7 @@ func TestFlagString(t *testing.T) {
 	}
 }
 
-func TestAdaptiveScheduleFindsOptimum(t *testing.T) {
+func TestCappedSearchFindsOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
 		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 12, EdgeProb: 0.25})
@@ -177,23 +178,24 @@ func TestAdaptiveScheduleFindsOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ar, err := AdaptiveSchedule(m, AdaptiveOptions{StepTimeout: time.Second})
+		c, err := Cap(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ar.Flag != FlagSolution {
-			t.Fatalf("trial %d: %v", trial, ar.Flag)
+		r := Schedule(m, Options{Budget: c.Tau, StepTimeout: time.Second})
+		if r.Flag != FlagSolution {
+			t.Fatalf("trial %d: %v", trial, r.Flag)
 		}
-		if ar.Peak != want {
-			t.Fatalf("trial %d: adaptive peak %d != optimal %d", trial, ar.Peak, want)
+		if r.Peak != want {
+			t.Fatalf("trial %d: capped peak %d != optimal %d", trial, r.Peak, want)
 		}
-		if ar.HardBudget < ar.Peak {
-			t.Fatalf("trial %d: hard budget %d below optimal peak %d", trial, ar.HardBudget, ar.Peak)
+		if c.Kahn < r.Peak {
+			t.Fatalf("trial %d: hard budget %d below optimal peak %d", trial, c.Kahn, r.Peak)
 		}
 		// The searched budget is a heuristic's peak: never below the optimum,
 		// never above Kahn's.
-		if ar.BudgetCap < ar.Peak || ar.BudgetCap > ar.HardBudget {
-			t.Fatalf("trial %d: budget %d outside [peak %d, Kahn %d]", trial, ar.BudgetCap, ar.Peak, ar.HardBudget)
+		if c.Tau < r.Peak || c.Tau > c.Kahn {
+			t.Fatalf("trial %d: budget %d outside [peak %d, Kahn %d]", trial, c.Tau, r.Peak, c.Kahn)
 		}
 	}
 }

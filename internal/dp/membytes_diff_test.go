@@ -114,13 +114,10 @@ func TestAdaptiveSurrendersUnderMemPressure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 16, EdgeProb: 0.2, MaxFanIn: 3})
 	m := sched.NewMemModel(g)
-	ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{
+	_, ar := probe(t, m, dp.Options{
 		StepTimeout: time.Second,
 		MemLimit:    1, // below even level 0: every probe aborts
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ar.Flag != dp.FlagMemPressure || ar.Order != nil {
 		t.Fatalf("flag %v order %v, want memory pressure and no order", ar.Flag, ar.Order)
 	}
@@ -130,17 +127,14 @@ func TestAdaptiveSurrendersUnderMemPressure(t *testing.T) {
 }
 
 // TestAdaptiveMemLimitRoomy: with a ceiling above what the search needs the
-// meta-search must still converge to the optimum, byte accounting engaged.
+// capped search must still converge to the optimum, byte accounting engaged.
 func TestAdaptiveMemLimitRoomy(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 5; trial++ {
 		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 14, EdgeProb: 0.25})
 		m := sched.NewMemModel(g)
 		want := dp.Optimal(m)
-		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{StepTimeout: time.Second, MemLimit: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, ar := probe(t, m, dp.Options{StepTimeout: time.Second, MemLimit: 64 << 20})
 		if ar.Flag != dp.FlagSolution || ar.Peak != want.Peak {
 			t.Fatalf("trial %d: peak %d (flag %v) != optimal %d", trial, ar.Peak, ar.Flag, want.Peak)
 		}

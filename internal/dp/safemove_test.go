@@ -59,7 +59,7 @@ func randomRewritableDAG(rng *rand.Rand, nodes int) *graph.Graph {
 }
 
 // checkSafeMoveInstance draws one graph, rewrites it, and holds the DP and
-// AdaptiveSchedule to brute force on both (whichever fit its node limit), and
+// the capped search to brute force on both (whichever fit its node limit), and
 // to the unrestricted oracle and the canonical contract. It reports whether
 // the rewrite fired and how many states took a safe move.
 func checkSafeMoveInstance(t *testing.T, name string, rng *rand.Rand, nodes int) (rewritten bool, forced int64) {

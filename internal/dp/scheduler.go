@@ -1,5 +1,5 @@
 // Package dp implements SERENITY's dynamic-programming scheduler
-// (Algorithm 1) and the adaptive soft budgeting meta-search (Algorithm 2).
+// (Algorithm 1) and the soft budget it runs under (Algorithm 2, as Cap).
 //
 // The key insight (Section 3.1) is that partial schedules that cover the
 // same downward-closed set of nodes are interchangeable for the remainder of
@@ -148,16 +148,6 @@ func FrontierStateBytes(n int) int64 {
 func Schedule(m *sched.MemModel, opts Options) *Result {
 	return ScheduleCtx(context.Background(), m, opts)
 }
-
-// expandOutcome is one level expansion's verdict.
-type expandOutcome int
-
-const (
-	expandOK          expandOutcome = iota
-	expandCanceled                  // ctx fired mid-level
-	expandTimeout                   // StepTimeout or MaxStates fired mid-level
-	expandMemPressure               // MemLimit crossed and MemGrow denied
-)
 
 // search carries the working set of one DP run: the current and
 // under-construction levels (ping-ponged so slabs and state slices are
@@ -333,15 +323,8 @@ func (s *search) run(ctx context.Context, opts Options) *Result {
 		s.stepStart = time.Now()
 		s.next.reset()
 
-		switch s.expandSequential() {
-		case expandCanceled:
-			res.Flag = FlagCanceled
-			return res
-		case expandTimeout:
-			res.Flag = FlagTimeout
-			return res
-		case expandMemPressure:
-			res.Flag = FlagMemPressure
+		if f := s.expandSequential(); f != FlagSolution {
+			res.Flag = f
 			return res
 		}
 		if opts.StepTimeout > 0 && time.Since(s.stepStart) > opts.StepTimeout {
@@ -401,8 +384,10 @@ func (s *search) run(ctx context.Context, opts Options) *Result {
 // incrementally and probed before anything is allocated. Duplicates only
 // compete on peak (lines 21-22); new signatures are appended to the slab.
 // Mirrors the map-based reference loop transition for transition, so Result
-// accounting is bit-identical.
-func (s *search) expandSequential() expandOutcome {
+// accounting is bit-identical. It returns FlagSolution when the level is
+// complete, else the flag of the valve or cancellation that stopped it
+// mid-level.
+func (s *search) expandSequential() Flag {
 	var (
 		w      = s.w
 		zob    = s.m.Zobrist
@@ -429,10 +414,10 @@ func (s *search) expandSequential() expandOutcome {
 				s.trans++
 				if s.trans&63 == 0 {
 					if canceled(s.done) {
-						return expandCanceled
+						return FlagCanceled
 					}
 					if s.opts.StepTimeout > 0 && time.Since(s.stepStart) > s.opts.StepTimeout {
-						return expandTimeout
+						return FlagTimeout
 					}
 				}
 				// Allocate u (lines 11-14).
@@ -468,13 +453,13 @@ func (s *search) expandSequential() expandOutcome {
 			}
 		}
 		if s.opts.MaxStates > 0 && len(next.states) > s.opts.MaxStates {
-			return expandTimeout
+			return FlagTimeout
 		}
 		if s.memOver(len(next.states)) {
-			return expandMemPressure
+			return FlagMemPressure
 		}
 	}
-	return expandOK
+	return FlagSolution
 }
 
 // safeMove returns the smallest-id ready node that may be scheduled alone at
@@ -536,7 +521,8 @@ func canceled(done <-chan struct{}) bool {
 
 // Optimal runs the DP with no budget, no timeout, and no state cap,
 // returning the guaranteed-optimal schedule. Intended for small graphs and
-// tests; production callers should use AdaptiveSchedule.
+// tests; production callers budget the run with Cap (ScheduleCtx at its Tau
+// returns the same order).
 func Optimal(m *sched.MemModel) *Result {
 	return Schedule(m, Options{})
 }

@@ -52,13 +52,6 @@ func (b *Bitset) Or(o *Bitset) {
 	}
 }
 
-// AndNot sets b to b \ o.
-func (b *Bitset) AndNot(o *Bitset) {
-	for i, w := range o.words {
-		b.words[i] &^= w
-	}
-}
-
 // Equal reports whether both sets contain the same elements.
 func (b *Bitset) Equal(o *Bitset) bool {
 	if len(b.words) != len(o.words) {

@@ -360,10 +360,6 @@ func TestBitsetBasics(t *testing.T) {
 	if !b.Has(5) {
 		t.Error("Or missing element")
 	}
-	b.AndNot(d)
-	if b.Has(0) || b.Has(5) {
-		t.Error("AndNot left elements")
-	}
 }
 
 func TestBitsetKeyInjective(t *testing.T) {

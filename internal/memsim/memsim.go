@@ -187,13 +187,3 @@ func Simulate(m *sched.MemModel, order sched.Schedule, cfg Config) (*Traffic, er
 	}
 	return out, nil
 }
-
-// ZeroTraffic reports whether order incurs no off-chip traffic under cfg —
-// the paper's "only SERENITY fits on-chip" condition.
-func ZeroTraffic(m *sched.MemModel, order sched.Schedule, cfg Config) (bool, error) {
-	t, err := Simulate(m, order, cfg)
-	if err != nil {
-		return false, err
-	}
-	return t.Total() == 0, nil
-}

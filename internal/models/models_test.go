@@ -1,9 +1,11 @@
 package models
 
 import (
+	"context"
 	"testing"
 
 	"github.com/serenity-ml/serenity/internal/dp"
+	"github.com/serenity-ml/serenity/internal/graph"
 	"github.com/serenity-ml/serenity/internal/partition"
 	"github.com/serenity-ml/serenity/internal/rewrite"
 	"github.com/serenity-ml/serenity/internal/sched"
@@ -155,19 +157,29 @@ func TestDARTSAndSwiftNetHaveRewriteMatches(t *testing.T) {
 	}
 }
 
+// capped runs the production exact search on g — one DP run at dp.Cap's
+// budget — and fails unless it finds a solution.
+func capped(t *testing.T, g *graph.Graph) *dp.Result {
+	t.Helper()
+	m := sched.NewMemModel(g)
+	c, err := dp.Cap(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := dp.Schedule(m, dp.Options{Budget: c.Tau})
+	if r.Flag != dp.FlagSolution {
+		t.Fatalf("%s: %v", g.Name, r.Flag)
+	}
+	return r
+}
+
 // TestDPBeatsOrMatchesBaselinesOnAllCells is Figure 10's direction on every
 // benchmark cell.
 func TestDPBeatsOrMatchesBaselinesOnAllCells(t *testing.T) {
 	for _, c := range BenchmarkCells() {
 		g := c.Build()
 		m := sched.NewMemModel(g)
-		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ar.Flag != dp.FlagSolution {
-			t.Fatalf("%s/%s: %v", c.Network, c.Cell, ar.Flag)
-		}
+		ar := capped(t, g)
 		kahn, _ := sched.KahnFIFO(g)
 		if kp := m.MustPeak(kahn); kp < ar.Peak {
 			t.Errorf("%s/%s: Kahn %d beats DP %d", c.Network, c.Cell, kp, ar.Peak)
@@ -188,14 +200,7 @@ func TestRewriteNeverHurtsOptimalPeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, err := dp.AdaptiveSchedule(sched.NewMemModel(g), dp.AdaptiveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		after, err := dp.AdaptiveSchedule(sched.NewMemModel(rw), dp.AdaptiveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		before, after := capped(t, g), capped(t, rw)
 		if after.Peak > before.Peak {
 			t.Errorf("%s/%s: rewrite increased optimal peak %d -> %d",
 				c.Network, c.Cell, before.Peak, after.Peak)

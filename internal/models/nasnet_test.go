@@ -2,9 +2,7 @@ package models
 
 import (
 	"testing"
-	"time"
 
-	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/rewrite"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
@@ -16,13 +14,7 @@ func TestExtraCellsValidAndSchedulable(t *testing.T) {
 			t.Fatalf("%s: %v", c.Network, err)
 		}
 		m := sched.NewMemModel(g)
-		ar, err := dp.AdaptiveSchedule(m, dp.AdaptiveOptions{StepTimeout: 500 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ar.Flag != dp.FlagSolution {
-			t.Fatalf("%s: %v", c.Network, ar.Flag)
-		}
+		ar := capped(t, g)
 		kahn, _ := sched.KahnFIFO(g)
 		if kp := m.MustPeak(kahn); kp < ar.Peak {
 			t.Errorf("%s: baseline %d beats DP %d", c.Network, kp, ar.Peak)
@@ -46,14 +38,7 @@ func TestExtraCellsRewriteDirection(t *testing.T) {
 		if len(apps) < 2 {
 			t.Errorf("%s: extended applications = %+v", c.Network, apps)
 		}
-		before, err := dp.AdaptiveSchedule(sched.NewMemModel(g), dp.AdaptiveOptions{StepTimeout: 500 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		after, err := dp.AdaptiveSchedule(sched.NewMemModel(ext), dp.AdaptiveOptions{StepTimeout: 500 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
+		before, after := capped(t, g), capped(t, ext)
 		if after.Peak > before.Peak {
 			t.Errorf("%s: extended rewriting raised peak %d -> %d", c.Network, before.Peak, after.Peak)
 		}

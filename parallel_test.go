@@ -258,7 +258,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 		if errors.Is(parErr, context.Canceled) {
 			t.Fatalf("induced sibling cancellation leaked to the caller: %v", parErr)
 		}
-		if !strings.Contains(parErr.Error(), "dynamic programming ended with timeout") {
+		if !strings.Contains(parErr.Error(), "exact search ended with timeout") {
 			t.Fatalf("parallel error %q lost the underlying DP outcome", parErr)
 		}
 	}

@@ -275,8 +275,10 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 				}
 			}
 			// The memory model is built here, where a search actually runs:
-			// a memo hit needs the segment's node count and nothing else.
-			sr, err := segSearcher.Search(ctx, sched.NewMemModel(seg))
+			// a memo hit needs the segment's node count and nothing else. A
+			// traced search gets its dp.search span through ctx, so the
+			// searcher narrates what only it knows (the budget it ran at).
+			sr, err := segSearcher.Search(trace.ContextWith(ctx, dpSp), sched.NewMemModel(seg))
 			if dpSp != nil {
 				el := time.Since(t0)
 				rate := int64(0)
@@ -293,12 +295,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 				)
 				if sr.FellBack && sr.FallbackReason != nil {
 					dpSp.Annotate(trace.Str("fallback_reason", sr.FallbackReason.Error()))
-				}
-				if l := sr.Ladder; l.BudgetCap > 0 {
-					dpSp.Annotate(
-						trace.Int("budget_cap", l.BudgetCap),
-						trace.Int("states_pruned", l.StatesPruned),
-						trace.Int("forced", l.StatesForced))
 				}
 				if gs, ok := rsv.(interface {
 					Grows() int64

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/models"
 	"github.com/serenity-ml/serenity/internal/sched"
 	"github.com/serenity-ml/serenity/internal/trace"
@@ -291,6 +292,68 @@ func TestBestEffortOptimalWhenFeasible(t *testing.T) {
 	}
 	if !reflect.DeepEqual(be.Order, exact.Order) || be.Peak != exact.Peak || be.ArenaSize != exact.ArenaSize {
 		t.Error("feasible best-effort diverged from the exact strategy")
+	}
+}
+
+// TestDefaultOptionsCarryValves: every valve's zero value means unlimited, so
+// the paper's T = 1s and the 4Mi-state frontier are explicit defaults, and
+// the searcher an Options derives carries exactly what it was given.
+func TestDefaultOptionsCarryValves(t *testing.T) {
+	d := DefaultOptions()
+	if d.StepTimeout != time.Second || d.MaxStates != 4<<20 {
+		t.Errorf("DefaultOptions valves: StepTimeout %s, MaxStates %d; want 1s and 4Mi", d.StepTimeout, d.MaxStates)
+	}
+	if want := (ExactDP{AdaptiveBudget: true, StepTimeout: time.Second, MaxStates: 4 << 20}); !reflect.DeepEqual(d.searcher(), want) {
+		t.Errorf("DefaultOptions searcher %+v, want %+v", d.searcher(), want)
+	}
+	var zero Options
+	if zero.StepTimeout != 0 || zero.MaxStates != 0 || !reflect.DeepEqual(zero.searcher(), ExactDP{}) {
+		t.Errorf("Options{} carries a valve: %+v, searcher %+v", zero, zero.searcher())
+	}
+}
+
+// TestBestEffortValveFallbackStates pins what a valve-forced degradation
+// reports: the greedy order the cap computed, StatesExplored = greedy's
+// evaluations plus the DP states burned before the valve fired, the DP's
+// PeakBytes, and a reason naming the valve.
+func TestBestEffortValveFallbackStates(t *testing.T) {
+	m := NewMemModel(RandWireCell("rw-valve", 48, 8, 0.9, 10, 16, 8))
+	gr, err := sched.GreedyMemoryRun(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		exact  ExactDP
+		reason error
+		states int64
+	}{
+		{"max-states", ExactDP{MaxStates: 8}, ErrSearchLimit, 468},
+		{"mem-limit", ExactDP{MemLimit: dp.FrontierStateBytes(m.G.NumNodes()) * 16}, ErrMemoryPressure, 422},
+	} {
+		sr, err := BestEffort{Exact: tc.exact}.Search(context.Background(), m)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c, err := dp.Cap(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := dp.Schedule(m, dp.Options{Budget: c.Tau, MaxStates: tc.exact.MaxStates, MemLimit: tc.exact.MemLimit})
+		if r.Flag == dp.FlagSolution || r.StatesExplored == 0 {
+			t.Fatalf("%s: the valve let the DP finish (%v, %d states)", tc.name, r.Flag, r.StatesExplored)
+		}
+		if !sr.FellBack || sr.Quality != QualityHeuristic || !errors.Is(sr.FallbackReason, tc.reason) {
+			t.Errorf("%s: fell back %t, quality %q, reason %v; want a heuristic fallback wrapping %v",
+				tc.name, sr.FellBack, sr.Quality, sr.FallbackReason, tc.reason)
+		}
+		if !reflect.DeepEqual(sr.Order, gr.Order) || sr.PeakBytes != r.PeakBytes || sr.MaxFrontier != 0 {
+			t.Errorf("%s: fallback is not the greedy order with the DP's bytes: %+v", tc.name, sr)
+		}
+		if sr.StatesExplored != gr.StatesExplored+r.StatesExplored || sr.StatesExplored != tc.states {
+			t.Errorf("%s: %d states, want greedy %d + DP %d, pinned at %d",
+				tc.name, sr.StatesExplored, gr.StatesExplored, r.StatesExplored, tc.states)
+		}
 	}
 }
 

@@ -26,15 +26,17 @@ type RefinePoolOptions struct {
 	// or an error when ctx ends (the job is then dropped, not failed).
 	Gate func(ctx context.Context) (release func(), err error)
 	// Pressure, when non-nil, is the memory governor's shed signal: while it
-	// returns true, workers park jobs instead of running them — refinement
-	// is the first work the pressure ladder sheds, since a refining search
-	// builds exactly the DP frontiers the process is short of memory for. A
-	// parked job keeps its key pending (dedup and wait_refined revalidation
-	// still see the repair coming) and is re-enqueued once pressure clears,
-	// so a pressure-forced degradation is never silently permanent.
+	// returns true, a worker holds the job it picked up instead of running
+	// it — refinement is the first work the pressure ladder sheds, since a
+	// refining search builds exactly the DP frontiers the process is short of
+	// memory for. A held job keeps its key pending (dedup and wait_refined
+	// revalidation still see the repair coming), keeps its place ahead of the
+	// queue, and runs once pressure clears, so a pressure-forced degradation
+	// is never silently permanent. Held jobs count against QueueDepth's bound:
+	// at most Workers are held, and the queue behind them stays bounded.
 	Pressure func() bool
-	// RequeueInterval is the cadence at which parked jobs are re-tried
-	// against the Pressure signal. Values <= 0 mean 250ms.
+	// RequeueInterval is how often a worker holding a job re-checks the
+	// Pressure signal. Values <= 0 mean 250ms.
 	RequeueInterval time.Duration
 	// Tracer, when non-nil, records the refinement lifecycle (queued →
 	// parked → run) as spans linked back to the trace of the request whose
@@ -59,11 +61,10 @@ type RefinePoolStats struct {
 	Dropped int64
 	// Outstanding is the number of accepted jobs not yet finished.
 	Outstanding int64
-	// Shed counts jobs parked because the Pressure signal was high when a
-	// worker picked them up (a job parked, requeued, and parked again
-	// counts each time). Requeued counts re-injections of parked jobs after
-	// pressure cleared. Parked is the gauge of jobs currently waiting out
-	// pressure; they remain Outstanding until run or dropped by Close.
+	// Shed counts jobs that had to wait because the Pressure signal was high
+	// when a worker picked them up. Requeued counts held jobs resumed after
+	// pressure cleared. Parked is the gauge of jobs held right now, at most
+	// Workers; they remain Outstanding until run or dropped by Close.
 	Shed     int64
 	Requeued int64
 	Parked   int64
@@ -78,11 +79,11 @@ type refineJob struct {
 	run        func(ctx context.Context) error
 	link       trace.Link
 	enqueuedAt time.Time
-	parks      int
+	parks      int // 1 when the job waited out pressure
 }
 
 // RefinePool is the background half of serve-then-refine: a keyed, gated,
-// pressure-parked job queue that makes fallbacks provisional instead of
+// pressure-held job queue that makes fallbacks provisional instead of
 // final. It knows nothing about schedules — a job is a key and a function.
 //
 // The poison rule (see SegmentMemo) keeps degraded results out of every
@@ -106,8 +107,8 @@ type refineJob struct {
 // by refine.queued and refine.run spans linked to the enqueuing request's
 // trace.
 //
-// A RefinePool is safe for concurrent use. Close it on shutdown: queued
-// jobs are dropped, running jobs are canceled, and workers exit.
+// A RefinePool is safe for concurrent use. Close it on shutdown: queued and
+// held jobs are dropped, running jobs are canceled, and workers exit.
 type RefinePool struct {
 	opts RefinePoolOptions
 
@@ -118,7 +119,6 @@ type RefinePool struct {
 
 	mu      sync.Mutex
 	pending map[string]struct{}
-	parked  []refineJob
 	closed  bool
 
 	queued      atomic.Int64
@@ -128,6 +128,7 @@ type RefinePool struct {
 	outstanding atomic.Int64
 	shed        atomic.Int64
 	requeued    atomic.Int64
+	parked      atomic.Int64
 }
 
 // NewRefinePool starts a pool. The caller owns it and must Close it.
@@ -137,6 +138,9 @@ func NewRefinePool(opts RefinePoolOptions) *RefinePool {
 	}
 	if opts.QueueDepth < 1 {
 		opts.QueueDepth = 64
+	}
+	if opts.RequeueInterval <= 0 {
+		opts.RequeueInterval = 250 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &RefinePool{
@@ -150,19 +154,11 @@ func NewRefinePool(opts RefinePoolOptions) *RefinePool {
 	for i := 0; i < opts.Workers; i++ {
 		go p.worker()
 	}
-	if opts.Pressure != nil {
-		iv := opts.RequeueInterval
-		if iv <= 0 {
-			iv = 250 * time.Millisecond
-		}
-		p.wg.Add(1)
-		go p.requeueLoop(iv)
-	}
 	return p
 }
 
 // Enqueue queues run under key and reports whether it was accepted. Keys
-// deduplicate: while a job for key is queued, parked or running, further
+// deduplicate: while a job for key is queued, held or running, further
 // enqueues of the same key are declined — the pending job repairs the key
 // for everyone — and count nowhere; a full queue or a closed pool declines
 // too, counted in Dropped. ctx is consulted only for trace context (when the
@@ -205,22 +201,15 @@ func (p *RefinePool) Pending(key string) bool {
 	return ok
 }
 
-// worker drains the queue. Each job acquires the Gate (when configured),
-// runs under the pool's root context — no deadline, canceled only by Close
-// — and retires into the counters.
+// worker drains the queue. Each job waits out memory pressure, acquires the
+// Gate (when configured), runs under the pool's root context — no deadline,
+// canceled only by Close — and retires into the counters.
 func (p *RefinePool) worker() {
 	defer p.wg.Done()
 	for job := range p.jobs {
-		if p.ctx.Err() != nil {
+		if !p.waitOutPressure(&job) {
 			// Closing: abandon without running.
 			p.retire(job.key, &p.dropped)
-			continue
-		}
-		if p.opts.Pressure != nil && p.opts.Pressure() {
-			// Memory pressure: park instead of running. The key stays
-			// pending, so dedup and wait_refined still see the repair
-			// coming; requeueLoop re-injects once pressure clears.
-			p.park(job)
 			continue
 		}
 		var release func()
@@ -235,7 +224,7 @@ func (p *RefinePool) worker() {
 		if p.opts.Tracer != nil {
 			// The queued span covers enqueue → the moment the job got a
 			// worker AND a gate slot: the full wait a degraded answer sat
-			// unrepaired, parks included.
+			// unrepaired, pressure included.
 			p.opts.Tracer.RecordLinked(job.link, "refine.queued", job.enqueuedAt,
 				time.Since(job.enqueuedAt), nil,
 				trace.Str("key", job.key), trace.Int("parks", int64(job.parks)))
@@ -257,64 +246,38 @@ func (p *RefinePool) worker() {
 	}
 }
 
-// park sets a job aside under memory pressure. The job remains pending and
-// outstanding; only Close or a successful requeue moves it on. If the pool
-// closed while the worker was deciding, the job is dropped instead.
-func (p *RefinePool) park(job refineJob) {
-	job.parks++
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.retire(job.key, &p.dropped)
-		return
+// waitOutPressure holds job in its worker while the Pressure signal is high,
+// re-checking every RequeueInterval. The key stays pending, so dedup and
+// wait_refined still see the repair coming, and the queue behind the worker
+// keeps both its order and its bound. It reports false when the pool closes
+// first.
+func (p *RefinePool) waitOutPressure(job *refineJob) bool {
+	if p.ctx.Err() != nil {
+		return false
 	}
-	p.parked = append(p.parked, job)
-	p.mu.Unlock()
+	if p.opts.Pressure == nil || !p.opts.Pressure() {
+		return true
+	}
+	job.parks = 1
 	p.shed.Add(1)
+	p.parked.Add(1)
+	defer p.parked.Add(-1)
 	if p.opts.Tracer != nil {
 		p.opts.Tracer.RecordLinked(job.link, "refine.parked", time.Now(), 0, nil,
-			trace.Str("key", job.key), trace.Int("parks", int64(job.parks)))
+			trace.Str("key", job.key), trace.Int("parks", 1))
 	}
-}
-
-// requeueLoop re-injects parked jobs into the queue once the Pressure signal
-// clears. Sends happen under mu with the closed flag checked — the same
-// discipline as Enqueue — so they can never race Close's channel close. A
-// full queue leaves the remainder parked for the next tick.
-func (p *RefinePool) requeueLoop(iv time.Duration) {
-	defer p.wg.Done()
-	t := time.NewTicker(iv)
+	t := time.NewTicker(p.opts.RequeueInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-p.ctx.Done():
-			return
+			return false
 		case <-t.C:
 		}
-		if p.opts.Pressure() {
-			continue
+		if !p.opts.Pressure() {
+			p.requeued.Add(1)
+			return true
 		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		moved := 0
-		for moved < len(p.parked) {
-			select {
-			case p.jobs <- p.parked[moved]:
-				moved++
-			default:
-				// Queue full: stop here, keep the rest parked.
-				goto drained
-			}
-		}
-	drained:
-		if moved > 0 {
-			p.parked = append(p.parked[:0], p.parked[moved:]...)
-			p.requeued.Add(int64(moved))
-		}
-		p.mu.Unlock()
 	}
 }
 
@@ -349,9 +312,6 @@ func (p *RefinePool) Quiesce(ctx context.Context) error {
 
 // Stats returns a snapshot of the pool's counters.
 func (p *RefinePool) Stats() RefinePoolStats {
-	p.mu.Lock()
-	parked := int64(len(p.parked))
-	p.mu.Unlock()
 	return RefinePoolStats{
 		Queued:      p.queued.Load(),
 		Done:        p.done.Load(),
@@ -360,12 +320,12 @@ func (p *RefinePool) Stats() RefinePoolStats {
 		Outstanding: p.outstanding.Load(),
 		Shed:        p.shed.Load(),
 		Requeued:    p.requeued.Load(),
-		Parked:      parked,
+		Parked:      p.parked.Load(),
 	}
 }
 
-// Close stops the pool: no further jobs are accepted, queued jobs are
-// dropped, running jobs are canceled promptly, and workers exit before
+// Close stops the pool: no further jobs are accepted, queued and held jobs
+// are dropped, running jobs are canceled promptly, and workers exit before
 // Close returns. Closing twice is safe.
 func (p *RefinePool) Close() {
 	p.mu.Lock()
@@ -376,11 +336,6 @@ func (p *RefinePool) Close() {
 	p.closed = true
 	p.cancel()
 	close(p.jobs) // under mu: no Enqueue can be mid-send (see Enqueue)
-	parked := p.parked
-	p.parked = nil
 	p.mu.Unlock()
-	for _, job := range parked {
-		p.retire(job.key, &p.dropped)
-	}
 	p.wg.Wait()
 }

@@ -3,6 +3,8 @@ package serenity
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,30 +181,25 @@ func TestRefinePoolDedupOverflowAndClose(t *testing.T) {
 }
 
 // TestRefinePoolPressureParksAndRequeues pins the memory-pressure gate:
-// while the Pressure signal is high workers park jobs instead of running
-// them (keys stay pending, so dedup and revalidation still see the repair
-// coming), and once pressure clears the requeue loop re-injects every parked
-// job. A Close with jobs still parked drops them cleanly.
+// while the Pressure signal is high a worker holds the job it picked up
+// instead of running it, and nothing runs; held and queued keys stay pending
+// (so dedup and revalidation still see the repair coming); the queue behind
+// the held job keeps its QueueDepth bound, so one enqueue past QueueDepth +
+// Workers is dropped; once pressure clears the jobs run in enqueue order. A
+// Close with a job still held drops it cleanly.
 func TestRefinePoolPressureParksAndRequeues(t *testing.T) {
 	var pressure atomic.Bool
 	pressure.Store(true)
-	var ran atomic.Int64
+	var mu sync.Mutex
+	var ran []string
+	const workers, depth = 1, 2
 	pool := NewRefinePool(RefinePoolOptions{
-		Workers:         1,
-		QueueDepth:      8,
+		Workers:         workers,
+		QueueDepth:      depth,
 		Pressure:        pressure.Load,
 		RequeueInterval: 2 * time.Millisecond,
 	})
 	defer pool.Close()
-
-	for _, key := range []string{"a", "b"} {
-		if !pool.Enqueue(context.Background(), key, func(ctx context.Context) error {
-			ran.Add(1)
-			return nil
-		}) {
-			t.Fatalf("enqueue %q declined", key)
-		}
-	}
 
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
@@ -214,36 +211,74 @@ func TestRefinePoolPressureParksAndRequeues(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-
-	waitFor("both jobs parked", func() bool { return pool.Stats().Parked == 2 })
-	if got := ran.Load(); got != 0 {
-		t.Fatalf("%d jobs ran under pressure", got)
-	}
-	if st := pool.Stats(); st.Shed < 2 {
-		t.Errorf("Shed = %d after parking two jobs", st.Shed)
-	}
-	// Parked keys are still pending: the repair is coming, so dedup holds and
-	// wait_refined keeps waiting.
-	if !pool.Pending("a") || !pool.Pending("b") {
-		t.Error("parked keys no longer pending")
-	}
-	if pool.Enqueue(context.Background(), "a", func(ctx context.Context) error { return nil }) {
-		t.Error("parked key was not deduplicated")
+	job := func(key string) func(context.Context) error {
+		return func(context.Context) error {
+			mu.Lock()
+			ran = append(ran, key)
+			mu.Unlock()
+			return nil
+		}
 	}
 
-	// Pressure clears: the requeue loop re-injects and the worker drains.
-	pressure.Store(false)
-	waitFor("parked jobs to run", func() bool { return ran.Load() == 2 })
-	quiesce(t, pool)
+	// Enqueue one more distinct key than the pool can hold. After each one the
+	// worker holds a job, and gets every chance to drain the queue before the
+	// next enqueue: a pool that moved held jobs out of its queue would accept
+	// all four.
+	keys := []string{"a", "b", "c", "d"} // depth + workers + 1
+	var accepted []string
+	for _, key := range keys {
+		if !pool.Enqueue(context.Background(), key, job(key)) {
+			continue
+		}
+		accepted = append(accepted, key)
+		waitFor("a held job", func() bool { return pool.Stats().Parked >= workers })
+		for end := time.Now().Add(50 * time.Millisecond); len(pool.jobs) > 0 && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if want := keys[:depth+workers]; !slices.Equal(accepted, want) {
+		t.Fatalf("accepted %v under pressure, want %v: a held job must count against the queue bound", accepted, want)
+	}
 	st := pool.Stats()
-	if st.Requeued < 2 || st.Parked != 0 || st.Done != 2 || st.Failed != 0 || st.Dropped != 0 {
+	if st.Dropped != 1 || st.Parked != workers || st.Shed != workers {
+		t.Errorf("stats with the pool full under pressure: %+v; want 1 dropped, %d held", st, workers)
+	}
+	mu.Lock()
+	if len(ran) != 0 {
+		t.Fatalf("%v ran under pressure", ran)
+	}
+	mu.Unlock()
+	// Held and queued keys are still pending: the repair is coming, so dedup
+	// holds (counting nowhere) and wait_refined keeps waiting.
+	for _, key := range accepted {
+		if !pool.Pending(key) {
+			t.Errorf("key %q no longer pending under pressure", key)
+		}
+	}
+	if pool.Enqueue(context.Background(), "a", job("a")) || pool.Stats().Dropped != 1 {
+		t.Error("held key was not deduplicated, or its duplicate counted as dropped")
+	}
+
+	// Pressure clears: the held job resumes and the queue drains behind it,
+	// in enqueue order.
+	pressure.Store(false)
+	quiesce(t, pool)
+	mu.Lock()
+	if !slices.Equal(ran, accepted) {
+		t.Errorf("ran %v after pressure cleared, want enqueue order %v", ran, accepted)
+	}
+	mu.Unlock()
+	st = pool.Stats()
+	if st.Requeued != workers || st.Parked != 0 || st.Done != int64(len(accepted)) || st.Failed != 0 || st.Dropped != 1 {
 		t.Errorf("stats after pressure cleared: %+v", st)
 	}
-	if pool.Pending("a") || pool.Pending("b") {
-		t.Error("keys still pending after requeued jobs ran")
+	for _, key := range accepted {
+		if pool.Pending(key) {
+			t.Errorf("key %q still pending after it ran", key)
+		}
 	}
 
-	// Close with a job parked: it is dropped and un-pended, never run.
+	// Close with a job held: it is dropped and un-pended, never run.
 	pressure.Store(true)
 	pool2 := NewRefinePool(RefinePoolOptions{
 		Workers:         1,
@@ -261,19 +296,19 @@ func TestRefinePoolPressureParksAndRequeues(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for pool2.Stats().Parked != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("job never parked; stats %+v", pool2.Stats())
+			t.Fatalf("job never held; stats %+v", pool2.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	pool2.Close()
 	if ran2.Load() != 0 {
-		t.Error("parked job ran during Close")
+		t.Error("held job ran during Close")
 	}
 	if pool2.Pending("x") {
-		t.Error("parked key still pending after Close")
+		t.Error("held key still pending after Close")
 	}
 	if st := pool2.Stats(); st.Dropped != 1 || st.Outstanding != 0 || st.Parked != 0 {
-		t.Errorf("stats after closing with a parked job: %+v", st)
+		t.Errorf("stats after closing with a held job: %+v", st)
 	}
 }
 

@@ -124,15 +124,16 @@ type Options struct {
 	// StepTimeout is the per-search-step limit T of Algorithm 2, kept as a
 	// safety valve: a DP level that exceeds it fails the search with
 	// ErrSearchLimit (or, under StrategyBestEffort, degrades the segment); it
-	// never steers it. Zero means 1s when AdaptiveBudget is on and unlimited
-	// when it is off; under StrategyGreedy it is ignored.
+	// never steers it. Zero means unlimited, with or without AdaptiveBudget;
+	// DefaultOptions sets the paper's 1s. Under StrategyGreedy it is ignored.
 	StepTimeout time.Duration
 	// MemoryBudget, when positive, makes Schedule fail with
 	// ErrBudgetExceeded if even the optimal schedule's arena exceeds it
 	// (the edge device's hard capacity, e.g. 250KB for a SparkFun Edge).
 	MemoryBudget int64
-	// MaxStates caps the DP frontier as a memory-safety valve; zero means
-	// the adaptive default.
+	// MaxStates caps the DP frontier as a memory-safety valve: a level wider
+	// than it fails the search like StepTimeout does. Zero means unlimited;
+	// DefaultOptions sets 4Mi states.
 	MaxStates int
 	// Parallelism is how many independent units are searched at once: the
 	// worker pool scheduling partition segments concurrently (and, in
@@ -150,13 +151,15 @@ type Options struct {
 	Parallelism int
 }
 
-// DefaultOptions returns the paper's full pipeline configuration.
+// DefaultOptions returns the paper's full pipeline configuration, with both
+// search valves set: the paper's T = 1s and a 4Mi-state frontier.
 func DefaultOptions() Options {
 	return Options{
 		Rewrite:        true,
 		Partition:      true,
 		AdaptiveBudget: true,
 		StepTimeout:    time.Second,
+		MaxStates:      4 << 20,
 	}
 }
 
@@ -173,7 +176,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("serenity: negative StepTimeout %s", o.StepTimeout)
 	}
 	if o.MaxStates < 0 {
-		return fmt.Errorf("serenity: negative MaxStates %d (zero means the adaptive default)", o.MaxStates)
+		return fmt.Errorf("serenity: negative MaxStates %d (zero means unlimited)", o.MaxStates)
 	}
 	if o.MemoryBudget < 0 {
 		return fmt.Errorf("serenity: negative MemoryBudget %d", o.MemoryBudget)

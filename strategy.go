@@ -8,6 +8,7 @@ import (
 
 	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/sched"
+	"github.com/serenity-ml/serenity/internal/trace"
 )
 
 // MemModel is the activation-memory model a Searcher schedules against; it
@@ -78,10 +79,6 @@ type SearchResult struct {
 	// dp.Result.PeakBytes). It reports only work done in this process on
 	// this call: heuristic searchers and memo/store/peer hits report zero.
 	PeakBytes int64
-	// Ladder describes the soft-budget probe a fresh adaptive search ran,
-	// for the dp.search trace span; zero (BudgetCap == 0) for unbudgeted and
-	// heuristic searches and for store and peer hits.
-	Ladder BudgetLadder
 	// Quality reports whether Order is provably optimal for the segment.
 	Quality Quality
 	// FellBack is set when a degradable searcher abandoned its primary
@@ -89,32 +86,6 @@ type SearchResult struct {
 	// records why the primary search gave up.
 	FellBack       bool
 	FallbackReason error
-}
-
-// BudgetLadder summarizes one dp.AdaptiveSchedule call: the budget it
-// searched at, how many transitions that budget pruned, and how many states
-// expanded through a safe move alone instead of branching.
-type BudgetLadder struct {
-	BudgetCap    int64
-	StatesPruned int64
-	StatesForced int64
-}
-
-// ladderOf summarizes ar for the trace.
-func ladderOf(ar *dp.AdaptiveResult) BudgetLadder {
-	return BudgetLadder{BudgetCap: ar.BudgetCap, StatesPruned: ar.StatesPruned, StatesForced: ar.StatesForced}
-}
-
-// adaptiveResult converts an adaptive search that ended in a solution.
-func adaptiveResult(ar *dp.AdaptiveResult) SearchResult {
-	return SearchResult{
-		Order:          ar.Order,
-		StatesExplored: ar.StatesExplored,
-		MaxFrontier:    ar.MaxFrontier,
-		PeakBytes:      ar.PeakBytes,
-		Quality:        QualityOptimal,
-		Ladder:         ladderOf(ar),
-	}
 }
 
 // ErrMemoryPressure reports that a search was aborted by its byte ceiling —
@@ -135,13 +106,13 @@ var ErrSearchLimit = errors.New("serenity: search limit reached")
 
 // flagError turns a search that ended without a solution into its error:
 // ErrMemoryPressure for the byte valve, ErrSearchLimit naming the flag for
-// the StepTimeout and MaxStates valves. what names the search in the message.
-// Cancellation never gets here: dp reports it as ctx.Err().
-func flagError(what string, f dp.Flag) error {
+// the StepTimeout and MaxStates valves. Cancellation never gets here: dp
+// reports it as ctx.Err().
+func flagError(f dp.Flag) error {
 	if f == dp.FlagMemPressure {
-		return fmt.Errorf("%w: %s aborted at its byte ceiling", ErrMemoryPressure, what)
+		return fmt.Errorf("%w: exact search aborted at its byte ceiling", ErrMemoryPressure)
 	}
-	return fmt.Errorf("%w: %s ended with %v", ErrSearchLimit, what, f)
+	return fmt.Errorf("%w: exact search ended with %v", ErrSearchLimit, f)
 }
 
 // memScoper is implemented by searchers whose primary search honors a byte
@@ -177,21 +148,23 @@ type Searcher interface {
 }
 
 // ExactDP is the paper's exact search: Algorithm 1's dynamic programming,
-// optionally under Algorithm 2's soft budget (dp.AdaptiveSchedule's one
-// probe at min(Kahn, greedy)). It either returns the segment's canonical
+// optionally under Algorithm 2's soft budget (one run at dp.Cap's
+// min(Kahn, greedy)). It either returns the segment's canonical
 // peak-optimal order — the same one with or without the budget — or an
 // error: a timeout or state-cap blowup is a hard failure (ErrSearchLimit). The
 // search itself is single-threaded; see Options.Parallelism. This is the
-// default Searcher.
+// default Searcher. Every valve's zero value means unlimited, with or
+// without the budget; DefaultOptions carries the paper's T = 1s and a
+// 4Mi-state frontier.
 type ExactDP struct {
 	// AdaptiveBudget prunes the DP with the soft budget; off means one
 	// unbudgeted exact run (same answer, more states).
 	AdaptiveBudget bool
 	// StepTimeout is the per-search-step safety valve T: exceeding it fails
-	// the search. Zero means 1s under AdaptiveBudget, unlimited without.
+	// the search. Zero means unlimited.
 	StepTimeout time.Duration
-	// MaxStates caps the DP frontier as a memory-safety valve; zero means
-	// the adaptive default (unlimited when AdaptiveBudget is off).
+	// MaxStates caps the DP frontier as a memory-safety valve: a level wider
+	// than it fails the search. Zero means unlimited.
 	MaxStates int
 	// MemLimit caps the bytes the search may retain (dp.Options.MemLimit);
 	// crossing it without a MemGrow grant fails the search with an error
@@ -227,40 +200,48 @@ func (e ExactDP) scopeMemory(limit int64, grow func(needed int64) int64) Searche
 	return e
 }
 
-// adaptive runs the soft-budget search under e's valves. A nil error means the
-// AdaptiveResult holds a solution; a search a valve ended returns flagError
-// alongside the AdaptiveResult (for the work it burned), anything else — an
-// invalid graph, ctx's own error — whatever dp reported.
-func (e ExactDP) adaptive(ctx context.Context, m *MemModel) (*dp.AdaptiveResult, error) {
-	ar, err := dp.AdaptiveScheduleCtx(ctx, m, dp.AdaptiveOptions{
-		StepTimeout: e.StepTimeout,
-		MaxStates:   e.MaxStates,
-		MemLimit:    e.MemLimit,
-		MemGrow:     e.MemGrow,
-	})
-	if err == nil && ar.Flag != dp.FlagSolution {
-		err = flagError("adaptive scheduling", ar.Flag)
+// search is the one exact search: a single dp.ScheduleCtx run under e's
+// valves, budgeted at dp.Cap's τ when AdaptiveBudget is on. The budget, the
+// transitions it pruned and the safe moves taken go onto ctx's span (the
+// Pipeline's dp.search span, when traced). It returns the cap (zero when the
+// budget is off or the cap did not finish) and the DP run (nil when it never
+// started) alongside the error: flagError for a valve, ctx's error for a
+// cancellation, whatever dp.Cap reported for an invalid graph.
+func (e ExactDP) search(ctx context.Context, m *MemModel) (dp.CapResult, *dp.Result, error) {
+	var c dp.CapResult
+	opts := dp.Options{StepTimeout: e.StepTimeout, MaxStates: e.MaxStates, MemLimit: e.MemLimit, MemGrow: e.MemGrow}
+	if e.AdaptiveBudget {
+		var err error
+		if c, err = dp.Cap(ctx, m); err != nil {
+			return c, nil, err
+		}
+		opts.Budget = c.Tau
 	}
-	return ar, err
+	r := dp.ScheduleCtx(ctx, m, opts)
+	if sp := trace.FromContext(ctx); sp != nil && opts.Budget > 0 {
+		sp.Annotate(trace.Int("budget_cap", opts.Budget), trace.Int("states_pruned", r.StatesPruned), trace.Int("forced", r.StatesForced))
+	}
+	switch r.Flag {
+	case dp.FlagSolution:
+		return c, r, nil
+	case dp.FlagCanceled:
+		return c, r, ctx.Err()
+	}
+	return c, r, flagError(r.Flag)
+}
+
+// optimal converts a DP run that ended in a solution.
+func optimal(r *dp.Result) SearchResult {
+	return SearchResult{Order: r.Order, StatesExplored: r.StatesExplored, MaxFrontier: r.MaxFrontier, PeakBytes: r.PeakBytes, Quality: QualityOptimal}
 }
 
 // Search implements Searcher.
 func (e ExactDP) Search(ctx context.Context, m *MemModel) (SearchResult, error) {
-	if e.AdaptiveBudget {
-		ar, err := e.adaptive(ctx, m)
-		if err != nil {
-			return SearchResult{}, err
-		}
-		return adaptiveResult(ar), nil
+	_, r, err := e.search(ctx, m)
+	if err != nil {
+		return SearchResult{}, err
 	}
-	r := dp.ScheduleCtx(ctx, m, dp.Options{StepTimeout: e.StepTimeout, MaxStates: e.MaxStates, MemLimit: e.MemLimit, MemGrow: e.MemGrow})
-	if r.Flag == dp.FlagCanceled {
-		return SearchResult{}, ctx.Err()
-	}
-	if r.Flag != dp.FlagSolution {
-		return SearchResult{}, flagError("dynamic programming", r.Flag)
-	}
-	return SearchResult{Order: r.Order, StatesExplored: r.StatesExplored, MaxFrontier: r.MaxFrontier, PeakBytes: r.PeakBytes, Quality: QualityOptimal}, nil
+	return optimal(r), nil
 }
 
 // GreedyMemory is the one-step-lookahead greedy heuristic as a first-class
@@ -291,19 +272,22 @@ func (GreedyMemory) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 }
 
 // BestEffort turns "exact or error" into "exact, else valid": it runs the
-// exact DP (under the soft budget, whose valves give up on a hopeless
+// exact DP under the soft budget (whose valves give up on a hopeless
 // instance instead of retrying) under ctx's deadline, and on timeout,
-// state-cap blowup, or deadline expiry degrades to the greedy heuristic
-// rather than failing. The segment's Quality reports
-// which path produced the order.
+// state-cap blowup, memory pressure or deadline expiry degrades to the
+// greedy heuristic rather than failing. The greedy order it falls back to is
+// the one dp.Cap computed for the budget, so a degraded segment runs greedy
+// once; its StatesExplored is greedy's plus the DP states burned before the
+// search gave up. The segment's Quality reports which path produced the
+// order.
 //
 // Cancellation semantics: a context *deadline* triggers the fallback (the
 // caller wants an answer by then), while an explicit cancellation aborts
 // with ctx.Err() (the caller is gone; nobody wants the answer).
 type BestEffort struct {
 	// Exact configures the primary search. AdaptiveBudget is implied: the
-	// exact attempt always runs under adaptive soft budgeting, the only
-	// deadline-aware exact configuration.
+	// exact attempt always runs under the soft budget, whose cap is also the
+	// fallback's greedy run.
 	Exact ExactDP
 	// SkipExact degrades every segment immediately, without attempting the
 	// exact search — exactly as if the caller's deadline expired the moment
@@ -344,40 +328,38 @@ var errSkipExact = errors.New("serenity: exact search skipped (forced degradatio
 
 // Search implements Searcher.
 func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, error) {
-	if b.SkipExact {
-		gr, err := sched.GreedyMemoryRun(m)
-		if err != nil {
+	var c dp.CapResult
+	var r *dp.Result
+	reason := errSkipExact
+	if !b.SkipExact {
+		exact := b.Exact
+		exact.AdaptiveBudget = true
+		c, r, reason = exact.search(ctx, m)
+		switch {
+		case reason == nil:
+			return optimal(r), nil
+		case r != nil && r.Flag != dp.FlagCanceled:
+			// A valve ended the search. A byte-ceiling abort degrades like a
+			// deadline, but its reason wraps ErrMemoryPressure so governors and
+			// metrics can tell pressure-forced heuristics from deadline-forced
+			// ones.
+		case errors.Is(reason, context.DeadlineExceeded):
+		default:
+			// Explicit cancellation or an invalid graph: not degradable.
+			return SearchResult{}, reason
+		}
+	}
+	// The fallback is the greedy run the cap already made. Only SkipExact and
+	// a deadline that fired before the cap finished run it here, deliberately
+	// without ctx: the deadline has already expired, and the contract is that
+	// the caller is owed a valid answer anyway (explicit cancellation was
+	// handled above).
+	gr := c.Greedy
+	if gr == nil {
+		var err error
+		if gr, err = sched.GreedyMemoryRun(m); err != nil {
 			return SearchResult{}, err
 		}
-		return SearchResult{
-			Order:          gr.Order,
-			StatesExplored: gr.StatesExplored,
-			Quality:        QualityHeuristic,
-			FellBack:       true,
-			FallbackReason: errSkipExact,
-		}, nil
-	}
-	ar, reason := b.Exact.adaptive(ctx, m)
-	switch {
-	case reason == nil:
-		return adaptiveResult(ar), nil
-	case ar != nil && ar.Flag != dp.FlagCanceled:
-		// A valve ended the search. A byte-ceiling abort degrades like a
-		// deadline, but its reason wraps ErrMemoryPressure so governors and
-		// metrics can tell pressure-forced heuristics from deadline-forced
-		// ones.
-	case errors.Is(reason, context.DeadlineExceeded):
-	default:
-		// Explicit cancellation or an invalid graph: not degradable.
-		return SearchResult{}, reason
-	}
-	// The fallback deliberately runs without ctx: the deadline has already
-	// expired, and the contract is that the caller is owed a valid answer
-	// anyway (explicit cancellation was handled above, before the DP work
-	// was abandoned).
-	gr, err := sched.GreedyMemoryRun(m)
-	if err != nil {
-		return SearchResult{}, err
 	}
 	sr := SearchResult{
 		Order:          gr.Order,
@@ -386,11 +368,10 @@ func (b BestEffort) Search(ctx context.Context, m *MemModel) (SearchResult, erro
 		FellBack:       true,
 		FallbackReason: reason,
 	}
-	if ar != nil {
-		// Every abandoned-DP path reports the work burned before giving up
-		// (ar is nil only when the deadline fired before the DP started).
-		sr.StatesExplored += ar.StatesExplored
-		sr.PeakBytes, sr.Ladder = ar.PeakBytes, ladderOf(ar)
+	if r != nil {
+		// Every abandoned-DP path reports the work burned before giving up.
+		sr.StatesExplored += r.StatesExplored
+		sr.PeakBytes = r.PeakBytes
 	}
 	return sr, nil
 }
