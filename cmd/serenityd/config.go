@@ -25,7 +25,10 @@ import (
 // turn (HTTPClient, ReadLoad, SampleInterval, RequeueInterval, OnRound) are
 // fields the embedded option structs already have; the hooks between
 // components (Gate, Pressure, Tracer, Health, ProbePath, OnTransition) are
-// build's to set.
+// build's to set. Anti-entropy has one mode: a node that runs the syncer
+// (sync.Interval > 0) always converges with its peers before it reports
+// ready, for at most joinTimeout, and the syncer rides the fleet client's
+// ring, health view and transport (client.HTTPClient).
 type config struct {
 	addr, debugAddr     string
 	logFormat, logLevel string
@@ -50,8 +53,7 @@ type config struct {
 	peerVnodes, peerSlots int
 	client                fleet.ClientOptions
 	probe                 fleet.HealthOptions // the fleet's one failure detector; always probing
-	sync                  fleet.SyncerOptions // Interval 0 = no syncer at all
-	joinSync              bool
+	sync                  fleet.SyncerOptions // Interval 0 = no syncer and no join pre-stream
 	joinTimeout           time.Duration
 }
 
@@ -94,7 +96,6 @@ func bindFlags(fs *flag.FlagSet) (c *config, finish func() error) {
 	fs.IntVar(&c.probe.SuspectAfter, "peer-suspect-after", 1, "consecutive probe/fetch failures before a peer is suspect (skipped by the fetch path)")
 	fs.IntVar(&c.probe.DeadAfter, "peer-dead-after", 3, "consecutive failures before a peer is dead (skipped by every path; its keys fail over)")
 	fs.IntVar(&c.probe.ReviveAfter, "peer-revive-after", 1, "consecutive probe successes before a suspect or dead peer is alive again")
-	fs.BoolVar(&c.joinSync, "peer-join-sync", true, "pre-stream the fleet corpus (anti-entropy until convergence) before reporting ready, so a joining node serves its owned keys without re-running DPs")
 	fs.DurationVar(&c.joinTimeout, "peer-join-timeout", 30*time.Second, "bound on the join pre-stream; on expiry the node goes ready with whatever converged (anti-entropy finishes the rest in the background)")
 	fs.StringVar(&c.logFormat, "log-format", "text", "structured log encoding: text or json (log/slog; request lines carry request_id and trace_id)")
 	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug|info|warn|error (per-request success lines log at debug)")
@@ -248,7 +249,6 @@ func (s *server) joinFleet(cfg config) error {
 	if err != nil {
 		return err
 	}
-	s.ring.Store(ring)
 	s.peerVnodes = cfg.peerVnodes
 	hopts := cfg.probe
 	// Probes target /readyz, not the fleet ping: a node pre-streaming its
@@ -275,8 +275,8 @@ func (s *server) joinFleet(cfg config) error {
 		// The loop starts even on a currently peerless node: admin join can
 		// add members later, and the loop idles until one exists.
 		yopts := cfg.sync
-		yopts.Health, yopts.Tracer = s.health, s.tracer
-		s.syncer = fleet.NewSyncer(s.store, ring, yopts)
+		yopts.Tracer = s.tracer
+		s.syncer = fleet.NewSyncer(s.store, s.peers, yopts)
 		s.syncer.Start()
 	}
 	s.health.Start()

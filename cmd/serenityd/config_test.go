@@ -88,7 +88,7 @@ func TestRunBusyPortFailsBeforeBuild(t *testing.T) {
 	cfg.addr = ln.Addr().String()
 	cfg.storeDir = filepath.Join(t.TempDir(), "store")
 	cfg.peerAddr = "http://" + cfg.addr
-	cfg.sync.Interval, cfg.joinSync, cfg.joinTimeout = time.Hour, true, 30*time.Second
+	cfg.sync.Interval, cfg.joinTimeout = time.Hour, 30*time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := run(ctx, cfg); err == nil {

@@ -449,7 +449,7 @@ func TestFleetRefinementReachesOwner(t *testing.T) {
 		flattenTree(degraded.Trace.Spans, spans)
 		var owned []string
 		for _, seg := range spans["segment"] {
-			if key := seg.Attrs["memo_key"]; key != "" && b.s.ring.Load().Owner(key) == owner.ts.URL {
+			if key := seg.Attrs["memo_key"]; key != "" && b.s.peers.Ring().Owner(key) == owner.ts.URL {
 				owned = append(owned, key)
 			}
 		}

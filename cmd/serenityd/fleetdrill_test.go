@@ -67,10 +67,11 @@ func (n *drillNode) boot(opts serenity.Options, urls []string, seed int64, tweak
 	cfg.probe = fleet.HealthOptions{Interval: 50 * time.Millisecond, Timeout: 500 * time.Millisecond, DeadAfter: 2, HTTPClient: hc}
 	// Generous fetch budget: the drill proves correctness, not latency,
 	// and a loaded CI machine must not flake it on a slow scheduler tick.
+	// Anti-entropy rides the same transport.
 	cfg.client = fleet.ClientOptions{Timeout: 2 * time.Second, HTTPClient: hc}
 	// An hour between rounds parks the background loop: the drill drives
 	// anti-entropy deterministically through SyncOnce and Converge.
-	cfg.sync = fleet.SyncerOptions{Interval: time.Hour, Batch: 64, HTTPClient: hc}
+	cfg.sync = fleet.SyncerOptions{Interval: time.Hour, Batch: 64}
 	if tweak != nil {
 		tweak(&cfg)
 	}
@@ -159,8 +160,8 @@ func drillPost(ts *httptest.Server, body []byte) (*scheduleResponse, error) {
 //     (every segment answered by a peer fetch or a replicated store record)
 //     and bit-identical schedules.
 //  2. Anti-entropy — node C, which never saw the traffic, pulls the corpus
-//     digest-diff by digest-diff in capped batches until it converges, then
-//     also compiles the zoo without fresh search work.
+//     in capped batches, one sync exchange per round, until it converges,
+//     then also compiles the zoo without fresh search work.
 //  3. Dead-owner degradation — node A is killed outright; a graph nobody has
 //     compiled still gets an exact schedule from node B (peer fetches time
 //     out, the DP runs locally, no client-visible error).
@@ -189,7 +190,7 @@ func runFleetDrill(opts serenity.Options, out io.Writer) error {
 	}
 	a, b, c := nodes[0], nodes[1], nodes[2]
 	fmt.Fprintf(out, "fleet drill: 3 nodes, %d graphs; shares A=%.2f B=%.2f C=%.2f\n",
-		len(bodies), a.s.ring.Load().OwnedShare(4096), b.s.ring.Load().OwnedShare(4096), c.s.ring.Load().OwnedShare(4096))
+		len(bodies), a.s.peers.Ring().OwnedShare(4096), b.s.peers.Ring().OwnedShare(4096), c.s.peers.Ring().OwnedShare(4096))
 
 	// Pass 1: node A pays for the corpus.
 	start := time.Now()

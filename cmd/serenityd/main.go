@@ -95,11 +95,13 @@
 // ring owner (GET /v1/peer/segment/{key}, budgeted by -peer-timeout) before
 // falling back to the local DP; fresh local computes of non-owned keys are
 // replicated to their owners in the background; and a pull-based anti-entropy
-// loop (-peer-sync-interval) converges whatever replication missed, a capped
-// batch per round. Peer traffic runs in its own admission lane (-peer-slots),
-// apart from compile slots. Every fleet failure mode — dead peer, slow peer,
-// corrupt artifact — degrades to local compute, never to a client-visible
-// error. GET /readyz answers 503 until the store warm-start and ring wiring
+// loop (-peer-sync-interval) converges whatever replication missed. Each
+// round is one exchange: the node POSTs the digest of every key it holds to a
+// live peer's /v1/peer/sync, and the peer streams back at most
+// -peer-sync-batch of the records the digest lacks. Peer traffic runs in its
+// own admission lane (-peer-slots), apart from compile slots. Every fleet
+// failure mode — dead peer, slow peer, corrupt artifact — degrades to local
+// compute, never to a client-visible error. GET /readyz answers 503 until the store warm-start and ring wiring
 // finish, so load balancers can hold traffic off a booting node (/healthz
 // stays a pure liveness probe).
 //
@@ -115,11 +117,11 @@
 // the next probe tick. POST
 // /admin/fleet/join?peer=URL and /admin/fleet/leave?peer=URL edit this node's
 // membership view without a restart (GET /admin/fleet shows it); a booting
-// node pre-streams the fleet corpus to convergence before reporting ready
-// (-peer-join-sync, bounded by -peer-join-timeout), so the moment it takes
-// ownership it serves its keys with zero fresh DP searches. Per-peer health
-// is exported as serenityd_peer_state{peer,state} gauges plus probe/failover
-// counters on /metrics and in the /readyz payload.
+// node that runs anti-entropy always pre-streams the fleet corpus to
+// convergence before reporting ready (bounded by -peer-join-timeout), so the
+// moment it takes ownership it serves its keys with zero fresh DP searches.
+// Per-peer health is exported as serenityd_peer_state{peer,state} gauges
+// plus probe/failover counters on /metrics and in the /readyz payload.
 //
 // Example:
 //
@@ -240,7 +242,7 @@ func run(ctx context.Context, cfg config) error {
 	// re-running their DPs. A fresh single-node fleet converges instantly; on
 	// pre-stream timeout the node goes ready anyway and background anti-entropy
 	// finishes the job.
-	if s.syncer != nil && cfg.joinSync {
+	if s.syncer != nil {
 		joinCtx, cancelJoin := context.WithTimeout(ctx, cfg.joinTimeout)
 		pulled, err := s.syncer.Converge(joinCtx)
 		cancelJoin()

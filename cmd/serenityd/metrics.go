@@ -30,7 +30,7 @@ type scrape struct {
 
 func (s *server) scrape() *scrape {
 	return &scrape{
-		s: s, cs: s.cache.Stats(), gs: s.gov.Stats(), ring: s.ring.Load(),
+		s: s, cs: s.cache.Stats(), gs: s.gov.Stats(), ring: statsOf(s.peers, (*fleet.Client).Ring),
 		ms: statsOf(s.segMemo, (*serenity.SegmentMemo).Stats),
 		ss: statsOf(s.store, (*serenity.ScheduleStore).Stats),
 		rs: statsOf(s.refine, (*serenity.RefinePool).Stats),
@@ -85,7 +85,6 @@ func hasGov(m *scrape) bool     { return m.s.gov.Enabled() }
 func hasPeers(m *scrape) bool   { return m.s.peers != nil }
 func hasPeerSrv(m *scrape) bool { return m.s.peerSrv != nil }
 func hasSyncer(m *scrape) bool  { return m.s.syncer != nil }
-func hasRing(m *scrape) bool    { return m.ring != nil }
 func hasAdmit(m *scrape) bool   { return m.s.admit != nil }
 
 // metricFamilies is the /metrics page, in exposition order. README
@@ -198,8 +197,8 @@ var metricFamilies = []family{
 	{"serenityd_peer_sync_rounds_total", "counter", "Anti-entropy rounds completed (including no-op ones).", "%d", hasSyncer, one(func(m *scrape) any { return m.ys.Rounds })},
 	{"serenityd_peer_sync_pulled_total", "counter", "Store records imported from peers by anti-entropy.", "%d", hasSyncer, one(func(m *scrape) any { return m.ys.Pulled })},
 	{"serenityd_peer_sync_errors_total", "counter", "Anti-entropy rounds that failed (unreachable peer, alien stream).", "%d", hasSyncer, one(func(m *scrape) any { return m.ys.Errors })},
-	{"serenityd_peer_ring_members", "gauge", "Fleet membership size, this node included.", "%d", hasRing, one(func(m *scrape) any { return len(m.ring.Members()) })},
-	{"serenityd_peer_ring_owned_share", "gauge", "Estimated fraction of the keyspace this node owns; far from 1/members means a misbalanced ring.", "%.4f", hasRing, one(func(m *scrape) any { return m.ring.OwnedShare(4096) })},
+	{"serenityd_peer_ring_members", "gauge", "Fleet membership size, this node included.", "%d", hasPeers, one(func(m *scrape) any { return len(m.ring.Members()) })},
+	{"serenityd_peer_ring_owned_share", "gauge", "Estimated fraction of the keyspace this node owns; far from 1/members means a misbalanced ring.", "%.4f", hasPeers, one(func(m *scrape) any { return m.ring.OwnedShare(4096) })},
 
 	{"serenityd_admission_admitted_total", "counter", "Compile-slot acquisitions granted, per priority class.", "%d", hasAdmit, perClass(func(a *admission, c admitClass) int64 { return a.admitted[c].Load() })},
 	{"serenityd_admission_rejected_total", "counter", "Acquisitions rejected with 429 because the class queue was full.", "%d", hasAdmit, perClass(func(a *admission, c admitClass) int64 { return a.rejected[c].Load() })},

@@ -179,16 +179,16 @@ type server struct {
 	// serenity.NewPipeline; a field so a test can see what each compile — a
 	// request's or a refinement's — was asked for.
 	newPipeline func(serenity.Options) (*serenity.Pipeline, error)
-	// Fleet tier (-peers/-peer-addr), all nil on a fleetless server: ring is
-	// the consistent-hash membership (an atomic pointer — admin join/leave
-	// swaps it under live traffic); peers the bounded fetch/replication
-	// client the pipeline consults as its PeerTier; peerSrv the peer-facing
-	// HTTP surface (artifact get/put, digest, sync) mounted on the same mux;
-	// syncer the background anti-entropy loop; health the per-peer liveness
-	// view, the fleet's one failure detector, driving failover routing. ring,
-	// peers, peerSrv and health are set together on every fleet node; syncer
-	// only with -peer-sync-interval > 0. See internal/fleet.
-	ring    atomic.Pointer[fleet.Ring]
+	// Fleet tier (-peers/-peer-addr), all nil on a fleetless server: peers
+	// is the bounded fetch/replication client the pipeline consults as its
+	// PeerTier, and its Ring() is this node's one copy of the consistent-hash
+	// membership (admin join/leave swaps it under live traffic); peerSrv the
+	// peer-facing HTTP surface (artifact get/put, sync) mounted on the same
+	// mux; syncer the background anti-entropy loop over the peers client;
+	// health the per-peer liveness view, the fleet's one failure detector,
+	// driving failover routing. peers, peerSrv and health are set together on
+	// every fleet node; syncer only with -peer-sync-interval > 0. See
+	// internal/fleet.
 	peers   *fleet.Client
 	peerSrv *fleet.Server
 	syncer  *fleet.Syncer
@@ -265,22 +265,18 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// applyRing swaps the fleet membership everywhere it is consulted: the
-// pipeline's routing and the health view (peers), the peer surface, and the
-// anti-entropy loop. Callers hold fleetMu.
+// applyRing swaps the fleet membership: the client's ring, which the
+// pipeline's routing, the health view and the anti-entropy loop all read, and
+// the peer surface's. Callers hold fleetMu.
 func (s *server) applyRing(r *fleet.Ring) {
-	s.ring.Store(r)
 	s.peers.UpdateRing(r)
 	s.peerSrv.UpdateRing(r)
-	if s.syncer != nil {
-		s.syncer.UpdateRing(r)
-	}
 }
 
 // fleetStatus is the admin view of the membership: every member plus the
 // health state this node currently holds for it.
 func (s *server) fleetStatus() map[string]any {
-	r := s.ring.Load()
+	r := s.peers.Ring()
 	states := map[string]string{r.Self(): "self"}
 	for _, p := range r.Peers() {
 		states[p] = s.health.State(p).String()
@@ -309,7 +305,7 @@ func (s *server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
-	cur := s.ring.Load()
+	cur := s.peers.Ring()
 	next, err := fleet.NewRing(cur.Self(), append(cur.Members(), peer), s.peerVnodes)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("join %q: %w", peer, err))
@@ -331,7 +327,7 @@ func (s *server) handleFleetLeave(w http.ResponseWriter, r *http.Request) {
 	}
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
-	cur := s.ring.Load()
+	cur := s.peers.Ring()
 	if peer == cur.Self() {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("a node cannot leave its own fleet view; stop the process instead"))
 		return
@@ -1088,7 +1084,8 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"status": "ready",
 		"uptime": time.Since(s.started).Round(time.Millisecond).String(),
 	}
-	if ring := s.ring.Load(); ring != nil {
+	if s.peers != nil {
+		ring := s.peers.Ring()
 		resp["fleet_members"] = len(ring.Members())
 		resp["fleet_self"] = ring.Self()
 		states := map[string]string{}

@@ -50,18 +50,14 @@ func buildChaosFleet(t *testing.T, count int, seed int64) []*chaosNode {
 			DeadAfter:  2,
 			HTTPClient: hc,
 		})
+		c := NewClient(r, ClientOptions{
+			Timeout:    150 * time.Millisecond,
+			HTTPClient: hc,
+			Health:     h,
+		})
 		fleet[i] = &chaosNode{
-			n: n, ring: r, ft: ft, h: h,
-			c: NewClient(r, ClientOptions{
-				Timeout:    150 * time.Millisecond,
-				HTTPClient: hc,
-				Health:     h,
-			}),
-			sy: NewSyncer(n.st, r, SyncerOptions{
-				Timeout:    500 * time.Millisecond,
-				HTTPClient: hc,
-				Health:     h,
-			}),
+			n: n, ring: r, ft: ft, h: h, c: c,
+			sy: NewSyncer(n.st, c, SyncerOptions{Timeout: 500 * time.Millisecond}),
 		}
 	}
 	for _, cn := range fleet {

@@ -19,7 +19,6 @@ import (
 // drift apart.
 const (
 	segmentPathPrefix = "/v1/peer/segment/"
-	digestPath        = "/v1/peer/digest"
 	syncPath          = "/v1/peer/sync"
 	// PingPath is the fleet-native liveness probe target: ungated, bodyless,
 	// 204. Health probes default to it; serenityd points them at /readyz
@@ -56,14 +55,16 @@ type ClientOptions struct {
 	// Default 256.
 	ReplicationQueue int
 	// HTTPClient overrides the transport (tests); nil uses a dedicated
-	// client with sane connection pooling.
+	// client with sane connection pooling. A Syncer over this client uses
+	// the same transport.
 	HTTPClient *http.Client
 	// Health is the member health view, the fleet's one failure detector:
 	// fetches skip any owner that is not Alive and go straight to the next
 	// live ring point (a dead owner costs zero added latency once its first
 	// probe or fetch fails), replication reroutes only around Dead owners (a
 	// Suspect blip is still worth one cheap push), and every transport
-	// failure this client observes is fed back into the view. Nil builds an
+	// failure this client observes is fed back into the view. A Syncer over
+	// this client syncs only with peers the view reads Alive. Nil builds an
 	// unprobed view over the ring's peers that only this client's own
 	// outcomes drive; a peer it demotes then never revives.
 	Health *Health
@@ -334,25 +335,26 @@ func (c *Client) pruneNegativeLocked() {
 // path never waits on replication; overflow is dropped and counted, and
 // anti-entropy heals whatever the drops missed. ctx contributes only the
 // caller's trace context, captured here because the push runs after the
-// request (and its context) are gone.
+// request (and its context) are gone. The enqueue happens under the lock
+// Close holds while it closes the queue, so a push racing Close is dropped,
+// never sent on a closed channel.
 func (c *Client) Replicate(ctx context.Context, key string, payload []byte) {
 	if r := c.ring.Load(); r.Owner(key) == r.Self() {
 		return
 	}
+	p := replicaPush{key: key, payload: payload, traceparent: trace.FromContext(ctx).Traceparent()}
 	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		c.repDropped.Add(1)
-		return
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.pending.Add(1)
+		select {
+		case c.pushCh <- p:
+			return
+		default:
+			c.pending.Add(-1)
+		}
 	}
-	c.pending.Add(1)
-	select {
-	case c.pushCh <- replicaPush{key: key, payload: payload, traceparent: trace.FromContext(ctx).Traceparent()}:
-	default:
-		c.pending.Add(-1)
-		c.repDropped.Add(1)
-	}
+	c.repDropped.Add(1)
 }
 
 // replicator drains the write-behind queue, PUTting each artifact to its
@@ -417,8 +419,8 @@ func (c *Client) Close() {
 		return
 	}
 	c.closed = true
-	c.mu.Unlock()
 	close(c.pushCh)
+	c.mu.Unlock()
 	c.wg.Wait()
 }
 

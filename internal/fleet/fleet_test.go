@@ -3,10 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,10 +32,10 @@ func (t testStore) PutArtifact(key string, payload []byte) bool {
 
 func (t testStore) KeyHashes() []uint64 { return t.s.KeyHashes() }
 
-func (t testStore) ExportSubset(w io.Writer, want map[uint64]bool) (int, error) {
+func (t testStore) ExportMissing(w io.Writer, have map[uint64]bool, max int) (int, error) {
 	n := 0
 	err := t.s.ExportFiltered(w, func(key string) bool {
-		if want[store.KeyHash(key)] {
+		if n < max && !have[store.KeyHash(key)] {
 			n++
 			return true
 		}
@@ -215,6 +217,46 @@ func TestClientReplicatesToOwner(t *testing.T) {
 	}
 }
 
+// TestReplicateRacesClose: a Replicate racing Close drops its push instead of
+// sending on the closed queue, which would panic the process, and every push
+// the queue did accept is still attempted before Close returns.
+func TestReplicateRacesClose(t *testing.T) {
+	self, peer := "http://self.invalid", "http://peer.invalid"
+	r, err := NewRing(self, []string{peer}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keyOwnedBy(t, r, peer, 0)
+	ft := NewFaultTransport(nil, 1)
+	ft.Isolate() // every push fails at once, without dialing
+	hc := &http.Client{Transport: ft}
+	rounds := 3000
+	if testing.Short() {
+		rounds = 300
+	}
+	for round := 0; round < rounds; round++ {
+		c := NewClient(r, ClientOptions{HTTPClient: hc})
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 32; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 4; i++ {
+					c.Replicate(context.Background(), key, []byte("x"))
+				}
+			}()
+		}
+		close(start)
+		c.Close()
+		wg.Wait()
+		if n := c.pending.Load(); n != 0 {
+			t.Fatalf("round %d: %d accepted pushes were never attempted", round, n)
+		}
+	}
+}
+
 func TestGateShedsPeerTraffic(t *testing.T) {
 	denied := Gate(func() (func(), bool) { return nil, false })
 	nodes, rings := buildFleet(t, 2, denied)
@@ -235,6 +277,15 @@ func TestGateShedsPeerTraffic(t *testing.T) {
 	}
 }
 
+// newTestSyncer builds a Syncer over st and a Client for r built from copts;
+// the client closes with the test.
+func newTestSyncer(t *testing.T, st Store, r *Ring, copts ClientOptions, opts SyncerOptions) *Syncer {
+	t.Helper()
+	c := NewClient(r, copts)
+	t.Cleanup(c.Close)
+	return NewSyncer(st, c, opts)
+}
+
 func TestSyncerConvergesInCappedBatches(t *testing.T) {
 	nodes, rings := buildFleet(t, 2, nil)
 	a, b := nodes[0], nodes[1]
@@ -251,7 +302,7 @@ func TestSyncerConvergesInCappedBatches(t *testing.T) {
 	if err := b.st.s.Put(keys[3], []byte("established")); err != nil {
 		t.Fatal(err)
 	}
-	sy := NewSyncer(b.st, rings[1], SyncerOptions{Batch: 4})
+	sy := newTestSyncer(t, b.st, rings[1], ClientOptions{}, SyncerOptions{Batch: 4})
 	total := 0
 	for round := 0; round < 10 && total < records-1; round++ {
 		n, err := sy.SyncOnce(context.Background(), a.srv.URL)
@@ -296,7 +347,7 @@ func TestSyncerBackgroundLoopConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sy := NewSyncer(b.st, rings[1], SyncerOptions{Interval: 10 * time.Millisecond})
+	sy := newTestSyncer(t, b.st, rings[1], ClientOptions{}, SyncerOptions{Interval: 10 * time.Millisecond})
 	sy.Start()
 	defer sy.Stop()
 	deadline := time.Now().Add(5 * time.Second)
@@ -314,7 +365,7 @@ func TestSyncerSurvivesDeadPeer(t *testing.T) {
 	nodes, rings := buildFleet(t, 2, nil)
 	a := nodes[0]
 	a.srv.Close()
-	sy := NewSyncer(nodes[1].st, rings[1], SyncerOptions{Timeout: 100 * time.Millisecond})
+	sy := newTestSyncer(t, nodes[1].st, rings[1], ClientOptions{}, SyncerOptions{Timeout: 100 * time.Millisecond})
 	if _, err := sy.SyncOnce(context.Background(), a.srv.URL); err == nil {
 		t.Fatal("sync against a dead peer must report the error (the loop counts and moves on)")
 	}
@@ -534,7 +585,7 @@ func TestSyncerConvergePreStreams(t *testing.T) {
 		}
 	}
 	var rounds atomic.Int64
-	sy := NewSyncer(cNode.st, rings[2], SyncerOptions{
+	sy := newTestSyncer(t, cNode.st, rings[2], ClientOptions{}, SyncerOptions{
 		Batch:   3, // force multiple passes
 		OnRound: func(string, int, error) { rounds.Add(1) },
 	})
@@ -557,8 +608,8 @@ func TestSyncerConvergePreStreams(t *testing.T) {
 	}
 }
 
-// TestSyncerConvergeSkipsDeadPeers: with a health view, Converge pulls from
-// live peers only and still terminates despite a dead one.
+// TestSyncerConvergeSkipsDeadPeers: under the client's health view, Converge
+// pulls from live peers only and still terminates despite a dead one.
 func TestSyncerConvergeSkipsDeadPeers(t *testing.T) {
 	nodes, rings := buildFleet(t, 3, nil)
 	a, b, cNode := nodes[0], nodes[1], nodes[2]
@@ -570,7 +621,7 @@ func TestSyncerConvergeSkipsDeadPeers(t *testing.T) {
 	h.ReportFailure(b.srv.URL)
 	h.ReportFailure(b.srv.URL)
 	h.ReportFailure(b.srv.URL) // dead
-	sy := NewSyncer(cNode.st, rings[2], SyncerOptions{Health: h, Timeout: 200 * time.Millisecond})
+	sy := newTestSyncer(t, cNode.st, rings[2], ClientOptions{Health: h}, SyncerOptions{Timeout: 200 * time.Millisecond})
 	start := time.Now()
 	total, err := sy.Converge(context.Background())
 	if err != nil {
@@ -584,21 +635,117 @@ func TestSyncerConvergeSkipsDeadPeers(t *testing.T) {
 	}
 }
 
-func TestDigestRoundTripAndAlienRejection(t *testing.T) {
-	hashes := []uint64{0, 1, ^uint64(0), 0xdeadbeefcafef00d}
-	var buf bytes.Buffer
-	if err := writeDigest(&buf, hashes); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readDigest(&buf)
+// TestSyncExchange: one POST of a digest moves exactly the exporter's records
+// that are absent from it, stops at the digest's cap, and cannot displace an
+// established record; an old-format body answers 400 and moves nothing.
+func TestSyncExchange(t *testing.T) {
+	exporter, requester := newNode(t), newNode(t)
+	ring, err := NewRing(exporter.srv.URL, []string{exporter.srv.URL, requester.srv.URL}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(hashes) {
-		t.Fatalf("digest round trip: %v != %v", got, hashes)
+	srv := NewServer(exporter.st, ring, nil)
+	srv.Register(exporter.mux)
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 16) }
+	keys := make([]string, 10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%064x|exact", i)
+		if err := exporter.st.s.Put(keys[i], payload(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, alien := range [][]byte{nil, []byte("x"), []byte("NOPE\x00\x00\x00\x00"), append([]byte("SDG1"), 0xFF, 0xFF, 0xFF, 0xFF)} {
-		if _, err := readDigest(bytes.NewReader(alien)); err == nil {
+	// The requester holds two of the keys: one with the exporter's bytes and
+	// one established with bytes of its own.
+	if err := requester.st.s.Put(keys[3], []byte("established")); err != nil {
+		t.Fatal(err)
+	}
+	if err := requester.st.s.Put(keys[5], payload(5)); err != nil {
+		t.Fatal(err)
+	}
+
+	// exchange POSTs body and returns the status and the streamed records.
+	exchange := func(body []byte) (int, map[string][]byte) {
+		t.Helper()
+		resp, err := http.Post(exporter.srv.URL+syncPath, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, nil
+		}
+		got, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		if _, _, err := got.Import(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		records := map[string][]byte{}
+		for _, e := range got.Entries() {
+			records[e.Key], _ = got.Get(e.Key)
+		}
+		return resp.StatusCode, records
+	}
+
+	status, records := exchange(encodeDigest(100, requester.st.KeyHashes()))
+	if status != http.StatusOK || len(records) != len(keys)-2 {
+		t.Fatalf("status %d, %d records; want 200 and the %d the digest lacks", status, len(records), len(keys)-2)
+	}
+	for i, key := range keys {
+		got, ok := records[key]
+		if (i == 3 || i == 5) == ok {
+			t.Errorf("key %d streamed=%t; the digest holds keys 3 and 5 only", i, ok)
+		}
+		if ok && !bytes.Equal(got, payload(i)) {
+			t.Errorf("key %d streamed with the wrong bytes", i)
+		}
+	}
+	if _, records = exchange(encodeDigest(3, requester.st.KeyHashes())); len(records) != 3 {
+		t.Fatalf("a cap of 3 streamed %d records", len(records))
+	}
+	for key := range records {
+		if key == keys[3] || key == keys[5] {
+			t.Errorf("capped exchange streamed %q, which the digest holds", key)
+		}
+	}
+
+	// An empty digest streams the key the requester established too, and
+	// importing it leaves the established bytes alone.
+	resp, err := http.Post(exporter.srv.URL+syncPath, "application/octet-stream", bytes.NewReader(encodeDigest(100, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := requester.st.ImportMissing(resp.Body)
+	resp.Body.Close()
+	if err != nil || added != len(keys)-2 {
+		t.Fatalf("imported %d records (err %v), want %d", added, err, len(keys)-2)
+	}
+	if got, _ := requester.st.GetArtifact(keys[3]); !bytes.Equal(got, []byte("established")) {
+		t.Fatalf("the exchange displaced an established record: %q", got)
+	}
+
+	// An older node's body lists the hashes it wants under "SDG1"; reading it
+	// as a digest would stream everything else, so it must fail the round.
+	before := srv.Stats().SyncRecords
+	old := binary.LittleEndian.AppendUint32([]byte("SDG1"), 1)
+	old = binary.LittleEndian.AppendUint64(old, store.KeyHash(keys[0]))
+	if status, _ := exchange(old); status != http.StatusBadRequest {
+		t.Fatalf("an SDG1 body answered %d, want 400", status)
+	}
+	if moved := srv.Stats().SyncRecords - before; moved != 0 {
+		t.Fatalf("an SDG1 body streamed %d records", moved)
+	}
+}
+
+func TestDigestRejectsAlienBodies(t *testing.T) {
+	for _, alien := range [][]byte{
+		nil, []byte("x"), []byte("NOPE\x00\x00\x00\x00"), append([]byte("SDG1"), 0xFF, 0xFF, 0xFF, 0xFF),
+		append([]byte("SDG2\x01\x00\x00\x00"), 0xFF, 0xFF, 0xFF, 0xFF), // count beyond maxDigestEntries
+		[]byte("SDG2\x01\x00\x00\x00\x02\x00\x00\x00\x00"),             // truncated hashes
+	} {
+		if _, _, err := readDigest(bytes.NewReader(alien)); err == nil {
 			t.Errorf("alien digest %q was accepted", alien)
 		}
 	}

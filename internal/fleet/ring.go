@@ -21,12 +21,13 @@
 //     dead peer costs a small bounded latency — never more than a fraction of
 //     the DP it was trying to avoid — and degrades to local compute, never to
 //     an error.
-//   - Server + Syncer: the peer-facing HTTP surface (artifact get/put, key
-//     digest, sync pull) and the pull-based anti-entropy loop built on the
-//     store's digest/filtered-export primitives. The ring bounds who a
-//     compile miss asks; anti-entropy spreads the corpus in the background so
-//     a rebooted or newly joined node converges a capped batch per round
-//     instead of thundering onto one peer.
+//   - Server + Syncer: the peer-facing HTTP surface (artifact get/put, sync)
+//     and the pull-based anti-entropy loop over the Client's ring and health
+//     view. Each round is one exchange: the Syncer posts the digest of every
+//     key it holds, and the peer streams back a capped batch of the records
+//     the digest lacks. The ring bounds who a compile miss asks; anti-entropy
+//     spreads the corpus in the background so a rebooted or newly joined node
+//     converges a capped batch per round instead of thundering onto one peer.
 //
 // Everything here degrades gracefully by construction: every fleet failure
 // mode (dead peer, slow peer, corrupt artifact, alien stream) converts into

@@ -24,9 +24,9 @@ type Store interface {
 	PutArtifact(key string, payload []byte) bool
 	// KeyHashes returns the store.KeyHash digest of every live key.
 	KeyHashes() []uint64
-	// ExportSubset streams the live records whose key-hash want contains, as
-	// a self-contained store file, and returns how many records it wrote.
-	ExportSubset(w io.Writer, want map[uint64]bool) (int, error)
+	// ExportMissing streams at most max live records whose key-hash have
+	// lacks, as a self-contained store file, and returns how many it wrote.
+	ExportMissing(w io.Writer, have map[uint64]bool, max int) (int, error)
 	// ImportMissing merges a store stream, skipping keys already present and
 	// payloads that fail validation, and returns how many records it added.
 	ImportMissing(r io.Reader) (added int, err error)
@@ -55,8 +55,10 @@ type ServerStats struct {
 }
 
 // Server is serenityd's peer-facing HTTP surface: artifact get/put for the
-// compile path's fetches and write-behind replication, and digest/sync for
-// the anti-entropy loop. Safe for concurrent use.
+// compile path's fetches and write-behind replication, and the one sync
+// exchange of the anti-entropy loop, where a peer posts the digest of the keys
+// it holds and this node streams back a capped batch of the records it lacks.
+// Safe for concurrent use.
 type Server struct {
 	store  Store
 	ring   atomic.Pointer[Ring]
@@ -121,7 +123,6 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET "+segmentPathPrefix+"{key}", s.handleSegmentGet)
 	mux.HandleFunc("PUT "+segmentPathPrefix+"{key}", s.handleSegmentPut)
-	mux.HandleFunc("GET "+digestPath, s.handleDigest)
 	mux.HandleFunc("POST "+syncPath, s.handleSync)
 	// The ping deliberately bypasses the gate: health probes must answer even
 	// when the peer lane is saturated, or overload would read as death and
@@ -185,26 +186,16 @@ func (s *Server) handleSegmentPut(w http.ResponseWriter, r *http.Request) {
 		s.repAccepted.Add(1)
 	} else {
 		// Already present (first-writer-wins) or failed validation; either
-		// way the replication achieved its goal or never could. 200 in both
+		// way the replication achieved its goal or never could. 204 in both
 		// cases — a replica push is idempotent fire-and-forget.
 		s.repIgnored.Add(1)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	done := s.serveSpan(r, "peer.serve.digest")
-	hashes := s.store.KeyHashes()
-	done(trace.Int("keys", int64(len(hashes))))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	writeDigest(w, hashes)
-}
-
+// handleSync answers one anti-entropy exchange: the body is the requester's
+// digest, and the answer streams back at most the digest's cap of the records
+// whose hashes it lacks.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w)
 	if !ok {
@@ -212,65 +203,56 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	done := s.serveSpan(r, "peer.serve.sync")
-	wanted, err := readDigest(r.Body)
+	max, have, err := readDigest(r.Body)
 	if err != nil {
 		done(trace.Int("records", 0))
 		http.Error(w, "bad digest body", http.StatusBadRequest)
 		return
 	}
-	want := make(map[uint64]bool, len(wanted))
-	for _, h := range wanted {
-		want[h] = true
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	n, _ := s.store.ExportSubset(w, want)
+	n, _ := s.store.ExportMissing(w, have, max)
 	done(trace.Int("records", int64(n)))
 	s.syncRecords.Add(int64(n))
 }
 
-// Digest wire format: 4-byte magic "SDG1" | uint32 LE count | count × uint64
-// LE key-hashes. Used for both the digest response and the sync pull request
-// body (the hashes the requester wants).
-var digestMagic = [4]byte{'S', 'D', 'G', '1'}
+// Digest wire format: 4-byte magic "SDG2" | uint32 LE record cap | uint32 LE
+// count | count × uint64 LE key-hashes: every key the requester holds, and
+// how many records it takes per round. An older node's "SDG1" body (the
+// hashes it wanted, not the ones it has) fails the magic check, so a
+// mixed-version fleet fails the round instead of importing the wrong set.
+var digestMagic = [4]byte{'S', 'D', 'G', '2'}
 
 // maxDigestEntries bounds one digest at 2M keys (16 MiB) so an alien or
 // malicious stream cannot balloon into an allocation incident.
 const maxDigestEntries = 1 << 21
 
-func writeDigest(w io.Writer, hashes []uint64) error {
-	hdr := make([]byte, 8)
-	copy(hdr, digestMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(hashes)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 8*len(hashes))
+func encodeDigest(max int, hashes []uint64) []byte {
+	buf := make([]byte, 12+8*len(hashes))
+	copy(buf, digestMagic[:])
+	binary.LittleEndian.PutUint32(buf[4:], uint32(max))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(hashes)))
 	for i, h := range hashes {
-		binary.LittleEndian.PutUint64(buf[8*i:], h)
+		binary.LittleEndian.PutUint64(buf[12+8*i:], h)
 	}
-	_, err := w.Write(buf)
-	return err
+	return buf
 }
 
-func readDigest(r io.Reader) ([]uint64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, errAlien
+func readDigest(r io.Reader) (max int, have map[uint64]bool, err error) {
+	var hdr [12]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil || [4]byte(hdr[:4]) != digestMagic {
+		return 0, nil, errAlien
 	}
-	if [4]byte(hdr[:4]) != digestMagic {
-		return nil, errAlien
-	}
-	count := binary.LittleEndian.Uint32(hdr[4:])
+	count := binary.LittleEndian.Uint32(hdr[8:])
 	if count > maxDigestEntries {
-		return nil, errAlien
+		return 0, nil, errAlien
 	}
 	buf := make([]byte, 8*count)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, errAlien
+		return 0, nil, errAlien
 	}
-	out := make([]uint64, count)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[8*i:])
+	have = make(map[uint64]bool, count)
+	for i := 0; i < len(buf); i += 8 {
+		have[binary.LittleEndian.Uint64(buf[i:])] = true
 	}
-	return out, nil
+	return int(binary.LittleEndian.Uint32(hdr[4:])), have, nil
 }

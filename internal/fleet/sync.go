@@ -24,24 +24,17 @@ type SyncerOptions struct {
 	// several rounds instead of slamming one peer for the whole corpus — the
 	// no-thundering-herd rule. Default 512.
 	Batch int
-	// Timeout bounds each HTTP call. Sync moves bulk in the background, so it
+	// Timeout bounds each exchange. Sync moves bulk in the background, so it
 	// gets a far more lenient budget than the compile path's fetches.
 	// Default 10s.
 	Timeout time.Duration
-	// HTTPClient overrides the transport (tests).
-	HTTPClient *http.Client
-	// Health steers rounds away from peers that are not Alive: syncing
-	// against a dead peer only burns the round's budget, and anti-entropy is
-	// exactly the machinery that heals it once it revives. Nil builds an
-	// unprobed view over the ring's peers, under which every peer reads Alive.
-	Health *Health
 	// OnRound, when non-nil, observes every completed exchange (including
 	// Converge's) — a deterministic test and logging hook. Called from the
 	// syncing goroutine; must not block for long.
 	OnRound func(peer string, added int, err error)
 	// Tracer, when non-nil, opens a "sync.round" trace per exchange and
-	// propagates its context to the peer, so the peer's digest/sync serve
-	// spans stitch under this node's round trace.
+	// propagates its context to the peer, so the peer's sync serve span
+	// stitches under this node's round trace.
 	Tracer *trace.Tracer
 }
 
@@ -54,9 +47,6 @@ func (o SyncerOptions) withDefaults() SyncerOptions {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
 	}
 	return o
 }
@@ -71,16 +61,16 @@ type SyncerStats struct {
 	Errors int64
 }
 
-// Syncer is the pull-based anti-entropy loop: every interval it asks the next
-// peer (round-robin) for its key digest, diffs against the local store, and
-// pulls a capped batch of the records it is missing. Convergence is eventual
-// and deliberately unhurried — the compile path's owner fetches serve the
-// latency-sensitive traffic; the syncer's job is that a rebooted, rejoined,
-// or drop-afflicted node ends up with the full corpus anyway.
+// Syncer is the pull-based anti-entropy loop: every interval it posts the
+// digest of the keys it holds to the next peer (round-robin), and the peer
+// streams back a capped batch of the records the digest lacks. Convergence is
+// eventual and deliberately unhurried — the compile path's owner fetches
+// serve the latency-sensitive traffic; the syncer's job is that a rebooted,
+// rejoined, or drop-afflicted node ends up with the full corpus anyway.
 type Syncer struct {
-	store Store
-	ring  atomic.Pointer[Ring]
-	opts  SyncerOptions
+	store  Store
+	client *Client
+	opts   SyncerOptions
 
 	next   int // round-robin cursor over the live peer list
 	cancel context.CancelFunc
@@ -90,27 +80,21 @@ type Syncer struct {
 	rounds, pulled, errors atomic.Int64
 }
 
-// NewSyncer builds the anti-entropy loop over store and ring. Call Start to
-// run it; SyncOnce works without Start for drills and tests.
-func NewSyncer(store Store, ring *Ring, opts SyncerOptions) *Syncer {
-	s := &Syncer{store: store, opts: opts.withDefaults()}
-	if s.opts.Health == nil {
-		s.opts.Health = NewHealth(ring.Peers(), HealthOptions{})
-	}
-	s.ring.Store(ring)
-	return s
+// NewSyncer builds the anti-entropy loop over store. Every round reads the
+// membership, the health view and the transport from client, so a join or
+// leave applied to the client reaches the syncer too, and rounds skip peers
+// that are not Alive. Call Start to run it; SyncOnce works without Start for
+// drills and tests.
+func NewSyncer(store Store, client *Client, opts SyncerOptions) *Syncer {
+	return &Syncer{store: store, client: client, opts: opts.withDefaults()}
 }
-
-// UpdateRing swaps the membership the syncer pulls over — a join or leave
-// took effect. The next round sees the new peer list.
-func (s *Syncer) UpdateRing(r *Ring) { s.ring.Store(r) }
 
 // livePeers returns the Alive peers: the ones worth syncing against now.
 func (s *Syncer) livePeers() []string {
-	peers := s.ring.Load().Peers()
+	peers := s.client.Ring().Peers()
 	out := peers[:0]
 	for _, p := range peers {
-		if s.opts.Health.Live(p) {
+		if s.client.opts.Health.Live(p) {
 			out = append(out, p)
 		}
 	}
@@ -145,7 +129,7 @@ func (s *Syncer) Stop() {
 
 func (s *Syncer) loop(ctx context.Context) {
 	defer s.wg.Done()
-	rng := rand.New(rand.NewSource(int64(hash64(s.ring.Load().Self()))))
+	rng := rand.New(rand.NewSource(int64(hash64(s.client.Ring().Self()))))
 	for {
 		// ±20% jitter, seeded from the member address so each node wanders
 		// its own schedule: a fleet restarted together must not line up its
@@ -168,7 +152,7 @@ func (s *Syncer) loop(ctx context.Context) {
 	}
 }
 
-// Converge runs digest-diff-pull passes against every live peer until one
+// Converge runs sync passes against every live peer until one
 // full pass imports nothing, and returns the total records imported. This is
 // the join/rejoin handoff: a node entering the ring pre-streams the corpus —
 // its owned keys included — BEFORE reporting ready, so the moment peers
@@ -209,9 +193,9 @@ func (s *Syncer) Converge(ctx context.Context) (int, error) {
 	return total, lastErr
 }
 
-// SyncOnce performs one digest-diff-pull exchange with peer and returns the
-// number of records imported. Exported so drills and shutdown paths can force
-// a deterministic convergence step.
+// SyncOnce performs one exchange with peer and returns the number of records
+// imported. Exported so drills and shutdown paths can force a deterministic
+// convergence step.
 func (s *Syncer) SyncOnce(ctx context.Context, peer string) (int, error) {
 	var span *trace.SpanHandle
 	if s.opts.Tracer != nil && trace.FromContext(ctx) == nil {
@@ -234,61 +218,21 @@ func (s *Syncer) SyncOnce(ctx context.Context, peer string) (int, error) {
 	return added, err
 }
 
-func (s *Syncer) syncOnce(ctx context.Context, peer string) (int, error) {
-	theirs, err := s.fetchDigest(ctx, peer)
-	if err != nil {
-		return 0, err
-	}
-	mine := make(map[uint64]bool, 1024)
-	for _, h := range s.store.KeyHashes() {
-		mine[h] = true
-	}
-	missing := make([]uint64, 0, 64)
-	for _, h := range theirs {
-		if !mine[h] {
-			missing = append(missing, h)
-			if len(missing) >= s.opts.Batch {
-				break // the rest converges on later rounds
-			}
-		}
-	}
-	if len(missing) == 0 {
-		return 0, nil
-	}
-	added, err := s.pull(ctx, peer, missing)
-	s.pulled.Add(int64(added))
-	return added, err
-}
-
-// fetchDigest GETs peer's key digest.
-func (s *Syncer) fetchDigest(ctx context.Context, peer string) (hashes []uint64, err error) {
-	status, err := roundTrip(ctx, s.opts.HTTPClient, s.opts.Timeout, http.MethodGet, peer+digestPath,
-		trace.FromContext(ctx).Traceparent(), nil, func(body io.Reader) (err error) {
-			hashes, err = readDigest(body)
-			return err
-		})
-	if err == nil && status != http.StatusOK {
-		err = fmt.Errorf("fleet: digest from %s answered %d", peer, status)
-	}
-	return hashes, err
-}
-
-// pull POSTs the wanted hashes to peer and imports the record stream it
-// answers with. The store's ImportMissing skips keys that arrived locally in
-// the meantime and payloads that fail validation, so a stale or lying peer
-// can waste a round but never poison the store.
-func (s *Syncer) pull(ctx context.Context, peer string, want []uint64) (added int, err error) {
-	var body bytes.Buffer
-	if err := writeDigest(&body, want); err != nil {
-		return 0, err
-	}
-	status, err := roundTrip(ctx, s.opts.HTTPClient, s.opts.Timeout, http.MethodPost, peer+syncPath,
-		trace.FromContext(ctx).Traceparent(), &body, func(stream io.Reader) (err error) {
+// syncOnce POSTs the digest of every key this node holds, capped at Batch
+// records, and imports the record stream the peer answers with; the rest
+// converges on later rounds. The store's ImportMissing skips keys that
+// arrived locally in the meantime and payloads that fail validation, so a
+// stale or lying peer can waste a round but never poison the store.
+func (s *Syncer) syncOnce(ctx context.Context, peer string) (added int, err error) {
+	body := bytes.NewReader(encodeDigest(s.opts.Batch, s.store.KeyHashes()))
+	status, err := roundTrip(ctx, s.client.opts.HTTPClient, s.opts.Timeout, http.MethodPost, peer+syncPath,
+		trace.FromContext(ctx).Traceparent(), body, func(stream io.Reader) (err error) {
 			added, err = s.store.ImportMissing(stream)
 			return err
 		})
 	if err == nil && status != http.StatusOK {
-		err = fmt.Errorf("fleet: sync pull from %s answered %d", peer, status)
+		err = fmt.Errorf("fleet: sync with %s answered %d", peer, status)
 	}
+	s.pulled.Add(int64(added))
 	return added, err
 }

@@ -342,15 +342,17 @@ func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 	local, _ := MarshalSegmentArtifact(fresh)
 	twin, _ := MarshalSegmentArtifact(refined)
 	peer := openStoreT(t, t.TempDir())
+	exported := map[uint64]bool{} // the peer's earlier rounds' keys
 	for round := 0; round < rounds; round++ {
 		key := fmt.Sprintf("import-%d|k", round)
 		var stream bytes.Buffer
 		if !peer.PutArtifact(key, twin) {
 			t.Fatal("peer store refused the twin")
 		}
-		if _, err := peer.ExportSubset(&stream, map[uint64]bool{store.KeyHash(key): true}); err != nil {
-			t.Fatal(err)
+		if n, err := peer.ExportMissing(&stream, exported, 1); err != nil || n != 1 {
+			t.Fatalf("exported %d records (err %v), want this round's one", n, err)
 		}
+		exported[store.KeyHash(key)] = true
 		start := make(chan struct{})
 		landed := make(chan bool)
 		go func() {

@@ -87,9 +87,9 @@ func (ss *ScheduleStore) KeyHashes() []uint64 {
 	return ss.st.KeyHashes()
 }
 
-// ExportSubset streams the stored artifacts whose key-hash want contains, as
-// a self-contained store file, returning how many records it wrote.
-func (ss *ScheduleStore) ExportSubset(w io.Writer, want map[uint64]bool) (int, error) {
+// ExportMissing streams at most max stored artifacts whose key-hash have
+// lacks, as a self-contained store file, returning how many records it wrote.
+func (ss *ScheduleStore) ExportMissing(w io.Writer, have map[uint64]bool, max int) (int, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if ss.closed {
@@ -97,7 +97,7 @@ func (ss *ScheduleStore) ExportSubset(w io.Writer, want map[uint64]bool) (int, e
 	}
 	n := 0
 	err := ss.st.ExportFiltered(w, func(key string) bool {
-		if want[store.KeyHash(key)] {
+		if n < max && !have[store.KeyHash(key)] {
 			n++
 			return true
 		}
