@@ -21,10 +21,6 @@ const (
 	classBatch
 	classRefine
 	numClasses
-	// classPreAdmitted marks work whose slots were already acquired by an
-	// enclosing request (batch items run under their batch's grant); the
-	// scheduler skips admission for it.
-	classPreAdmitted admitClass = -1
 )
 
 func (c admitClass) String() string {
@@ -76,63 +72,41 @@ func (e *errMemPressure) Error() string {
 
 func (e *errMemPressure) Unwrap() error { return e.cause }
 
-// admitWaiter is one queued acquire.
-type admitWaiter struct {
-	weight  int
-	granted chan struct{}
-}
-
-// admission is a weighted, strictly prioritized semaphore over the server's
-// compile slots. Capacity is the number of concurrently executing
-// compilations (-compile-slots); an acquire takes weight slots (a batch
-// takes one per item worker) and blocks until granted. Grants are strict
-// priority with FIFO head-of-line order within each class: no slot goes to
-// a class while a higher class has a waiter, and no waiter bypasses an
-// earlier waiter of its own class — predictable degradation over maximal
-// utilization. Each class's wait queue is bounded; an acquire against a
-// full queue fails immediately with errAdmission (the caller answers 429 +
-// Retry-After) rather than hanging the connection.
+// admission is a strictly prioritized semaphore over the server's compile
+// slots. Capacity is the number of concurrently executing compilations
+// (-compile-slots); every compilation — an interactive request's, a batch
+// item's, a background refinement's — takes exactly one slot and blocks until
+// it is granted. Grants are strict priority with FIFO order within each
+// class: no slot goes to a class while a higher class has a waiter —
+// predictable degradation over maximal utilization. Each class's wait queue
+// is bounded; an acquire against a full queue fails immediately with
+// errAdmission (the caller answers 429 + Retry-After) rather than hanging the
+// connection.
 type admission struct {
 	mu      sync.Mutex
 	free    int
 	slots   int
-	limits  [numClasses]int
-	queues  [numClasses][]*admitWaiter
+	limit   int
+	queues  [numClasses][]chan struct{}
 	waiting [numClasses]atomic.Int64 // gauge: queued acquires per class
 
 	admitted [numClasses]atomic.Int64
 	rejected [numClasses]atomic.Int64
 }
 
-// newAdmission builds a controller with the given slot capacity (minimum 1)
-// and per-class wait-queue limits (minimum 1 each).
-func newAdmission(slots int, limits [numClasses]int) *admission {
-	if slots < 1 {
-		slots = 1
-	}
-	for i := range limits {
-		if limits[i] < 1 {
-			limits[i] = 1
-		}
-	}
-	return &admission{free: slots, slots: slots, limits: limits}
+// newAdmission builds a controller with the given slot capacity and
+// per-class wait-queue depth (minimum 1 each).
+func newAdmission(slots, queue int) *admission {
+	return &admission{free: max(slots, 1), slots: max(slots, 1), limit: max(queue, 1)}
 }
 
-// acquire takes weight compile slots in class, blocking until they are
-// granted or ctx ends. Weights above the total capacity are clamped so an
-// oversized request degrades to "the whole machine" instead of deadlocking.
-// The returned release returns the slots and wakes the next waiters; it
-// must be called exactly once. A full class queue fails fast with
+// acquire takes one compile slot in class, blocking until it is granted or
+// ctx ends. The returned release returns the slot and wakes the next waiter;
+// it must be called exactly once. A full class queue fails fast with
 // *errAdmission.
-func (a *admission) acquire(ctx context.Context, class admitClass, weight int) (func(), error) {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > a.slots {
-		weight = a.slots
-	}
+func (a *admission) acquire(ctx context.Context, class admitClass) (func(), error) {
 	a.mu.Lock()
-	if len(a.queues[class]) >= a.limits[class] {
+	if len(a.queues[class]) >= a.limit {
 		depth := 0
 		for c := admitClass(0); c < numClasses; c++ {
 			depth += len(a.queues[c])
@@ -141,30 +115,30 @@ func (a *admission) acquire(ctx context.Context, class admitClass, weight int) (
 		a.rejected[class].Add(1)
 		return nil, &errAdmission{class: class, retryAfter: retryAfterFor(depth, a.slots)}
 	}
-	w := &admitWaiter{weight: weight, granted: make(chan struct{})}
-	a.queues[class] = append(a.queues[class], w)
+	granted := make(chan struct{})
+	a.queues[class] = append(a.queues[class], granted)
 	a.waiting[class].Add(1)
 	a.grantLocked()
 	a.mu.Unlock()
 
 	release := func() {
 		a.mu.Lock()
-		a.free += weight
+		a.free++
 		a.grantLocked()
 		a.mu.Unlock()
 	}
 	select {
-	case <-w.granted:
+	case <-granted:
 		a.waiting[class].Add(-1)
 		a.admitted[class].Add(1)
 		return release, nil
 	case <-ctx.Done():
 	}
 	// The waiter gave up; it may have been granted concurrently, in which
-	// case the slots must go back.
+	// case the slot must go back.
 	a.mu.Lock()
 	select {
-	case <-w.granted:
+	case <-granted:
 		a.mu.Unlock()
 		a.waiting[class].Add(-1)
 		release()
@@ -173,33 +147,24 @@ func (a *admission) acquire(ctx context.Context, class admitClass, weight int) (
 	}
 	q := a.queues[class]
 	for i, cand := range q {
-		if cand == w {
+		if cand == granted {
 			a.queues[class] = append(q[:i], q[i+1:]...)
 			break
 		}
 	}
-	// The abandoned waiter may have been the head-of-line blocker; whoever
-	// is next might fit in the slots it was holding out for.
-	a.grantLocked()
 	a.mu.Unlock()
 	a.waiting[class].Add(-1)
 	return nil, ctx.Err()
 }
 
-// grantLocked hands free slots to waiters in strict priority order,
-// head-of-line within each class. It stops at the first waiter it cannot
-// satisfy: letting a smaller, lower-priority waiter slip past would let a
-// stream of cheap refinements starve a wide batch forever.
+// grantLocked hands free slots to waiters in strict priority order, FIFO
+// within each class.
 func (a *admission) grantLocked() {
 	for c := admitClass(0); c < numClasses; c++ {
-		for len(a.queues[c]) > 0 {
-			head := a.queues[c][0]
-			if head.weight > a.free {
-				return
-			}
-			a.free -= head.weight
+		for a.free > 0 && len(a.queues[c]) > 0 {
+			a.free--
+			close(a.queues[c][0])
 			a.queues[c] = a.queues[c][1:]
-			close(head.granted)
 		}
 	}
 }

@@ -27,8 +27,9 @@ type batchRequest struct {
 }
 
 // batchItemResult is one item's outcome. Status carries the HTTP status the
-// single endpoint would have answered with (200, 400, 413, 422, 500, 503);
-// exactly one of Schedule and Error is set.
+// single endpoint would have answered with (200, 400, 413, 422, 429, 500,
+// 503); a 429 item found the batch class's admission queue full and its
+// Error carries the retry advice. Exactly one of Schedule and Error is set.
 type batchItemResult struct {
 	Index    int               `json:"index"`
 	Status   int               `json:"status"`
@@ -54,7 +55,9 @@ type batchResponse struct {
 // stays ~Parallelism instead of multiplying across the two levels. Each
 // item passes through the same schedule cache, request coalescing, and
 // segment memo as the single endpoint, so a batch of cell-sharing models
-// amortizes their common DP work within the batch itself.
+// amortizes their common DP work within the batch itself. Each item that
+// compiles takes one compile slot in the batch class, exactly like a single
+// request in the interactive class; cached items take none.
 func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	reqID := s.requests.Add(1)
 	s.batches.Add(1)
@@ -127,25 +130,6 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	if root != nil {
 		ctx = trace.ContextWith(ctx, root)
 	}
-	// The whole batch admits once, weighted by its worker count, in the batch
-	// class: one slot per concurrently compiling item. Batch items then run
-	// pre-admitted so they are not throttled (or rejected) a second time
-	// inside schedule().
-	if s.admit != nil {
-		var admSp *trace.SpanHandle
-		if root != nil {
-			admSp = root.Child("admission.wait",
-				trace.Str("class", classBatch.String()), trace.Int("weight", int64(workers)))
-		}
-		release, err := s.admit.acquire(ctx, classBatch, workers)
-		admSp.EndErr(err)
-		if err != nil {
-			s.tracer.Finish(root, trace.Outcome{Status: http.StatusTooManyRequests, Err: err, Force: prm.debugTrace})
-			s.fail(w, http.StatusTooManyRequests, err)
-			return
-		}
-		defer release()
-	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -204,7 +188,7 @@ func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessa
 	if err != nil {
 		return fail(code, err)
 	}
-	resp, cached, code, err := s.runGraph(parent, job, prm, classPreAdmitted)
+	resp, cached, code, err := s.runGraph(parent, job, prm, classBatch)
 	if err != nil {
 		if code == 0 {
 			// The whole batch's client hung up; the caller discards results.

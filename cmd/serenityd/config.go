@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -24,7 +23,7 @@ import (
 // so main and the test suite share one constructor. The knobs only tests
 // turn (HTTPClient, ReadLoad, SampleInterval, RequeueInterval, OnRound) are
 // fields the embedded option structs already have; the hooks between
-// components (Gate, Pressure, Tracer, Health, ProbePath, OnTransition) are
+// components (Pressure, Tracer, Health, ProbePath, OnTransition) are
 // build's to set. Anti-entropy has one mode: a node that runs the syncer
 // (sync.Interval > 0) always converges with its peers before it reports
 // ready, for at most joinTimeout, and the syncer rides the fleet client's
@@ -215,7 +214,7 @@ func build(cfg config) (*server, error) {
 		s.logger.Info("memory governor started", "limit_bytes", s.gov.Stats().Limit, "watermarks", "70/85/95%")
 	}
 	if cfg.compileSlots > 0 {
-		s.admit = newAdmission(cfg.compileSlots, [numClasses]int{cfg.admitQueue, cfg.admitQueue, cfg.admitQueue})
+		s.admit = newAdmission(cfg.compileSlots, cfg.admitQueue)
 	}
 	if cfg.refineOpts.Workers > 0 {
 		ropts := cfg.refineOpts
@@ -227,14 +226,6 @@ func build(cfg config) (*server, error) {
 			// worker holds its job at Elevated and above, re-checking every
 			// RequeueInterval, and runs it when the level drops back.
 			ropts.Pressure = func() bool { return s.gov.Level() >= govern.LevelElevated }
-		}
-		if s.admit != nil {
-			// Refinements compete for the same compile slots as requests, in
-			// the lowest priority class: they only run when nothing a client
-			// is waiting on needs the CPU.
-			ropts.Gate = func(ctx context.Context) (func(), error) {
-				return s.admit.acquire(ctx, classRefine, 1)
-			}
 		}
 		s.refine = serenity.NewRefinePool(ropts)
 	}

@@ -34,7 +34,8 @@
 //	                    is {"items": [{index, status, schedule|error},...],
 //	                    "scheduled": N, "failed": M} with per-item statuses
 //	                    matching the single endpoint (one bad graph fails
-//	                    its item, not the batch)
+//	                    its item, not the batch; an item that finds the
+//	                    batch admission queue full answers 429)
 //	GET  /healthz       liveness probe
 //	GET  /metrics       Prometheus-style counters (cache hits, in-flight
 //	                    requests, states explored, fallbacks, per-stage
@@ -57,10 +58,12 @@
 // the persistent store and (in a fleet) on their ring owner the way any
 // request's do, and the exact answer then replaces the degraded one in the
 // response cache with schedule_version 2 — serve now, refine when quiet.
-// Compile slots (-compile-slots) are granted by a
-// strict-priority admission controller: interactive requests ahead of batch,
-// batch ahead of refinement, each class's wait queue bounded (-admit-queue)
-// and answering 429 + Retry-After when full instead of hanging connections.
+// Every compilation — a single request, a batch item, a refinement — takes
+// one compile slot (-compile-slots) in its own class from a strict-priority
+// admission controller: interactive ahead of batch, batch ahead of
+// refinement, each class's wait queue bounded (-admit-queue) and answering
+// 429 + Retry-After when full instead of hanging connections. Cache hits
+// take no slot.
 //
 // A memory governor (-mem-limit, or GOMEMLIMIT when unset) keeps the whole
 // degradation machinery ahead of the OOM killer: every fresh search reserves

@@ -152,7 +152,7 @@ var metricFamilies = []family{
 	{"serenityd_refinements_queued_total", "counter", "Background refinements accepted into the repair queue.", "%d", nil, one(func(m *scrape) any { return m.rs.Queued })},
 	{"serenityd_refinements_done_total", "counter", "Background refinements that completed and repaired their caches.", "%d", nil, one(func(m *scrape) any { return m.rs.Done })},
 	{"serenityd_refinements_failed_total", "counter", "Background refinements that ran but errored; nothing was replaced.", "%d", nil, one(func(m *scrape) any { return m.rs.Failed })},
-	{"serenityd_refinements_dropped_total", "counter", "Refinements shed without running: full queue, refused gate, or shutdown.", "%d", nil, one(func(m *scrape) any { return m.rs.Dropped })},
+	{"serenityd_refinements_dropped_total", "counter", "Refinements shed without running: full queue or shutdown.", "%d", nil, one(func(m *scrape) any { return m.rs.Dropped })},
 	{"serenityd_refinements_outstanding", "gauge", "Refinements queued or running right now.", "%d", nil, one(func(m *scrape) any { return m.rs.Outstanding })},
 	{"serenityd_refinements_shed_total", "counter", "Refinements that had to wait out the memory governor's pressure signal before running.", "%d", nil, one(func(m *scrape) any { return m.rs.Shed })},
 	{"serenityd_refinements_requeued_total", "counter", "Held refinements resumed after pressure cleared.", "%d", nil, one(func(m *scrape) any { return m.rs.Requeued })},

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,8 +279,8 @@ func waitWaiting(t *testing.T, a *admission, c admitClass, n int64) {
 // reverse priority are granted interactive → batch → refinement once it
 // frees, regardless of arrival order.
 func TestAdmissionPriorityOrder(t *testing.T) {
-	a := newAdmission(1, [numClasses]int{4, 4, 4})
-	release, err := a.acquire(context.Background(), classInteractive, 1)
+	a := newAdmission(1, 4)
+	release, err := a.acquire(context.Background(), classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 	done := make(chan struct{})
 	start := func(c admitClass) {
 		go func() {
-			rel, err := a.acquire(context.Background(), c, 1)
+			rel, err := a.acquire(context.Background(), c)
 			if err != nil {
 				t.Errorf("class %s: %v", c, err)
 				return
@@ -319,19 +320,19 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 	}
 }
 
-// TestAdmissionRejectAndWeightClamp: a full class queue rejects immediately
-// with errAdmission and backoff advice, and weights above capacity clamp
-// instead of deadlocking.
-func TestAdmissionRejectAndWeightClamp(t *testing.T) {
-	a := newAdmission(2, [numClasses]int{1, 1, 1})
-	release, err := a.acquire(context.Background(), classBatch, 100) // clamped to 2
+// TestAdmissionReject: a full class queue rejects immediately with
+// errAdmission and backoff advice, and the queued waiter is still granted
+// once the slot frees.
+func TestAdmissionReject(t *testing.T) {
+	a := newAdmission(1, 1)
+	release, err := a.acquire(context.Background(), classBatch)
 	if err != nil {
-		t.Fatalf("over-capacity weight did not clamp: %v", err)
+		t.Fatal(err)
 	}
 
 	queuedErr := make(chan error, 1)
 	go func() {
-		rel, err := a.acquire(context.Background(), classInteractive, 1)
+		rel, err := a.acquire(context.Background(), classInteractive)
 		if err == nil {
 			rel()
 		}
@@ -339,7 +340,7 @@ func TestAdmissionRejectAndWeightClamp(t *testing.T) {
 	}()
 	waitWaiting(t, a, classInteractive, 1)
 
-	_, err = a.acquire(context.Background(), classInteractive, 1)
+	_, err = a.acquire(context.Background(), classInteractive)
 	var adm *errAdmission
 	if !errors.As(err, &adm) {
 		t.Fatalf("full queue returned %v, want errAdmission", err)
@@ -357,67 +358,44 @@ func TestAdmissionRejectAndWeightClamp(t *testing.T) {
 	}
 }
 
-// TestAdmissionAbandonedHeadRegrants: an abandoned head-of-line waiter must
-// not leave the slots it was holding out for stranded — and until it leaves,
-// strict priority means no lower-class waiter slips past it.
-func TestAdmissionAbandonedHeadRegrants(t *testing.T) {
-	a := newAdmission(2, [numClasses]int{4, 4, 4})
-	release, err := a.acquire(context.Background(), classInteractive, 1) // free=1
+// TestAdmissionAbandonedWaiterLeaves: a waiter whose context ends leaves its
+// class queue and takes no slot with it.
+func TestAdmissionAbandonedWaiterLeaves(t *testing.T) {
+	a := newAdmission(1, 1)
+	release, err := a.acquire(context.Background(), classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	headCtx, cancelHead := context.WithCancel(context.Background())
-	defer cancelHead()
-	headErr := make(chan error, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, 1)
 	go func() {
-		_, err := a.acquire(headCtx, classInteractive, 2) // needs 2, only 1 free: blocks
-		headErr <- err
-	}()
-	waitWaiting(t, a, classInteractive, 1)
-
-	granted := make(chan struct{})
-	go func() {
-		rel, err := a.acquire(context.Background(), classRefine, 1)
-		if err != nil {
-			t.Errorf("refine acquire: %v", err)
-			return
-		}
-		close(granted)
-		rel()
+		_, err := a.acquire(ctx, classRefine)
+		abandoned <- err
 	}()
 	waitWaiting(t, a, classRefine, 1)
-
-	// The refine waiter would fit in the free slot, but the interactive head
-	// is ahead of it: no bypass.
-	select {
-	case <-granted:
-		t.Fatal("lower-priority waiter bypassed a blocked head-of-line waiter")
-	case <-time.After(30 * time.Millisecond):
-	}
-
-	cancelHead()
-	if err := <-headErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned head returned %v", err)
-	}
-	select {
-	case <-granted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoning the head-of-line waiter did not re-grant the queue")
+	cancel()
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned waiter returned %v", err)
 	}
 	release()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.free != a.slots || len(a.queues[classRefine]) != 0 {
+		t.Errorf("after the release: %d of %d slots free, %d queued", a.free, a.slots, len(a.queues[classRefine]))
+	}
 }
 
 // TestSchedule429UnderOverload drives admission rejection through HTTP: with
-// the one compile slot held and the wait queues full, both endpoints answer
-// 429 with Retry-After immediately — never a hung connection — and recover
-// once the slot frees.
+// the one compile slot held and the wait queues full, a single request
+// answers 429 with Retry-After and a batch item answers 429 with the retry
+// advice inside the batch's 200, immediately — never a hung connection — and
+// the single request recovers once the slot frees.
 func TestSchedule429UnderOverload(t *testing.T) {
 	cfg := testConfig()
 	cfg.compileSlots, cfg.admitQueue = 1, 1
 	s, ts := startServer(t, cfg)
 
-	release, err := s.admit.acquire(context.Background(), classInteractive, 1)
+	release, err := s.admit.acquire(context.Background(), classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +404,7 @@ func TestSchedule429UnderOverload(t *testing.T) {
 	for _, c := range []admitClass{classInteractive, classBatch} {
 		c := c
 		go func() {
-			rel, err := s.admit.acquire(fillCtx, c, 1)
+			rel, err := s.admit.acquire(fillCtx, c)
 			if err == nil {
 				rel()
 			}
@@ -448,11 +426,12 @@ func TestSchedule429UnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	respB, dataB := postBatch(t, ts, "", batchBody)
-	if respB.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overloaded batch request: status %d: %s", respB.StatusCode, dataB)
+	var br batchResponse
+	if err := json.Unmarshal(dataB, &br); err != nil || respB.StatusCode != http.StatusOK || len(br.Items) != 1 {
+		t.Fatalf("overloaded batch request: status %d (decode error %v): %s", respB.StatusCode, err, dataB)
 	}
-	if respB.Header.Get("Retry-After") == "" {
-		t.Error("batch 429 missing Retry-After")
+	if it := br.Items[0]; it.Status != http.StatusTooManyRequests || !strings.Contains(it.Error, "retry in") {
+		t.Errorf("overloaded batch item: status %d error %q, want 429 with retry advice", it.Status, it.Error)
 	}
 
 	// Load subsides: the same requests are admitted and served.

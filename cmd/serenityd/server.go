@@ -154,11 +154,11 @@ type server struct {
 	// maxBody bounds a request body in bytes (maxRequestBytes); a longer one
 	// answers 413.
 	maxBody int64
-	// admit, when non-nil, is the weighted priority semaphore over compile
-	// slots: interactive requests are admitted ahead of batch, batch ahead
-	// of background refinement, and a full class queue answers 429 +
-	// Retry-After instead of hanging (see admission). Nil means unlimited
-	// admission (-compile-slots 0).
+	// admit, when non-nil, is the priority semaphore over compile slots:
+	// every compilation takes one slot in its class — interactive ahead of
+	// batch items, batch ahead of background refinement — and a full class
+	// queue answers 429 + Retry-After instead of hanging (see admission). Nil
+	// means unlimited admission (-compile-slots 0).
 	admit *admission
 	// gov, when enabled, is the process-wide memory governor (-mem-limit):
 	// every fresh search reserves its estimated byte footprint, the watchdog
@@ -170,10 +170,10 @@ type server struct {
 	gov *govern.Governor
 	// refine, when non-nil, is the background refinement pool: a degraded
 	// compilation is served immediately and one job, keyed by the schedule
-	// key, re-runs it without the pressure once a compile slot is free
-	// (lowest priority class) — filling the segment memo, the schedule store
-	// and the ring owners through the ordinary walk, then this server's
-	// response cache. See enqueueRefine and serenity.RefinePool.
+	// key, re-runs it through schedule in the refinement class (the lowest) —
+	// filling the segment memo, the schedule store and the ring owners through
+	// the ordinary walk, then this server's response cache. See enqueueRefine
+	// and serenity.RefinePool.
 	refine *serenity.RefinePool
 	// newPipeline builds one compilation's Pipeline from its options. It is
 	// serenity.NewPipeline; a field so a test can see what each compile — a
@@ -727,27 +727,23 @@ func scheduleKey(fp string, opts serenity.Options, deadline time.Duration, force
 // cache.Group's contract). Successful non-degraded responses enter the
 // cache inside the flight, before followers are released.
 //
-// The flight's leader acquires a compile slot in class before computing
-// (classPreAdmitted skips this — the caller already holds slots), so cache
-// and coalesced hits are never throttled, only actual compilations. A
-// degraded compute queues its background refinement before returning — and
-// reports it in refinements_queued, set here, inside the flight, before the
-// response is shared — so the repaired exact answer eventually replaces it
-// in the cache with a bumped ScheduleVersion.
+// This is every compilation's one path — an interactive request, a batch
+// item, a background refinement. Flights are per class, and the flight's
+// leader takes one compile slot in class before computing, so cache and
+// coalesced hits are never throttled, only actual compilations; nobody holds
+// a slot while waiting on a flight, and nobody waits at a lower class's
+// priority. A degraded compute queues its background refinement before
+// returning — and reports it in refinements_queued, set here, inside the
+// flight, before the response is shared. An exact compute while key's repair
+// is pending supersedes the degraded answer with the next ScheduleVersion;
+// the repair's own compute is one of those.
 func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint, key string, class admitClass, degrade bool) (*scheduleResponse, bool, error) {
 	if resp, ok := s.cache.Get(key); ok {
 		return resp, true, nil
 	}
-	// Pre-admitted callers hold compile slots already, so they coalesce only
-	// among themselves: following an interactive leader that is still queued
-	// for a slot would have the slot's holder wait on the slot's waiter.
-	flight := key
-	if class == classPreAdmitted {
-		flight = "pre|" + key
-	}
 	stood := false // the leader found a cached answer standing where it meant to put its own
-	resp, shared, err := s.flights.Do(ctx, flight, func() (*scheduleResponse, error) {
-		if s.admit != nil && class != classPreAdmitted {
+	resp, shared, err := s.flights.Do(ctx, class.String()+"|"+key, func() (*scheduleResponse, error) {
+		if s.admit != nil {
 			// The admission wait is often the dominant latency under load;
 			// traced requests get it as its own span so queueing time is
 			// never misread as compute time.
@@ -755,7 +751,7 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 			if sp := trace.FromContext(ctx); sp != nil {
 				admSp = sp.Child("admission.wait", trace.Str("class", class.String()))
 			}
-			release, err := s.admit.acquire(ctx, class, 1)
+			release, err := s.admit.acquire(ctx, class)
 			admSp.EndErr(err)
 			if err != nil {
 				return nil, err
@@ -772,15 +768,15 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 			// degradation reflects this moment's load, and pinning it would
 			// deny every later identical request the exact answer a quieter
 			// server could produce.
-			if s.enqueueRefine(ctx, key, g, opts, fingerprint, r.ScheduleVersion+1) {
+			if s.enqueueRefine(ctx, key, g, opts, fingerprint) {
 				r.RefinementsQueued = r.Fallbacks
 			}
 			return r, nil
 		case s.refine != nil && s.refine.Pending(key):
 			// A degraded answer for this key is out and its repair has not
-			// landed, yet this compile came back exact — typically because its
-			// segments joined the running repair's searches. It supersedes
-			// the degraded answer exactly as the repair's own will.
+			// landed, and this compile came back exact: the repair itself, or
+			// a request whose segments joined the repair's searches. It
+			// supersedes the degraded answer.
 			r.ScheduleVersion++
 			r.etag = etagFor(r)
 		}
@@ -811,30 +807,27 @@ func (s *server) putExact(key string, r *scheduleResponse) *scheduleResponse {
 // enqueueRefine queues the serve-then-refine repair of a degraded answer —
 // the one refinement mechanism — and reports whether key's repair is pending
 // afterwards (accepted now, or already queued by an earlier identical
-// request). The job is the request itself, recomputed without degradation
-// under the pool's context (no client deadline: background work takes the
-// time it needs) at the lowest admission priority (the pool's Gate). It holds
-// one compile slot, so it searches one segment at a time whatever parallelism
-// the client asked for; optionsKey ignores parallelism, so the key is the
-// client's. The exact segments it finds reach memory, disk and their ring
-// owners through walkMemo's fill like any request's, and the exact answer
-// then enters the response cache with the next ScheduleVersion.
-func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string, version int) bool {
+// request). The job is the request itself, run through schedule without
+// degradation in the refinement class, under the pool's context (no client
+// deadline: background work takes the time it needs). It holds one compile
+// slot, so it searches one segment at a time whatever parallelism the client
+// asked for; optionsKey ignores parallelism, so the key is the client's. The
+// exact segments it finds reach memory, disk and their ring owners through
+// walkMemo's fill like any request's, and schedule caches the exact answer
+// with the next ScheduleVersion, since key's repair is pending while it runs.
+func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string) bool {
 	if s.refine == nil {
 		return false
 	}
 	opts.Parallelism = 1
 	return s.refine.Enqueue(ctx, key, func(ctx context.Context) error {
-		r, err := s.compute(ctx, g, opts, fingerprint, false)
+		r, _, err := s.schedule(ctx, g, opts, fingerprint, key, classRefine, false)
 		if err != nil {
 			return err
 		}
 		if r.Fallbacks > 0 {
 			return fmt.Errorf("refinement of %q still degraded (%d fallbacks); keeping it out of the cache", key, r.Fallbacks)
 		}
-		r.ScheduleVersion = version
-		r.etag = etagFor(r)
-		s.putExact(key, r)
 		return nil
 	}) || s.refine.Pending(key)
 }

@@ -194,20 +194,18 @@ func TestOversizeBodyAnswers413(t *testing.T) {
 	}
 }
 
-// TestPreAdmittedDoesNotFollowQueuedLeader is the batch-vs-interactive
-// deadlock, deterministically: one compile slot, held the way a batch holds
-// its grant; an interactive request for graph K becomes K's flight leader and
-// queues for the slot; a batch item for K — running pre-admitted under the
-// held slot — must not join that flight, or the slot's holder waits on the
-// slot's waiter forever.
-func TestPreAdmittedDoesNotFollowQueuedLeader(t *testing.T) {
+// TestNoSlotHeldWhileFollowing: with the one compile slot held, an
+// interactive request and a batch item for the same graph each lead a flight
+// of their own class and queue for the slot. Neither holds a slot while it
+// waits, so releasing the held one lets both finish.
+func TestNoSlotHeldWhileFollowing(t *testing.T) {
 	cfg := testConfig()
 	cfg.compileSlots, cfg.admitQueue = 1, 4
 	s, _ := startServer(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	release, err := s.admit.acquire(ctx, classBatch, 1)
+	release, err := s.admit.acquire(ctx, classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,22 +229,64 @@ func TestPreAdmittedDoesNotFollowQueuedLeader(t *testing.T) {
 		}()
 		return done
 	}
-	leader := run(classInteractive)
-	for s.admit.waiting[classInteractive].Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case code := <-run(classPreAdmitted):
-		if code != http.StatusOK {
-			t.Errorf("pre-admitted item answered %d", code)
-		}
-	case <-time.After(20 * time.Second):
-		cancel()
-		t.Fatal("pre-admitted item is waiting on a flight leader that waits for the slot it runs under")
-	}
+	done := map[admitClass]chan int{classInteractive: run(classInteractive), classBatch: run(classBatch)}
+	waitWaiting(t, s.admit, classInteractive, 1)
+	waitWaiting(t, s.admit, classBatch, 1)
 	release()
-	if code := <-leader; code != http.StatusOK {
-		t.Errorf("interactive leader answered %d", code)
+	for class, ch := range done {
+		select {
+		case code := <-ch:
+			if code != http.StatusOK {
+				t.Errorf("%s compilation answered %d", class, code)
+			}
+		case <-time.After(20 * time.Second):
+			cancel()
+			t.Fatalf("%s compilation never finished after the slot was released", class)
+		}
+	}
+}
+
+// TestCachedBatchTakesNoSlot: a batch whose items are all whole-response
+// cache hits compiles nothing, so it must answer at once even while the only
+// compile slot is held.
+func TestCachedBatchTakesNoSlot(t *testing.T) {
+	cfg := testConfig()
+	cfg.compileSlots, cfg.admitQueue = 1, 4
+	s, ts := startServer(t, cfg)
+	body := graphBody(t, smallCell(5))
+	postScheduleOK(t, ts, "", body)
+
+	release, err := s.admit.acquire(context.Background(), classInteractive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	batch, err := json.Marshal(map[string]any{"items": []json.RawMessage{body, body}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/schedule/batch", bytes.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatalf("cached batch got no answer while the only slot was held: %v", err)
+	}
+	defer resp.Body.Close()
+	var br batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, decode error %v", resp.StatusCode, err)
+	}
+	for _, it := range br.Items {
+		if it.Status != http.StatusOK || it.Schedule == nil || !it.Schedule.Cached {
+			t.Errorf("item %d: status %d (%s), want a cached 200", it.Index, it.Status, it.Error)
+		}
+	}
+	if got := s.admit.admitted[classBatch].Load(); got != 0 {
+		t.Errorf("cached batch took %d batch-class slots, want 0", got)
 	}
 }
 

@@ -30,6 +30,10 @@ const (
 	TraceparentHeader = "traceparent"
 )
 
+// replicationQueue bounds the write-behind replication queue; overflow drops
+// the replication (the owner converges later via anti-entropy).
+const replicationQueue = 256
+
 // maxArtifactBytes bounds one fetched artifact body: at 4 bytes per scheduled
 // node this is far beyond any real segment, and it keeps a confused or
 // malicious peer from ballooning a fetch into an allocation incident.
@@ -50,10 +54,6 @@ type ClientOptions struct {
 	// remembered so a storm of identical cold keys costs one round trip, not
 	// one per request. Default 2s.
 	NegativeTTL time.Duration
-	// ReplicationQueue bounds the write-behind replication queue; overflow
-	// drops the replication (the owner converges later via anti-entropy).
-	// Default 256.
-	ReplicationQueue int
 	// HTTPClient overrides the transport (tests); nil uses a dedicated
 	// client with sane connection pooling. A Syncer over this client uses
 	// the same transport.
@@ -79,9 +79,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.NegativeTTL <= 0 {
 		o.NegativeTTL = 2 * time.Second
-	}
-	if o.ReplicationQueue <= 0 {
-		o.ReplicationQueue = 256
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = &http.Client{Transport: &http.Transport{
@@ -152,7 +149,7 @@ func NewClient(ring *Ring, opts ClientOptions) *Client {
 		opts:     o,
 		sem:      make(chan struct{}, o.Concurrency),
 		negative: make(map[string]time.Time),
-		pushCh:   make(chan replicaPush, o.ReplicationQueue),
+		pushCh:   make(chan replicaPush, replicationQueue),
 	}
 	c.ring.Store(ring)
 	c.wg.Add(1)

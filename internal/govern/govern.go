@@ -62,9 +62,10 @@ func (l Level) String() string {
 // Defaults for Options zero values.
 const (
 	defaultSampleInterval = 100 * time.Millisecond
-	defaultElevatedFrac   = 0.70
-	defaultHighFrac       = 0.85
-	defaultCriticalFrac   = 0.95
+	// The watermarks, as fractions of the effective limit (Limit - Headroom).
+	elevatedFrac = 0.70
+	highFrac     = 0.85
+	criticalFrac = 0.95
 	// minReservation floors what Reserve grants below Critical, so a search
 	// whose caller underestimated still gets room for a modest frontier.
 	minReservation = 256 << 10
@@ -86,9 +87,6 @@ type Options struct {
 	// SampleInterval is the heap sampling cadence of the Start watchdog.
 	// Defaults to 100ms.
 	SampleInterval time.Duration
-	// ElevatedFrac/HighFrac/CriticalFrac place the watermarks as fractions
-	// of the effective limit (Limit - Headroom). Defaults 0.70/0.85/0.95.
-	ElevatedFrac, HighFrac, CriticalFrac float64
 	// ReadLoad, when non-nil, replaces the runtime/metrics heap sample —
 	// injectable load for deterministic tests and drills.
 	ReadLoad func() int64
@@ -140,15 +138,9 @@ func New(opts Options) *Governor {
 		eff = limit
 	}
 	g.limit = eff
-	frac := func(f, def float64) int64 {
-		if f <= 0 || f > 1 {
-			f = def
-		}
-		return int64(f * float64(eff))
-	}
-	g.elevated = frac(opts.ElevatedFrac, defaultElevatedFrac)
-	g.high = frac(opts.HighFrac, defaultHighFrac)
-	g.critical = frac(opts.CriticalFrac, defaultCriticalFrac)
+	g.elevated = int64(elevatedFrac * float64(eff))
+	g.high = int64(highFrac * float64(eff))
+	g.critical = int64(criticalFrac * float64(eff))
 	g.Refresh()
 	return g
 }

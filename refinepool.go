@@ -18,13 +18,6 @@ type RefinePoolOptions struct {
 	// queue is dropped and counted — refinement is best-effort repair, and
 	// the serving path must never block on it. Values < 1 mean 64.
 	QueueDepth int
-	// Gate, when non-nil, is acquired around every refinement run. It is
-	// how serenityd subordinates refinement to live traffic: the gate is an
-	// admission-control slot in the lowest priority class, so a refinement
-	// only occupies a compile slot when no interactive or batch request
-	// wants it. Gate blocks until a slot is free and returns its release,
-	// or an error when ctx ends (the job is then dropped, not failed).
-	Gate func(ctx context.Context) (release func(), err error)
 	// Pressure, when non-nil, is the memory governor's shed signal: while it
 	// returns true, a worker holds the job it picked up instead of running
 	// it — refinement is the first work the pressure ladder sheds, since a
@@ -56,8 +49,8 @@ type RefinePoolStats struct {
 	Done   int64
 	Failed int64
 	// Dropped counts jobs rejected at enqueue (full queue, closed pool) or
-	// abandoned before running (pool closed while the job waited, gate
-	// refused).
+	// abandoned before running (pool closed while the job was queued or
+	// held).
 	Dropped int64
 	// Outstanding is the number of accepted jobs not yet finished.
 	Outstanding int64
@@ -82,7 +75,7 @@ type refineJob struct {
 	parks      int // 1 when the job waited out pressure
 }
 
-// RefinePool is the background half of serve-then-refine: a keyed, gated,
+// RefinePool is the background half of serve-then-refine: a keyed,
 // pressure-held job queue that makes fallbacks provisional instead of
 // final. It knows nothing about schedules — a job is a key and a function.
 //
@@ -102,10 +95,9 @@ type refineJob struct {
 // degraded key costs one refinement no matter how many requests hit it.
 // The pool is bounded (QueueDepth) and drops on overflow: under sustained
 // overload refinement sheds load first, which is exactly its place in the
-// priority order (serenityd additionally routes every job through the lowest
-// admission class via Gate). With a Tracer installed every job is bracketed
-// by refine.queued and refine.run spans linked to the enqueuing request's
-// trace.
+// priority order (serenityd's jobs additionally compile in its lowest
+// admission class). With a Tracer installed every job is bracketed by
+// refine.queued and refine.run spans linked to the enqueuing request's trace.
 //
 // A RefinePool is safe for concurrent use. Close it on shutdown: queued and
 // held jobs are dropped, running jobs are canceled, and workers exit.
@@ -201,9 +193,9 @@ func (p *RefinePool) Pending(key string) bool {
 	return ok
 }
 
-// worker drains the queue. Each job waits out memory pressure, acquires the
-// Gate (when configured), runs under the pool's root context — no deadline,
-// canceled only by Close — and retires into the counters.
+// worker drains the queue. Each job waits out memory pressure, runs under the
+// pool's root context — no deadline, canceled only by Close — and retires
+// into the counters.
 func (p *RefinePool) worker() {
 	defer p.wg.Done()
 	for job := range p.jobs {
@@ -212,28 +204,15 @@ func (p *RefinePool) worker() {
 			p.retire(job.key, &p.dropped)
 			continue
 		}
-		var release func()
-		if p.opts.Gate != nil {
-			var err error
-			release, err = p.opts.Gate(p.ctx)
-			if err != nil {
-				p.retire(job.key, &p.dropped)
-				continue
-			}
-		}
 		if p.opts.Tracer != nil {
 			// The queued span covers enqueue → the moment the job got a
-			// worker AND a gate slot: the full wait a degraded answer sat
-			// unrepaired, pressure included.
+			// worker and pressure let it run.
 			p.opts.Tracer.RecordLinked(job.link, "refine.queued", job.enqueuedAt,
 				time.Since(job.enqueuedAt), nil,
 				trace.Str("key", job.key), trace.Int("parks", int64(job.parks)))
 		}
 		start := time.Now()
 		err := job.run(p.ctx)
-		if release != nil {
-			release()
-		}
 		if p.opts.Tracer != nil {
 			p.opts.Tracer.RecordLinked(job.link, "refine.run", start, time.Since(start), err,
 				trace.Str("key", job.key))
