@@ -13,10 +13,10 @@
 // store (the directory serenityd -store-dir writes):
 //
 //	serenity store ls     -dir DIR          list artifacts (key, nodes, quality, size)
-//	serenity store verify -dir DIR          re-checksum every record; nonzero exit on corruption
+//	serenity store verify -dir DIR          re-checksum and decode every record; nonzero exit on damage
 //	serenity store gc     -dir DIR          compact the data file, reclaiming dead space
 //	serenity store export -dir DIR -o F     write the live artifacts as a portable store file
-//	serenity store import -dir DIR -in F    merge an exported file (fleet pre-warming)
+//	serenity store import -dir DIR -in F    merge an exported file, keeping established records (fleet pre-warming)
 package main
 
 import (

@@ -17,6 +17,9 @@ import (
 // (nothing on disk is created, repaired, or renamed), so they are safe
 // against a live server; gc and import rewrite the data file and must run
 // against a quiesced store — two writers on one directory corrupt the tail.
+// Every subcommand judges a record by the rule serenityd loads it with:
+// UnmarshalSegmentArtifact, which also requires the order to be a
+// permutation.
 func storeMain(args []string, out io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: serenity store <ls|verify|gc|export|import> [flags]")
@@ -98,9 +101,9 @@ func storeVerify(args []string, out io.Writer) error {
 	defer st.Close()
 	skippedAtOpen := st.Stats().CorruptRecords
 	okCRC, badCRC := st.Verify()
-	// A record can be byte-perfect yet semantically dead to this build
-	// (alien payload version); verify decodes too, so operators learn
-	// before a restart does.
+	// A record can be byte-perfect yet dead to this build (alien payload
+	// version, an order that is not a permutation); verify decodes too, so
+	// operators learn before a restart does.
 	var okDecode, badDecode int
 	for _, e := range st.Entries() {
 		payload, ok := st.Get(e.Key)
@@ -179,7 +182,7 @@ func storeExport(args []string, out io.Writer) error {
 		defer f.Close()
 		w = f
 	}
-	if err := st.Export(w); err != nil {
+	if err := st.Export(w, nil); err != nil {
 		return err
 	}
 	s := st.Stats()
@@ -192,7 +195,7 @@ func storeImport(args []string, out io.Writer) error {
 	dir := fs.String("dir", "", "store directory (created if missing)")
 	inPath := fs.String("in", "", "exported store file ('-' for stdin)")
 	maxBytes := fs.Int64("max-bytes", 0, "byte bound for the destination store (0 = unbounded)")
-	strict := fs.Bool("strict", false, "fail (exit non-zero) if any record in the stream was corrupt; without it corrupt records are skipped and only reported")
+	strict := fs.Bool("strict", false, "fail (exit non-zero) if any record in the stream was corrupt or not a valid artifact; without it such records are skipped and only reported")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -211,16 +214,24 @@ func storeImport(args []string, out io.Writer) error {
 		defer f.Close()
 		r = f
 	}
-	st, err := store.Open(*dir, *maxBytes)
+	// The same validated, first-writer-wins merge the fleet's anti-entropy
+	// runs: established records keep their bytes, and a payload that is not
+	// a valid artifact is skipped and counted corrupt.
+	ss, err := serenity.OpenScheduleStore(*dir, *maxBytes)
 	if err != nil {
 		return err
 	}
-	defer st.Close()
-	added, corrupt, err := st.Import(r)
+	before := ss.Stats().CorruptRecords
+	added, err := ss.ImportMissing(r)
+	// Close syncs the merged records to disk; Stats still answers after it.
+	if cerr := ss.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
-	s := st.Stats()
+	s := ss.Stats()
+	corrupt := s.CorruptRecords - before
 	fmt.Fprintf(out, "imported %d artifacts (%d corrupt skipped); store now holds %d artifacts, %d live bytes\n",
 		added, corrupt, s.Entries, s.LiveBytes)
 	if *strict && corrupt > 0 {

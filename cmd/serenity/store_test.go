@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,5 +211,89 @@ func TestStoreCLIImportStrict(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("strict failure does not name the corruption: %v", err)
+	}
+}
+
+// writeRecords creates a store in dir holding exactly the given records.
+func writeRecords(t *testing.T, dir string, records map[string][]byte) {
+	t.Helper()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for key, payload := range records {
+		if wrote, err := st.PutIfAbsent(key, payload); err != nil || !wrote {
+			t.Fatalf("seeding %q: wrote=%t err=%v", key, wrote, err)
+		}
+	}
+}
+
+func artifact(t *testing.T, order serenity.Order) []byte {
+	t.Helper()
+	b, err := serenity.MarshalSegmentArtifact(serenity.SearchResult{Order: order, Quality: serenity.QualityOptimal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestStoreCLIImportKeepsEstablishedRecords: import is the fleet's validated,
+// first-writer-wins merge. A key the store already holds keeps its bytes, a
+// CRC-clean payload that is not an artifact is skipped and counted corrupt,
+// and -strict turns that count into a non-zero exit.
+func TestStoreCLIImportKeepsEstablishedRecords(t *testing.T) {
+	local := artifact(t, serenity.Order{0, 1, 2})
+	src, dst := t.TempDir(), t.TempDir()
+	writeRecords(t, src, map[string][]byte{
+		"k":     artifact(t, serenity.Order{2, 1, 0}),
+		"fresh": artifact(t, serenity.Order{1, 0}),
+		"junk":  []byte("not an artifact"),
+	})
+	writeRecords(t, dst, map[string][]byte{"k": local})
+	exported := filepath.Join(t.TempDir(), "corpus.dat")
+	if err := storeMain([]string{"export", "-dir", src, "-o", exported}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	err := storeMain([]string{"import", "-dir", dst, "-in", exported, "-strict"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "1 corrupt") {
+		t.Fatalf("strict import of a stream with a non-artifact payload: err=%v, want a failure naming 1 corrupt record\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "imported 1 artifacts (1 corrupt skipped)") {
+		t.Errorf("import output: %s", out.String())
+	}
+	st, err := store.OpenReadOnly(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, ok := st.Get("k"); !ok || !bytes.Equal(got, local) {
+		t.Errorf("import replaced the established record for k with %x", got)
+	}
+	if _, ok := st.Get("junk"); ok {
+		t.Error("import stored a payload that is not an artifact")
+	}
+	if _, ok := st.Get("fresh"); !ok {
+		t.Error("import skipped a valid artifact the store lacked")
+	}
+}
+
+// TestStoreCLIVerifyFlagsNonPermutation: verify judges a record by the rule
+// serenityd loads with, so an order that repeats an id is damage.
+func TestStoreCLIVerifyFlagsNonPermutation(t *testing.T) {
+	dir := t.TempDir()
+	writeRecords(t, dir, map[string][]byte{"dup": artifact(t, serenity.Order{0, 0, 1})})
+	var out bytes.Buffer
+	if err := storeMain([]string{"verify", "-dir", dir}, &out); err == nil {
+		t.Fatalf("verify passed an order that is not a permutation:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "0 decodable") || !strings.Contains(out.String(), "undecodable dup") {
+		t.Errorf("verify output: %s", out.String())
+	}
+	out.Reset()
+	if err := storeMain([]string{"ls", "-dir", dir, "-l"}, &out); err != nil || !strings.Contains(out.String(), "UNDECODABLE") {
+		t.Errorf("ls -l: err=%v, want the record marked UNDECODABLE\n%s", err, out.String())
 	}
 }

@@ -20,12 +20,13 @@
 //	                    for its background refinement to land.
 //	                    response: order, peak, arena_size, quality,
 //	                    segment_quality, fallbacks, stage_ms,
-//	                    segment_memo_hits, schedule_version, ...; when
+//	                    segment_memo_hits, refinements_queued, ...; when
 //	                    rewriting changed the graph, rewritten_graph
 //	                    carries the IR the order indexes. Every response
 //	                    carries an ETag; a client holding a degraded answer
-//	                    revalidates with If-None-Match and gets 304 until
-//	                    the refinement bumps schedule_version
+//	                    revalidates with If-None-Match and gets 304 while
+//	                    its refinement is pending, then the exact answer,
+//	                    whose tag is the unpressured exact answer's
 //	POST /v1/schedule/batch
 //	                    body: {"items": [<graph>, ...]} (same IR, up to 256
 //	                    graphs); same query parameters, applied to every
@@ -56,8 +57,9 @@
 // pressure once the load subsides. That recompute is an ordinary walk of the
 // memo hierarchy, so the exact segments it finds land in the segment memo,
 // the persistent store and (in a fleet) on their ring owner the way any
-// request's do, and the exact answer then replaces the degraded one in the
-// response cache with schedule_version 2 — serve now, refine when quiet.
+// request's do, and the exact answer then takes the degraded one's place in
+// the response cache — the same answer, ETag included, an unpressured request
+// would have got: serve now, refine when quiet.
 // Every compilation — a single request, a batch item, a refinement — takes
 // one compile slot (-compile-slots) in its own class from a strict-priority
 // admission controller: interactive ahead of batch, batch ahead of

@@ -85,7 +85,7 @@ func plugRefine(t *testing.T, pool *serenity.RefinePool, n int) (unblock chan st
 // scenario over HTTP: a forced-degraded request is served instantly at
 // heuristic quality, and after the background refinement drains, the
 // identical request returns an exact-quality schedule bit-identical —
-// order, peak, arena — to an unpressured compilation of the same graph.
+// order, peak, arena, ETag — to an unpressured compilation of the same graph.
 func TestOverloadSoakRefinedBitIdentical(t *testing.T) {
 	s, ts := refineServer(t)
 	g := smallCell(41)
@@ -106,9 +106,6 @@ func TestOverloadSoakRefinedBitIdentical(t *testing.T) {
 	degraded, resp := postScheduleOK(t, ts, "?strategy=best-effort&degrade=force", body)
 	if degraded.Quality != serenity.QualityHeuristic || degraded.Fallbacks == 0 {
 		t.Fatalf("forced degradation served quality %q with %d fallbacks", degraded.Quality, degraded.Fallbacks)
-	}
-	if degraded.ScheduleVersion != 1 {
-		t.Errorf("degraded schedule_version = %d, want 1", degraded.ScheduleVersion)
 	}
 	if degraded.RefinementsQueued != degraded.Fallbacks {
 		t.Errorf("degraded response reports refinements_queued=%d for %d fallbacks with its repair queued",
@@ -131,11 +128,11 @@ func TestOverloadSoakRefinedBitIdentical(t *testing.T) {
 	if !refined.Cached {
 		t.Error("refined answer not served from the repaired cache")
 	}
-	if refined.ScheduleVersion != degraded.ScheduleVersion+1 {
-		t.Errorf("refined schedule_version = %d, want %d", refined.ScheduleVersion, degraded.ScheduleVersion+1)
-	}
 	if tag := resp2.Header.Get("ETag"); tag == "" || tag == degradedTag {
 		t.Errorf("refined ETag %q did not change from degraded %q", tag, degradedTag)
+	}
+	if _, exact := postScheduleOK(t, ts, "?strategy=best-effort", body); exact.Header.Get("ETag") != resp2.Header.Get("ETag") {
+		t.Errorf("refined ETag %s, the unpressured exact answer's %s", resp2.Header.Get("ETag"), exact.Header.Get("ETag"))
 	}
 	if !reflect.DeepEqual(refined.Order, []int(ref.Order)) {
 		t.Errorf("refined order diverged from unpressured reference\nref: %v\ngot: %v", ref.Order, refined.Order)
@@ -214,8 +211,9 @@ func TestWaitRefinedAndPending304(t *testing.T) {
 	if got.resp.Quality != serenity.QualityOptimal {
 		t.Fatalf("wait_refined returned quality %q, want the refined optimal answer", got.resp.Quality)
 	}
-	if got.resp.ScheduleVersion != degraded.ScheduleVersion+1 {
-		t.Errorf("wait_refined schedule_version = %d, want %d", got.resp.ScheduleVersion, degraded.ScheduleVersion+1)
+	if got.resp.Fallbacks != 0 || got.tag == "" || got.tag == degradedTag {
+		t.Errorf("wait_refined returned %d fallbacks under ETag %q, want the exact answer under a new tag (degraded %q)",
+			got.resp.Fallbacks, got.tag, degradedTag)
 	}
 
 	// Revalidating the stale degraded tag now yields the refined answer in
@@ -261,6 +259,73 @@ func TestEtagRevalidationExact(t *testing.T) {
 	}
 	if got := resp3.Header.Get("ETag"); got != tag {
 		t.Errorf("ETag unstable across identical requests: %q then %q", tag, got)
+	}
+}
+
+// TestRefinedETagIsTheExactAnswers: a key names one exact answer, so the
+// refined answer carries the unpressured exact answer's tag, and evicting the
+// refined entry and recomputing it (from the segment memo the repair filled)
+// leaves the tag unchanged.
+func TestRefinedETagIsTheExactAnswers(t *testing.T) {
+	cfg := testConfig()
+	cfg.cacheSize = 1
+	cfg.refineOpts = serenity.RefinePoolOptions{Workers: 1, QueueDepth: 64}
+	s, ts := startServer(t, cfg)
+	body := graphBody(t, smallCell(41))
+	const forced = "?strategy=best-effort&degrade=force"
+
+	if degraded, _ := postScheduleOK(t, ts, forced, body); degraded.Quality != serenity.QualityHeuristic {
+		t.Fatalf("forced degradation served quality %q", degraded.Quality)
+	}
+	drainRefine(t, s.refine)
+	refined, resp := postScheduleOK(t, ts, forced, body)
+	if !refined.Cached || refined.Quality != serenity.QualityOptimal {
+		t.Fatalf("after the repair: cached=%t quality=%q", refined.Cached, refined.Quality)
+	}
+	tag := resp.Header.Get("ETag")
+
+	// The unpressured request takes the cache's one entry, evicting the
+	// refined answer.
+	if _, exact := postScheduleOK(t, ts, "?strategy=best-effort", body); exact.Header.Get("ETag") != tag {
+		t.Errorf("refined ETag %s, the unpressured exact answer's %s", tag, exact.Header.Get("ETag"))
+	}
+	again, resp := postScheduleOK(t, ts, forced, body)
+	if again.Cached || again.Quality != serenity.QualityOptimal || !reflect.DeepEqual(again.Order, refined.Order) {
+		t.Fatalf("recompute after eviction: cached=%t quality=%q, order changed=%t",
+			again.Cached, again.Quality, !reflect.DeepEqual(again.Order, refined.Order))
+	}
+	if got := resp.Header.Get("ETag"); got != tag {
+		t.Errorf("the same answer recomputed after eviction is tagged %s, was %s", got, tag)
+	}
+}
+
+// TestConditionalRequestCountsOneLookup: If-None-Match is compared with the
+// answer schedule returns, so a revalidation costs exactly one cache lookup
+// whether it matches or not, and a miss whose fresh answer matches the
+// client's tag answers 304.
+func TestConditionalRequestCountsOneLookup(t *testing.T) {
+	_, ts := testServer(t)
+	body := graphBody(t, smallCell(49))
+	_, resp := postScheduleOK(t, ts, "", body)
+	tag := resp.Header.Get("ETag")
+	for _, tc := range []struct {
+		inm  string
+		want int
+	}{{`"0000000000000000"`, http.StatusOK}, {tag, http.StatusNotModified}} {
+		before := metricValue(t, ts, "serenityd_cache_hits_total")
+		if resp, _ := postScheduleINM(t, ts, "", body, tc.inm); resp.StatusCode != tc.want {
+			t.Errorf("If-None-Match %s: status %d, want %d", tc.inm, resp.StatusCode, tc.want)
+		}
+		if grew := metricValue(t, ts, "serenityd_cache_hits_total") - before; grew != 1 {
+			t.Errorf("If-None-Match %s moved serenityd_cache_hits_total by %d, want 1", tc.inm, grew)
+		}
+	}
+
+	// A server that never answered this graph computes it, and the client's
+	// tag matches the fresh answer.
+	_, fresh := testServer(t)
+	if resp, _ := postScheduleINM(t, fresh, "", body, tag); resp.StatusCode != http.StatusNotModified || resp.Header.Get("ETag") != tag {
+		t.Errorf("revalidating against a fresh compile: status %d etag %s, want 304 with %s", resp.StatusCode, resp.Header.Get("ETag"), tag)
 	}
 }
 
@@ -518,9 +583,9 @@ func TestRefinementRunsOneShardWide(t *testing.T) {
 		t.Errorf("compilations ran at pipeline parallelism %v, want the request at %d and its refinement at %d",
 			compiles, want[0], want[1])
 	}
-	if refined, _ := postScheduleOK(t, ts, q, body); !refined.Cached || refined.ScheduleVersion != 2 {
-		t.Errorf("the parallelism-1 repair did not land under the parallelism=8 request's key: cached=%t version=%d",
-			refined.Cached, refined.ScheduleVersion)
+	if refined, _ := postScheduleOK(t, ts, q, body); !refined.Cached || refined.Quality != serenity.QualityOptimal {
+		t.Errorf("the parallelism-1 repair did not land under the parallelism=8 request's key: cached=%t quality=%q",
+			refined.Cached, refined.Quality)
 	}
 }
 
@@ -543,9 +608,15 @@ func TestRefinementsCoalesceOnSharedCell(t *testing.T) {
 	// for every segment key once, the second adds nothing.
 	_, refTS := testServer(t)
 	var ref [2]scheduleResponse
-	ref[0], _ = postScheduleOK(t, refTS, "?strategy=best-effort", bodies[0])
+	var refTag [2]string
+	reference := func(i int) {
+		var resp *http.Response
+		ref[i], resp = postScheduleOK(t, refTS, "?strategy=best-effort", bodies[i])
+		refTag[i] = resp.Header.Get("ETag")
+	}
+	reference(0)
 	oneSearchPerKey := metricValue(t, refTS, "serenityd_states_explored_total")
-	ref[1], _ = postScheduleOK(t, refTS, "?strategy=best-effort", bodies[1])
+	reference(1)
 	if got := metricValue(t, refTS, "serenityd_states_explored_total"); oneSearchPerKey == 0 || got != oneSearchPerKey {
 		t.Fatalf("reference: %d fresh states after the first stacking, %d after both; the stackings must share every segment", oneSearchPerKey, got)
 	}
@@ -573,9 +644,10 @@ func TestRefinementsCoalesceOnSharedCell(t *testing.T) {
 		t.Errorf("two concurrent repairs explored %d fresh states, want exactly one exact search per shared key = %d", grew, oneSearchPerKey)
 	}
 	for i, body := range bodies {
-		refined, _ := postScheduleOK(t, ts, q, body)
-		if !refined.Cached || refined.Quality != serenity.QualityOptimal || refined.ScheduleVersion != 2 {
-			t.Errorf("stacking %d: cached=%t quality=%q version=%d after refinement", i, refined.Cached, refined.Quality, refined.ScheduleVersion)
+		refined, resp := postScheduleOK(t, ts, q, body)
+		if !refined.Cached || refined.Quality != serenity.QualityOptimal || resp.Header.Get("ETag") != refTag[i] {
+			t.Errorf("stacking %d: cached=%t quality=%q etag %s after refinement, want the unpressured run's %s",
+				i, refined.Cached, refined.Quality, resp.Header.Get("ETag"), refTag[i])
 		}
 		if !reflect.DeepEqual(refined.Order, ref[i].Order) || refined.Peak != ref[i].Peak || refined.ArenaSize != ref[i].ArenaSize {
 			t.Errorf("stacking %d: refined answer diverged from the unpressured exact run\nref: %v\ngot: %v", i, ref[i].Order, refined.Order)
@@ -607,9 +679,8 @@ func (g gatedSearcher) Search(ctx context.Context, m *serenity.MemModel) (sereni
 // means for the external contract. While a key's repair is mid-search, an
 // identical forced-degraded request's segments join the repair's flights, so
 // it comes back exact; that answer supersedes the degraded one like the
-// repair's own — schedule_version 2, the repair's ETag — and whichever of the
-// two reaches the response cache second leaves the first standing, so the
-// cache never steps back to version 1.
+// repair's own — the same answer under the same ETag — and whichever of the
+// two reaches the response cache second leaves the first standing.
 func TestDegradedRequestJoinsRunningRepair(t *testing.T) {
 	running, open := make(chan struct{}), make(chan struct{})
 	var started sync.Once
@@ -622,8 +693,8 @@ func TestDegradedRequestJoinsRunningRepair(t *testing.T) {
 	body := graphBody(t, smallCell(48))
 	const q = "?strategy=best-effort&degrade=force"
 	degraded, resp := postScheduleOK(t, ts, q, body)
-	if degraded.Quality != serenity.QualityHeuristic || degraded.ScheduleVersion != 1 {
-		t.Fatalf("first answer: quality %q version %d", degraded.Quality, degraded.ScheduleVersion)
+	if degraded.Quality != serenity.QualityHeuristic {
+		t.Fatalf("first answer: quality %q", degraded.Quality)
 	}
 	<-running // the repair now leads a segment flight
 
@@ -647,9 +718,9 @@ func TestDegradedRequestJoinsRunningRepair(t *testing.T) {
 	close(open)
 
 	got, tag := <-joined, <-joinedTag
-	if got.Quality != serenity.QualityOptimal || got.ScheduleVersion != 2 || got.Fallbacks != 0 {
-		t.Fatalf("request that joined the repair: quality %q version %d fallbacks %d, want the exact answer at version 2",
-			got.Quality, got.ScheduleVersion, got.Fallbacks)
+	if got.Quality != serenity.QualityOptimal || got.Fallbacks != 0 {
+		t.Fatalf("request that joined the repair: quality %q fallbacks %d, want the exact answer",
+			got.Quality, got.Fallbacks)
 	}
 	if tag == resp.Header.Get("ETag") {
 		t.Error("the exact answer kept the degraded answer's ETag")
@@ -659,9 +730,9 @@ func TestDegradedRequestJoinsRunningRepair(t *testing.T) {
 		t.Fatalf("repair failed: %+v", st)
 	}
 	final, finalResp := postScheduleOK(t, ts, q, body)
-	if !final.Cached || final.ScheduleVersion != 2 || finalResp.Header.Get("ETag") != tag {
-		t.Errorf("after the repair: cached=%t version=%d etag %s, want the same version-2 entry %s",
-			final.Cached, final.ScheduleVersion, finalResp.Header.Get("ETag"), tag)
+	if !final.Cached || final.Quality != serenity.QualityOptimal || finalResp.Header.Get("ETag") != tag {
+		t.Errorf("after the repair: cached=%t quality=%q etag %s, want the exact entry %s",
+			final.Cached, final.Quality, finalResp.Header.Get("ETag"), tag)
 	}
 	if !reflect.DeepEqual(final.Order, got.Order) {
 		t.Error("the cached answer's order differs from the one served while the repair ran")

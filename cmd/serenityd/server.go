@@ -80,13 +80,6 @@ type scheduleResponse struct {
 	SchedulingMS float64 `json:"scheduling_ms"`
 	StageMS      stageMS `json:"stage_ms"`
 	Cached       bool    `json:"cached"`
-	// ScheduleVersion starts at 1 for a fresh compilation and increments
-	// when the exact answer replaces a degraded one — the background
-	// refinement's, or that of a request that compiled exact while the
-	// refinement was still pending. Together with the ETag header it lets a
-	// client that accepted a degraded schedule revalidate cheaply
-	// (If-None-Match) or wait for the repair (?wait_refined=ms).
-	ScheduleVersion int `json:"schedule_version"`
 	// RefinementsQueued is Fallbacks when this answer's background repair
 	// was pending as the answer was built — queued by this request or by an
 	// earlier identical one — so a later identical request can expect exact
@@ -380,24 +373,14 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g, key := job.g, job.key
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		if resp, ok := s.cache.Get(key); ok {
-			if etagMatch(inm, resp.etag) {
-				// The client already holds the current answer.
-				w.Header().Set("ETag", resp.etag)
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-			// The cached entry differs (typically a refinement landed); fall
-			// through and serve it.
-		} else if s.refine != nil && s.refine.Pending(key) {
-			// The client holds a degraded answer whose repair is still
-			// queued. Recomputing now would duplicate the refinement's work,
-			// so report "unchanged, try again shortly" instead.
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	inm := r.Header.Get("If-None-Match")
+	if inm != "" && s.refine != nil && s.refine.Pending(key) {
+		// The client holds a degraded answer whose repair is still queued.
+		// Recomputing now would duplicate the refinement's work, so report
+		// "unchanged, try again shortly" instead.
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 
 	// Root span: ?debug=trace requests are always traced (the client was
@@ -434,18 +417,30 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			resp, cached = refined, true
 		}
 	}
+	// A conditional request is compared with the answer schedule returned —
+	// cached or fresh — so it costs one cache lookup like any other.
+	status := http.StatusOK
+	if inm != "" && etagMatch(inm, resp.etag) {
+		status = http.StatusNotModified
+	}
 	if root != nil {
 		root.Annotate(trace.Bool("cached", cached), trace.Int("fallbacks", int64(resp.Fallbacks)))
 	}
 	td := s.tracer.Finish(root, trace.Outcome{
-		Status:   http.StatusOK,
+		Status:   status,
 		Degraded: resp.Fallbacks > 0,
 		Force:    prm.debugTrace,
 	})
 	if root != nil && !cached {
 		s.noteExemplars(root.TraceID().String(), resp.StageMS)
 	}
-	s.logSchedule(reqID, root, http.StatusOK, cached, nil)
+	s.logSchedule(reqID, root, status, cached, nil)
+	if status == http.StatusNotModified {
+		// The client already holds this answer.
+		w.Header().Set("ETag", resp.etag)
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
 	out := respForClient(resp, cached, g.Name)
 	if prm.debugTrace && td != nil {
 		// Cached entries are shared across responses: the trace rides on a
@@ -734,9 +729,9 @@ func scheduleKey(fp string, opts serenity.Options, deadline time.Duration, force
 // a slot while waiting on a flight, and nobody waits at a lower class's
 // priority. A degraded compute queues its background refinement before
 // returning — and reports it in refinements_queued, set here, inside the
-// flight, before the response is shared. An exact compute while key's repair
-// is pending supersedes the degraded answer with the next ScheduleVersion;
-// the repair's own compute is one of those.
+// flight, before the response is shared. An exact compute is the key's one
+// answer whenever it ran — the repair's, a request that joined the repair's
+// searches, or an unpressured one — so it is cached as it is.
 func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint, key string, class admitClass, degrade bool) (*scheduleResponse, bool, error) {
 	if resp, ok := s.cache.Get(key); ok {
 		return resp, true, nil
@@ -762,8 +757,7 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case r.Fallbacks > 0:
+		if r.Fallbacks > 0 {
 			// Degraded (fallback) schedules are served but not cached: the
 			// degradation reflects this moment's load, and pinning it would
 			// deny every later identical request the exact answer a quieter
@@ -772,13 +766,6 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 				r.RefinementsQueued = r.Fallbacks
 			}
 			return r, nil
-		case s.refine != nil && s.refine.Pending(key):
-			// A degraded answer for this key is out and its repair has not
-			// landed, and this compile came back exact: the repair itself, or
-			// a request whose segments joined the repair's searches. It
-			// supersedes the degraded answer.
-			r.ScheduleVersion++
-			r.etag = etagFor(r)
 		}
 		cur := s.putExact(key, r)
 		stood = cur != r
@@ -813,8 +800,8 @@ func (s *server) putExact(key string, r *scheduleResponse) *scheduleResponse {
 // slot, so it searches one segment at a time whatever parallelism the client
 // asked for; optionsKey ignores parallelism, so the key is the client's. The
 // exact segments it finds reach memory, disk and their ring owners through
-// walkMemo's fill like any request's, and schedule caches the exact answer
-// with the next ScheduleVersion, since key's repair is pending while it runs.
+// walkMemo's fill like any request's, and schedule caches the exact answer,
+// which is the one an unpressured request would have got, ETag included.
 func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string) bool {
 	if s.refine == nil {
 		return false
@@ -915,7 +902,6 @@ func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.O
 		SegmentMemoDiskHits: res.SegmentMemoDiskHits,
 		SegmentMemoPeerHits: res.SegmentMemoPeerHits,
 		MaxFrontier:         res.MaxFrontier,
-		ScheduleVersion:     1,
 		SchedulingMS:        float64(res.SchedulingTime.Microseconds()) / 1000,
 		StageMS: stageMS{
 			Rewrite:   float64(res.Stages.Rewrite.Microseconds()) / 1000,
@@ -1121,14 +1107,18 @@ func (s *server) fail(w http.ResponseWriter, code int, err error) {
 }
 
 // etagFor derives the entity tag clients revalidate against: a content hash
-// over everything that distinguishes one served schedule from another,
-// including ScheduleVersion so a refined answer never shares a tag with the
-// degraded one it replaced. The value is stored in scheduleResponse.etag; the
-// format is pinned (TestETagPinned) so tags survive a deploy.
+// over everything that distinguishes one served schedule from another. A
+// refined answer never shares a tag with the degraded one it replaced because
+// their quality, fallbacks and order differ; it shares the unpressured exact
+// answer's tag because it is that answer. The value is stored in
+// scheduleResponse.etag; the format is pinned (TestETagPinned) so tags
+// survive a deploy.
 func etagFor(resp *scheduleResponse) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%s|%d|%d|%d|%v",
-		resp.Fingerprint, resp.ScheduleVersion, resp.Quality,
+	// The 1 fills the slot a per-answer version number once held: keeping
+	// the layout keeps every tag a client already holds valid.
+	fmt.Fprintf(h, "%s|1|%s|%d|%d|%d|%v",
+		resp.Fingerprint, resp.Quality,
 		resp.Peak, resp.ArenaSize, resp.Fallbacks, resp.Order)
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }

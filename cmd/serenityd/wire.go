@@ -72,7 +72,6 @@ func appendScheduleResponse(dst []byte, r *scheduleResponse, depth int) []byte {
 	dst = append(dst, '}')
 	dst = jsonwire.Key(dst, d, "cached", false)
 	dst = strconv.AppendBool(dst, r.Cached)
-	dst = jsonwire.Int(dst, d, "schedule_version", int64(r.ScheduleVersion), false)
 	dst = jsonwire.Int(dst, d, "refinements_queued", int64(r.RefinementsQueued), true)
 	if r.RewrittenGraph != nil {
 		dst = jsonwire.Key(dst, d, "rewritten_graph", false)

@@ -112,7 +112,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 			ni := rng.Intn(len(fleet))
 			key := fmt.Sprintf("%064x|exact|seed=%d|step=%d", rng.Int63(), seed, step)
 			payload := []byte(fmt.Sprintf("artifact-%d-%d", seed, step))
-			if err := fleet[ni].n.st.s.Put(key, payload); err != nil {
+			if err := fleet[ni].n.st.put(key, payload); err != nil {
 				t.Fatal(err)
 			}
 			fleet[ni].c.Replicate(context.Background(), key, payload)

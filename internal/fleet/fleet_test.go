@@ -24,17 +24,24 @@ type testStore struct{ s *store.Store }
 func (t testStore) GetArtifact(key string) ([]byte, bool) { return t.s.Get(key) }
 
 func (t testStore) PutArtifact(key string, payload []byte) bool {
-	if t.s.Has(key) {
-		return false
+	wrote, err := t.s.PutIfAbsent(key, payload)
+	return wrote && err == nil
+}
+
+// put seeds a key the test knows to be absent.
+func (t testStore) put(key string, payload []byte) error {
+	wrote, err := t.s.PutIfAbsent(key, payload)
+	if err == nil && !wrote {
+		err = fmt.Errorf("key %q is already stored", key)
 	}
-	return t.s.Put(key, payload) == nil
+	return err
 }
 
 func (t testStore) KeyHashes() []uint64 { return t.s.KeyHashes() }
 
 func (t testStore) ExportMissing(w io.Writer, have map[uint64]bool, max int) (int, error) {
 	n := 0
-	err := t.s.ExportFiltered(w, func(key string) bool {
+	err := t.s.Export(w, func(key string) bool {
 		if n < max && !have[store.KeyHash(key)] {
 			n++
 			return true
@@ -45,7 +52,7 @@ func (t testStore) ExportMissing(w io.Writer, have map[uint64]bool, max int) (in
 }
 
 func (t testStore) ImportMissing(r io.Reader) (int, error) {
-	added, _, err := t.s.ImportFiltered(r, nil, func(_ []byte, exists bool) bool { return !exists })
+	added, _, err := t.s.Import(r, nil)
 	return added, err
 }
 
@@ -115,7 +122,7 @@ func TestClientFetchFromOwner(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	key := keyOwnedBy(t, rings[0], b.srv.URL, 0)
 	payload := []byte("artifact-bytes-\x00\x01")
-	if err := b.st.s.Put(key, payload); err != nil {
+	if err := b.st.put(key, payload); err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(rings[0], ClientOptions{})
@@ -262,7 +269,7 @@ func TestGateShedsPeerTraffic(t *testing.T) {
 	nodes, rings := buildFleet(t, 2, denied)
 	b := nodes[1]
 	key := keyOwnedBy(t, rings[0], b.srv.URL, 0)
-	if err := b.st.s.Put(key, []byte("x")); err != nil {
+	if err := b.st.put(key, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(rings[0], ClientOptions{})
@@ -293,13 +300,13 @@ func TestSyncerConvergesInCappedBatches(t *testing.T) {
 	keys := make([]string, records)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%064x|greedy", i)
-		if err := a.st.s.Put(keys[i], bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
+		if err := a.st.put(keys[i], bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// B already holds one of the keys with different bytes; sync must leave
 	// it alone (first-writer-wins) and pull only what is missing.
-	if err := b.st.s.Put(keys[3], []byte("established")); err != nil {
+	if err := b.st.put(keys[3], []byte("established")); err != nil {
 		t.Fatal(err)
 	}
 	sy := newTestSyncer(t, b.st, rings[1], ClientOptions{}, SyncerOptions{Batch: 4})
@@ -343,7 +350,7 @@ func TestSyncerBackgroundLoopConverges(t *testing.T) {
 	nodes, rings := buildFleet(t, 2, nil)
 	a, b := nodes[0], nodes[1]
 	for i := 0; i < 5; i++ {
-		if err := a.st.s.Put(fmt.Sprintf("bg-%d", i), []byte{byte(i)}); err != nil {
+		if err := a.st.put(fmt.Sprintf("bg-%d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,7 +403,7 @@ func TestClientFailoverSkipsSuspectOwner(t *testing.T) {
 	b, cNode := nodes[1], nodes[2]
 	key := keyWithFailover(t, rings[0], b.srv.URL, cNode.srv.URL, 0)
 	payload := []byte("failover-served-bytes")
-	if err := cNode.st.s.Put(key, payload); err != nil {
+	if err := cNode.st.put(key, payload); err != nil {
 		t.Fatal(err)
 	}
 	h := NewHealth(rings[0].Peers(), HealthOptions{})
@@ -432,7 +439,7 @@ func TestClientFetchOutcomeFeedsHealth(t *testing.T) {
 	key1 := keyWithFailover(t, rings[0], b.srv.URL, cNode.srv.URL, 0)
 	key2 := keyWithFailover(t, rings[0], b.srv.URL, cNode.srv.URL, 99)
 	payload := []byte("on-the-failover")
-	if err := cNode.st.s.Put(key2, payload); err != nil {
+	if err := cNode.st.put(key2, payload); err != nil {
 		t.Fatal(err)
 	}
 	b.srv.Close() // kill -9, from the wire's point of view
@@ -557,7 +564,7 @@ func TestClientUpdateRing(t *testing.T) {
 	}
 	key := keyOwnedBy(t, ringA, d.srv.URL, 3)
 	payload := []byte("served-by-the-joiner")
-	if err := d.st.s.Put(key, payload); err != nil {
+	if err := d.st.put(key, payload); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.Fetch(context.Background(), key)
@@ -575,12 +582,12 @@ func TestSyncerConvergePreStreams(t *testing.T) {
 	nodes, rings := buildFleet(t, 3, nil)
 	a, b, cNode := nodes[0], nodes[1], nodes[2]
 	for i := 0; i < 7; i++ {
-		if err := a.st.s.Put(fmt.Sprintf("from-a-%d", i), []byte{1, byte(i)}); err != nil {
+		if err := a.st.put(fmt.Sprintf("from-a-%d", i), []byte{1, byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		if err := b.st.s.Put(fmt.Sprintf("from-b-%d", i), []byte{2, byte(i)}); err != nil {
+		if err := b.st.put(fmt.Sprintf("from-b-%d", i), []byte{2, byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -613,7 +620,7 @@ func TestSyncerConvergePreStreams(t *testing.T) {
 func TestSyncerConvergeSkipsDeadPeers(t *testing.T) {
 	nodes, rings := buildFleet(t, 3, nil)
 	a, b, cNode := nodes[0], nodes[1], nodes[2]
-	if err := a.st.s.Put("survivor-key", []byte("x")); err != nil {
+	if err := a.st.put("survivor-key", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	b.srv.Close()
@@ -650,16 +657,16 @@ func TestSyncExchange(t *testing.T) {
 	keys := make([]string, 10)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%064x|exact", i)
-		if err := exporter.st.s.Put(keys[i], payload(i)); err != nil {
+		if err := exporter.st.put(keys[i], payload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The requester holds two of the keys: one with the exporter's bytes and
 	// one established with bytes of its own.
-	if err := requester.st.s.Put(keys[3], []byte("established")); err != nil {
+	if err := requester.st.put(keys[3], []byte("established")); err != nil {
 		t.Fatal(err)
 	}
-	if err := requester.st.s.Put(keys[5], payload(5)); err != nil {
+	if err := requester.st.put(keys[5], payload(5)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -679,7 +686,7 @@ func TestSyncExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer got.Close()
-		if _, _, err := got.Import(resp.Body); err != nil {
+		if _, _, err := got.Import(resp.Body, nil); err != nil {
 			t.Fatal(err)
 		}
 		records := map[string][]byte{}

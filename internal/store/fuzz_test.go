@@ -51,8 +51,9 @@ func FuzzStoreOpen(f *testing.F) {
 				t.Fatalf("entry %q: payload %d bytes, index says %d", e.Key, len(p), e.PayloadLen)
 			}
 		}
-		if err := s.Put("fuzz-probe", []byte("alive")); err != nil {
-			t.Fatalf("Put after corrupt open: %v", err)
+		s.Delete("fuzz-probe") // the input may hold the probe's key already
+		if wrote, err := s.PutIfAbsent("fuzz-probe", []byte("alive")); err != nil || !wrote {
+			t.Fatalf("PutIfAbsent after corrupt open: wrote=%t err=%v", wrote, err)
 		}
 		if err := s.Compact(); err != nil {
 			t.Fatalf("Compact after corrupt open: %v", err)
@@ -81,13 +82,19 @@ func FuzzStoreReopen(f *testing.F) {
 		}
 		want := map[string][]byte{}
 		for i := 0; i < n; i++ {
-			key := fmt.Sprintf("key-%d", i%max(1, n-2)) // force some supersedes
+			key := fmt.Sprintf("key-%d", i%max(1, n-2)) // force some refused rewrites
 			lo := i * len(blob) / n
 			payload := append([]byte(nil), blob[lo:]...)
-			if err := s.Put(key, payload); err != nil {
+			wrote, err := s.PutIfAbsent(key, payload)
+			if err != nil {
 				t.Fatal(err)
 			}
-			want[key] = payload
+			if _, had := want[key]; wrote == had {
+				t.Fatalf("key %q: wrote=%t with a record standing=%t; the first writer must win", key, wrote, had)
+			}
+			if wrote {
+				want[key] = payload
+			}
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -117,7 +124,7 @@ func validStoreFile(f *testing.F) []byte {
 		f.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Put(fmt.Sprintf("seed-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 20)); err != nil {
+		if _, err := s.PutIfAbsent(fmt.Sprintf("seed-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 20)); err != nil {
 			f.Fatal(err)
 		}
 	}

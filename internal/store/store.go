@@ -16,8 +16,11 @@
 //
 // Keys are the caller's content addresses (serenity uses
 // Segment.Fingerprint()+"|"+MemoKey(), both golden-pinned); payloads are
-// opaque bytes — the store never interprets them. Updates append a new record
-// for the key; the previous record becomes dead file space until Compact.
+// opaque bytes — the store never interprets them. A key names one answer, so
+// the only write is PutIfAbsent: the first record for a key stands until it is
+// deleted, evicted or found rotten. Open still lets a later record for a key
+// supersede an earlier one: files written by older builds hold such pairs, and
+// so does a file where a write followed a rotten record.
 //
 // # Durability and corruption
 //
@@ -79,8 +82,8 @@ const (
 	MaxPayloadLen = 1 << 26
 )
 
-// ErrTooLarge is returned by Put when a single record cannot fit the store's
-// byte bound at all.
+// ErrTooLarge is returned by PutIfAbsent when a single record cannot fit the
+// store's byte bound at all.
 var ErrTooLarge = errors.New("store: record exceeds the store's MaxBytes")
 
 // syncWrites gates the fsync calls on rewrite and close. Always true outside
@@ -124,17 +127,16 @@ var ErrReadOnly = errors.New("store: opened read-only")
 
 // Stats is a snapshot of the store's counters. CorruptRecords counts records
 // dropped for failing validation — at Open, on a Get re-check, during Compact
-// or Import — over the store's lifetime.
+// or Import — over the store's lifetime. Lookup hits and misses are the
+// caller's to count: only it can tell a payload it cannot use from a good one.
 type Stats struct {
-	Hits           int64
-	Misses         int64
 	Writes         int64
 	Evictions      int64
 	CorruptRecords int64
 	// LiveBytes is the file space occupied by indexed (retrievable) records,
-	// headers included; DeadBytes the space held by superseded, evicted, or
-	// corrupt records that Compact would reclaim; FileBytes the data file's
-	// current size.
+	// headers included; DeadBytes the space held by deleted, evicted,
+	// superseded or corrupt records that Compact would reclaim; FileBytes the
+	// data file's current size.
 	LiveBytes int64
 	DeadBytes int64
 	FileBytes int64
@@ -172,9 +174,9 @@ type Store struct {
 	liveBytes int64
 	deadBytes int64
 
-	hits, misses, writes, evictions, corrupt int64
-	closed                                   bool
-	readOnly                                 bool
+	writes, evictions, corrupt int64
+	closed                     bool
+	readOnly                   bool
 }
 
 // Open opens (creating if needed) the store in dir, bounded to maxBytes of
@@ -193,10 +195,10 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // no file creation, no tail truncation, no setting-aside of corrupt files —
 // corruption is still skipped and counted, the bytes are just left alone. A
 // missing data file is an error (inspecting a mistyped directory must not
-// manufacture an empty store). Mutating operations (Put, Compact, Import,
-// Sync) return ErrReadOnly. Safe to run against a directory a live serenityd
-// is appending to: at worst the scan sees a mid-append tail and counts it as
-// one corrupt record.
+// manufacture an empty store). Mutating operations (PutIfAbsent, Compact,
+// Import) return ErrReadOnly. Safe to run against a directory a live
+// serenityd is appending to: at worst the scan sees a mid-append tail and
+// counts it as one corrupt record.
 func OpenReadOnly(dir string) (*Store, error) {
 	return open(dir, 0, true)
 }
@@ -440,16 +442,13 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	el, exists := s.items[key]
 	if !exists {
-		s.misses++
 		return nil, false
 	}
 	payload, ok := s.readLocked(el)
 	if !ok {
-		s.misses++
 		return nil, false
 	}
 	s.ll.MoveToFront(el)
-	s.hits++
 	return payload, true
 }
 
@@ -468,7 +467,7 @@ func (s *Store) rawLocked(r *rec) ([]byte, bool) {
 
 // readLocked reads and CRC-verifies one indexed record, returning a copy of
 // its payload. A record that fails either step is dropped from the index and
-// counted corrupt. Recency and the hit/miss counters are the caller's call.
+// counted corrupt. Recency is the caller's call.
 func (s *Store) readLocked(el *list.Element) ([]byte, bool) {
 	r := el.Value.(*rec)
 	raw, ok := s.rawLocked(r)
@@ -481,21 +480,13 @@ func (s *Store) readLocked(el *list.Element) ([]byte, bool) {
 	return raw[recHeaderSize+len(r.key) : end : end], true
 }
 
-// Put appends a record for key, superseding any previous one, and evicts
-// least-recently-used entries if the live set now exceeds the byte bound.
-func (s *Store) Put(key string, payload []byte) error {
-	_, err := s.PutIf(key, payload, nil)
-	return err
-}
-
-// PutIf is the atomic conditional Put: allow sees the payload currently
-// stored for key (exists=false when there is none, or when the record no
-// longer passes its CRC) and decides, under the store's own lock, whether
-// payload may supersede it — so no other writer can land between the check
-// and the append. It reports whether the record was written. A nil allow
-// always writes. Like Has, the check leaves recency and the hit/miss counters
-// alone; allow must not call back into the store.
-func (s *Store) PutIf(key string, payload []byte, allow func(cur []byte, exists bool) bool) (bool, error) {
+// PutIfAbsent appends a record for key unless one already stands, and reports
+// whether it wrote. The check and the append happen under the store's lock, so
+// no other writer can land between them: the first writer wins. A standing
+// record that no longer passes its CRC is dropped, counted corrupt, and reads
+// as absent. The check leaves recency alone. After a write, least recently used
+// entries are evicted if the live set exceeds the byte bound.
+func (s *Store) PutIfAbsent(key string, payload []byte) (bool, error) {
 	if key == "" || len(key) > MaxKeyLen {
 		return false, fmt.Errorf("store: key length %d out of range (1..%d)", len(key), MaxKeyLen)
 	}
@@ -514,13 +505,8 @@ func (s *Store) PutIf(key string, payload []byte, allow func(cur []byte, exists 
 	if s.maxBytes > 0 && int64(len(buf)) > s.maxBytes {
 		return false, ErrTooLarge
 	}
-	if allow != nil {
-		var cur []byte
-		el, exists := s.items[key]
-		if exists {
-			cur, exists = s.readLocked(el)
-		}
-		if !allow(cur, exists) {
+	if el, exists := s.items[key]; exists {
+		if _, ok := s.readLocked(el); ok {
 			return false, nil
 		}
 	}
@@ -532,28 +518,11 @@ func (s *Store) PutIf(key string, payload []byte, allow func(cur []byte, exists 
 	}
 	r := &rec{key: key, off: s.size, size: int64(len(buf)), payloadLen: len(payload)}
 	s.size += r.size
-	if el, exists := s.items[key]; exists {
-		s.dropLocked(el, el.Value.(*rec))
-	}
 	s.items[key] = s.ll.PushFront(r)
 	s.liveBytes += r.size
 	s.writes++
 	s.evictLocked()
 	return true, nil
-}
-
-// Has reports whether key is indexed, without touching recency or the
-// hit/miss counters or re-verifying the record's CRC. A check-then-write
-// built on it races other writers, so conditional writes (replication
-// receivers, the anti-entropy import filter) use PutIf instead.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	_, exists := s.items[key]
-	return exists
 }
 
 // KeyHashes returns the KeyHash of every live key, unordered. This is the
@@ -604,9 +573,10 @@ func (s *Store) evictLocked() {
 }
 
 // Compact rewrites the data file with only the live records, reclaiming dead
-// space from superseded, evicted, and corrupt records. The new file is built
-// in a temp file and atomically renamed over the old one; a crash mid-compact
-// leaves the previous file intact. Recency order survives the rewrite.
+// space from deleted, evicted, superseded and corrupt records. The new file is
+// built in a temp file and atomically renamed over the old one; a crash
+// mid-compact leaves the previous file intact. Recency order survives the
+// rewrite.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -680,19 +650,6 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Sync flushes the data file to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	return s.f.Sync()
-}
-
 // Close syncs and releases the data file. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -716,8 +673,6 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits:           s.hits,
-		Misses:         s.misses,
 		Writes:         s.writes,
 		Evictions:      s.evictions,
 		CorruptRecords: s.corrupt,
@@ -761,19 +716,13 @@ func (s *Store) Verify() (ok, corrupt int) {
 	return ok, corrupt
 }
 
-// Export streams the live records to w in the data-file format (header
-// included), least recently used first, so importing the stream reproduces
-// the recency order. The result is a valid store file on its own — fleet
-// pre-warming is copying one node's export into another node's store.
-func (s *Store) Export(w io.Writer) error {
-	return s.ExportFiltered(w, nil)
-}
-
-// ExportFiltered is Export restricted to the live records whose key keep
-// accepts (nil keeps everything). The fleet's anti-entropy responder uses it
-// to stream exactly the records a peer's digest reported missing, in the same
-// self-contained store-file format Export writes.
-func (s *Store) ExportFiltered(w io.Writer, keep func(key string) bool) error {
+// Export streams the live records whose key keep accepts (nil keeps
+// everything) to w in the data-file format (header included), least recently
+// used first, so importing the stream reproduces the recency order. The result
+// is a valid store file on its own: fleet pre-warming is copying one node's
+// export into another node's store, and the fleet's anti-entropy responder
+// streams exactly the records a peer's digest reported missing.
+func (s *Store) Export(w io.Writer, keep func(key string) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -801,23 +750,13 @@ func (s *Store) ExportFiltered(w io.Writer, keep func(key string) bool) error {
 }
 
 // Import merges records from r (a store data file or Export stream) into the
-// store through the normal Put path — imported records supersede existing
-// keys and respect the byte bound. Corrupt records are skipped and counted; a
-// torn tail stops the import without failing it. Only a missing or alien
-// header makes Import return an error.
-func (s *Store) Import(r io.Reader) (added int, corrupt int64, err error) {
-	return s.ImportFiltered(r, nil, nil)
-}
-
-// ImportFiltered is Import with two per-record gates (nil admits everything).
-// accept screens a record by its own content, outside the store's lock —
-// the place for payload validation. allow is PutIf's condition: it sees what
-// the store currently holds for the key and decides under the store's lock,
-// so a merge that must not disturb established records (the fleet's
-// anti-entropy receiver, first-writer-wins) cannot lose a race against a
-// writer landing between the check and the append. Records either gate
-// rejects are skipped without being counted as corrupt or added.
-func (s *Store) ImportFiltered(r io.Reader, accept func(key string, payload []byte) bool, allow func(cur []byte, exists bool) bool) (added int, corrupt int64, err error) {
+// store through PutIfAbsent: a key the store already holds keeps its record,
+// and imports respect the byte bound. accept screens each record by its own
+// content, outside the store's lock (nil admits everything); a record it
+// rejects is skipped without being counted. Corrupt records are skipped and
+// counted; a torn tail stops the import without failing it. Only a missing or
+// alien header makes Import return an error.
+func (s *Store) Import(r io.Reader, accept func(key string, payload []byte) bool) (added int, corrupt int64, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -838,7 +777,7 @@ func (s *Store) ImportFiltered(r io.Reader, accept func(key string, payload []by
 		if accept != nil && !accept(key, payload) {
 			continue
 		}
-		wrote, err := s.PutIf(key, payload, allow)
+		wrote, err := s.PutIfAbsent(key, payload)
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
 				continue // one oversized record should not abort the merge

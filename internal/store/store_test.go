@@ -22,6 +22,14 @@ func openT(t *testing.T, dir string, maxBytes int64) *Store {
 	return s
 }
 
+// put is PutIfAbsent for keys the test knows to be absent.
+func put(t *testing.T, s *Store, key string, payload []byte) {
+	t.Helper()
+	if wrote, err := s.PutIfAbsent(key, payload); err != nil || !wrote {
+		t.Fatalf("PutIfAbsent(%q): wrote=%t err=%v", key, wrote, err)
+	}
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
@@ -31,9 +39,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		"gamma": bytes.Repeat([]byte{0xAB}, 4096),
 	}
 	for k, v := range pairs {
-		if err := s.Put(k, v); err != nil {
-			t.Fatalf("Put(%q): %v", k, err)
-		}
+		put(t, s, k, v)
 	}
 	for k, v := range pairs {
 		got, ok := s.Get(k)
@@ -48,7 +54,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Error("Get on an absent key reported a hit")
 	}
 	st := s.Stats()
-	if st.Entries != 3 || st.Writes != 3 || st.Hits != 3 || st.Misses != 1 {
+	if st.Entries != 3 || st.Writes != 3 {
 		t.Errorf("stats %+v do not reconcile with the workload", st)
 	}
 }
@@ -57,17 +63,22 @@ func TestReopenRestoresEntries(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
 	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("k%02d", i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Supersede one key; the later record must win after reopen.
-	if err := s.Put("k03", []byte("new")); err != nil {
-		t.Fatal(err)
+		put(t, s, fmt.Sprintf("k%02d", i), []byte{byte(i)})
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A second record for one key, as older builds appended on overwrite (and
+	// as a write after a rotten record leaves): the later record must win
+	// after reopen.
+	f, err := os.OpenFile(filepath.Join(dir, DataFileName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(encodeRecord("k03", []byte("new"))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	s2 := openT(t, dir, 0)
 	if st := s2.Stats(); st.Entries != 10 || st.CorruptRecords != 0 {
@@ -85,9 +96,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	one := int64(len(encodeRecord("k0", payload)))
 	s := openT(t, dir, 3*one)
 	for i := 0; i < 5; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), payload); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, fmt.Sprintf("k%d", i), payload)
 	}
 	st := s.Stats()
 	if st.Entries != 3 || st.Evictions != 2 {
@@ -101,9 +110,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 	// Touch k2, insert another: k3 (now LRU) must go, k2 stay.
 	s.Get("k2")
-	if err := s.Put("k5", payload); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "k5", payload)
 	if _, ok := s.Get("k3"); ok {
 		t.Error("k3 survived despite being least recently used")
 	}
@@ -114,9 +121,8 @@ func TestLRUEvictionByBytes(t *testing.T) {
 
 func TestOversizedRecordRejected(t *testing.T) {
 	s := openT(t, t.TempDir(), 64)
-	err := s.Put("key", bytes.Repeat([]byte{1}, 128))
-	if err != ErrTooLarge {
-		t.Fatalf("Put oversized = %v, want ErrTooLarge", err)
+	if _, err := s.PutIfAbsent("key", bytes.Repeat([]byte{1}, 128)); err != ErrTooLarge {
+		t.Fatalf("PutIfAbsent oversized = %v, want ErrTooLarge", err)
 	}
 	if st := s.Stats(); st.Writes != 0 || st.Entries != 0 {
 		t.Errorf("oversized record left traces: %+v", st)
@@ -127,15 +133,17 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
 	for i := 0; i < 20; i++ {
-		// Every key written twice: half the file is dead.
-		key := fmt.Sprintf("k%d", i%10)
-		if err := s.Put(key, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
-			t.Fatal(err)
+		put(t, s, fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 64))
+	}
+	// Delete half the keys: half the file is dead.
+	for i := 0; i < 10; i++ {
+		if !s.Delete(fmt.Sprintf("k%d", i)) {
+			t.Fatalf("Delete(k%d) found nothing", i)
 		}
 	}
 	before := s.Stats()
 	if before.DeadBytes == 0 {
-		t.Fatal("superseding writes produced no dead bytes")
+		t.Fatal("deletes produced no dead bytes")
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -151,9 +159,9 @@ func TestCompactReclaimsDeadSpace(t *testing.T) {
 		t.Errorf("entries after compact: %d, want 10", after.Entries)
 	}
 	for i := 10; i < 20; i++ {
-		got, ok := s.Get(fmt.Sprintf("k%d", i%10))
+		got, ok := s.Get(fmt.Sprintf("k%d", i))
 		if !ok || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 64)) {
-			t.Errorf("k%d wrong after compact (ok=%t)", i%10, ok)
+			t.Errorf("k%d wrong after compact (ok=%t)", i, ok)
 		}
 	}
 	// And the compacted file must reopen cleanly with recency preserved.
@@ -190,9 +198,7 @@ func TestOpenSkipsCRCCorruptRecord(t *testing.T) {
 	var offs []int64
 	for i := 0; i < 3; i++ {
 		offs = append(offs, s.Stats().FileBytes)
-		if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 32))
 	}
 	s.Close()
 	// Flip a payload byte of the middle record: well-framed, bad CRC.
@@ -216,13 +222,9 @@ func TestOpenSkipsCRCCorruptRecord(t *testing.T) {
 func TestOpenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
-	if err := s.Put("whole", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "whole", []byte("payload"))
 	good := s.Stats().FileBytes
-	if err := s.Put("torn", bytes.Repeat([]byte{7}, 64)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "torn", bytes.Repeat([]byte{7}, 64))
 	s.Close()
 	// Simulate a crash mid-append: cut the last record in half.
 	path := filepath.Join(dir, DataFileName)
@@ -239,9 +241,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Errorf("file not truncated back to the last good record: %d != %d", st.FileBytes, good)
 	}
 	// Appends after the repair must be readable.
-	if err := s2.Put("after", []byte("repair")); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s2, "after", []byte("repair"))
 	s2.Close()
 	s3 := openT(t, dir, 0)
 	if got, ok := s3.Get("after"); !ok || string(got) != "repair" {
@@ -262,17 +262,13 @@ func TestOpenSetsAsideAlienHeader(t *testing.T) {
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("alien file not set aside: %v", err)
 	}
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "k", []byte("v"))
 }
 
 func TestGetReVerifiesCRC(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
-	if err := s.Put("k", bytes.Repeat([]byte{3}, 32)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "k", bytes.Repeat([]byte{3}, 32))
 	// Rot a byte underneath the open store.
 	path := filepath.Join(dir, DataFileName)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -295,36 +291,32 @@ func TestExportImport(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
 	for i := 0; i < 5; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 16))
 	}
 	var buf bytes.Buffer
-	if err := s.Export(&buf); err != nil {
+	if err := s.Export(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := openT(t, t.TempDir(), 0)
-	if err := dst.Put("k1", []byte("local")); err != nil {
-		t.Fatal(err)
-	}
-	added, corrupt, err := dst.Import(bytes.NewReader(buf.Bytes()))
+	put(t, dst, "k1", []byte("local"))
+	added, corrupt, err := dst.Import(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 5 || corrupt != 0 {
-		t.Fatalf("import added %d (corrupt %d), want 5 clean", added, corrupt)
+	if added != 4 || corrupt != 0 {
+		t.Fatalf("import added %d (corrupt %d), want the 4 keys the store lacked", added, corrupt)
 	}
 	if st := dst.Stats(); st.Entries != 5 {
 		t.Errorf("entries after import: %d", st.Entries)
 	}
-	got, ok := dst.Get("k1")
-	if !ok || !bytes.Equal(got, bytes.Repeat([]byte{1}, 16)) {
-		t.Errorf("imported record did not supersede the local one: %q", got)
+	// First writer wins: the established record keeps its bytes.
+	if got, ok := dst.Get("k1"); !ok || string(got) != "local" {
+		t.Errorf("import replaced the established record with %q", got)
 	}
 
 	// A stream with a bad header must be refused outright.
-	if _, _, err := dst.Import(bytes.NewReader([]byte("garbage"))); err == nil {
+	if _, _, err := dst.Import(bytes.NewReader([]byte("garbage")), nil); err == nil {
 		t.Error("import accepted a non-store stream")
 	}
 	// A valid stream with a corrupt record imports the rest.
@@ -333,7 +325,7 @@ func TestExportImport(t *testing.T) {
 	copy(flip, raw)
 	flip[headerSize+recHeaderSize+3] ^= 0x55
 	dst2 := openT(t, t.TempDir(), 0)
-	added, corrupt, err = dst2.Import(bytes.NewReader(flip))
+	added, corrupt, err = dst2.Import(bytes.NewReader(flip), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +340,7 @@ func TestVerifyDropsRottenRecords(t *testing.T) {
 	var offs []int64
 	for i := 0; i < 4; i++ {
 		offs = append(offs, s.Stats().FileBytes)
-		if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 24)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 24))
 	}
 	path := filepath.Join(dir, DataFileName)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -373,7 +363,7 @@ func TestVerifyDropsRottenRecords(t *testing.T) {
 // TestRottenLiveRecordOnEveryReadPath flips one payload byte of a live record
 // underneath an open store and runs each path that re-reads indexed records.
 // Every path counts the record corrupt exactly once and never hands its bytes
-// on; Get, PutIf and Verify drop it from the index, Compact leaves it out of
+// on; Get, PutIfAbsent and Verify drop it from the index, Compact leaves it out of
 // the rewrite, and an export skips it but leaves the index alone.
 func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
 	keysOf := func(s *Store) []string {
@@ -384,7 +374,6 @@ func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	absent := func(_ []byte, exists bool) bool { return !exists }
 	cases := []struct {
 		name string
 		// run exercises one path and returns the keys that survived it: the
@@ -403,11 +392,11 @@ func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
 			return hit
 		}, 2, "[k0 k2]"},
 		{"putif", func(t *testing.T, s *Store) []string {
-			if wrote, err := s.PutIf("k1", []byte("fresh"), absent); err != nil || !wrote {
-				t.Fatalf("PutIf over a rotten record: wrote=%t err=%v; a record failing its CRC reads as absent", wrote, err)
+			if wrote, err := s.PutIfAbsent("k1", []byte("fresh")); err != nil || !wrote {
+				t.Fatalf("PutIfAbsent over a rotten record: wrote=%t err=%v; a record failing its CRC reads as absent", wrote, err)
 			}
 			if got, _ := s.Get("k1"); string(got) != "fresh" {
-				t.Errorf("k1 after PutIf = %q, want the fresh payload", got)
+				t.Errorf("k1 after PutIfAbsent = %q, want the fresh payload", got)
 			}
 			return keysOf(s)
 		}, 3, "[k0 k1 k2]"},
@@ -425,11 +414,11 @@ func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
 		}, 2, "[k0 k2]"},
 		{"export", func(t *testing.T, s *Store) []string {
 			var buf bytes.Buffer
-			if err := s.ExportFiltered(&buf, nil); err != nil {
+			if err := s.Export(&buf, nil); err != nil {
 				t.Fatal(err)
 			}
 			dst := openT(t, t.TempDir(), 0)
-			if _, corrupt, err := dst.Import(&buf); err != nil || corrupt != 0 {
+			if _, corrupt, err := dst.Import(&buf, nil); err != nil || corrupt != 0 {
 				t.Fatalf("importing the export: corrupt=%d err=%v; the rotten record must not be streamed", corrupt, err)
 			}
 			return keysOf(dst)
@@ -442,9 +431,7 @@ func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
 			var offs []int64
 			for i := 0; i < 3; i++ {
 				offs = append(offs, s.Stats().FileBytes)
-				if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 24)); err != nil {
-					t.Fatal(err)
-				}
+				put(t, s, fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 24))
 			}
 			corruptAt(t, dir, offs[1]+recHeaderSize+int64(len("k1"))+3)
 			if got := fmt.Sprint(tc.run(t, s)); got != tc.wantKeys {
@@ -459,17 +446,15 @@ func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
 
 func TestClosedStoreOperations(t *testing.T) {
 	s := openT(t, t.TempDir(), 0)
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "k", []byte("v"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := s.Put("k2", []byte("v")); err != ErrClosed {
-		t.Errorf("Put on closed store: %v, want ErrClosed", err)
+	if _, err := s.PutIfAbsent("k2", []byte("v")); err != ErrClosed {
+		t.Errorf("PutIfAbsent on closed store: %v, want ErrClosed", err)
 	}
 	if _, ok := s.Get("k"); ok {
 		t.Error("Get on closed store reported a hit")
@@ -482,13 +467,9 @@ func TestClosedStoreOperations(t *testing.T) {
 func TestOpenReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "k", []byte("v"))
 	good := s.Stats().FileBytes
-	if err := s.Put("torn", bytes.Repeat([]byte{9}, 64)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, "torn", bytes.Repeat([]byte{9}, 64))
 	s.Close()
 	path := filepath.Join(dir, DataFileName)
 	// Tear the tail: read-only must report it but leave the bytes alone.
@@ -507,14 +488,11 @@ func TestOpenReadOnly(t *testing.T) {
 	if st := ro.Stats(); st.CorruptRecords != 1 || st.Entries != 1 {
 		t.Errorf("read-only stats %+v; want the torn tail counted, one survivor", st)
 	}
-	if err := ro.Put("k2", []byte("v")); err != ErrReadOnly {
-		t.Errorf("read-only Put: %v, want ErrReadOnly", err)
+	if _, err := ro.PutIfAbsent("k2", []byte("v")); err != ErrReadOnly {
+		t.Errorf("read-only PutIfAbsent: %v, want ErrReadOnly", err)
 	}
 	if err := ro.Compact(); err != ErrReadOnly {
 		t.Errorf("read-only Compact: %v, want ErrReadOnly", err)
-	}
-	if err := ro.Sync(); err != ErrReadOnly {
-		t.Errorf("read-only Sync: %v, want ErrReadOnly", err)
 	}
 	// The torn tail must still be on disk, untruncated.
 	fi, err := os.Stat(path)
@@ -564,7 +542,7 @@ func TestOpenValidation(t *testing.T) {
 func TestRejectedVersionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 0)
-	s.Put("k", []byte("v"))
+	put(t, s, "k", []byte("v"))
 	s.Close()
 	// Bump the on-disk version: a future-format file must be set aside, not
 	// misread.
@@ -585,52 +563,48 @@ func TestRejectedVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestPutIfDecidesUnderTheLock pins the conditional put: allow sees the
-// stored payload (or exists=false), a refusal writes nothing, the check
-// perturbs neither recency nor the hit/miss counters, and — the point of the
-// primitive — racing first-writer-wins puts on one key admit exactly one.
+// TestPutIfDecidesUnderTheLock pins the store's one write: a put over a
+// standing record writes nothing and perturbs neither its bytes nor its
+// recency, an import decides under the same lock, and — the point of the
+// primitive — racing first-writer-wins puts and an import on one key admit
+// exactly one.
 func TestPutIfDecidesUnderTheLock(t *testing.T) {
 	s := openT(t, t.TempDir(), 0)
-	absent := func(_ []byte, exists bool) bool { return !exists }
-
-	if wrote, err := s.PutIf("k", []byte("first"), absent); err != nil || !wrote {
-		t.Fatalf("PutIf on an absent key: wrote=%t err=%v", wrote, err)
+	put(t, s, "k", []byte("first"))
+	put(t, s, "newer", []byte("2"))
+	if wrote, err := s.PutIfAbsent("k", []byte("second")); err != nil || wrote {
+		t.Fatalf("PutIfAbsent over an existing key: wrote=%t err=%v", wrote, err)
 	}
-	var seen []byte
-	wrote, err := s.PutIf("k", []byte("second"), func(cur []byte, exists bool) bool {
-		seen = cur
-		return !exists
-	})
-	if err != nil || wrote || string(seen) != "first" {
-		t.Fatalf("PutIf over an existing key: wrote=%t err=%v, allow saw %q", wrote, err, seen)
+	if st := s.Stats(); st.Writes != 2 {
+		t.Errorf("stats after a refused PutIfAbsent: %+v, want 2 writes", st)
 	}
-	if st := s.Stats(); st.Writes != 1 || st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("stats after a refused PutIf: %+v, want 1 write and untouched hit/miss counters", st)
+	// "k" must still be the LRU tail: the refused put must not have refreshed
+	// its recency the way Get would.
+	if entries := s.Entries(); entries[len(entries)-1].Key != "k" {
+		t.Errorf("a refused put refreshed recency; LRU order now %v", entries)
 	}
 	if got, _ := s.Get("k"); string(got) != "first" {
-		t.Errorf("refused PutIf changed the record to %q", got)
+		t.Errorf("refused PutIfAbsent changed the record to %q", got)
 	}
 
-	// An import passes the same condition down, so it decides under the lock
-	// too: a writer landing after the import screened the record (simulated
-	// from inside accept) but before its append is not overwritten.
+	// An import writes through PutIfAbsent, so it decides under the lock too:
+	// a writer landing after the import screened the record (simulated from
+	// inside accept) but before its append is not overwritten.
 	src := openT(t, t.TempDir(), 0)
 	for _, key := range []string{"late", "contended"} {
-		if err := src.Put(key, []byte("peer twin")); err != nil {
-			t.Fatal(err)
-		}
+		put(t, src, key, []byte("peer twin"))
 	}
 	var stream bytes.Buffer
-	if err := src.ExportFiltered(&stream, func(key string) bool { return key == "late" }); err != nil {
+	if err := src.Export(&stream, func(key string) bool { return key == "late" }); err != nil {
 		t.Fatal(err)
 	}
 	landsFirst := func(key string, _ []byte) bool {
-		if err := s.Put(key, []byte("local")); err != nil {
-			t.Error(err)
+		if wrote, err := s.PutIfAbsent(key, []byte("local")); err != nil || !wrote {
+			t.Errorf("mid-merge writer: wrote=%t err=%v", wrote, err)
 		}
 		return true
 	}
-	if added, _, err := s.ImportFiltered(&stream, landsFirst, absent); err != nil || added != 0 {
+	if added, _, err := s.Import(&stream, landsFirst); err != nil || added != 0 {
 		t.Errorf("import over a record that landed mid-merge: added=%d err=%v, want 0 added", added, err)
 	}
 	if got, _ := s.Get("late"); string(got) != "local" {
@@ -644,7 +618,7 @@ func TestPutIfDecidesUnderTheLock(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if wrote, err := s.PutIf("contended", []byte{byte(i)}, absent); err != nil {
+			if wrote, err := s.PutIfAbsent("contended", []byte{byte(i)}); err != nil {
 				t.Error(err)
 			} else if wrote {
 				won.Add(1)
@@ -652,10 +626,10 @@ func TestPutIfDecidesUnderTheLock(t *testing.T) {
 		}(i)
 	}
 	stream.Reset()
-	if err := src.ExportFiltered(&stream, func(key string) bool { return key == "contended" }); err != nil {
+	if err := src.Export(&stream, func(key string) bool { return key == "contended" }); err != nil {
 		t.Fatal(err)
 	}
-	added, _, err := s.ImportFiltered(&stream, nil, absent)
+	added, _, err := s.Import(&stream, nil)
 	if err != nil {
 		t.Error(err)
 	}

@@ -1,7 +1,7 @@
 package store
 
 // Tests for the anti-entropy building blocks: key digests, filtered
-// export/import, and — most importantly — Export racing concurrent Puts,
+// export/import, and — most importantly — Export racing concurrent writes,
 // which is exactly the interleaving the fleet's sync loop produces when one
 // node streams records to a peer while its own compile traffic keeps
 // appending. Run under -race.
@@ -28,37 +28,12 @@ func TestKeyHashDeterministicAndSpread(t *testing.T) {
 	}
 }
 
-func TestHasDoesNotPerturbRecencyOrCounters(t *testing.T) {
-	s := openT(t, t.TempDir(), 0)
-	if err := s.Put("old", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("new", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has("old") || s.Has("absent") {
-		t.Fatal("Has answered membership wrongly")
-	}
-	st := s.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("Has moved the lookup counters: %+v", st)
-	}
-	// "old" must still be the LRU tail: probing it with Has must not have
-	// refreshed its recency the way Get would.
-	entries := s.Entries()
-	if entries[len(entries)-1].Key != "old" {
-		t.Errorf("Has refreshed recency; LRU order now %v", entries)
-	}
-}
-
 func TestKeyHashesMatchEntries(t *testing.T) {
 	s := openT(t, t.TempDir(), 0)
 	want := make(map[uint64]bool)
 	for i := 0; i < 32; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if err := s.Put(k, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, k, []byte{byte(i)})
 		want[KeyHash(k)] = true
 	}
 	got := s.KeyHashes()
@@ -72,63 +47,60 @@ func TestKeyHashesMatchEntries(t *testing.T) {
 	}
 }
 
-func TestExportFilteredStreamsOnlyKeptRecords(t *testing.T) {
+func TestExportStreamsOnlyKeptRecords(t *testing.T) {
 	src := openT(t, t.TempDir(), 0)
 	for i := 0; i < 10; i++ {
-		if err := src.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 8)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, src, fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 8))
 	}
 	var buf bytes.Buffer
 	keep := func(key string) bool { return key == "k03" || key == "k07" }
-	if err := src.ExportFiltered(&buf, keep); err != nil {
+	if err := src.Export(&buf, keep); err != nil {
 		t.Fatal(err)
 	}
 	dst := openT(t, t.TempDir(), 0)
-	added, corrupt, err := dst.Import(&buf)
+	added, corrupt, err := dst.Import(&buf, nil)
 	if err != nil || corrupt != 0 {
 		t.Fatalf("Import: added=%d corrupt=%d err=%v", added, corrupt, err)
 	}
-	if added != 2 || !dst.Has("k03") || !dst.Has("k07") || dst.Has("k00") {
+	_, has03 := dst.Get("k03")
+	_, has07 := dst.Get("k07")
+	_, has00 := dst.Get("k00")
+	if added != 2 || !has03 || !has07 || has00 {
 		t.Fatalf("filtered export delivered the wrong records: added=%d entries=%v", added, dst.Entries())
 	}
 }
 
-func TestImportFilteredSkipsRejectedWithoutCountingCorrupt(t *testing.T) {
+func TestImportSkipsRejectedWithoutCountingCorrupt(t *testing.T) {
 	src := openT(t, t.TempDir(), 0)
 	for i := 0; i < 6; i++ {
-		if err := src.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, src, fmt.Sprintf("k%d", i), []byte{byte(i)})
 	}
 	var buf bytes.Buffer
-	if err := src.Export(&buf); err != nil {
+	if err := src.Export(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	dst := openT(t, t.TempDir(), 0)
-	if err := dst.Put("k1", []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
+	put(t, dst, "k1", []byte{0xFF})
 	accept := func(key string, payload []byte) bool { return key != "k2" }
-	absent := func(_ []byte, exists bool) bool { return !exists }
-	added, corrupt, err := dst.ImportFiltered(&buf, accept, absent)
+	added, corrupt, err := dst.Import(&buf, accept)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 4 || corrupt != 0 || dst.Has("k2") {
-		t.Fatalf("ImportFiltered added=%d corrupt=%d k2=%t, want 4, 0 and the rejected record absent", added, corrupt, dst.Has("k2"))
+	_, has2 := dst.Get("k2")
+	if added != 4 || corrupt != 0 || has2 {
+		t.Fatalf("Import added=%d corrupt=%d k2=%t, want 4, 0 and the rejected record absent", added, corrupt, has2)
 	}
 	// The pre-existing record must keep its established payload: skip-existing
 	// is the fleet's first-writer-wins rule.
 	got, ok := dst.Get("k1")
 	if !ok || !bytes.Equal(got, []byte{0xFF}) {
-		t.Fatalf("ImportFiltered clobbered an existing record: %x", got)
+		t.Fatalf("Import clobbered an existing record: %x", got)
 	}
 }
 
-// TestExportRacesConcurrentPuts hammers Export (and the digest/Has helpers
-// the sync loop calls between exports) from one side while writer goroutines
-// append, supersede, and read on the other — the exact interleaving a
+// TestExportRacesConcurrentPuts hammers Export (and the digest the sync loop
+// reads between exports) from one side while writer goroutines append, lose
+// first-writer races, delete, and read on the other — the exact interleaving a
 // serenityd node serving peer sync under live compile traffic sees. Every
 // exported stream must stand alone: a fresh store importing it may see any
 // prefix of the writes, but never a corrupt record and never a torn stream.
@@ -145,16 +117,17 @@ func TestExportRacesConcurrentPuts(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < putsPerWriter; i++ {
-				// Half the keys collide across writers so Export also races
-				// supersede bookkeeping, not just appends.
+				// Half the keys collide across writers, and some are deleted
+				// again, so Export also races the refusal and dead-space
+				// bookkeeping, not just appends.
 				key := fmt.Sprintf("k%d", (w*putsPerWriter+i)%(writers*putsPerWriter/2))
-				if err := src.Put(key, bytes.Repeat([]byte{byte(i)}, 1+i%64)); err != nil {
-					t.Errorf("Put: %v", err)
+				if _, err := src.PutIfAbsent(key, bytes.Repeat([]byte{byte(i)}, 1+i%64)); err != nil {
+					t.Errorf("PutIfAbsent: %v", err)
 					return
 				}
 				if i%16 == 0 {
 					src.Get(key)
-					src.Has(key)
+					src.Delete(key)
 				}
 			}
 		}(w)
@@ -165,7 +138,7 @@ func TestExportRacesConcurrentPuts(t *testing.T) {
 		defer close(done)
 		for i := 0; i < exports; i++ {
 			var buf bytes.Buffer
-			if err := src.Export(&buf); err != nil {
+			if err := src.Export(&buf, nil); err != nil {
 				t.Errorf("Export during writes: %v", err)
 				return
 			}
@@ -175,7 +148,7 @@ func TestExportRacesConcurrentPuts(t *testing.T) {
 				t.Errorf("Open import target: %v", err)
 				return
 			}
-			_, corrupt, err := dst.Import(bytes.NewReader(buf.Bytes()))
+			_, corrupt, err := dst.Import(bytes.NewReader(buf.Bytes()), nil)
 			if err != nil || corrupt != 0 {
 				t.Errorf("export %d produced a damaged stream: corrupt=%d err=%v", i, corrupt, err)
 			}

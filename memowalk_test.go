@@ -133,8 +133,8 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 				case memoTierMemory:
 					memo.store.Put(key, want)
 				case memoTierDisk:
-					if err := disk.st.Put(key, seeded); err != nil {
-						t.Fatal(err)
+					if wrote, err := disk.st.PutIfAbsent(key, seeded); err != nil || !wrote {
+						t.Fatalf("seeding the disk tier: wrote=%t err=%v", wrote, err)
 					}
 				case memoTierPeer:
 					fake.corpus[key] = seeded
@@ -357,7 +357,7 @@ func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 		landed := make(chan bool)
 		go func() {
 			<-start
-			wrote, err := ss.putIfAbsent(key, local)
+			wrote, err := ss.st.PutIfAbsent(key, local) // what the write-behind does
 			landed <- wrote && err == nil
 		}()
 		go func() {

@@ -34,18 +34,13 @@ type PeerTier interface {
 	Replicate(ctx context.Context, key string, payload []byte)
 }
 
-// artifactSelfConsistent is the gate the replication and sync receivers run:
-// decodeArtifact without a known node count.
+// artifactSelfConsistent is the gate the replication and import receivers
+// run: a plain decode, since they do not know the segment's node count (only
+// a later lookup does).
 func artifactSelfConsistent(payload []byte) bool {
-	_, ok := decodeArtifact(payload, -1)
-	return ok
+	_, err := UnmarshalSegmentArtifact(payload)
+	return err == nil
 }
-
-// ifAbsent is the PutIf condition of every disk write — write-behind, a
-// peer's replica, an anti-entropy import — first-writer-wins: an established
-// record keeps its bytes. (A record that fails validation is deleted by the
-// lookup that finds it, so it never stands in a recompute's way.)
-func ifAbsent(_ []byte, exists bool) bool { return !exists }
 
 // The methods below adapt a ScheduleStore to the fleet's Store interface
 // (internal/fleet.Server and Syncer), making the persistent tier double as
@@ -68,12 +63,17 @@ func (ss *ScheduleStore) GetArtifact(key string) ([]byte, bool) {
 // existing record keeps its established bytes, so replication can never
 // change an answer a client has already seen. Invalid payloads are refused.
 // The write is synchronous — replication arrives on peer-facing handlers,
-// not the compile hot path.
+// not the compile hot path. Writing into a closed store is a silent no-op.
 func (ss *ScheduleStore) PutArtifact(key string, payload []byte) bool {
 	if !artifactSelfConsistent(payload) {
 		return false
 	}
-	wrote, err := ss.putIfAbsent(key, payload)
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	if ss.closed {
+		return false
+	}
+	wrote, err := ss.st.PutIfAbsent(key, payload)
 	return wrote && err == nil
 }
 
@@ -96,7 +96,7 @@ func (ss *ScheduleStore) ExportMissing(w io.Writer, have map[uint64]bool, max in
 		return 0, nil
 	}
 	n := 0
-	err := ss.st.ExportFiltered(w, func(key string) bool {
+	err := ss.st.Export(w, func(key string) bool {
 		if n < max && !have[store.KeyHash(key)] {
 			n++
 			return true
@@ -106,20 +106,26 @@ func (ss *ScheduleStore) ExportMissing(w io.Writer, have map[uint64]bool, max in
 	return n, err
 }
 
-// ImportMissing merges an anti-entropy stream: records for keys already
-// present are skipped (first-writer-wins, decided under the store's own lock
-// like PutArtifact, so a write-behind landing mid-merge is never overwritten
-// by a peer's byte-different twin), payloads that fail artifact validation
-// are skipped, and corrupt records are tolerated exactly as a store Open
-// tolerates them. Returns how many records were added.
+// ImportMissing merges a store stream — an anti-entropy round's, or an
+// offline `serenity store import` — first-writer-wins: records for keys
+// already present are skipped (decided under the store's own lock like
+// PutArtifact, so a write-behind landing mid-merge is never overwritten by a
+// peer's byte-different twin). Payloads that fail artifact validation are
+// skipped and counted in CorruptRecords, as are records failing their CRC;
+// a torn tail is tolerated exactly as a store Open tolerates it. Returns how
+// many records were added.
 func (ss *ScheduleStore) ImportMissing(r io.Reader) (int, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if ss.closed {
 		return 0, nil
 	}
-	added, _, err := ss.st.ImportFiltered(r, func(_ string, payload []byte) bool {
-		return artifactSelfConsistent(payload)
-	}, ifAbsent)
+	added, _, err := ss.st.Import(r, func(_ string, payload []byte) bool {
+		if artifactSelfConsistent(payload) {
+			return true
+		}
+		ss.decodeErrs.Add(1)
+		return false
+	})
 	return added, err
 }

@@ -163,9 +163,9 @@ func (m *SegmentMemo) Stats() SegmentMemoStats {
 
 // settle stores sr under key unless the key already holds an entry, and
 // returns the entry that stands. It is the memory tier's one write rule, the
-// same first-writer-wins every disk write obeys (ifAbsent): only non-degraded
-// results reach a tier and a key names one canonical order, so no later
-// writer has anything better — it only differs in the search accounting, and
+// same first-writer-wins as the disk tier's one write (PutIfAbsent): only
+// non-degraded results reach a tier and a key names one canonical order, so no
+// later writer has anything better — it only differs in the search accounting, and
 // hits must stay bit-identical to the run that populated the entry.
 func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, wrote bool) {
 	return m.store.PutIfAbsent(key, sr)

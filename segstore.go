@@ -63,8 +63,11 @@ func MarshalSegmentArtifact(sr SearchResult) ([]byte, error) {
 }
 
 // UnmarshalSegmentArtifact decodes a schedule store payload. Any deviation —
-// wrong version, impossible lengths, unknown quality — is an error, never a
-// panic; callers treat a failed decode as a cache miss and recompute.
+// wrong version, impossible lengths, unknown quality, an order that is not a
+// permutation of 0..len-1 — is an error, never a panic; callers treat a
+// failed decode as a cache miss and recompute. It is the one artifact check
+// every writer and reader runs: the store tooling, the fleet's receivers and
+// the memo hierarchy's loads.
 func UnmarshalSegmentArtifact(b []byte) (SearchResult, error) {
 	if len(b) < artifactHeaderLen {
 		return SearchResult{}, fmt.Errorf("serenity: artifact payload %d bytes, header needs %d", len(b), artifactHeaderLen)
@@ -93,35 +96,27 @@ func UnmarshalSegmentArtifact(b []byte) (SearchResult, error) {
 		return SearchResult{}, fmt.Errorf("serenity: artifact claims %d order entries in %d payload bytes", n, len(b))
 	}
 	sr.Order = make(Order, n)
+	seen := make([]bool, n)
 	for i := range sr.Order {
 		id := binary.LittleEndian.Uint32(b[artifactHeaderLen+4*i:])
-		if id > 1<<31-1 {
-			return SearchResult{}, fmt.Errorf("serenity: order entry %d out of range", id)
+		if id >= n || seen[id] {
+			return SearchResult{}, fmt.Errorf("serenity: order entry %d at position %d breaks the permutation of 0..%d", id, i, n-1)
 		}
+		seen[id] = true
 		sr.Order[i] = int(id)
 	}
 	return sr, nil
 }
 
-// decodeArtifact is the one checkpoint every payload passes before the memo
+// decodeArtifact is the checkpoint every payload passes before the memo
 // hierarchy trusts it, whether it was loaded from disk or fetched from a
-// peer: decode (which enforces the version and shape; the encoding cannot
-// carry a degraded result) plus the full permutation check against the
-// segment's node count. Receivers that do not know the node count — the
-// replication and sync handlers; only a later lookup does — pass nodes < 0
-// to require a permutation of the payload's own length, so an order that is
-// a permutation of nothing never occupies store space. Every caller treats a
-// failure the same way — as a miss — so it reports only whether the payload
-// passed.
+// peer: decode (which enforces the version, the shape and the permutation;
+// the encoding cannot carry a degraded result) plus the match against the
+// segment's node count. Every caller treats a failure the same way — as a
+// miss — so it reports only whether the payload passed.
 func decodeArtifact(payload []byte, nodes int) (SearchResult, bool) {
 	sr, err := UnmarshalSegmentArtifact(payload)
-	if err != nil {
-		return SearchResult{}, false
-	}
-	if nodes < 0 {
-		nodes = len(sr.Order)
-	}
-	if !validPermutation(sr.Order, nodes) {
+	if err != nil || len(sr.Order) != nodes {
 		return SearchResult{}, false
 	}
 	return sr, true
@@ -130,7 +125,7 @@ func decodeArtifact(payload []byte, nodes int) (SearchResult, bool) {
 // StoreStats is a snapshot of a ScheduleStore's counters. Hits and Misses
 // count tier-2 (disk) lookups only — lookups that reached the store because
 // the in-memory tier missed. CorruptRecords includes both byte-level CRC
-// failures and payloads that failed semantic validation on load.
+// failures and payloads that failed artifact validation on load or import.
 type StoreStats struct {
 	Hits           int64
 	Misses         int64
@@ -159,9 +154,9 @@ type StoreStats struct {
 // disk hits are promoted to memory, and fresh or peer-fetched results are
 // written through asynchronously (the DP's caller never waits on the disk).
 // Degraded (FellBack) results are never persisted — the artifact encoding
-// refuses them. Every write the hierarchy makes here — write-behind, a
-// peer's replica, an anti-entropy import — is an atomic put-if-absent
-// (ifAbsent): a key names one canonical result, so the first record stands.
+// refuses them. Every write here — write-behind, a peer's replica, an
+// anti-entropy or offline import — is the byte store's one write, an atomic
+// put-if-absent: a key names one canonical result, so the first record stands.
 //
 // Artifacts are re-validated on every load: CRC at the byte layer, then
 // version, shape, and a full permutation check against the segment's node
@@ -175,12 +170,12 @@ type StoreStats struct {
 type ScheduleStore struct {
 	st *store.Store
 
-	// mu is read-held by every data operation (get, putAsync, putIfAbsent,
-	// Flush, Compact, Stats) and write-held only by Close, which makes
-	// "closed store drops lookups and writes silently" a real invariant:
-	// once Close holds the write lock no operation can be mid-flight
-	// against the inner store, and every later operation observes closed
-	// and returns inert.
+	// mu is read-held by every data operation (get, putAsync, PutArtifact,
+	// ImportMissing, Flush, Compact, Stats) and write-held only by Close,
+	// which makes "closed store drops lookups and writes silently" a real
+	// invariant: once Close holds the write lock no operation can be
+	// mid-flight against the inner store, and every later operation
+	// observes closed and returns inert.
 	mu         sync.RWMutex
 	writeCh    chan storeWrite
 	closed     bool
@@ -232,10 +227,10 @@ func (ss *ScheduleStore) writer() {
 		}
 		// The put can only fail on I/O trouble or an oversized record; either
 		// way the result is recomputable, so a failed write-behind costs a
-		// future cold search, nothing more. Conditional, because a peer's
+		// future cold search, nothing more. Put-if-absent, because a peer's
 		// replica or an import may have landed the key while this write sat in
 		// the queue.
-		_, _ = ss.st.PutIf(w.key, w.payload, ifAbsent)
+		_, _ = ss.st.PutIfAbsent(w.key, w.payload)
 	}
 }
 
@@ -298,18 +293,6 @@ func (ss *ScheduleStore) putAsync(key string, payload []byte) {
 	}
 }
 
-// putIfAbsent is the synchronous write behind PutArtifact: ifAbsent decides
-// under the inner store's lock, so nothing can land between the check and the
-// write. Writing into a closed store is a silent no-op.
-func (ss *ScheduleStore) putIfAbsent(key string, payload []byte) (bool, error) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return false, nil
-	}
-	return ss.st.PutIf(key, payload, ifAbsent)
-}
-
 // Flush blocks until every write enqueued before the call has reached the
 // store file. Flushing a closed store is a no-op: Close already drained the
 // queue.
@@ -325,8 +308,8 @@ func (ss *ScheduleStore) Flush() {
 }
 
 // Compact flushes pending writes and rewrites the data file with only the
-// live artifacts, reclaiming space from superseded, evicted, and corrupt
-// records. Compacting a closed store is a no-op, like every other operation
+// live artifacts, reclaiming space from deleted, evicted, superseded and
+// corrupt records. Compacting a closed store is a no-op, like every other operation
 // after Close. The flush barrier is inlined rather than calling Flush: a
 // second read-lock acquisition could deadlock against a Close queued between
 // the two.

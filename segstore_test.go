@@ -58,12 +58,14 @@ func TestSegmentArtifactDecodeRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := map[string][]byte{
-		"empty":          {},
-		"short header":   good[:10],
-		"truncated body": good[:len(good)-2],
-		"trailing junk":  append(append([]byte{}, good...), 0xAA),
-		"alien version":  append([]byte{99}, good[1:]...),
-		"alien quality":  append([]byte{good[0], 7}, good[2:]...),
+		"empty":           {},
+		"short header":    good[:10],
+		"truncated body":  good[:len(good)-2],
+		"trailing junk":   append(append([]byte{}, good...), 0xAA),
+		"alien version":   append([]byte{99}, good[1:]...),
+		"alien quality":   append([]byte{good[0], 7}, good[2:]...),
+		"repeated id":     append(append([]byte{}, good[:len(good)-4]...), 1, 0, 0, 0),
+		"id out of range": append(append([]byte{}, good[:len(good)-4]...), 3, 0, 0, 0),
 	}
 	for name, b := range bad {
 		if _, err := UnmarshalSegmentArtifact(b); err == nil {
@@ -421,7 +423,7 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 }
 
 // TestScheduleStoreReplaceUpgradesOnly pins the disk tier's write rule, the
-// one every write-behind obeys (ifAbsent): the first artifact under a key
+// one every write-behind obeys (PutIfAbsent): the first artifact under a key
 // stands against any later write, a record that fails validation is deleted
 // by the one lookup that finds it — so the recompute's write-behind replaces
 // it — and a degraded result cannot even be encoded for the store.
