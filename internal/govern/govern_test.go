@@ -196,10 +196,16 @@ func TestWatchdogSamplesAndShutsDown(t *testing.T) {
 
 func TestLiveHeapSampling(t *testing.T) {
 	// Sanity-check the real runtime/metrics path: a governed process has a
-	// nonzero live heap.
+	// nonzero live heap. The process holds a large object while sampling:
+	// before the first GC only the heap-objects backstop answers, and the
+	// runtime counts small objects there only once their span leaves a P's
+	// cache, so a young process that has allocated nothing large can read 0.
+	// A large object is counted the moment it is allocated.
+	held := make([]byte, 1<<20)
 	g := New(Options{Limit: 1 << 40})
 	g.Refresh()
 	if s := g.Stats(); s.Heap <= 0 {
 		t.Fatalf("live heap sample %d, want > 0", s.Heap)
 	}
+	runtime.KeepAlive(held)
 }

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,6 +324,46 @@ func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 	}
 	if st := memo.Stats(); st.Misses != 2 || st.Errors != 0 {
 		t.Errorf("stats %+v, want two misses (each caller ran its searcher) and no errors", st)
+	}
+}
+
+// TestWalkSearchesAColdKeyOnce races walkers on fresh keys: however their
+// memory lookups interleave with a flight that fills the key and closes, each
+// key costs exactly one search, and every other walker counts a memory hit.
+func TestWalkSearchesAColdKeyOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	memo := NewSegmentMemo(64)
+	const keys, walkers = 5000, 8
+	redone := 0
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("k%d", k)
+		var searches atomic.Int64
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < walkers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, _, err := walkMemo(context.Background(), memo, nil, nil, key, 3, func() (SearchResult, error) {
+					searches.Add(1)
+					return SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal}, nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if searches.Load() != 1 {
+			redone++
+		}
+	}
+	if redone != 0 {
+		t.Errorf("%d of %d cold keys were searched more than once", redone, keys)
+	}
+	if st := memo.Stats(); st.Misses != keys || st.Hits != keys*(walkers-1) || st.Errors != 0 {
+		t.Errorf("stats %+v, want one miss per key and a memory hit for every other walker", st)
 	}
 }
 

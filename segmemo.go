@@ -190,7 +190,9 @@ func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, 
 // Results reach the tiers inside the flight — before followers are
 // released and before the flight is torn down — so a caller arriving as the
 // leader finishes can never slip between the closed flight and the
-// not-yet-written store and redo the search.
+// not-yet-written store and redo the search; and a new leader re-reads the
+// memory tier first, so neither can a caller whose memory lookup missed just
+// before another flight filled the key and closed.
 //
 // Whichever tier answers, every local tier above it is filled: a disk hit is
 // promoted to memory; a peer artifact — validated exactly as a disk artifact
@@ -251,6 +253,13 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		return memoLoad{sr, memoTierMiss}, err
 	}
 	load := func() (memoLoad, error) {
+		if memo != nil {
+			// A flight for key may have filled memory and closed between this
+			// caller's miss above and its becoming the leader here.
+			if sr, ok := memo.store.Get(key); ok {
+				return memoLoad{sr, memoTierMemory}, nil
+			}
+		}
 		if disk != nil {
 			sp := span.Child(memoSpanNames[memoTierDisk])
 			sr, ok := disk.get(key, nodes)
