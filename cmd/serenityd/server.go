@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -1114,13 +1115,32 @@ func (s *server) fail(w http.ResponseWriter, code int, err error) {
 // scheduleResponse.etag; the format is pinned (TestETagPinned) so tags
 // survive a deploy.
 func etagFor(resp *scheduleResponse) string {
+	// The hashed bytes are "fingerprint|1|quality|peak|arena|fallbacks|[o0
+	// o1 …]", the layout every tag ever served was computed over
+	// (TestETagMatchesFmtForm). The 1 fills the slot a per-answer version
+	// number once held: keeping the layout keeps every tag a client already
+	// holds valid.
+	b := make([]byte, 0, 64+len(resp.Fingerprint)+len(resp.Quality)+8*len(resp.Order))
+	b = append(b, resp.Fingerprint...)
+	b = append(b, "|1|"...)
+	b = append(b, resp.Quality...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, resp.Peak, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, resp.ArenaSize, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(resp.Fallbacks), 10)
+	b = append(b, "|["...)
+	for i, id := range resp.Order {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	b = append(b, ']')
 	h := fnv.New64a()
-	// The 1 fills the slot a per-answer version number once held: keeping
-	// the layout keeps every tag a client already holds valid.
-	fmt.Fprintf(h, "%s|1|%s|%d|%d|%d|%v",
-		resp.Fingerprint, resp.Quality,
-		resp.Peak, resp.ArenaSize, resp.Fallbacks, resp.Order)
-	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+	h.Write(b)
+	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
 }
 
 // etagMatch implements If-None-Match matching: a comma-separated candidate

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,6 +146,43 @@ func TestETagPinned(t *testing.T) {
 		cached, ok := s.cache.Get(cachedKey(t, s, body))
 		if !ok || cached.etag != etagFor(cached) || resp.Header.Get("ETag") != cached.etag {
 			t.Errorf("request %d: header ETag %q, stored %+v", i, resp.Header.Get("ETag"), cached)
+		}
+	}
+}
+
+// TestETagMatchesFmtForm holds etagFor to the fmt.Fprintf form it replaced,
+// kept here as the oracle, over random orders, qualities, peaks and
+// fallbacks: the tag is hashed from the same bytes, so no client's tag moves.
+func TestETagMatchesFmtForm(t *testing.T) {
+	fmtForm := func(r *scheduleResponse) string {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|1|%s|%d|%d|%d|%v",
+			r.Fingerprint, r.Quality,
+			r.Peak, r.ArenaSize, r.Fallbacks, r.Order)
+		return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+	}
+	qualities := []serenity.Quality{serenity.QualityOptimal, serenity.QualityHeuristic, ""}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		r := &scheduleResponse{
+			Fingerprint: strconv.FormatUint(rng.Uint64(), 16)[:rng.Intn(8)],
+			Quality:     qualities[rng.Intn(len(qualities))],
+			Peak:        rng.Int63() >> rng.Intn(63),
+			ArenaSize:   rng.Int63() >> rng.Intn(63),
+			Fallbacks:   rng.Intn(4) * rng.Intn(100),
+		}
+		if rng.Intn(8) == 0 {
+			r.Peak = -r.Peak
+		}
+		switch rng.Intn(4) {
+		case 0: // nil order
+		case 1:
+			r.Order = []int{}
+		default:
+			r.Order = rng.Perm(rng.Intn(2000))
+		}
+		if got, want := etagFor(r), fmtForm(r); got != want {
+			t.Fatalf("etagFor(%+v) = %s, fmt form gives %s", r, got, want)
 		}
 	}
 }

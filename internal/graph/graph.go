@@ -79,12 +79,61 @@ func (op OpType) String() string {
 
 // ParseOpType maps a canonical operation name back to its OpType.
 func ParseOpType(s string) (OpType, error) {
-	for i, n := range opNames {
-		if n == s {
-			return OpType(i), nil
-		}
+	if op, ok := opFromBytes([]byte(s)); ok {
+		return op, nil
 	}
 	return 0, fmt.Errorf("graph: unknown op type %q", s)
+}
+
+// opFromBytes is ParseOpType without the copy: the decoder looks up names
+// that alias its input. It is a switch because that compiles to a search on
+// length and then bytes; TestOpTypeStringRoundTrip holds it to opNames.
+func opFromBytes(b []byte) (OpType, bool) {
+	switch string(b) {
+	case "Input":
+		return OpInput, true
+	case "Conv":
+		return OpConv, true
+	case "DepthwiseConv":
+		return OpDepthwiseConv, true
+	case "PointwiseConv":
+		return OpPointwiseConv, true
+	case "SepConv":
+		return OpSepConv, true
+	case "DilConv":
+		return OpDilConv, true
+	case "Add":
+		return OpAdd, true
+	case "Mul":
+		return OpMul, true
+	case "Concat":
+		return OpConcat, true
+	case "ReLU":
+		return OpReLU, true
+	case "Sigmoid":
+		return OpSigmoid, true
+	case "MaxPool":
+		return OpMaxPool, true
+	case "AvgPool":
+		return OpAvgPool, true
+	case "GlobalAvgPool":
+		return OpGlobalAvgPool, true
+	case "Dense":
+		return OpDense, true
+	case "Identity":
+		return OpIdentity, true
+	case "Pad":
+		return OpPad, true
+	case "Buffer":
+		return OpBuffer, true
+	case "PartialConv":
+		return OpPartialConv, true
+	case "PartialDWConv":
+		return OpPartialDWConv, true
+	case "Output":
+		return OpOutput, true
+	}
+	return 0, false
 }
 
 // DType is the element type of a tensor.
@@ -128,17 +177,25 @@ func (d DType) String() string {
 
 // ParseDType maps a canonical dtype name back to its DType.
 func ParseDType(s string) (DType, error) {
-	switch s {
-	case "float32":
-		return Float32, nil
-	case "float16":
-		return Float16, nil
-	case "int8":
-		return Int8, nil
-	case "uint8":
-		return UInt8, nil
+	if dt, ok := dtypeFromBytes([]byte(s)); ok {
+		return dt, nil
 	}
 	return 0, fmt.Errorf("graph: unknown dtype %q", s)
+}
+
+// dtypeFromBytes is ParseDType without the copy, as opFromBytes is for ops.
+func dtypeFromBytes(b []byte) (DType, bool) {
+	switch string(b) {
+	case "float32":
+		return Float32, true
+	case "float16":
+		return Float16, true
+	case "int8":
+		return Int8, true
+	case "uint8":
+		return UInt8, true
+	}
+	return 0, false
 }
 
 // Shape is a tensor shape in NHWC layout ([N, H, W, C]); rank-2 shapes

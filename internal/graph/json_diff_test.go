@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -191,6 +192,14 @@ var (
 		`{}`, `{"nodes":[]}`, `{"name":"only"}`,
 		`{"nodes":[{"id":0,"op":"Input","pad":"same"}]}`, `{"nodes":[{"id":-0,"op":"Input","shape":[999999999999999999]}]}`,
 		`{"nodes":[{"op":"Input"}]}`,
+		// The whitespace shortcuts: CRLF and tab indentation; a run longer
+		// than eight words of spaces; blanks between a key and its colon
+		// and before a comma; a document whose trailing run ends on the
+		// eight-byte word the space scan reads last.
+		"{\r\n\t\"name\": \"crlf\",\r\n\t\"nodes\": [\r\n\t\t{\r\n\t\t\t\"id\": 0,\r\n\t\t\t\"op\": \"Input\",\r\n\t\t\t\"shape\": [\r\n\t\t\t\t1\r\n\t\t\t]\r\n\t\t}\r\n\t]\r\n}",
+		"{\n" + strings.Repeat(" ", 70) + `"nodes": [` + "\n" + strings.Repeat(" ", 129) + `{"id": 0, "op": "Input"}` + strings.Repeat(" ", 65) + "]\n}",
+		`{"name" :"k" , "nodes" : [ {"id" : 0 , "op" :"Input" , "shape" : [ 1 , 2 ] } , {"id"  :  1 ,"op" : "ReLU" , "preds" : [ 0 ] } ] }`,
+		`{"name":"abcd"}` + "\n" + strings.Repeat(" ", 8), `{"name":"abcd"}` + "\n" + strings.Repeat(" ", 16), `{"name":"abc"}` + strings.Repeat(" ", 7),
 	}
 	handedOverSeeds = []string{
 		`null`, `[]`, `{"nodes":null}`, `{"name":null}`,
@@ -207,7 +216,7 @@ var (
 		`{"nodes":[{"id":0,"op":"Input","preds":[0]}]}`, `{"nodes":[{"id":0,"op":"Input","preds":[-1]}]}`, `{"nodes":[{"id":0,"op":"Input","preds":[1]},{"id":1,"op":"Input"}]}`,
 		`{"nodes":[{"id":0,"op":"Input","alias_of":0}]}`, `{"nodes":[{"id":0,"op":"Input","alias_of":5}]}`,
 		`{"nodes":[{"id":0,"op":"Input"},]}`, `{"nodes":[{"id":0,"op":"Input",}]}`, `{"nodes":[,]}`, `{"name":"x",}`, `{"name":"x"} x`, `{"name":"x"}{}`,
-		`{"name":"x"`, `{"name":"x`, `{"name"`, `{"nodes":[{"id":0,"op":"Input","shape":[1,`, `{"nodes":[{"id":0,"op":"Input","shape":[1 2]}]}`, `{"name" "x"}`, ``, ` `, `{`, "\ufeff{}",
+		`{"name":"x"`, `{"name":"x`, `{"name"`, `{"name":`, `{"name":"`, `{"`, `{"nodes":[{"id"`, "{\"name\":\"del\x7f\"}", "{\f}", "\v{}", `{"nodes":[{"id":0,"op":"Input","shape":[1,`, `{"nodes":[{"id":0,"op":"Input","shape":[1 2]}]}`, `{"name" "x"}`, ``, ` `, `{`, "\ufeff{}",
 	}
 )
 

@@ -9,9 +9,12 @@ import (
 // fastDecoder is the single-pass scanner behind decodeFast. It stages every
 // node straight into a Slab, and every name into one buffer it copies, so
 // the graph never pins data.
+//
+// The read position is threaded through the scanning methods as an argument
+// and a result rather than kept in the struct, so it lives in a register
+// instead of making a round trip through memory at every token.
 type fastDecoder struct {
 	data      []byte
-	pos       int
 	slab      Slab
 	name      span   // the graph's name, in names
 	nameSpans []span // parallel to slab.nodes
@@ -57,23 +60,25 @@ func (d *fastDecoder) document() bool {
 		keyName = 1 << iota
 		keyNodes
 	)
-	if !d.eat('{') {
+	i, ok := d.eat(0, '{')
+	if !ok {
 		return false
 	}
 	seen := 0
-	for more := !d.eat('}'); more; {
-		key, ok := d.str()
-		if !ok || !d.eat(':') {
+	i, empty := d.eat(i, '}')
+	for more := !empty; more; {
+		var key []byte
+		if key, i, ok = d.key(i); !ok {
 			return false
 		}
 		var bit int
 		switch string(key) {
 		case "name":
 			bit = keyName
-			d.name, ok = d.nameValue()
+			d.name, i, ok = d.nameValue(i)
 		case "nodes":
 			bit = keyNodes
-			ok = d.nodeArray()
+			i, ok = d.nodeArray(i)
 		default:
 			return false
 		}
@@ -81,33 +86,33 @@ func (d *fastDecoder) document() bool {
 			return false
 		}
 		seen |= bit
-		if more, ok = d.next('}'); !ok {
+		if i, more, ok = d.next(i, '}'); !ok {
 			return false
 		}
 	}
-	d.skipSpace()
-	return d.pos == len(d.data)
+	return d.skipSpace(i) == len(d.data)
 }
 
-func (d *fastDecoder) nodeArray() bool {
-	if !d.eat('[') {
-		return false
+func (d *fastDecoder) nodeArray(i int) (int, bool) {
+	i, ok := d.eat(i, '[')
+	if !ok {
+		return i, false
 	}
-	for more := !d.eat(']'); more; {
-		if !d.node() {
-			return false
+	i, empty := d.eat(i, ']')
+	for more := !empty; more; {
+		if i, ok = d.node(i); !ok {
+			return i, false
 		}
-		var ok bool
-		if more, ok = d.next(']'); !ok {
-			return false
+		if i, more, ok = d.next(i, ']'); !ok {
+			return i, false
 		}
 	}
-	return true
+	return i, true
 }
 
 // node scans one node object and applies the reference decoder's per-node
 // checks: dense IDs, a known op and dtype, preds naming earlier nodes.
-func (d *fastDecoder) node() bool {
+func (d *fastDecoder) node(i int) (int, bool) {
 	const (
 		keyID = 1 << iota
 		keyName
@@ -126,8 +131,9 @@ func (d *fastDecoder) node() bool {
 		keyChanOffset
 		keyInChannels
 	)
-	if !d.eat('{') {
-		return false
+	i, ok := d.eat(i, '{')
+	if !ok {
+		return i, false
 	}
 	idx := len(d.slab.nodes)
 	d.slab.nodes = append(d.slab.nodes, Node{Attr: Attr{AliasOf: -1}})
@@ -135,224 +141,251 @@ func (d *fastDecoder) node() bool {
 	var name span
 	var f slabSpan
 	seen := 0
-	for more := !d.eat('}'); more; {
-		key, ok := d.str()
-		if !ok || !d.eat(':') {
-			return false
+	i, empty := d.eat(i, '}')
+	for more := !empty; more; {
+		var key, s []byte
+		if key, i, ok = d.key(i); !ok {
+			return i, false
 		}
 		var bit int
 		switch string(key) {
 		case "id":
 			bit = keyID
-			n.ID, ok = d.integer()
+			n.ID, i, ok = d.integer(i)
 		case "name":
 			bit = keyName
-			name, ok = d.nameValue()
+			name, i, ok = d.nameValue(i)
 		case "op":
 			bit = keyOp
-			var s []byte
-			if s, ok = d.str(); ok {
+			if s, i, ok = d.str(i); ok {
 				n.Op, ok = opFromBytes(s)
 			}
 		case "shape":
 			bit = keyShape
-			f.shape, ok = d.intArray()
+			f.shape, i, ok = d.intArray(i)
 		case "dtype":
 			bit = keyDType
-			var s []byte
-			if s, ok = d.str(); ok && len(s) > 0 {
+			if s, i, ok = d.str(i); ok && len(s) > 0 {
 				n.DType, ok = dtypeFromBytes(s)
 			}
 		case "preds":
 			bit = keyPreds
-			if f.preds, ok = d.intArray(); ok {
+			if f.preds, i, ok = d.intArray(i); ok {
 				for _, p := range d.slab.ints[f.preds.off:] {
 					if p < 0 || p >= idx {
-						return false
+						return i, false
 					}
 				}
 			}
 		case "kernel_h":
 			bit = keyKernelH
-			n.Attr.KernelH, ok = d.integer()
+			n.Attr.KernelH, i, ok = d.integer(i)
 		case "kernel_w":
 			bit = keyKernelW
-			n.Attr.KernelW, ok = d.integer()
+			n.Attr.KernelW, i, ok = d.integer(i)
 		case "stride_h":
 			bit = keyStrideH
-			n.Attr.StrideH, ok = d.integer()
+			n.Attr.StrideH, i, ok = d.integer(i)
 		case "stride_w":
 			bit = keyStrideW
-			n.Attr.StrideW, ok = d.integer()
+			n.Attr.StrideW, i, ok = d.integer(i)
 		case "pad":
 			bit = keyPad
-			var s []byte
-			if s, ok = d.str(); ok && string(s) == "valid" {
+			if s, i, ok = d.str(i); ok && string(s) == "valid" {
 				// Like the reference, any other value means the default.
 				n.Attr.Pad = PadValid
 			}
 		case "dilation":
 			bit = keyDilation
-			n.Attr.Dilation, ok = d.integer()
+			n.Attr.Dilation, i, ok = d.integer(i)
 		case "axis":
 			bit = keyAxis
-			n.Attr.Axis, ok = d.integer()
+			n.Attr.Axis, i, ok = d.integer(i)
 		case "alias_of":
 			bit = keyAliasOf
-			n.Attr.AliasOf, ok = d.integer()
+			n.Attr.AliasOf, i, ok = d.integer(i)
 		case "chan_offset":
 			bit = keyChanOffset
-			n.Attr.ChanOffset, ok = d.integer()
+			n.Attr.ChanOffset, i, ok = d.integer(i)
 		case "in_channels":
 			bit = keyInChannels
-			n.Attr.InChannels, ok = d.integer()
+			n.Attr.InChannels, i, ok = d.integer(i)
 		default:
-			return false
+			return i, false
 		}
 		if !ok || seen&bit != 0 {
-			return false
+			return i, false
 		}
 		seen |= bit
-		if more, ok = d.next('}'); !ok {
-			return false
+		if i, more, ok = d.next(i, '}'); !ok {
+			return i, false
 		}
 	}
 	if seen&keyOp == 0 || n.ID != idx {
-		return false
+		return i, false
 	}
 	d.slab.spans = append(d.slab.spans, f)
 	d.nameSpans = append(d.nameSpans, name)
-	return true
+	return i, true
 }
 
-// skipSpace advances past JSON whitespace. Indented documents are half
-// blanks, nearly all of them runs of spaces after a newline, so a run is
-// measured eight bytes at a time: XOR against eight spaces and the lowest
-// set bit marks the first byte that is not one.
-func (d *fastDecoder) skipSpace() {
+// ws returns the index of the first byte at or after i that is not JSON
+// whitespace. It is small enough to inline, so a token with nothing before
+// it costs one comparison and no call.
+func (d *fastDecoder) ws(i int) int {
+	if i < len(d.data) && d.data[i] > ' ' {
+		return i
+	}
+	return d.skipSpace(i)
+}
+
+// skipSpace is ws's loop. Indented documents are half blanks, nearly all of
+// them a newline and then a run of spaces, so a newline or space takes the
+// run after it in the same step: eight bytes at a time, XOR against eight
+// spaces, and the lowest set bit marks the first byte that is not one.
+func (d *fastDecoder) skipSpace(i int) int {
 	const eightSpaces = 0x2020202020202020
-	data, i := d.data, d.pos
+	data := d.data
 	for i < len(data) {
-		switch data[i] {
-		case ' ':
+		c := data[i]
+		if c > ' ' {
+			return i
+		}
+		if c == '\n' || c == ' ' {
+			i++
 			if i+8 <= len(data) {
-				i += bits.TrailingZeros64(binary.LittleEndian.Uint64(data[i:])^eightSpaces) >> 3
-				continue
+				if w := binary.LittleEndian.Uint64(data[i:]) ^ eightSpaces; w != 0 {
+					i += bits.TrailingZeros64(w) >> 3
+				} else {
+					i += 8
+				}
 			}
-		case '\n', '\t', '\r':
-		default:
-			d.pos = i
-			return
+			continue
+		}
+		if c != '\t' && c != '\r' {
+			return i
 		}
 		i++
 	}
-	d.pos = i
+	return i
 }
 
-// eat consumes optional whitespace and then c, or nothing.
-func (d *fastDecoder) eat(c byte) bool {
-	d.skipSpace()
-	if d.pos < len(d.data) && d.data[d.pos] == c {
-		d.pos++
-		return true
+// eat consumes optional whitespace and then c. It reports whether c was
+// there; either way the index it returns is past the whitespace.
+func (d *fastDecoder) eat(i int, c byte) (int, bool) {
+	if i = d.ws(i); i < len(d.data) && d.data[i] == c {
+		return i + 1, true
 	}
-	return false
+	return i, false
 }
 
 // next is called after an object member or array element: a comma means
 // another follows, closer ends the value, anything else is not canonical.
-func (d *fastDecoder) next(closer byte) (more, ok bool) {
-	if d.eat(',') {
-		return true, true
-	}
-	return false, d.eat(closer)
-}
-
-// str scans a string and returns its contents, which alias data.
-func (d *fastDecoder) str() ([]byte, bool) {
-	if !d.eat('"') {
-		return nil, false
-	}
-	for i := d.pos; i < len(d.data); i++ {
-		switch c := d.data[i]; {
-		case c == '"':
-			s := d.data[d.pos:i]
-			d.pos = i + 1
-			return s, true
-		case c < ' ' || c > '~' || c == '\\':
-			return nil, false
+func (d *fastDecoder) next(i int, closer byte) (_ int, more, ok bool) {
+	if i = d.ws(i); i < len(d.data) {
+		switch d.data[i] {
+		case ',':
+			return i + 1, true, true
+		case closer:
+			return i + 1, false, true
 		}
 	}
-	return nil, false
+	return i, false, false
+}
+
+// plain marks the bytes a canonical string holds as they are: printable
+// ASCII but the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := ' '; c <= '~'; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str scans a string and returns its contents, which alias data.
+func (d *fastDecoder) str(i int) ([]byte, int, bool) {
+	data := d.data
+	if i = d.ws(i); i >= len(data) || data[i] != '"' {
+		return nil, i, false
+	}
+	for j := i + 1; j < len(data); j++ {
+		if !plain[data[j]] {
+			if data[j] != '"' {
+				return nil, j, false
+			}
+			return data[i+1 : j], j + 1, true
+		}
+	}
+	return nil, len(data), false
+}
+
+// key scans an object key, the colon after it, and the one space an
+// indenting writer puts after the colon.
+func (d *fastDecoder) key(i int) ([]byte, int, bool) {
+	k, i, ok := d.str(i)
+	if !ok {
+		return nil, i, false
+	}
+	data := d.data
+	if i = d.ws(i); i >= len(data) || data[i] != ':' {
+		return nil, i, false
+	}
+	if i++; i < len(data) && data[i] == ' ' {
+		i++
+	}
+	return k, i, true
 }
 
 // nameValue scans a string and copies it into the names buffer.
-func (d *fastDecoder) nameValue() (span, bool) {
-	s, ok := d.str()
+func (d *fastDecoder) nameValue(i int) (span, int, bool) {
+	s, i, ok := d.str(i)
 	if !ok {
-		return span{}, false
+		return span{}, i, false
 	}
 	sp := span{len(d.names), len(s)}
 	d.names = append(d.names, s...)
-	return sp, true
+	return sp, i, true
 }
 
 // integer scans -?(0|[1-9][0-9]*) of at most 18 digits, which cannot
 // overflow; longer ones are the reference decoder's to judge.
-func (d *fastDecoder) integer() (int, bool) {
-	d.skipSpace()
-	i := d.pos
-	neg := i < len(d.data) && d.data[i] == '-'
+func (d *fastDecoder) integer(i int) (int, int, bool) {
+	data := d.data
+	i = d.ws(i)
+	neg := i < len(data) && data[i] == '-'
 	if neg {
 		i++
 	}
 	start, v := i, 0
-	for ; i < len(d.data) && d.data[i]-'0' <= 9; i++ {
-		v = v*10 + int(d.data[i]-'0')
+	for ; i < len(data) && data[i]-'0' <= 9; i++ {
+		v = v*10 + int(data[i]-'0')
 	}
-	if digits := i - start; digits == 0 || digits > 18 || (digits > 1 && d.data[start] == '0') {
-		return 0, false
+	if digits := i - start; digits == 0 || digits > 18 || (digits > 1 && data[start] == '0') {
+		return 0, i, false
 	}
-	d.pos = i
 	if neg {
 		v = -v
 	}
-	return v, true
+	return v, i, true
 }
 
 // intArray scans an array of integers into the slab's arena.
-func (d *fastDecoder) intArray() (span, bool) {
-	if !d.eat('[') {
-		return span{}, false
+func (d *fastDecoder) intArray(i int) (span, int, bool) {
+	i, ok := d.eat(i, '[')
+	if !ok {
+		return span{}, i, false
 	}
 	off := len(d.slab.ints)
-	for more := !d.eat(']'); more; {
-		v, ok := d.integer()
-		if !ok {
-			return span{}, false
+	i, empty := d.eat(i, ']')
+	for more := !empty; more; {
+		var v int
+		if v, i, ok = d.integer(i); !ok {
+			return span{}, i, false
 		}
 		d.slab.ints = append(d.slab.ints, v)
-		if more, ok = d.next(']'); !ok {
-			return span{}, false
+		if i, more, ok = d.next(i, ']'); !ok {
+			return span{}, i, false
 		}
 	}
-	return span{off, len(d.slab.ints) - off}, true
-}
-
-func opFromBytes(b []byte) (OpType, bool) {
-	for i, n := range opNames {
-		if n == string(b) {
-			return OpType(i), true
-		}
-	}
-	return 0, false
-}
-
-func dtypeFromBytes(b []byte) (DType, bool) {
-	for dt := Float32; dt <= UInt8; dt++ {
-		if dt.String() == string(b) {
-			return dt, true
-		}
-	}
-	return 0, false
+	return span{off, len(d.slab.ints) - off}, i, true
 }

@@ -98,7 +98,16 @@ func (g *Graph) ZeroIndegree(scheduled *Bitset) *Bitset {
 // Validate checks structural invariants: edge symmetry, acyclicity,
 // in-range alias targets with no alias cycles, Buffer aliasing rules, and
 // positive shapes. It returns the first violation found.
+//
+// Acyclicity is proved in the edge pass when it can be: if every pred is
+// lower than its node, every edge runs forward in ID order and TopoOrder
+// would take the nodes in that order. A pred that repeats is left to
+// TopoOrder, because a hand-built graph may list such an edge fewer times
+// among the succs, which TopoOrder reports as a cycle. Decoded, Slab-built
+// and AddNode-built graphs list preds in order, so only a graph given a back
+// edge by AddEdge, or an operand used twice, pays for TopoOrder.
 func (g *Graph) Validate() error {
+	forward := true
 	for id, n := range g.Nodes {
 		if n.ID != id {
 			return fmt.Errorf("graph %q: node at index %d has ID %d", g.Name, id, n.ID)
@@ -108,13 +117,14 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph %q: node %d (%s) has non-positive shape %v", g.Name, id, n.Name, n.Shape)
 			}
 		}
-		for _, p := range n.Preds {
+		for i, p := range n.Preds {
 			if p < 0 || p >= len(g.Nodes) {
 				return fmt.Errorf("graph %q: node %d has out-of-range pred %d", g.Name, id, p)
 			}
 			if !contains(g.Nodes[p].Succs, id) {
 				return fmt.Errorf("graph %q: edge %d->%d missing reverse link", g.Name, p, id)
 			}
+			forward = forward && p < id && !contains(n.Preds[:i], p)
 		}
 		for _, s := range n.Succs {
 			if s < 0 || s >= len(g.Nodes) {
@@ -145,8 +155,10 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
+	if !forward {
+		if _, err := g.TopoOrder(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
