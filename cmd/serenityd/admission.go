@@ -94,10 +94,13 @@ type admission struct {
 	rejected [numClasses]atomic.Int64
 }
 
-// newAdmission builds a controller with the given slot capacity and
-// per-class wait-queue depth (minimum 1 each).
+// newAdmission builds a controller with the given slot capacity (minimum 1)
+// and per-class wait-queue depth (below 1 means 64).
 func newAdmission(slots, queue int) *admission {
-	return &admission{free: max(slots, 1), slots: max(slots, 1), limit: max(queue, 1)}
+	if queue < 1 {
+		queue = 64
+	}
+	return &admission{free: max(slots, 1), slots: max(slots, 1), limit: queue}
 }
 
 // acquire takes one compile slot in class, blocking until it is granted or

@@ -19,14 +19,17 @@ import (
 
 // config is everything a serenityd is assembled from: the option structs of
 // the components build wires together, plus the server's own scalars. Flags
-// bind straight into its fields (bindFlags) and tests fill the same struct,
-// so main and the test suite share one constructor. The knobs only tests
-// turn (HTTPClient, ReadLoad, SampleInterval, RequeueInterval, OnRound) are
-// fields the embedded option structs already have; the hooks between
-// components (Pressure, Tracer, Health, ProbePath, OnTransition) are
+// bind straight into its fields (bindFlags) and tests fill the same struct, so
+// main and the test suite share one constructor. A value no flag sets has one
+// default, owned by the option that reads it, so a daemon started without
+// flags and a test's zero config run the same values. The knobs only tests
+// turn (admitQueue, the refinement queue depth, the probe, sync, trace and
+// headroom options, HTTPClient, ReadLoad, SampleInterval, RequeueInterval,
+// OnRound) are fields of the config or of its option structs; the hooks
+// between components (Pressure, Tracer, Health, ProbePath, OnTransition) are
 // build's to set. Anti-entropy has one mode: a node that runs the syncer
-// (sync.Interval > 0) always converges with its peers before it reports
-// ready, for at most joinTimeout, and the syncer rides the fleet client's
+// (sync.Interval > 0) always converges with its peers before it reports ready,
+// for at most joinTimeout (main.go), and the syncer rides the fleet client's
 // ring, health view and transport (client.HTTPClient).
 type config struct {
 	addr, debugAddr     string
@@ -39,7 +42,7 @@ type config struct {
 	maxNodes       int
 	computeTimeout time.Duration
 	compileSlots   int // 0 = no admission control
-	admitQueue     int
+	admitQueue     int // 0 = newAdmission's default
 
 	storeDir string // "" = in-memory only
 	storeMax int64
@@ -48,62 +51,44 @@ type config struct {
 	refineOpts serenity.RefinePoolOptions // Workers 0 = no serve-then-refine
 	trace      trace.Options
 
-	peerAddr, peerList    string // peerAddr "" = fleetless
-	peerVnodes, peerSlots int
-	client                fleet.ClientOptions
-	probe                 fleet.HealthOptions // the fleet's one failure detector; always probing
-	sync                  fleet.SyncerOptions // Interval 0 = no syncer and no join pre-stream
-	joinTimeout           time.Duration
+	peerAddr, peerList string // peerAddr "" = fleetless
+	peerSlots          int
+	client             fleet.ClientOptions
+	probe              fleet.HealthOptions // the fleet's one failure detector; always probing
+	sync               fleet.SyncerOptions // Interval 0 = no syncer and no join pre-stream
 }
 
 // bindFlags registers the daemon's flags on fs, bound to the fields of the
 // returned config. finish runs after fs.Parse: it resolves the flags that
-// are not a field's own value — the -no-x negations and the byte sizes (which
-// stay string flags so -h keeps rendering them as before) — and applies
-// validate.
+// are not a field's own value — the byte sizes, which stay string flags so
+// -h keeps rendering them as before — and applies validate.
 func bindFlags(fs *flag.FlagSet) (c *config, finish func() error) {
 	c = &config{opts: serenity.DefaultOptions()}
 	fs.StringVar(&c.addr, "addr", ":7433", "listen address")
 	fs.IntVar(&c.cacheSize, "cache", 256, "schedule cache capacity (entries)")
 	fs.IntVar(&c.segMemoSize, "segment-memo-size", 4096, "cross-request segment memo capacity (segment results; 0 disables)")
 	fs.IntVar(&c.opts.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "per-request segment scheduling parallelism")
-	fs.StringVar((*string)(&c.opts.Strategy), "strategy", "exact", "default search strategy (exact|greedy|best-effort); requests override with ?strategy=")
 	fs.DurationVar(&c.opts.StepTimeout, "timeout", time.Second, "adaptive soft budgeting step timeout T: a per-level safety valve; exceeding it fails the search")
-	noRewrite := fs.Bool("no-rewrite", false, "disable identity graph rewriting")
-	noPartition := fs.Bool("no-partition", false, "disable divide-and-conquer")
 	fs.IntVar(&c.maxNodes, "max-nodes", 20000, "reject graphs with more nodes (0 = unlimited)")
 	fs.DurationVar(&c.computeTimeout, "compute-timeout", 2*time.Minute, "server-side limit per compilation (0 = unlimited)")
 	fs.StringVar(&c.storeDir, "store-dir", "", "persist segment schedules to this directory and warm-start from it on boot (empty = in-memory only)")
 	storeMax := fs.String("store-max-bytes", "256MiB", "persistent store size bound, e.g. 64MiB or 0 for unbounded (requires -store-dir)")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 10*time.Second, "graceful shutdown: how long to wait for in-flight compilations on SIGINT/SIGTERM")
 	fs.IntVar(&c.compileSlots, "compile-slots", runtime.GOMAXPROCS(0), "concurrently executing compilations; interactive > batch > refinement priority (0 = unlimited, no admission control)")
-	fs.IntVar(&c.admitQueue, "admit-queue", 64, "per-class admission wait-queue depth; a full class answers 429 + Retry-After")
 	fs.IntVar(&c.refineOpts.Workers, "refine-workers", 1, "background refinement workers repairing degraded schedules (0 disables serve-then-refine)")
-	fs.IntVar(&c.refineOpts.QueueDepth, "refine-queue", 256, "background refinement queue depth; overflow refinements are shed")
 	memLimit := fs.String("mem-limit", "", "byte budget the memory governor defends, e.g. 256MiB; empty derives it from GOMEMLIMIT, 0 disables the governor")
-	memHeadroom := fs.String("mem-headroom", "", "slack subtracted from -mem-limit before pressure watermarks are computed (runtime, buffers); empty = limit/16")
 	fs.StringVar(&c.peerList, "peers", "", "comma-separated fleet member base URLs (e.g. http://10.0.0.5:7433,http://10.0.0.6:7433); requires -peer-addr")
 	fs.StringVar(&c.peerAddr, "peer-addr", "", "this node's own base URL as fleet peers dial it; joins the fleet and requires -store-dir (the store is the fleet-visible corpus)")
-	fs.IntVar(&c.peerVnodes, "peer-vnodes", fleet.DefaultVirtualNodes, "consistent-hash virtual nodes per fleet member")
-	fs.DurationVar(&c.client.Timeout, "peer-timeout", 250*time.Millisecond, "per-attempt budget for one peer artifact fetch; a slow peer costs at most two of these, and each one it fails counts toward -peer-suspect-after")
+	fs.DurationVar(&c.client.Timeout, "peer-timeout", 250*time.Millisecond, "per-attempt budget for one peer artifact fetch; a slow peer costs at most two of these, and the first one it fails marks the peer suspect")
 	fs.IntVar(&c.client.Concurrency, "peer-concurrency", 8, "in-flight peer fetches; arrivals beyond the bound skip the fleet tier instead of queueing")
 	fs.IntVar(&c.peerSlots, "peer-slots", 4, "concurrently served peer requests, a dedicated admission lane apart from -compile-slots (0 = unlimited)")
 	fs.DurationVar(&c.sync.Interval, "peer-sync-interval", 15*time.Second, "anti-entropy round interval, jittered per node (0 disables the background sync loop)")
-	fs.IntVar(&c.sync.Batch, "peer-sync-batch", 512, "max store records pulled per anti-entropy round; a rebooted node converges over several rounds instead of thundering onto one peer")
-	fs.DurationVar(&c.probe.Interval, "peer-probe-interval", 2*time.Second, "health probe round interval, jittered per node; must be > 0 with -peer-addr, since probes are the only way a dead peer revives")
-	fs.DurationVar(&c.probe.Timeout, "peer-probe-timeout", 500*time.Millisecond, "budget for one health probe against a peer's /readyz")
-	fs.IntVar(&c.probe.SuspectAfter, "peer-suspect-after", 1, "consecutive probe/fetch failures before a peer is suspect (skipped by the fetch path)")
-	fs.IntVar(&c.probe.DeadAfter, "peer-dead-after", 3, "consecutive failures before a peer is dead (skipped by every path; its keys fail over)")
-	fs.IntVar(&c.probe.ReviveAfter, "peer-revive-after", 1, "consecutive probe successes before a suspect or dead peer is alive again")
-	fs.DurationVar(&c.joinTimeout, "peer-join-timeout", 30*time.Second, "bound on the join pre-stream; on expiry the node goes ready with whatever converged (anti-entropy finishes the rest in the background)")
 	fs.StringVar(&c.logFormat, "log-format", "text", "structured log encoding: text or json (log/slog; request lines carry request_id and trace_id)")
 	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug|info|warn|error (per-request success lines log at debug)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "separate listener for net/http/pprof plus the /debug/traces surface; never mounted on the public port (empty disables pprof entirely)")
 	fs.IntVar(&c.trace.SampleEvery, "trace-sample", 0, "ambiently trace one in N schedule requests into the /debug/traces ring (0 = only ?debug=trace requests)")
-	fs.IntVar(&c.trace.RingSize, "trace-ring", 256, "retained traces in the /debug/traces ring (tail-sampled: degraded, erred, and slowest requests are always kept)")
 
 	return c, func() error {
-		c.opts.Rewrite, c.opts.Partition = !*noRewrite, !*noPartition
 		size := func(name, v string, dst *int64) error {
 			n, err := bytesize.Parse(v)
 			if err != nil {
@@ -132,11 +117,6 @@ func bindFlags(fs *flag.FlagSet) (c *config, finish func() error) {
 				c.govern.Limit = -1 // explicit 0 disables; only an empty flag derives from GOMEMLIMIT
 			}
 		}
-		if *memHeadroom != "" {
-			if err := size("mem-headroom", *memHeadroom, &c.govern.Headroom); err != nil {
-				return err
-			}
-		}
 		return c.validate()
 	}
 }
@@ -157,9 +137,6 @@ func (c *config) validate() error {
 	}
 	if c.peerAddr != "" && c.storeDir == "" {
 		return errors.New("-peer-addr requires -store-dir (the persistent store is the fleet-visible artifact corpus)")
-	}
-	if c.peerAddr != "" && c.probe.Interval <= 0 {
-		return errors.New("-peer-addr requires -peer-probe-interval > 0 (health probes are the fleet's only way to revive a dead peer)")
 	}
 	return nil
 }
@@ -236,11 +213,10 @@ func build(cfg config) (*server, error) {
 // view, fetch/replication client, peer-facing surface, anti-entropy loop.
 func (s *server) joinFleet(cfg config) error {
 	// The ring trims, drops blanks from, and deduplicates the member list.
-	ring, err := fleet.NewRing(cfg.peerAddr, strings.Split(cfg.peerList, ","), cfg.peerVnodes)
+	ring, err := fleet.NewRing(cfg.peerAddr, strings.Split(cfg.peerList, ","), 0)
 	if err != nil {
 		return err
 	}
-	s.peerVnodes = cfg.peerVnodes
 	hopts := cfg.probe
 	// Probes target /readyz, not the fleet ping: a node pre-streaming its
 	// corpus answers 503 and therefore takes no ownership until its join

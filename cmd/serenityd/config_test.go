@@ -21,8 +21,9 @@ import (
 	"github.com/serenity-ml/serenity/internal/trace"
 )
 
-// TestFlagSurfaceGolden pins -h: flag names, types, defaults and usage text
-// equal the pre-config daemon's, minus its four drill flags. The two
+// TestFlagSurfaceGolden pins -h: the names, types, defaults and usage text of
+// the 23 values an operator sets. A value no flag sets keeps the default of
+// the option that reads it (TestZeroConfigRunsDaemonDefaults). The two
 // GOMAXPROCS-derived defaults are normalized so the golden is portable.
 func TestFlagSurfaceGolden(t *testing.T) {
 	fs := flag.NewFlagSet("serenityd", flag.ContinueOnError)
@@ -53,7 +54,6 @@ func TestFlagValidation(t *testing.T) {
 		{"fleet with the default prober", []string{"-peer-addr", "http://a:1", "-store-dir", dir}, ""},
 		{"peers without peer-addr", []string{"-peers", "http://a:1"}, "-peers requires -peer-addr"},
 		{"peer-addr without a store", []string{"-peer-addr", "http://a:1"}, "-peer-addr requires -store-dir"},
-		{"fleet with the prober off", []string{"-peer-addr", "http://a:1", "-store-dir", dir, "-peer-probe-interval", "0"}, "-peer-probe-interval"},
 		{"store bound without a store", []string{"-store-max-bytes", "1MiB"}, "-store-max-bytes requires -store-dir"},
 		{"unparseable byte size", []string{"-mem-limit", "12XB"}, "-mem-limit"},
 	}
@@ -75,6 +75,54 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
+// TestZeroConfigRunsDaemonDefaults: a daemon started without flags and a
+// test's zero config, with the same components switched on, run the same
+// values wherever no flag sets one — each value has one default, owned by the
+// option that reads it.
+func TestZeroConfigRunsDaemonDefaults(t *testing.T) {
+	fs := flag.NewFlagSet("serenityd", flag.ContinueOnError)
+	daemon, finish := bindFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	zero := config{
+		compileSlots: 1,
+		refineOpts:   serenity.RefinePoolOptions{Workers: 1},
+		sync:         fleet.SyncerOptions{Interval: time.Hour},
+	}
+	type effective struct {
+		admitQueue, refineQueue, traceRing, syncBatch int
+		probeEvery, probeTimeout                      time.Duration
+		suspectAfter, deadAfter, reviveAfter          int
+		memLimit                                      int64
+	}
+	measure := func(cfg *config) effective {
+		cfg.storeDir = t.TempDir()
+		cfg.peerAddr = "http://127.0.0.1:1"
+		cfg.govern.Limit = 64 << 20
+		s, _ := startServer(t, *cfg)
+		h := s.health.Options()
+		return effective{
+			admitQueue:   s.admit.limit,
+			refineQueue:  s.refine.Options().QueueDepth,
+			traceRing:    s.tracer.RingSize(),
+			syncBatch:    s.syncer.Options().Batch,
+			probeEvery:   h.Interval,
+			probeTimeout: h.Timeout,
+			suspectAfter: h.SuspectAfter,
+			deadAfter:    h.DeadAfter,
+			reviveAfter:  h.ReviveAfter,
+			memLimit:     s.gov.Stats().Limit,
+		}
+	}
+	if got, want := measure(&zero), measure(daemon); got != want {
+		t.Errorf("zero config runs %+v, the flagless daemon %+v", got, want)
+	}
+}
+
 // TestRunBusyPortFailsBeforeBuild: a fleet node started on an occupied port
 // must fail at the bind — before it opens (and warm-starts) its store, starts
 // a prober, or pulls the fleet corpus.
@@ -88,7 +136,7 @@ func TestRunBusyPortFailsBeforeBuild(t *testing.T) {
 	cfg.addr = ln.Addr().String()
 	cfg.storeDir = filepath.Join(t.TempDir(), "store")
 	cfg.peerAddr = "http://" + cfg.addr
-	cfg.sync.Interval, cfg.joinTimeout = time.Hour, 30*time.Second
+	cfg.sync.Interval = time.Hour
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := run(ctx, cfg); err == nil {

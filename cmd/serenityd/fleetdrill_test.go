@@ -62,7 +62,7 @@ func (n *drillNode) boot(opts serenity.Options, urls []string, seed int64, tweak
 	cfg.segMemoSize = 4096
 	cfg.storeDir = dir
 	cfg.peerAddr, cfg.peerList = n.ts.URL, strings.Join(urls, ",")
-	cfg.peerVnodes, cfg.peerSlots = fleet.DefaultVirtualNodes, 8
+	cfg.peerSlots = 8
 	// Fast probes so failure detection converges in drill time.
 	cfg.probe = fleet.HealthOptions{Interval: 50 * time.Millisecond, Timeout: 500 * time.Millisecond, DeadAfter: 2, HTTPClient: hc}
 	// Generous fetch budget: the drill proves correctness, not latency,

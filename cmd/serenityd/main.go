@@ -10,7 +10,8 @@
 //	POST /v1/schedule   body: graph in the JSON IR format (see internal/graph)
 //	                    query: parallelism=N, budget=250KiB, rewrite=false,
 //	                    partition=false, strategy=exact|greedy|best-effort,
-//	                    deadline_ms=N override the server defaults; with
+//	                    deadline_ms=N override the server defaults (exact,
+//	                    rewriting and partitioning on, -parallelism); with
 //	                    strategy=best-effort an expiring deadline degrades
 //	                    the search to the greedy heuristic instead of
 //	                    failing the request. degrade=force (best-effort
@@ -52,18 +53,18 @@
 // memoized, so one overloaded moment cannot pin heuristic schedules.
 //
 // Degraded answers are provisional, not final: a response that fell back
-// queues exactly one job with the background refinement pool
-// (-refine-workers/-refine-queue) — the same request, recomputed without the
-// pressure once the load subsides. That recompute is an ordinary walk of the
-// memo hierarchy, so the exact segments it finds land in the segment memo,
-// the persistent store and (in a fleet) on their ring owner the way any
-// request's do, and the exact answer then takes the degraded one's place in
-// the response cache — the same answer, ETag included, an unpressured request
-// would have got: serve now, refine when quiet.
+// queues exactly one job with the background refinement pool (-refine-workers;
+// 256 queued jobs at most) — the same request, recomputed without the pressure
+// once the load subsides. That recompute is an ordinary walk of the memo
+// hierarchy, so the exact segments it finds land in the segment memo, the
+// persistent store and (in a fleet) on their ring owner the way any request's
+// do, and the exact answer then takes the degraded one's place in the response
+// cache — the same answer, ETag included, an unpressured request would have
+// got: serve now, refine when quiet.
 // Every compilation — a single request, a batch item, a refinement — takes
 // one compile slot (-compile-slots) in its own class from a strict-priority
 // admission controller: interactive ahead of batch, batch ahead of
-// refinement, each class's wait queue bounded (-admit-queue) and answering
+// refinement, each class's wait queue bounded (64 requests) and answering
 // 429 + Retry-After when full instead of hanging connections. Cache hits
 // take no slot.
 //
@@ -100,33 +101,33 @@
 // ring owner (GET /v1/peer/segment/{key}, budgeted by -peer-timeout) before
 // falling back to the local DP; fresh local computes of non-owned keys are
 // replicated to their owners in the background; and a pull-based anti-entropy
-// loop (-peer-sync-interval) converges whatever replication missed. Each
-// round is one exchange: the node POSTs the digest of every key it holds to a
-// live peer's /v1/peer/sync, and the peer streams back at most
-// -peer-sync-batch of the records the digest lacks. Peer traffic runs in its
-// own admission lane (-peer-slots), apart from compile slots. Every fleet
-// failure mode — dead peer, slow peer, corrupt artifact — degrades to local
-// compute, never to a client-visible error. GET /readyz answers 503 until the store warm-start and ring wiring
+// loop (-peer-sync-interval) converges whatever replication missed. Each round
+// is one exchange: the node POSTs the digest of every key it holds to a live
+// peer's /v1/peer/sync, and the peer streams back at most 512 of the records
+// the digest lacks. Peer traffic runs in its own admission lane (-peer-slots),
+// apart from compile slots. Every fleet failure mode — dead peer, slow peer,
+// corrupt artifact — degrades to local compute, never to a client-visible
+// error. GET /readyz answers 503 until the store warm-start and ring wiring
 // finish, so load balancers can hold traffic off a booting node (/healthz
 // stays a pure liveness probe).
 //
 // Membership is dynamic, and one health view is the fleet's only failure
-// detector: a background prober (-peer-probe-interval, required > 0 in a
-// fleet, and -peer-probe-timeout) heartbeats every peer's /readyz and drives
-// it through alive -> suspect (-peer-suspect-after failures; the fetch path
-// skips it immediately, so a freshly dead owner stops costing timeouts after
-// its FIRST failure) -> dead (-peer-dead-after; every path routes around it
-// and its keys fail over to the next live ring point, identically on every
-// node) and back (-peer-revive-after probe successes). Failed fetches and
-// replication pushes feed the same detector, so discovery does not wait for
-// the next probe tick. POST
+// detector: a background prober (every 2s, 500ms per probe) heartbeats every
+// peer's /readyz and drives it through alive -> suspect (after one failure;
+// the fetch path skips it immediately, so a freshly dead owner stops costing
+// timeouts after its FIRST failure) -> dead (after three; every path routes
+// around it and its keys fail over to the next live ring point, identically on
+// every node) and back (after one probe success). These values, the ring's 64
+// virtual nodes per member and the 30s join bound are fixed: every member must
+// agree on them. Failed fetches and replication pushes feed the same detector,
+// so discovery does not wait for the next probe tick. POST
 // /admin/fleet/join?peer=URL and /admin/fleet/leave?peer=URL edit this node's
 // membership view without a restart (GET /admin/fleet shows it); a booting
 // node that runs anti-entropy always pre-streams the fleet corpus to
-// convergence before reporting ready (bounded by -peer-join-timeout), so the
-// moment it takes ownership it serves its keys with zero fresh DP searches.
-// Per-peer health is exported as serenityd_peer_state{peer,state} gauges
-// plus probe/failover counters on /metrics and in the /readyz payload.
+// convergence before reporting ready (for at most 30s), so the moment it takes
+// ownership it serves its keys with zero fresh DP searches. Per-peer health is
+// exported as serenityd_peer_state{peer,state} gauges plus probe/failover
+// counters on /metrics and in the /readyz payload.
 //
 // Example:
 //
@@ -195,6 +196,10 @@ func setLogger(format, level string) error {
 	return nil
 }
 
+// joinTimeout bounds the join pre-stream; on expiry the node goes ready with
+// whatever converged, and anti-entropy finishes the rest in the background.
+const joinTimeout = 30 * time.Second
+
 // run binds the public port, builds the server, and serves until ctx ends or
 // the listener fails. The bind comes first: a busy port fails the process
 // before any store is opened, prober started, or corpus pulled.
@@ -248,7 +253,7 @@ func run(ctx context.Context, cfg config) error {
 	// pre-stream timeout the node goes ready anyway and background anti-entropy
 	// finishes the job.
 	if s.syncer != nil {
-		joinCtx, cancelJoin := context.WithTimeout(ctx, cfg.joinTimeout)
+		joinCtx, cancelJoin := context.WithTimeout(ctx, joinTimeout)
 		pulled, err := s.syncer.Converge(joinCtx)
 		cancelJoin()
 		if err != nil {

@@ -187,11 +187,8 @@ type server struct {
 	peerSrv *fleet.Server
 	syncer  *fleet.Syncer
 	health  *fleet.Health
-	// peerVnodes is remembered so admin join/leave rebuilds rings with the
-	// same virtual-node count every other member uses; fleetMu serializes
-	// concurrent membership edits.
-	peerVnodes int
-	fleetMu    sync.Mutex
+	// fleetMu serializes concurrent membership edits.
+	fleetMu sync.Mutex
 	// ready flips once boot completed: store warm-started and the fleet ring
 	// (when configured) wired. /readyz answers 503 until then so a load
 	// balancer holds traffic off a node still importing its corpus, while
@@ -202,7 +199,8 @@ type server struct {
 	// ?debug=trace requests, the tail-sampled retained-trace ring behind
 	// GET /debug/traces, the fragment store collecting fleet child spans and
 	// refinement lifecycle spans by trace ID, and the degraded-request
-	// flight recorder. Always non-nil (sized by -trace-ring/-trace-sample).
+	// flight recorder. Always non-nil: it keeps 256 traces, sampled per
+	// -trace-sample.
 	tracer *trace.Tracer
 	// logger is the structured request log (-log-format); request-scoped
 	// lines carry request_id and, when the request was traced, trace_id.
@@ -300,7 +298,7 @@ func (s *server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
 	cur := s.peers.Ring()
-	next, err := fleet.NewRing(cur.Self(), append(cur.Members(), peer), s.peerVnodes)
+	next, err := fleet.NewRing(cur.Self(), append(cur.Members(), peer), 0)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("join %q: %w", peer, err))
 		return
@@ -339,7 +337,7 @@ func (s *server) handleFleetLeave(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("%q is not a fleet member", peer))
 		return
 	}
-	next, err := fleet.NewRing(cur.Self(), rest, s.peerVnodes)
+	next, err := fleet.NewRing(cur.Self(), rest, 0)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, fmt.Errorf("leave %q: %w", peer, err))
 		return

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -107,6 +108,66 @@ func sameOrder(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestServerPlantedArtifactsRecompute: a store holding artifacts whose
+// orders are permutations that break their segments' dependencies — planted
+// through PutArtifact, the replication receiver's write — costs a recompute,
+// never a 500. The answer is the order a clean server gives, and the planted
+// records are counted corrupt.
+func TestServerPlantedArtifactsRecompute(t *testing.T) {
+	body := graphBody(t, smallCell(47))
+	cleanDir := t.TempDir()
+	_, ts1, ss1 := storeServer(t, cleanDir)
+	resp, clean := postSchedule(t, ts1, "", body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("clean schedule: %d %s", resp.StatusCode, clean)
+	}
+	ts1.Close()
+	ss1.Close()
+
+	raw, err := store.Open(cleanDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	plantDir := t.TempDir()
+	plant, err := serenity.OpenScheduleStore(plantDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range raw.Entries() {
+		payload, _ := raw.Get(e.Key)
+		sr, err := serenity.UnmarshalSegmentArtifact(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(sr.Order)
+		if payload, err = serenity.MarshalSegmentArtifact(sr); err != nil {
+			t.Fatal(err)
+		}
+		if !plant.PutArtifact(e.Key, payload) {
+			t.Fatalf("PutArtifact refused the planted %q", e.Key)
+		}
+	}
+	if err := plant.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2, _ := storeServer(t, plantDir)
+	resp, got := postSchedule(t, ts2, "", body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("schedule over planted artifacts: %d %s", resp.StatusCode, got)
+	}
+	var cleanR, gotR scheduleResponse
+	json.Unmarshal(clean, &cleanR)
+	json.Unmarshal(got, &gotR)
+	if !sameOrder(cleanR.Order, gotR.Order) || cleanR.Peak != gotR.Peak {
+		t.Errorf("planted artifacts changed the answer:\nclean: %+v\ngot:   %+v", cleanR, gotR)
+	}
+	if corrupt := metricValue(t, ts2, "serenityd_store_corrupt_records_total"); corrupt == 0 {
+		t.Error("planted artifacts went uncounted in /metrics")
+	}
 }
 
 // TestServerStoreCorruptionRecovery: a server booted over a vandalized store

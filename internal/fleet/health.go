@@ -156,6 +156,9 @@ func NewHealth(peers []string, opts HealthOptions) *Health {
 	return h
 }
 
+// Options returns the options the view runs with, defaults applied.
+func (h *Health) Options() HealthOptions { return h.opts }
+
 // SetMembers replaces the tracked peer set: new peers start Alive, departed
 // peers are forgotten, surviving peers keep their state and streaks. Called
 // on ring membership changes (join/leave).

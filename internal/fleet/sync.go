@@ -101,6 +101,9 @@ func (s *Syncer) livePeers() []string {
 	return out
 }
 
+// Options returns the options the syncer runs with, defaults applied.
+func (s *Syncer) Options() SyncerOptions { return s.opts }
+
 // Stats returns a snapshot of the syncer's counters.
 func (s *Syncer) Stats() SyncerStats {
 	return SyncerStats{Rounds: s.rounds.Load(), Pulled: s.pulled.Load(), Errors: s.errors.Load()}

@@ -113,6 +113,9 @@ func New(opts Options) *Tracer {
 	}
 }
 
+// RingSize returns how many finished traces the tracer retains.
+func (t *Tracer) RingSize() int { return t.ringSize }
+
 // Sample reports whether the next ambient (non-?debug=trace) request should
 // be traced: one in SampleEvery, counter-based so load tests sample
 // deterministically. Nil-safe; a nil Tracer never samples.

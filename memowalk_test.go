@@ -200,7 +200,7 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 						t.Errorf("%s: %d disk writes queued, want %d", sc.name, len(diskWrites), n)
 					}
 					for _, w := range diskWrites {
-						if sr, ok := decodeArtifact(w.payload, nodes); w.key != key || !ok || !reflect.DeepEqual(sr.Order, want.Order) {
+						if sr, ok := decodeArtifact(w.payload, anyOrderOf(nodes)); w.key != key || !ok || !reflect.DeepEqual(sr.Order, want.Order) {
 							t.Errorf("%s: queued disk write %q is not the result", sc.name, w.key)
 						}
 					}
@@ -265,7 +265,7 @@ func TestWalkRejectsNonPermutation(t *testing.T) {
 	// The first segment of the stack has two nodes, so the sequential run
 	// fails on its first search.
 	_, err := p.Run(context.Background(), uniformStack("non-permutation", 1, 12))
-	if err == nil || !strings.Contains(err.Error(), "not a permutation") {
+	if err == nil || !strings.Contains(err.Error(), "not a topological order") {
 		t.Fatalf("Run with a duplicate-visiting searcher: err = %v, want a permutation error", err)
 	}
 	if st := memo.Stats(); st.Entries != 0 || st.Errors != 1 || st.Misses != 0 {
@@ -277,6 +277,99 @@ func TestWalkRejectsNonPermutation(t *testing.T) {
 	if len(peers.replicated) != 0 {
 		t.Errorf("rejected result replicated toward %d keys' owners", len(peers.replicated))
 	}
+}
+
+// anyOrderOf is the order check of an edgeless n-node segment: any
+// permutation of 0..n-1 fits.
+func anyOrderOf(n int) func(Order) bool {
+	return func(o Order) bool { return fitsSegment(n, o) }
+}
+
+// reversedArtifacts re-encodes every artifact in corpus with its order
+// reversed: still a permutation, so it passes the artifact decoder and every
+// receiver's gate, but one that breaks a dependency of any segment with an
+// edge.
+func reversedArtifacts(t testing.TB, corpus map[string][]byte) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte, len(corpus))
+	for key, payload := range corpus {
+		sr, err := UnmarshalSegmentArtifact(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev := make(Order, len(sr.Order))
+		for i, id := range sr.Order {
+			rev[len(rev)-1-i] = id
+		}
+		sr.Order = rev
+		out[key] = mustMarshalArtifact(t, sr)
+	}
+	return out
+}
+
+// TestWalkReplacesPlantedArtifacts: an artifact whose order breaks a
+// dependency of its segment — planted in the store through the replication
+// receiver's PutArtifact, or answered by a peer — is a miss, not a failed
+// compilation. Each compile returns the unpressured exact answer; the disk
+// record is deleted, counted corrupt and replaced by the recomputed result,
+// which later compiles hit; a peer's answer counts no hit.
+func TestWalkReplacesPlantedArtifacts(t *testing.T) {
+	g := uniformStack("planted", 3, 12)
+	opts := DefaultOptions()
+	opts.StepTimeout = time.Minute
+	ctx := context.Background()
+	// The unpressured exact answer, and every segment's artifact by its key.
+	probe := &fakeFleet{corpus: map[string][]byte{}}
+	pp := memoPipeline(t, opts, NewSegmentMemo(256))
+	pp.Peers = probe
+	want, err := pp.Run(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := reversedArtifacts(t, probe.corpus)
+
+	t.Run("disk", func(t *testing.T) {
+		ss := openStoreT(t, t.TempDir())
+		for key, payload := range planted {
+			if !ss.PutArtifact(key, payload) {
+				t.Fatalf("PutArtifact refused the planted %q", key)
+			}
+		}
+		for run := 1; run <= 2; run++ {
+			got, err := storePipeline(t, opts, NewSegmentMemo(256), ss).Run(ctx, g)
+			if err != nil {
+				t.Fatalf("run %d over planted artifacts: %v", run, err)
+			}
+			assertSameResult(t, fmt.Sprintf("run %d", run), want, got)
+			if run == 2 && (got.FreshStatesExplored != 0 || got.SegmentMemoDiskHits != len(planted)) {
+				t.Errorf("run 2: %d fresh states, %d disk hits for %d keys; the recomputed results did not take their keys",
+					got.FreshStatesExplored, got.SegmentMemoDiskHits, len(planted))
+			}
+			ss.Flush()
+		}
+		if st := ss.Stats(); st.CorruptRecords != int64(len(planted)) || st.Entries != len(planted) {
+			t.Errorf("store after two runs: %d corrupt records, %d entries; want %d of each", st.CorruptRecords, st.Entries, len(planted))
+		}
+	})
+
+	t.Run("peer", func(t *testing.T) {
+		fleet := &fakeFleet{corpus: planted}
+		for run := 1; run <= 2; run++ {
+			p := memoPipeline(t, opts, NewSegmentMemo(256))
+			p.Peers = fleet
+			got, err := p.Run(ctx, g)
+			if err != nil {
+				t.Fatalf("run %d over planted peer answers: %v", run, err)
+			}
+			assertSameResult(t, fmt.Sprintf("run %d", run), want, got)
+			if got.SegmentMemoPeerHits != 0 {
+				t.Errorf("run %d counted %d planted peer answers as hits", run, got.SegmentMemoPeerHits)
+			}
+		}
+		if fleet.fetchHits == 0 {
+			t.Error("no planted answer was fetched")
+		}
+	})
 }
 
 // TestWalkFollowerDeadlineDegrades: a caller whose deadline expires while it

@@ -26,8 +26,9 @@ import (
 //
 // Payloads cross the wire in the MarshalSegmentArtifact encoding and pass
 // the same checkpoint on arrival that disk artifacts pass on load
-// (decodeArtifact), so a confused peer degrades the fleet to local compute,
-// never to a wrong schedule.
+// (decodeArtifact: the order must be a topological order of the segment), so
+// a confused peer degrades the fleet to local compute, never to a wrong
+// schedule or a failed compilation.
 type PeerTier interface {
 	Owns(key string) bool
 	Fetch(ctx context.Context, key string) ([]byte, bool)
@@ -35,8 +36,8 @@ type PeerTier interface {
 }
 
 // artifactSelfConsistent is the gate the replication and import receivers
-// run: a plain decode, since they do not know the segment's node count (only
-// a later lookup does).
+// run: a plain decode, since they do not know the segment's graph (only a
+// later lookup does).
 func artifactSelfConsistent(payload []byte) bool {
 	_, err := UnmarshalSegmentArtifact(payload)
 	return err == nil

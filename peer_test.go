@@ -113,10 +113,10 @@ func TestPeerTierRejectsInvalidArtifacts(t *testing.T) {
 
 	// Build a corpus of the RIGHT keys holding WRONG payloads: a valid
 	// artifact whose node count matches no segment in the graph, and raw
-	// garbage. (A wrong artifact with a coincidentally matching node count is
-	// undetectable by construction — content addressing is the defense there,
-	// and the pipeline's end-to-end Simulate turns such a lie into an error,
-	// never a silently wrong schedule. Same trust bar as the disk tier.)
+	// garbage. (An order that breaks a dependency is caught too, see
+	// TestWalkReplacesPlantedArtifacts; one that respects every dependency
+	// but is not the optimum is undetectable by construction — content
+	// addressing is the defense there. Same trust bar as the disk tier.)
 	probe := &fakeFleet{corpus: map[string][]byte{}}
 	pp := memoPipeline(t, opts, NewSegmentMemo(256))
 	pp.Peers = probe

@@ -251,9 +251,10 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		}
 		// Validation happens inside compute: every fresh result — a request's
 		// or a background refinement's recompute — is checked to be a
-		// permutation of the segment's nodes before any tier sees it, the same
-		// check artifacts pass on load (decodeArtifact); a hit is a result
-		// that already passed it (equal fingerprints imply equal node counts).
+		// topological order of the segment (fitsSegment) before any tier sees
+		// it, the same check artifacts pass on load (decodeArtifact); a memory
+		// hit is a result that already passed it for a segment of the same
+		// fingerprint, hence of the same structure.
 		// The governor reservation lives here too: only a search that actually
 		// runs costs memory, so memo/store/peer hits never touch the ledger.
 		compute := func() (SearchResult, error) {
@@ -309,8 +310,8 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			if err != nil {
 				return sr, err
 			}
-			if !validPermutation(sr.Order, nodes) {
-				return sr, fmt.Errorf("serenity: searcher %s returned %d ids that are not a permutation of the segment's %d nodes", p.Searcher.Name(), len(sr.Order), nodes)
+			if !fitsSegment(seg, sr.Order) {
+				return sr, fmt.Errorf("serenity: searcher %s returned %d ids that are not a topological order of the segment's %d nodes", p.Searcher.Name(), len(sr.Order), nodes)
 			}
 			return sr, nil
 		}
@@ -318,7 +319,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		var err error
 		tier := memoTierMiss
 		if memoKeys != nil {
-			sr, tier, err = walkMemo(ctx, p.SegmentMemo, p.Store, p.Peers, memoKeys[idx], nodes, compute)
+			sr, tier, err = walkMemo(ctx, p.SegmentMemo, p.Store, p.Peers, memoKeys[idx], seg, compute)
 			tierHits[tier].Add(1)
 		} else {
 			sr, err = compute()
@@ -398,7 +399,9 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		searchSp.End()
 	}
 
-	// Verify and measure the combined schedule end to end.
+	// Measure the combined schedule end to end. Every segment order passed
+	// fitsSegment, whichever tier it came from, so a failure here is a bug in
+	// this program (the partition or Combine), never a bad artifact.
 	sim, err := model.Simulate(order)
 	if err != nil {
 		return nil, fmt.Errorf("serenity: combined schedule invalid: %w", err)

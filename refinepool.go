@@ -16,7 +16,7 @@ type RefinePoolOptions struct {
 	Workers int
 	// QueueDepth bounds the refinement queue. An enqueue against a full
 	// queue is dropped and counted — refinement is best-effort repair, and
-	// the serving path must never block on it. Values < 1 mean 64.
+	// the serving path must never block on it. Values < 1 mean 256.
 	QueueDepth int
 	// Pressure, when non-nil, is the memory governor's shed signal: while it
 	// returns true, a worker holds the job it picked up instead of running
@@ -129,7 +129,7 @@ func NewRefinePool(opts RefinePoolOptions) *RefinePool {
 		opts.Workers = 1
 	}
 	if opts.QueueDepth < 1 {
-		opts.QueueDepth = 64
+		opts.QueueDepth = 256
 	}
 	if opts.RequeueInterval <= 0 {
 		opts.RequeueInterval = 250 * time.Millisecond
@@ -288,6 +288,9 @@ func (p *RefinePool) Quiesce(ctx context.Context) error {
 		}
 	}
 }
+
+// Options returns the options the pool runs with, defaults applied.
+func (p *RefinePool) Options() RefinePoolOptions { return p.opts }
 
 // Stats returns a snapshot of the pool's counters.
 func (p *RefinePool) Stats() RefinePoolStats {

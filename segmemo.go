@@ -176,8 +176,10 @@ func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, 
 // the fleet tier (peers) — each optional — then running compute. It alone
 // owns the tier order and everything that hangs off it. The returned tier
 // reports how the result arrived: anything but memoTierMiss means this caller
-// ran no search. nodes is the segment's node count, used to validate disk and
-// peer artifacts before trusting them.
+// ran no search. seg is the segment: a disk or peer artifact whose order is
+// not a topological order of it (fitsSegment) is a miss — a disk record is
+// deleted and counted corrupt — and the walk goes on down to a fresh search,
+// whose result then takes the key.
 //
 // Below the memory tier the walk runs inside the memo's singleflight:
 // concurrent lookups of one cold key cost one disk read, at most one peer
@@ -202,7 +204,7 @@ func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, 
 // owner. Disk and fleet writes are write-behind — the compile path never
 // waits on either — and both carry the one payload the result was marshaled
 // to. Degraded (FellBack) results reach no tier.
-func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key string, nodes int, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
+func walkMemo[S segmentShape](ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key string, seg S, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
 	// The warm path stays allocation-free when the request is untraced:
 	// FromContext on a bare context costs one nil check, Child of a nil span
 	// is nil, and no attribute is constructed unless a live span is present.
@@ -253,6 +255,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		return memoLoad{sr, memoTierMiss}, err
 	}
 	load := func() (memoLoad, error) {
+		fits := func(o Order) bool { return fitsSegment(seg, o) }
 		if memo != nil {
 			// A flight for key may have filled memory and closed between this
 			// caller's miss above and its becoming the leader here.
@@ -262,7 +265,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		}
 		if disk != nil {
 			sp := span.Child(memoSpanNames[memoTierDisk])
-			sr, ok := disk.get(key, nodes)
+			sr, ok := disk.get(key, fits)
 			endTierSpan(sp, ok)
 			if ok {
 				return memoLoad{fill(memoTierDisk, sr, nil), memoTierDisk}, nil
@@ -278,7 +281,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 			payload, ok := peers.Fetch(fctx, key)
 			var sr SearchResult
 			if ok {
-				sr, ok = decodeArtifact(payload, nodes)
+				sr, ok = decodeArtifact(payload, fits)
 			}
 			endTierSpan(sp, ok)
 			if ok {

@@ -110,16 +110,56 @@ func UnmarshalSegmentArtifact(b []byte) (SearchResult, error) {
 
 // decodeArtifact is the checkpoint every payload passes before the memo
 // hierarchy trusts it, whether it was loaded from disk or fetched from a
-// peer: decode (which enforces the version, the shape and the permutation;
-// the encoding cannot carry a degraded result) plus the match against the
-// segment's node count. Every caller treats a failure the same way — as a
-// miss — so it reports only whether the payload passed.
-func decodeArtifact(payload []byte, nodes int) (SearchResult, bool) {
+// peer: decode (which enforces the version and the shape; the encoding
+// cannot carry a degraded result) plus fits, the segment's order check
+// (fitsSegment). Every caller treats a failure the same way — as a miss — so
+// it reports only whether the payload passed.
+func decodeArtifact(payload []byte, fits func(Order) bool) (SearchResult, bool) {
 	sr, err := UnmarshalSegmentArtifact(payload)
-	if err != nil || len(sr.Order) != nodes {
+	if err != nil || !fits(sr.Order) {
 		return SearchResult{}, false
 	}
 	return sr, true
+}
+
+// segmentShape is what a result is checked against: the segment graph, or a
+// bare node count, which stands for an edgeless segment of that many nodes
+// (unit tests of the walk hold no graph).
+type segmentShape interface{ int | *Graph }
+
+// fitsSegment reports whether order is a topological order of seg: every
+// node exactly once, each after all of its predecessors. It is one O(n + e)
+// pass, and every result passes it before a memo tier trusts it — a fresh
+// search's, a disk record's and a peer's alike — so an order that breaks a
+// dependency reaches no tier: a stored or fetched one is a miss, a fresh one
+// an error.
+func fitsSegment[S segmentShape](seg S, order Order) bool {
+	var g *Graph
+	var n int
+	switch s := any(seg).(type) {
+	case *Graph:
+		g, n = s, s.NumNodes()
+	case int:
+		n = s
+	}
+	if len(order) != n {
+		return false
+	}
+	done := make([]bool, n)
+	for _, id := range order {
+		if id < 0 || id >= n || done[id] {
+			return false
+		}
+		if g != nil {
+			for _, p := range g.Nodes[id].Preds {
+				if !done[p] {
+					return false
+				}
+			}
+		}
+		done[id] = true
+	}
+	return true
 }
 
 // StoreStats is a snapshot of a ScheduleStore's counters. Hits and Misses
@@ -159,8 +199,8 @@ type StoreStats struct {
 // put-if-absent: a key names one canonical result, so the first record stands.
 //
 // Artifacts are re-validated on every load: CRC at the byte layer, then
-// version, shape, and a full permutation check against the segment's node
-// count here. A record that fails any check is dropped and counted, and the
+// version, shape, and a check that the order is a topological order of the
+// segment's graph here. A record that fails any check is dropped and counted, and the
 // pipeline recomputes — a corrupted store degrades to cold performance,
 // never to a wrong or crashing compilation.
 //
@@ -234,12 +274,13 @@ func (ss *ScheduleStore) writer() {
 	}
 }
 
-// get loads and validates the artifact for key. nodes is the segment's node
-// count: a payload that is not a permutation of exactly that many nodes is
-// dropped as corrupt and reported as a miss. A closed store answers false
-// without counting a miss — nothing was looked up, and shutdown must not
-// skew the hit-rate accounting the caller prints afterwards.
-func (ss *ScheduleStore) get(key string, nodes int) (SearchResult, bool) {
+// get loads and validates the artifact for key. fits is the segment's order
+// check: a payload whose order fails it is deleted, counted corrupt and
+// reported as a miss, so the recomputed result can take its key. A closed
+// store answers false without counting a miss — nothing was looked up, and
+// shutdown must not skew the hit-rate accounting the caller prints
+// afterwards.
+func (ss *ScheduleStore) get(key string, fits func(Order) bool) (SearchResult, bool) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if ss.closed {
@@ -250,7 +291,7 @@ func (ss *ScheduleStore) get(key string, nodes int) (SearchResult, bool) {
 		ss.misses.Add(1)
 		return SearchResult{}, false
 	}
-	sr, ok := decodeArtifact(payload, nodes)
+	sr, ok := decodeArtifact(payload, fits)
 	if !ok {
 		ss.st.Delete(key)
 		ss.decodeErrs.Add(1)
@@ -259,22 +300,6 @@ func (ss *ScheduleStore) get(key string, nodes int) (SearchResult, bool) {
 	}
 	ss.hits.Add(1)
 	return sr, true
-}
-
-// validPermutation reports whether order visits each of 0..nodes-1 exactly
-// once.
-func validPermutation(order Order, nodes int) bool {
-	if len(order) != nodes {
-		return false
-	}
-	seen := make([]bool, nodes)
-	for _, id := range order {
-		if id < 0 || id >= nodes || seen[id] {
-			return false
-		}
-		seen[id] = true
-	}
-	return true
 }
 
 // putAsync enqueues a write-through of an encoded artifact without blocking:
