@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -295,5 +296,76 @@ func TestStoreCLIVerifyFlagsNonPermutation(t *testing.T) {
 	out.Reset()
 	if err := storeMain([]string{"ls", "-dir", dir, "-l"}, &out); err != nil || !strings.Contains(out.String(), "UNDECODABLE") {
 		t.Errorf("ls -l: err=%v, want the record marked UNDECODABLE\n%s", err, out.String())
+	}
+}
+
+// TestStoreCLIImportPlantedRecomputes: `serenity store import` admits any
+// decodable artifact, so a record whose order is a permutation that breaks
+// its segment's dependencies (here, every exact order reversed) imports
+// clean, even under -strict. A pipeline serving from the imported store
+// must still answer with the unpressured exact order, and count each plant
+// corrupt as it replaces it.
+func TestStoreCLIImportPlantedRecomputes(t *testing.T) {
+	src, err := store.OpenReadOnly(populateStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := map[string][]byte{}
+	for _, e := range src.Entries() {
+		payload, _ := src.Get(e.Key)
+		sr, err := serenity.UnmarshalSegmentArtifact(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(sr.Order)
+		planted[e.Key] = artifact(t, sr.Order)
+	}
+	src.Close()
+	if len(planted) == 0 {
+		t.Fatal("the compiled store holds no artifacts")
+	}
+	plantDir, dst := t.TempDir(), t.TempDir()
+	writeRecords(t, plantDir, planted)
+	exported := filepath.Join(t.TempDir(), "planted.dat")
+	if err := storeMain([]string{"export", "-dir", plantDir, "-o", exported}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := storeMain([]string{"import", "-dir", dst, "-in", exported, "-strict"}, &out); err != nil {
+		t.Fatalf("import of decodable plants: %v\n%s", err, out.String())
+	}
+
+	ss, err := serenity.OpenScheduleStore(dst, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	opts := serenity.DefaultOptions()
+	opts.StepTimeout = time.Minute
+	clean, err := serenity.NewPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := serenity.NewPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served.SegmentMemo = serenity.NewSegmentMemo(256)
+	served.Store = ss
+	for _, g := range []*serenity.Graph{serenity.SwiftNetCellA(), serenity.SwiftNetCellB()} {
+		want, err := clean.Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := served.Run(context.Background(), g)
+		if err != nil {
+			t.Fatalf("%s over imported plants: %v", g.Name, err)
+		}
+		if !slices.Equal(got.Order, want.Order) || got.Peak != want.Peak {
+			t.Errorf("%s over imported plants: peak %d order %v\nwant peak %d order %v", g.Name, got.Peak, got.Order, want.Peak, want.Order)
+		}
+	}
+	if c := ss.Stats().CorruptRecords; c != int64(len(planted)) {
+		t.Errorf("%d corrupt records after serving over %d imported plants", c, len(planted))
 	}
 }

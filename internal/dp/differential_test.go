@@ -19,6 +19,7 @@ import (
 	"github.com/serenity-ml/serenity/internal/graph"
 	"github.com/serenity-ml/serenity/internal/models"
 	"github.com/serenity-ml/serenity/internal/partition"
+	"github.com/serenity-ml/serenity/internal/rewrite"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
@@ -64,10 +65,12 @@ func diffOne(t *testing.T, name string, m *sched.MemModel, opts dp.Options) *dp.
 }
 
 // TestDifferentialNineCells runs the harness over every segment of the
-// paper's nine evaluation cells — the exact workload serenityd serves — with
-// an unlimited budget, a tight budget (the optimum), and an infeasible
-// budget (optimum-1). MaxStates guards the densest segments; a deterministic
-// valve abort is itself compared bit for bit.
+// paper's nine evaluation cells — the exact workload serenityd serves — as
+// built and after identity graph rewriting (whose alias nodes and multi-view
+// roots are what the consumer masks encode), with an unlimited budget, a
+// tight budget (the optimum), and an infeasible budget (optimum-1).
+// MaxStates guards the densest segments; a deterministic valve abort is
+// itself compared bit for bit.
 func TestDifferentialNineCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine-cell differential is the long way round")
@@ -76,21 +79,71 @@ func TestDifferentialNineCells(t *testing.T) {
 		t.Skip("single-threaded oracle adds no race coverage and is ~8x slower under race")
 	}
 	for _, cell := range models.BenchmarkCells() {
-		g := cell.Build()
-		part, err := partition.Split(g)
-		if err != nil {
-			t.Fatalf("%s %s: %v", cell.Network, cell.Cell, err)
-		}
-		for i, seg := range part.Segments {
-			m := sched.NewMemModel(seg.G)
-			name := fmt.Sprintf("%s/%s/seg%d", cell.Network, cell.Cell, i)
-			base := diffOne(t, name, m, dp.Options{MaxStates: 1 << 20})
-			if base.Flag != dp.FlagSolution {
-				continue // valve fired; already compared
+		for _, rewritten := range []bool{false, true} {
+			g := cell.Build()
+			name := cell.Network + "/" + cell.Cell
+			if rewritten {
+				var err error
+				if g, _, err = rewrite.RewriteAll(g, rewrite.DefaultRules(), 0); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				name += "/rewritten"
 			}
-			diffOne(t, name+"/budget=opt", m, dp.Options{Budget: base.Peak, MaxStates: 1 << 20})
-			diffOne(t, name+"/budget=opt-1", m, dp.Options{Budget: base.Peak - 1, MaxStates: 1 << 20})
+			part, err := partition.Split(g)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, seg := range part.Segments {
+				m := sched.NewMemModel(seg.G)
+				name := fmt.Sprintf("%s/seg%d", name, i)
+				base := diffOne(t, name, m, dp.Options{MaxStates: 1 << 20})
+				if base.Flag != dp.FlagSolution {
+					continue // valve fired; already compared
+				}
+				diffOne(t, name+"/budget=opt", m, dp.Options{Budget: base.Peak, MaxStates: 1 << 20})
+				diffOne(t, name+"/budget=opt-1", m, dp.Options{Budget: base.Peak - 1, MaxStates: 1 << 20})
+			}
 		}
+	}
+}
+
+// TestDifferentialMultiWord runs the harness across the state-width
+// boundary: unpartitioned stacks of RandWire cells whose node counts are
+// pinned on either side of one, two and three words (64/65, 128/129) and
+// out to four, each under an unlimited budget, the optimum and optimum-1.
+// The partitioner never hands the DP a segment this wide, so only a
+// partition=false request or an unpartitionable graph reaches this path.
+func TestDifferentialMultiWord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-threaded oracle adds no race coverage and is ~8x slower under race")
+	}
+	for _, tc := range []struct {
+		nodes, cells, cellNodes int
+		seed                    int64
+	}{
+		{44, 1, 24, 3},
+		{63, 2, 18, 3},
+		{64, 2, 18, 14},
+		{65, 2, 18, 6},
+		{100, 2, 29, 4},
+		{128, 3, 24, 15},
+		{129, 3, 25, 7},
+		{202, 4, 30, 21},
+	} {
+		g := models.StackedRandWire("multiword", tc.cells, models.WSConfig{
+			Nodes: tc.cellNodes, K: 4, P: 0.75, Seed: tc.seed, HW: 4, Channel: 4,
+		})
+		if g.NumNodes() != tc.nodes {
+			t.Fatalf("stack %+v has %d nodes, want %d", tc, g.NumNodes(), tc.nodes)
+		}
+		m := sched.NewMemModel(g)
+		name := fmt.Sprintf("n=%d", tc.nodes)
+		base := diffOne(t, name, m, dp.Options{})
+		if base.Flag != dp.FlagSolution {
+			t.Fatalf("%s: %v", name, base.Flag)
+		}
+		diffOne(t, name+"/budget=opt", m, dp.Options{Budget: base.Peak})
+		diffOne(t, name+"/budget=opt-1", m, dp.Options{Budget: base.Peak - 1})
 	}
 }
 
@@ -186,21 +239,31 @@ func TestDifferentialStepTimeout(t *testing.T) {
 // on whatever DAG falls out, that its order is canonical (one order across
 // budgets and the adaptive probe; see canonical_test.go), and that the safe-move rule
 // kept the optimum (the unrestricted oracle, and brute force up to ten nodes).
+// Up to 20 nodes the DAG is graph.RandomDAG's; above, it is an unpartitioned
+// stack of 1 + nodes/128 RandWire cells of 6 + nodes%27 nodes each (about
+// 20 to 100 nodes, rewiring probability at most 3/4 so the unrestricted
+// oracle stays quick), so the fuzzer crosses the one-word state boundary.
 func FuzzDPDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(80), uint8(0))
 	f.Add(int64(7), uint8(16), uint8(40), uint8(1))
 	f.Add(int64(-3), uint8(6), uint8(200), uint8(2))
 	f.Add(int64(99), uint8(18), uint8(20), uint8(3))
+	f.Add(int64(2), uint8(147), uint8(170), uint8(1)) // a 64-node stack
+	f.Add(int64(1), uint8(147), uint8(170), uint8(2)) // a 65-node stack
 	f.Fuzz(func(t *testing.T, seed int64, nodes, edgeProb, budgetSel uint8) {
-		if nodes > 20 {
-			t.Skip("keep the DP tractable")
+		var g *graph.Graph
+		if nodes <= 20 {
+			rng := rand.New(rand.NewSource(seed))
+			g = graph.RandomDAG(rng, graph.RandomDAGConfig{
+				Nodes:    int(nodes),
+				EdgeProb: float64(edgeProb) / 255,
+				MaxFanIn: 1 + int(budgetSel%4),
+			})
+		} else {
+			g = models.StackedRandWire("fuzz", 1+int(nodes)/128, models.WSConfig{
+				Nodes: 6 + int(nodes)%27, K: 4, P: float64(edgeProb) / 340, Seed: seed, HW: 4, Channel: 4,
+			})
 		}
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.RandomDAG(rng, graph.RandomDAGConfig{
-			Nodes:    int(nodes),
-			EdgeProb: float64(edgeProb) / 255,
-			MaxFanIn: 1 + int(budgetSel%4),
-		})
 		m := sched.NewMemModel(g)
 		base := diffOne(t, "fuzz", m, dp.Options{MaxStates: 1 << 18})
 		if base.Flag != dp.FlagSolution {

@@ -6,7 +6,8 @@ package dp
 // bitsets indexed by a map[string]int32, which allocated on every
 // transition: a string key plus two bitset clones even when the child was a
 // duplicate that got discarded immediately. This file replaces that with
-// three allocation-free structures:
+// three allocation-free structures, all recycled across searches (see the
+// workspace pool in scheduler.go):
 //
 //   - level: a flat slab arena. Every state at a level uses exactly
 //     2W words (W = ⌈n/64⌉): its scheduled set followed by its ready set,
@@ -14,29 +15,29 @@ package dp
 //     the slab (amortized, no per-state allocations) and is recycled
 //     wholesale for a later level once retired.
 //
-//   - ftable: an open-addressed, linear-probing index from signature hash to
-//     state index. Signatures are 64-bit Zobrist hashes (MemModel.Zobrist),
-//     so a transition's hash is parent.hash ^ zobrist[u] — known before the
-//     child bitset exists. Collisions are disambiguated by equalPlusBit,
-//     which compares the stored child against "parent ∪ {u}" word by word,
-//     again without materializing anything. A duplicate transition therefore
-//     costs zero allocations: probe, compare, update peak/parent/via.
+//   - ftable: an open-addressed, linear-probing index from a state's key to
+//     its index. The key is incremental — a transition's key is
+//     parent.key ^ keys[u], known before the child exists — and there are
+//     two widths of it. A segment of at most 64 nodes (every segment the
+//     partitioner cuts from the paper's cells and the benchmark's graphs)
+//     keys a state on its scheduled word itself (keys[u] = 1<<u): the key is
+//     the set, so a key match is a set match and nothing else is compared.
+//     A wider graph cannot fit its set in the key, so it uses the 64-bit
+//     Zobrist hash (MemModel.Zobrist), and a key match is confirmed by
+//     equalPlusBit, which compares the stored child against "parent ∪ {u}"
+//     word by word without materializing anything. Either way a duplicate
+//     transition costs zero allocations: probe, compare, update
+//     peak/parent/via.
 //
-//   - appendChild: the only path that materializes a state, writing the
-//     child's words straight into the slab and computing its footprint via a
-//     reusable attached Bitset view.
-
-import (
-	"github.com/serenity-ml/serenity/internal/graph"
-	"github.com/serenity-ml/serenity/internal/sched"
-)
+//   - appendChild (scheduler.go): the only path that materializes a state,
+//     writing the child's words straight into the slab.
 
 // stNode is one frontier entry's metadata. Its bitsets live in the owning
 // level's slab at offset 2·i·W, not here, so retiring a level can drop all
 // bitsets in one slice swap. peak/parent/via are updated in place when a
 // duplicate transition reaches the same signature with a lower peak.
 type stNode struct {
-	hash   uint64 // Zobrist hash of the scheduled set
+	hash   uint64 // table key: the scheduled word (n ≤ 64) or its Zobrist hash
 	mu     int64  // running footprint after this state's deallocations
 	peak   int64  // best (minimum) peak over all partial schedules reaching it
 	parent int32  // index into the previous level; -1 at level 0
@@ -73,41 +74,6 @@ func (l *level) ready(i, w int) []uint64 {
 	return l.slab[off : off+w]
 }
 
-// appendChild materializes the transition (parent state with words
-// psched/pready, node u) as a new state: the child's words are appended to
-// the slab (amortized, allocation-free at steady state), newly ready
-// successors are computed in place, and mu is evaluated through the caller's
-// reusable scratch view instead of a heap bitset. h, muHigh, and peak are the
-// precomputed signature hash and footprint of the transition.
-func (l *level) appendChild(m *sched.MemModel, scratch *graph.Bitset, psched, pready []uint64, si, u, w int, h uint64, muHigh, peak int64) {
-	base := len(l.slab)
-	l.slab = append(l.slab, psched...)
-	l.slab = append(l.slab, pready...)
-	csched := l.slab[base : base+w]
-	cready := l.slab[base+w : base+2*w]
-	csched[u>>6] |= 1 << uint(u&63)
-	cready[u>>6] &^= 1 << uint(u&63)
-	g := m.G
-	for _, sc := range g.Nodes[u].Succs {
-		if csched[sc>>6]&(1<<uint(sc&63)) != 0 {
-			continue
-		}
-		ready := true
-		for _, p := range g.Nodes[sc].Preds {
-			if csched[p>>6]&(1<<uint(p&63)) == 0 {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			cready[sc>>6] |= 1 << uint(sc&63)
-		}
-	}
-	scratch.Attach(csched, g.NumNodes())
-	mu := muHigh - m.StepDealloc(scratch, u)
-	l.states = append(l.states, stNode{hash: h, mu: mu, peak: peak, parent: int32(si), via: int32(u)})
-}
-
 // equalPlusBit reports whether child equals parent with bit (uw, ubit) set:
 // the word-level comparison of an existing state's scheduled set against the
 // speculative transition's, without materializing the latter.
@@ -128,33 +94,51 @@ func equalPlusBit(child, parent []uint64, uw int, ubit uint64) bool {
 // two so probing can mask instead of mod.
 const minTableSize = 64
 
-// ftable is the open-addressed frontier index: slots hold state indices into
-// the level under construction (-1 = empty), probed linearly from the
-// signature hash. Load factor stays under 3/4 (grow re-probes every state,
-// whose hashes live in stNode). The table persists across levels and runs in
-// its owner, so steady-state lookups and inserts allocate nothing.
+// ftable is the open-addressed frontier index: each 4-byte slot holds one
+// plus a state index into the level under construction (0 = empty), probed
+// linearly from a multiplicative hash of the state's key. Load factor stays
+// under 3/4 (rehash re-probes every state, whose keys live in stNode). The
+// slot buffer persists across levels and searches, so steady-state lookups
+// and inserts allocate nothing.
 type ftable struct {
 	slots []int32
 	mask  uint64
+	shift uint // 64 − log2(len(slots)): home takes the product's top bits
 	used  int
 }
 
 // reset prepares the table for a new level expected to index about hint
-// states: it clears the slots in place, shrinking first when a previous wide
-// level left the table grossly oversized for the coming one.
+// states: a power of two at least 4·hint slots, carved from the retained
+// buffer when it is large enough and cleared in place.
 func (t *ftable) reset(hint int) {
-	want := minTableSize
-	for want < 4*hint && want < 1<<30 {
-		want <<= 1
+	size := minTableSize
+	for size < 4*hint && size < 1<<30 {
+		size <<= 1
 	}
-	if t.slots == nil || len(t.slots) > 8*want {
-		t.slots = make([]int32, want)
-		t.mask = uint64(want - 1)
+	t.resize(size)
+}
+
+// resize empties the table at size slots (a power of two).
+func (t *ftable) resize(size int) {
+	if cap(t.slots) >= size {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	} else {
+		t.slots = make([]int32, size)
 	}
-	for i := range t.slots {
-		t.slots[i] = -1
+	t.mask = uint64(size - 1)
+	t.shift = 64
+	for s := size; s > 1; s >>= 1 {
+		t.shift--
 	}
 	t.used = 0
+}
+
+// home is key h's first slot: Fibonacci hashing, so a one-word key — a
+// scheduled set whose low bits barely vary within a level — spreads as well
+// as a Zobrist hash does.
+func (t *ftable) home(h uint64) uint64 {
+	return (h * 0x9E3779B97F4A7C15) >> (t.shift & 63)
 }
 
 // grow doubles the table when one more insertion could push the load factor
@@ -164,43 +148,41 @@ func (t *ftable) grow(lvl *level) {
 	if (t.used+1)*4 <= len(t.slots)*3 {
 		return
 	}
-	ns := make([]int32, 2*len(t.slots))
-	for i := range ns {
-		ns[i] = -1
-	}
-	mask := uint64(len(ns) - 1)
-	for idx := range lvl.states {
-		pos := lvl.states[idx].hash & mask
-		for ns[pos] >= 0 {
-			pos = (pos + 1) & mask
-		}
-		ns[pos] = int32(idx)
-	}
-	t.slots, t.mask = ns, mask
+	t.rehash(lvl)
 }
 
-// probe looks up the child signature "parent ∪ {u}" by its hash h. On a hit
+// rehash rebuilds the table at twice its size from lvl's states.
+func (t *ftable) rehash(lvl *level) {
+	used := t.used
+	t.resize(2 * len(t.slots))
+	for idx := range lvl.states {
+		pos := t.home(lvl.states[idx].hash)
+		for t.slots[pos] != 0 {
+			pos = (pos + 1) & t.mask
+		}
+		t.slots[pos] = int32(idx + 1)
+	}
+	t.used = used
+}
+
+// probe looks up the child signature "parent ∪ {u}" by its key h. On a hit
 // it returns the existing state's index; on a miss it returns -1 plus the
-// empty slot where place must insert the new state.
+// empty slot where place must insert the new state. A one-word key is the
+// set itself, so only a wider key (w > 1) is confirmed against the slab.
 func (t *ftable) probe(h uint64, lvl *level, w int, psched []uint64, uw int, ubit uint64) (int32, uint64) {
-	pos := h & t.mask
-	for {
-		si := t.slots[pos]
+	for pos := t.home(h); ; pos = (pos + 1) & t.mask {
+		si := t.slots[pos] - 1
 		if si < 0 {
 			return -1, pos
 		}
-		if lvl.states[si].hash == h {
-			off := 2 * int(si) * w
-			if equalPlusBit(lvl.slab[off:off+w], psched, uw, ubit) {
-				return si, pos
-			}
+		if lvl.states[si].hash == h && (w == 1 || equalPlusBit(lvl.sched(int(si), w), psched, uw, ubit)) {
+			return si, pos
 		}
-		pos = (pos + 1) & t.mask
 	}
 }
 
 // place records a newly appended state's index in the slot probe returned.
 func (t *ftable) place(pos uint64, idx int32) {
-	t.slots[pos] = idx
+	t.slots[pos] = idx + 1
 	t.used++
 }

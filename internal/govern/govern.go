@@ -22,6 +22,13 @@
 // through paths that already guarantee feasible schedules, and the pressure
 // signal is advisory — the hard per-search guarantee is the DP's own
 // MemLimit valve, which the reservations parameterize.
+//
+// Not everything the live-heap sample sees is reserved. The DP keeps up to
+// two idle working sets between searches (level buffers, frontier table,
+// history, per-node masks; see internal/dp), each capped under 1 MiB, so up
+// to 2 MiB of the sampled heap is retained search memory that no
+// reservation covers. It is real heap and counts toward every watermark;
+// a search that runs on a retained set still reserves its full estimate.
 package govern
 
 import (

@@ -67,23 +67,13 @@ func (b *Bitset) Equal(o *Bitset) bool {
 
 // Words exposes the backing 64-bit words, least-significant IDs first. The
 // slice aliases the bitset's storage: callers mutating it mutate the set.
-// This is the escape hatch the DP scheduler's slab arenas are built on; most
-// callers want the element-level API instead.
+// The greedy scheduler walks a ready set through it; most callers want the
+// element-level API instead.
 func (b *Bitset) Words() []uint64 { return b.words }
 
-// Attach repoints the bitset at an external word slice holding a set over
-// [0, n), turning b into a zero-allocation *view*: no copy is made, and
-// mutations flow both ways. len(words) must be (n+63)/64. The DP scheduler
-// uses one reusable attached Bitset to present slab-arena regions to
-// MemModel.StepDealloc without materializing per-state bitsets.
-func (b *Bitset) Attach(words []uint64, n int) {
-	b.words = words
-	b.n = n
-}
-
 // Key returns a compact string usable as a map key. The string shares no
-// storage with the bitset. The production DP scheduler indexes its frontier
-// by Zobrist hash instead; Key survives as the reference implementation's
+// storage with the bitset. The production DP scheduler keys its frontier on
+// the scheduled word or its Zobrist hash instead; Key survives as the reference implementation's
 // (and any external caller's) allocation-heavy but dependency-free keying.
 func (b *Bitset) Key() string {
 	buf := make([]byte, 8*len(b.words))

@@ -6,7 +6,8 @@ package graph
 // hash of a node set is the XOR of its members' words (the empty set hashes
 // to 0). Because XOR is its own inverse, adding or removing one node updates
 // the hash in O(1): hash(S ∪ {u}) = hash(S) ^ table[u]. The DP scheduler
-// exploits this to compute a transition's signature hash *before*
+// exploits this on graphs over 64 nodes (a smaller one keys a state on its
+// one-word set directly) to compute a transition's signature hash *before*
 // materializing the child bitset, so duplicate states are detected without
 // allocating.
 //

@@ -33,8 +33,9 @@ type MemModel struct {
 	PredRoots [][]int // predRoots[i]: distinct physical roots among node i's preds
 
 	// Zobrist assigns node i a fixed pseudo-random word so the DP scheduler
-	// can hash scheduled-set signatures incrementally: hash(S ∪ {u}) =
-	// hash(S) ^ Zobrist[u], computable before the child set is materialized.
+	// can hash scheduled-set signatures of graphs over 64 nodes
+	// incrementally: hash(S ∪ {u}) = hash(S) ^ Zobrist[u], computable
+	// before the child set is materialized.
 	// Drawn from a fixed seed (see graph.ZobristTable), so hashes — and with
 	// them the scheduler's behavior — are deterministic across processes.
 	Zobrist []uint64
@@ -196,8 +197,9 @@ func (m *MemModel) CheckValid(order Schedule) error {
 // StepDealloc computes the deallocation when node u executes: every
 // predecessor root whose consumers other than u are all in scheduled is
 // freed. u itself is not consulted, so the answer is the same whether or not
-// scheduled already holds it — the DP scheduler's transition function asks
-// with u in the set, its safe-move rule asks before u is.
+// scheduled already holds it — a DP transition asks with u in the set, the
+// safe-move rule asks before u is. The DP scheduler answers the same question
+// from per-node consumer masks; this is the bitset form its test oracle uses.
 func (m *MemModel) StepDealloc(scheduled *graph.Bitset, u int) int64 {
 	var freed int64
 roots:

@@ -309,7 +309,8 @@ func reversedArtifacts(t testing.TB, corpus map[string][]byte) map[string][]byte
 
 // TestWalkReplacesPlantedArtifacts: an artifact whose order breaks a
 // dependency of its segment — planted in the store through the replication
-// receiver's PutArtifact, or answered by a peer — is a miss, not a failed
+// receiver's PutArtifact or through an imported store stream, or answered by
+// a peer — is a miss, not a failed
 // compilation. Each compile returns the unpressured exact answer; the disk
 // record is deleted, counted corrupt and replaced by the recomputed result,
 // which later compiles hit; a peer's answer counts no hit.
@@ -328,29 +329,52 @@ func TestWalkReplacesPlantedArtifacts(t *testing.T) {
 	}
 	planted := reversedArtifacts(t, probe.corpus)
 
-	t.Run("disk", func(t *testing.T) {
-		ss := openStoreT(t, t.TempDir())
-		for key, payload := range planted {
-			if !ss.PutArtifact(key, payload) {
-				t.Fatalf("PutArtifact refused the planted %q", key)
+	// The two ways a payload lands in the store: the replication receiver's
+	// PutArtifact, and the store-stream merge an anti-entropy round and
+	// `serenity store import` share.
+	plant := map[string]func(t *testing.T, ss *ScheduleStore){
+		"disk": func(t *testing.T, ss *ScheduleStore) {
+			for key, payload := range planted {
+				if !ss.PutArtifact(key, payload) {
+					t.Fatalf("PutArtifact refused the planted %q", key)
+				}
 			}
-		}
-		for run := 1; run <= 2; run++ {
-			got, err := storePipeline(t, opts, NewSegmentMemo(256), ss).Run(ctx, g)
-			if err != nil {
-				t.Fatalf("run %d over planted artifacts: %v", run, err)
+		},
+		"import": func(t *testing.T, ss *ScheduleStore) {
+			src := openStoreT(t, t.TempDir())
+			for key, payload := range planted {
+				src.PutArtifact(key, payload)
 			}
-			assertSameResult(t, fmt.Sprintf("run %d", run), want, got)
-			if run == 2 && (got.FreshStatesExplored != 0 || got.SegmentMemoDiskHits != len(planted)) {
-				t.Errorf("run 2: %d fresh states, %d disk hits for %d keys; the recomputed results did not take their keys",
-					got.FreshStatesExplored, got.SegmentMemoDiskHits, len(planted))
+			var stream bytes.Buffer
+			if n, err := src.ExportMissing(&stream, nil, len(planted)); err != nil || n != len(planted) {
+				t.Fatalf("exported %d of %d plants: %v", n, len(planted), err)
 			}
-			ss.Flush()
-		}
-		if st := ss.Stats(); st.CorruptRecords != int64(len(planted)) || st.Entries != len(planted) {
-			t.Errorf("store after two runs: %d corrupt records, %d entries; want %d of each", st.CorruptRecords, st.Entries, len(planted))
-		}
-	})
+			if added, err := ss.ImportMissing(&stream); err != nil || added != len(planted) {
+				t.Fatalf("ImportMissing added %d of %d plants: %v", added, len(planted), err)
+			}
+		},
+	}
+	for _, path := range []string{"disk", "import"} {
+		t.Run(path, func(t *testing.T) {
+			ss := openStoreT(t, t.TempDir())
+			plant[path](t, ss)
+			for run := 1; run <= 2; run++ {
+				got, err := storePipeline(t, opts, NewSegmentMemo(256), ss).Run(ctx, g)
+				if err != nil {
+					t.Fatalf("run %d over planted artifacts: %v", run, err)
+				}
+				assertSameResult(t, fmt.Sprintf("run %d", run), want, got)
+				if run == 2 && (got.FreshStatesExplored != 0 || got.SegmentMemoDiskHits != len(planted)) {
+					t.Errorf("run 2: %d fresh states, %d disk hits for %d keys; the recomputed results did not take their keys",
+						got.FreshStatesExplored, got.SegmentMemoDiskHits, len(planted))
+				}
+				ss.Flush()
+			}
+			if st := ss.Stats(); st.CorruptRecords != int64(len(planted)) || st.Entries != len(planted) {
+				t.Errorf("store after two runs: %d corrupt records, %d entries; want %d of each", st.CorruptRecords, st.Entries, len(planted))
+			}
+		})
+	}
 
 	t.Run("peer", func(t *testing.T) {
 		fleet := &fakeFleet{corpus: planted}
