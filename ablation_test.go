@@ -1,6 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: exact DP
-// vs a greedy heuristic, Belady vs LRU replacement, and the extension
-// rewrite rules beyond the paper's two patterns.
+// Ablation benchmarks for the pipeline's design choices: exact DP vs a greedy
+// heuristic, Belady vs LRU replacement, and divide-and-conquer partitioning.
+// Where a choice departs from the paper, README's "Deviations from the paper"
+// says why.
 package serenity
 
 import (
@@ -71,33 +72,6 @@ func BenchmarkAblationBeladyVsLRU(b *testing.B) {
 	}
 	b.ReportMetric(float64(bel)/1024, "belady-traffic-KB")
 	b.ReportMetric(float64(lru)/1024, "lru-traffic-KB")
-}
-
-// BenchmarkAblationExtendedRewrite measures the extension rules (identity
-// elimination, concat flattening) on top of the paper's partitioning, using
-// the DARTS cell whose skip connections are Identity copies.
-func BenchmarkAblationExtendedRewrite(b *testing.B) {
-	g := DARTSNormalCell()
-	var paper, extended float64
-	for i := 0; i < b.N; i++ {
-		optsPaper := DefaultOptions()
-		rp, err := Schedule(g, optsPaper)
-		if err != nil {
-			b.Fatal(err)
-		}
-		optsExt := DefaultOptions()
-		optsExt.ExtendedRewrite = true
-		re, err := Schedule(g, optsExt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if re.Peak > rp.Peak {
-			b.Fatalf("extended rules raised the peak: %d > %d", re.Peak, rp.Peak)
-		}
-		paper, extended = float64(rp.Peak)/1024, float64(re.Peak)/1024
-	}
-	b.ReportMetric(paper, "paper-rules-KB")
-	b.ReportMetric(extended, "extended-rules-KB")
 }
 
 // BenchmarkAblationPartitioning measures divide-and-conquer's effect on

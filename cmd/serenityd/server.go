@@ -1027,8 +1027,8 @@ func (s *server) requestOptions(r *http.Request) (reqParams, error) {
 // its own and every returned schedule is peak-optimal for its options, so
 // results are interchangeable across Parallelism settings.
 func optionsKey(o serenity.Options) string {
-	return fmt.Sprintf("r%t:x%t:p%t:a%t:t%d:b%d:s%d:y%s",
-		o.Rewrite, o.ExtendedRewrite, o.Partition, o.AdaptiveBudget,
+	return fmt.Sprintf("r%t:p%t:a%t:t%d:b%d:s%d:y%s",
+		o.Rewrite, o.Partition, o.AdaptiveBudget,
 		o.StepTimeout, o.MemoryBudget, o.MaxStates, o.Strategy)
 }
 

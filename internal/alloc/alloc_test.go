@@ -242,14 +242,14 @@ func planReference(m *sched.MemModel, order sched.Schedule) (*Assignment, error)
 }
 
 // differentialGraphs is the corpus Plan is held to planReference on: the
-// nine evaluation cells as built and after the extended rewrite (alias
-// nodes, shared buffers), random DAGs with few and many distinct tensor
-// sizes, random hourglasses and stacked WS cells.
+// nine evaluation cells as built and after the rewrite (alias nodes, shared
+// buffers), random DAGs with few and many distinct tensor sizes, random
+// hourglasses and stacked WS cells.
 func differentialGraphs(t testing.TB) []*graph.Graph {
 	var gs []*graph.Graph
 	for _, c := range models.BenchmarkCells() {
 		g := c.Build()
-		rw, _, err := rewrite.RewriteAll(g, rewrite.ExtendedRules(), 0)
+		rw, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 // these generators follow each source paper's published construction and
 // match the structural statistics the paper reports (e.g. SwiftNet's 62
 // nodes partitioning as {21,19,22}, 92 = {33,28,29} after rewriting); see
-// DESIGN.md "Substitutions".
+// README's "Deviations from the paper".
 package models
 
 import (

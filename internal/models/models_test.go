@@ -217,8 +217,8 @@ func TestMACsAndWeightsPlausible(t *testing.T) {
 		if s.MACs <= 0 || s.Weights <= 0 {
 			t.Errorf("%s: non-positive MACs/weights (%d, %d)", s.Network, s.MACs, s.Weights)
 		}
-		// Same order of magnitude as the paper (substituted generators
-		// cannot match exactly; see DESIGN.md).
+		// Same order of magnitude as the paper (generated cells cannot
+		// match exactly; see README's "Deviations from the paper").
 		if s.MACs > s.PaperMACs*40 || s.MACs < s.PaperMACs/40 {
 			t.Errorf("%s: MACs %d implausibly far from paper's %d", s.Network, s.MACs, s.PaperMACs)
 		}

@@ -563,29 +563,27 @@ func assertSplitMatchesReference(t testing.TB, g *graph.Graph, what string) {
 }
 
 // TestSplitMatchesReference holds the one-sweep partitioner to the bitset
-// definition on the nine evaluation cells (as built, after either rule set's
-// rewrite, and decoded from their JSON, the three slab-built forms a request
-// hands it), random DAGs, random hourglasses and stacked WS cells.
+// definition on the nine evaluation cells (as built, rewritten, and decoded
+// from their JSON, the three slab-built forms a request hands it), random
+// DAGs, random hourglasses and stacked WS cells.
 func TestSplitMatchesReference(t *testing.T) {
 	for _, c := range models.BenchmarkCells() {
 		g := c.Build()
 		assertSplitMatchesReference(t, g, g.Name)
-		for name, rules := range map[string][]rewrite.Rule{"default": rewrite.DefaultRules(), "extended": rewrite.ExtendedRules()} {
-			rw, _, err := rewrite.RewriteAll(g, rules, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSplitMatchesReference(t, rw, g.Name+" rewritten "+name)
-			data, err := rw.MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded := graph.New("")
-			if err := decoded.UnmarshalJSON(data); err != nil {
-				t.Fatal(err)
-			}
-			assertSplitMatchesReference(t, decoded, g.Name+" rewritten "+name+" decoded")
+		rw, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSplitMatchesReference(t, rw, g.Name+" rewritten")
+		data, err := rw.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := graph.New("")
+		if err := decoded.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+		assertSplitMatchesReference(t, decoded, g.Name+" rewritten decoded")
 	}
 	rng := rand.New(rand.NewSource(32))
 	for i := 0; i < 100; i++ {
@@ -598,7 +596,7 @@ func TestSplitMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		g := models.StackedRandWire("stack", 4, models.WSConfig{Nodes: 16, K: 4, P: 0.75, Seed: seed, HW: 8, Channel: 4})
 		assertSplitMatchesReference(t, g, fmt.Sprintf("stack %d", seed))
-		rw, _, err := rewrite.RewriteAll(g, rewrite.ExtendedRules(), 0)
+		rw, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

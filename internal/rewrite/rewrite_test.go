@@ -408,156 +408,42 @@ func ancestors(g *graph.Graph) ([]*graph.Bitset, error) {
 	return anc, nil
 }
 
-// flattenReference is the concat-flatten rule as first written, node by node
-// through AddNode.
-func flattenReference(g *graph.Graph) (*graph.Graph, int, error) {
-	inner := map[int]bool{}
-	for _, n := range g.Nodes {
-		if n.Op == graph.OpConcat && len(n.Succs) == 1 && g.Nodes[n.Succs[0]].Op == graph.OpConcat {
-			inner[n.ID] = true
-		}
-	}
-	if len(inner) == 0 {
+// referenceRule is partitioningRule over applyReference, Apply's first
+// implementation.
+type referenceRule struct{}
+
+func (referenceRule) Name() string { return partitioningRule{}.Name() }
+
+func (referenceRule) Apply(g *graph.Graph) (*graph.Graph, int, error) {
+	ms := FindMatches(g)
+	if len(ms) == 0 {
 		return nil, 0, nil
 	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	out := graph.New(g.Name)
-	remap := make([]int, g.NumNodes())
-	expansion := make(map[int][]int)
-	for i := range remap {
-		remap[i] = -1
-	}
-	count := 0
-	for _, v := range order {
-		n := g.Nodes[v]
-		var preds []int
-		for _, p := range n.Preds {
-			if exp, ok := expansion[p]; ok {
-				preds = append(preds, exp...)
-			} else {
-				preds = append(preds, remap[p])
-			}
-		}
-		if inner[n.ID] {
-			expansion[v] = preds
-			count++
-			continue
-		}
-		nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
-		nn := out.Nodes[nid]
-		nn.DType = n.DType
-		nn.Attr = n.Attr
-		if n.Attr.AliasOf >= 0 {
-			nn.Attr.AliasOf = remap[n.Attr.AliasOf]
-		}
-		remap[v] = nid
-	}
-	if err := out.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("rewrite: concat-flatten produced invalid graph: %w", err)
-	}
-	return out, count, nil
+	out, err := applyReference(g, ms)
+	return out, len(ms), err
 }
 
-// identityElimReference is the identity-elimination rule as first written,
-// node by node through AddNode.
-func identityElimReference(g *graph.Graph) (*graph.Graph, int, error) {
-	elide := map[int]bool{}
-	for _, n := range g.Nodes {
-		if n.Op == graph.OpIdentity && n.Attr.AliasOf < 0 && len(n.Preds) == 1 && len(n.Succs) > 0 {
-			elide[n.ID] = true
-		}
-	}
-	if len(elide) == 0 {
-		return nil, 0, nil
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	out := graph.New(g.Name)
-	remap := make([]int, g.NumNodes())
-	for i := range remap {
-		remap[i] = -1
-	}
-	resolve := func(p int) int {
-		for elide[p] {
-			p = g.Nodes[p].Preds[0]
-		}
-		return p
-	}
-	for _, v := range order {
-		n := g.Nodes[v]
-		if elide[v] {
-			continue
-		}
-		var preds []int
-		for _, p := range n.Preds {
-			preds = append(preds, remap[resolve(p)])
-		}
-		nid := out.AddNode(n.Op, n.Name, n.Shape, preds...)
-		nn := out.Nodes[nid]
-		nn.DType = n.DType
-		nn.Attr = n.Attr
-		if n.Attr.AliasOf >= 0 {
-			nn.Attr.AliasOf = remap[resolve(n.Attr.AliasOf)]
-		}
-		remap[v] = nid
-	}
-	if err := out.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("rewrite: identity-elimination produced invalid graph: %w", err)
-	}
-	return out, len(elide), nil
-}
-
-// referenceRule is a rule's first implementation, under the rule's name.
-type referenceRule struct {
-	name  string
-	apply func(*graph.Graph) (*graph.Graph, int, error)
-}
-
-func (r referenceRule) Name() string                                    { return r.name }
-func (r referenceRule) Apply(g *graph.Graph) (*graph.Graph, int, error) { return r.apply(g) }
-
-// referenceRules swaps every rule for its reference.
-func referenceRules(rules []Rule) []Rule {
-	refs := map[string]func(*graph.Graph) (*graph.Graph, int, error){
-		"concat-partitioning": func(g *graph.Graph) (*graph.Graph, int, error) {
-			ms := FindMatches(g)
-			if len(ms) == 0 {
-				return nil, 0, nil
-			}
-			out, err := applyReference(g, ms)
-			return out, len(ms), err
-		},
-		"concat-flatten":       flattenReference,
-		"identity-elimination": identityElimReference,
-	}
-	out := make([]Rule, len(rules))
-	for i, r := range rules {
-		out[i] = referenceRule{r.Name(), refs[r.Name()]}
-	}
-	return out
-}
-
-// assertRewriteMatchesReference rewrites g under rules and under their
-// references, and fails unless both fire the same rules and build deep-equal
-// graphs: the same fingerprint, names, dtypes and attributes (Seed included),
-// and the same Shape, Preds and Succs of every node.
-func assertRewriteMatchesReference(t testing.TB, g *graph.Graph, rules []Rule, what string) {
+// assertRewriteMatchesReference rewrites g under DefaultRules and under
+// referenceRule, and fails unless both fire the same rules and build
+// deep-equal graphs: the same fingerprint, names, dtypes and attributes (Seed
+// included), and the same Shape, Preds and Succs of every node. It also fails
+// unless the rule fires at most once: rewriting a site creates no new concat →
+// convolution site, so RewriteAll's second pass never fires.
+func assertRewriteMatchesReference(t testing.TB, g *graph.Graph, what string) {
 	t.Helper()
-	got, gotApps, err := RewriteAll(g, rules, 0)
+	got, gotApps, err := RewriteAll(g, DefaultRules(), 0)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	want, wantApps, err := RewriteAll(g, referenceRules(rules), 0)
+	want, wantApps, err := RewriteAll(g, []Rule{referenceRule{}}, 0)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", what, err)
 	}
 	if !slices.Equal(gotApps, wantApps) {
 		t.Fatalf("%s: applied %v, reference %v", what, gotApps, wantApps)
+	}
+	if len(gotApps) > 1 {
+		t.Fatalf("%s: applied %v, want at most one pass", what, gotApps)
 	}
 	if got.Name != want.Name || got.NumNodes() != want.NumNodes() || got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("%s: %q with %d nodes, reference %q with %d nodes, or the fingerprints differ",
@@ -573,10 +459,10 @@ func assertRewriteMatchesReference(t testing.TB, g *graph.Graph, rules []Rule, w
 	}
 }
 
-// randomRewritableGraph grows an NHWC graph with every site the extended
-// rules fire on: concat → conv and concat → depthwise conv, concats nested in
-// concats, and Identity copies. Operands are drawn from every earlier node,
-// repeats included, so concat branches share ancestors in every way.
+// randomRewritableGraph grows an NHWC graph with concat → conv and concat →
+// depthwise conv sites, concats nested in concats, and Identity copies.
+// Operands are drawn from every earlier node, repeats included, so concat
+// branches share ancestors in every way.
 func randomRewritableGraph(rng *rand.Rand, nodes int) *graph.Graph {
 	b := graph.NewBuilder("rand-rewrite")
 	widths := []int{1, 2, 3, 4, 6, 8}
@@ -635,30 +521,20 @@ func stackedConcatCells(rng *rand.Rand, cells int) *graph.Graph {
 }
 
 // TestApplyMatchesReference holds the slab-built rewrite to its node-by-node
-// reference on the nine evaluation cells under both rule sets, on random
-// rewritable DAGs and on stacked concat cells.
+// reference on the nine evaluation cells, on random rewritable DAGs and on
+// stacked concat cells.
 func TestApplyMatchesReference(t *testing.T) {
-	ruleSets := []struct {
-		name  string
-		rules []Rule
-	}{{"default", DefaultRules()}, {"extended", ExtendedRules()}}
 	for _, c := range models.BenchmarkCells() {
-		for _, rs := range ruleSets {
-			assertRewriteMatchesReference(t, c.Build(), rs.rules, c.Network+" "+c.Dataset+" "+c.Cell+" "+rs.name)
-		}
+		assertRewriteMatchesReference(t, c.Build(), c.Network+" "+c.Dataset+" "+c.Cell)
 	}
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 200; i++ {
 		g := randomRewritableGraph(rng, 2+rng.Intn(40))
-		for _, rs := range ruleSets {
-			assertRewriteMatchesReference(t, g, rs.rules, fmt.Sprintf("random %d %s", i, rs.name))
-		}
+		assertRewriteMatchesReference(t, g, fmt.Sprintf("random %d", i))
 	}
 	for i := 0; i < 10; i++ {
 		g := stackedConcatCells(rng, 1+rng.Intn(8))
-		for _, rs := range ruleSets {
-			assertRewriteMatchesReference(t, g, rs.rules, fmt.Sprintf("stack %d %s", i, rs.name))
-		}
+		assertRewriteMatchesReference(t, g, fmt.Sprintf("stack %d", i))
 	}
 }
 
@@ -670,8 +546,7 @@ func FuzzRewriteDifferential(f *testing.F) {
 	f.Add(int64(-5), uint8(90))
 	f.Fuzz(func(t *testing.T, seed int64, nodes uint8) {
 		g := randomRewritableGraph(rand.New(rand.NewSource(seed)), 2+int(nodes)%100)
-		assertRewriteMatchesReference(t, g, DefaultRules(), "default")
-		assertRewriteMatchesReference(t, g, ExtendedRules(), "extended")
+		assertRewriteMatchesReference(t, g, "random")
 	})
 }
 

@@ -1,11 +1,10 @@
 package rewrite
 
 import (
+	"slices"
 	"testing"
 
-	"github.com/serenity-ml/serenity/internal/dp"
 	"github.com/serenity-ml/serenity/internal/graph"
-	"github.com/serenity-ml/serenity/internal/sched"
 )
 
 func nestedConcatGraph() *graph.Graph {
@@ -21,122 +20,29 @@ func nestedConcatGraph() *graph.Graph {
 	return b.Graph()
 }
 
-func TestConcatFlatten(t *testing.T) {
-	g := nestedConcatGraph()
-	out, count, err := ConcatFlattenRule().Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
-	}
-	var concats int
-	for _, n := range out.Nodes {
-		if n.Op == graph.OpConcat {
-			concats++
-			if len(n.Preds) != 3 {
-				t.Errorf("flattened concat has %d preds, want 3", len(n.Preds))
-			}
-			if n.Shape.Channels() != 18 {
-				t.Errorf("flattened concat channels = %d, want 18", n.Shape.Channels())
-			}
-		}
-	}
-	if concats != 1 {
-		t.Errorf("concats = %d, want 1", concats)
-	}
-	if out.NumNodes() != g.NumNodes()-1 {
-		t.Errorf("nodes %d -> %d, want one fewer", g.NumNodes(), out.NumNodes())
-	}
-}
-
-func TestConcatFlattenNoChange(t *testing.T) {
-	g := concatConvGraph()
-	out, count, err := ConcatFlattenRule().Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 || out != nil {
-		t.Errorf("rule fired on flat concat: count=%d", count)
-	}
-}
-
-func TestIdentityElim(t *testing.T) {
-	b := graph.NewBuilder("idelim")
-	in := b.Input(graph.Shape{1, 8, 8, 4})
-	id1 := b.Identity(in)
-	c := b.Conv(id1, 8, 3, 1, graph.PadSame)
-	id2 := b.Identity(c) // graph sink via pool below
-	b.MaxPool(id2, 2, 2, graph.PadSame)
-	g := b.Graph()
-
-	out, count, err := IdentityElimRule().Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
-	for _, n := range out.Nodes {
-		if n.Op == graph.OpIdentity {
-			t.Errorf("identity survived: %s", n.Name)
-		}
-	}
-	// Footprint strictly improves: the copies are gone.
-	before := dp.Optimal(sched.NewMemModel(g)).Peak
-	after := dp.Optimal(sched.NewMemModel(out)).Peak
-	if after >= before {
-		t.Errorf("identity elimination did not reduce peak: %d -> %d", before, after)
-	}
-}
-
-func TestIdentityElimKeepsSinkIdentity(t *testing.T) {
-	b := graph.NewBuilder("sink-id")
-	in := b.Input(graph.Shape{1, 4, 4, 2})
-	c := b.Conv(in, 4, 3, 1, graph.PadSame)
-	b.Identity(c) // sink: must survive (it IS the graph output)
-	g := b.Graph()
-	out, count, err := IdentityElimRule().Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 {
-		t.Fatalf("sink identity elided (count=%d, out=%v)", count, out != nil)
-	}
-}
-
+// TestRewriteAllFixpoint rewrites a nested concat under the paper's rule: the
+// outer concat → conv partitions over its two branches, the inner concat
+// stays a materialized branch, and the second pass finds nothing to do.
 func TestRewriteAllFixpoint(t *testing.T) {
 	g := nestedConcatGraph()
-	out, apps, err := RewriteAll(g, ExtendedRules(), 0)
+	out, apps, err := RewriteAll(g, DefaultRules(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(apps) < 2 {
-		t.Fatalf("apps = %+v, want flatten then partitioning", apps)
+	if want := []RuleApplication{{Rule: "concat-partitioning", Sites: 1}}; !slices.Equal(apps, want) {
+		t.Fatalf("apps = %+v, want %+v", apps, want)
 	}
-	// After flattening, the outer concat+conv partitioned into 3 partials.
-	var partials int
+	var partials, concats int
 	for _, n := range out.Nodes {
 		switch n.Op {
 		case graph.OpPartialConv:
 			partials++
 		case graph.OpConcat:
-			t.Error("concat survived the extended pipeline")
+			concats++
 		}
 	}
-	if partials != 3 {
-		t.Errorf("partials = %d, want 3 (flattening exposed the third branch)", partials)
-	}
-	// The result must beat plain partitioning (which would treat the inner
-	// concat as a materialized branch).
-	plain, _, err := Rewrite(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peakExt := dp.Optimal(sched.NewMemModel(out)).Peak
-	peakPlain := dp.Optimal(sched.NewMemModel(plain)).Peak
-	if peakExt > peakPlain {
-		t.Errorf("extended rules worse than paper rules: %d > %d", peakExt, peakPlain)
+	if partials != 2 || concats != 1 {
+		t.Errorf("partials = %d, concats = %d, want 2 and the inner concat", partials, concats)
 	}
 }
 
@@ -145,7 +51,7 @@ func TestRewriteAllNoRulesFire(t *testing.T) {
 	in := b.Input(graph.Shape{1, 4, 4, 2})
 	b.Conv(in, 4, 3, 1, graph.PadSame)
 	g := b.Graph()
-	out, apps, err := RewriteAll(g, ExtendedRules(), 4)
+	out, apps, err := RewriteAll(g, DefaultRules(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +65,7 @@ func TestRewriteAllNoRulesFire(t *testing.T) {
 
 func TestRuleNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, r := range ExtendedRules() {
+	for _, r := range DefaultRules() {
 		if r.Name() == "" {
 			t.Error("empty rule name")
 		}

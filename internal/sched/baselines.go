@@ -34,14 +34,15 @@ func KahnFIFO(g *graph.Graph) (Schedule, error) {
 	return order, nil
 }
 
-// DFSEmission returns the depth-first converter emission order used as the
-// TensorFlow Lite proxy baseline: the order in which a recursive code
-// generator would emit nodes (emit all of a node's operands, depth first and
-// in operand order, then the node), walking graph outputs in ID order.
+// DFSEmission returns the depth-first converter emission order: the order in
+// which a recursive code generator would emit nodes (emit all of a node's
+// operands, depth first and in operand order, then the node), walking graph
+// outputs in ID order.
 //
 // TensorFlow Lite executes ops in the flatbuffer's serialized order, which
-// the converter produces by exactly this kind of memory-oblivious recursive
-// traversal; see DESIGN.md "Substitutions".
+// the converter produces by this kind of memory-oblivious recursive
+// traversal. The baseline the pipeline reports is Kahn's order; DFSEmission
+// is kept as a test reference (README, "Deviations from the paper").
 func DFSEmission(g *graph.Graph) (Schedule, error) {
 	if _, err := g.TopoOrder(); err != nil {
 		return nil, err

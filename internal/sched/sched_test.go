@@ -375,12 +375,12 @@ func consumersReference(g *graph.Graph) map[int][]int {
 
 // TestMemModelConsumersMatchReference holds NewMemModel's consumer lists to
 // consumersReference on the nine evaluation cells (as built and after the
-// extended rewrite, which adds alias nodes) and on random DAGs.
+// rewrite, which adds alias nodes) and on random DAGs.
 func TestMemModelConsumersMatchReference(t *testing.T) {
 	var gs []*graph.Graph
 	for _, c := range models.BenchmarkCells() {
 		g := c.Build()
-		rw, _, err := rewrite.RewriteAll(g, rewrite.ExtendedRules(), 0)
+		rw, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/serenity-ml/serenity/internal/graph"
 	"github.com/serenity-ml/serenity/internal/store"
 )
 
@@ -86,6 +88,7 @@ func oneIf(cond bool) int {
 func TestWalkMemoTierMatrix(t *testing.T) {
 	want := SearchResult{Order: Order{2, 0, 1}, StatesExplored: 11, MaxFrontier: 3, Quality: QualityOptimal}
 	const nodes = 3
+	seg := edgeless(nodes)
 	type outcome int
 	const (
 		storable outcome = iota
@@ -147,7 +150,7 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 					fake.fetched = nil
 				}
 				computed := 0
-				got, tier, err := walkMemo(context.Background(), memo, disk, peers, key, nodes, func() (SearchResult, error) {
+				got, tier, err := walkMemo(context.Background(), memo, disk, peers, key, seg, func() (SearchResult, error) {
 					computed++
 					switch sc.out {
 					case fellBack:
@@ -279,10 +282,21 @@ func TestWalkRejectsNonPermutation(t *testing.T) {
 	}
 }
 
+// edgeless returns a segment of n nodes and no edges: any permutation of
+// 0..n-1 is a topological order of it.
+func edgeless(n int) *Graph {
+	g := NewGraph("edgeless")
+	for i := 0; i < n; i++ {
+		g.AddNode(graph.OpInput, "in"+strconv.Itoa(i), Shape{1, 1, 1, 1})
+	}
+	return g
+}
+
 // anyOrderOf is the order check of an edgeless n-node segment: any
 // permutation of 0..n-1 fits.
 func anyOrderOf(n int) func(Order) bool {
-	return func(o Order) bool { return fitsSegment(n, o) }
+	seg := edgeless(n)
+	return func(o Order) bool { return fitsSegment(seg, o) }
 }
 
 // reversedArtifacts re-encodes every artifact in corpus with its order
@@ -404,11 +418,12 @@ func TestWalkReplacesPlantedArtifacts(t *testing.T) {
 // tier, and the leader's exact result still lands.
 func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 	memo := NewSegmentMemo(64)
+	seg := edgeless(3)
 	exact := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 9, Quality: QualityOptimal}
 	leading, release := make(chan struct{}), make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := walkMemo(context.Background(), memo, nil, nil, "k", 3, func() (SearchResult, error) {
+		_, _, err := walkMemo(context.Background(), memo, nil, nil, "k", seg, func() (SearchResult, error) {
 			close(leading)
 			<-release
 			return exact, nil
@@ -420,7 +435,7 @@ func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	fallback := SearchResult{Order: Order{2, 1, 0}, Quality: QualityHeuristic, FellBack: true, FallbackReason: context.DeadlineExceeded}
-	sr, tier, err := walkMemo(ctx, memo, nil, nil, "k", 3, func() (SearchResult, error) {
+	sr, tier, err := walkMemo(ctx, memo, nil, nil, "k", seg, func() (SearchResult, error) {
 		if ctx.Err() == nil {
 			t.Error("the follower searched before its deadline expired instead of waiting on the flight")
 		}
@@ -450,6 +465,7 @@ func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 func TestWalkSearchesAColdKeyOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	memo := NewSegmentMemo(64)
+	seg := edgeless(3)
 	const keys, walkers = 5000, 8
 	redone := 0
 	for k := 0; k < keys; k++ {
@@ -462,7 +478,7 @@ func TestWalkSearchesAColdKeyOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, _, err := walkMemo(context.Background(), memo, nil, nil, key, 3, func() (SearchResult, error) {
+				if _, _, err := walkMemo(context.Background(), memo, nil, nil, key, seg, func() (SearchResult, error) {
 					searches.Add(1)
 					return SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal}, nil
 				}); err != nil {

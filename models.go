@@ -4,7 +4,8 @@ import "github.com/serenity-ml/serenity/internal/models"
 
 // Benchmark network generators re-exported from internal/models so library
 // users can reproduce the paper's evaluation workloads. See that package for
-// construction details and the DESIGN.md substitution notes.
+// construction details and README's "Deviations from the paper" for why they
+// are generated rather than the paper's artifacts.
 
 // DARTSNormalCell returns the DARTS ImageNet normal cell.
 func DARTSNormalCell() *Graph { return models.DARTSNormalCell() }

@@ -74,11 +74,10 @@ type Pipeline struct {
 	// needs no frontier and none of this). See MemoryGovernor.
 	Govern MemoryGovernor
 
-	// Rewrite / ExtendedRewrite / Partition toggle the graph stages, with
-	// the same semantics as the corresponding Options fields.
-	Rewrite         bool
-	ExtendedRewrite bool
-	Partition       bool
+	// Rewrite / Partition toggle the graph stages, with the same semantics
+	// as the corresponding Options fields.
+	Rewrite   bool
+	Partition bool
 	// Parallelism bounds the worker pool searching segments concurrently;
 	// values <= 1 mean sequential. See Options.Parallelism.
 	Parallelism int
@@ -118,13 +117,12 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		return nil, err
 	}
 	return &Pipeline{
-		Searcher:        opts.searcher(),
-		Allocator:       ArenaBestFit{},
-		Rewrite:         opts.Rewrite,
-		ExtendedRewrite: opts.ExtendedRewrite,
-		Partition:       opts.Partition,
-		Parallelism:     opts.Parallelism,
-		MemoryBudget:    opts.MemoryBudget,
+		Searcher:     opts.searcher(),
+		Allocator:    ArenaBestFit{},
+		Rewrite:      opts.Rewrite,
+		Partition:    opts.Partition,
+		Parallelism:  opts.Parallelism,
+		MemoryBudget: opts.MemoryBudget,
 	}, nil
 }
 
@@ -164,14 +162,10 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 
 	// Stage 1: identity graph rewriting.
 	work := g
-	if p.Rewrite || p.ExtendedRewrite {
+	if p.Rewrite {
 		rwSp := root.Child("stage.rewrite")
 		t0 := time.Now()
-		rules := rewrite.DefaultRules()
-		if p.ExtendedRewrite {
-			rules = rewrite.ExtendedRules()
-		}
-		rw, apps, err := rewrite.RewriteAll(g, rules, 0)
+		rw, apps, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
 		if err != nil {
 			return nil, err
 		}

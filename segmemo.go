@@ -204,7 +204,7 @@ func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, 
 // owner. Disk and fleet writes are write-behind — the compile path never
 // waits on either — and both carry the one payload the result was marshaled
 // to. Degraded (FellBack) results reach no tier.
-func walkMemo[S segmentShape](ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key string, seg S, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
+func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key string, seg *Graph, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
 	// The warm path stays allocation-free when the request is untraced:
 	// FromContext on a bare context costs one nil check, Child of a nil span
 	// is nil, and no attribute is constructed unless a live span is present.

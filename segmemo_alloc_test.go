@@ -14,15 +14,16 @@ import (
 // the context.
 func TestMemoWarmPathZeroAlloc(t *testing.T) {
 	m := NewSegmentMemo(16)
+	seg := edgeless(3)
 	ctx := context.Background()
 	compute := func() (SearchResult, error) {
 		return SearchResult{Order: []int{0, 1, 2}, Quality: QualityOptimal}, nil
 	}
-	if _, tier, err := walkMemo(ctx, m, nil, nil, "k", 3, compute); err != nil || tier != memoTierMiss {
+	if _, tier, err := walkMemo(ctx, m, nil, nil, "k", seg, compute); err != nil || tier != memoTierMiss {
 		t.Fatalf("seeding the memo: tier=%v err=%v", tier, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		_, tier, err := walkMemo(ctx, m, nil, nil, "k", 3, compute)
+		_, tier, err := walkMemo(ctx, m, nil, nil, "k", seg, compute)
 		if err != nil || tier != memoTierMemory {
 			t.Fatalf("warm lookup: tier=%v err=%v", tier, err)
 		}

@@ -322,6 +322,7 @@ func TestSegmentMemoConcurrentReconciliation(t *testing.T) {
 // silently broke.)
 func TestSegmentMemoErrorAccounting(t *testing.T) {
 	memo := NewSegmentMemo(64)
+	seg := edgeless(1)
 	const key = "storm|test"
 	okResult := SearchResult{Order: Order{0}, Quality: QualityOptimal}
 
@@ -330,7 +331,7 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 	release := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := walkMemo(context.Background(), memo, nil, nil, key, 1, func() (SearchResult, error) {
+		_, _, err := walkMemo(context.Background(), memo, nil, nil, key, seg, func() (SearchResult, error) {
 			close(started)
 			<-release
 			return okResult, nil
@@ -348,7 +349,7 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := walkMemo(canceled, memo, nil, nil, key, 1, func() (SearchResult, error) {
+			_, _, err := walkMemo(canceled, memo, nil, nil, key, seg, func() (SearchResult, error) {
 				t.Error("canceled follower ran the compute itself")
 				return okResult, nil
 			})
@@ -368,14 +369,14 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 
 	// A failing compute is an Error too — nothing served, nothing stored.
 	wantErr := fmt.Errorf("search exploded")
-	if _, _, err := walkMemo(context.Background(), memo, nil, nil, "bad|key", 1, func() (SearchResult, error) {
+	if _, _, err := walkMemo(context.Background(), memo, nil, nil, "bad|key", seg, func() (SearchResult, error) {
 		return SearchResult{}, wantErr
 	}); err == nil {
 		t.Fatal("failing compute reported no error")
 	}
 
 	// And one warm hit to exercise all three counters at once.
-	if _, tier, err := walkMemo(context.Background(), memo, nil, nil, key, 1, func() (SearchResult, error) {
+	if _, tier, err := walkMemo(context.Background(), memo, nil, nil, key, seg, func() (SearchResult, error) {
 		t.Error("warm lookup recomputed")
 		return okResult, nil
 	}); err != nil || tier != memoTierMemory {

@@ -122,26 +122,14 @@ func decodeArtifact(payload []byte, fits func(Order) bool) (SearchResult, bool) 
 	return sr, true
 }
 
-// segmentShape is what a result is checked against: the segment graph, or a
-// bare node count, which stands for an edgeless segment of that many nodes
-// (unit tests of the walk hold no graph).
-type segmentShape interface{ int | *Graph }
-
 // fitsSegment reports whether order is a topological order of seg: every
 // node exactly once, each after all of its predecessors. It is one O(n + e)
 // pass, and every result passes it before a memo tier trusts it — a fresh
 // search's, a disk record's and a peer's alike — so an order that breaks a
 // dependency reaches no tier: a stored or fetched one is a miss, a fresh one
 // an error.
-func fitsSegment[S segmentShape](seg S, order Order) bool {
-	var g *Graph
-	var n int
-	switch s := any(seg).(type) {
-	case *Graph:
-		g, n = s, s.NumNodes()
-	case int:
-		n = s
-	}
+func fitsSegment(seg *Graph, order Order) bool {
+	n := seg.NumNodes()
 	if len(order) != n {
 		return false
 	}
@@ -150,11 +138,9 @@ func fitsSegment[S segmentShape](seg S, order Order) bool {
 		if id < 0 || id >= n || done[id] {
 			return false
 		}
-		if g != nil {
-			for _, p := range g.Nodes[id].Preds {
-				if !done[p] {
-					return false
-				}
+		for _, p := range seg.Nodes[id].Preds {
+			if !done[p] {
+				return false
 			}
 		}
 		done[id] = true

@@ -535,7 +535,7 @@ func TestGoldenStoreFixture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("golden artifact %q no longer decodes: %v", e.Key, err)
 		}
-		if sr.Quality != QualityOptimal || !fitsSegment(len(sr.Order), sr.Order) {
+		if sr.Quality != QualityOptimal || !fitsSegment(edgeless(len(sr.Order)), sr.Order) {
 			t.Errorf("golden artifact %q decoded to %+v", e.Key, sr)
 		}
 	}

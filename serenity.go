@@ -106,10 +106,6 @@ func NewBuilder(name string) *Builder { return graph.NewBuilder(name) }
 type Options struct {
 	// Rewrite enables identity graph rewriting (Section 3.3).
 	Rewrite bool
-	// ExtendedRewrite additionally applies the extension rules beyond the
-	// paper (nested-concat flattening, identity-copy elimination) before the
-	// partitioning patterns. Implies Rewrite semantics when set.
-	ExtendedRewrite bool
 	// Partition enables divide-and-conquer (Section 3.2).
 	Partition bool
 	// Strategy selects the per-segment search strategy: StrategyExact (the
@@ -220,8 +216,10 @@ type Result struct {
 	// Graph is the graph the schedule indexes: the rewritten graph when
 	// rewriting applied, otherwise the input graph.
 	Graph *Graph
-	// Order is the execution order over Graph; memory-optimal when Quality
-	// is QualityOptimal.
+	// Order is the execution order over Graph; memory-optimal over Graph
+	// when Quality is QualityOptimal. When rewriting fired, Graph is the
+	// rewritten graph, and on some graphs its optimum is above the
+	// Rewrite: false optimum of the input graph.
 	Order Order
 	// Peak is the ideal peak footprint (sum of live tensor bytes).
 	Peak int64
@@ -240,7 +238,9 @@ type Result struct {
 	RewriteCount int
 	// PartitionSizes lists the divide-and-conquer segment node counts.
 	PartitionSizes []int
-	// Quality is QualityOptimal iff every segment's search was exact;
+	// Quality is QualityOptimal iff every segment's search was exact, so
+	// the peak is minimal for Graph (the rewritten graph when rewriting
+	// fired), not for every graph rewriting could have produced;
 	// SegmentQuality reports each segment (parallel to PartitionSizes).
 	Quality        Quality
 	SegmentQuality []Quality
