@@ -64,7 +64,6 @@ func TestExactDPMatchesPreRedesignSchedule(t *testing.T) {
 			// strategy spelled out.
 			p := &Pipeline{
 				Searcher:  ExactDP{AdaptiveBudget: true, StepTimeout: time.Minute},
-				Allocator: ArenaBestFit{},
 				Rewrite:   true,
 				Partition: true,
 			}

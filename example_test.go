@@ -303,8 +303,8 @@ func ExampleOptions_Validate() {
 }
 
 // ExamplePipeline assembles the composable form explicitly: an exact
-// searcher and the TF-Lite best-fit arena planner; the Result reports each
-// segment's outcome.
+// searcher plugged into the four fixed stages, whose arena stage is the
+// TF-Lite best-fit planner; the Result reports each segment's outcome.
 func ExamplePipeline() {
 	b := serenity.NewBuilder("net")
 	in := b.Input(serenity.Shape{1, 16, 16, 4})
@@ -314,7 +314,6 @@ func ExamplePipeline() {
 
 	p := &serenity.Pipeline{
 		Searcher:  serenity.ExactDP{AdaptiveBudget: true},
-		Allocator: serenity.ArenaBestFit{},
 		Rewrite:   true,
 		Partition: true,
 	}

@@ -125,30 +125,6 @@ func Plan(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
 	return a, nil
 }
 
-// PlanBump assigns offsets with a bump allocator that never reuses space:
-// every physical tensor gets a fresh offset at the current high-water mark,
-// so the arena size is the sum of all tensor sizes. It is the degenerate
-// no-sharing strategy — useful as a fragmentation-free correctness baseline
-// and as the upper bound the best-fit planner is measured against.
-func PlanBump(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
-	lts, err := Lifetimes(m, order)
-	if err != nil {
-		return nil, err
-	}
-	a := &Assignment{
-		Offsets:   make([]int64, m.G.NumNodes()),
-		Lifetimes: lts,
-	}
-	for i := range a.Offsets {
-		a.Offsets[i] = -1
-	}
-	for _, lt := range lts {
-		a.Offsets[lt.Root] = a.ArenaSize
-		a.ArenaSize += lt.Size
-	}
-	return a, nil
-}
-
 // Verify checks the non-overlap invariant: any two tensors overlapping in
 // both time and space constitute a planning bug.
 func (a *Assignment) Verify() error {

@@ -109,43 +109,6 @@ func TestPlanNonOverlapProperty(t *testing.T) {
 	}
 }
 
-// TestPlanBump: the no-reuse strategy is always valid, sums all tensor
-// sizes, and upper-bounds the best-fit plan.
-func TestPlanBump(t *testing.T) {
-	m, order := chain()
-	a, err := PlanBump(m, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if a.ArenaSize != 300 {
-		t.Errorf("bump arena = %d, want the 300-byte sum", a.ArenaSize)
-	}
-
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 20, EdgeProb: 0.2})
-		m := sched.NewMemModel(g)
-		order := sched.RandomTopo(g, rng)
-		bump, err := PlanBump(m, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bump.Verify(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		best, err := Plan(m, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bump.ArenaSize < best.ArenaSize {
-			t.Fatalf("trial %d: bump %d below best-fit %d", trial, bump.ArenaSize, best.ArenaSize)
-		}
-	}
-}
-
 func TestPlanDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 15, EdgeProb: 0.25})

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/alloc"
 	"github.com/serenity-ml/serenity/internal/graph"
 	"github.com/serenity-ml/serenity/internal/memsim"
 	"github.com/serenity-ml/serenity/internal/models"
@@ -78,7 +79,7 @@ func MeasureCell(c models.BenchCell, stepTimeout time.Duration) (*CellResult, er
 	if err != nil {
 		return nil, err
 	}
-	base, err := serenity.ArenaBestFit{}.Allocate(sched.NewMemModel(g), kahn)
+	base, err := alloc.Plan(sched.NewMemModel(g), kahn)
 	if err != nil {
 		return nil, err
 	}

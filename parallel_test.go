@@ -8,10 +8,12 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/models"
+	"github.com/serenity-ml/serenity/internal/partition"
 )
 
 // TestParallelMatchesSequential asserts the tentpole determinism claim: on
@@ -264,6 +266,106 @@ func TestParallelErrorPropagation(t *testing.T) {
 		}
 		if !strings.Contains(parErr.Error(), "exact search ended with timeout") {
 			t.Fatalf("parallel error %q lost the underlying DP outcome", parErr)
+		}
+	}
+}
+
+// TestSearchSegments drives the one segment loop with a stub searchOne,
+// inline (parallelism 1) and on a two-worker pool. The stub's workers
+// argument is the parallelism under test.
+func TestSearchSegments(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 5
+	errBoom := errors.New("boom")
+	answer := func(i int) (SearchResult, error) { return SearchResult{Order: Order{i}}, nil }
+	for _, tc := range []struct {
+		name    string
+		expired bool // the caller's deadline has passed before the loop starts
+		search  func(ctx context.Context, i int, cancel context.CancelFunc, workers int) (SearchResult, error)
+		want    error  // nil: every segment answered
+		wantMsg string // the whole error message
+		last    int    // the inline loop searches segments 0..last and no more
+	}{
+		{
+			name: "past deadline, every segment answered", expired: true,
+			search: func(_ context.Context, i int, _ context.CancelFunc, _ int) (SearchResult, error) {
+				return answer(i)
+			},
+			last: n - 1,
+		},
+		{
+			name: "failure at k",
+			search: func(_ context.Context, i int, _ context.CancelFunc, _ int) (SearchResult, error) {
+				if i == 2 {
+					return SearchResult{}, errBoom
+				}
+				return answer(i)
+			},
+			want: errBoom, wantMsg: "segment 2: boom", last: 2,
+		},
+		{
+			name: "caller cancellation outranks a segment error",
+			search: func(_ context.Context, i int, cancel context.CancelFunc, _ int) (SearchResult, error) {
+				if i == 1 {
+					cancel()
+					return SearchResult{}, errBoom
+				}
+				return answer(i)
+			},
+			want: context.Canceled, wantMsg: context.Canceled.Error(), last: 1,
+		},
+		{
+			name: "induced cancellation never hides the real failure",
+			search: func(ctx context.Context, i int, _ context.CancelFunc, workers int) (SearchResult, error) {
+				switch {
+				case i == 0 && workers > 1:
+					<-ctx.Done() // held until segment 1's failure cancels its siblings
+					return SearchResult{}, ctx.Err()
+				case i == 1:
+					return SearchResult{}, errBoom
+				}
+				return answer(i)
+			},
+			want: errBoom, wantMsg: "segment 1: boom", last: 1,
+		},
+	} {
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.expired {
+				ctx, cancel = context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			}
+			segments := make([]*partition.Segment, n)
+			for i := range segments {
+				segments[i] = &partition.Segment{G: edgeless(1), VirtualInput: -1}
+			}
+			var searched [n]atomic.Bool
+			results, err := searchSegments(ctx, segments, workers, func(ctx context.Context, i int, _ *Graph) (SearchResult, error) {
+				searched[i].Store(true)
+				return tc.search(ctx, i, cancel, workers)
+			})
+			cancel()
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("%s, parallelism %d: %v", tc.name, workers, err)
+				}
+				for i, sr := range results {
+					if !slices.Equal(sr.Order, Order{i}) {
+						t.Errorf("%s, parallelism %d: segment %d answered %v", tc.name, workers, i, sr.Order)
+					}
+				}
+				continue
+			}
+			if !errors.Is(err, tc.want) || err.Error() != tc.wantMsg {
+				t.Errorf("%s, parallelism %d: err = %v, want %q", tc.name, workers, err, tc.wantMsg)
+			}
+			if workers > 1 {
+				continue
+			}
+			for i := range searched {
+				if got := searched[i].Load(); got != (i <= tc.last) {
+					t.Errorf("%s, inline: segment %d searched = %t, want %t", tc.name, i, got, i <= tc.last)
+				}
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/serenity-ml/serenity/internal/alloc"
 	"github.com/serenity-ml/serenity/internal/partition"
 	"github.com/serenity-ml/serenity/internal/rewrite"
 	"github.com/serenity-ml/serenity/internal/sched"
@@ -25,10 +26,12 @@ type StageTimings struct {
 }
 
 // Pipeline is the composable form of the SERENITY compilation pipeline
-// (Figure 4: rewrite → partition → search → arena allocation) with the
-// search and allocation strategies pluggable. A compilation reports through
-// its Result (accounting: counts, qualities, Stages timings) and, when ctx
-// carries a trace span, through one span per stage and segment (narration).
+// (Figure 4: rewrite → partition → search → arena allocation): four fixed
+// stages, with the per-segment search strategy pluggable and the arena
+// planned by TF-Lite's best-fit scheme (internal/alloc). A compilation
+// reports through its Result (accounting: counts, qualities, Stages timings)
+// and, when ctx carries a trace span, through one span per stage and segment
+// (narration).
 //
 // Construct one with NewPipeline (which derives the strategy from Options)
 // or populate the fields directly; then call Run. Schedule and
@@ -38,9 +41,6 @@ type Pipeline struct {
 	// Searcher schedules each partition segment. Required. Must be safe for
 	// concurrent use when Parallelism > 1.
 	Searcher Searcher
-	// Allocator plans the arena for the combined schedule; nil means
-	// ArenaBestFit (the paper's TF-Lite planner).
-	Allocator Allocator
 	// SegmentMemo, when non-nil, shares per-segment search results across
 	// runs (and across Pipelines holding the same memo): before searching a
 	// partition segment the pipeline consults the memo under the segment's
@@ -108,17 +108,16 @@ type SearchReservation interface {
 }
 
 // NewPipeline builds a Pipeline from opts: the Searcher is derived from
-// opts.Strategy (and the exact-search knobs), the Allocator is the default
-// best-fit planner, and the stage toggles are copied over. Returns an error
-// if opts fails Validate. No SegmentMemo is installed — assign one afterwards
-// to share per-segment search results across runs.
+// opts.Strategy (and the exact-search knobs), and the stage toggles are
+// copied over. Returns an error if opts fails Validate. No SegmentMemo is
+// installed — assign one afterwards to share per-segment search results
+// across runs.
 func NewPipeline(opts Options) (*Pipeline, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	return &Pipeline{
 		Searcher:     opts.searcher(),
-		Allocator:    ArenaBestFit{},
 		Rewrite:      opts.Rewrite,
 		Partition:    opts.Partition,
 		Parallelism:  opts.Parallelism,
@@ -135,10 +134,6 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	start := time.Now()
 	if p.Searcher == nil {
 		return nil, errors.New("serenity: pipeline has no Searcher")
-	}
-	allocator := p.Allocator
-	if allocator == nil {
-		allocator = ArenaBestFit{}
 	}
 	// Tracing rides in on the context: a traced request carries a live span,
 	// an untraced one carries nothing and every handle below stays nil (all
@@ -165,17 +160,13 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	if p.Rewrite {
 		rwSp := root.Child("stage.rewrite")
 		t0 := time.Now()
-		rw, apps, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
-		if err != nil {
-			return nil, err
-		}
-		if len(apps) > 0 {
-			work = rw
-			res.Rewritten = true
-			for _, a := range apps {
-				res.RewriteCount += a.Sites
+		// One pass is the fixpoint: a substitution leaves partial
+		// convolutions where convolutions were, so no new match can appear.
+		if matches := rewrite.FindMatches(g); len(matches) > 0 {
+			if work, err = rewrite.Apply(g, matches); err != nil {
+				return nil, err
 			}
-			res.Graph = rw
+			res.Rewritten, res.RewriteCount, res.Graph = true, len(matches), work
 		}
 		res.Stages.Rewrite = time.Since(t0)
 		if rwSp != nil {
@@ -205,6 +196,8 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 			ptSp.End()
 		}
 	} else {
+		// The un-partitioned graph is the one segment.
+		segments = []*partition.Segment{{G: work, VirtualInput: -1}}
 		res.PartitionSizes = []int{work.NumNodes()}
 	}
 
@@ -340,36 +333,24 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		return sr, nil
 	}
 
-	var order sched.Schedule
-	var results []SearchResult
+	results, err := searchSegments(ctx, segments, p.Parallelism, searchOne)
+	if err != nil {
+		return nil, err
+	}
+	order := results[0].Order
 	if part != nil {
-		results, err = searchSegments(ctx, segments, p.Parallelism, searchOne)
-		if err != nil {
-			return nil, err
-		}
 		orders := make([]sched.Schedule, len(results))
 		for i, sr := range results {
 			orders[i] = sr.Order
 		}
-		order, err = part.Combine(orders)
-		if err != nil {
+		if order, err = part.Combine(orders); err != nil {
 			return nil, err
 		}
-	} else {
-		sr, err := searchOne(ctx, 0, work)
-		if err != nil {
-			return nil, err
-		}
-		results = []SearchResult{sr}
-		order = sr.Order
 	}
 	for _, sr := range results {
 		res.StatesExplored += sr.StatesExplored
 		if sr.MaxFrontier > res.MaxFrontier {
 			res.MaxFrontier = sr.MaxFrontier
-		}
-		if sr.PeakBytes > res.SearchPeakBytes {
-			res.SearchPeakBytes = sr.PeakBytes
 		}
 		res.SegmentQuality = append(res.SegmentQuality, sr.Quality)
 		if sr.Quality != QualityOptimal {
@@ -406,7 +387,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// Stage 4: arena allocation.
 	alSp := root.Child("stage.alloc")
 	t0 := time.Now()
-	asn, err := allocator.Allocate(model, order)
+	asn, err := alloc.Plan(model, order)
 	if err != nil {
 		return nil, err
 	}
@@ -438,99 +419,71 @@ func SplitParallelism(budget, units int) (workers, per int) {
 	return workers, budget / workers
 }
 
-// searchSegments solves every partition segment, sequentially or on a
-// bounded worker pool of SplitParallelism's worker count. Results are
-// collected by segment index, so on success the outcome is identical
-// regardless of parallelism or goroutine interleaving. On the first failure
-// the remaining segments are canceled for a prompt abort; the reported
-// segment index may then differ from the sequential path's (the failure
-// itself is the same kind), which is the one deliberate concession to the
-// worker pool.
+// searchSegments solves every partition segment with one worker function
+// that claims segment indexes from a shared counter: inline when
+// SplitParallelism grants one worker, on that many goroutines otherwise.
+// Results are collected by segment index, so on success the outcome is
+// identical regardless of parallelism or goroutine interleaving.
+//
+// Workers stop claiming only after a recorded failure, never on the caller's
+// deadline: a degradable searcher answers every segment after the deadline
+// by falling back, and an expired context must not void those valid
+// results. A failure cancels the segments still running; the reported
+// segment index is the lowest-index genuine failure, which on the pool may
+// differ from the inline path's (the failure itself is the same kind), the
+// one deliberate concession to the worker pool.
 func searchSegments(ctx context.Context, segments []*partition.Segment, parallelism int,
 	searchOne func(context.Context, int, *Graph) (SearchResult, error)) ([]SearchResult, error) {
 
 	results := make([]SearchResult, len(segments))
 	errs := make([]error, len(segments))
-
-	workers, _ := SplitParallelism(parallelism, len(segments))
-	if workers <= 1 {
-		for i, seg := range segments {
-			sr, err := searchOne(ctx, i, seg.G)
+	segCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(segments) {
+				return
+			}
+			sr, err := searchOne(segCtx, i, segments[i].G)
 			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return nil, ctxErr
-				}
-				return nil, fmt.Errorf("segment %d: %w", i, err)
+				errs[i] = err
+				failed.Store(true)
+				cancel() // abort the segments still running
+				return
 			}
 			results[i] = sr
 		}
-		return results, nil
 	}
-
-	segCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sr, err := searchOne(segCtx, i, segments[i].G)
-				if err != nil {
-					errs[i] = err
-					cancel() // abort the remaining segments
-					continue
-				}
-				results[i] = sr
-			}
-		}()
-	}
-	for i := range segments {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	failed := false
-	for _, err := range errs {
-		if err != nil {
-			failed = true
-			break
+	if workers, _ := SplitParallelism(parallelism, len(segments)); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
 		}
+		wg.Wait()
 	}
-	if !failed {
-		// Every segment succeeded. A degradable searcher may have finished
-		// by falling back after the deadline passed, so the caller's
-		// expired context must not retroactively void the valid result.
+	if !failed.Load() {
 		return results, nil
 	}
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		// The caller's own cancellation outranks any per-segment error.
 		return nil, ctxErr
 	}
-	// A genuine failure cancels its siblings, so skip induced
-	// context.Canceled errors and report the lowest-index real one.
-	var firstErr error
-	firstIdx := -1
+	// A genuine failure cancels its siblings, so an induced context.Canceled
+	// gives way to the lowest-index error that is not one.
+	at := -1
 	for i, err := range errs {
-		if err == nil || errors.Is(err, context.Canceled) {
-			continue
-		}
-		firstErr, firstIdx = err, i
-		break
-	}
-	if firstErr == nil {
-		// Unreachable under the invariant that a Canceled entry implies
-		// some worker recorded a genuine failure first (only failures
-		// call cancel, and the caller's own cancellation returned
-		// above); kept so a broken invariant surfaces as an error
-		// rather than as missing segment orders.
-		for i, err := range errs {
-			if err != nil {
-				firstErr, firstIdx = err, i
-				break
-			}
+		if err != nil && (at < 0 || errors.Is(errs[at], context.Canceled)) {
+			at = i
 		}
 	}
-	return nil, fmt.Errorf("segment %d: %w", firstIdx, firstErr)
+	return nil, fmt.Errorf("segment %d: %w", at, errs[at])
 }

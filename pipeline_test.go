@@ -522,34 +522,6 @@ func TestSegmentDoneCarriesTierAndFingerprint(t *testing.T) {
 	}
 }
 
-// TestAllocatorSwappable: the bump allocator is a valid but space-hungrier
-// strategy; swapping it in changes only the arena planning.
-func TestAllocatorSwappable(t *testing.T) {
-	g := models.SwiftNetCellB()
-	best, err := Schedule(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPipeline(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Allocator = ArenaBump{}
-	bump, err := p.Run(context.Background(), models.SwiftNetCellB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bump.Order, best.Order) || bump.Peak != best.Peak {
-		t.Error("allocator choice changed the schedule")
-	}
-	if bump.ArenaSize < best.ArenaSize {
-		t.Errorf("bump arena %d smaller than best-fit %d", bump.ArenaSize, best.ArenaSize)
-	}
-	if bump.ArenaSize < bump.Peak {
-		t.Errorf("bump arena %d below the ideal peak %d", bump.ArenaSize, bump.Peak)
-	}
-}
-
 // TestBudgetExceededPartialResult covers the ErrBudgetExceeded contract:
 // errors.As matches, and the partial Result still carries the full schedule
 // so callers can inspect how far over budget the graph is.

@@ -38,7 +38,7 @@ func TestMemoWarmPathZeroAlloc(t *testing.T) {
 // whole-graph memory model when nothing was rewritten, no model per segment —
 // a memo hit needs the segment's node count, not its model — and a fixed
 // handful of objects per segment graph, which is carved out of one slab
-// instead of built node by node. Measured 288 allocations; the ceiling is
+// instead of built node by node. Measured 289 allocations; the ceiling is
 // half as much again. Building segments node by node cost 1682, and the
 // per-tensor slices, node-ID maps and consumer sets before that 6019.
 func TestWarmRunAllocationCeiling(t *testing.T) {

@@ -20,11 +20,13 @@
 //
 // # Pipeline, strategies, observability
 //
-// The pipeline is composable: Pipeline wires a Searcher (the per-segment
-// scheduling strategy) and an Allocator (the arena planning strategy) around
-// the graph stages. A compilation reports through its Result (per-stage
-// timings, segment qualities, fallbacks, memo hits) and, when the context
-// carries a trace span, through one child span per stage and segment.
+// Pipeline runs Figure 4's four stages in a fixed order — rewrite,
+// partition, search, arena allocation — with one pluggable piece, the
+// Searcher (the per-segment scheduling strategy); the arena is always
+// TF-Lite's best-fit plan. A compilation reports through its Result
+// (per-stage timings, segment qualities, fallbacks, memo hits) and, when the
+// context carries a trace span, through one child span per stage and
+// segment.
 // Three searchers ship built in:
 //
 //   - ExactDP — the paper's exact search; optimal or an error (default)
@@ -283,13 +285,6 @@ type Result struct {
 	// StatesExplored when no memo is installed (or nothing hit); the honest
 	// measure of search work done for metering and capacity accounting.
 	FreshStatesExplored int64
-	// SearchPeakBytes is the largest byte footprint any single segment's
-	// search retained in this compilation (frontier slabs plus compacted
-	// reconstruction history; see dp.Result.PeakBytes) — the scheduler's own
-	// memory appetite, as opposed to ArenaSize, the scheduled model's. Like
-	// FreshStatesExplored it reports only work done here: memo hits and
-	// heuristic segments contribute zero.
-	SearchPeakBytes int64
 }
 
 // Schedule runs the SERENITY pipeline (Figure 4) on g. It is a thin wrapper
