@@ -196,5 +196,9 @@ func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessa
 		}
 		return fail(code, err)
 	}
-	return batchItemResult{Index: idx, Status: http.StatusOK, Schedule: respForClient(resp, cached, job.g.Name)}
+	out, err := respForClient(resp, cached, job.g)
+	if err != nil {
+		return fail(http.StatusInternalServerError, err)
+	}
+	return batchItemResult{Index: idx, Status: http.StatusOK, Schedule: &out}
 }

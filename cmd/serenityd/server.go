@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -43,8 +45,8 @@ type stageMS struct {
 
 // scheduleResponse is the wire format of a successful /v1/schedule call.
 // Cached entries are shared across responses, so the struct is immutable
-// after construction; Cached is the only per-response field and is set on a
-// shallow copy.
+// after construction; Cached, Graph and RewrittenGraph are the per-response
+// fields, set on a shallow copy (see respForClient).
 type scheduleResponse struct {
 	Graph          string             `json:"graph"`
 	Nodes          int                `json:"nodes"`
@@ -89,7 +91,9 @@ type scheduleResponse struct {
 	RefinementsQueued int `json:"refinements_queued,omitempty"`
 	// RewrittenGraph is set when identity graph rewriting changed the graph:
 	// Order indexes ITS nodes, not the submitted graph's, so clients need it
-	// to interpret or execute the schedule.
+	// to interpret or execute the schedule. It is always the rewrite of the
+	// requester's own graph, with the requester's names. A cache entry
+	// never holds one: respForClient attaches it to each cached answer.
 	RewrittenGraph *serenity.Graph `json:"rewritten_graph,omitempty"`
 	// Trace is the inline span tree a ?debug=trace request asked for. It is
 	// only ever set on a per-response copy — cached entries are shared and
@@ -99,6 +103,17 @@ type scheduleResponse struct {
 	// etag is the entity tag of this answer (see etagFor), computed once
 	// where the answer is built rather than on every request that serves it.
 	etag string
+	// rewritten is non-nil exactly when rewriting changed the graph: the
+	// answer's write-once rewritten-graph slot, shared by every copy of the
+	// answer. The key's first cached hit fills it (see rewrittenFor).
+	rewritten *atomic.Pointer[namedGraph]
+}
+
+// namedGraph is a rewritten graph together with the names it was derived
+// under: namesDigest of its source graph.
+type namedGraph struct {
+	names [sha256.Size]byte
+	g     *serenity.Graph
 }
 
 // traceView is the ?debug=trace rendering of one request's span tree,
@@ -440,19 +455,21 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	out := respForClient(resp, cached, g.Name)
+	out, err := respForClient(resp, cached, g)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
 	if prm.debugTrace && td != nil {
-		// Cached entries are shared across responses: the trace rides on a
-		// per-response copy, never on the stored entry.
-		c := *out
-		c.Trace = &traceView{
+		// The trace rides on this response's own copy, never on a shared
+		// cached entry.
+		out.Trace = &traceView{
 			TraceID:    td.ID.String(),
 			DurationUS: td.Duration.Microseconds(),
 			Spans:      trace.Tree(td.Start, td.Spans),
 		}
-		out = &c
 	}
-	writeScheduleResponse(w, out)
+	writeScheduleResponse(w, &out)
 }
 
 // graphJob is one submitted graph on the per-graph path the single and batch
@@ -676,21 +693,89 @@ func (s *server) scheduleErrorStatus(err error, strategy serenity.Strategy, dead
 	return http.StatusInternalServerError, err
 }
 
-// respForClient prepares a schedule response for one client. Cache (or
-// coalesced-flight) hits get a shallow copy echoing the requester's graph
-// name — the entry was built for the first submitter of this structure, and
-// while the fingerprint deliberately ignores names, the response should not.
-// A coalesced follower of a degraded compute is NOT labeled cached: fallback
-// responses are never stored, and clients rely on cached=true implying a
-// repeatable (exact-quality) entry.
-func respForClient(resp *scheduleResponse, cached bool, graphName string) *scheduleResponse {
-	if !cached {
-		return resp
-	}
+// respForClient prepares a schedule response for the client that submitted
+// g, as a copy the caller owns (a value, so it can stay on the caller's
+// stack). A compilation's own answer goes out as it is. Every other answer — a
+// cache hit, a coalesced follower, a leader whose answer found another
+// standing, a ?wait_refined answer, a batch item served from any of these —
+// was built from another submission of the same structure. Hits are
+// structural, names are the requester's: the client gets a shallow copy
+// carrying its own graph name and, when rewriting changed the graph, the
+// rewrite of its own graph (rewrittenFor), never the first submitter's node
+// names. A coalesced follower of a degraded compute is NOT labeled cached:
+// fallback responses are never stored, and clients rely on cached=true
+// implying a repeatable (exact-quality) entry.
+func respForClient(resp *scheduleResponse, cached bool, g *serenity.Graph) (scheduleResponse, error) {
 	c := *resp
+	if !cached {
+		return c, nil
+	}
 	c.Cached = resp.Fallbacks == 0
-	c.Graph = graphName
-	return &c
+	c.Graph = g.Name
+	if resp.rewritten != nil {
+		rg, err := rewrittenFor(resp.rewritten, g)
+		if err != nil {
+			return scheduleResponse{}, err
+		}
+		c.RewrittenGraph = rg
+	}
+	return c, nil
+}
+
+// rewrittenFor returns the rewritten graph of g, a decoded (so valid) graph,
+// for an answer whose slot is slot. The slot's graph serves when it was
+// derived under g's names; else g is rewritten through the pipeline's own
+// rewrite stage — the structure is the answer's, since the key carries g's
+// fingerprint, so the answer's order indexes the result — and the first
+// derivation fills the empty slot. A key asked for again under the same names
+// so derives once, and a renamed request pays one rewrite without displacing
+// the slot.
+func rewrittenFor(slot *atomic.Pointer[namedGraph], g *serenity.Graph) (*serenity.Graph, error) {
+	names := namesDigest(g)
+	if ng := slot.Load(); ng != nil && ng.names == names {
+		return ng.g, nil
+	}
+	rg, _, err := serenity.RewriteGraph(g)
+	if err != nil {
+		return nil, err
+	}
+	slot.CompareAndSwap(nil, &namedGraph{names: names, g: rg})
+	return rg, nil
+}
+
+// namesDigest is the SHA-256 of everything a rewritten graph takes from its
+// source that the fingerprint leaves out: the graph's name, then every node's
+// name, each prefixed with its length so that no two name lists share a
+// digest by moving a boundary. The bytes go through a stack buffer, so it
+// allocates nothing.
+func namesDigest(g *serenity.Graph) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [512]byte
+	n := 0
+	add := func(name string) {
+		if len(buf)-n < binary.MaxVarintLen64 {
+			h.Write(buf[:n])
+			n = 0
+		}
+		n += binary.PutUvarint(buf[n:], uint64(len(name)))
+		for name != "" {
+			if n == len(buf) {
+				h.Write(buf[:n])
+				n = 0
+			}
+			k := copy(buf[n:], name)
+			n += k
+			name = name[k:]
+		}
+	}
+	add(g.Name)
+	for _, nd := range g.Nodes {
+		add(nd.Name)
+	}
+	h.Write(buf[:n])
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // scheduleKey builds the cache/flight key for one compilation: structural
@@ -719,7 +804,8 @@ func scheduleKey(fp string, opts serenity.Options, deadline time.Duration, force
 // client hung up mid-compile) retries with its own context, and a panicking
 // compute surfaces as an error to followers instead of a nil response (all
 // cache.Group's contract). Successful non-degraded responses enter the
-// cache inside the flight, before followers are released.
+// cache inside the flight, before followers are released, and without the
+// rewritten graph: an entry is an answer, not a graph (see putExact).
 //
 // This is every compilation's one path — an interactive request, a batch
 // item, a background refinement. Flights are per class, and the flight's
@@ -766,9 +852,13 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 			}
 			return r, nil
 		}
-		cur := s.putExact(key, r)
-		stood = cur != r
-		return cur, nil
+		if cur, wrote := s.putExact(key, r); !wrote {
+			stood = true
+			return cur, nil
+		}
+		// The leader answers with its own compilation, rewritten graph
+		// included; followers get theirs from respForClient.
+		return r, nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -780,14 +870,18 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 }
 
 // putExact caches the exact answer r under key unless one already stands, and
-// returns the one that stands: the response cache takes the memo hierarchy's
-// write rule, first writer wins. Degraded answers are never cached and exact
-// answers to one key are schedule-equal, so whichever of a request that
-// compiled alongside the key's repair and the repair itself lands first, the
-// other has nothing better to put.
-func (s *server) putExact(key string, r *scheduleResponse) *scheduleResponse {
-	stands, _ := s.cache.PutIfAbsent(key, r)
-	return stands
+// returns the one that stands and whether it is r's: the response cache takes
+// the memo hierarchy's write rule, first writer wins. Degraded answers are
+// never cached and exact answers to one key are schedule-equal, so whichever
+// of a request that compiled alongside the key's repair and the repair itself
+// lands first, the other has nothing better to put. The entry is a copy of r
+// without the submitter's names or rewritten graph — order, peaks, qualities
+// and ETag, a few KB where the graph is tens — sharing r's rewritten-graph
+// slot, which stays empty until the key's first hit.
+func (s *server) putExact(key string, r *scheduleResponse) (*scheduleResponse, bool) {
+	e := *r
+	e.Graph, e.RewrittenGraph = "", nil
+	return s.cache.PutIfAbsent(key, &e)
 }
 
 // enqueueRefine queues the serve-then-refine repair of a degraded answer —
@@ -911,6 +1005,7 @@ func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.O
 	}
 	if res.Rewritten {
 		resp.RewrittenGraph = res.Graph
+		resp.rewritten = new(atomic.Pointer[namedGraph])
 	}
 	resp.etag = etagFor(resp)
 	return resp, nil

@@ -6,7 +6,10 @@
 //
 // The cache is safe for concurrent use. Values are treated as immutable:
 // callers must not mutate a value after Put or after reading it with Get —
-// the serving layer shares one *serenity.Result across all hits for a key.
+// serenityd shares one stored answer across all hits for a key. Hits are
+// structural while names are the requester's: the stored answer (order,
+// peaks, qualities, ETag) holds no graph and no names, and each hit's
+// response carries the requester's own graph name and rewritten graph.
 package cache
 
 import (

@@ -125,6 +125,26 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 	}, nil
 }
 
+// RewriteGraph is the pipeline's rewrite stage (Figure 4, stage 1): every
+// match of the paper's two partitioning patterns substituted in one pass, so
+// the result is a pure function of g — the same structure and names in give
+// the same graph out. It returns the rewritten graph, named g.Name+"+rewrite",
+// and the number of substitutions, or g itself and 0 when nothing matches. g
+// must be valid (Graph.Validate).
+func RewriteGraph(g *Graph) (*Graph, int, error) {
+	// One pass is the fixpoint: a substitution leaves partial convolutions
+	// where convolutions were, so no new match can appear.
+	matches := rewrite.FindMatches(g)
+	if len(matches) == 0 {
+		return g, 0, nil
+	}
+	rw, err := rewrite.Apply(g, matches)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rw, len(matches), nil
+}
+
 // Run executes the pipeline on g under ctx.
 //
 // Cancellation is threaded into the search stage; whether a deadline aborts
@@ -160,13 +180,11 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	if p.Rewrite {
 		rwSp := root.Child("stage.rewrite")
 		t0 := time.Now()
-		// One pass is the fixpoint: a substitution leaves partial
-		// convolutions where convolutions were, so no new match can appear.
-		if matches := rewrite.FindMatches(g); len(matches) > 0 {
-			if work, err = rewrite.Apply(g, matches); err != nil {
-				return nil, err
-			}
-			res.Rewritten, res.RewriteCount, res.Graph = true, len(matches), work
+		if work, res.RewriteCount, err = RewriteGraph(g); err != nil {
+			return nil, err
+		}
+		if work != g {
+			res.Rewritten, res.Graph = true, work
 		}
 		res.Stages.Rewrite = time.Since(t0)
 		if rwSp != nil {
