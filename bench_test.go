@@ -235,13 +235,14 @@ func exp(x float64) float64 { return math.Exp(x) }
 
 // BenchmarkWarmLayers times each layer a memo-warm Run pays for besides the
 // memo lookup itself, on the graph TestWarmRunAllocationCeiling pins (six
-// stacked WS(24) cells, 247 nodes in 18 segments; the default rewrite finds
-// nothing to fire on): the rewrite, the partitioner, the memory model, Kahn's
-// baseline peak, the segment fingerprints and the arena plan, then the whole
-// warm Run.
+// stacked WS(24) cells, 247 nodes in 18 segments; the rewrite stage finds
+// nothing to fire on): the rewrite stage, the partitioner, the memory model,
+// Kahn's baseline peak, the segment fingerprints and the arena plan, then the
+// whole warm Run, and a request as serenityd serves one — decode, RunIn and
+// encode, all in one recycled Workspace.
 func BenchmarkWarmLayers(b *testing.B) {
 	g := models.StackedRandWire("warm-stack", 6, models.WSConfig{Nodes: 24, K: 4, P: 0.75, Seed: 3, HW: 16, Channel: 8})
-	work, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0)
+	work, _, err := RewriteGraph(g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func BenchmarkWarmLayers(b *testing.B) {
 			}
 		})
 	}
-	layer("rewrite", func() error { _, _, err := rewrite.RewriteAll(g, rewrite.DefaultRules(), 0); return err })
+	layer("rewrite", func() error { _, _, err := RewriteGraph(g); return err })
 	layer("partition", func() error { _, err := partition.Split(work); return err })
 	layer("memmodel", func() error { sched.NewMemModel(work); return nil })
 	layer("baseline", func() error { _, _, err := sched.BaselinePeak(sched.NewMemModel(work)); return err })
@@ -286,4 +287,23 @@ func BenchmarkWarmLayers(b *testing.B) {
 		b.Fatal(err)
 	}
 	layer("run", func() error { _, err := p.Run(ctx, g); return err })
+
+	body, err := g.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ws Workspace
+	var out []byte
+	layer("request", func() error {
+		dg, err := ws.DecodeGraph(body)
+		if err != nil {
+			return err
+		}
+		res, err := p.RunIn(ctx, dg, &ws)
+		if err != nil {
+			return err
+		}
+		out = res.Graph.AppendJSON(out[:0], 0)
+		return nil
+	})
 }

@@ -73,15 +73,16 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	body, code, err := s.readBody(w, r)
+	// The batch's working set carries its body and its response bytes only:
+	// items decode and compile concurrently, each on fresh memory of its own.
+	set, code, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, code, fmt.Errorf("reading body: %w", err))
 		return
 	}
+	defer s.releaseWorkSet(set)
 	var req batchRequest
-	err = json.Unmarshal(*body, &req)
-	putWireBuf(body)
-	if err != nil {
+	if err := json.Unmarshal(set.body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("parsing batch: %w (want {\"items\": [<graph>, ...]})", err))
 		return
 	}
@@ -167,7 +168,7 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		root.Annotate(trace.Int("scheduled", int64(resp.Scheduled)), trace.Int("failed", int64(resp.Failed)))
 	}
 	s.tracer.Finish(root, trace.Outcome{Status: http.StatusOK, Degraded: resp.Failed > 0, Force: prm.debugTrace})
-	writeBatchResponse(w, &resp)
+	writeBatchResponse(w, &resp, set)
 }
 
 // runBatchItem runs one batch item through the same per-graph path as the
@@ -184,11 +185,14 @@ func (s *server) runBatchItem(parent context.Context, idx int, raw json.RawMessa
 			result = fail(http.StatusInternalServerError, fmt.Errorf("internal panic compiling item %d: %v", idx, p))
 		}
 	}()
-	job, code, err := s.decodeGraph(raw, prm)
+	// Items run concurrently, so each decodes and compiles in a Workspace of
+	// its own, on fresh memory.
+	ws := new(serenity.Workspace)
+	job, code, err := s.decodeGraph(raw, prm, ws)
 	if err != nil {
 		return fail(code, err)
 	}
-	resp, cached, code, err := s.runGraph(parent, job, prm, classBatch)
+	resp, cached, code, err := s.runGraph(parent, job, prm, classBatch, ws)
 	if err != nil {
 		if code == 0 {
 			// The whole batch's client hung up; the caller discards results.

@@ -156,9 +156,10 @@ func build(cfg config) (*server, error) {
 		newPipeline:    serenity.NewPipeline,
 		// The tracer exists regardless of sampling: ?debug=trace requests are
 		// always traced, and the fleet/refinement layers feed fragments into it.
-		tracer:  trace.New(cfg.trace),
-		logger:  slog.Default(),
-		started: time.Now(),
+		tracer:   trace.New(cfg.trace),
+		logger:   slog.Default(),
+		workSets: make(chan *workSet, retainedWorkSets),
+		started:  time.Now(),
 	}
 	if cfg.segMemoSize > 0 {
 		s.segMemo = serenity.NewSegmentMemo(cfg.segMemoSize)

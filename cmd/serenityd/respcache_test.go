@@ -344,7 +344,7 @@ func TestSameNamesHitAllocatesNoGraph(t *testing.T) {
 	}
 	defer s.close()
 	g := rewritableCell(t, "alpha")
-	r, err := s.compute(t.Context(), g, s.opts, g.Fingerprint(), false)
+	r, err := s.compute(t.Context(), g, s.opts, g.Fingerprint(), false, new(serenity.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}

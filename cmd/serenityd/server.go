@@ -227,6 +227,8 @@ type server struct {
 	// flights coalesces concurrent compilations of the same key into one
 	// (singleflight); followers of a canceled leader retry on their own.
 	flights cache.Group[*scheduleResponse]
+	// workSets is the pool of idle request working sets (see workSet).
+	workSets chan *workSet
 
 	requests  atomic.Int64 // schedule requests received (batch counts once), including rejected ones
 	batches   atomic.Int64 // /v1/schedule/batch requests received
@@ -375,13 +377,13 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	body, code, err := s.readBody(w, r)
+	set, code, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, code, fmt.Errorf("parsing graph: %w", err))
 		return
 	}
-	job, code, err := s.decodeGraph(*body, prm)
-	putWireBuf(body)
+	defer s.releaseWorkSet(set)
+	job, code, err := s.decodeGraph(set.body, prm, &set.ws)
 	if err != nil {
 		s.fail(w, code, err)
 		return
@@ -412,7 +414,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if root != nil {
 		ctx = trace.ContextWith(ctx, root)
 	}
-	resp, cached, code, err := s.runGraph(ctx, job, prm, classInteractive)
+	resp, cached, code, err := s.runGraph(ctx, job, prm, classInteractive, &set.ws)
 	if err != nil {
 		if code == 0 {
 			// The client is gone; nothing useful to write, and it is not a
@@ -469,7 +471,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			Spans:      trace.Tree(td.Start, td.Spans),
 		}
 	}
-	writeScheduleResponse(w, &out)
+	writeScheduleResponse(w, &out, set)
 }
 
 // graphJob is one submitted graph on the per-graph path the single and batch
@@ -479,35 +481,36 @@ type graphJob struct {
 	fp, key string
 }
 
-// readBody reads a request body of at most maxBody bytes into a recycled
-// buffer, grown up front to Content-Length when the client declared one. The
-// caller hands it back with putWireBuf once the body is decoded. A non-nil
-// error comes with the status to answer it with: 413 past the limit, else 400.
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, int, error) {
-	bp := getWireBuf()
-	buf := bytes.NewBuffer(*bp)
+// readBody acquires the request's working set and reads a body of at most
+// maxBody bytes into it, grown up front to Content-Length when the client
+// declared one. The caller releases the set once the response is written. A
+// non-nil error comes with the status to answer it with — 413 past the limit,
+// else 400 — and the set already released.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) (*workSet, int, error) {
+	set := s.acquireWorkSet()
+	buf := bytes.NewBuffer(set.body[:0])
 	if n := min(r.ContentLength, s.maxBody, maxBodyPresize); n > 0 {
 		// MinRead spare bytes let ReadFrom see EOF without growing.
 		buf.Grow(int(n) + bytes.MinRead)
 	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
-	*bp = buf.Bytes()
+	set.body = buf.Bytes()
 	if err != nil {
-		putWireBuf(bp)
+		s.releaseWorkSet(set)
 		if errors.As(err, new(*http.MaxBytesError)) {
 			return nil, http.StatusRequestEntityTooLarge, err
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	return bp, 0, nil
+	return set, 0, nil
 }
 
 // decodeGraph is the first half of the shared per-graph path: parse, the
-// -max-nodes gate, fingerprint, cache key. A non-nil error comes with the
-// status to answer it with.
-func (s *server) decodeGraph(body []byte, prm reqParams) (graphJob, int, error) {
-	g := new(serenity.Graph)
-	if err := g.UnmarshalJSON(body); err != nil {
+// -max-nodes gate, fingerprint, cache key, with the graph decoded in ws. A
+// non-nil error comes with the status to answer it with.
+func (s *server) decodeGraph(body []byte, prm reqParams, ws *serenity.Workspace) (graphJob, int, error) {
+	g, err := ws.DecodeGraph(body)
+	if err != nil {
 		return graphJob{}, http.StatusBadRequest, fmt.Errorf("parsing graph: %w", err)
 	}
 	if s.maxNodes > 0 && g.NumNodes() > s.maxNodes {
@@ -520,9 +523,10 @@ func (s *server) decodeGraph(body []byte, prm reqParams) (graphJob, int, error) 
 
 // runGraph is the second half: the server's compute budget and the client's
 // deadline around schedule, then the status mapping both endpoints answer
-// with. Status 0 means ctx itself ended — the client hung up, so there is
-// nobody to answer and err is the bare context error.
-func (s *server) runGraph(ctx context.Context, j graphJob, prm reqParams, class admitClass) (*scheduleResponse, bool, int, error) {
+// with. A compilation it leads runs in ws (see schedule). Status 0 means ctx
+// itself ended — the client hung up, so there is nobody to answer and err is
+// the bare context error.
+func (s *server) runGraph(ctx context.Context, j graphJob, prm reqParams, class admitClass, ws *serenity.Workspace) (*scheduleResponse, bool, int, error) {
 	run := ctx
 	if s.computeTimeout > 0 {
 		var cancel context.CancelFunc
@@ -536,7 +540,7 @@ func (s *server) runGraph(ctx context.Context, j graphJob, prm reqParams, class 
 		run, cancel = context.WithTimeout(run, prm.deadline)
 		defer cancel()
 	}
-	resp, cached, err := s.schedule(run, j.g, prm.opts, j.fp, j.key, class, prm.forceDegrade)
+	resp, cached, err := s.schedule(run, j.g, prm.opts, j.fp, j.key, class, prm.forceDegrade, ws)
 	if err == nil {
 		return resp, cached, http.StatusOK, nil
 	}
@@ -817,7 +821,12 @@ func scheduleKey(fp string, opts serenity.Options, deadline time.Duration, force
 // flight, before the response is shared. An exact compute is the key's one
 // answer whenever it ran — the repair's, a request that joined the repair's
 // searches, or an unpressured one — so it is cached as it is.
-func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint, key string, class admitClass, degrade bool) (*scheduleResponse, bool, error) {
+//
+// A leader compiles in ws, so its answer's
+// RewrittenGraph lives in the caller's working set: it reaches the leader's
+// own client and nobody else — putExact drops it, and followers get theirs
+// from respForClient.
+func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint, key string, class admitClass, degrade bool, ws *serenity.Workspace) (*scheduleResponse, bool, error) {
 	if resp, ok := s.cache.Get(key); ok {
 		return resp, true, nil
 	}
@@ -838,7 +847,7 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 			}
 			defer release()
 		}
-		r, err := s.compute(ctx, g, opts, fingerprint, degrade)
+		r, err := s.compute(ctx, g, opts, fingerprint, degrade, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -894,14 +903,17 @@ func (s *server) putExact(key string, r *scheduleResponse) (*scheduleResponse, b
 // asked for; optionsKey ignores parallelism, so the key is the client's. The
 // exact segments it finds reach memory, disk and their ring owners through
 // walkMemo's fill like any request's, and schedule caches the exact answer,
-// which is the one an unpressured request would have got, ETag included.
+// which is the one an unpressured request would have got, ETag included. The
+// job outlives the request, whose graph lives in the request's working set,
+// so it compiles a clone on fresh memory.
 func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string) bool {
 	if s.refine == nil {
 		return false
 	}
 	opts.Parallelism = 1
+	g = g.Clone()
 	return s.refine.Enqueue(ctx, key, func(ctx context.Context) error {
-		r, _, err := s.schedule(ctx, g, opts, fingerprint, key, classRefine, false)
+		r, _, err := s.schedule(ctx, g, opts, fingerprint, key, classRefine, false, new(serenity.Workspace))
 		if err != nil {
 			return err
 		}
@@ -912,10 +924,10 @@ func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Grap
 	}) || s.refine.Pending(key)
 }
 
-// compute runs one compilation. degrade forces every best-effort segment
-// down the heuristic path (?degrade=force) — the deterministic overload
-// drill for the serve-then-refine machinery.
-func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint string, degrade bool) (*scheduleResponse, error) {
+// compute runs one compilation in ws. degrade forces every best-effort
+// segment down the heuristic path (?degrade=force) — the deterministic
+// overload drill for the serve-then-refine machinery.
+func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.Options, fingerprint string, degrade bool, ws *serenity.Workspace) (*scheduleResponse, error) {
 	p, err := s.newPipeline(opts)
 	if err != nil {
 		return nil, err
@@ -944,7 +956,7 @@ func (s *server) compute(ctx context.Context, g *serenity.Graph, opts serenity.O
 		// than holding a typed nil *fleet.Client.
 		p.Peers = s.peers
 	}
-	res, err := p.Run(ctx, g)
+	res, err := p.RunIn(ctx, g, ws)
 	if res != nil {
 		// Over-budget compilations (ErrBudgetExceeded) still ran the full
 		// pipeline; their stage time, fallbacks and states count. A

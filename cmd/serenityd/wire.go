@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/jsonwire"
@@ -143,39 +142,69 @@ func appendQualities(dst []byte, qs []serenity.Quality, depth int) []byte {
 	return append(dst, ']')
 }
 
-// wireBufs recycles request-body and response buffers: without it a warm
-// request allocates ~200 KB of them, most of what makes the garbage collector
-// run. A buffer goes back once nothing reads it — a body after decoding (the
-// graph decoders and json.RawMessage copy what they keep), a response after
-// Write (an io.Writer must not retain its argument). One grown past
-// maxBodyPresize is left to the collector, so a huge request pins nothing.
-var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
+// workSet is one schedule request's working set: the request body, the
+// response bytes, and the serenity.Workspace the request's graph is decoded
+// and compiled in. readBody acquires it and the handler releases it once the
+// response is written — 200, 304 or an error — so nothing built in it may
+// outlive the request: a refinement job compiles a clone of the graph, a
+// response-cache entry holds no graph, a memo, store or peer tier keeps
+// orders and payloads of its own, and an http.ResponseWriter must not retain
+// what it is given. Without it a request whose segments are all disk hits
+// allocates ~190 KB for the collector to reclaim; with it, ~11 KB
+// (BenchmarkDiskHitRequest).
+type workSet struct {
+	body, out []byte
+	ws        serenity.Workspace
+}
 
-func getWireBuf() *[]byte { return wireBufs.Get().(*[]byte) }
+// A server's working-set pool is a channel free list, like the DP's
+// workspaces: at most retainedWorkSets idle sets — two requests compiling at
+// once, the benchmark's load, find a set each — and release leaves a set that
+// outgrew workSetBytes, a request far larger than usual, to the collector, so
+// the pool never holds more than retainedWorkSets × workSetBytes. A request
+// that finds the pool empty starts a set of its own.
+const (
+	retainedWorkSets = 2
+	workSetBytes     = 1 << 20
+)
 
-// putWireBuf hands *bp back to the pool; the caller must not touch it again.
-func putWireBuf(bp *[]byte) {
-	if cap(*bp) > maxBodyPresize {
+// acquireWorkSet returns an idle working set from s's pool, or a new one.
+func (s *server) acquireWorkSet() *workSet {
+	select {
+	case w := <-s.workSets:
+		return w
+	default:
+		return new(workSet)
+	}
+}
+
+// bytes is the heap w keeps for reuse.
+func (w *workSet) bytes() int { return cap(w.body) + cap(w.out) + w.ws.Bytes() }
+
+// releaseWorkSet hands w back to s's pool; the caller must not touch it, or
+// anything decoded, compiled or encoded in it, again.
+func (s *server) releaseWorkSet(w *workSet) {
+	if w.bytes() > workSetBytes {
 		return
 	}
-	*bp = (*bp)[:0]
-	wireBufs.Put(bp)
+	w.body, w.out = w.body[:0], w.out[:0]
+	select {
+	case s.workSets <- w:
+	default:
+	}
 }
 
-// writeScheduleResponse answers 200 with r and its entity tag.
-func writeScheduleResponse(w http.ResponseWriter, r *scheduleResponse) {
+// writeScheduleResponse answers 200 with r and its entity tag, encoded in
+// set's response buffer.
+func writeScheduleResponse(w http.ResponseWriter, r *scheduleResponse, set *workSet) {
 	w.Header().Set("ETag", r.etag)
-	bp := getWireBuf()
-	*bp = append(appendScheduleResponse(*bp, r, 0), '\n')
-	writeBody(w, http.StatusOK, *bp)
-	putWireBuf(bp)
+	set.out = append(appendScheduleResponse(set.out[:0], r, 0), '\n')
+	writeBody(w, http.StatusOK, set.out)
 }
 
-func writeBatchResponse(w http.ResponseWriter, r *batchResponse) {
-	bp := getWireBuf()
-	*bp = append(appendBatchResponse(*bp, r), '\n')
-	writeBody(w, http.StatusOK, *bp)
-	putWireBuf(bp)
+func writeBatchResponse(w http.ResponseWriter, r *batchResponse, set *workSet) {
+	set.out = append(appendBatchResponse(set.out[:0], r), '\n')
+	writeBody(w, http.StatusOK, set.out)
 }
 
 // writeBody sends one complete JSON document: length declared, one Write.

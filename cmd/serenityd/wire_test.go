@@ -193,7 +193,7 @@ func cachedKey(t *testing.T, s *server, body []byte) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, _, err := s.decodeGraph(body, prm)
+	job, _, err := s.decodeGraph(body, prm, new(serenity.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestNoSlotHeldWhileFollowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, _, err := s.decodeGraph(graphBody(t, smallCell(3)), prm)
+	job, _, err := s.decodeGraph(graphBody(t, smallCell(3)), prm, new(serenity.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestNoSlotHeldWhileFollowing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, code, _ := s.runGraph(ctx, job, prm, class)
+			_, _, code, _ := s.runGraph(ctx, job, prm, class, new(serenity.Workspace))
 			done <- code
 		}()
 		return done
@@ -417,7 +417,7 @@ func wireBenchResponse(t testing.TB) *scheduleResponse {
 	}
 	defer s.close()
 	g := models.StackedUniformRandWire("ws24x6", 6, models.WSConfig{Nodes: 24, K: 4, P: 0.75, Seed: 7, HW: 16, Channel: 16})
-	r, err := s.compute(context.Background(), g, s.opts, g.Fingerprint(), false)
+	r, err := s.compute(context.Background(), g, s.opts, g.Fingerprint(), false, new(serenity.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}

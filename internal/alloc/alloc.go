@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/serenity-ml/serenity/internal/reuse"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
@@ -40,15 +41,18 @@ type Assignment struct {
 // Lifetimes computes the per-tensor residency intervals of order under the
 // model's liveness rules.
 func Lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
-	if err := m.CheckValid(order); err != nil {
+	var p Planner
+	return p.lifetimes(m, order)
+}
+
+// lifetimes is Lifetimes in p's memory.
+func (p *Planner) lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
+	pos, err := p.sc.Positions(m, order)
+	if err != nil {
 		return nil, err
 	}
 	n := m.G.NumNodes()
-	pos := make([]int, n)
-	for i, u := range order {
-		pos[u] = i
-	}
-	out := make([]Lifetime, 0, n)
+	out := reuse.Empty(p.lts, n)
 	for root := 0; root < n; root++ {
 		if m.Root[root] != root || m.RootSize[root] == 0 {
 			continue
@@ -65,7 +69,30 @@ func Lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
 		}
 		out = append(out, lt)
 	}
+	p.lts = out
 	return out, nil
+}
+
+// Planner is Plan with memory it keeps from one plan to the next, for a caller
+// that plans arena after arena. The zero value is ready to use; a Planner is
+// not safe for concurrent use, and the Assignment its Plan returns — Offsets
+// and Lifetimes included — is valid until its next Plan.
+type Planner struct {
+	sc    sched.Scratch
+	lts   []Lifetime
+	fixed []placed
+	a     Assignment
+}
+
+// placed is one tensor Plan has given an offset.
+type placed struct {
+	start, end  int   // lifetime
+	offset, top int64 // occupied bytes [offset, top)
+}
+
+// Bytes is the heap p keeps for reuse.
+func (p *Planner) Bytes() int {
+	return p.sc.Bytes() + 32*cap(p.lts) + 32*cap(p.fixed) + 8*cap(p.a.Offsets)
 }
 
 // Plan assigns offsets with the greedy-by-size best-fit strategy of
@@ -81,7 +108,12 @@ func Lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
 // offsets may sit in either order: a gap that opens before one opens before
 // the other, and moving past both lands at the larger end either way.
 func Plan(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
-	lts, err := Lifetimes(m, order)
+	return new(Planner).Plan(m, order)
+}
+
+// Plan is the package's Plan in p's memory.
+func (p *Planner) Plan(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
+	lts, err := p.lifetimes(m, order)
 	if err != nil {
 		return nil, err
 	}
@@ -92,19 +124,14 @@ func Plan(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
 		return cmp.Compare(x.Start, y.Start)
 	})
 
-	a := &Assignment{
-		Offsets:   make([]int64, m.G.NumNodes()),
-		Lifetimes: lts,
-	}
+	n := m.G.NumNodes()
+	a := &p.a
+	*a = Assignment{Offsets: reuse.Len(a.Offsets, n), Lifetimes: lts}
 	for i := range a.Offsets {
 		a.Offsets[i] = -1
 	}
 
-	type placed struct {
-		start, end  int   // lifetime
-		offset, top int64 // occupied bytes [offset, top)
-	}
-	fixed := make([]placed, 0, len(lts)) // sorted by offset
+	fixed := reuse.Empty(p.fixed, len(lts)) // sorted by offset
 	for _, lt := range lts {
 		var offset int64
 		for _, c := range fixed {
@@ -122,6 +149,7 @@ func Plan(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
 		at, _ := slices.BinarySearchFunc(fixed, offset, func(c placed, off int64) int { return cmp.Compare(c.offset, off) })
 		fixed = slices.Insert(fixed, at, placed{start: lt.Start, end: lt.End, offset: offset, top: offset + lt.Size})
 	}
+	p.fixed = fixed
 	return a, nil
 }
 

@@ -11,6 +11,8 @@ package graph
 
 import (
 	"fmt"
+
+	"github.com/serenity-ml/serenity/internal/reuse"
 )
 
 // OpType enumerates the operation kinds understood by the scheduler, the
@@ -387,11 +389,16 @@ func (g *Graph) Outputs() []int {
 // Indegrees returns a slice mapping node ID to its number of predecessor
 // edges (counting duplicates).
 func (g *Graph) Indegrees() []int {
-	in := make([]int, len(g.Nodes))
+	return g.IndegreesInto(nil)
+}
+
+// IndegreesInto is Indegrees in dst's array when it is large enough.
+func (g *Graph) IndegreesInto(dst []int) []int {
+	dst = reuse.Len(dst, len(g.Nodes))
 	for _, n := range g.Nodes {
-		in[n.ID] = len(n.Preds)
+		dst[n.ID] = len(n.Preds)
 	}
-	return in
+	return dst
 }
 
 // TotalActivationBytes returns the sum of all non-aliased output tensor

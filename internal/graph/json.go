@@ -133,12 +133,10 @@ func (g *Graph) JSONSizeHint(depth int) int {
 // path only has to be sound when it accepts
 // (FuzzGraphJSONDifferential).
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	out, ok := decodeFast(data)
-	if !ok {
-		var err error
-		if out, err = unmarshalStd(data); err != nil {
-			return err
-		}
+	var d Decoder
+	out, err := d.Decode(data)
+	if err != nil {
+		return err
 	}
 	*g = *out
 	return nil

@@ -4,21 +4,50 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+
+	"github.com/serenity-ml/serenity/internal/reuse"
 )
 
+// Decoder decodes graphs in the JSON IR into memory it keeps from one call to
+// the next: a Slab, and the buffers the scanner stages names in. A graph it
+// returns is valid until its next Decode, which rebuilds the graph in the same
+// memory; the zero value is ready to use, and a Decoder is not safe for
+// concurrent use.
+type Decoder struct {
+	slab      Slab
+	nameSpans []span // parallel to slab.nodes
+	names     []byte // every name, back to back
+}
+
+// Decode is UnmarshalJSON into d's memory. Names are copied into one string
+// of their own, so nothing the graph holds aliases data, and a caller may
+// keep a node's name after the next Decode. A document the fast path does not
+// take is decoded by the reference decoder on fresh memory.
+func (d *Decoder) Decode(data []byte) (*Graph, error) {
+	if g, ok := d.decodeFast(data); ok {
+		return g, nil
+	}
+	return unmarshalStd(data)
+}
+
+// Bytes is the heap d keeps for reuse.
+func (d *Decoder) Bytes() int {
+	return d.slab.Bytes() + 16*cap(d.nameSpans) + cap(d.names)
+}
+
 // fastDecoder is the single-pass scanner behind decodeFast. It stages every
-// node straight into a Slab, and every name into one buffer it copies, so
-// the graph never pins data.
+// node straight into the Decoder's Slab, and every name into one buffer it
+// copies, so the graph never pins data.
 //
 // The read position is threaded through the scanning methods as an argument
 // and a result rather than kept in the struct, so it lives in a register
-// instead of making a round trip through memory at every token.
+// instead of making a round trip through memory at every token. The Decoder
+// is embedded by value for the same reason, and copied back when the scan
+// ends.
 type fastDecoder struct {
-	data      []byte
-	slab      Slab
-	name      span   // the graph's name, in names
-	nameSpans []span // parallel to slab.nodes
-	names     []byte // every name, back to back
+	data []byte
+	Decoder
+	name span // the graph's name, in names
 }
 
 // maxNodeHint caps the scratch pre-sizing: the hint counts '{' bytes, which a
@@ -32,24 +61,23 @@ const maxNodeHint = 1024
 // including every document the reference decoder would reject, so callers
 // fall back to unmarshalStd for the verdict and the error text. When it
 // reports true the graph is deep-equal to unmarshalStd's.
-func decodeFast(data []byte) (*Graph, bool) {
-	d := fastDecoder{data: data}
-	if hint := bytes.Count(data, []byte{'{'}) - 1; hint > 0 {
-		hint = min(hint, maxNodeHint)
-		// A typical node: a rank-4 shape, a few preds and as many succs.
-		d.slab = *NewSlab(hint, 8*hint)
-		d.nameSpans = make([]span, 0, hint)
-		d.names = make([]byte, 0, 16*hint)
+func (dec *Decoder) decodeFast(data []byte) (*Graph, bool) {
+	d := fastDecoder{data: data, Decoder: *dec}
+	hint := min(max(bytes.Count(data, []byte{'{'})-1, 0), maxNodeHint)
+	// A typical node: a rank-4 shape, a few preds and as many succs.
+	d.slab.Reset(hint, 8*hint)
+	d.nameSpans = reuse.Empty(d.nameSpans, hint)
+	d.names = reuse.Empty(d.names, 16*hint)
+	var g *Graph
+	if d.document() {
+		names := string(d.names)
+		for i, sp := range d.nameSpans {
+			d.slab.nodes[i].Name = names[sp.off : sp.off+sp.len]
+		}
+		g = d.slab.Build(names[d.name.off : d.name.off+d.name.len])
 	}
-	if !d.document() {
-		return nil, false
-	}
-	names := string(d.names)
-	for i, sp := range d.nameSpans {
-		d.slab.nodes[i].Name = names[sp.off : sp.off+sp.len]
-	}
-	g := d.slab.Build(names[d.name.off : d.name.off+d.name.len])
-	if g.Validate() != nil {
+	*dec = d.Decoder // the buffers, grown or not, are the Decoder's again
+	if g == nil || g.Validate() != nil {
 		return nil, false
 	}
 	return g, true

@@ -1,6 +1,11 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+
+	"github.com/serenity-ml/serenity/internal/reuse"
+)
 
 // Slab builds a graph in one pass into a few exactly sized allocations: every
 // Node lives in one []Node, every Shape, Preds and Succs in one []int arena,
@@ -8,10 +13,18 @@ import "fmt"
 // decoded, rewritten, partitioned — are built this way, so each is a handful
 // of heap objects for the garbage collector to mark instead of four per node.
 // AddNode stays for graphs grown incrementally.
+//
+// A Slab may build one graph after another. Reset starts the next one in the
+// same buffers, and from then on the graph built before it is invalid: its
+// nodes, slices and the *Graph itself are rewritten in place. A caller that
+// resets a Slab must therefore be done with everything that reads its last
+// graph. A Slab that is never reset hands its buffers to its one graph.
 type Slab struct {
 	nodes []Node
 	spans []slabSpan // parallel to nodes
 	ints  []int      // every node's shape then preds, back to back
+	list  []*Node    // the built graph's node list
+	g     *Graph     // the built graph, reused by the next Build after a Reset
 }
 
 type span struct{ off, len int }
@@ -28,6 +41,25 @@ type slabSpan struct {
 // list and the Graph.
 func NewSlab(nodes, ints int) *Slab {
 	return &Slab{nodes: make([]Node, 0, nodes), spans: make([]slabSpan, 0, nodes), ints: make([]int, 0, ints)}
+}
+
+// Reset empties s for the next graph, with room for nodes nodes and ints arena
+// entries, keeping the buffers it already has when they are large enough.
+// The graph s built before is invalid from here on.
+func (s *Slab) Reset(nodes, ints int) {
+	s.nodes = reuse.Empty(s.nodes, nodes)
+	s.spans = reuse.Empty(s.spans, nodes)
+	s.ints = reuse.Empty(s.ints, ints)
+}
+
+var (
+	nodeBytes = int(reflect.TypeFor[Node]().Size())
+	spanBytes = int(reflect.TypeFor[slabSpan]().Size())
+)
+
+// Bytes is the heap s keeps for reuse: the capacity of its buffers.
+func (s *Slab) Bytes() int {
+	return cap(s.nodes)*nodeBytes + cap(s.spans)*spanBytes + 8*cap(s.ints) + 8*cap(s.list)
 }
 
 // ArenaInts is how many arena entries a copy of n takes in a Slab: its shape,
@@ -59,9 +91,13 @@ func (s *Slab) push(xs []int) span {
 // the arena at their staged offsets, and every Succs after them in the order
 // AddEdge produces: by consumer, then by operand position. Sub-slices carry
 // their own capacity, so appending to one never writes into its neighbour.
-// The graph owns the Slab's buffers: the Slab must not be used again.
+// The graph lives in s's buffers until the next Reset.
 func (s *Slab) Build(name string) *Graph {
-	g := &Graph{Name: name}
+	if s.g == nil {
+		s.g = new(Graph)
+	}
+	g := s.g
+	*g = Graph{Name: name}
 	if len(s.nodes) == 0 {
 		return g
 	}
@@ -73,15 +109,18 @@ func (s *Slab) Build(name string) *Graph {
 			s.spans[from].succs++
 		}
 	}
-	arena := s.ints
-	if need := len(arena) + edges; cap(arena) < need || arena == nil {
-		arena = make([]int, need)
-		copy(arena, s.ints)
-	} else {
-		arena = arena[:need]
+	staged := len(s.ints)
+	if cap(s.ints) < staged+edges || s.ints == nil {
+		// A nil arena would give an empty shape a nil slice, where AddNode
+		// makes an empty one.
+		grown := make([]int, staged, staged+edges)
+		copy(grown, s.ints)
+		s.ints = grown
 	}
-	g.Nodes = make([]*Node, len(s.nodes))
-	next := len(s.ints)
+	arena := s.ints[:staged+edges]
+	s.list = reuse.Len(s.list, len(s.nodes))
+	g.Nodes = s.list[:len(s.nodes):len(s.nodes)]
+	next := staged
 	for i := range s.nodes {
 		n, f := &s.nodes[i], &s.spans[i]
 		g.Nodes[i] = n

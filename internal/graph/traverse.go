@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+
+	"github.com/serenity-ml/serenity/internal/reuse"
 )
 
 // ErrCycle is returned when an operation requires a DAG but the graph
@@ -13,10 +15,23 @@ var ErrCycle = errors.New("graph: not a DAG (cycle detected)")
 // (Kahn's algorithm with a min-ID tie break). It returns ErrCycle if the
 // graph is not a DAG.
 func (g *Graph) TopoOrder() ([]int, error) {
+	var t TopoScratch
+	return t.Order(g)
+}
+
+// TopoScratch is TopoOrder's working memory, kept by a caller that orders one
+// graph after another. The zero value is ready to use; it is not safe for
+// concurrent use.
+type TopoScratch struct{ indeg, heap, order []int }
+
+// Order is TopoOrder in t's memory: the order it returns is valid until t's
+// next use.
+func (t *TopoScratch) Order(g *Graph) ([]int, error) {
 	n := len(g.Nodes)
-	indeg := g.Indegrees()
+	t.indeg = g.IndegreesInto(t.indeg)
+	indeg := t.indeg
 	// Min-heap by node ID for determinism.
-	heap := make([]int, 0, n)
+	heap := reuse.Empty(t.heap, n)
 	push := func(v int) {
 		heap = append(heap, v)
 		for i := len(heap) - 1; i > 0; {
@@ -55,7 +70,7 @@ func (g *Graph) TopoOrder() ([]int, error) {
 			push(id)
 		}
 	}
-	order := make([]int, 0, n)
+	order := reuse.Empty(t.order, n)
 	for len(heap) > 0 {
 		v := pop()
 		order = append(order, v)
@@ -66,11 +81,15 @@ func (g *Graph) TopoOrder() ([]int, error) {
 			}
 		}
 	}
+	t.heap, t.order = heap, order
 	if len(order) != n {
 		return nil, ErrCycle
 	}
 	return order, nil
 }
+
+// Bytes is the heap t keeps for reuse.
+func (t *TopoScratch) Bytes() int { return 8 * (cap(t.indeg) + cap(t.heap) + cap(t.order)) }
 
 // ZeroIndegree computes the zero-indegree set z of the paper: the nodes not
 // in scheduled whose predecessors are all in scheduled. scheduled must be a

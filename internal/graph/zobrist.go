@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Zobrist hashing support for the DP scheduler's state signatures.
 //
 // A Zobrist table assigns every node a fixed pseudo-random 64-bit word; the
@@ -22,7 +27,8 @@ package graph
 // deterministic behavior (though not of any persisted format).
 const zobristSeed = 0x5345524e49545921 // "SERENITY!"
 
-// ZobristTable returns the per-node hash words for a graph of n nodes.
+// ZobristTable returns the per-node hash words for a graph of n nodes, in a
+// table of the caller's own.
 func ZobristTable(n int) []uint64 {
 	t := make([]uint64, n)
 	s := uint64(zobristSeed)
@@ -30,6 +36,38 @@ func ZobristTable(n int) []uint64 {
 		t[i], s = splitmix64(s)
 	}
 	return t
+}
+
+// zobristShared is the process-wide table Zobrist serves prefixes of: the
+// first words of the one SplitMix64 stream, grown (never redrawn) when a
+// larger graph asks. A published table is never written again.
+var zobristShared struct {
+	mu    sync.Mutex
+	table atomic.Pointer[[]uint64]
+}
+
+// Zobrist returns ZobristTable(n)'s words without drawing them: a prefix of
+// one process-wide table, so building a memory model costs no table of its
+// own. The slice is shared and read-only; its capacity ends at n, so an
+// append copies it instead of writing into the shared words.
+func Zobrist(n int) []uint64 {
+	if t := zobristShared.table.Load(); t != nil && len(*t) >= n {
+		return (*t)[:n:n]
+	}
+	zobristShared.mu.Lock()
+	defer zobristShared.mu.Unlock()
+	t := zobristShared.table.Load()
+	if t == nil || len(*t) < n {
+		// Doubling keeps the number of redraws logarithmic in the largest n.
+		size := 64
+		if t != nil {
+			size = 2 * len(*t)
+		}
+		grown := ZobristTable(max(size, n))
+		t = &grown
+		zobristShared.table.Store(t)
+	}
+	return (*t)[:n:n]
 }
 
 // splitmix64 advances the SplitMix64 generator: it returns the output word

@@ -31,8 +31,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"strconv"
 
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/reuse"
 	"github.com/serenity-ml/serenity/internal/sched"
 )
 
@@ -77,20 +80,22 @@ func CutNodes(g *graph.Graph) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cutNodes(g, order, positions(order)), nil
+	return cutNodes(g, order, positions(order, nil), nil), nil
 }
 
-// positions inverts order: pos[order[i]] = i.
-func positions(order []int) []int {
-	pos := make([]int, len(order))
+// positions inverts order into pos's array when it is large enough:
+// pos[order[i]] = i.
+func positions(order, pos []int) []int {
+	pos = reuse.Len(pos, len(order))
 	for i, v := range order {
 		pos[v] = i
 	}
 	return pos
 }
 
-// cutNodes sweeps order (pos is its inverse) for the cuts of the package doc.
-func cutNodes(g *graph.Graph, order, pos []int) []int {
+// cutNodes sweeps order (pos is its inverse) for the cuts of the package
+// doc, appending them to cuts.
+func cutNodes(g *graph.Graph, order, pos, cuts []int) []int {
 	n := len(order)
 	lastSource := -1 // position of the last source in order
 	for i, v := range order {
@@ -98,7 +103,6 @@ func cutNodes(g *graph.Graph, order, pos []int) []int {
 			lastSource = i
 		}
 	}
-	var cuts []int
 	reach := 0 // furthest position an edge from before i lands on
 	for i, v := range order[:max(0, n-1)] {
 		node := g.Nodes[v]
@@ -120,14 +124,48 @@ func cutNodes(g *graph.Graph, order, pos []int) []int {
 // Split partitions g at its cut nodes. A graph with no cuts yields a single
 // segment identical to g.
 func Split(g *graph.Graph) (*Partition, error) {
-	order, err := g.TopoOrder()
+	return new(Splitter).Split(g)
+}
+
+// Splitter is Split with memory it keeps from one split to the next: the
+// topological order, the segment structs, one slab per segment and one array
+// for every segment's ToOriginal. The zero value is ready to use; a Splitter
+// is not safe for concurrent use, and the Partition its Split returns —
+// segments and segment graphs included — is valid until its next Split.
+type Splitter struct {
+	topo   graph.TopoScratch
+	pos    []int
+	preds  []int
+	toOrig []int // every segment's ToOriginal, back to back
+	p      Partition
+	segs   []Segment
+	slabs  []graph.Slab
+}
+
+// Bytes is the heap sp keeps for reuse.
+func (sp *Splitter) Bytes() int {
+	n := sp.topo.Bytes() + 8*(cap(sp.pos)+cap(sp.preds)+cap(sp.toOrig)+cap(sp.p.Cuts)+cap(sp.p.Segments)) +
+		segmentBytes*cap(sp.segs)
+	for i := range sp.slabs {
+		n += sp.slabs[i].Bytes()
+	}
+	return n
+}
+
+var segmentBytes = int(reflect.TypeFor[Segment]().Size())
+
+// Split is the package's Split in sp's memory.
+func (sp *Splitter) Split(g *graph.Graph) (*Partition, error) {
+	order, err := sp.topo.Order(g)
 	if err != nil {
 		return nil, err
 	}
-	pos := positions(order)
-	cuts := cutNodes(g, order, pos)
+	sp.pos = positions(order, sp.pos)
+	pos := sp.pos
+	cuts := cutNodes(g, order, pos, sp.p.Cuts[:0])
 
-	p := &Partition{Original: g, Cuts: cuts}
+	p := &sp.p
+	*p = Partition{Original: g, Cuts: cuts, Segments: reuse.Empty(p.Segments, len(cuts)+1)}
 	// Every node before a cut is its ancestor and every node after it its
 	// descendant, so segment s is the run of order after cut s-1 up to and
 	// including cut s, and the last segment runs to the end. A segment's node
@@ -135,8 +173,16 @@ func Split(g *graph.Graph) (*Partition, error) {
 	// the segment ID of an original node u is pos[u] - base, with base the
 	// position of cut s-1 (or 0 for the first segment). cutNodes never
 	// returns the final node, so no segment is empty.
-	p.Segments = make([]*Segment, 0, len(cuts)+1)
-	var preds []int
+	sp.segs = reuse.Len(sp.segs, len(cuts)+1)
+	if len(sp.slabs) < len(sp.segs) {
+		// Each slab keeps the buffers of the segment it built last time.
+		grown := make([]graph.Slab, len(sp.segs))
+		copy(grown, sp.slabs)
+		sp.slabs = grown
+	}
+	// Segment s holds its run and, after the first, the previous cut.
+	sp.toOrig = reuse.Empty(sp.toOrig, len(order)+len(cuts))
+	preds := sp.preds
 	lo := 0 // position of the segment's first real node
 	for s := 0; s <= len(cuts); s++ {
 		hi := len(order) // one past the segment's last position
@@ -147,7 +193,9 @@ func Split(g *graph.Graph) (*Partition, error) {
 		if s > 0 {
 			base = lo - 1
 		}
-		seg := &Segment{ToOriginal: make([]int, 0, hi-base), VirtualInput: -1}
+		seg := &sp.segs[s]
+		*seg = Segment{VirtualInput: -1}
+		start := len(sp.toOrig)
 		var prev *graph.Node
 		ints := 0
 		if s > 0 {
@@ -157,12 +205,13 @@ func Split(g *graph.Graph) (*Partition, error) {
 		for _, v := range order[lo:hi] {
 			ints += g.Nodes[v].ArenaInts()
 		}
-		slab := graph.NewSlab(hi-base, ints)
+		slab := &sp.slabs[s]
+		slab.Reset(hi-base, ints)
 		if prev != nil {
 			// Virtual input standing for the previous cut's output storage.
 			seg.VirtualInput = slab.Add(graph.Node{Op: graph.OpInput, Name: prev.Name + "#boundary",
 				Shape: prev.Shape, DType: prev.DType, Attr: graph.Attr{AliasOf: -1}})
-			seg.ToOriginal = append(seg.ToOriginal, prev.ID)
+			sp.toOrig = append(sp.toOrig, prev.ID)
 		}
 		for i := lo; i < hi; i++ {
 			v := order[i]
@@ -193,12 +242,14 @@ func Split(g *graph.Graph) (*Partition, error) {
 				nn.Attr.AliasOf = a
 			}
 			slab.Add(nn)
-			seg.ToOriginal = append(seg.ToOriginal, v)
+			sp.toOrig = append(sp.toOrig, v)
 		}
-		seg.G = slab.Build(fmt.Sprintf("%s/seg%d", g.Name, s))
+		seg.ToOriginal = sp.toOrig[start:len(sp.toOrig):len(sp.toOrig)]
+		seg.G = slab.Build(g.Name + "/seg" + strconv.Itoa(s))
 		p.Segments = append(p.Segments, seg)
 		lo = hi
 	}
+	sp.preds = preds
 	return p, nil
 }
 
@@ -209,7 +260,7 @@ func (p *Partition) Combine(orders []sched.Schedule) (sched.Schedule, error) {
 	if len(orders) != len(p.Segments) {
 		return nil, fmt.Errorf("partition: %d orders for %d segments", len(orders), len(p.Segments))
 	}
-	var out sched.Schedule
+	out := make(sched.Schedule, 0, p.Original.NumNodes())
 	for i, seg := range p.Segments {
 		if len(orders[i]) != seg.G.NumNodes() {
 			return nil, fmt.Errorf("partition: segment %d order has %d entries, want %d", i, len(orders[i]), seg.G.NumNodes())

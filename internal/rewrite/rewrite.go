@@ -27,6 +27,7 @@ import (
 	"strconv"
 
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/reuse"
 )
 
 // Kind discriminates the two rewrite patterns.
@@ -87,19 +88,45 @@ func FindMatches(g *graph.Graph) []Match {
 	return out
 }
 
+// Scratch is Apply's working memory, kept by a caller that rewrites graph
+// after graph: the slab the rewritten graph is built in and the per-node
+// tables of the substitution. The zero value is ready to use; a Scratch is not
+// safe for concurrent use.
+type Scratch struct {
+	slab                   graph.Slab
+	topo                   graph.TopoScratch
+	walk                   anchorWalk
+	role, remap            []int
+	preds, partials, shape []int
+}
+
+// Bytes is the heap sc keeps for reuse.
+func (sc *Scratch) Bytes() int {
+	w := &sc.walk
+	return sc.slab.Bytes() + sc.topo.Bytes() + 8*(cap(sc.role)+cap(sc.remap)+cap(sc.preds)+cap(sc.partials)+cap(sc.shape)+
+		cap(w.topoPos)+cap(w.reach)+cap(w.mark)+cap(w.stack)+cap(w.touched))
+}
+
 // Apply returns a new graph with every match substituted. The original graph
 // is not modified. Node names are preserved where nodes survive; new nodes
-// get names derived from the rewritten convolution.
-func Apply(g *graph.Graph, matches []Match) (*graph.Graph, error) {
+// get names derived from the rewritten convolution. With a nil sc the graph
+// is built on fresh memory; otherwise it is built in sc, and is valid until
+// sc's next Apply.
+func Apply(g *graph.Graph, matches []Match, sc *Scratch) (*graph.Graph, error) {
 	if len(matches) == 0 {
 		return g.Clone(), nil
+	}
+	if sc == nil {
+		sc = new(Scratch)
 	}
 	// role[v] is m+1 when v is the convolution of matches[m], -1 when it is
 	// an elided concat, and 0 when it is copied as is. The slab is sized for
 	// the result: a match's buffer, k partials and join (k+2 shapes of the
 	// conv's rank, at most 6k+2 operand and successor entries) stand in for
 	// its concat and conv (their two shapes and 2k+2 entries).
-	role := make([]int, g.NumNodes())
+	sc.role = reuse.Len(sc.role, g.NumNodes())
+	role := sc.role
+	clear(role)
 	nodes, ints := g.NumNodes(), arenaInts(g)
 	for i, m := range matches {
 		c := g.Nodes[m.Concat]
@@ -115,17 +142,20 @@ func Apply(g *graph.Graph, matches []Match) (*graph.Graph, error) {
 		role[m.Concat] = -1
 	}
 
-	order, err := g.TopoOrder()
+	order, err := sc.topo.Order(g)
 	if err != nil {
 		return nil, err
 	}
-	w := newAnchorWalk(g, order)
-	remap := make([]int, g.NumNodes())
+	w := &sc.walk
+	w.reset(g, order)
+	sc.remap = reuse.Len(sc.remap, g.NumNodes())
+	remap := sc.remap
 	for i := range remap {
 		remap[i] = -1
 	}
-	out := graph.NewSlab(nodes, ints)
-	var preds, partials, shape []int
+	out := &sc.slab
+	out.Reset(nodes, ints)
+	preds, partials, shape := sc.preds, sc.partials, sc.shape
 	for _, v := range order {
 		n := g.Nodes[v]
 		r := role[v]
@@ -198,6 +228,7 @@ func Apply(g *graph.Graph, matches []Match) (*graph.Graph, error) {
 			DType: conv.DType, Preds: partials, Attr: graph.Attr{AliasOf: buf}})
 	}
 
+	sc.preds, sc.partials, sc.shape = preds, partials, shape
 	rw := out.Build(g.Name + "+rewrite")
 	if err := rw.Validate(); err != nil {
 		return nil, fmt.Errorf("rewrite: produced invalid graph: %w", err)
@@ -209,7 +240,7 @@ func Apply(g *graph.Graph, matches []Match) (*graph.Graph, error) {
 // the matches performed. With no matches it returns a clone of g.
 func Rewrite(g *graph.Graph) (*graph.Graph, []Match, error) {
 	matches := FindMatches(g)
-	out, err := Apply(g, matches)
+	out, err := Apply(g, matches, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,14 +267,21 @@ type anchorWalk struct {
 	touched []int // the nodes with reach > 0
 }
 
-func newAnchorWalk(g *graph.Graph, order []int) *anchorWalk {
+// reset points w at g, whose topological order is order, in the arrays w
+// already has.
+func (w *anchorWalk) reset(g *graph.Graph, order []int) {
 	n := g.NumNodes()
-	w := &anchorWalk{g: g, topoPos: make([]int, n), reach: make([]int, n), mark: make([]int, n),
-		stack: make([]int, 0, n), touched: make([]int, 0, n)}
+	w.g, w.walk = g, 0
+	w.topoPos = reuse.Len(w.topoPos, n)
+	w.reach = reuse.Len(w.reach, n)
+	w.mark = reuse.Len(w.mark, n)
+	clear(w.reach)
+	clear(w.mark)
+	w.stack = reuse.Empty(w.stack, n)
+	w.touched = reuse.Empty(w.touched, n)
 	for i, v := range order {
 		w.topoPos[v] = i
 	}
-	return w
 }
 
 // commonAncestor returns the new-graph ID of the deepest node that is an

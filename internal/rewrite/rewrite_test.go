@@ -195,7 +195,7 @@ func TestRewriteNoMatchesReturnsClone(t *testing.T) {
 
 func TestApplyRejectsStaleMatch(t *testing.T) {
 	g := concatConvGraph()
-	if _, err := Apply(g, []Match{{Kind: ChannelWise, Concat: 0, Op: 1}}); err == nil {
+	if _, err := Apply(g, []Match{{Kind: ChannelWise, Concat: 0, Op: 1}}, nil); err == nil {
 		t.Error("stale match accepted")
 	}
 }

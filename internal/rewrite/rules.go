@@ -29,7 +29,7 @@ func (partitioningRule) Apply(g *graph.Graph) (*graph.Graph, int, error) {
 	if len(matches) == 0 {
 		return nil, 0, nil
 	}
-	out, err := Apply(g, matches)
+	out, err := Apply(g, matches, nil)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,24 +2,33 @@ package sched
 
 import (
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/reuse"
 )
 
 // KahnFIFO returns the schedule produced by Kahn's algorithm with a FIFO
 // ready queue — the O(|V|+|E|) memory-oblivious baseline the paper uses to
 // obtain the hard budget τmax (Algorithm 2, line 3).
 func KahnFIFO(g *graph.Graph) (Schedule, error) {
+	var sc Scratch
+	return sc.KahnFIFO(g)
+}
+
+// KahnFIFO is the package's KahnFIFO in sc's memory.
+func (sc *Scratch) KahnFIFO(g *graph.Graph) (Schedule, error) {
 	n := g.NumNodes()
-	indeg := g.Indegrees()
-	queue := make([]int, 0, n)
+	sc.live = g.IndegreesInto(sc.live)
+	indeg := sc.live
+	queue := reuse.Empty(sc.queue, n)
 	for id := 0; id < n; id++ {
 		if indeg[id] == 0 {
 			queue = append(queue, id)
 		}
 	}
-	order := make(Schedule, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	order := reuse.Empty(sc.order, n)
+	// The queue only ever holds nodes not yet in order, so one array of n
+	// entries serves it without the front ever being reclaimed.
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		order = append(order, v)
 		for _, s := range g.Nodes[v].Succs {
 			indeg[s]--
@@ -28,6 +37,7 @@ func KahnFIFO(g *graph.Graph) (Schedule, error) {
 			}
 		}
 	}
+	sc.queue, sc.order = queue, order
 	if len(order) != n {
 		return nil, graph.ErrCycle
 	}
@@ -85,11 +95,17 @@ func MinIDOrder(g *graph.Graph) (Schedule, error) {
 // baseline the paper normalizes against, the hard budget τmax of Algorithm 2,
 // and the figure every Result reports as BaselinePeak.
 func BaselinePeak(m *MemModel) (Schedule, int64, error) {
-	order, err := KahnFIFO(m.G)
+	var sc Scratch
+	return sc.BaselinePeak(m)
+}
+
+// BaselinePeak is the package's BaselinePeak in sc's memory.
+func (sc *Scratch) BaselinePeak(m *MemModel) (Schedule, int64, error) {
+	order, err := sc.KahnFIFO(m.G)
 	if err != nil {
 		return nil, 0, err
 	}
-	peak, err := m.Peak(order)
+	peak, err := sc.Peak(m, order)
 	if err != nil {
 		return nil, 0, err
 	}

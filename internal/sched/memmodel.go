@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/reuse"
 )
 
 // Schedule is an execution order: a permutation of the graph's node IDs.
@@ -37,22 +38,38 @@ type MemModel struct {
 	// incrementally: hash(S ∪ {u}) = hash(S) ^ Zobrist[u], computable
 	// before the child set is materialized.
 	// Drawn from a fixed seed (see graph.ZobristTable), so hashes — and with
-	// them the scheduler's behavior — are deterministic across processes.
+	// them the scheduler's behavior — are deterministic across processes. It
+	// is a prefix of one process-wide table (graph.Zobrist): read-only.
 	Zobrist []uint64
+
+	// The arrays PredRoots' and Consumers' lists are carved from, and the
+	// per-root consumer counts: kept so Rebuild reuses them.
+	roots, consumers, uses []int
 }
 
 // NewMemModel builds the memory model for g. g must be a valid DAG.
 func NewMemModel(g *graph.Graph) *MemModel {
+	m := new(MemModel)
+	m.Rebuild(g)
+	return m
+}
+
+// Rebuild makes m the memory model of g, in the arrays m already has when
+// they are large enough: a caller that models one graph after another keeps
+// one MemModel. Whatever read m's previous model must be done with it. g must
+// be a valid DAG.
+func (m *MemModel) Rebuild(g *graph.Graph) {
 	n := g.NumNodes()
-	m := &MemModel{
-		G:         g,
-		Alloc:     make([]int64, n),
-		Root:      make([]int, n),
-		RootSize:  make([]int64, n),
-		Consumers: make([][]int, n),
-		PredRoots: make([][]int, n),
-		Zobrist:   graph.ZobristTable(n),
-	}
+	m.G = g
+	m.Alloc = reuse.Len(m.Alloc, n)
+	m.Root = reuse.Len(m.Root, n)
+	m.RootSize = reuse.Len(m.RootSize, n)
+	m.Consumers = reuse.Len(m.Consumers, n)
+	m.PredRoots = reuse.Len(m.PredRoots, n)
+	m.Zobrist = graph.Zobrist(n)
+	clear(m.RootSize)
+	clear(m.Consumers)
+	clear(m.PredRoots)
 	for _, node := range g.Nodes {
 		m.Alloc[node.ID] = node.OutBytes()
 		m.Root[node.ID] = g.PhysRoot(node.ID)
@@ -64,8 +81,9 @@ func NewMemModel(g *graph.Graph) *MemModel {
 	}
 	// Every PredRoots list shares one backing array, and every Consumers
 	// list another: a model costs a handful of allocations, not two per node.
-	roots := make([]int, 0, g.NumEdges())
-	uses := make([]int, n+1) // uses[r+1]: consumers of root r
+	roots := reuse.Empty(m.roots, g.NumEdges())
+	uses := reuse.Len(m.uses, n+1) // uses[r+1]: consumers of root r
+	clear(uses)
 	for _, node := range g.Nodes {
 		// A node has a handful of operands: scanning the roots found so far
 		// de-duplicates them without a set per node.
@@ -85,7 +103,7 @@ func NewMemModel(g *graph.Graph) *MemModel {
 	for r := 0; r < n; r++ {
 		uses[r+1] += uses[r]
 	}
-	consumers := make([]int, len(roots))
+	consumers := reuse.Len(m.consumers, len(roots))
 	fill := uses[:n]
 	for _, node := range g.Nodes {
 		for _, r := range m.PredRoots[node.ID] {
@@ -100,7 +118,14 @@ func NewMemModel(g *graph.Graph) *MemModel {
 		}
 		lo = hi
 	}
-	return m
+	m.roots, m.consumers, m.uses = roots, consumers, uses
+}
+
+// Bytes is the heap m keeps for reuse by Rebuild (the shared Zobrist table
+// is not m's).
+func (m *MemModel) Bytes() int {
+	return 8*(cap(m.Alloc)+cap(m.Root)+cap(m.RootSize)+cap(m.roots)+cap(m.consumers)+cap(m.uses)) +
+		24*(cap(m.Consumers)+cap(m.PredRoots))
 }
 
 // SimResult captures the outcome of simulating a complete schedule.
@@ -115,44 +140,104 @@ type SimResult struct {
 // footprint and the per-step profile. It returns an error if order is not a
 // valid topological permutation of the graph.
 func (m *MemModel) Simulate(order Schedule) (*SimResult, error) {
-	if err := m.CheckValid(order); err != nil {
-		return nil, err
-	}
-	n := m.G.NumNodes()
-	remaining := make([]int, n)
-	for r, cs := range m.Consumers {
-		remaining[r] = len(cs)
-	}
 	res := &SimResult{
 		Profile:  make([]int64, len(order)),
 		HighMark: make([]int64, len(order)),
 	}
+	var sc Scratch
+	var err error
+	if res.Peak, res.Final, err = sc.simulate(m, order, res.Profile, res.HighMark); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Peak returns just the peak footprint of order.
+func (m *MemModel) Peak(order Schedule) (int64, error) {
+	var sc Scratch
+	return sc.Peak(m, order)
+}
+
+// Scratch is the working memory of checking, measuring and producing
+// schedules, kept by a caller that does so again and again (a compile
+// pipeline runs Kahn's baseline, a peak and an arena plan per graph). The zero
+// value is ready to use; a Scratch is not safe for concurrent use, and what
+// one of its methods returns is valid until the Scratch is used again.
+type Scratch struct{ pos, live, queue, order []int }
+
+// Bytes is the heap sc keeps for reuse.
+func (sc *Scratch) Bytes() int {
+	return 8 * (cap(sc.pos) + cap(sc.live) + cap(sc.queue) + cap(sc.order))
+}
+
+// Positions checks order like CheckValid and returns each node's position
+// in it: pos[order[i]] = i.
+func (sc *Scratch) Positions(m *MemModel, order Schedule) ([]int, error) {
+	n := m.G.NumNodes()
+	if len(order) != n {
+		return nil, fmt.Errorf("sched: order has %d entries, graph has %d nodes", len(order), n)
+	}
+	pos := reuse.Len(sc.pos, n)
+	sc.pos = pos
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, u := range order {
+		if u < 0 || u >= n {
+			return nil, fmt.Errorf("sched: node %d out of range at position %d", u, i)
+		}
+		if pos[u] != -1 {
+			return nil, fmt.Errorf("sched: node %d scheduled twice (positions %d and %d)", u, pos[u], i)
+		}
+		pos[u] = i
+	}
+	for _, node := range m.G.Nodes {
+		for _, p := range node.Preds {
+			if pos[p] > pos[node.ID] {
+				return nil, fmt.Errorf("sched: node %d scheduled before its predecessor %d", node.ID, p)
+			}
+		}
+	}
+	return pos, nil
+}
+
+// Peak is MemModel.Peak in sc's memory.
+func (sc *Scratch) Peak(m *MemModel, order Schedule) (int64, error) {
+	peak, _, err := sc.simulate(m, order, nil, nil)
+	return peak, err
+}
+
+// simulate checks order and walks its liveness, returning the peak and the
+// bytes live at the end, and recording each step's live bytes after its
+// deallocations in profile and at its allocation in highMark when they are
+// non-nil (len(order) entries each).
+func (sc *Scratch) simulate(m *MemModel, order Schedule, profile, highMark []int64) (peak, final int64, err error) {
+	if _, err := sc.Positions(m, order); err != nil {
+		return 0, 0, err
+	}
+	remaining := reuse.Len(sc.live, len(m.Consumers))
+	sc.live = remaining
+	for r, cs := range m.Consumers {
+		remaining[r] = len(cs)
+	}
 	var mu int64
 	for i, u := range order {
 		mu += m.Alloc[u]
-		res.HighMark[i] = mu
-		if mu > res.Peak {
-			res.Peak = mu
+		if highMark != nil {
+			highMark[i] = mu
 		}
+		peak = max(peak, mu)
 		for _, r := range m.PredRoots[u] {
 			remaining[r]--
 			if remaining[r] == 0 {
 				mu -= m.RootSize[r]
 			}
 		}
-		res.Profile[i] = mu
+		if profile != nil {
+			profile[i] = mu
+		}
 	}
-	res.Final = mu
-	return res, nil
-}
-
-// Peak returns just the peak footprint of order.
-func (m *MemModel) Peak(order Schedule) (int64, error) {
-	res, err := m.Simulate(order)
-	if err != nil {
-		return 0, err
-	}
-	return res.Peak, nil
+	return peak, mu, nil
 }
 
 // MustPeak is Peak but panics on invalid schedules; for tests and benches.
@@ -167,31 +252,9 @@ func (m *MemModel) MustPeak(order Schedule) int64 {
 // CheckValid verifies that order is a permutation of all node IDs obeying
 // every precedence edge.
 func (m *MemModel) CheckValid(order Schedule) error {
-	n := m.G.NumNodes()
-	if len(order) != n {
-		return fmt.Errorf("sched: order has %d entries, graph has %d nodes", len(order), n)
-	}
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, u := range order {
-		if u < 0 || u >= n {
-			return fmt.Errorf("sched: node %d out of range at position %d", u, i)
-		}
-		if pos[u] != -1 {
-			return fmt.Errorf("sched: node %d scheduled twice (positions %d and %d)", u, pos[u], i)
-		}
-		pos[u] = i
-	}
-	for _, node := range m.G.Nodes {
-		for _, p := range node.Preds {
-			if pos[p] > pos[node.ID] {
-				return fmt.Errorf("sched: node %d scheduled before its predecessor %d", node.ID, p)
-			}
-		}
-	}
-	return nil
+	var sc Scratch
+	_, err := sc.Positions(m, order)
+	return err
 }
 
 // StepDealloc computes the deallocation when node u executes: every

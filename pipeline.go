@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/alloc"
+	"github.com/serenity-ml/serenity/internal/graph"
 	"github.com/serenity-ml/serenity/internal/partition"
 	"github.com/serenity-ml/serenity/internal/rewrite"
 	"github.com/serenity-ml/serenity/internal/sched"
@@ -130,19 +131,61 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 // the result is a pure function of g — the same structure and names in give
 // the same graph out. It returns the rewritten graph, named g.Name+"+rewrite",
 // and the number of substitutions, or g itself and 0 when nothing matches. g
-// must be valid (Graph.Validate).
+// must be valid (Graph.Validate). The rewritten graph is built on fresh
+// memory: the caller may keep it.
 func RewriteGraph(g *Graph) (*Graph, int, error) {
+	return rewriteGraph(g, nil)
+}
+
+// rewriteGraph is RewriteGraph building the rewritten graph in sc, or on fresh
+// memory when sc is nil: the one place the compile path rewrites.
+func rewriteGraph(g *Graph, sc *rewrite.Scratch) (*Graph, int, error) {
 	// One pass is the fixpoint: a substitution leaves partial convolutions
 	// where convolutions were, so no new match can appear.
 	matches := rewrite.FindMatches(g)
 	if len(matches) == 0 {
 		return g, 0, nil
 	}
-	rw, err := rewrite.Apply(g, matches)
+	rw, err := rewrite.Apply(g, matches, sc)
 	if err != nil {
 		return nil, 0, err
 	}
 	return rw, len(matches), nil
+}
+
+// Workspace is one compilation's working set: the memory Pipeline.RunIn
+// builds its intermediate graphs and tables in — the decoded graph, the
+// rewritten graph, the partition's segment graphs, the memory model, Kahn's
+// baseline and the peak check, and the arena plan — kept from one compilation
+// to the next instead of allocated and dropped every time. A server that
+// recycles one per request turns most of a warm request's garbage into reuse.
+//
+// The reuse contract: a graph DecodeGraph returned is valid until the next
+// DecodeGraph, and a RunIn Result's Graph and Offsets until the next RunIn;
+// RunIn leaves the decoded graph alone, so a graph decoded in a Workspace can
+// be compiled in it. Everything else a Result carries is the caller's to keep.
+// A Workspace is not safe for concurrent use; the zero value is ready to use.
+type Workspace struct {
+	decode  graph.Decoder
+	rewrite rewrite.Scratch
+	split   partition.Splitter
+	model   sched.MemModel // the input graph's, then the rewritten graph's
+	sc      sched.Scratch
+	plan    alloc.Planner
+}
+
+// DecodeGraph decodes a graph in the JSON IR (the language ReadGraphJSON
+// reads, with the same errors) into ws. The graph and its nodes are valid
+// until ws's next DecodeGraph; node names are strings of their own and stay
+// valid.
+func (ws *Workspace) DecodeGraph(data []byte) (*Graph, error) {
+	return ws.decode.Decode(data)
+}
+
+// Bytes is the heap ws keeps for reuse: what holding it on to costs.
+func (ws *Workspace) Bytes() int {
+	return ws.decode.Bytes() + ws.rewrite.Bytes() + ws.split.Bytes() + ws.model.Bytes() +
+		ws.sc.Bytes() + ws.plan.Bytes()
 }
 
 // Run executes the pipeline on g under ctx.
@@ -151,6 +194,13 @@ func RewriteGraph(g *Graph) (*Graph, int, error) {
 // the compilation or degrades it is the Searcher's contract (ExactDP errors,
 // BestEffort falls back). The other stages are fast and run to completion.
 func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
+	return p.RunIn(ctx, g, new(Workspace))
+}
+
+// RunIn is Run with its intermediate graphs and tables built in ws. The
+// Result's Graph (unless it is g itself) and Offsets live in ws and are valid
+// until ws's next RunIn; every other field is the caller's.
+func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result, error) {
 	start := time.Now()
 	if p.Searcher == nil {
 		return nil, errors.New("serenity: pipeline has no Searcher")
@@ -169,9 +219,10 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	res := &Result{Graph: g, Quality: QualityOptimal}
 
 	// Baseline / hard budget from Kahn's algorithm.
-	model := sched.NewMemModel(g)
+	model := &ws.model
+	model.Rebuild(g)
 	var err error
-	if _, res.BaselinePeak, err = sched.BaselinePeak(model); err != nil {
+	if _, res.BaselinePeak, err = ws.sc.BaselinePeak(model); err != nil {
 		return nil, err
 	}
 
@@ -180,7 +231,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	if p.Rewrite {
 		rwSp := root.Child("stage.rewrite")
 		t0 := time.Now()
-		if work, res.RewriteCount, err = RewriteGraph(g); err != nil {
+		if work, res.RewriteCount, err = rewriteGraph(g, &ws.rewrite); err != nil {
 			return nil, err
 		}
 		if work != g {
@@ -193,7 +244,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 		}
 	}
 	if work != g {
-		model = sched.NewMemModel(work)
+		model.Rebuild(work) // the input graph's model is done with
 	}
 
 	// Stage 2: divide-and-conquer.
@@ -202,7 +253,7 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	if p.Partition {
 		ptSp := root.Child("stage.partition")
 		t0 := time.Now()
-		part, err = partition.Split(work)
+		part, err = ws.split.Split(work)
 		if err != nil {
 			return nil, err
 		}
@@ -395,17 +446,15 @@ func (p *Pipeline) Run(ctx context.Context, g *Graph) (*Result, error) {
 	// Measure the combined schedule end to end. Every segment order passed
 	// fitsSegment, whichever tier it came from, so a failure here is a bug in
 	// this program (the partition or Combine), never a bad artifact.
-	sim, err := model.Simulate(order)
-	if err != nil {
+	if res.Peak, err = ws.sc.Peak(model, order); err != nil {
 		return nil, fmt.Errorf("serenity: combined schedule invalid: %w", err)
 	}
 	res.Order = order
-	res.Peak = sim.Peak
 
 	// Stage 4: arena allocation.
 	alSp := root.Child("stage.alloc")
 	t0 := time.Now()
-	asn, err := alloc.Plan(model, order)
+	asn, err := ws.plan.Plan(model, order)
 	if err != nil {
 		return nil, err
 	}
