@@ -12,6 +12,7 @@ import (
 	"os"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/models"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 }
 
 func run(net, out, dot string, nodes, k int, p float64, seed int64, hw, channels int) error {
-	g, err := build(net, nodes, k, p, seed, hw, channels)
+	g, err := models.ByName(net, models.WSConfig{Nodes: nodes, K: k, P: p, Seed: seed, HW: hw, Channel: channels})
 	if err != nil {
 		return err
 	}
@@ -60,23 +61,4 @@ func run(net, out, dot string, nodes, k int, p float64, seed int64, hw, channels
 		}
 	}
 	return nil
-}
-
-func build(net string, nodes, k int, p float64, seed int64, hw, channels int) (*serenity.Graph, error) {
-	switch net {
-	case "darts":
-		return serenity.DARTSNormalCell(), nil
-	case "swiftnet":
-		return serenity.SwiftNet(), nil
-	case "swiftnet-a":
-		return serenity.SwiftNetCellA(), nil
-	case "swiftnet-b":
-		return serenity.SwiftNetCellB(), nil
-	case "swiftnet-c":
-		return serenity.SwiftNetCellC(), nil
-	case "randwire":
-		return serenity.RandWireCell(fmt.Sprintf("randwire_ws_%d_%d_%v_%d", nodes, k, p, seed),
-			nodes, k, p, seed, hw, channels), nil
-	}
-	return nil, fmt.Errorf("unknown network %q", net)
 }

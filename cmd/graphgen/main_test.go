@@ -7,23 +7,8 @@ import (
 	"testing"
 
 	serenity "github.com/serenity-ml/serenity"
+	"github.com/serenity-ml/serenity/internal/models"
 )
-
-func TestBuildAllNetworks(t *testing.T) {
-	for _, name := range []string{"darts", "swiftnet", "swiftnet-a", "swiftnet-b", "swiftnet-c", "randwire"} {
-		g, err := build(name, 16, 4, 0.5, 3, 16, 8)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if err := g.Validate(); err != nil {
-			t.Errorf("%s invalid: %v", name, err)
-		}
-	}
-	if _, err := build("nope", 0, 0, 0, 0, 0, 0); err == nil {
-		t.Error("unknown network accepted")
-	}
-}
 
 func TestRunWritesJSONAndDOT(t *testing.T) {
 	dir := t.TempDir()
@@ -55,7 +40,7 @@ func TestRunWritesJSONAndDOT(t *testing.T) {
 
 // TestGeneratedJSONSchedulesEndToEnd: graphgen output feeds the scheduler.
 func TestGeneratedJSONSchedulesEndToEnd(t *testing.T) {
-	g, err := build("randwire", 12, 4, 0.75, 9, 8, 8)
+	g, err := models.ByName("randwire", models.WSConfig{Nodes: 12, K: 4, P: 0.75, Seed: 9, HW: 8, Channel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

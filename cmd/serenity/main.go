@@ -28,6 +28,7 @@ import (
 
 	serenity "github.com/serenity-ml/serenity"
 	"github.com/serenity-ml/serenity/internal/bytesize"
+	"github.com/serenity-ml/serenity/internal/models"
 )
 
 func main() {
@@ -127,22 +128,8 @@ func run(in, builtin, budget, dotOut string, noRewrite, noPartition bool, stepTi
 }
 
 func loadGraph(in, builtin string) (*serenity.Graph, error) {
-	switch builtin {
-	case "darts":
-		return serenity.DARTSNormalCell(), nil
-	case "swiftnet":
-		return serenity.SwiftNet(), nil
-	case "swiftnet-a":
-		return serenity.SwiftNetCellA(), nil
-	case "swiftnet-b":
-		return serenity.SwiftNetCellB(), nil
-	case "swiftnet-c":
-		return serenity.SwiftNetCellC(), nil
-	case "randwire":
-		return serenity.RandWireCell("randwire", 32, 4, 0.75, 101, 32, 16), nil
-	case "":
-	default:
-		return nil, fmt.Errorf("unknown builtin %q", builtin)
+	if builtin != "" {
+		return models.ByName(builtin, models.WSConfig{Nodes: 32, K: 4, P: 0.75, Seed: 101, HW: 32, Channel: 16})
 	}
 	if in == "" {
 		return nil, fmt.Errorf("provide -in FILE or -builtin NAME")

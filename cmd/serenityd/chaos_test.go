@@ -38,16 +38,18 @@ func runServerChaosSchedule(t *testing.T, seed int64) {
 	freshCompiles := 0
 
 	isolate := func(i int) {
-		nodes[i].fault.Isolate()
 		for j, n := range nodes {
 			if j != i {
+				nodes[i].fault.Partition(n.ts.URL)
 				n.fault.Partition(nodes[i].ts.URL)
 			}
 		}
 	}
 	healAll := func() {
 		for _, n := range nodes {
-			n.fault.Rejoin()
+			for _, m := range nodes {
+				n.fault.Heal(m.ts.URL)
+			}
 		}
 	}
 

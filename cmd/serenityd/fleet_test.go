@@ -280,7 +280,7 @@ func newJoiner(t *testing.T, existing []*drillNode, onRound func(peer string, ad
 	for _, n := range existing {
 		urls = append(urls, n.ts.URL)
 	}
-	err := node.boot(opts, urls, 99, func(cfg *config) {
+	err := node.boot(opts, urls, func(cfg *config) {
 		// Tiny batches force the pre-stream through several exchanges, so the
 		// mid-stream readiness probe in the test has a window to observe.
 		cfg.sync.Batch = 4
@@ -423,8 +423,8 @@ func TestFleetRefinementReachesOwner(t *testing.T) {
 		}
 	})
 	urls := []string{nodes[0].ts.URL, nodes[1].ts.URL}
-	for i, n := range nodes {
-		if err := n.boot(opts, urls, int64(i+1), func(c *config) {
+	for _, n := range nodes {
+		if err := n.boot(opts, urls, func(c *config) {
 			c.refineOpts = serenity.RefinePoolOptions{Workers: 1, QueueDepth: 64}
 		}); err != nil {
 			t.Fatal(err)

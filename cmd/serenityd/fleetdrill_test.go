@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"time"
 
 	serenity "github.com/serenity-ml/serenity"
@@ -27,10 +28,43 @@ type drillNode struct {
 	ts  *httptest.Server
 	dir string
 	// fault fronts every outbound fleet path (fetch, replication, sync,
-	// probes), so the drill partitions and heals nodes with rule edits.
-	fault   *fleet.FaultTransport
+	// probes), so the drill partitions and heals nodes without touching
+	// their processes.
+	fault   *cutTransport
 	bound   chan struct{} // closed once handler is set
 	handler http.Handler
+}
+
+// cutTransport fails every request toward a cut peer with a transport error,
+// which is what a partitioned peer looks like from this side of the wire;
+// other requests go to http.DefaultTransport.
+type cutTransport struct {
+	mu  sync.Mutex
+	cut map[string]bool // peer hosts
+}
+
+func (t *cutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.mu.Lock()
+	down := t.cut[req.URL.Host]
+	t.mu.Unlock()
+	if !down {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return nil, fmt.Errorf("injected partition: %s unreachable", req.URL.Host)
+}
+
+// Partition cuts traffic toward peer (one direction: cut the reverse on
+// peer's own transport), and Heal restores it.
+func (t *cutTransport) Partition(peer string) { t.set(peer, true) }
+func (t *cutTransport) Heal(peer string)      { t.set(peer, false) }
+
+func (t *cutTransport) set(peer string, cut bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.cut[strings.TrimPrefix(peer, "http://")] = cut
 }
 
 func newDrillNode() *drillNode {
@@ -49,13 +83,13 @@ func newDrillNode() *drillNode {
 // own store directory, the ring over urls, /readyz probes — and binds it to
 // the listener. tweak, when non-nil, edits the config first. The server is
 // left not ready, like a production node before its join pre-stream.
-func (n *drillNode) boot(opts serenity.Options, urls []string, seed int64, tweak func(*config)) error {
+func (n *drillNode) boot(opts serenity.Options, urls []string, tweak func(*config)) error {
 	dir, err := os.MkdirTemp("", "serenityd-fleet-drill-")
 	if err != nil {
 		return err
 	}
 	n.dir = dir
-	n.fault = fleet.NewFaultTransport(nil, seed)
+	n.fault = &cutTransport{cut: map[string]bool{}}
 	hc := &http.Client{Transport: n.fault}
 	cfg := testConfig()
 	cfg.opts = opts
@@ -93,8 +127,8 @@ func newDrillFleet(opts serenity.Options, n int) ([]*drillNode, error) {
 		nodes[i] = newDrillNode()
 		urls[i] = nodes[i].ts.URL
 	}
-	for i, node := range nodes {
-		if err := node.boot(opts, urls, int64(i+1), nil); err != nil {
+	for _, node := range nodes {
+		if err := node.boot(opts, urls, nil); err != nil {
 			return nodes, err
 		}
 		node.s.ready.Store(true)

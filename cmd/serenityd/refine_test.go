@@ -140,6 +140,9 @@ func TestOverloadSoakRefinedBitIdentical(t *testing.T) {
 	if refined.Peak != ref.Peak || refined.ArenaSize != ref.ArenaSize {
 		t.Errorf("refined peak/arena %d/%d, want %d/%d", refined.Peak, refined.ArenaSize, ref.Peak, ref.ArenaSize)
 	}
+	if done := metricValue(t, ts, "serenityd_refinements_done_total"); done == 0 {
+		t.Error("/metrics counts no finished refinement after the repair")
+	}
 }
 
 // TestWaitRefinedAndPending304 exercises the revalidation surface while the

@@ -77,6 +77,13 @@ func TestDebugTraceInlineSpanTree(t *testing.T) {
 			}
 		}
 	}
+	// The traced compile seeded the search stage's exemplar under its own
+	// trace ID, linking /metrics to the retained trace.
+	_, metrics := getJSON(t, ts, "/metrics")
+	exemplar := fmt.Sprintf(`serenityd_stage_exemplar_seconds{stage="search",trace_id=%q} `, sr.Trace.TraceID)
+	if !bytes.Contains(metrics, []byte("\n"+exemplar)) {
+		t.Errorf("/metrics has no line starting %q:\n%s", exemplar, metrics)
+	}
 }
 
 func spanNames(names map[string][]*trace.Node) []string {
@@ -100,8 +107,20 @@ func TestDegradedTraceRetainedWithRefinement(t *testing.T) {
 		t.Fatalf("forced degrade: quality %q, trace %v", sr.Quality, sr.Trace)
 	}
 	id := sr.Trace.TraceID
+	// Every degraded search says so on its own span, with the reason.
+	inline := map[string][]*trace.Node{}
+	flattenTree(sr.Trace.Spans, inline)
+	if len(inline["dp.search"]) == 0 {
+		t.Errorf("degraded inline trace has no dp.search span (have %v)", spanNames(inline))
+	}
+	for _, dp := range inline["dp.search"] {
+		if dp.Attrs["fell_back"] != "true" || dp.Attrs["fallback_reason"] == "" {
+			t.Errorf("degraded dp.search span: fell_back=%q fallback_reason=%q, want \"true\" and a reason",
+				dp.Attrs["fell_back"], dp.Attrs["fallback_reason"])
+		}
+	}
 
-	// The degraded trace survives tail-sampling and is listed.
+	// The degraded trace survives tail-sampling and is listed once.
 	listResp, listData := getJSON(t, ts, "/debug/traces")
 	if listResp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/traces: %d", listResp.StatusCode)
@@ -112,17 +131,17 @@ func TestDegradedTraceRetainedWithRefinement(t *testing.T) {
 	if err := json.Unmarshal(listData, &listing); err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	listed := 0
 	for _, tr := range listing.Traces {
 		if tr.ID.String() == id {
-			found = true
+			listed++
 			if !tr.Degraded {
 				t.Error("retained trace not marked degraded")
 			}
 		}
 	}
-	if !found {
-		t.Fatalf("degraded trace %s not listed in /debug/traces", id)
+	if listed != 1 {
+		t.Fatalf("degraded trace %s listed %d times in /debug/traces, want once", id, listed)
 	}
 
 	// The flight recorder snapshotted the fallback against this trace.

@@ -38,14 +38,8 @@ type Assignment struct {
 	Lifetimes []Lifetime
 }
 
-// Lifetimes computes the per-tensor residency intervals of order under the
-// model's liveness rules.
-func Lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
-	var p Planner
-	return p.lifetimes(m, order)
-}
-
-// lifetimes is Lifetimes in p's memory.
+// lifetimes computes the per-tensor residency intervals of order under the
+// model's liveness rules, in p's memory.
 func (p *Planner) lifetimes(m *sched.MemModel, order sched.Schedule) ([]Lifetime, error) {
 	pos, err := p.sc.Positions(m, order)
 	if err != nil {

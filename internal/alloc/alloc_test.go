@@ -25,7 +25,7 @@ func chain() (*sched.MemModel, sched.Schedule) {
 
 func TestLifetimesChain(t *testing.T) {
 	m, order := chain()
-	lts, err := Lifetimes(m, order)
+	lts, err := new(Planner).lifetimes(m, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 // by offset and scanned for the lowest gap. Plan must reproduce its offsets
 // exactly.
 func planReference(m *sched.MemModel, order sched.Schedule) (*Assignment, error) {
-	lts, err := Lifetimes(m, order)
+	lts, err := new(Planner).lifetimes(m, order)
 	if err != nil {
 		return nil, err
 	}

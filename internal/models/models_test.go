@@ -261,3 +261,22 @@ func TestRandWireCellStructure(t *testing.T) {
 		t.Errorf("outputs = %v", g.Outputs())
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, name := range []string{"darts", "swiftnet", "swiftnet-a", "swiftnet-b", "swiftnet-c", "randwire"} {
+		g, err := ByName(name, WSConfig{Nodes: 16, K: 4, P: 0.5, Seed: 3, HW: 16, Channel: 8})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s invalid: %v", name, err)
+		}
+	}
+	if g, _ := ByName("randwire", WSConfig{Nodes: 16, K: 4, P: 0.5, Seed: 3, HW: 16, Channel: 8}); g.Name != "randwire_ws_16_4_0.5_3" {
+		t.Errorf("randwire cell named %q, want its parameters", g.Name)
+	}
+	if _, err := ByName("nope", WSConfig{}); err == nil {
+		t.Error("unknown network accepted")
+	}
+}

@@ -122,7 +122,8 @@ func cutNodes(g *graph.Graph, order, pos, cuts []int) []int {
 }
 
 // Split partitions g at its cut nodes. A graph with no cuts yields a single
-// segment identical to g.
+// segment identical to g. It is Splitter.Split on fresh memory, kept for
+// callers that split once: benchmark/replay.go and testdata/golden/gen.go.
 func Split(g *graph.Graph) (*Partition, error) {
 	return new(Splitter).Split(g)
 }

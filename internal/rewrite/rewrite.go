@@ -237,7 +237,9 @@ func Apply(g *graph.Graph, matches []Match, sc *Scratch) (*graph.Graph, error) {
 }
 
 // Rewrite finds and applies all matches, returning the rewritten graph and
-// the matches performed. With no matches it returns a clone of g.
+// the matches performed. With no matches it returns a clone of g. It is
+// FindMatches plus Apply on fresh memory, kept for testdata/golden/gen.go,
+// which records the matches.
 func Rewrite(g *graph.Graph) (*graph.Graph, []Match, error) {
 	matches := FindMatches(g)
 	out, err := Apply(g, matches, nil)

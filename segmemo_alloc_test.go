@@ -38,9 +38,9 @@ func TestMemoWarmPathZeroAlloc(t *testing.T) {
 // whole-graph memory model when nothing was rewritten, no model per segment —
 // a memo hit needs the segment's node count, not its model — and a fixed
 // handful of objects per segment graph, which is carved out of one slab
-// instead of built node by node. Measured 289 allocations; the ceiling is
-// half as much again. Building segments node by node cost 1682, and the
-// per-tensor slices, node-ID maps and consumer sets before that 6019.
+// instead of built node by node. Measured 216 allocations; the ceiling is a
+// quarter more. Building segments node by node cost 1682, and the per-tensor
+// slices, node-ID maps and consumer sets before that 6019.
 func TestWarmRunAllocationCeiling(t *testing.T) {
 	g := models.StackedRandWire("warm-stack", 6, models.WSConfig{Nodes: 24, K: 4, P: 0.75, Seed: 3, HW: 16, Channel: 8})
 	p, err := NewPipeline(DefaultOptions())
@@ -58,8 +58,9 @@ func TestWarmRunAllocationCeiling(t *testing.T) {
 			t.Fatalf("warm run: %d of %d segments hit, err=%v", res.SegmentMemoHits, len(res.PartitionSizes), err)
 		}
 	})
-	if allocs > 430 {
-		t.Fatalf("warm Run allocates %.0f per op, want at most 430", allocs)
+	t.Logf("warm Run: %.0f allocations", allocs)
+	if allocs > 270 {
+		t.Fatalf("warm Run allocates %.0f per op, want at most 270", allocs)
 	}
 }
 
