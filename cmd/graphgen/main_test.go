@@ -52,3 +52,16 @@ func TestGeneratedJSONSchedulesEndToEnd(t *testing.T) {
 		t.Errorf("peak %d baseline %d", res.Peak, res.BaselinePeak)
 	}
 }
+
+// TestRunRejectsBadWSConfig: a randwire config no Watts–Strogatz cell fits is
+// a one-line error for main to print, not a panic, and writes nothing.
+func TestRunRejectsBadWSConfig(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "g.json")
+	err := run("randwire", out, "", 32, 3, 0.75, 101, 32, 16)
+	if err == nil || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("run with k=3: err = %v, want a one-line error", err)
+	}
+	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+		t.Errorf("run with k=3 created %s", out)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"sync"
 )
 
 // Fingerprint returns a canonical structural hash of the graph: a hex-encoded
@@ -19,46 +21,96 @@ func (g *Graph) Fingerprint() string {
 	return string(g.AppendFingerprint(hx[:0]))
 }
 
-// AppendFingerprint appends the hex digits of Fingerprint to dst. The words
-// go through a fixed buffer on the stack into one SHA-256 digest, so hashing
-// allocates nothing.
+// AppendFingerprint appends the hex digits of Fingerprint to dst. Hashing
+// allocates nothing: the writer and its digest are recycled.
 func (g *Graph) AppendFingerprint(dst []byte) []byte {
-	h := sha256.New()
-	var buf [512]byte
-	n := 0
-	wi := func(v int64) {
-		if n == len(buf) {
-			h.Write(buf[:])
-			n = 0
-		}
-		binary.LittleEndian.PutUint64(buf[n:], uint64(v))
-		n += 8
-	}
-	wi(int64(len(g.Nodes)))
+	w := writers.Get().(*FingerprintWriter)
+	defer writers.Put(w)
+	w.Begin(len(g.Nodes))
 	for _, nd := range g.Nodes {
-		wi(int64(nd.Op))
-		wi(int64(nd.DType))
-		wi(int64(len(nd.Shape)))
-		for _, d := range nd.Shape {
-			wi(int64(d))
-		}
-		wi(int64(len(nd.Preds)))
-		for _, p := range nd.Preds {
-			wi(int64(p))
-		}
-		a := nd.Attr
-		wi(int64(a.KernelH))
-		wi(int64(a.KernelW))
-		wi(int64(a.StrideH))
-		wi(int64(a.StrideW))
-		wi(int64(a.Pad))
-		wi(int64(a.Dilation))
-		wi(int64(a.Axis))
-		wi(int64(a.AliasOf))
-		wi(int64(a.ChanOffset))
-		wi(int64(a.InChannels))
+		w.Node(nd, nil, 0)
 	}
-	h.Write(buf[:n])
-	var sum [sha256.Size]byte
-	return hex.AppendEncode(dst, h.Sum(sum[:0]))
+	return w.AppendHex(dst)
+}
+
+// FingerprintWriter is the one encoder behind Fingerprint. It streams a
+// graph's words — the node count, then for every node in ID order its
+// operation, dtype, shape, operands and scheduling attributes — through a
+// fixed buffer into one SHA-256 digest. Graph.AppendFingerprint feeds it a
+// graph's own nodes; a caller that hashes a subgraph without building it (a
+// partition segment) feeds it the subgraph's nodes with their operands
+// renumbered. The zero value is ready to use, and a writer is reusable:
+// Begin starts over in the same digest.
+type FingerprintWriter struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte
+	sum [sha256.Size]byte
+}
+
+// writers recycles AppendFingerprint's writers, digests included.
+var writers = sync.Pool{New: func() any { return new(FingerprintWriter) }}
+
+// Begin starts the fingerprint of a graph of nodes nodes.
+func (w *FingerprintWriter) Begin(nodes int) {
+	if w.h == nil {
+		w.h = sha256.New()
+	}
+	w.h.Reset()
+	w.n = len(binary.LittleEndian.AppendUint64(w.buf[:0], uint64(nodes)))
+}
+
+// spill hashes the staged words; Node's word stays small enough to inline.
+//
+//go:noinline
+func (w *FingerprintWriter) spill(b []byte) []byte {
+	w.h.Write(b)
+	return b[:0]
+}
+
+// Node writes nd's words. With ids nil its operands and a non-negative
+// AliasOf are written as they are; otherwise each such node ID u is written
+// as ids[u] - base, its ID in the subgraph being hashed.
+func (w *FingerprintWriter) Node(nd *Node, ids []int, base int) {
+	b := w.buf[:w.n]
+	word := func(v int) {
+		if len(b) == len(w.buf) {
+			b = w.spill(b)
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	id := func(u int) int {
+		if ids == nil || u < 0 {
+			return u
+		}
+		return ids[u] - base
+	}
+	word(int(nd.Op))
+	word(int(nd.DType))
+	word(len(nd.Shape))
+	for _, d := range nd.Shape {
+		word(d)
+	}
+	word(len(nd.Preds))
+	for _, p := range nd.Preds {
+		word(id(p))
+	}
+	a := nd.Attr
+	word(a.KernelH)
+	word(a.KernelW)
+	word(a.StrideH)
+	word(a.StrideW)
+	word(int(a.Pad))
+	word(a.Dilation)
+	word(a.Axis)
+	word(id(a.AliasOf))
+	word(a.ChanOffset)
+	word(a.InChannels)
+	w.n = len(b)
+}
+
+// AppendHex ends the fingerprint and appends its hex digits to dst.
+func (w *FingerprintWriter) AppendHex(dst []byte) []byte {
+	w.n = len(w.spill(w.buf[:w.n]))
+	return hex.AppendEncode(dst, w.h.Sum(w.sum[:0]))
 }

@@ -279,4 +279,15 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope", WSConfig{}); err == nil {
 		t.Error("unknown network accepted")
 	}
+	for _, bad := range []WSConfig{
+		{Nodes: 32, K: 3, P: 0.75}, // K odd
+		{Nodes: 32, K: 0, P: 0.75}, // K < 2
+		{Nodes: 3, K: 2, P: 0.75},  // fewer than 4 nodes
+	} {
+		if g, err := ByName("randwire", bad); err == nil || g != nil {
+			t.Errorf("randwire %+v: got a graph, err %v; want Validate's error", bad, err)
+		} else if err.Error() != bad.Validate().Error() {
+			t.Errorf("randwire %+v: err %q, want Validate's %q", bad, err, bad.Validate())
+		}
+	}
 }

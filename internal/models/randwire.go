@@ -29,6 +29,15 @@ type WSConfig struct {
 	Channel int     // channels per node
 }
 
+// Validate reports why cfg draws no WS cell: the ring needs at least 4
+// nodes, and K must be even and at least 2.
+func (cfg WSConfig) Validate() error {
+	if cfg.Nodes < 4 || cfg.K < 2 || cfg.K%2 != 0 {
+		return fmt.Errorf("bad Watts-Strogatz config: %d nodes with k=%d (want at least 4 nodes and an even k >= 2)", cfg.Nodes, cfg.K)
+	}
+	return nil
+}
+
 // wsEdges generates the WS random graph as directed index pairs (u < v).
 func wsEdges(cfg WSConfig) [][2]int {
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -69,10 +78,11 @@ func wsEdges(cfg WSConfig) [][2]int {
 	return out
 }
 
-// RandWireCell builds one randomly wired cell.
+// RandWireCell builds one randomly wired cell. It panics on a cfg that
+// fails Validate: check values from outside the program first.
 func RandWireCell(name string, cfg WSConfig) *graph.Graph {
-	if cfg.Nodes < 4 || cfg.K < 2 || cfg.K%2 != 0 {
-		panic(fmt.Sprintf("models: bad WS config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("models: %v: %+v", err, cfg))
 	}
 	edges := wsEdges(cfg)
 	preds := make([][]int, cfg.Nodes)

@@ -617,3 +617,135 @@ func FuzzSplitDifferential(f *testing.F) {
 		assertSplitMatchesReference(t, g, "random DAG")
 	})
 }
+
+// fitsReference is the materialized order check the view's Fits replaced:
+// every node of seg exactly once, each after all of its predecessors.
+func fitsReference(seg *graph.Graph, order []int) bool {
+	n := seg.NumNodes()
+	if len(order) != n {
+		return false
+	}
+	done := make([]bool, n)
+	for _, id := range order {
+		if id < 0 || id >= n || done[id] {
+			return false
+		}
+		for _, p := range seg.Nodes[id].Preds {
+			if !done[p] {
+				return false
+			}
+		}
+		done[id] = true
+	}
+	return true
+}
+
+// randomTopoOrder is Kahn's algorithm taking a uniformly random ready node
+// at every step: any topological order of g can come out.
+func randomTopoOrder(rng *rand.Rand, g *graph.Graph) []int {
+	indeg := make([]int, g.NumNodes())
+	var ready, order []int
+	for id, n := range g.Nodes {
+		if indeg[id] = len(n.Preds); indeg[id] == 0 {
+			ready = append(ready, id)
+		}
+	}
+	for len(ready) > 0 {
+		i := rng.Intn(len(ready))
+		v := ready[i]
+		ready = append(ready[:i], ready[i+1:]...)
+		order = append(order, v)
+		for _, s := range g.Nodes[v].Succs {
+			if indeg[s]--; indeg[s] == 0 {
+				ready = append(ready, s)
+			}
+		}
+	}
+	return order
+}
+
+// randomConcatStack chains cells of SepConv branches off a pointwise waist,
+// each ending in concat → pointwise conv or depthwise conv: waists to cut
+// at, and a rewrite site in every cell.
+func randomConcatStack(rng *rand.Rand, cells int) *graph.Graph {
+	b := graph.NewBuilder("concat-stack")
+	x := b.Input(graph.Shape{1, 8, 8, 8})
+	for c := 0; c < cells; c++ {
+		x = b.PointwiseConv(x, 8)
+		ids := []int{x}
+		var ends []int
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			y := ids[rng.Intn(len(ids))]
+			for d := 1 + rng.Intn(2); d > 0; d-- {
+				y = b.SepConv(y, 8, 3, 1, graph.PadSame)
+				ids = append(ids, y)
+			}
+			ends = append(ends, y)
+		}
+		if x = b.Concat(ends...); rng.Intn(2) == 0 {
+			x = b.PointwiseConv(x, 8)
+		} else {
+			x = b.DepthwiseConv(x, 3, 1, graph.PadSame)
+		}
+	}
+	return b.Graph()
+}
+
+// FuzzSegmentView holds a Splitter's segment views to segments built node by
+// node (splitReference) on random DAGs and on rewritten concat stacks, whose
+// segments carry aliases: the same fingerprint bytes, the same graph once
+// Graph builds it, and the same Fits verdict as the materialized check on
+// random permutations, random topological orders and topological orders with
+// two entries swapped.
+func FuzzSegmentView(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(8), false)
+	f.Add(int64(2), uint8(64), uint8(2), false)
+	f.Add(int64(3), uint8(3), uint8(0), true)
+	f.Add(int64(4), uint8(5), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, nodes, edge uint8, rewritten bool) {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.RandomDAG(rng, graph.RandomDAGConfig{Nodes: 2 + int(nodes)%120, EdgeProb: (1 + float64(edge)) / 256})
+		if rewritten {
+			rw, _, err := rewrite.RewriteAll(randomConcatStack(rng, 1+int(nodes)%6), rewrite.DefaultRules(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = rw
+		}
+		var sp Splitter
+		views, err := sp.Split(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := splitReference(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(views.Segments) != len(want.Segments) {
+			t.Fatalf("%d views, reference %d segments", len(views.Segments), len(want.Segments))
+		}
+		for i, view := range views.Segments {
+			ref := want.Segments[i]
+			built := &Segment{G: ref.G, VirtualInput: ref.VirtualInput}
+			if view.NumNodes() != ref.G.NumNodes() || view.Fingerprint() != built.Fingerprint() {
+				t.Fatalf("segment %d: view of %d nodes hashes %s, built %d nodes %s",
+					i, view.NumNodes(), view.Fingerprint(), ref.G.NumNodes(), built.Fingerprint())
+			}
+			n := ref.G.NumNodes()
+			for range 8 {
+				order := randomTopoOrder(rng, ref.G)
+				orders := [][]int{order, rng.Perm(n), slices.Clone(order)}
+				a, b := rng.Intn(n), rng.Intn(n)
+				orders[2][a], orders[2][b] = orders[2][b], orders[2][a]
+				for _, o := range orders {
+					if got, want := view.Fits(o), fitsReference(ref.G, o); got != want || built.Fits(o) != want {
+						t.Fatalf("segment %d, order %v: view Fits %t, built Fits %t, reference %t", i, o, got, built.Fits(o), want)
+					}
+				}
+			}
+			if !reflect.DeepEqual(view.Graph(), ref.G) {
+				t.Fatalf("segment %d: the view's graph differs from the reference", i)
+			}
+		}
+	})
+}

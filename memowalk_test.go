@@ -3,6 +3,7 @@ package serenity
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/graph"
+	"github.com/serenity-ml/serenity/internal/partition"
 	"github.com/serenity-ml/serenity/internal/store"
 )
 
@@ -88,7 +90,7 @@ func oneIf(cond bool) int {
 func TestWalkMemoTierMatrix(t *testing.T) {
 	want := SearchResult{Order: Order{2, 0, 1}, StatesExplored: 11, MaxFrontier: 3, Quality: QualityOptimal}
 	const nodes = 3
-	seg := edgeless(nodes)
+	seg := whole(edgeless(nodes))
 	type outcome int
 	const (
 		storable outcome = iota
@@ -133,11 +135,12 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 				if !installed[sc.held] {
 					continue
 				}
-				key := sc.name + "|matrix"
+				mk := testKey(sc.name)
+				key := mk.String()
 				seeded := mustMarshalArtifact(t, want)
 				switch sc.held {
 				case memoTierMemory:
-					memo.store.Put(key, want)
+					memo.store.Put(mk, want)
 				case memoTierDisk:
 					if wrote, err := disk.st.PutIfAbsent(key, seeded); err != nil || !wrote {
 						t.Fatalf("seeding the disk tier: wrote=%t err=%v", wrote, err)
@@ -150,7 +153,7 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 					fake.fetched = nil
 				}
 				computed := 0
-				got, tier, err := walkMemo(context.Background(), memo, disk, peers, key, seg, func() (SearchResult, error) {
+				got, tier, err := walkMemo(context.Background(), memo, disk, peers, mk, seg, noFanOut, func() (SearchResult, error) {
 					computed++
 					switch sc.out {
 					case fellBack:
@@ -189,7 +192,7 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 				// The fills: every local tier above the one that answered.
 				fills := sc.out == storable
 				if hasMemo {
-					cur, ok := memo.store.Get(key)
+					cur, ok := memo.store.Get(mk)
 					if ok != fills {
 						t.Errorf("%s: memory tier holds the key = %t, want %t", sc.name, ok, fills)
 					} else if ok && !reflect.DeepEqual(cur.Order, want.Order) {
@@ -282,6 +285,18 @@ func TestWalkRejectsNonPermutation(t *testing.T) {
 	}
 }
 
+// noFanOut is walkMemo's fetching hook for a walk with no helpers to start.
+func noFanOut() {}
+
+// whole is g as the one segment of itself.
+func whole(g *Graph) *partition.Segment { return &partition.Segment{G: g, VirtualInput: -1} }
+
+// testKey is a memo key for name: its digest under the discriminator "test".
+func testKey(name string) memoKey { return memoKey{sha256.Sum256([]byte(name)), "test"} }
+
+// fitsSegment is Segment.Fits on the whole of seg.
+func fitsSegment(seg *Graph, order Order) bool { return whole(seg).Fits(order) }
+
 // edgeless returns a segment of n nodes and no edges: any permutation of
 // 0..n-1 is a topological order of it.
 func edgeless(n int) *Graph {
@@ -295,8 +310,8 @@ func edgeless(n int) *Graph {
 // anyOrderOf is the order check of an edgeless n-node segment: any
 // permutation of 0..n-1 fits.
 func anyOrderOf(n int) func(Order) bool {
-	seg := edgeless(n)
-	return func(o Order) bool { return fitsSegment(seg, o) }
+	seg := whole(edgeless(n))
+	return func(o Order) bool { return seg.Fits(o) }
 }
 
 // reversedArtifacts re-encodes every artifact in corpus with its order
@@ -418,12 +433,12 @@ func TestWalkReplacesPlantedArtifacts(t *testing.T) {
 // tier, and the leader's exact result still lands.
 func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 	memo := NewSegmentMemo(64)
-	seg := edgeless(3)
+	seg := whole(edgeless(3))
 	exact := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 9, Quality: QualityOptimal}
 	leading, release := make(chan struct{}), make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := walkMemo(context.Background(), memo, nil, nil, "k", seg, func() (SearchResult, error) {
+		_, _, err := walkMemo(context.Background(), memo, nil, nil, testKey("k"), seg, noFanOut, func() (SearchResult, error) {
 			close(leading)
 			<-release
 			return exact, nil
@@ -435,7 +450,7 @@ func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	fallback := SearchResult{Order: Order{2, 1, 0}, Quality: QualityHeuristic, FellBack: true, FallbackReason: context.DeadlineExceeded}
-	sr, tier, err := walkMemo(ctx, memo, nil, nil, "k", seg, func() (SearchResult, error) {
+	sr, tier, err := walkMemo(ctx, memo, nil, nil, testKey("k"), seg, noFanOut, func() (SearchResult, error) {
 		if ctx.Err() == nil {
 			t.Error("the follower searched before its deadline expired instead of waiting on the flight")
 		}
@@ -444,14 +459,14 @@ func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 	if err != nil || !sr.FellBack || tier != memoTierMiss {
 		t.Fatalf("follower past its deadline: sr=%+v tier=%v err=%v, want its searcher's fallback", sr, tier, err)
 	}
-	if _, ok := memo.store.Get("k"); ok {
+	if _, ok := memo.store.Get(testKey("k")); ok {
 		t.Error("the follower's fallback was stored")
 	}
 	close(release)
 	if err := <-leaderDone; err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := memo.store.Get("k"); !ok || !reflect.DeepEqual(got.Order, exact.Order) {
+	if got, ok := memo.store.Get(testKey("k")); !ok || !reflect.DeepEqual(got.Order, exact.Order) {
 		t.Errorf("after the leader finished the memo holds %+v (ok=%t), want its exact result", got, ok)
 	}
 	if st := memo.Stats(); st.Misses != 2 || st.Errors != 0 {
@@ -465,11 +480,11 @@ func TestWalkFollowerDeadlineDegrades(t *testing.T) {
 func TestWalkSearchesAColdKeyOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	memo := NewSegmentMemo(64)
-	seg := edgeless(3)
+	seg := whole(edgeless(3))
 	const keys, walkers = 5000, 8
 	redone := 0
 	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("k%d", k)
+		key := testKey(fmt.Sprintf("k%d", k))
 		var searches atomic.Int64
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -478,7 +493,7 @@ func TestWalkSearchesAColdKeyOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, _, err := walkMemo(context.Background(), memo, nil, nil, key, seg, func() (SearchResult, error) {
+				if _, _, err := walkMemo(context.Background(), memo, nil, nil, key, seg, noFanOut, func() (SearchResult, error) {
 					searches.Add(1)
 					return SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal}, nil
 				}); err != nil {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/serenity-ml/serenity/internal/models"
-	"github.com/serenity-ml/serenity/internal/partition"
 )
 
 // TestParallelMatchesSequential asserts the tentpole determinism claim: on
@@ -270,32 +269,35 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestSearchSegments drives the one segment loop with a stub searchOne,
-// inline (parallelism 1) and on a two-worker pool. The stub's workers
-// argument is the parallelism under test.
+// TestSearchSegments drives the one segment loop with a stub searchOne, on
+// the caller's goroutine alone (parallelism 1) and with one helper to start
+// (parallelism 2). The stub's workers argument is the parallelism under
+// test; a segment that waits on another must first call fanOut, as a search
+// or a peer fetch does.
 func TestSearchSegments(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const n = 5
 	errBoom := errors.New("boom")
 	answer := func(i int) (SearchResult, error) { return SearchResult{Order: Order{i}}, nil }
+	type search func(ctx context.Context, i int, cancel context.CancelFunc, workers int, fanOut func()) (SearchResult, error)
 	for _, tc := range []struct {
 		name    string
 		expired bool // the caller's deadline has passed before the loop starts
-		search  func(ctx context.Context, i int, cancel context.CancelFunc, workers int) (SearchResult, error)
+		search  search
 		want    error  // nil: every segment answered
 		wantMsg string // the whole error message
-		last    int    // the inline loop searches segments 0..last and no more
+		last    int    // the caller-only loop searches segments 0..last and no more
 	}{
 		{
 			name: "past deadline, every segment answered", expired: true,
-			search: func(_ context.Context, i int, _ context.CancelFunc, _ int) (SearchResult, error) {
+			search: func(_ context.Context, i int, _ context.CancelFunc, _ int, _ func()) (SearchResult, error) {
 				return answer(i)
 			},
 			last: n - 1,
 		},
 		{
 			name: "failure at k",
-			search: func(_ context.Context, i int, _ context.CancelFunc, _ int) (SearchResult, error) {
+			search: func(_ context.Context, i int, _ context.CancelFunc, _ int, _ func()) (SearchResult, error) {
 				if i == 2 {
 					return SearchResult{}, errBoom
 				}
@@ -305,7 +307,7 @@ func TestSearchSegments(t *testing.T) {
 		},
 		{
 			name: "caller cancellation outranks a segment error",
-			search: func(_ context.Context, i int, cancel context.CancelFunc, _ int) (SearchResult, error) {
+			search: func(_ context.Context, i int, cancel context.CancelFunc, _ int, _ func()) (SearchResult, error) {
 				if i == 1 {
 					cancel()
 					return SearchResult{}, errBoom
@@ -316,9 +318,10 @@ func TestSearchSegments(t *testing.T) {
 		},
 		{
 			name: "induced cancellation never hides the real failure",
-			search: func(ctx context.Context, i int, _ context.CancelFunc, workers int) (SearchResult, error) {
+			search: func(ctx context.Context, i int, _ context.CancelFunc, workers int, fanOut func()) (SearchResult, error) {
 				switch {
 				case i == 0 && workers > 1:
+					fanOut()     // a helper claims segment 1
 					<-ctx.Done() // held until segment 1's failure cancels its siblings
 					return SearchResult{}, ctx.Err()
 				case i == 1:
@@ -328,22 +331,38 @@ func TestSearchSegments(t *testing.T) {
 			},
 			want: errBoom, wantMsg: "segment 1: boom", last: 1,
 		},
+		{
+			name: "a waiting segment starts the helper that unblocks it",
+			search: func(ctx context.Context, i int, _ context.CancelFunc, workers int, fanOut func()) (SearchResult, error) {
+				if i == 0 && workers > 1 {
+					fanOut()
+					fanOut() // only the first call starts anything
+					<-ctx.Value(unblockKey{}).(chan struct{})
+				}
+				if i == n-1 && workers > 1 {
+					close(ctx.Value(unblockKey{}).(chan struct{}))
+				}
+				return answer(i)
+			},
+			last: n - 1,
+		},
 	} {
 		for _, workers := range []int{1, 2} {
 			ctx, cancel := context.WithCancel(context.Background())
 			if tc.expired {
 				ctx, cancel = context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 			}
-			segments := make([]*partition.Segment, n)
-			for i := range segments {
-				segments[i] = &partition.Segment{G: edgeless(1), VirtualInput: -1}
-			}
+			ctx = context.WithValue(ctx, unblockKey{}, make(chan struct{}))
 			var searched [n]atomic.Bool
-			results, err := searchSegments(ctx, segments, workers, func(ctx context.Context, i int, _ *Graph) (SearchResult, error) {
+			helpers := helpersStarted.Load()
+			results, err := searchSegments(ctx, n, workers, func(ctx context.Context, i int, fanOut func()) (SearchResult, error) {
 				searched[i].Store(true)
-				return tc.search(ctx, i, cancel, workers)
+				return tc.search(ctx, i, cancel, workers, fanOut)
 			})
 			cancel()
+			if started := helpersStarted.Load() - helpers; started > int64(workers-1) {
+				t.Errorf("%s, parallelism %d: %d helpers started, want at most %d", tc.name, workers, started, workers-1)
+			}
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("%s, parallelism %d: %v", tc.name, workers, err)
@@ -363,9 +382,50 @@ func TestSearchSegments(t *testing.T) {
 			}
 			for i := range searched {
 				if got := searched[i].Load(); got != (i <= tc.last) {
-					t.Errorf("%s, inline: segment %d searched = %t, want %t", tc.name, i, got, i <= tc.last)
+					t.Errorf("%s, caller only: segment %d searched = %t, want %t", tc.name, i, got, i <= tc.last)
 				}
 			}
 		}
 	}
+}
+
+type unblockKey struct{}
+
+// TestHitsStartNoHelper: a compilation every segment of which memory or disk
+// answers runs on the caller's goroutine, at any parallelism; one that
+// searches starts its helper at the first search, once.
+func TestHitsStartNoHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := models.StackedRandWire("helpers", 4, models.WSConfig{Nodes: 16, K: 4, P: 0.75, Seed: 7, HW: 8, Channel: 4})
+	opts := DefaultOptions()
+	opts.Parallelism = 2
+	p, err := NewPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SegmentMemo = NewSegmentMemo(64)
+	if p.Store, err = OpenScheduleStore(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Store.Close()
+	run := func(what string, wantHelpers int64, answered func(*Result) bool) {
+		t.Helper()
+		before := helpersStarted.Load()
+		res, err := p.Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !answered(res) {
+			t.Fatalf("%s: %d of %d segments hit (%d on disk)", what, res.SegmentMemoHits, len(res.PartitionSizes), res.SegmentMemoDiskHits)
+		}
+		if started := helpersStarted.Load() - before; started != wantHelpers {
+			t.Errorf("%s: %d helpers started, want %d", what, started, wantHelpers)
+		}
+	}
+	segments := func(r *Result) int { return len(r.PartitionSizes) }
+	run("cold", 1, func(r *Result) bool { return r.FreshStatesExplored > 0 })
+	run("memory hits", 0, func(r *Result) bool { return r.SegmentMemoHits == segments(r) && r.SegmentMemoDiskHits == 0 })
+	p.Store.Flush()
+	p.SegmentMemo = NewSegmentMemo(64)
+	run("disk hits", 0, func(r *Result) bool { return r.SegmentMemoDiskHits > 0 && r.SegmentMemoHits == segments(r) })
 }

@@ -277,25 +277,26 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 	searchSp := root.Child("stage.search")
 	searchStart := time.Now()
 
-	// memoKeys[i] is segment i's memo/store key; nil disables memoization
-	// (no memo or store installed, partitioning off, or a Searcher that does
-	// not expose a MemoKey). Keys are computed up front so the per-segment
-	// workers do no fingerprinting of their own.
-	var memoKeys []string
+	// keys[i] is segment i's memo key; nil disables memoization (no memo or
+	// store installed, partitioning off, or a Searcher that does not expose a
+	// MemoKey). Keys are values, hashed up front from the segment views so
+	// the per-segment work does no fingerprinting of its own.
+	var keys []memoKey
 	var tierHits [numMemoTiers]atomic.Int64 // memoized lookups by answering tier
 	var freshStates atomic.Int64
 	if (p.SegmentMemo != nil || p.Store != nil) && part != nil {
 		if mk, ok := p.Searcher.(MemoKeyer); ok {
 			if disc := mk.MemoKey(); disc != "" {
-				memoKeys = make([]string, len(segments))
+				keys = make([]memoKey, len(segments))
 				for i, seg := range segments {
-					memoKeys[i] = seg.Fingerprint() + "|" + disc
+					keys[i] = memoKey{seg.Sum(), disc}
 				}
 			}
 		}
 	}
 
-	searchOne := func(ctx context.Context, idx int, seg *Graph) (SearchResult, error) {
+	searchOne := func(ctx context.Context, idx int, fanOut func()) (SearchResult, error) {
+		seg := segments[idx]
 		nodes := seg.NumNodes()
 		var segSp *trace.SpanHandle
 		if searchSp != nil {
@@ -307,13 +308,14 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 		}
 		// Validation happens inside compute: every fresh result — a request's
 		// or a background refinement's recompute — is checked to be a
-		// topological order of the segment (fitsSegment) before any tier sees
+		// topological order of the segment (Segment.Fits) before any tier sees
 		// it, the same check artifacts pass on load (decodeArtifact); a memory
 		// hit is a result that already passed it for a segment of the same
 		// fingerprint, hence of the same structure.
 		// The governor reservation lives here too: only a search that actually
 		// runs costs memory, so memo/store/peer hits never touch the ledger.
 		compute := func() (SearchResult, error) {
+			fanOut()
 			var dpSp *trace.SpanHandle
 			if segSp != nil {
 				dpSp = segSp.Child("dp.search")
@@ -331,11 +333,12 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 					}
 				}
 			}
-			// The memory model is built here, where a search actually runs:
-			// a memo hit needs the segment's node count and nothing else. A
-			// traced search gets its dp.search span through ctx, so the
-			// searcher narrates what only it knows (the budget it ran at).
-			sr, err := segSearcher.Search(trace.ContextWith(ctx, dpSp), sched.NewMemModel(seg))
+			// The segment graph and its memory model are built here, where a
+			// search actually runs: a memo hit needs the segment's node count
+			// and nothing else. A traced search gets its dp.search span
+			// through ctx, so the searcher narrates what only it knows (the
+			// budget it ran at).
+			sr, err := segSearcher.Search(trace.ContextWith(ctx, dpSp), sched.NewMemModel(seg.Graph()))
 			if dpSp != nil {
 				el := time.Since(t0)
 				rate := int64(0)
@@ -366,7 +369,7 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 			if err != nil {
 				return sr, err
 			}
-			if !fitsSegment(seg, sr.Order) {
+			if !seg.Fits(sr.Order) {
 				return sr, fmt.Errorf("serenity: searcher %s returned %d ids that are not a topological order of the segment's %d nodes", p.Searcher.Name(), len(sr.Order), nodes)
 			}
 			return sr, nil
@@ -374,8 +377,8 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 		var sr SearchResult
 		var err error
 		tier := memoTierMiss
-		if memoKeys != nil {
-			sr, tier, err = walkMemo(ctx, p.SegmentMemo, p.Store, p.Peers, memoKeys[idx], seg, compute)
+		if keys != nil {
+			sr, tier, err = walkMemo(ctx, p.SegmentMemo, p.Store, p.Peers, keys[idx], seg, fanOut, compute)
 			tierHits[tier].Add(1)
 		} else {
 			sr, err = compute()
@@ -394,15 +397,15 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 		}
 		if segSp != nil {
 			segSp.Annotate(trace.Str("memo_tier", tier.name()))
-			if memoKeys != nil {
-				segSp.Annotate(trace.Str("memo_key", memoKeys[idx]))
+			if keys != nil {
+				segSp.Annotate(trace.Str("memo_key", keys[idx].String()))
 			}
 			segSp.End()
 		}
 		return sr, nil
 	}
 
-	results, err := searchSegments(ctx, segments, p.Parallelism, searchOne)
+	results, err := searchSegments(ctx, len(segments), p.Parallelism, searchOne)
 	if err != nil {
 		return nil, err
 	}
@@ -416,6 +419,7 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 			return nil, err
 		}
 	}
+	res.SegmentQuality = make([]Quality, 0, len(results))
 	for _, sr := range results {
 		res.StatesExplored += sr.StatesExplored
 		if sr.MaxFrontier > res.MaxFrontier {
@@ -444,7 +448,7 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 	}
 
 	// Measure the combined schedule end to end. Every segment order passed
-	// fitsSegment, whichever tier it came from, so a failure here is a bug in
+	// Segment.Fits, whichever tier it came from, so a failure here is a bug in
 	// this program (the partition or Combine), never a bad artifact.
 	if res.Peak, err = ws.sc.Peak(model, order); err != nil {
 		return nil, fmt.Errorf("serenity: combined schedule invalid: %w", err)
@@ -486,35 +490,57 @@ func SplitParallelism(budget, units int) (workers, per int) {
 	return workers, budget / workers
 }
 
-// searchSegments solves every partition segment with one worker function
-// that claims segment indexes from a shared counter: inline when
-// SplitParallelism grants one worker, on that many goroutines otherwise.
-// Results are collected by segment index, so on success the outcome is
-// identical regardless of parallelism or goroutine interleaving.
+// helpersStarted counts the helper goroutines searchSegments has started,
+// for tests of when it starts them.
+var helpersStarted atomic.Int64
+
+// searchSegments solves segments 0..n-1 with one worker function that claims
+// segment indexes from a shared counter. The caller's goroutine is the first
+// worker. searchOne gets a fanOut hook to call before a segment waits on
+// work — a search or a peer fetch: the first call starts the helpers
+// SplitParallelism grants beyond the caller (none when it grants one worker),
+// so a run that memory and disk answer starts no goroutine. Results are
+// collected by segment index, so on success the outcome is identical
+// regardless of parallelism or goroutine interleaving.
 //
 // Workers stop claiming only after a recorded failure, never on the caller's
 // deadline: a degradable searcher answers every segment after the deadline
 // by falling back, and an expired context must not void those valid
 // results. A failure cancels the segments still running; the reported
-// segment index is the lowest-index genuine failure, which on the pool may
-// differ from the inline path's (the failure itself is the same kind), the
-// one deliberate concession to the worker pool.
-func searchSegments(ctx context.Context, segments []*partition.Segment, parallelism int,
-	searchOne func(context.Context, int, *Graph) (SearchResult, error)) ([]SearchResult, error) {
+// segment index is the lowest-index genuine failure, which with helpers may
+// differ from the caller-only run's (the failure itself is the same kind),
+// the one deliberate concession to the helpers.
+func searchSegments(ctx context.Context, n, parallelism int,
+	searchOne func(ctx context.Context, i int, fanOut func()) (SearchResult, error)) ([]SearchResult, error) {
 
-	results := make([]SearchResult, len(segments))
-	errs := make([]error, len(segments))
+	results := make([]SearchResult, n)
+	errs := make([]error, n)
 	segCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	workers, _ := SplitParallelism(parallelism, n)
 	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() {
+	var failed, fanned atomic.Bool
+	var wg sync.WaitGroup
+	var work func()
+	fanOut := func() {
+		if workers <= 1 || fanned.Swap(true) {
+			return
+		}
+		// The first call comes from the caller's goroutine (no helper exists
+		// before it), so every Add happens before its Wait.
+		for range min(workers-1, n-int(next.Load())) {
+			wg.Add(1)
+			helpersStarted.Add(1)
+			go func() { defer wg.Done(); work() }()
+		}
+	}
+	work = func() {
 		for !failed.Load() {
 			i := int(next.Add(1) - 1)
-			if i >= len(segments) {
+			if i >= n {
 				return
 			}
-			sr, err := searchOne(segCtx, i, segments[i].G)
+			sr, err := searchOne(segCtx, i, fanOut)
 			if err != nil {
 				errs[i] = err
 				failed.Store(true)
@@ -524,19 +550,8 @@ func searchSegments(ctx context.Context, segments []*partition.Segment, parallel
 			results[i] = sr
 		}
 	}
-	if workers, _ := SplitParallelism(parallelism, len(segments)); workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
+	work()
+	wg.Wait()
 	if !failed.Load() {
 		return results, nil
 	}

@@ -2,9 +2,12 @@ package serenity
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync/atomic"
 
 	"github.com/serenity-ml/serenity/internal/cache"
+	"github.com/serenity-ml/serenity/internal/partition"
 	"github.com/serenity-ml/serenity/internal/trace"
 )
 
@@ -21,8 +24,8 @@ type MemoKeyer interface {
 }
 
 // SegmentMemo is a cross-request, segment-level schedule memo: a bounded LRU
-// from partition.Segment.Fingerprint()+"|"+Searcher.MemoKey() to the
-// SearchResult of that sub-problem, with singleflight coalescing so
+// from a segment's fingerprint and the Searcher's MemoKey to the SearchResult
+// of that sub-problem, with singleflight coalescing so
 // concurrent compilations of the same segment share one search instead of
 // racing duplicate DP runs.
 //
@@ -54,13 +57,29 @@ type MemoKeyer interface {
 //
 // A SegmentMemo is safe for concurrent use by any number of Pipelines.
 type SegmentMemo struct {
-	store *cache.Cache[SearchResult]
+	store *cache.LRU[memoKey, SearchResult]
 	group cache.Group[memoLoad]
 
 	// lookups counts resolved lookups by the tier that answered them
 	// (memoTierMiss: this caller ran the search); errors counts the rest.
 	lookups [numMemoTiers]atomic.Int64
 	errors  atomic.Int64
+}
+
+// memoKey is a segment's key in the memo hierarchy: its fingerprint digest
+// (partition.Segment.Sum) and the Searcher's MemoKey. The memory tier looks
+// it up as a value; String renders it for the tiers a key crosses a boundary
+// to reach — the disk store, the fleet and the flight — and for traces.
+type memoKey struct {
+	sum  [sha256.Size]byte
+	disc string
+}
+
+// String is the key as the store and the fleet address it:
+// Segment.Fingerprint() + "|" + MemoKey(), golden-pinned.
+func (k memoKey) String() string {
+	var buf [2*sha256.Size + 32]byte
+	return string(append(append(hex.AppendEncode(buf[:0], k.sum[:]), '|'), k.disc...))
 }
 
 // memoTier names one level of the memo hierarchy, in walk order; a lookup
@@ -121,7 +140,7 @@ type memoLoad struct {
 // NewSegmentMemo returns a memo holding at most capacity segment results;
 // capacity < 1 is raised to 1.
 func NewSegmentMemo(capacity int) *SegmentMemo {
-	return &SegmentMemo{store: cache.New[SearchResult](capacity)}
+	return &SegmentMemo{store: cache.NewLRU[memoKey, SearchResult](capacity)}
 }
 
 // SegmentMemoStats is a snapshot of a memo's counters. Every memoized segment
@@ -167,7 +186,7 @@ func (m *SegmentMemo) Stats() SegmentMemoStats {
 // non-degraded results reach a tier and a key names one canonical order, so no
 // later writer has anything better — it only differs in the search accounting, and
 // hits must stay bit-identical to the run that populated the entry.
-func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, wrote bool) {
+func (m *SegmentMemo) settle(key memoKey, sr SearchResult) (stands SearchResult, wrote bool) {
 	return m.store.PutIfAbsent(key, sr)
 }
 
@@ -177,9 +196,11 @@ func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, 
 // owns the tier order and everything that hangs off it. The returned tier
 // reports how the result arrived: anything but memoTierMiss means this caller
 // ran no search. seg is the segment: a disk or peer artifact whose order is
-// not a topological order of it (fitsSegment) is a miss — a disk record is
+// not a topological order of it (Segment.Fits) is a miss — a disk record is
 // deleted and counted corrupt — and the walk goes on down to a fresh search,
-// whose result then takes the key.
+// whose result then takes the key. fetching runs before the walk waits on a
+// peer: the pipeline starts its helper goroutines there.
+// A memory hit builds nothing; the key's string form exists only below it.
 //
 // Below the memory tier the walk runs inside the memo's singleflight:
 // concurrent lookups of one cold key cost one disk read, at most one peer
@@ -204,7 +225,7 @@ func (m *SegmentMemo) settle(key string, sr SearchResult) (stands SearchResult, 
 // owner. Disk and fleet writes are write-behind — the compile path never
 // waits on either — and both carry the one payload the result was marshaled
 // to. Degraded (FellBack) results reach no tier.
-func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key string, seg *Graph, compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
+func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key memoKey, seg *partition.Segment, fetching func(), compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
 	// The warm path stays allocation-free when the request is untraced:
 	// FromContext on a bare context costs one nil check, Child of a nil span
 	// is nil, and no attribute is constructed unless a live span is present.
@@ -218,6 +239,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 			return sr, memoTierMemory, nil
 		}
 	}
+	skey := key.String()
 	// fill lands a result that arrived from tier `from` in every local tier
 	// above it and returns the entry that stands (see settle). payload is
 	// sr's encoding when the caller already holds it (a peer fetch).
@@ -229,7 +251,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 			}
 		}
 		toDisk := disk != nil && from > memoTierDisk
-		toOwner := from == memoTierMiss && peers != nil && !peers.Owns(key)
+		toOwner := from == memoTierMiss && peers != nil && !peers.Owns(skey)
 		if !toDisk && !toOwner {
 			return sr
 		}
@@ -240,10 +262,10 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 			}
 		}
 		if toDisk {
-			disk.putAsync(key, payload)
+			disk.putAsync(skey, payload)
 		}
 		if toOwner {
-			peers.Replicate(ctx, key, payload)
+			peers.Replicate(ctx, skey, payload)
 		}
 		return sr
 	}
@@ -255,7 +277,6 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		return memoLoad{sr, memoTierMiss}, err
 	}
 	load := func() (memoLoad, error) {
-		fits := func(o Order) bool { return fitsSegment(seg, o) }
 		if memo != nil {
 			// A flight for key may have filled memory and closed between this
 			// caller's miss above and its becoming the leader here.
@@ -265,23 +286,24 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		}
 		if disk != nil {
 			sp := span.Child(memoSpanNames[memoTierDisk])
-			sr, ok := disk.get(key, fits)
+			sr, ok := disk.get(skey, seg.Fits)
 			endTierSpan(sp, ok)
 			if ok {
 				return memoLoad{fill(memoTierDisk, sr, nil), memoTierDisk}, nil
 			}
 		}
-		if peers != nil && !peers.Owns(key) {
+		if peers != nil && !peers.Owns(skey) {
+			fetching()
 			// The owner sees this span as its parent: Fetch propagates the
 			// traceparent, and the owner's serve span stitches under it.
 			sp, fctx := span.Child(memoSpanNames[memoTierPeer]), ctx
 			if sp != nil {
 				fctx = trace.ContextWith(ctx, sp)
 			}
-			payload, ok := peers.Fetch(fctx, key)
+			payload, ok := peers.Fetch(fctx, skey)
 			var sr SearchResult
 			if ok {
-				sr, ok = decodeArtifact(payload, fits)
+				sr, ok = decodeArtifact(payload, seg.Fits)
 			}
 			endTierSpan(sp, ok)
 			if ok {
@@ -294,7 +316,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		v, err := load()
 		return v.sr, v.tier, err
 	}
-	v, shared, err := memo.group.Do(ctx, key, load)
+	v, shared, err := memo.group.Do(ctx, skey, load)
 	if err != nil && ctx.Err() == context.DeadlineExceeded {
 		// This caller's own deadline ran out — possibly while it was only
 		// following another caller's flight (a more patient request's, or a

@@ -14,16 +14,16 @@ import (
 // the context.
 func TestMemoWarmPathZeroAlloc(t *testing.T) {
 	m := NewSegmentMemo(16)
-	seg := edgeless(3)
+	seg := whole(edgeless(3))
 	ctx := context.Background()
 	compute := func() (SearchResult, error) {
 		return SearchResult{Order: []int{0, 1, 2}, Quality: QualityOptimal}, nil
 	}
-	if _, tier, err := walkMemo(ctx, m, nil, nil, "k", seg, compute); err != nil || tier != memoTierMiss {
+	if _, tier, err := walkMemo(ctx, m, nil, nil, testKey("k"), seg, noFanOut, compute); err != nil || tier != memoTierMiss {
 		t.Fatalf("seeding the memo: tier=%v err=%v", tier, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		_, tier, err := walkMemo(ctx, m, nil, nil, "k", seg, compute)
+		_, tier, err := walkMemo(ctx, m, nil, nil, testKey("k"), seg, noFanOut, compute)
 		if err != nil || tier != memoTierMemory {
 			t.Fatalf("warm lookup: tier=%v err=%v", tier, err)
 		}
@@ -35,12 +35,12 @@ func TestMemoWarmPathZeroAlloc(t *testing.T) {
 
 // TestWarmRunAllocationCeiling bounds what an all-hit Run allocates on a
 // warm-memo-shaped graph (six stacked WS(24) cells, 18 segments): one
-// whole-graph memory model when nothing was rewritten, no model per segment —
-// a memo hit needs the segment's node count, not its model — and a fixed
-// handful of objects per segment graph, which is carved out of one slab
-// instead of built node by node. Measured 216 allocations; the ceiling is a
-// quarter more. Building segments node by node cost 1682, and the per-tensor
-// slices, node-ID maps and consumer sets before that 6019.
+// whole-graph memory model when nothing was rewritten, no model and no graph
+// per segment — a memo hit needs the segment's node count and its key, which
+// is hashed from the partition's view of the segment. Measured 51
+// allocations; the ceiling is a quarter more. A slab-built graph and two
+// strings per segment cost 216, building segments node by node 1682, and the
+// per-tensor slices, node-ID maps and consumer sets before that 6019.
 func TestWarmRunAllocationCeiling(t *testing.T) {
 	g := models.StackedRandWire("warm-stack", 6, models.WSConfig{Nodes: 24, K: 4, P: 0.75, Seed: 3, HW: 16, Channel: 8})
 	p, err := NewPipeline(DefaultOptions())
@@ -59,8 +59,8 @@ func TestWarmRunAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("warm Run: %.0f allocations", allocs)
-	if allocs > 270 {
-		t.Fatalf("warm Run allocates %.0f per op, want at most 270", allocs)
+	if allocs > 62 {
+		t.Fatalf("warm Run allocates %.0f per op, want at most 62", allocs)
 	}
 }
 

@@ -322,8 +322,8 @@ func TestSegmentMemoConcurrentReconciliation(t *testing.T) {
 // silently broke.)
 func TestSegmentMemoErrorAccounting(t *testing.T) {
 	memo := NewSegmentMemo(64)
-	seg := edgeless(1)
-	const key = "storm|test"
+	seg := whole(edgeless(1))
+	key := testKey("storm|test")
 	okResult := SearchResult{Order: Order{0}, Quality: QualityOptimal}
 
 	// A leader holds the flight open while canceled followers pile on.
@@ -331,7 +331,7 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 	release := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := walkMemo(context.Background(), memo, nil, nil, key, seg, func() (SearchResult, error) {
+		_, _, err := walkMemo(context.Background(), memo, nil, nil, key, seg, noFanOut, func() (SearchResult, error) {
 			close(started)
 			<-release
 			return okResult, nil
@@ -349,7 +349,7 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := walkMemo(canceled, memo, nil, nil, key, seg, func() (SearchResult, error) {
+			_, _, err := walkMemo(canceled, memo, nil, nil, key, seg, noFanOut, func() (SearchResult, error) {
 				t.Error("canceled follower ran the compute itself")
 				return okResult, nil
 			})
@@ -369,14 +369,14 @@ func TestSegmentMemoErrorAccounting(t *testing.T) {
 
 	// A failing compute is an Error too — nothing served, nothing stored.
 	wantErr := fmt.Errorf("search exploded")
-	if _, _, err := walkMemo(context.Background(), memo, nil, nil, "bad|key", seg, func() (SearchResult, error) {
+	if _, _, err := walkMemo(context.Background(), memo, nil, nil, testKey("bad|key"), seg, noFanOut, func() (SearchResult, error) {
 		return SearchResult{}, wantErr
 	}); err == nil {
 		t.Fatal("failing compute reported no error")
 	}
 
 	// And one warm hit to exercise all three counters at once.
-	if _, tier, err := walkMemo(context.Background(), memo, nil, nil, key, seg, func() (SearchResult, error) {
+	if _, tier, err := walkMemo(context.Background(), memo, nil, nil, key, seg, noFanOut, func() (SearchResult, error) {
 		t.Error("warm lookup recomputed")
 		return okResult, nil
 	}); err != nil || tier != memoTierMemory {
@@ -533,15 +533,15 @@ func TestSegmentMemoReplaceUpgradesOnly(t *testing.T) {
 	recount := SearchResult{Order: Order{0, 1}, StatesExplored: 2, Quality: QualityOptimal}
 	heuristic := SearchResult{Order: Order{1, 0}, Quality: QualityHeuristic}
 
-	if stands, wrote := memo.settle("k", first); !wrote || !reflect.DeepEqual(stands, first) {
+	if stands, wrote := memo.settle(testKey("k"), first); !wrote || !reflect.DeepEqual(stands, first) {
 		t.Fatalf("settle refused the first entry: wrote=%t stands=%+v", wrote, stands)
 	}
 	for _, late := range []SearchResult{recount, heuristic} {
-		if stands, wrote := memo.settle("k", late); wrote || !reflect.DeepEqual(stands, first) {
+		if stands, wrote := memo.settle(testKey("k"), late); wrote || !reflect.DeepEqual(stands, first) {
 			t.Errorf("settle over an entry: wrote=%t stands=%+v, want the first entry to stand", wrote, stands)
 		}
 	}
-	if got, _ := memo.store.Get("k"); !reflect.DeepEqual(got, first) {
+	if got, _ := memo.store.Get(testKey("k")); !reflect.DeepEqual(got, first) {
 		t.Errorf("stored entry %+v, want the first one", got)
 	}
 }

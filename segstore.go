@@ -112,7 +112,7 @@ func UnmarshalSegmentArtifact(b []byte) (SearchResult, error) {
 // hierarchy trusts it, whether it was loaded from disk or fetched from a
 // peer: decode (which enforces the version and the shape; the encoding
 // cannot carry a degraded result) plus fits, the segment's order check
-// (fitsSegment). Every caller treats a failure the same way — as a miss — so
+// (Segment.Fits). Every caller treats a failure the same way — as a miss — so
 // it reports only whether the payload passed.
 func decodeArtifact(payload []byte, fits func(Order) bool) (SearchResult, bool) {
 	sr, err := UnmarshalSegmentArtifact(payload)
@@ -120,32 +120,6 @@ func decodeArtifact(payload []byte, fits func(Order) bool) (SearchResult, bool) 
 		return SearchResult{}, false
 	}
 	return sr, true
-}
-
-// fitsSegment reports whether order is a topological order of seg: every
-// node exactly once, each after all of its predecessors. It is one O(n + e)
-// pass, and every result passes it before a memo tier trusts it — a fresh
-// search's, a disk record's and a peer's alike — so an order that breaks a
-// dependency reaches no tier: a stored or fetched one is a miss, a fresh one
-// an error.
-func fitsSegment(seg *Graph, order Order) bool {
-	n := seg.NumNodes()
-	if len(order) != n {
-		return false
-	}
-	done := make([]bool, n)
-	for _, id := range order {
-		if id < 0 || id >= n || done[id] {
-			return false
-		}
-		for _, p := range seg.Nodes[id].Preds {
-			if !done[p] {
-				return false
-			}
-		}
-		done[id] = true
-	}
-	return true
 }
 
 // StoreStats is a snapshot of a ScheduleStore's counters. Hits and Misses
