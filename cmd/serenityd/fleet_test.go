@@ -469,7 +469,6 @@ func TestFleetRefinementReachesOwner(t *testing.T) {
 			t.Fatalf("refinement failed: %+v", st)
 		}
 		b.s.peers.Drain()
-		b.s.store.Flush()
 		for _, key := range owned {
 			got, ok := owner.s.store.GetArtifact(key)
 			if !ok {

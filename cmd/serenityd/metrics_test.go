@@ -105,7 +105,6 @@ func TestMetricsGolden(t *testing.T) {
 		}
 		drainRefine(t, s.refine)
 		s.peers.Drain()
-		s.store.Flush()
 		ballast := s.gov.Reserve(int64(0.72 * float64(s.gov.Stats().Limit)))
 		defer ballast.Release()
 		s.gov.Refresh()

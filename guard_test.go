@@ -175,6 +175,20 @@ var guards = []struct {
 		return hits
 	},
 }, {
+	name:      "synchronous-disk-writes",
+	settledBy: "The disk tier writes inside the walk",
+	settled:   "Disk writes are synchronous inside the flight",
+	// The disk write is one put-if-absent append on the walk's goroutine, so
+	// the store layer holds no goroutine, channel or second lock; only the
+	// fleet's replication, which waits on the network, is write-behind. The
+	// groups keep this line out of a plain grep for the retired names.
+	fix: "ScheduleStore writes through store.PutIfAbsent on the caller's goroutine: no write-behind queue, " +
+		"writer goroutine or lock of its own",
+	check: func(tr tree) []string {
+		return append(tr.grep(`\bgo (func\b|[\w.]+\()|\bchan\b|sync\.RWMutex`, func(path string) bool { return path == "segstore.go" || path == "peer.go" }),
+			tr.grep(`\bput(Async)\b|\bwrite(Ch)\b|\bstore(Write|WriteQueue)\b|\bDropped(Writes)\b`, nonTest)...)
+	},
+}, {
 	name:      "fault-injection",
 	settledBy: "Tier-1 runs what CI runs",
 	settled:   "Fault injection is test code",

@@ -528,10 +528,13 @@ func (s *Store) PutIfAbsent(key string, payload []byte) (bool, error) {
 // KeyHashes returns the KeyHash of every live key, unordered. This is the
 // compact digest two peers exchange during anti-entropy: comparing hash sets
 // costs 8 bytes per record instead of shipping every key, and the requester
-// then pulls only the records whose hashes it lacks.
+// then pulls only the records whose hashes it lacks. A closed store has none.
 func (s *Store) KeyHashes() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	out := make([]uint64, 0, len(s.items))
 	for key := range s.items {
 		out = append(out, KeyHash(key))
@@ -540,12 +543,13 @@ func (s *Store) KeyHashes() []uint64 {
 }
 
 // Delete removes key from the live set (its file space becomes dead until
-// Compact) and reports whether it was present.
+// Compact) and reports whether it was present. A closed store deletes
+// nothing.
 func (s *Store) Delete(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, exists := s.items[key]
-	if !exists {
+	if !exists || s.closed {
 		return false
 	}
 	s.dropLocked(el, el.Value.(*rec))
@@ -650,7 +654,10 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Close syncs and releases the data file. The store is unusable afterwards.
+// Close syncs and releases the data file. Afterwards Stats keeps answering
+// with the final counters; Get, KeyHashes, Entries, Delete and Verify find
+// nothing; PutIfAbsent, Compact and Export return ErrClosed, and so does
+// Import at the first record it would add.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -683,10 +690,14 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Entries lists the live records, most recently used first.
+// Entries lists the live records, most recently used first. A closed store
+// lists none.
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	out := make([]Entry, 0, s.ll.Len())
 	for el := s.ll.Front(); el != nil; el = el.Next() {
 		r := el.Value.(*rec)
@@ -697,10 +708,13 @@ func (s *Store) Entries() []Entry {
 
 // Verify re-reads every live record and checks its CRC, dropping (and
 // counting) any that fail. It returns the number that verified and the number
-// dropped.
+// dropped; a closed store reads nothing, so it verifies and drops none.
 func (s *Store) Verify() (ok, corrupt int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return 0, 0
+	}
 	var next *list.Element
 	for el := s.ll.Front(); el != nil; el = next {
 		next = el.Next()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -444,9 +445,22 @@ func TestRottenLiveRecordOnEveryReadPath(t *testing.T) {
 	}
 }
 
+// TestClosedStoreOperations walks every exported method over a closed store:
+// Stats keeps its final counters, lookups find nothing, and writes and
+// streams fail with ErrClosed. In particular Verify must not read the
+// released file and drop every live record as corrupt.
 func TestClosedStoreOperations(t *testing.T) {
+	src := openT(t, t.TempDir(), 0)
+	put(t, src, "k2", []byte("v"))
+	var stream bytes.Buffer
+	if err := src.Export(&stream, nil); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
 	s := openT(t, t.TempDir(), 0)
 	put(t, s, "k", []byte("v"))
+	final := s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -461,6 +475,27 @@ func TestClosedStoreOperations(t *testing.T) {
 	}
 	if err := s.Compact(); err != ErrClosed {
 		t.Errorf("Compact on closed store: %v, want ErrClosed", err)
+	}
+	if err := s.Export(io.Discard, nil); err != ErrClosed {
+		t.Errorf("Export on closed store: %v, want ErrClosed", err)
+	}
+	if added, _, err := s.Import(&stream, nil); added != 0 || err != ErrClosed {
+		t.Errorf("Import on closed store: added %d, %v, want ErrClosed", added, err)
+	}
+	if h := s.KeyHashes(); len(h) != 0 {
+		t.Errorf("KeyHashes on closed store: %v", h)
+	}
+	if e := s.Entries(); len(e) != 0 {
+		t.Errorf("Entries on closed store: %v", e)
+	}
+	if ok, corrupt := s.Verify(); ok != 0 || corrupt != 0 {
+		t.Errorf("Verify on closed store: %d ok, %d corrupt, want nothing read", ok, corrupt)
+	}
+	if s.Delete("k") {
+		t.Error("Delete on closed store reported a removal")
+	}
+	if st := s.Stats(); st != final {
+		t.Errorf("closed store's stats moved: %+v -> %+v", final, st)
 	}
 }
 

@@ -42,34 +42,6 @@ func (p *recordingPeers) Replicate(_ context.Context, key string, payload []byte
 	p.replicated[key] = append(p.replicated[key], payload)
 }
 
-// writerlessStore opens a ScheduleStore whose write-behind goroutine never
-// starts, so the test reads the queue itself: exactly which writes the walk
-// enqueued, and the very slices it enqueued them with.
-func writerlessStore(t *testing.T) *ScheduleStore {
-	t.Helper()
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := &ScheduleStore{st: st, writeCh: make(chan storeWrite, storeWriteQueue)}
-	t.Cleanup(func() { ss.Close() })
-	return ss
-}
-
-func drainWrites(ss *ScheduleStore) []storeWrite {
-	var out []storeWrite
-	for {
-		select {
-		case w := <-ss.writeCh:
-			out = append(out, w)
-		default:
-			return out
-		}
-	}
-}
-
-func sameSlice(a, b []byte) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
-
 // oneIf is the expected count of an event that must happen exactly once when
 // cond holds and not at all otherwise.
 func oneIf(cond bool) int {
@@ -82,11 +54,11 @@ func oneIf(cond bool) int {
 // TestWalkMemoTierMatrix drives the one walk over every {memo, store, peers}
 // combination and, per combination, through every tier that can answer. For
 // each answer it pins which tiers were filled (every local tier above the
-// answering one, nothing else), that only fresh non-owned results replicate
-// (exactly once, with the same encoded payload the disk write carries — one
-// marshal per fresh result), that a peer's payload is written through
-// as-is, that degraded results and errors reach no tier, and that the memo's
-// counters reconcile: Hits+Misses+Errors == lookups.
+// answering one, nothing else; the disk write has landed when the walk
+// returns), that only fresh non-owned results replicate (exactly once, with
+// the bytes the disk holds), that a peer's payload is written through
+// as fetched, that degraded results and errors reach no tier, and that the
+// memo's counters reconcile: Hits+Misses+Errors == lookups.
 func TestWalkMemoTierMatrix(t *testing.T) {
 	want := SearchResult{Order: Order{2, 0, 1}, StatesExplored: 11, MaxFrontier: 3, Quality: QualityOptimal}
 	const nodes = 3
@@ -123,7 +95,7 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 				memo, installed[memoTierMemory] = NewSegmentMemo(64), true
 			}
 			if hasStore {
-				disk, installed[memoTierDisk] = writerlessStore(t), true
+				disk, installed[memoTierDisk] = openStoreT(t, t.TempDir()), true
 			}
 			if hasPeers {
 				fake = &recordingPeers{owned: map[string]bool{}, corpus: map[string][]byte{}, replicated: map[string][][]byte{}}
@@ -151,6 +123,10 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 				if hasPeers {
 					fake.owned[key] = sc.owned
 					fake.fetched = nil
+				}
+				var writesBefore int64
+				if hasStore {
+					writesBefore = disk.Stats().Writes
 				}
 				computed := 0
 				got, tier, err := walkMemo(context.Background(), memo, disk, peers, mk, seg, noFanOut, func() (SearchResult, error) {
@@ -199,16 +175,18 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 						t.Errorf("%s: memory tier holds %v", sc.name, cur.Order)
 					}
 				}
-				var diskWrites []storeWrite
+				var onDisk []byte
 				if hasStore {
-					diskWrites = drainWrites(disk)
-					if n := oneIf(fills && sc.held > memoTierDisk); len(diskWrites) != n {
-						t.Errorf("%s: %d disk writes queued, want %d", sc.name, len(diskWrites), n)
+					if n, wrote := oneIf(fills && sc.held > memoTierDisk), disk.Stats().Writes-writesBefore; wrote != int64(n) {
+						t.Errorf("%s: %d disk writes, want %d", sc.name, wrote, n)
 					}
-					for _, w := range diskWrites {
-						if sr, ok := decodeArtifact(w.payload, anyOrderOf(nodes)); w.key != key || !ok || !reflect.DeepEqual(sr.Order, want.Order) {
-							t.Errorf("%s: queued disk write %q is not the result", sc.name, w.key)
-						}
+					var ok bool
+					onDisk, ok = disk.st.Get(key)
+					if held := fills && sc.held >= memoTierDisk; ok != held {
+						t.Errorf("%s: disk holds the key = %t right after the walk, want %t", sc.name, ok, held)
+					}
+					if sr, valid := decodeArtifact(onDisk, anyOrderOf(nodes)); ok && (!valid || !reflect.DeepEqual(sr.Order, want.Order)) {
+						t.Errorf("%s: the disk holds %q under the key, not the result", sc.name, onDisk)
 					}
 				}
 				if hasPeers {
@@ -223,11 +201,11 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 					if n := oneIf(fills && sc.held == memoTierMiss && !sc.owned); len(reps) != n {
 						t.Errorf("%s: replicated %d times, want %d", sc.name, len(reps), n)
 					}
-					if len(reps) == 1 && len(diskWrites) == 1 && !sameSlice(reps[0], diskWrites[0].payload) {
-						t.Errorf("%s: disk and owner got different payload slices; the fresh result was marshaled more than once", sc.name)
+					if len(reps) == 1 && onDisk != nil && !bytes.Equal(reps[0], onDisk) {
+						t.Errorf("%s: the owner got %q, the disk holds %q", sc.name, reps[0], onDisk)
 					}
-					if sc.held == memoTierPeer && len(diskWrites) == 1 && !sameSlice(diskWrites[0].payload, seeded) {
-						t.Errorf("%s: the peer's payload was re-encoded instead of written through as fetched", sc.name)
+					if sc.held == memoTierPeer && onDisk != nil && !bytes.Equal(onDisk, seeded) {
+						t.Errorf("%s: the disk holds %q, not the peer's payload as fetched", sc.name, onDisk)
 					}
 				}
 			}
@@ -263,9 +241,9 @@ func (dupSearcher) Search(_ context.Context, m *MemModel) (SearchResult, error) 
 // TestWalkRejectsNonPermutation pins the one checkpoint every fresh result
 // passes — a request's or a refinement's recompute, they are the same walk:
 // a searcher returning a right-length non-permutation fails the run, and the
-// result reaches no tier (memory, the disk queue, or the key's ring owner).
+// result reaches no tier (memory, the disk, or the key's ring owner).
 func TestWalkRejectsNonPermutation(t *testing.T) {
-	memo, ss := NewSegmentMemo(64), writerlessStore(t)
+	memo, ss := NewSegmentMemo(64), openStoreT(t, t.TempDir())
 	peers := &recordingPeers{replicated: map[string][][]byte{}}
 	p := &Pipeline{Searcher: dupSearcher{}, Partition: true, SegmentMemo: memo, Store: ss, Peers: peers}
 	// The first segment of the stack has two nodes, so the sequential run
@@ -277,8 +255,8 @@ func TestWalkRejectsNonPermutation(t *testing.T) {
 	if st := memo.Stats(); st.Entries != 0 || st.Errors != 1 || st.Misses != 0 {
 		t.Errorf("memo after the rejected result: %+v, want no entry and one errored lookup", st)
 	}
-	if w := drainWrites(ss); len(w) != 0 {
-		t.Errorf("%d disk writes enqueued for a rejected result", len(w))
+	if st := ss.Stats(); st.Writes != 0 || st.Entries != 0 {
+		t.Errorf("a rejected result reached the disk: %d writes, %d entries", st.Writes, st.Entries)
 	}
 	if len(peers.replicated) != 0 {
 		t.Errorf("rejected result replicated toward %d keys' owners", len(peers.replicated))
@@ -397,7 +375,6 @@ func TestWalkReplacesPlantedArtifacts(t *testing.T) {
 					t.Errorf("run 2: %d fresh states, %d disk hits for %d keys; the recomputed results did not take their keys",
 						got.FreshStatesExplored, got.SegmentMemoDiskHits, len(planted))
 				}
-				ss.Flush()
 			}
 			if st := ss.Stats(); st.CorruptRecords != int64(len(planted)) || st.Entries != len(planted) {
 				t.Errorf("store after two runs: %d corrupt records, %d entries; want %d of each", st.CorruptRecords, st.Entries, len(planted))
@@ -516,8 +493,8 @@ func TestWalkSearchesAColdKeyOnce(t *testing.T) {
 }
 
 // TestWalkVsUpgradeFirstWriterStands is the disk tier's first-writer-stands
-// race (run under -race in CI). A walk's write-behind (the queue worker's
-// put-if-absent) races the anti-entropy import of a peer's byte-different
+// race (run under -race in CI). A walk's write (the store's put-if-absent)
+// races the anti-entropy import of a peer's byte-different
 // twin for the same key; exactly one of them lands, and the first bytes on
 // disk are the only bytes ever on disk — the conditional puts decide under
 // the store's own lock, so neither writer can slip between the other's check
@@ -548,7 +525,7 @@ func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 		landed := make(chan bool)
 		go func() {
 			<-start
-			wrote, err := ss.st.PutIfAbsent(key, local) // what the write-behind does
+			wrote, err := ss.st.PutIfAbsent(key, local) // what a walk's write does
 			landed <- wrote && err == nil
 		}()
 		go func() {
@@ -558,7 +535,7 @@ func TestWalkVsUpgradeFirstWriterStands(t *testing.T) {
 		}()
 		close(start)
 		if a, b := <-landed, <-landed; a == b {
-			t.Fatalf("round %d: write-behind and import both report landed=%t, want exactly one winner", round, a)
+			t.Fatalf("round %d: the walk's write and the import both report landed=%t, want exactly one winner", round, a)
 		}
 	}
 }

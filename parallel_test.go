@@ -425,7 +425,6 @@ func TestHitsStartNoHelper(t *testing.T) {
 	segments := func(r *Result) int { return len(r.PartitionSizes) }
 	run("cold", 1, func(r *Result) bool { return r.FreshStatesExplored > 0 })
 	run("memory hits", 0, func(r *Result) bool { return r.SegmentMemoHits == segments(r) && r.SegmentMemoDiskHits == 0 })
-	p.Store.Flush()
 	p.SegmentMemo = NewSegmentMemo(64)
 	run("disk hits", 0, func(r *Result) bool { return r.SegmentMemoDiskHits > 0 && r.SegmentMemoHits == segments(r) })
 }

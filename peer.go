@@ -45,33 +45,23 @@ func artifactSelfConsistent(payload []byte) bool {
 
 // The methods below adapt a ScheduleStore to the fleet's Store interface
 // (internal/fleet.Server and Syncer), making the persistent tier double as
-// the fleet-visible artifact corpus. All of them are inert on a closed store,
-// like every other ScheduleStore operation.
+// the fleet-visible artifact corpus. On a closed store the byte store
+// answers them: nothing is found, written or listed, and the streams
+// return store.ErrClosed.
 
 // GetArtifact returns the raw payload stored for key, bypassing the memo
 // hierarchy's lookup accounting — peer traffic must not skew the disk-tier
 // hit rate operators alert on.
 func (ss *ScheduleStore) GetArtifact(key string) ([]byte, bool) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return nil, false
-	}
 	return ss.st.Get(key)
 }
 
 // PutArtifact stores a payload replicated from a peer, first-writer-wins: an
 // existing record keeps its established bytes, so replication can never
 // change an answer a client has already seen. Invalid payloads are refused.
-// The write is synchronous — replication arrives on peer-facing handlers,
-// not the compile hot path. Writing into a closed store is a silent no-op.
+// The write is the same synchronous put-if-absent a walk's write is.
 func (ss *ScheduleStore) PutArtifact(key string, payload []byte) bool {
 	if !artifactSelfConsistent(payload) {
-		return false
-	}
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
 		return false
 	}
 	wrote, err := ss.st.PutIfAbsent(key, payload)
@@ -80,22 +70,12 @@ func (ss *ScheduleStore) PutArtifact(key string, payload []byte) bool {
 
 // KeyHashes returns the anti-entropy digest of the stored artifacts.
 func (ss *ScheduleStore) KeyHashes() []uint64 {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return nil
-	}
 	return ss.st.KeyHashes()
 }
 
 // ExportMissing streams at most max stored artifacts whose key-hash have
 // lacks, as a self-contained store file, returning how many records it wrote.
 func (ss *ScheduleStore) ExportMissing(w io.Writer, have map[uint64]bool, max int) (int, error) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return 0, nil
-	}
 	n := 0
 	err := ss.st.Export(w, func(key string) bool {
 		if n < max && !have[store.KeyHash(key)] {
@@ -110,17 +90,12 @@ func (ss *ScheduleStore) ExportMissing(w io.Writer, have map[uint64]bool, max in
 // ImportMissing merges a store stream — an anti-entropy round's, or an
 // offline `serenity store import` — first-writer-wins: records for keys
 // already present are skipped (decided under the store's own lock like
-// PutArtifact, so a write-behind landing mid-merge is never overwritten by a
+// PutArtifact, so a walk's write landing mid-merge is never overwritten by a
 // peer's byte-different twin). Payloads that fail artifact validation are
 // skipped and counted in CorruptRecords, as are records failing their CRC;
 // a torn tail is tolerated exactly as a store Open tolerates it. Returns how
 // many records were added.
 func (ss *ScheduleStore) ImportMissing(r io.Reader) (int, error) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return 0, nil
-	}
 	added, _, err := ss.st.Import(r, func(_ string, payload []byte) bool {
 		if artifactSelfConsistent(payload) {
 			return true

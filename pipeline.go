@@ -52,11 +52,11 @@ type Pipeline struct {
 	SegmentMemo *SegmentMemo
 	// Store, when non-nil, is the persistent tier under the SegmentMemo: a
 	// lookup falls through memory → disk → fresh search, disk hits are
-	// promoted into the memo, and fresh results are written through
-	// asynchronously. With no SegmentMemo installed the same walk starts at
-	// the store (with no singleflight to coalesce on). Keys, eligibility, and
-	// the never-store-degraded rule are exactly the SegmentMemo's; see
-	// ScheduleStore.
+	// promoted into the memo, and fresh results are written through inside
+	// the walk, before it returns. With no SegmentMemo installed the same
+	// walk starts at the store (with no singleflight to coalesce on). Keys,
+	// eligibility, and the never-store-degraded rule are exactly the
+	// SegmentMemo's; see ScheduleStore.
 	Store *ScheduleStore
 	// Peers, when non-nil, is the fleet tier beneath memory and disk: on a
 	// local miss of a key another fleet member owns, the artifact is fetched

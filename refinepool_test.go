@@ -123,7 +123,6 @@ func TestRefinePoolRepairsDegradedRun(t *testing.T) {
 
 	// The repair reached the persistent tier too: a cold memo over the same
 	// store warm-starts from disk at exact quality.
-	ss.Flush()
 	coldMemoP := memoPipeline(t, opts, NewSegmentMemo(256))
 	coldMemoP.Store = ss
 	fromDisk, err := coldMemoP.Run(context.Background(), g)

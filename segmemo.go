@@ -222,9 +222,11 @@ func (m *SegmentMemo) settle(key memoKey, sr SearchResult) (stands SearchResult,
 // is on load — goes to memory and is written through to disk (so the fleet
 // corpus a node pulls survives its own restarts); a fresh result goes to
 // both, and, when another member owns the key, is replicated toward the
-// owner. Disk and fleet writes are write-behind — the compile path never
-// waits on either — and both carry the one payload the result was marshaled
-// to. Degraded (FellBack) results reach no tier.
+// owner. The disk write is synchronous, on the walk's own goroutine inside
+// the flight, as the disk read is: one put-if-absent append to the page
+// cache. Replication is write-behind, because it waits on the network. Both
+// carry the one payload the result was marshaled to. Degraded (FellBack)
+// results reach no tier.
 func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers PeerTier, key memoKey, seg *partition.Segment, fetching func(), compute func() (SearchResult, error)) (SearchResult, memoTier, error) {
 	// The warm path stays allocation-free when the request is untraced:
 	// FromContext on a bare context costs one nil check, Child of a nil span
@@ -262,7 +264,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 			}
 		}
 		if toDisk {
-			disk.putAsync(skey, payload)
+			disk.put(skey, payload)
 		}
 		if toOwner {
 			peers.Replicate(ctx, skey, payload)

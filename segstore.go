@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/serenity-ml/serenity/internal/store"
@@ -130,7 +129,6 @@ type StoreStats struct {
 	Hits           int64
 	Misses         int64
 	Writes         int64
-	DroppedWrites  int64
 	Evictions      int64
 	CorruptRecords int64
 	// LiveBytes is the space held by retrievable artifacts; DeadBytes the
@@ -152,11 +150,12 @@ type StoreStats struct {
 // Assign it to Pipeline.Store and the hierarchy's one walk (walkMemo)
 // consults it after the SegmentMemo — or first, on a Pipeline without one:
 // disk hits are promoted to memory, and fresh or peer-fetched results are
-// written through asynchronously (the DP's caller never waits on the disk).
-// Degraded (FellBack) results are never persisted — the artifact encoding
-// refuses them. Every write here — write-behind, a peer's replica, an
-// anti-entropy or offline import — is the byte store's one write, an atomic
-// put-if-absent: a key names one canonical result, so the first record stands.
+// written through inside the walk's flight, one append of a few hundred
+// bytes, as a disk lookup is one read. Degraded (FellBack) results are never
+// persisted — the artifact encoding refuses them. Every write here — a
+// walk's, a peer's replica, an anti-entropy or offline import — is the byte
+// store's one write, an atomic put-if-absent: a key names one canonical
+// result, so the first record stands.
 //
 // Artifacts are re-validated on every load: CRC at the byte layer, then
 // version, shape, and a check that the order is a topological order of the
@@ -165,38 +164,19 @@ type StoreStats struct {
 // never to a wrong or crashing compilation.
 //
 // A ScheduleStore is safe for concurrent use by any number of Pipelines;
-// serenityd holds one per process (-store-dir). Close it on shutdown to
-// flush the write-behind queue.
+// serenityd holds one per process (-store-dir). Close it on shutdown to sync
+// and release the file. A closed store is inert: lookups miss, writes are
+// dropped, and Stats keeps answering with the final counters. Whether it is
+// closed is decided by the byte store's own lock; closed here only keeps a
+// lookup after Close out of the miss count.
 type ScheduleStore struct {
-	st *store.Store
-
-	// mu is read-held by every data operation (get, putAsync, PutArtifact,
-	// ImportMissing, Flush, Compact, Stats) and write-held only by Close,
-	// which makes "closed store drops lookups and writes silently" a real
-	// invariant: once Close holds the write lock no operation can be
-	// mid-flight against the inner store, and every later operation
-	// observes closed and returns inert.
-	mu         sync.RWMutex
-	writeCh    chan storeWrite
-	closed     bool
-	finalStats store.Stats // inner-store counters, snapshotted by Close
-	wg         sync.WaitGroup
+	st     *store.Store
+	closed atomic.Bool
 
 	decodeErrs atomic.Int64
 	hits       atomic.Int64
 	misses     atomic.Int64
-	dropped    atomic.Int64
 }
-
-type storeWrite struct {
-	key     string
-	payload []byte
-	flushed chan struct{} // non-nil marks a flush barrier, not a write
-}
-
-// storeWriteQueue bounds the write-behind queue; at ~4 bytes per scheduled
-// node a full queue is still well under a megabyte of pending artifacts.
-const storeWriteQueue = 256
 
 // OpenScheduleStore opens (creating if needed) the schedule artifact store
 // in dir, bounding the live artifacts to maxBytes (0 = unbounded). Corrupt
@@ -207,31 +187,7 @@ func OpenScheduleStore(dir string, maxBytes int64) (*ScheduleStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss := &ScheduleStore{
-		st:      st,
-		writeCh: make(chan storeWrite, storeWriteQueue),
-	}
-	ss.wg.Add(1)
-	go ss.writer()
-	return ss, nil
-}
-
-// writer is the write-behind goroutine: it drains the queue into the store
-// so search workers never block on disk.
-func (ss *ScheduleStore) writer() {
-	defer ss.wg.Done()
-	for w := range ss.writeCh {
-		if w.flushed != nil {
-			close(w.flushed)
-			continue
-		}
-		// The put can only fail on I/O trouble or an oversized record; either
-		// way the result is recomputable, so a failed write-behind costs a
-		// future cold search, nothing more. Put-if-absent, because a peer's
-		// replica or an import may have landed the key while this write sat in
-		// the queue.
-		_, _ = ss.st.PutIfAbsent(w.key, w.payload)
-	}
+	return &ScheduleStore{st: st}, nil
 }
 
 // get loads and validates the artifact for key. fits is the segment's order
@@ -241,9 +197,7 @@ func (ss *ScheduleStore) writer() {
 // shutdown must not skew the hit-rate accounting the caller prints
 // afterwards.
 func (ss *ScheduleStore) get(key string, fits func(Order) bool) (SearchResult, bool) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
+	if ss.closed.Load() {
 		return SearchResult{}, false
 	}
 	payload, ok := ss.st.Get(key)
@@ -262,89 +216,45 @@ func (ss *ScheduleStore) get(key string, fits func(Order) bool) (SearchResult, b
 	return sr, true
 }
 
-// putAsync enqueues a write-through of an encoded artifact without blocking:
-// if the queue is full the write is dropped and counted — the artifact is
-// recomputable, and the hot path must never wait on disk.
-func (ss *ScheduleStore) putAsync(key string, payload []byte) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return
-	}
-	select {
-	case ss.writeCh <- storeWrite{key: key, payload: payload}:
-	default:
-		ss.dropped.Add(1)
-	}
+// put writes an encoded artifact through, put-if-absent, because a peer's
+// replica or an import may have landed the key first. Its error is dropped:
+// a write can only fail on I/O trouble, an oversized record or a closed
+// store, and each costs a future cold search, nothing more.
+func (ss *ScheduleStore) put(key string, payload []byte) {
+	_, _ = ss.st.PutIfAbsent(key, payload)
 }
 
-// Flush blocks until every write enqueued before the call has reached the
-// store file. Flushing a closed store is a no-op: Close already drained the
-// queue.
-func (ss *ScheduleStore) Flush() {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return
-	}
-	barrier := storeWrite{flushed: make(chan struct{})}
-	ss.writeCh <- barrier // blocking: a flush must not be droppable
-	<-barrier.flushed
-}
+// Flush waits for nothing: every write reaches the store file before the
+// walk that made it returns. It is kept only for benchmark/replay.go, its
+// one remaining caller.
+func (ss *ScheduleStore) Flush() {}
 
-// Compact flushes pending writes and rewrites the data file with only the
-// live artifacts, reclaiming space from deleted, evicted, superseded and
-// corrupt records. Compacting a closed store is a no-op, like every other operation
-// after Close. The flush barrier is inlined rather than calling Flush: a
-// second read-lock acquisition could deadlock against a Close queued between
-// the two.
+// Compact rewrites the data file with only the live artifacts, reclaiming
+// space from deleted, evicted, superseded and corrupt records. On a closed
+// store it returns store.ErrClosed.
 func (ss *ScheduleStore) Compact() error {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.closed {
-		return nil
-	}
-	barrier := storeWrite{flushed: make(chan struct{})}
-	ss.writeCh <- barrier
-	<-barrier.flushed
 	return ss.st.Compact()
 }
 
-// Close drains the write-behind queue, syncs, and releases the store. A
-// closed store drops lookups and writes silently, so Pipelines holding it
-// keep working (cold) during shutdown; Stats keeps answering with the
-// final pre-close counters.
+// Close syncs and releases the store. A closed store drops lookups and
+// writes silently, so Pipelines holding it keep working (cold) during
+// shutdown.
 func (ss *ScheduleStore) Close() error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return nil
-	}
-	ss.closed = true
-	close(ss.writeCh)
-	ss.wg.Wait()
-	ss.finalStats = ss.st.Stats()
+	ss.closed.Store(true)
 	return ss.st.Close()
 }
 
 // Stats returns a snapshot of the store's counters. Lookup accounting
 // (hits/misses) is kept at this layer — the raw byte store can't tell a
 // semantically invalid payload from a valid one — while write, eviction, and
-// size accounting come from the file layer. After Close, the file-layer
-// numbers are the snapshot Close took; the lookup counters stop moving
-// because a closed store declines lookups.
+// size accounting come from the file layer. After Close both stop moving:
+// a closed store declines lookups and writes.
 func (ss *ScheduleStore) Stats() StoreStats {
-	ss.mu.RLock()
-	raw := ss.finalStats
-	if !ss.closed {
-		raw = ss.st.Stats()
-	}
-	ss.mu.RUnlock()
+	raw := ss.st.Stats()
 	return StoreStats{
 		Hits:           ss.hits.Load(),
 		Misses:         ss.misses.Load(),
 		Writes:         raw.Writes,
-		DroppedWrites:  ss.dropped.Load(),
 		Evictions:      raw.Evictions,
 		CorruptRecords: raw.CorruptRecords + ss.decodeErrs.Load(),
 		LiveBytes:      raw.LiveBytes,

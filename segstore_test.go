@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -125,7 +127,7 @@ func FuzzSegmentArtifact(f *testing.F) {
 				t.Fatalf("re-encode round trip diverged: %+v vs %+v (%v)", sr, sr2, err)
 			}
 		}
-		ss := writerlessStore(t)
+		ss := openStoreT(t, t.TempDir())
 		if _, err := ss.st.PutIfAbsent(key, data); err != nil {
 			t.Fatal(err)
 		}
@@ -173,17 +175,34 @@ func TestScheduleStoreTierPromotion(t *testing.T) {
 	dir := t.TempDir()
 	ss := openStoreT(t, dir)
 
-	cold, err := storePipeline(t, opts, NewSegmentMemo(256), ss).Run(context.Background(), g)
+	memo := NewSegmentMemo(256)
+	cold, err := storePipeline(t, opts, memo, ss).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.SegmentMemoDiskHits != 0 {
 		t.Errorf("cold run on an empty store reports %d disk hits", cold.SegmentMemoDiskHits)
 	}
-	ss.Flush()
 	if st := ss.Stats(); st.Writes == 0 || st.Entries == 0 {
 		t.Fatalf("cold run wrote nothing through: %+v", st)
 	}
+
+	// Every fresh segment is in the data file by the time Run returns, with
+	// no flush: another process opening the directory reads them all.
+	ro, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := ro.Entries()
+	if fresh := memo.Stats().Misses; int64(len(entries)) != fresh {
+		t.Errorf("a read-only open right after Run sees %d artifacts; the run searched %d fresh segments", len(entries), fresh)
+	}
+	for _, e := range entries {
+		if payload, ok := ro.Get(e.Key); !ok || !artifactSelfConsistent(payload) {
+			t.Errorf("a read-only open right after Run cannot read %q", e.Key)
+		}
+	}
+	ro.Close()
 
 	// Fresh memo, same store: simulates a restart inside one process. Every
 	// distinct segment loads from disk once and is promoted; its structural
@@ -235,7 +254,6 @@ func TestScheduleStoreWithoutMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.Flush()
 	warm, err := storePipeline(t, opts, nil, ss).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +294,6 @@ func TestScheduleStorePoisonRule(t *testing.T) {
 	if st := memo.Stats(); st.Misses+st.Errors == 0 {
 		t.Fatalf("the rushed run never went through the memo (%+v); the poison rule was not exercised", st)
 	}
-	ss.Flush()
 	ss.Close()
 
 	// Inspect the raw store: every artifact persisted under the degraded
@@ -325,7 +342,6 @@ func TestScheduleStoreCorruptionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.Flush()
 	ss.Close()
 
 	// Flip bytes throughout the record region of the data file.
@@ -372,7 +388,6 @@ func TestScheduleStoreClosedIsInert(t *testing.T) {
 	opts.StepTimeout = time.Minute
 	ss := openStoreT(t, t.TempDir())
 	ss.Close()
-	ss.Flush() // must be a no-op, not a deadlock
 	res, err := storePipeline(t, opts, NewSegmentMemo(256), ss).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -392,20 +407,19 @@ func mustMarshalArtifact(t testing.TB, sr SearchResult) []byte {
 }
 
 // TestScheduleStoreConcurrentCloseDrain is the shutdown race test (run under
-// -race in CI): lookups, writes, flushes, compactions, and stats snapshots
-// drain through a store while another goroutine closes it mid-storm. Every
-// entry point must be closed-inert — return without panicking, deadlocking,
-// or touching the released inner store — and a closed get must not count a
-// miss (nothing was looked up, and shutdown must not skew the hit rate the
-// daemon prints on exit).
+// -race in CI): lookups, writes, compactions, stats snapshots and the fleet's
+// reads run through a store while another goroutine closes it mid-storm.
+// Every entry point must be closed-inert — return without panicking,
+// deadlocking, or touching the released file — and a closed get must not
+// count a miss (nothing was looked up, and shutdown must not skew the hit
+// rate the daemon prints on exit).
 func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 	ss, err := OpenScheduleStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := mustMarshalArtifact(t, SearchResult{Order: Order{0, 1, 2}, Quality: QualityOptimal})
-	ss.putAsync("seed", payload)
-	ss.Flush()
+	ss.put("seed", payload)
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -415,17 +429,21 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 200; i++ {
-				switch (w + i) % 5 {
+				switch (w + i) % 7 {
 				case 0:
 					ss.get("seed", anyOrderOf(3))
 				case 1:
-					ss.putAsync(fmt.Sprintf("k%d-%d", w, i), payload)
+					ss.put(fmt.Sprintf("k%d-%d", w, i), payload)
 				case 2:
-					ss.Flush()
+					ss.KeyHashes()
 				case 3:
 					_ = ss.Compact()
 				case 4:
 					ss.Stats()
+				case 5:
+					ss.GetArtifact("seed")
+				case 6:
+					_, _ = ss.ExportMissing(io.Discard, nil, 4)
 				}
 			}
 		}(w)
@@ -446,10 +464,18 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 	if _, ok := ss.get("seed", anyOrderOf(3)); ok {
 		t.Error("closed store served a lookup")
 	}
-	ss.putAsync("late", payload)
-	ss.Flush()
-	if err := ss.Compact(); err != nil {
-		t.Errorf("Compact on a closed store: %v", err)
+	ss.put("late", payload)
+	if ss.PutArtifact("late", payload) {
+		t.Error("closed store took a peer's artifact")
+	}
+	if _, ok := ss.GetArtifact("seed"); ok || len(ss.KeyHashes()) != 0 {
+		t.Error("closed store served the fleet")
+	}
+	if err := ss.Compact(); !errors.Is(err, store.ErrClosed) {
+		t.Errorf("Compact on a closed store: %v, want store.ErrClosed", err)
+	}
+	if n, err := ss.ExportMissing(io.Discard, nil, 4); n != 0 || !errors.Is(err, store.ErrClosed) {
+		t.Errorf("ExportMissing on a closed store: %d records, %v", n, err)
 	}
 	after := ss.Stats()
 	if after.Misses != before.Misses {
@@ -464,18 +490,14 @@ func TestScheduleStoreConcurrentCloseDrain(t *testing.T) {
 }
 
 // TestScheduleStoreReplaceUpgradesOnly pins the disk tier's write rule, the
-// one every write-behind obeys (PutIfAbsent): the first artifact under a key
-// stands against any later write, a record that fails validation is deleted
-// by the one lookup that finds it — so the recompute's write-behind replaces
-// it — and a degraded result cannot even be encoded for the store.
+// one every write obeys (PutIfAbsent): the first artifact under a key stands
+// against any later write, a record that fails validation is deleted by the
+// one lookup that finds it — so the recompute's write replaces it — and a
+// degraded result cannot even be encoded for the store.
 func TestScheduleStoreReplaceUpgradesOnly(t *testing.T) {
 	ss := openStoreT(t, t.TempDir())
 	first := SearchResult{Order: Order{0, 1, 2}, StatesExplored: 9, Quality: QualityOptimal}
-	write := func(key string, payload []byte) {
-		t.Helper()
-		ss.putAsync(key, payload)
-		ss.Flush()
-	}
+	write := ss.put
 
 	// Hits must stay bit-identical to whichever run populated the entry.
 	write("k", mustMarshalArtifact(t, first))
@@ -486,7 +508,7 @@ func TestScheduleStoreReplaceUpgradesOnly(t *testing.T) {
 	}
 
 	// A standing record that does not decode (CRC-clean, so the byte layer
-	// serves it) blocks write-behind only until it is looked up once.
+	// serves it) blocks writes only until it is looked up once.
 	corrupt := mustMarshalArtifact(t, first)
 	corrupt[0] = ArtifactVersion + 1
 	write("c", corrupt)
@@ -694,7 +716,7 @@ func summarize(res *Result) storeRunSummary {
 
 // TestScheduleStoreHelperProcess is the cold half of the cross-process
 // differential: re-executed as a child process, it compiles the workload
-// against a fresh store, flushes, and reports its results as JSON. It is a
+// against a fresh store, compacts, and reports its results as JSON. It is a
 // no-op under normal test runs.
 func TestScheduleStoreHelperProcess(t *testing.T) {
 	dir := os.Getenv("SERENITY_STORE_HELPER_DIR")
@@ -720,7 +742,7 @@ func TestScheduleStoreHelperProcess(t *testing.T) {
 		}
 		out = append(out, summarize(res))
 	}
-	if err := ss.Compact(); err != nil { // Compact flushes first; exercises the GC pass cross-process
+	if err := ss.Compact(); err != nil { // exercises the GC pass cross-process
 		t.Fatal(err)
 	}
 	if err := ss.Close(); err != nil {
