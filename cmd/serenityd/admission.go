@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/serenity-ml/serenity/internal/fleet"
 	"github.com/serenity-ml/serenity/internal/govern"
 )
 
@@ -172,35 +171,29 @@ func (a *admission) grantLocked() {
 	}
 }
 
-// peerGate is the fleet tier's own admission lane: a plain non-queueing
-// semaphore of -peer-slots over the peer-facing handlers. Deliberately
-// separate from the compile-slot controller — a peer artifact fetch must
-// never wait behind a long local DP (its caller budgets a few hundred
-// milliseconds, then computes), and a flood of peer traffic must never
-// starve interactive compiles. Saturation sheds with 429; the fetching
-// peer treats that as a miss and does not report this node as failing.
-func peerGate(slots int) fleet.Gate {
-	sem := make(chan struct{}, slots)
-	return func() (func(), bool) {
-		select {
-		case sem <- struct{}{}:
-			return func() { <-sem }, true
-		default:
-			return nil, false
-		}
+// peerLane is the fleet tier's own admission lane: a plain non-queueing
+// semaphore of -peer-slots over the peer-facing handlers, which its admit
+// method gates. Deliberately separate from the compile-slot controller — a
+// peer artifact fetch must never wait behind a long local DP (its caller
+// budgets a few hundred milliseconds, then computes), and a flood of peer
+// traffic must never starve interactive compiles. Saturation sheds with 429;
+// the fetching peer treats that as a miss and does not report this node as
+// failing.
+type peerLane chan struct{}
+
+// admit is the lane's fleet.Gate.
+func (l peerLane) admit() (func(), bool) {
+	select {
+	case l <- struct{}{}:
+		return func() { <-l }, true
+	default:
+		return nil, false
 	}
 }
 
 // retryAfterFor estimates when a rejected client should retry: one second
-// per queued compile-slot generation, floored at one second. Coarse on
-// purpose — it is backoff advice, not a reservation.
+// per queued compile-slot generation, floored at one second and capped at
+// 30. Coarse on purpose — it is backoff advice, not a reservation.
 func retryAfterFor(queueDepth, slots int) time.Duration {
-	if slots < 1 {
-		slots = 1
-	}
-	d := time.Duration(1+queueDepth/slots) * time.Second
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
+	return min(time.Duration(1+queueDepth/slots)*time.Second, 30*time.Second)
 }

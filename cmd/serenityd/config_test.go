@@ -42,8 +42,10 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	}
 }
 
-// TestFlagValidation pins the cross-flag rules finish applies: each rejected
-// combination fails at flag time with an error naming the flag at fault.
+// TestFlagValidation pins the rules finish applies: each rejected value or
+// combination fails at flag time with an error naming the flag at fault. A
+// component the daemon always builds cannot be switched off with a value
+// below 1.
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
@@ -56,6 +58,12 @@ func TestFlagValidation(t *testing.T) {
 		{"peer-addr without a store", []string{"-peer-addr", "http://a:1"}, "-peer-addr requires -store-dir"},
 		{"store bound without a store", []string{"-store-max-bytes", "1MiB"}, "-store-max-bytes requires -store-dir"},
 		{"unparseable byte size", []string{"-mem-limit", "12XB"}, "-mem-limit"},
+		{"no admission control", []string{"-compile-slots", "0"}, "-compile-slots must be positive: the component it sets is always on and can no longer be switched off"},
+		{"no refinement", []string{"-refine-workers", "0"}, "-refine-workers must be positive"},
+		{"no segment memo", []string{"-segment-memo-size", "0"}, "-segment-memo-size must be positive"},
+		{"unlimited peer lane", []string{"-peer-slots", "-1"}, "-peer-slots must be positive"},
+		{"no compute budget", []string{"-compute-timeout", "0s"}, "-compute-timeout must be positive"},
+		{"no node cap", []string{"-max-nodes", "0"}, "-max-nodes must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,9 +84,10 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // TestZeroConfigRunsDaemonDefaults: a daemon started without flags and a
-// test's zero config, with the same components switched on, run the same
-// values wherever no flag sets one — each value has one default, owned by the
-// option that reads it.
+// test's zero config run the same values — each value has one default, owned
+// by the flag or the option that reads it — and build the same components:
+// the zero config switches on nothing but the syncer, which the flags leave
+// to -peer-sync-interval.
 func TestZeroConfigRunsDaemonDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("serenityd", flag.ContinueOnError)
 	daemon, finish := bindFlags(fs)
@@ -88,16 +97,13 @@ func TestZeroConfigRunsDaemonDefaults(t *testing.T) {
 	if err := finish(); err != nil {
 		t.Fatal(err)
 	}
-	zero := config{
-		compileSlots: 1,
-		refineOpts:   serenity.RefinePoolOptions{Workers: 1},
-		sync:         fleet.SyncerOptions{Interval: time.Hour},
-	}
+	zero := config{sync: fleet.SyncerOptions{Interval: time.Hour}}
 	type effective struct {
-		admitQueue, refineQueue, traceRing, syncBatch int
-		probeEvery, probeTimeout                      time.Duration
-		suspectAfter, deadAfter, reviveAfter          int
-		memLimit                                      int64
+		compileSlots, admitQueue, refineWorkers, refineQueue int
+		memoCap, peerSlots, maxNodes, traceRing, syncBatch   int
+		computeBudget, probeEvery, probeTimeout              time.Duration
+		suspectAfter, deadAfter, reviveAfter                 int
+		memLimit                                             int64
 	}
 	measure := func(cfg *config) effective {
 		cfg.storeDir = t.TempDir()
@@ -106,16 +112,22 @@ func TestZeroConfigRunsDaemonDefaults(t *testing.T) {
 		s, _ := startServer(t, *cfg)
 		h := s.health.Options()
 		return effective{
-			admitQueue:   s.admit.limit,
-			refineQueue:  s.refine.Options().QueueDepth,
-			traceRing:    s.tracer.RingSize(),
-			syncBatch:    s.syncer.Options().Batch,
-			probeEvery:   h.Interval,
-			probeTimeout: h.Timeout,
-			suspectAfter: h.SuspectAfter,
-			deadAfter:    h.DeadAfter,
-			reviveAfter:  h.ReviveAfter,
-			memLimit:     s.gov.Stats().Limit,
+			compileSlots:  s.admit.slots,
+			admitQueue:    s.admit.limit,
+			refineWorkers: s.refine.Options().Workers,
+			refineQueue:   s.refine.Options().QueueDepth,
+			memoCap:       s.segMemo.Cap(),
+			peerSlots:     cap(s.peerLane),
+			maxNodes:      s.maxNodes,
+			traceRing:     s.tracer.RingSize(),
+			syncBatch:     s.syncer.Options().Batch,
+			computeBudget: s.computeTimeout,
+			probeEvery:    h.Interval,
+			probeTimeout:  h.Timeout,
+			suspectAfter:  h.SuspectAfter,
+			deadAfter:     h.DeadAfter,
+			reviveAfter:   h.ReviveAfter,
+			memLimit:      s.gov.Stats().Limit,
 		}
 	}
 	if got, want := measure(&zero), measure(daemon); got != want {
@@ -144,6 +156,59 @@ func TestRunBusyPortFailsBeforeBuild(t *testing.T) {
 	}
 	if _, err := os.Stat(cfg.storeDir); !os.IsNotExist(err) {
 		t.Errorf("store directory exists (stat err %v): the store was opened before the bind failed", err)
+	}
+}
+
+// TestRunDrainClosesUnusedConnections: connections that were accepted but
+// have sent no request must not hold the drain. http.Server.Shutdown alone
+// waits 5 seconds for them.
+func TestRunDrainClosesUnusedConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.addr, cfg.drainTimeout = ln.Addr().String(), 10*time.Second
+	ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg) }()
+
+	var first net.Conn
+	for deadline := time.Now().Add(10 * time.Second); first == nil; time.Sleep(5 * time.Millisecond) {
+		if first, err = net.Dial("tcp", cfg.addr); err != nil && time.Now().After(deadline) {
+			t.Fatalf("run never listened: %v", err)
+		}
+	}
+	defer first.Close()
+	for i := 0; i < 3; i++ {
+		c, err := net.Dial("tcp", cfg.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+	}
+	// The server accepts in order, so once a later connection is answered it
+	// has accepted the unused ones too.
+	resp, err := http.Get("http://" + cfg.addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	cancel()
+	start := time.Now()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("drain took %v with four unused connections open, want under 1s", took)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return within 10s of its context ending")
 	}
 }
 

@@ -44,7 +44,7 @@
 //	                    compile seconds, segment memo hits/misses, ...)
 //
 // Beyond the whole-graph schedule cache, the server keeps a cross-request
-// *segment* memo (-segment-memo-size, 0 disables): per-segment DP results
+// *segment* memo (-segment-memo-size entries): per-segment DP results
 // keyed by the segment's structural fingerprint plus the strategy, shared
 // across all requests. Different models that stack the same cell — the
 // repeated-cell shape of NAS-style irregularly wired networks — pay for that
@@ -66,7 +66,11 @@
 // admission controller: interactive ahead of batch, batch ahead of
 // refinement, each class's wait queue bounded (64 requests) and answering
 // 429 + Retry-After when full instead of hanging connections. Cache hits
-// take no slot.
+// take no slot. The server has one shape: the segment memo, admission,
+// serve-then-refine and (in a fleet) the peer lane are always built, and
+// every request's graph is held to the node cap (-max-nodes) and its
+// compilation to the compute budget (-compute-timeout). Their flags size
+// them and reject values below 1.
 //
 // A memory governor (-mem-limit, or GOMEMLIMIT when unset) keeps the whole
 // degradation machinery ahead of the OOM killer: every fresh search reserves
@@ -84,15 +88,16 @@
 // and /readyz.
 //
 // With -store-dir the memo gains a persistent tier: per-segment results are
-// also written (asynchronously) to a content-addressed on-disk artifact
-// store, and a restarted server warm-starts from it — lookups fall through
+// also written, inside the lookup that found them, to a content-addressed
+// on-disk artifact store, and a restarted server warm-starts from it — lookups fall through
 // memory → disk → fresh DP, so a deploy, crash, or autoscale event no longer
 // re-pays the whole corpus under live traffic. The store is size-bounded
 // (-store-max-bytes, LRU), checksummed per record, and survives corruption
 // by recomputing (see serenity.ScheduleStore and the serenity store
 // subcommand for ls/verify/gc/export/import). On SIGINT/SIGTERM the server
-// drains in-flight requests for -drain-timeout and flushes the store before
-// exiting.
+// drains in-flight requests for -drain-timeout (closing at once any
+// connection that has not sent a request) and syncs and closes the store
+// before exiting.
 //
 // With -peer-addr and -peers the store becomes one shard of a distributed
 // compile fleet: a static cluster of serenityd instances sharing one global
@@ -146,6 +151,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -166,7 +172,7 @@ func main() {
 	}
 	// Graceful shutdown: the first SIGINT/SIGTERM stops accepting work and
 	// drains in-flight compilations for up to -drain-timeout; the store is
-	// flushed after the handlers are done writing to it. A second signal
+	// synced and closed after the handlers are done writing to it. A second signal
 	// kills the process the hard way (stop restores default handling once the
 	// context fires).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -235,6 +241,12 @@ func run(ctx context.Context, cfg config) error {
 	}
 
 	s.logger.Info("listening", "addr", cfg.addr, "cache", cfg.cacheSize, "parallelism", cfg.opts.Parallelism)
+	// Shutdown counts a connection that has sent no request yet (StateNew)
+	// as busy for its first 5 s, so one a client opened and never used would
+	// hold the drain that long. The drain closes those at once: the ones in
+	// unused when ctx ends, and any accepted after (the hook stores before it
+	// reads ctx, so none slips between the two).
+	var unused sync.Map // net.Conn → nil
 	srv := &http.Server{
 		Handler: s.handler(),
 		// No WriteTimeout: compilations may legitimately run long. Header
@@ -242,6 +254,16 @@ func run(ctx context.Context, cfg config) error {
 		// pinning goroutines and descriptors.
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
+		ConnState: func(c net.Conn, st http.ConnState) {
+			if st != http.StateNew {
+				unused.Delete(c)
+				return
+			}
+			unused.Store(c, nil)
+			if ctx.Err() != nil { // the drain has begun
+				c.Close()
+			}
+		},
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -268,6 +290,7 @@ func run(ctx context.Context, cfg config) error {
 	case err = <-serveErr:
 	case <-ctx.Done():
 		s.logger.Info("shutting down", "drain_timeout", cfg.drainTimeout.String())
+		unused.Range(func(c, _ any) bool { c.(net.Conn).Close(); return true })
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			s.logger.Warn("drain incomplete", "error", err.Error())

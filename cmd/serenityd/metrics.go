@@ -31,9 +31,8 @@ type scrape struct {
 func (s *server) scrape() *scrape {
 	return &scrape{
 		s: s, cs: s.cache.Stats(), gs: s.gov.Stats(), ring: statsOf(s.peers, (*fleet.Client).Ring),
-		ms: statsOf(s.segMemo, (*serenity.SegmentMemo).Stats),
+		ms: s.segMemo.Stats(), rs: s.refine.Stats(),
 		ss: statsOf(s.store, (*serenity.ScheduleStore).Stats),
-		rs: statsOf(s.refine, (*serenity.RefinePool).Stats),
 		ps: statsOf(s.peers, (*fleet.Client).Stats),
 		hs: statsOf(s.health, (*fleet.Health).Stats),
 		fs: statsOf(s.peerSrv, (*fleet.Server).Stats),
@@ -85,7 +84,6 @@ func hasGov(m *scrape) bool     { return m.s.gov.Enabled() }
 func hasPeers(m *scrape) bool   { return m.s.peers != nil }
 func hasPeerSrv(m *scrape) bool { return m.s.peerSrv != nil }
 func hasSyncer(m *scrape) bool  { return m.s.syncer != nil }
-func hasAdmit(m *scrape) bool   { return m.s.admit != nil }
 
 // metricFamilies is the /metrics page, in exposition order. README
 // §Observability lists the same families (TestMetricsReadmeInSync).
@@ -200,9 +198,9 @@ var metricFamilies = []family{
 	{"serenityd_peer_ring_members", "gauge", "Fleet membership size, this node included.", "%d", hasPeers, one(func(m *scrape) any { return len(m.ring.Members()) })},
 	{"serenityd_peer_ring_owned_share", "gauge", "Estimated fraction of the keyspace this node owns; far from 1/members means a misbalanced ring.", "%.4f", hasPeers, one(func(m *scrape) any { return m.ring.OwnedShare(4096) })},
 
-	{"serenityd_admission_admitted_total", "counter", "Compile-slot acquisitions granted, per priority class.", "%d", hasAdmit, perClass(func(a *admission, c admitClass) int64 { return a.admitted[c].Load() })},
-	{"serenityd_admission_rejected_total", "counter", "Acquisitions rejected with 429 because the class queue was full.", "%d", hasAdmit, perClass(func(a *admission, c admitClass) int64 { return a.rejected[c].Load() })},
-	{"serenityd_admission_waiting", "gauge", "Acquisitions currently queued for a compile slot, per priority class.", "%d", hasAdmit, perClass(func(a *admission, c admitClass) int64 { return a.waiting[c].Load() })},
+	{"serenityd_admission_admitted_total", "counter", "Compile-slot acquisitions granted, per priority class.", "%d", nil, perClass(func(a *admission, c admitClass) int64 { return a.admitted[c].Load() })},
+	{"serenityd_admission_rejected_total", "counter", "Acquisitions rejected with 429 because the class queue was full.", "%d", nil, perClass(func(a *admission, c admitClass) int64 { return a.rejected[c].Load() })},
+	{"serenityd_admission_waiting", "gauge", "Acquisitions currently queued for a compile slot, per priority class.", "%d", nil, perClass(func(a *admission, c admitClass) int64 { return a.waiting[c].Load() })},
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -177,10 +177,6 @@ func TestWaitRefinedAndPending304(t *testing.T) {
 	if st := s.refine.Stats(); st.Queued != 2 { // the blocker and one repair
 		t.Errorf("pool accepted %d jobs, want the blocker and a single repair for both requests", st.Queued)
 	}
-	_, poolless := testServer(t)
-	if final, _ := postScheduleOK(t, poolless, "?strategy=best-effort&degrade=force", body); final.Fallbacks == 0 || final.RefinementsQueued != 0 {
-		t.Errorf("without a refinement pool: refinements_queued=%d for %d fallbacks, want it omitted", final.RefinementsQueued, final.Fallbacks)
-	}
 
 	// Revalidation while the repair is queued: unchanged, retry later, and
 	// crucially no recompilation of an answer the client already holds.

@@ -143,11 +143,10 @@ type errorResponse struct {
 type server struct {
 	opts  serenity.Options
 	cache *cache.Cache[*scheduleResponse]
-	// segMemo, when non-nil, is the process-wide segment-level schedule
-	// memo: per-segment search results shared across ALL requests (single
-	// and batch, all graphs), so two different models stacking the same
-	// cell pay for its DP once. See serenity.SegmentMemo and the
-	// -segment-memo-size flag.
+	// segMemo is the process-wide segment-level schedule memo: per-segment
+	// search results shared across ALL requests (single and batch, all
+	// graphs), so two different models stacking the same cell pay for its
+	// DP once. See serenity.SegmentMemo and the -segment-memo-size flag.
 	segMemo *serenity.SegmentMemo
 	// store, when non-nil, is the persistent tier under segMemo: the
 	// on-disk schedule artifact store (-store-dir) that survives restarts,
@@ -155,19 +154,19 @@ type server struct {
 	// instead of re-running every DP under live traffic. See
 	// serenity.ScheduleStore.
 	store *serenity.ScheduleStore
-	// maxNodes rejects graphs above this node count (0 = unlimited);
-	// computeTimeout bounds one compilation server-side so a patient client
-	// cannot pin a CPU indefinitely (0 = unlimited).
+	// maxNodes rejects graphs above this node count (-max-nodes);
+	// computeTimeout bounds every request's compilation server-side so a
+	// patient client cannot pin a CPU indefinitely (-compute-timeout). A
+	// refinement runs under its pool's context instead (enqueueRefine).
 	maxNodes       int
 	computeTimeout time.Duration
 	// maxBody bounds a request body in bytes (maxRequestBytes); a longer one
 	// answers 413.
 	maxBody int64
-	// admit, when non-nil, is the priority semaphore over compile slots:
+	// admit is the priority semaphore over compile slots (-compile-slots):
 	// every compilation takes one slot in its class — interactive ahead of
 	// batch items, batch ahead of background refinement — and a full class
-	// queue answers 429 + Retry-After instead of hanging (see admission). Nil
-	// means unlimited admission (-compile-slots 0).
+	// queue answers 429 + Retry-After instead of hanging (see admission).
 	admit *admission
 	// gov, when enabled, is the process-wide memory governor (-mem-limit):
 	// every fresh search reserves its estimated byte footprint, the watchdog
@@ -177,7 +176,7 @@ type server struct {
 	// instead of letting the process OOM. Nil or disabled is fully
 	// transparent. See internal/govern.
 	gov *govern.Governor
-	// refine, when non-nil, is the background refinement pool: a degraded
+	// refine is the background refinement pool (-refine-workers): a degraded
 	// compilation is served immediately and one job, keyed by the schedule
 	// key, re-runs it through schedule in the refinement class (the lowest) —
 	// filling the segment memo, the schedule store and the ring owners through
@@ -193,15 +192,16 @@ type server struct {
 	// PeerTier, and its Ring() is this node's one copy of the consistent-hash
 	// membership (admin join/leave swaps it under live traffic); peerSrv the
 	// peer-facing HTTP surface (artifact get/put, sync) mounted on the same
-	// mux; syncer the background anti-entropy loop over the peers client;
-	// health the per-peer liveness view, the fleet's one failure detector,
-	// driving failover routing. peers, peerSrv and health are set together on
-	// every fleet node; syncer only with -peer-sync-interval > 0. See
-	// internal/fleet.
-	peers   *fleet.Client
-	peerSrv *fleet.Server
-	syncer  *fleet.Syncer
-	health  *fleet.Health
+	// mux, gated by peerLane; syncer the background anti-entropy loop over
+	// the peers client; health the per-peer liveness view, the fleet's one
+	// failure detector, driving failover routing. peers, peerSrv, peerLane
+	// and health are set together on every fleet node; syncer only with
+	// -peer-sync-interval > 0. See internal/fleet.
+	peers    *fleet.Client
+	peerSrv  *fleet.Server
+	peerLane peerLane
+	syncer   *fleet.Syncer
+	health   *fleet.Health
 	// fleetMu serializes concurrent membership edits.
 	fleetMu sync.Mutex
 	// ready flips once boot completed: store warm-started and the fleet ring
@@ -390,7 +390,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	g, key := job.g, job.key
 	inm := r.Header.Get("If-None-Match")
-	if inm != "" && s.refine != nil && s.refine.Pending(key) {
+	if inm != "" && s.refine.Pending(key) {
 		// The client holds a degraded answer whose repair is still queued.
 		// Recomputing now would duplicate the refinement's work, so report
 		// "unchanged, try again shortly" instead.
@@ -428,7 +428,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, err)
 		return
 	}
-	if prm.waitRefined > 0 && resp.Fallbacks > 0 && s.refine != nil {
+	if prm.waitRefined > 0 && resp.Fallbacks > 0 {
 		if refined := s.awaitRefined(r.Context(), key, prm.waitRefined); refined != nil {
 			resp, cached = refined, true
 		}
@@ -513,7 +513,7 @@ func (s *server) decodeGraph(body []byte, prm reqParams, ws *serenity.Workspace)
 	if err != nil {
 		return graphJob{}, http.StatusBadRequest, fmt.Errorf("parsing graph: %w", err)
 	}
-	if s.maxNodes > 0 && g.NumNodes() > s.maxNodes {
+	if g.NumNodes() > s.maxNodes {
 		return graphJob{}, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("graph has %d nodes, server accepts at most %d", g.NumNodes(), s.maxNodes)
 	}
@@ -527,16 +527,11 @@ func (s *server) decodeGraph(body []byte, prm reqParams, ws *serenity.Workspace)
 // itself ended — the client hung up, so there is nobody to answer and err is
 // the bare context error.
 func (s *server) runGraph(ctx context.Context, j graphJob, prm reqParams, class admitClass, ws *serenity.Workspace) (*scheduleResponse, bool, int, error) {
-	run := ctx
-	if s.computeTimeout > 0 {
-		var cancel context.CancelFunc
-		run, cancel = context.WithTimeout(run, s.computeTimeout)
-		defer cancel()
-	}
+	run, cancel := context.WithTimeout(ctx, s.computeTimeout)
+	defer cancel()
 	if prm.deadline > 0 {
 		// The client's own compile deadline: under strategy=best-effort it
 		// degrades the search instead of failing it.
-		var cancel context.CancelFunc
 		run, cancel = context.WithTimeout(run, prm.deadline)
 		defer cancel()
 	}
@@ -680,7 +675,7 @@ func (s *server) scheduleErrorStatus(err error, strategy serenity.Strategy, dead
 	case errors.As(err, new(*serenity.ErrBudgetExceeded)):
 		return http.StatusUnprocessableEntity, err
 	case isContextErr(err):
-		if deadline > 0 && (s.computeTimeout <= 0 || deadline <= s.computeTimeout) {
+		if deadline > 0 && deadline <= s.computeTimeout {
 			if strategy == serenity.StrategyBestEffort {
 				// The deadline expired before the search stage could
 				// intercept it and degrade (e.g. during parsing or graph
@@ -832,21 +827,19 @@ func (s *server) schedule(ctx context.Context, g *serenity.Graph, opts serenity.
 	}
 	stood := false // the leader found a cached answer standing where it meant to put its own
 	resp, shared, err := s.flights.Do(ctx, class.String()+"|"+key, func() (*scheduleResponse, error) {
-		if s.admit != nil {
-			// The admission wait is often the dominant latency under load;
-			// traced requests get it as its own span so queueing time is
-			// never misread as compute time.
-			var admSp *trace.SpanHandle
-			if sp := trace.FromContext(ctx); sp != nil {
-				admSp = sp.Child("admission.wait", trace.Str("class", class.String()))
-			}
-			release, err := s.admit.acquire(ctx, class)
-			admSp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
+		// The admission wait is often the dominant latency under load;
+		// traced requests get it as its own span so queueing time is never
+		// misread as compute time.
+		var admSp *trace.SpanHandle
+		if sp := trace.FromContext(ctx); sp != nil {
+			admSp = sp.Child("admission.wait", trace.Str("class", class.String()))
 		}
+		release, err := s.admit.acquire(ctx, class)
+		admSp.EndErr(err)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
 		r, err := s.compute(ctx, g, opts, fingerprint, degrade, ws)
 		if err != nil {
 			return nil, err
@@ -907,9 +900,6 @@ func (s *server) putExact(key string, r *scheduleResponse) (*scheduleResponse, b
 // job outlives the request, whose graph lives in the request's working set,
 // so it compiles a clone on fresh memory.
 func (s *server) enqueueRefine(ctx context.Context, key string, g *serenity.Graph, opts serenity.Options, fingerprint string) bool {
-	if s.refine == nil {
-		return false
-	}
 	opts.Parallelism = 1
 	g = g.Clone()
 	return s.refine.Enqueue(ctx, key, func(ctx context.Context) error {

@@ -20,14 +20,20 @@ import (
 	"github.com/serenity-ml/serenity/internal/models"
 )
 
-// testConfig is the baseline test daemon: small caches and a segment memo;
-// no store, fleet, governor, admission or refinement. Helpers switch layers
-// on by filling the same fields the flags bind to.
+// testConfig is the baseline test daemon: the daemon's shape — segment memo,
+// admission and a one-worker refinement pool — with small caches and four
+// compile slots, so no test depends on the machine's core count; no store,
+// fleet or governor. Helpers switch those on by filling the same fields the
+// flags bind to.
 func testConfig() config {
 	opts := serenity.DefaultOptions()
 	opts.StepTimeout = 500 * time.Millisecond
 	opts.Parallelism = 4
-	return config{opts: opts, cacheSize: 64, segMemoSize: 1024, govern: govern.Options{Limit: -1}}
+	return config{
+		opts: opts, cacheSize: 64, segMemoSize: 1024, compileSlots: 4,
+		refineOpts: serenity.RefinePoolOptions{Workers: 1},
+		govern:     govern.Options{Limit: -1},
+	}
 }
 
 // startServer assembles cfg with the daemon's own constructor and serves it
@@ -307,7 +313,6 @@ func TestScheduleErrors(t *testing.T) {
 	if resp, _ := postSchedule(t, ts, "", body); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("over max-nodes: status %d, want 413", resp.StatusCode)
 	}
-	s.maxNodes = 0
 	resp, err := ts.Client().Get(ts.URL + "/v1/schedule")
 	if err != nil {
 		t.Fatal(err)

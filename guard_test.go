@@ -189,6 +189,21 @@ var guards = []struct {
 			tr.grep(`\bput(Async)\b|\bwrite(Ch)\b|\bstore(Write|WriteQueue)\b|\bDropped(Writes)\b`, nonTest)...)
 	},
 }, {
+	name:      "one-serving-shape",
+	settledBy: "serenityd runs one shape",
+	settled:   "One serving shape",
+	// Every component the flagless daemon builds is always built, and the
+	// walk always runs inside its memo's flight: no nil check switches a
+	// component off and no zero value unbounds one.
+	fix: "serenityd always builds the segment memo, admission and the refinement pool and holds every compilation to " +
+		"the compute budget and the node cap; walkMemo always has its memo",
+	check: func(tr tree) []string {
+		daemon := and(inDir("cmd/serenityd"), nonTest)
+		return append(append(tr.grep(`\b(admit|refine|segMemo) [!=]= nil`, daemon),
+			tr.grep(`\bmemo [!=]= nil`, is("segmemo.go"))...),
+			tr.grep(`\b(computeTimeout|maxNodes|peerSlots) (> 0|<= 0)`, daemon)...)
+	},
+}, {
 	name:      "fault-injection",
 	settledBy: "Tier-1 runs what CI runs",
 	settled:   "Fault injection is test code",

@@ -116,6 +116,9 @@ func (c *LRU[K, V]) insert(key K, val V) {
 	}
 }
 
+// Cap returns the most entries the cache holds.
+func (c *LRU[K, V]) Cap() int { return c.cap }
+
 // Len returns the current number of entries.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

@@ -51,8 +51,9 @@ func oneIf(cond bool) int {
 	return 0
 }
 
-// TestWalkMemoTierMatrix drives the one walk over every {memo, store, peers}
-// combination and, per combination, through every tier that can answer. For
+// TestWalkMemoTierMatrix drives the one walk, which always starts at its memo,
+// over every {store, peers} combination beneath it and, per combination,
+// through every tier that can answer. For
 // each answer it pins which tiers were filled (every local tier above the
 // answering one, nothing else; the disk write has landed when the walk
 // returns), that only fresh non-owned results replicate (exactly once, with
@@ -83,17 +84,14 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 		{name: "fresh-degraded", held: memoTierMiss, out: fellBack},
 		{name: "fresh-error", held: memoTierMiss, out: failed},
 	}
-	for mask := 0; mask < 8; mask++ {
-		hasMemo, hasStore, hasPeers := mask&1 != 0, mask&2 != 0, mask&4 != 0
-		t.Run(fmt.Sprintf("memo=%t,store=%t,peers=%t", hasMemo, hasStore, hasPeers), func(t *testing.T) {
-			var memo *SegmentMemo
+	for mask := 0; mask < 4; mask++ {
+		hasStore, hasPeers := mask&1 != 0, mask&2 != 0
+		t.Run(fmt.Sprintf("memo=true,store=%t,peers=%t", hasStore, hasPeers), func(t *testing.T) {
+			memo := NewSegmentMemo(64)
 			var disk *ScheduleStore
 			var fake *recordingPeers
 			var peers PeerTier
-			installed := [numMemoTiers]bool{memoTierMiss: true}
-			if hasMemo {
-				memo, installed[memoTierMemory] = NewSegmentMemo(64), true
-			}
+			installed := [numMemoTiers]bool{memoTierMemory: true, memoTierMiss: true}
 			if hasStore {
 				disk, installed[memoTierDisk] = openStoreT(t, t.TempDir()), true
 			}
@@ -167,13 +165,10 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 
 				// The fills: every local tier above the one that answered.
 				fills := sc.out == storable
-				if hasMemo {
-					cur, ok := memo.store.Get(mk)
-					if ok != fills {
-						t.Errorf("%s: memory tier holds the key = %t, want %t", sc.name, ok, fills)
-					} else if ok && !reflect.DeepEqual(cur.Order, want.Order) {
-						t.Errorf("%s: memory tier holds %v", sc.name, cur.Order)
-					}
+				if cur, ok := memo.store.Get(mk); ok != fills {
+					t.Errorf("%s: memory tier holds the key = %t, want %t", sc.name, ok, fills)
+				} else if ok && !reflect.DeepEqual(cur.Order, want.Order) {
+					t.Errorf("%s: memory tier holds %v", sc.name, cur.Order)
 				}
 				var onDisk []byte
 				if hasStore {
@@ -209,16 +204,14 @@ func TestWalkMemoTierMatrix(t *testing.T) {
 					}
 				}
 			}
-			if hasMemo {
-				st := memo.Stats()
-				if st.Hits+st.Misses+st.Errors != lookups {
-					t.Errorf("hits %d + misses %d + errors %d != %d lookups", st.Hits, st.Misses, st.Errors, lookups)
-				}
-				if st.Hits != hits || st.Misses != misses || st.Errors != errs ||
-					st.DiskHits != byTier[memoTierDisk] || st.PeerHits != byTier[memoTierPeer] {
-					t.Errorf("stats %+v, want hits=%d misses=%d errors=%d disk=%d peer=%d",
-						st, hits, misses, errs, byTier[memoTierDisk], byTier[memoTierPeer])
-				}
+			st := memo.Stats()
+			if st.Hits+st.Misses+st.Errors != lookups {
+				t.Errorf("hits %d + misses %d + errors %d != %d lookups", st.Hits, st.Misses, st.Errors, lookups)
+			}
+			if st.Hits != hits || st.Misses != misses || st.Errors != errs ||
+				st.DiskHits != byTier[memoTierDisk] || st.PeerHits != byTier[memoTierPeer] {
+				t.Errorf("stats %+v, want hits=%d misses=%d errors=%d disk=%d peer=%d",
+					st, hits, misses, errs, byTier[memoTierDisk], byTier[memoTierPeer])
 			}
 		})
 	}

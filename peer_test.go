@@ -161,60 +161,3 @@ func TestPeerTierRejectsInvalidArtifacts(t *testing.T) {
 	}
 	assertSameResult(t, "poisoned fleet degrades to local compute", want, got)
 }
-
-// TestPeerTierStoreOnlyPath covers the memo-less route through walkMemo: a
-// Pipeline with only a ScheduleStore still fetches from and replicates to
-// the fleet.
-func TestPeerTierStoreOnlyPath(t *testing.T) {
-	g := uniformStack("fleet-store-only", 3, 12)
-	opts := DefaultOptions()
-	opts.StepTimeout = time.Minute
-
-	corpus := map[string][]byte{}
-	storeA, err := OpenScheduleStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer storeA.Close()
-	pa := memoPipeline(t, opts, nil)
-	pa.Store = storeA
-	pa.Peers = &fakeFleet{corpus: corpus}
-	cold, err := pa.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(corpus) == 0 {
-		t.Fatal("store-only pipeline never replicated to the fleet")
-	}
-
-	storeB, err := OpenScheduleStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer storeB.Close()
-	pb := memoPipeline(t, opts, nil)
-	pb.Store = storeB
-	pb.Peers = &fakeFleet{corpus: corpus}
-	warm, err := pb.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.SegmentMemoPeerHits == 0 {
-		t.Error("store-only pipeline reported no peer hits against a warm fleet")
-	}
-	if warm.FreshStatesExplored != 0 {
-		t.Errorf("store-only node B explored %d fresh states", warm.FreshStatesExplored)
-	}
-	assertSameResult(t, "store-only fleet pay-once", cold, warm)
-	// Peer fetches write through to B's local store: the same artifacts must
-	// be retrievable with the fleet gone.
-	pb.Peers = nil
-	pb.SegmentMemo = nil
-	again, err := pb.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.SegmentMemoDiskHits == 0 {
-		t.Error("peer-fetched artifacts never reached node B's local store")
-	}
-}

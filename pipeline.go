@@ -48,23 +48,24 @@ type Pipeline struct {
 	// Fingerprint plus the Searcher's MemoKey, and concurrent searches of
 	// the same segment coalesce into one. Only consulted when Partition is
 	// enabled and the Searcher implements MemoKeyer; degraded (fallback)
-	// results are never stored. See SegmentMemo.
+	// results are never stored. Store and Peers are tiers beneath it and are
+	// consulted only through it. See SegmentMemo.
 	SegmentMemo *SegmentMemo
 	// Store, when non-nil, is the persistent tier under the SegmentMemo: a
 	// lookup falls through memory → disk → fresh search, disk hits are
 	// promoted into the memo, and fresh results are written through inside
-	// the walk, before it returns. With no SegmentMemo installed the same
-	// walk starts at the store (with no singleflight to coalesce on). Keys,
-	// eligibility, and the never-store-degraded rule are exactly the
-	// SegmentMemo's; see ScheduleStore.
+	// the walk, before it returns. It requires a SegmentMemo: RunIn fails a
+	// Pipeline with a Store and no memo. Keys, eligibility, and the
+	// never-store-degraded rule are exactly the SegmentMemo's; see
+	// ScheduleStore.
 	Store *ScheduleStore
 	// Peers, when non-nil, is the fleet tier beneath memory and disk: on a
 	// local miss of a key another fleet member owns, the artifact is fetched
 	// from the owner (validated like a disk artifact), and fresh local
 	// computes of non-owned keys are replicated to their owner write-behind.
-	// Every fleet failure mode degrades to local compute. Only consulted
-	// when a SegmentMemo or Store is installed (the fleet tier needs a local
-	// tier to promote fetched artifacts into). See PeerTier.
+	// Every fleet failure mode degrades to local compute. Like Store it
+	// requires a SegmentMemo, the tier fetched artifacts are promoted into
+	// and the flight concurrent fetches of one key share. See PeerTier.
 	Peers PeerTier
 	// Govern, when non-nil, admits every fresh segment search's memory:
 	// before a search runs (memo/store/peer hits never reserve — they do no
@@ -205,6 +206,9 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 	if p.Searcher == nil {
 		return nil, errors.New("serenity: pipeline has no Searcher")
 	}
+	if p.SegmentMemo == nil && (p.Store != nil || p.Peers != nil) {
+		return nil, errors.New("serenity: pipeline has a Store or Peers but no SegmentMemo to walk them from")
+	}
 	// Tracing rides in on the context: a traced request carries a live span,
 	// an untraced one carries nothing and every handle below stays nil (all
 	// span methods are nil-safe, and attribute construction is guarded, so
@@ -277,14 +281,14 @@ func (p *Pipeline) RunIn(ctx context.Context, g *Graph, ws *Workspace) (*Result,
 	searchSp := root.Child("stage.search")
 	searchStart := time.Now()
 
-	// keys[i] is segment i's memo key; nil disables memoization (no memo or
-	// store installed, partitioning off, or a Searcher that does not expose a
+	// keys[i] is segment i's memo key; nil disables memoization (no memo
+	// installed, partitioning off, or a Searcher that does not expose a
 	// MemoKey). Keys are values, hashed up front from the segment views so
 	// the per-segment work does no fingerprinting of its own.
 	var keys []memoKey
 	var tierHits [numMemoTiers]atomic.Int64 // memoized lookups by answering tier
 	var freshStates atomic.Int64
-	if (p.SegmentMemo != nil || p.Store != nil) && part != nil {
+	if p.SegmentMemo != nil && part != nil {
 		if mk, ok := p.Searcher.(MemoKeyer); ok {
 			if disc := mk.MemoKey(); disc != "" {
 				keys = make([]memoKey, len(segments))

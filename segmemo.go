@@ -48,12 +48,13 @@ type MemoKeyer interface {
 //     (StatesExplored included, so a warm Result reconciles bit for bit with
 //     the cold run that populated the memo); callers must not mutate Order.
 //
-// A SegmentMemo is the memory tier of the memo hierarchy: give the Pipeline a
-// ScheduleStore (Pipeline.Store) and a PeerTier (Pipeline.Peers) as well and
-// one walk (walkMemo) consults memory → disk → peer → fresh search, filling
-// every tier above the one that answered. All tiers share the memo's keys and
-// its poison rule, so everything documented here holds across process
-// restarts and across the fleet too.
+// A SegmentMemo is the memory tier of the memo hierarchy and the one tier a
+// Pipeline cannot do without: a ScheduleStore (Pipeline.Store) and a PeerTier
+// (Pipeline.Peers) sit beneath it, and one walk (walkMemo) consults memory →
+// disk → peer → fresh search inside the memo's flight, filling every tier
+// above the one that answered. All tiers share the memo's keys and its poison
+// rule, so everything documented here holds across process restarts and
+// across the fleet too.
 //
 // A SegmentMemo is safe for concurrent use by any number of Pipelines.
 type SegmentMemo struct {
@@ -143,6 +144,9 @@ func NewSegmentMemo(capacity int) *SegmentMemo {
 	return &SegmentMemo{store: cache.NewLRU[memoKey, SearchResult](capacity)}
 }
 
+// Cap returns the most segment results the memo holds.
+func (m *SegmentMemo) Cap() int { return m.store.Cap() }
+
 // SegmentMemoStats is a snapshot of a memo's counters. Every memoized segment
 // search resolves as exactly one Hit (served from the store, or shared from a
 // concurrent in-flight search), one Miss (this caller ran the searcher to
@@ -191,25 +195,24 @@ func (m *SegmentMemo) settle(key memoKey, sr SearchResult) (stands SearchResult,
 }
 
 // walkMemo is the memo hierarchy's one lookup: it returns the result for key,
-// consulting the memory tier (memo), then the persistent tier (disk), then
-// the fleet tier (peers) — each optional — then running compute. It alone
-// owns the tier order and everything that hangs off it. The returned tier
-// reports how the result arrived: anything but memoTierMiss means this caller
-// ran no search. seg is the segment: a disk or peer artifact whose order is
-// not a topological order of it (Segment.Fits) is a miss — a disk record is
-// deleted and counted corrupt — and the walk goes on down to a fresh search,
-// whose result then takes the key. fetching runs before the walk waits on a
+// consulting the memory tier (memo, required), then the persistent tier
+// (disk), then the fleet tier (peers) — both optional — then running compute.
+// It alone owns the tier order and everything that hangs off it. The returned
+// tier reports how the result arrived: anything but memoTierMiss means this
+// caller ran no search. seg is the segment: a disk or peer artifact whose
+// order is not a topological order of it (Segment.Fits) is a miss — a disk
+// record is deleted and counted corrupt — and the walk goes on down to a
+// fresh search, whose result then takes the key. fetching runs before the walk waits on a
 // peer: the pipeline starts its helper goroutines there.
 // A memory hit builds nothing; the key's string form exists only below it.
 //
 // Below the memory tier the walk runs inside the memo's singleflight:
 // concurrent lookups of one cold key cost one disk read, at most one peer
-// round trip, and one search, not N. (Without a memo there is nothing to
-// coalesce on; concurrent identical segments each walk on their own.)
-// Errors are never stored; context errors follow cache.Group's retry
-// contract, except that a caller whose own deadline expires — even while it
-// merely follows someone else's flight — gets its searcher's deadline
-// behaviour (a degradable searcher's fallback), not the flight's wait error.
+// round trip, and one search, not N. Errors are never stored; context errors
+// follow cache.Group's retry contract, except that a caller whose own
+// deadline expires — even while it merely follows someone else's flight —
+// gets its searcher's deadline behaviour (a degradable searcher's fallback),
+// not the flight's wait error.
 // Results reach the tiers inside the flight — before followers are
 // released and before the flight is torn down — so a caller arriving as the
 // leader finishes can never slip between the closed flight and the
@@ -232,25 +235,21 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 	// FromContext on a bare context costs one nil check, Child of a nil span
 	// is nil, and no attribute is constructed unless a live span is present.
 	span := trace.FromContext(ctx)
-	if memo != nil {
-		sp := span.Child(memoSpanNames[memoTierMemory])
-		sr, ok := memo.store.Get(key)
-		endTierSpan(sp, ok)
-		if ok {
-			memo.lookups[memoTierMemory].Add(1)
-			return sr, memoTierMemory, nil
-		}
+	sp := span.Child(memoSpanNames[memoTierMemory])
+	sr, ok := memo.store.Get(key)
+	endTierSpan(sp, ok)
+	if ok {
+		memo.lookups[memoTierMemory].Add(1)
+		return sr, memoTierMemory, nil
 	}
 	skey := key.String()
 	// fill lands a result that arrived from tier `from` in every local tier
 	// above it and returns the entry that stands (see settle). payload is
 	// sr's encoding when the caller already holds it (a peer fetch).
 	fill := func(from memoTier, sr SearchResult, payload []byte) SearchResult {
-		if memo != nil {
-			var wrote bool
-			if sr, wrote = memo.settle(key, sr); !wrote {
-				payload = nil // an established entry stands; it is what flows down
-			}
+		sr, wrote := memo.settle(key, sr)
+		if !wrote {
+			payload = nil // an established entry stands; it is what flows down
 		}
 		toDisk := disk != nil && from > memoTierDisk
 		toOwner := from == memoTierMiss && peers != nil && !peers.Owns(skey)
@@ -278,13 +277,11 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 		}
 		return memoLoad{sr, memoTierMiss}, err
 	}
-	load := func() (memoLoad, error) {
-		if memo != nil {
-			// A flight for key may have filled memory and closed between this
-			// caller's miss above and its becoming the leader here.
-			if sr, ok := memo.store.Get(key); ok {
-				return memoLoad{sr, memoTierMemory}, nil
-			}
+	v, shared, err := memo.group.Do(ctx, skey, func() (memoLoad, error) {
+		// A flight for key may have filled memory and closed between this
+		// caller's miss above and its becoming the leader here.
+		if sr, ok := memo.store.Get(key); ok {
+			return memoLoad{sr, memoTierMemory}, nil
 		}
 		if disk != nil {
 			sp := span.Child(memoSpanNames[memoTierDisk])
@@ -313,12 +310,7 @@ func walkMemo(ctx context.Context, memo *SegmentMemo, disk *ScheduleStore, peers
 			}
 		}
 		return fresh()
-	}
-	if memo == nil {
-		v, err := load()
-		return v.sr, v.tier, err
-	}
-	v, shared, err := memo.group.Do(ctx, skey, load)
+	})
 	if err != nil && ctx.Err() == context.DeadlineExceeded {
 		// This caller's own deadline ran out — possibly while it was only
 		// following another caller's flight (a more patient request's, or a

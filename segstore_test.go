@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,7 +132,7 @@ func FuzzSegmentArtifact(f *testing.F) {
 		if _, err := ss.st.PutIfAbsent(key, data); err != nil {
 			t.Fatal(err)
 		}
-		p := storePipeline(t, opts, nil, ss)
+		p := storePipeline(t, opts, NewSegmentMemo(8), ss)
 		p.Peers = &fakeFleet{corpus: map[string][]byte{key: data}}
 		got, err := p.Run(context.Background(), g)
 		if err != nil {
@@ -242,27 +243,43 @@ func TestScheduleStoreTierPromotion(t *testing.T) {
 	assertSameResult(t, "memory-hot", cold, hot)
 }
 
-// TestScheduleStoreWithoutMemo: Pipeline.Store alone (no SegmentMemo) still
-// persists and serves artifacts.
+// TestScheduleStoreWithoutMemo: the store and the fleet are tiers beneath a
+// SegmentMemo, so RunIn refuses a Pipeline that sets either one without a
+// memo, before it touches them; with neither, the Pipeline runs unmemoized.
 func TestScheduleStoreWithoutMemo(t *testing.T) {
 	g := uniformStack("store-only", 3, 12)
 	opts := DefaultOptions()
 	opts.StepTimeout = time.Minute
 	ss := openStoreT(t, t.TempDir())
-
-	cold, err := storePipeline(t, opts, nil, ss).Run(context.Background(), g)
+	fleet := &fakeFleet{corpus: map[string][]byte{}}
+	for _, tc := range []struct {
+		name  string
+		store *ScheduleStore
+		peers PeerTier
+	}{
+		{"store", ss, nil},
+		{"peers", nil, fleet},
+		{"store and peers", ss, fleet},
+	} {
+		p := storePipeline(t, opts, nil, tc.store)
+		p.Peers = tc.peers
+		if res, err := p.Run(context.Background(), g); err == nil || !strings.Contains(err.Error(), "no SegmentMemo") {
+			t.Errorf("%s without a memo: result %v, err %v; want a refusal naming the missing SegmentMemo", tc.name, res, err)
+		}
+	}
+	if st := ss.Stats(); st.Writes != 0 || st.Hits+st.Misses != 0 {
+		t.Errorf("a refused run reached the store: %+v", st)
+	}
+	if fleet.fetches != 0 || fleet.replicas != 0 {
+		t.Errorf("a refused run reached the fleet: %d fetches, %d replicas", fleet.fetches, fleet.replicas)
+	}
+	plain, err := storePipeline(t, opts, nil, nil).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := storePipeline(t, opts, nil, ss).Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
+	if plain.SegmentMemoHits != 0 || plain.FreshStatesExplored == 0 {
+		t.Errorf("unmemoized run: %d hits, %d fresh states; want every segment searched", plain.SegmentMemoHits, plain.FreshStatesExplored)
 	}
-	if warm.SegmentMemoHits != len(warm.SegmentQuality) || warm.SegmentMemoHits != warm.SegmentMemoDiskHits {
-		t.Errorf("store-only warm run: %d hits, %d disk hits, %d segments — all three should match",
-			warm.SegmentMemoHits, warm.SegmentMemoDiskHits, len(warm.SegmentQuality))
-	}
-	assertSameResult(t, "store-only", cold, warm)
 }
 
 // TestScheduleStorePoisonRule: a deadline-degraded run must leave nothing on
@@ -644,7 +661,7 @@ func TestGoldenStoreOldMemoKeysReadAsMiss(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p.Store = ss
+				p.SegmentMemo, p.Store = NewSegmentMemo(64), ss
 				res, err := p.Run(context.Background(), models.BenchmarkCells()[tc].Build())
 				if err != nil {
 					t.Fatal(err)
